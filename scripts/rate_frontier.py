@@ -10,11 +10,10 @@ Example:
 """
 
 import argparse
-import csv
 import sys
 import time
 
-from stepweaver.optimizer import P_EXPONENT, build_tables, c_low, r_constant
+from stepweaver.optimizer import P_EXPONENT, build_tables, c_low, r_constant, write_rate_csv
 from stepweaver.schedule import CompClass
 
 
@@ -39,13 +38,7 @@ def main() -> int:
 
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "length", "s_rate", "s_normalized", "f_rate", "f_normalized"])
-            for n in range(1, args.n + 1):
-                sr = float(tables.s_rate[n])
-                fr = float(tables.f_rate[n])
-                npow = n**P_EXPONENT
-                w.writerow([n, n - 1, sr, sr * npow, fr, fr * npow])
+            write_rate_csv(fh, args.n, {"s_": tables.s_rate, "f_": tables.f_rate})
         print(f"wrote {args.out}")
     return 0
 

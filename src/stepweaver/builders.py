@@ -9,6 +9,7 @@ from .schedule import (
     CompClass,
     CompositionTree,
     JoinOp,
+    LEAF,
     ResourceCapError,
     ScheduleError,
     StepSchedule,
@@ -17,6 +18,8 @@ from .schedule import (
     join,
     join_rate,
     middle_step,
+    result_class,
+    reverse,
     validate_schedule,
 )
 
@@ -67,14 +70,7 @@ def right_heavy(k: int) -> StepSchedule:
 
 def left_heavy(k: int) -> StepSchedule:
     """Gradient-norm mirror of :func:`right_heavy`: ``h(i+1) = h(i) <| silver(i)``."""
-    if k < 0:
-        raise ScheduleError(f"level must be nonnegative, got {k}")
-    if k > MAX_SILVER_LEVEL:
-        raise ResourceCapError(f"level {k} exceeds cap {MAX_SILVER_LEVEL}")
-    h = empty_schedule(CompClass.G)
-    for i in range(k):
-        h = join(JoinOp.GJOIN, h, silver(i))
-    return h
+    return reverse(right_heavy(k))
 
 
 def sigma_seed() -> StepSchedule:
@@ -88,15 +84,47 @@ def sigma_seed() -> StepSchedule:
 
 def _resolve_seed(seed) -> StepSchedule:
     if isinstance(seed, StepSchedule):
-        if seed.comp_class is not CompClass.G:
-            raise ScheduleError(f"custom seed must be class g, got {seed.comp_class.value}")
-        validate_schedule(seed)
         return seed
     if seed == "empty":
         return empty_schedule(CompClass.G)
     if seed == "sigma":
         return sigma_seed()
     raise ScheduleError(f"unknown seed {seed!r}: expected 'empty', 'sigma', or a g-schedule")
+
+
+def _extend(h: StepSchedule, n: int, op: JoinOp) -> StepSchedule:
+    """Join the empty s-schedule onto ``h`` until it has length ``n``: after
+    it with ``<|``, before it with ``|>``.
+
+    Bit-identical to joining one step at a time, but only the rate is carried
+    from step to step; the steps are concatenated and validated once.
+    """
+    cls = result_class(op)
+    if h.comp_class is not cls:
+        raise ScheduleError(f"seed must be class {cls.value}, got {h.comp_class.value}")
+    validate_schedule(h)
+    if n < h.n:
+        raise ScheduleError(f"target length {n} is shorter than the seed ({h.n})")
+    if n > MAX_EXTEND_LEN:
+        raise ResourceCapError(f"length {n} exceeds cap {MAX_EXTEND_LEN}")
+    if n == h.n:
+        return h
+    if h.conjectured:
+        raise UncertifiedScheduleError("cannot extend a conjectured seed: its class is unproven")
+    rate, tree = h.rate, h.tree
+    mus = []
+    for _ in range(n - h.n):
+        # the empty s-side has rate 1, so both joins use the same formulas
+        mu = middle_step(op, 1.0, rate)
+        rate = join_rate(op, 1.0, rate)
+        mus.append(mu)
+        if tree is not None:
+            pair = (tree, LEAF) if op is JoinOp.GJOIN else (LEAF, tree)
+            tree = CompositionTree(op, *pair, mu)
+    steps = [h.steps, mus] if op is JoinOp.GJOIN else [mus[::-1], h.steps]
+    out = StepSchedule(np.concatenate(steps), cls, rate, tree)
+    validate_schedule(out)
+    return out
 
 
 def dynamic_short(n: int, seed="empty") -> StepSchedule:
@@ -107,15 +135,7 @@ def dynamic_short(n: int, seed="empty") -> StepSchedule:
     recurrence ``mu' = (3 - 2*mu + sqrt(9 - 4*mu)) / (2*(2 - mu))`` with rate
     ``(2 - mu)/2``, which :func:`short_step_recurrence` exposes for checks.
     """
-    h = _resolve_seed(seed)
-    if n < h.n:
-        raise ScheduleError(f"target length {n} is shorter than the seed ({h.n})")
-    if n > MAX_EXTEND_LEN:
-        raise ResourceCapError(f"length {n} exceeds cap {MAX_EXTEND_LEN}")
-    tail = empty_schedule(CompClass.S)
-    while h.n < n:
-        h = join(JoinOp.GJOIN, h, tail)
-    return h
+    return _extend(_resolve_seed(seed), n, JoinOp.GJOIN)
 
 
 def f_extend(n: int, seed=None) -> StepSchedule:
@@ -123,18 +143,7 @@ def f_extend(n: int, seed=None) -> StepSchedule:
 
     Equals the reversal of :func:`dynamic_short` run from the reversed seed.
     """
-    h = empty_schedule(CompClass.F) if seed is None else seed
-    if h.comp_class is not CompClass.F:
-        raise ScheduleError(f"seed must be class f, got {h.comp_class.value}")
-    validate_schedule(h)
-    if n < h.n:
-        raise ScheduleError(f"target length {n} is shorter than the seed ({h.n})")
-    if n > MAX_EXTEND_LEN:
-        raise ResourceCapError(f"length {n} exceeds cap {MAX_EXTEND_LEN}")
-    head = empty_schedule(CompClass.S)
-    while h.n < n:
-        h = join(JoinOp.FJOIN, head, h)
-    return h
+    return _extend(empty_schedule(CompClass.F) if seed is None else seed, n, JoinOp.FJOIN)
 
 
 def short_step_recurrence(n: int, mu1: float = 1.5):

@@ -5,7 +5,6 @@ error, 4 I/O or schema error, 5 resource cap exceeded.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -14,7 +13,6 @@ import numpy as np
 
 from . import __version__, dsl, gd, optimizer
 from .io import RunConfig, ScheduleFileError, load_schedule, save_schedule, dumps_schedule
-from .optimizer import P_EXPONENT
 from .schedule import (
     ClassMismatchError,
     CompClass,
@@ -40,11 +38,6 @@ def _class_arg(value: str) -> CompClass:
         raise argparse.ArgumentTypeError(f"expected f, g, or s, got {value!r}") from None
 
 
-def _tables_for(n_rows: int, args) -> optimizer.RateTables:
-    cache = getattr(args, "cache", None)
-    return optimizer.load_or_build(n_rows, cache)
-
-
 def cmd_compose(args) -> int:
     schedule, ast = dsl.compile_expression(args.expr, args.comp_class)
     text = dumps_schedule(
@@ -61,17 +54,8 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def _rate_table_csv(tables: optimizer.RateTables, comp_class: CompClass, n_rows: int, fh) -> None:
-    w = csv.writer(fh)
-    w.writerow(["n", "length", "rate", "normalized"])
-    tab = tables.s_rate if comp_class is CompClass.S else tables.f_rate
-    for n in range(1, n_rows + 1):
-        rate = float(tab[n])
-        w.writerow([n, n - 1, format(rate, ".17g"), format(rate * n**P_EXPONENT, ".17g")])
-
-
 def cmd_optimize(args) -> int:
-    tables = _tables_for(args.n + 1, args)
+    tables = optimizer.load_or_build(args.n + 1, args.cache)
     if args.comp_class is CompClass.S:
         schedule = optimizer.obs_s(args.n, tables)
         macro = "obss"
@@ -83,7 +67,8 @@ def cmd_optimize(args) -> int:
         macro = "obsg"
     if args.table:
         with open(args.table, "w", newline="", encoding="utf-8") as fh:
-            _rate_table_csv(tables, args.comp_class, args.n + 1, fh)
+            tab = tables.s_rate if args.comp_class is CompClass.S else tables.f_rate
+            optimizer.write_rate_csv(fh, args.n + 1, {"": tab})
         print(f"wrote rate table {args.table}")
     if args.out:
         save_schedule(
@@ -121,6 +106,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
+def _number(convert, text, field: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ScheduleError(f"{field}: expected {convert.__name__}, got {text!r}") from None
+
+
 def _parse_function(spec: str):
     kind, _, body = spec.partition(":")
     params = {}
@@ -131,14 +123,14 @@ def _parse_function(spec: str):
                 raise ScheduleError(f"bad function parameter {item!r} in {spec!r}")
             params[key.strip()] = value.strip()
     if kind == "quad":
-        return gd.quad_instance(float(params.get("a", 1.0)))
+        return gd.quad_instance(_number(float, params.get("a", 1.0), "--function quad:a"))
     if kind == "huber":
         if "delta" not in params:
             raise ScheduleError("huber function needs delta=<value>")
-        return gd.huber_instance(float(params["delta"]))
+        return gd.huber_instance(_number(float, params["delta"], "--function huber:delta"))
     if kind == "random":
-        d = int(params.get("d", 8))
-        seed = int(params.get("seed", 0))
+        d = _number(int, params.get("d", 8), "--function random:d")
+        seed = _number(int, params.get("seed", 0), "--function random:seed")
         return gd.random_instance(np.random.default_rng(seed), d)
     raise ScheduleError(f"unknown function {kind!r}: expected quad, huber, or random")
 
@@ -149,7 +141,7 @@ def cmd_run(args) -> int:
     if args.x0 is None:
         x0 = np.ones(instance.dim)
     else:
-        vals = [float(v) for v in args.x0.split(",")]
+        vals = [_number(float, v, "--x0") for v in args.x0.split(",")]
         x0 = np.full(instance.dim, vals[0]) if len(vals) == 1 else np.array(vals)
     trace = gd.run(schedule, instance, x0)
     if args.out:
@@ -178,7 +170,7 @@ def cmd_bounds(args) -> int:
             f"--k {args.k} needs an O(4^k) table fill (N={n_rows}); rerun with --force "
             "to enter the long-running mode"
         )
-    tables = _tables_for(n_rows, args)
+    tables = optimizer.load_or_build(n_rows, args.cache)
     consts = optimizer.asymptotic_constants(args.k, tables)
     print(f"p,{format(consts.p, '.17g')}")
     print(f"c_low,{format(consts.c_low, '.17g')}")
@@ -187,21 +179,7 @@ def cmd_bounds(args) -> int:
         print(f"{k},{format(consts.r_obs_s[k], '.17g')},{format(consts.r_obs_f[k], '.17g')}")
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "length", "s_rate", "s_normalized", "f_rate", "f_normalized"])
-            for n in range(1, n_rows + 1):
-                sr, fr = float(tables.s_rate[n]), float(tables.f_rate[n])
-                np_pow = n**P_EXPONENT
-                w.writerow(
-                    [
-                        n,
-                        n - 1,
-                        format(sr, ".17g"),
-                        format(sr * np_pow, ".17g"),
-                        format(fr, ".17g"),
-                        format(fr * np_pow, ".17g"),
-                    ]
-                )
+            optimizer.write_rate_csv(fh, n_rows, {"s_": tables.s_rate, "f_": tables.f_rate})
         print(f"wrote normalized rates {args.out}")
     return EXIT_OK
 

@@ -22,9 +22,17 @@ import re
 from dataclasses import dataclass
 
 from . import builders, optimizer
-from .schedule import CompClass, JoinOp, ScheduleError, StepSchedule, empty_schedule, join
-
-ALL_CLASSES = frozenset((CompClass.F, CompClass.G, CompClass.S))
+from .schedule import (
+    ALL_CLASSES,
+    CompClass,
+    JoinOp,
+    ScheduleError,
+    StepSchedule,
+    empty_schedule,
+    join,
+    operand_classes,
+    result_class,
+)
 
 
 class DslSyntaxError(ScheduleError):
@@ -210,14 +218,6 @@ def parse(text: str):
 # Typecheck / format / evaluate
 # ---------------------------------------------------------------------------
 
-_OPERANDS = {
-    JoinOp.SJOIN: (CompClass.S, CompClass.S),
-    JoinOp.FJOIN: (CompClass.S, CompClass.F),
-    JoinOp.GJOIN: (CompClass.G, CompClass.S),
-}
-_RESULT = {JoinOp.SJOIN: CompClass.S, JoinOp.FJOIN: CompClass.F, JoinOp.GJOIN: CompClass.G}
-
-
 def _class_names(classes) -> str:
     return "{" + ", ".join(sorted(c.value for c in classes)) + "}"
 
@@ -230,7 +230,7 @@ def typecheck(expr) -> frozenset:
         return frozenset((_MACROS[expr.name][0],))
     lcls = typecheck(expr.left)
     rcls = typecheck(expr.right)
-    lneed, rneed = _OPERANDS[expr.op]
+    lneed, rneed = operand_classes(expr.op)
     if lneed not in lcls:
         raise DslTypeError(
             f"left operand of {expr.op.symbol} has classes {_class_names(lcls)}, "
@@ -241,7 +241,7 @@ def typecheck(expr) -> frozenset:
             f"right operand of {expr.op.symbol} has classes {_class_names(rcls)}, "
             f"{rneed.value} required: {format_expr(expr.right)}"
         )
-    return frozenset((_RESULT[expr.op],))
+    return frozenset((result_class(expr.op),))
 
 
 def format_expr(expr) -> str:
@@ -267,7 +267,7 @@ def evaluate(expr, comp_class: CompClass) -> StepSchedule:
             return empty_schedule(cls)
         if isinstance(node, ExprMacro):
             return _MACROS[node.name][1](node.arg)
-        lneed, rneed = _OPERANDS[node.op]
+        lneed, rneed = operand_classes(node.op)
         return join(node.op, _eval(node.left, lneed), _eval(node.right, rneed))
 
     return _eval(expr, comp_class)

@@ -143,13 +143,17 @@ class RunConfig:
     slack_tol: float = 1e-8
     tight_tol: float = 1e-9
     q_tol: float = 1e-9
-    cache_dir: "str | None" = None
     output_format: str = "text"
 
     def __post_init__(self):
         for name in ("battery", "seed", "identity_tol", "slack_tol", "tight_tol", "q_tol"):
-            if not getattr(self, name) > 0:
-                raise ScheduleFileError(f"config field {name} must be positive")
+            value = getattr(self, name)
+            what = "integer" if name in ("battery", "seed") else "number"
+            kinds = int if what == "integer" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+                raise ScheduleFileError(
+                    f"config field {name} must be a positive {what}, got {value!r}"
+                )
         if self.output_format not in ("text", "json"):
             raise ScheduleFileError(
                 f"config field output_format must be 'text' or 'json', got {self.output_format!r}"

@@ -7,6 +7,7 @@ convenience wrappers :func:`obs_s` / :func:`obs_f` / :func:`obs_g` take the
 schedule *length* instead.
 """
 
+import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -25,10 +26,14 @@ from .schedule import (
     ScheduleError,
     StepSchedule,
     _fgjoin_rate,
+    _s_side_first,
     _sjoin_rate,
     empty_schedule,
     join,
+    join_rate,
     materialize,
+    operand_classes,
+    result_class,
     reverse,
 )
 
@@ -207,66 +212,26 @@ def enumerate_basic(n: int, comp_class: CompClass):
     if n > MAX_ENUM_LEN:
         raise ResourceCapError(f"enumeration capped at length {MAX_ENUM_LEN}, got {n}")
 
-    s_trees: list[list[CompositionTree]] = [[LEAF]]
+    # s-trees are built for every class: they are the operands of |> and <|
+    ops = [JoinOp.SJOIN]
+    ops += [op for op in (JoinOp.FJOIN, JoinOp.GJOIN) if result_class(op) is comp_class]
+    pairs = {cls: [[(LEAF, 1.0)]] for cls in (CompClass.S, comp_class)}
     for ln in range(1, n + 1):
-        s_trees.append(
-            [
-                CompositionTree(JoinOp.SJOIN, l, r)
-                for m in range(ln)
-                for l in s_trees[m]
-                for r in s_trees[ln - 1 - m]
-            ]
-        )
-    if comp_class is CompClass.S:
-        trees_by_len = s_trees
-    else:
-        op = JoinOp.FJOIN if comp_class is CompClass.F else JoinOp.GJOIN
-        trees_by_len = [[LEAF]]
-        for ln in range(1, n + 1):
-            if op is JoinOp.FJOIN:
-                combos = [
-                    CompositionTree(op, l, r)
+        for op in ops:
+            lefts, rights = (pairs[cls] for cls in operand_classes(op))
+            # ordered by split m, then left, then right: this order fixes min's tie-break
+            pairs[result_class(op)].append(
+                [
+                    (CompositionTree(op, left, right), join_rate(op, *_s_side_first(op, lrate, rrate)))
                     for m in range(ln)
-                    for l in s_trees[m]
-                    for r in trees_by_len[ln - 1 - m]
+                    for left, lrate in lefts[m]
+                    for right, rrate in rights[ln - 1 - m]
                 ]
-            else:
-                combos = [
-                    CompositionTree(op, l, r)
-                    for m in range(ln)
-                    for l in trees_by_len[m]
-                    for r in s_trees[ln - 1 - m]
-                ]
-            trees_by_len.append(combos)
+            )
 
-    rate_memo: dict[int, float] = {id(LEAF): 1.0}
-
-    def tree_rate(t: CompositionTree) -> float:
-        stack = [(t, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in rate_memo:
-                continue
-            if not expanded:
-                stack.append((node, True))
-                stack.append((node.left, False))
-                stack.append((node.right, False))
-            else:
-                lr = rate_memo[id(node.left)]
-                rr = rate_memo[id(node.right)]
-                if node.op is JoinOp.SJOIN:
-                    rate_memo[id(node)] = float(_sjoin_rate(lr, rr))
-                elif node.op is JoinOp.FJOIN:
-                    rate_memo[id(node)] = float(_fgjoin_rate(lr, rr))
-                else:
-                    rate_memo[id(node)] = float(_fgjoin_rate(rr, lr))
-        return rate_memo[id(t)]
-
-    candidates = trees_by_len[n]
-    rates = [tree_rate(t) for t in candidates]
-    best_idx = min(range(len(candidates)), key=lambda i: rates[i])
-    best = materialize(candidates[best_idx], comp_class)
-    return best, sorted(rates)
+    candidates = pairs[comp_class][n]
+    best_tree, _ = min(candidates, key=lambda pair: pair[1])
+    return materialize(best_tree, comp_class), sorted(rate for _, rate in candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +325,20 @@ def asymptotic_constants(k_max: int, tables: "RateTables | None" = None) -> Asym
         c_low=c_low(),
         p=P_EXPONENT,
     )
+
+
+def write_rate_csv(fh, n_rows: int, columns: dict) -> None:
+    """Write rows ``n = 1..n_rows`` of rate tables as CSV: for each
+    ``prefix -> table`` in ``columns``, the columns ``<prefix>rate`` and
+    ``<prefix>normalized`` (``rate * n^p``), in 17 significant digits."""
+    w = csv.writer(fh)
+    w.writerow(["n", "length"] + [p + name for p in columns for name in ("rate", "normalized")])
+    for n in range(1, n_rows + 1):
+        row = [n, n - 1]
+        for tab in columns.values():
+            rate = float(tab[n])
+            row += [format(rate, ".17g"), format(rate * n**P_EXPONENT, ".17g")]
+        w.writerow(row)
 
 
 # ---------------------------------------------------------------------------

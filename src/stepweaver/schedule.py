@@ -127,6 +127,13 @@ def _require_positive(alpha, beta):
         raise ScheduleError(f"join rates must be positive, got alpha={alpha}, beta={beta}")
 
 
+def _s_side_first(op: JoinOp, left_rate: float, right_rate: float):
+    """``(alpha, beta)`` from operand rates in concatenation order: S-side rate first."""
+    if op is JoinOp.GJOIN:
+        return right_rate, left_rate
+    return left_rate, right_rate
+
+
 def join_rate(op: JoinOp, alpha: float, beta: float) -> float:
     """Scalar join of two rates.
 
@@ -174,47 +181,48 @@ class CompositionTree:
 
     def length(self) -> int:
         """Total schedule length: one step per join node (shared nodes counted per use)."""
-        memo: dict[int, int] = {}
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if id(node) in memo:
-                continue
-            if node.is_leaf:
-                memo[id(node)] = 0
-            elif not expanded:
-                stack.append((node, True))
-                stack.append((node.left, False))
-                stack.append((node.right, False))
-            else:
-                memo[id(node)] = memo[id(node.left)] + memo[id(node.right)] + 1
-        return memo[id(self)]
+        return postorder(self, 0, lambda node, left, right: left + right + 1)
 
 
 LEAF = CompositionTree()
 
 
-def admissible_classes(tree: CompositionTree) -> frozenset:
-    """Classes a tree can evaluate to: leaves admit all three, joins one."""
-    out: dict[int, frozenset] = {}
+ALL_CLASSES = frozenset(CompClass)
+
+
+def postorder(tree: CompositionTree, leaf, combine):
+    """Fold a tree bottom-up: every leaf has the value ``leaf``, and a join
+    node has ``combine(node, left_value, right_value)``.
+
+    Iterative, so deep chains cannot overflow the stack, and memoized by node
+    identity, so a shared subtree is combined once.
+    """
+    memo: dict[int, object] = {}
     stack = [(tree, False)]
     while stack:
         node, expanded = stack.pop()
-        if id(node) in out:
-            continue
-        if node.is_leaf:
-            out[id(node)] = frozenset((CompClass.F, CompClass.G, CompClass.S))
-        elif not expanded:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
-        else:
-            lneed, rneed = _OPERAND_CLASSES[node.op]
-            if lneed in out[id(node.left)] and rneed in out[id(node.right)]:
-                out[id(node)] = frozenset((_RESULT_CLASS[node.op],))
+        if expanded:
+            memo[id(node)] = combine(node, memo[id(node.left)], memo[id(node.right)])
+        elif id(node) not in memo:
+            if node.is_leaf:
+                memo[id(node)] = leaf
             else:
-                out[id(node)] = frozenset()
-    return out[id(tree)]
+                stack.append((node, True))
+                stack.append((node.right, False))
+                stack.append((node.left, False))
+    return memo[id(tree)]
+
+
+def admissible_classes(tree: CompositionTree) -> frozenset:
+    """Classes a tree can evaluate to: leaves admit all three, joins one."""
+
+    def combine(node, left, right):
+        lneed, rneed = operand_classes(node.op)
+        if lneed in left and rneed in right:
+            return frozenset((result_class(node.op),))
+        return frozenset()
+
+    return postorder(tree, ALL_CLASSES, combine)
 
 
 def trees_equal(a: CompositionTree, b: CompositionTree, check_mu: bool = False) -> bool:
@@ -333,7 +341,7 @@ def join(op: JoinOp, a: StepSchedule, b: StepSchedule, identity_tol: float = DEF
     needs (G, S), ``><`` needs (S, S).  The result's rate is the scalar join
     of the operand rates and is validated against the closed-form identities.
     """
-    lneed, rneed = _OPERAND_CLASSES[op]
+    lneed, rneed = operand_classes(op)
     if a.comp_class is not lneed or b.comp_class is not rneed:
         raise ClassMismatchError(
             f"{op.symbol} requires (left={lneed.value}, right={rneed.value}), "
@@ -343,43 +351,20 @@ def join(op: JoinOp, a: StepSchedule, b: StepSchedule, identity_tol: float = DEF
         raise UncertifiedScheduleError(
             "cannot join conjectured schedules: their class membership is unproven"
         )
-    if op is JoinOp.GJOIN:
-        alpha, beta = b.rate, a.rate
-    else:
-        alpha, beta = a.rate, b.rate
+    alpha, beta = _s_side_first(op, a.rate, b.rate)
     mu = middle_step(op, alpha, beta)
     rate = join_rate(op, alpha, beta)
     steps = np.concatenate([a.steps, [mu], b.steps])
     tree = None
     if a.tree is not None and b.tree is not None:
         tree = CompositionTree(op, a.tree, b.tree, mu)
-    out = StepSchedule(steps, _RESULT_CLASS[op], rate, tree)
+    out = StepSchedule(steps, result_class(op), rate, tree)
     validate_schedule(out, identity_tol)
     return out
 
 
 _REVERSED_CLASS = {CompClass.F: CompClass.G, CompClass.G: CompClass.F, CompClass.S: CompClass.S}
 _REVERSED_OP = {JoinOp.FJOIN: JoinOp.GJOIN, JoinOp.GJOIN: JoinOp.FJOIN, JoinOp.SJOIN: JoinOp.SJOIN}
-
-
-def _mirror_tree(tree: CompositionTree) -> CompositionTree:
-    out: dict[int, CompositionTree] = {}
-    stack = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if id(node) in out:
-            continue
-        if node.is_leaf:
-            out[id(node)] = LEAF
-        elif not expanded:
-            stack.append((node, True))
-            stack.append((node.left, False))
-            stack.append((node.right, False))
-        else:
-            out[id(node)] = CompositionTree(
-                _REVERSED_OP[node.op], out[id(node.right)], out[id(node.left)], node.mu
-            )
-    return out[id(tree)]
 
 
 def reverse(h: StepSchedule) -> StepSchedule:
@@ -392,9 +377,12 @@ def reverse(h: StepSchedule) -> StepSchedule:
         raise UncertifiedScheduleError(
             "reversal is certified only for schedules with a construction tree"
         )
-    return StepSchedule(
-        h.steps[::-1].copy(), _REVERSED_CLASS[h.comp_class], h.rate, _mirror_tree(h.tree)
+    mirrored = postorder(
+        h.tree,
+        LEAF,
+        lambda node, left, right: CompositionTree(_REVERSED_OP[node.op], right, left, node.mu),
     )
+    return StepSchedule(h.steps[::-1].copy(), _REVERSED_CLASS[h.comp_class], h.rate, mirrored)
 
 
 def fg_rates_from_s(h: StepSchedule):
@@ -414,28 +402,20 @@ def materialize(tree: CompositionTree, comp_class: CompClass, identity_tol: floa
     Shared subtrees are evaluated once.  Raises ``ClassMismatchError`` if the
     tree cannot produce the requested class.
     """
-    if comp_class not in admissible_classes(tree):
+    classes = admissible_classes(tree)
+    if comp_class not in classes:
         raise ClassMismatchError(
             f"tree does not admit class {comp_class.value} "
-            f"(admits {{{', '.join(sorted(c.value for c in admissible_classes(tree)))}}})"
+            f"(admits {{{', '.join(sorted(c.value for c in classes))}}})"
         )
-    memo: dict[tuple[int, CompClass], StepSchedule] = {}
-    stack = [(tree, comp_class, False)]
-    while stack:
-        node, cls, expanded = stack.pop()
-        key = (id(node), cls)
-        if key in memo:
-            continue
-        if node.is_leaf:
-            memo[key] = empty_schedule(cls)
-            continue
-        lcls, rcls = _OPERAND_CLASSES[node.op]
-        if not expanded:
-            stack.append((node, cls, True))
-            stack.append((node.left, lcls, False))
-            stack.append((node.right, rcls, False))
-        else:
-            memo[key] = join(
-                node.op, memo[(id(node.left), lcls)], memo[(id(node.right), rcls)], identity_tol
-            )
-    return memo[(id(tree), comp_class)]
+
+    # A join's class is fixed by its op; only a leaf (folded to None) takes
+    # the class its parent requires.
+    def combine(node, left, right):
+        lcls, rcls = operand_classes(node.op)
+        left = empty_schedule(lcls) if left is None else left
+        right = empty_schedule(rcls) if right is None else right
+        return join(node.op, left, right, identity_tol)
+
+    out = postorder(tree, None, combine)
+    return empty_schedule(comp_class) if out is None else out

@@ -14,20 +14,40 @@ from stepweaver.builders import (
     sigma_seed,
     silver,
 )
+from stepweaver.io import dumps_schedule, loads_schedule
 from stepweaver.schedule import (
     CompClass,
     JoinOp,
     ResourceCapError,
     ScheduleError,
+    StepSchedule,
     UncertifiedScheduleError,
     empty_schedule,
     join,
     reverse,
+    trees_equal,
     validate_schedule,
 )
 
 SQ2 = math.sqrt(2.0)
 PHI = 1.0 + SQ2
+
+
+def join_by_join(h, n):
+    """Reference extension: join the empty s-schedule one step at a time."""
+    e = empty_schedule(CompClass.S)
+    while h.n < n:
+        h = join(JoinOp.GJOIN, h, e) if h.comp_class is CompClass.G else join(JoinOp.FJOIN, e, h)
+    return h
+
+
+def assert_same_extension(ext, ref):
+    assert np.array_equal(ext.steps, ref.steps)
+    assert ext.rate == ref.rate
+    assert ext.comp_class is ref.comp_class
+    assert (ext.tree is None) == (ref.tree is None)
+    if ref.tree is not None:
+        assert trees_equal(ext.tree, ref.tree, check_mu=True)
 
 
 class TestSilver:
@@ -163,6 +183,23 @@ class TestDynamicShort:
         with pytest.raises(ScheduleError):
             dynamic_short(1, "sigma")
 
+    @pytest.mark.parametrize("n", [3, 4, 17, 300])
+    @pytest.mark.parametrize("seed", ["empty", "sigma", "treeless"])
+    def test_equals_join_by_join_reference(self, seed, n):
+        start = {
+            "empty": empty_schedule(CompClass.G),
+            "sigma": sigma_seed(),
+            "treeless": constant_optimal(CompClass.G, 3),
+        }[seed]
+        arg = start if seed == "treeless" else seed
+        assert_same_extension(dynamic_short(n, arg), join_by_join(start, n))
+
+    def test_conjectured_seed_rejected(self):
+        g = constant_optimal(CompClass.G, 3)
+        conj = StepSchedule(g.steps, CompClass.G, g.rate, conjectured=True)
+        with pytest.raises(UncertifiedScheduleError):
+            dynamic_short(5, conj)
+
 
 class TestFExtend:
     def test_base_cases(self):
@@ -175,6 +212,22 @@ class TestFExtend:
     def test_reversal_duality_with_dynamic_short(self, n):
         assert np.array_equal(reverse(f_extend(n)).steps, dynamic_short(n).steps)
         assert f_extend(n).rate == dynamic_short(n).rate
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 300])
+    @pytest.mark.parametrize("seed", ["empty", "reversed_sigma", "treeless"])
+    def test_equals_join_by_join_reference(self, seed, n):
+        seed = {
+            "empty": empty_schedule(CompClass.F),
+            "reversed_sigma": reverse(sigma_seed()),
+            # a schedule file without a construction loads without a tree
+            "treeless": loads_schedule(dumps_schedule(f_extend(2))),
+        }[seed]
+        assert_same_extension(f_extend(n, seed), join_by_join(seed, n))
+
+    def test_conjectured_seed_rejected(self):
+        conj = constant_optimal(CompClass.F, 3, unverified=True)
+        with pytest.raises(UncertifiedScheduleError):
+            f_extend(5, conj)
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_reversal_duality_with_custom_seed(self, n):

@@ -103,6 +103,29 @@ class TestRunConfig:
         cfg = RunConfig.from_json('{"battery": 17, "seed": 3}')
         assert cfg.battery == 17 and cfg.seed == 3
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"battery": True}, "battery must be a positive integer"),
+            ({"battery": 2.5}, "battery must be a positive integer"),
+            ({"seed": False}, "seed must be a positive integer"),
+            ({"seed": "3"}, "seed must be a positive integer"),
+            ({"q_tol": "1e-9"}, "q_tol must be a positive number"),
+            ({"slack_tol": True}, "slack_tol must be a positive number"),
+        ],
+    )
+    def test_field_types_enforced(self, doc, message):
+        with pytest.raises(ScheduleFileError, match=message):
+            RunConfig.from_dict(doc)
+
+    def test_cache_dir_is_an_unknown_key(self, tmp_path, capsys):
+        sched = tmp_path / "h.json"
+        main(["compose", "silver(2)", "--class", "s", "--out", str(sched)])
+        config = tmp_path / "config.json"
+        config.write_text('{"battery": 10, "cache_dir": "/tmp"}')
+        assert main(["verify", str(sched), "--config", str(config)]) == 4
+        assert "unknown config keys: cache_dir" in capsys.readouterr().err
+
 
 class TestCli:
     def test_compose_writes_schedule(self, tmp_path, capsys):
@@ -229,6 +252,19 @@ class TestCli:
         assert main(["run", str(out), "--function", "random:d=8,seed=4", "--out", str(trace)]) == 0
         row = trace.read_text().strip().splitlines()[1]
         assert len(row.split(",")[1].split(";")) == 8
+
+    @pytest.mark.parametrize(
+        "flags,field",
+        [(["--function", "quad:a=abc"], "--function quad:a"), (["--x0", "foo"], "--x0")],
+    )
+    def test_run_bad_number_is_a_parse_error(self, tmp_path, capsys, flags, field):
+        out = tmp_path / "h.json"
+        main(["compose", "(e |> e)", "--class", "f", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["run", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: expected float")
+        assert "Traceback" not in err
 
     def test_bounds(self, capsys):
         assert main(["bounds", "--k", "3"]) == 0

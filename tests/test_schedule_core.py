@@ -267,6 +267,15 @@ class TestReverse:
         with pytest.raises(UncertifiedScheduleError):
             reverse(bare)
 
+    def test_deep_chain_folds_without_recursion(self):
+        from stepweaver.builders import dynamic_short
+
+        h = dynamic_short(20000)
+        r = reverse(h)
+        assert r.tree.length() == h.tree.length() == 20000
+        assert admissible_classes(h.tree) == {CompClass.G}
+        assert admissible_classes(r.tree) == {CompClass.F}
+
 
 class TestFgRates:
     def test_one_step(self):
@@ -313,6 +322,16 @@ class TestMaterialize:
             t = CompositionTree(JoinOp.SJOIN, t, t)
         h = materialize(t, CompClass.S)
         assert h.n == 2**10 - 1
+
+    def test_length_counts_shared_subtrees_per_use(self):
+        from stepweaver.builders import silver
+
+        assert silver(20).tree.length() == 2**20 - 1
+        t = LEAF
+        for _ in range(64):  # 2^64 - 1 joins: finishes only if shared nodes are folded once
+            t = CompositionTree(JoinOp.SJOIN, t, t)
+        assert t.length() == 2**64 - 1
+        assert admissible_classes(t) == {CompClass.S}
 
     def test_rejects_inadmissible_class(self):
         t = CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
