@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification failure, 2 parse error, 3 type/class
-error, 4 I/O or schema error, 5 resource cap exceeded.
+Exit codes: 0 success, 1 verification failure, 2 parse or argument error,
+3 type/class error, 4 I/O or schema error, 5 resource cap exceeded.
 """
 
 import argparse
@@ -36,6 +36,12 @@ def _class_arg(value: str) -> CompClass:
         return CompClass(value.lower())
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected f, g, or s, got {value!r}") from None
+
+
+def _nonnegative_int(value: str) -> int:
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def cmd_compose(args) -> int:
@@ -113,6 +119,14 @@ def _number(convert, text, field: str):
         raise ScheduleError(f"{field}: expected {convert.__name__}, got {text!r}") from None
 
 
+def _at_least(least: int, text, field: str) -> int:
+    value = _number(int, text, field)
+    if value < least:
+        kind = "positive" if least == 1 else "nonnegative"
+        raise ScheduleError(f"{field}: expected a {kind} integer, got {value}")
+    return value
+
+
 def _parse_function(spec: str):
     kind, _, body = spec.partition(":")
     params = {}
@@ -129,8 +143,8 @@ def _parse_function(spec: str):
             raise ScheduleError("huber function needs delta=<value>")
         return gd.huber_instance(_number(float, params["delta"], "--function huber:delta"))
     if kind == "random":
-        d = _number(int, params.get("d", 8), "--function random:d")
-        seed = _number(int, params.get("seed", 0), "--function random:seed")
+        d = _at_least(1, params.get("d", 8), "--function random:d")
+        seed = _at_least(0, params.get("seed", 0), "--function random:seed")
         return gd.random_instance(np.random.default_rng(seed), d)
     raise ScheduleError(f"unknown function {kind!r}: expected quad, huber, or random")
 
@@ -200,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("optimize", help="rate-optimal schedule of a given length")
     o.add_argument("--class", dest="comp_class", type=_class_arg, required=True)
-    o.add_argument("--n", type=int, required=True, help="schedule length")
+    o.add_argument("--n", type=_nonnegative_int, required=True, help="schedule length")
     o.add_argument("--out", help="write the schedule file here")
     o.add_argument("--table", help="write the rate table CSV here")
     o.add_argument("--cache", help="table cache directory (default: $STEPWEAVER_CACHE)")
@@ -226,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run)
 
     b = sub.add_parser("bounds", help="normalized-rate constants and envelope data")
-    b.add_argument("--k", type=int, required=True, help="largest dyadic level")
+    b.add_argument("--k", type=_nonnegative_int, required=True, help="largest dyadic level")
     b.add_argument("--out", help="write per-n normalized rates CSV here")
     b.add_argument("--force", action="store_true", help="allow k > 12 (long-running)")
     b.add_argument("--cache", help="table cache directory (default: $STEPWEAVER_CACHE)")

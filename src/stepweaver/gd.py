@@ -93,6 +93,8 @@ def huber_instance(delta: float, d: int = 1) -> ProblemInstance:
 
 def random_instance(rng: np.random.Generator, d: int) -> ProblemInstance:
     """Random per-coordinate mixture; deltas log-uniform, curvatures uniform."""
+    if d < 1:
+        raise ScheduleError(f"dimension must be a positive integer, got {d}")
     is_huber = rng.random(d) < 0.5
     param = np.where(
         is_huber,

@@ -91,6 +91,11 @@ class TestInstances:
             x = rng.standard_normal(d)
             assert np.allclose(inst.grad(x), finite_diff_grad(inst, x), atol=1e-6)
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_random_instance_needs_positive_dimension(self, d):
+        with pytest.raises(ScheduleError, match="positive integer"):
+            random_instance(np.random.default_rng(0), d)
+
     def test_one_smoothness_on_random_pairs(self):
         rng = np.random.default_rng(3)
         inst = random_instance(rng, 6)

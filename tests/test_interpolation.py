@@ -1,0 +1,180 @@
+"""The Gram-form interpolation kernel against the pairwise oracle, the cached
+battery, and the verifier names that the benchmark's traced run wraps."""
+
+import inspect
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from oracles import q_min_pairwise
+from stepweaver import verify
+from stepweaver.builders import right_heavy, silver
+from stepweaver.gd import raw_run
+from stepweaver.io import RunConfig
+from stepweaver.optimizer import build_tables, obs_f, obs_g, obs_s
+from stepweaver.verify import _q_min_batched, _q_min_raw, verify_schedule
+
+DIMS = st.sampled_from([1, 2, 4, 8])
+
+
+def q_tolerance(X, G, F) -> float:
+    """Agreement bound: 1e-12 of the largest magnitude Q is built from."""
+    return 1e-12 * max(1.0, np.abs(F).max(), np.abs(X).max() ** 2, np.abs(G).max() ** 2)
+
+
+def convex_traces(seed, n, batch, d):
+    """GD traces on random separable 1-smooth convex instances, shaped
+    (n+1, batch, d); arbitrary positive steps keep every point on the function."""
+    rng = np.random.default_rng(seed)
+    is_huber = rng.random((batch, d)) < 0.5
+    param = np.where(is_huber, 10.0 ** rng.uniform(-3.0, 0.0, (batch, d)), rng.uniform(0.05, 1.0, (batch, d)))
+    x0 = rng.standard_normal((batch, d)) * 10.0 ** rng.uniform(-1.0, 1.0, (batch, 1))
+    return raw_run(rng.uniform(0.1, 3.0, n), is_huber, param, x0)
+
+
+def arbitrary_traces(seed, n, batch, d):
+    """Points, gradients and values drawn independently: mostly non-convex."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-1.0, 1.0)
+    return (
+        scale * rng.standard_normal((n + 1, batch, d)),
+        rng.standard_normal((n + 1, batch, d)),
+        scale * rng.standard_normal((n + 1, batch)),
+    )
+
+
+class TestGramKernelOracle:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 6), DIMS)
+    def test_convex_batched(self, seed, n, batch, d):
+        X, G, F = convex_traces(seed, n, batch, d)
+        expected = q_min_pairwise(X, G, F)
+        tol = q_tolerance(X, G, F)
+        assert np.max(np.abs(_q_min_raw(X, G, F) - expected)) <= tol
+        # chunks of one instance and of several, against one call
+        for max_elems in (1, 3 * (n + 2) ** 2, 2**18):
+            got = _q_min_batched(X, G, F, max_elems=max_elems)
+            assert got.shape == (batch,)
+            assert np.max(np.abs(got - expected)) <= tol
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), DIMS)
+    def test_convex_unbatched(self, seed, n, d):
+        X, G, F = convex_traces(seed, n, 1, d)
+        X, G, F = X[:, 0], G[:, 0], F[:, 0]
+        got = _q_min_raw(X, G, F)
+        assert isinstance(got, float)
+        assert abs(got - q_min_pairwise(X, G, F)) <= q_tolerance(X, G, F)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6), DIMS)
+    def test_arbitrary_without_star(self, seed, n, batch, d):
+        X, G, F = arbitrary_traces(seed, n, batch, d)
+        tol = q_tolerance(X, G, F)
+        expected = q_min_pairwise(X, G, F, include_star=False)
+        assert np.max(np.abs(_q_min_raw(X, G, F, include_star=False) - expected)) <= tol
+        got = _q_min_raw(X[:, 0], G[:, 0], F[:, 0], include_star=False)
+        assert abs(got - q_min_pairwise(X[:, 0], G[:, 0], F[:, 0], include_star=False)) <= tol
+
+    def test_star_only_pair_is_exactly_zero(self):
+        # one point at the minimizer plus the appended star: every Q is 0
+        zero = np.zeros((1, 3))
+        assert _q_min_raw(zero, zero, np.zeros(1)) == 0.0
+
+
+def long_schedules():
+    """The eight join-built schedules with n in 255..511 that the benchmark's
+    verify-long workload verifies."""
+    tables = build_tables(512)
+    return [
+        silver(8),
+        obs_f(255, tables),
+        obs_g(255, tables),
+        obs_f(383, tables),
+        obs_g(383, tables),
+        obs_s(383, tables),
+        obs_s(511, tables),
+        right_heavy(9),
+    ]
+
+
+def test_long_reports_match_pairwise_oracle(monkeypatch):
+    cfg = RunConfig()
+    schedules = long_schedules()
+    reports = [verify_schedule(h, cfg) for h in schedules]
+    monkeypatch.setattr(verify, "_q_min_raw", q_min_pairwise)
+    for h, report in zip(schedules, reports):
+        expected = verify_schedule(h, cfg)
+        assert (report.passed, report.certified) == (expected.passed, expected.certified)
+        assert [c.name for c in report.checks] == [c.name for c in expected.checks]
+        for got, want in zip(report.checks, expected.checks):
+            assert got.passed == want.passed, got.name
+            if got.name == "interpolation":
+                assert abs(got.slack - want.slack) <= 1e-12
+            else:
+                assert got.slack == want.slack or np.isnan(got.slack) and np.isnan(want.slack)
+                assert got.instance == want.instance
+
+
+class TestBatteryCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        verify._battery.cache_clear()
+        yield
+        verify._battery.cache_clear()
+
+    def test_arrays_are_read_only(self):
+        for d, *arrays in verify._battery(12, 7):
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = a[0]
+
+    @pytest.mark.parametrize("battery,seed", [(12, 8), (16, 7)])
+    def test_entries_keyed_by_battery_and_seed(self, battery, seed):
+        first = verify._battery(12, 7)
+        groups = verify._battery(battery, seed)
+        assert groups is not first
+        expected = {}
+        for _, inst, x0 in verify.battery_instances(RunConfig(battery=battery, seed=seed)):
+            expected.setdefault(inst.dim, []).append(x0)
+        assert {d: x0.tolist() for d, _, _, _, x0 in groups} == {
+            d: np.stack(x0s).tolist() for d, x0s in expected.items()
+        }
+        assert verify._battery(12, 7) is first
+
+    def test_cache_stays_bounded(self):
+        for seed in range(1, 13):
+            verify._battery(4, seed)
+        assert verify._battery.cache_info().currsize == verify._battery.cache_info().maxsize
+
+    def test_second_verify_builds_no_battery(self, monkeypatch):
+        calls = []
+        original = verify.battery_instances
+
+        def counting(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(verify, "battery_instances", counting)
+        cfg = RunConfig(battery=20, seed=0x5EED)
+        first = verify_schedule(silver(3), cfg)
+        second = verify_schedule(silver(3), cfg)
+        assert len(calls) == 1
+        assert first.to_dict() == second.to_dict()
+        # only battery and seed select the entry
+        verify_schedule(silver(3), replace(cfg, seed=0x5EEE))
+        verify_schedule(silver(3), replace(cfg, battery=21))
+        verify_schedule(silver(3), replace(cfg, q_tol=1e-6, slack_tol=1e-6))
+        assert [(c.battery, c.seed) for c in calls] == [(20, 0x5EED), (20, 0x5EEE), (21, 0x5EED)]
+
+
+def test_traced_boundaries_exist():
+    """The benchmark's traced run wraps these names in ``stepweaver.verify``;
+    dropping one silently removes a per-layer span."""
+    assert list(inspect.signature(verify._q_min_batched).parameters)[:3] == ["X", "G", "F"]
+    X, G, F = convex_traces(3, 5, 7, 2)
+    assert verify._q_min_batched(X, G, F).shape == (7,)
+    cfg = RunConfig(battery=5)
+    triples = verify.battery_instances(cfg)
+    assert [t[0] for t in triples] == list(range(5))
+    assert verify.raw_run is raw_run

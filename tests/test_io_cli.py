@@ -266,6 +266,36 @@ class TestCli:
         assert err.startswith(f"error: {field}: expected float")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("random:d=-2", "random:d: expected a positive integer, got -2"),
+            ("random:d=0", "random:d: expected a positive integer, got 0"),
+            ("random:d=2,seed=-1", "random:seed: expected a nonnegative integer, got -1"),
+        ],
+    )
+    def test_run_random_out_of_range_is_a_parse_error(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "h.json"
+        main(["compose", "(e |> e)", "--class", "f", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["run", str(out), "--function", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --function {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--k", "-1"], ["optimize", "--class", "s", "--n", "-3"], ["bounds", "--k", "abc"]],
+    )
+    def test_size_must_be_a_nonnegative_integer(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: stepweaver")
+        assert f"expected a nonnegative integer, got {argv[-1]!r}" in captured.err
+
     def test_bounds(self, capsys):
         assert main(["bounds", "--k", "3"]) == 0
         out = capsys.readouterr().out

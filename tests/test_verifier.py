@@ -219,6 +219,7 @@ class TestVerifySchedule:
     def test_battery_witness_is_replayable(self):
         import re
 
+        from stepweaver import verify
         from stepweaver.verify import battery_instance
 
         # the bogus gradient schedule from the falsifiability family
@@ -227,14 +228,16 @@ class TestVerifySchedule:
             b = 1.0 + 1.0 / (4.0 * math.sqrt(11.0 + 2.0 * b))
         bogus = StepSchedule(np.array([5.0, b]), CompClass.G, 1.0 / (1.0 + 2.0 * (5.0 + b)))
         cfg = RunConfig(battery=40)
-        report = verify_schedule(bogus, cfg)
-        check = next(c for c in report.checks if c.name == "battery/gradient-inequality")
-        assert not check.passed
-        index = int(re.search(r"instance #(\d+)", check.instance).group(1))
-        inst, x0 = battery_instance(cfg, index)
-        tr = run(bogus, inst, x0)
-        scale = max(1.0, float(x0 @ x0), float(tr.f[0]))
-        assert check_g_inequality(tr, bogus.rate) / scale == pytest.approx(check.slack, rel=1e-12)
+        verify._battery.cache_clear()
+        for _ in range(2):  # a freshly built battery, then the cached one
+            report = verify_schedule(bogus, cfg)
+            check = next(c for c in report.checks if c.name == "battery/gradient-inequality")
+            assert not check.passed
+            index = int(re.search(r"instance #(\d+)", check.instance).group(1))
+            inst, x0 = battery_instance(cfg, index)
+            tr = run(bogus, inst, x0)
+            scale = max(1.0, float(x0 @ x0), float(tr.f[0]))
+            assert check_g_inequality(tr, bogus.rate) / scale == pytest.approx(check.slack, rel=1e-12)
 
 
 class TestFalsifiability:
