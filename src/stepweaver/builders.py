@@ -31,26 +31,17 @@ MAX_EXTEND_LEN = 100_000
 def silver(k: int) -> StepSchedule:
     """Level-``k`` balanced self-join schedule of length ``2^k - 1``, class S.
 
-    Built iteratively by doubling: each level concatenates two copies of the
-    previous one around the middle step of their self-join, so the result is
-    float-identical to evaluating the balanced join tree.  Rate is
-    ``(1+sqrt(2))^-k``.
+    ``k`` self-joins of the empty s-schedule, ``h = h >< h``: every level
+    shares one subtree for both halves.  Rate is ``(1+sqrt(2))^-k``.
     """
     if k < 0:
         raise ScheduleError(f"level must be nonnegative, got {k}")
     if k > MAX_SILVER_LEVEL:
         raise ResourceCapError(f"level {k} exceeds cap {MAX_SILVER_LEVEL} (length 2^k - 1)")
-    steps = np.empty(0)
-    eta = 1.0
-    tree = CompositionTree()
+    h = empty_schedule(CompClass.S)
     for _ in range(k):
-        mu = middle_step(JoinOp.SJOIN, eta, eta)
-        steps = np.concatenate([steps, [mu], steps])
-        tree = CompositionTree(JoinOp.SJOIN, tree, tree, mu)
-        eta = join_rate(JoinOp.SJOIN, eta, eta)
-    out = StepSchedule(steps, CompClass.S, eta, tree)
-    validate_schedule(out)
-    return out
+        h = join(JoinOp.SJOIN, h, h)
+    return h
 
 
 def right_heavy(k: int) -> StepSchedule:

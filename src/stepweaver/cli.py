@@ -60,17 +60,13 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
+_OBS = {CompClass.S: optimizer.obs_s, CompClass.F: optimizer.obs_f, CompClass.G: optimizer.obs_g}
+
+
 def cmd_optimize(args) -> int:
     tables = optimizer.load_or_build(args.n + 1, args.cache)
-    if args.comp_class is CompClass.S:
-        schedule = optimizer.obs_s(args.n, tables)
-        macro = "obss"
-    elif args.comp_class is CompClass.F:
-        schedule = optimizer.obs_f(args.n, tables)
-        macro = "obsf"
-    else:
-        schedule = optimizer.obs_g(args.n, tables)
-        macro = "obsg"
+    schedule = _OBS[args.comp_class](args.n, tables)
+    macro = f"obs{args.comp_class.value}"
     if args.table:
         with open(args.table, "w", newline="", encoding="utf-8") as fh:
             tab = tables.s_rate if args.comp_class is CompClass.S else tables.f_rate

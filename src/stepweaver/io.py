@@ -97,6 +97,9 @@ def loads_schedule(text: str, identity_tol: float = 1e-9) -> StepSchedule:
         raise ScheduleFileError(f"steps: length {len(steps)} does not match n={doc['n']}")
     if not isinstance(doc["rate"], (int, float)):
         raise ScheduleFileError(f"rate: expected a number, got {doc['rate']!r}")
+    for key in ("construction", "provenance"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ScheduleFileError(f"{key}: expected a string, got {doc[key]!r}")
 
     schedule = StepSchedule(np.array(steps, dtype=np.float64), comp_class, float(doc["rate"]))
     try:

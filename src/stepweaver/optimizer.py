@@ -10,6 +10,8 @@ schedule *length* instead.
 import csv
 import json
 import os
+import sys
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,18 +62,14 @@ class RateTables:
     s_split: np.ndarray
     f_split: np.ndarray
     identity_tol: float = DEFAULT_IDENTITY_TOL
-    _s_memo: dict = field(default_factory=dict, repr=False)
-    _f_memo: dict = field(default_factory=dict, repr=False)
+    _memo: dict = field(default_factory=dict, repr=False)
 
 
-def build_tables(n_max: int, cross_check_doubling: bool = False) -> RateTables:
+def build_tables(n_max: int) -> RateTables:
     """Fill both tables up to ``n_max`` by exact O(N^2) dynamic programming.
 
     Split ties break to the smallest ``m`` (np.argmin returns the first
-    minimum), which makes reconstruction deterministic.  With
-    ``cross_check_doubling`` the dyadic upper bound
-    ``rate[2m] <= rate[m]/(1+sqrt(2))`` is asserted for every m as a sanity
-    check on the fill; it never replaces the exact DP.
+    minimum), which makes reconstruction deterministic.
     """
     if n_max < 1:
         raise ScheduleError(f"need n_max >= 1, got {n_max}")
@@ -93,63 +91,48 @@ def build_tables(n_max: int, cross_check_doubling: bool = False) -> RateTables:
         j = int(np.argmin(candf))
         f[n] = candf[j]
         f_split[n] = j + 1
-    if cross_check_doubling:
-        ratio = 1.0 / (1.0 + np.sqrt(2.0))
-        m = np.arange(1, n_max // 2 + 1)
-        for name, tab in (("s", s), ("f", f)):
-            bound = tab[m] * ratio * (1.0 + 1e-12)
-            bad = np.nonzero(tab[2 * m] > bound)[0]
-            if bad.size:
-                raise ScheduleError(
-                    f"doubling cross-check failed for {name}-table at m={int(m[bad[0]])}"
-                )
     return RateTables(n_max, s, f, s_split, f_split)
 
 
-def _reconstruct(tables: RateTables, kind: str, idx: int) -> StepSchedule:
+def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
     """Rebuild the optimal schedule for table row ``idx`` by following splits.
 
-    Iterative: resolve all needed rows bottom-up so deep split chains cannot
-    overflow the stack.  Results are memoized on the tables object.
+    Row ``n`` of class ``cls`` joins rows ``m`` and ``n - m`` with the class's
+    join, whose operand classes come from the join typing table.  Iterative:
+    resolve all needed rows bottom-up so deep split chains cannot overflow
+    the stack.  Results are memoized on the tables object by ``(class, row)``.
     """
-    memo_s, memo_f = tables._s_memo, tables._f_memo
-    needed_s, needed_f = set(), set()
-    work = [(kind, idx)]
+    columns = {
+        CompClass.S: (JoinOp.SJOIN, tables.s_split, tables.s_rate),
+        CompClass.F: (JoinOp.FJOIN, tables.f_split, tables.f_rate),
+    }
+    memo = tables._memo
+    needed = set()
+    work = [(cls, idx)]
     while work:
-        kd, n = work.pop()
-        if kd == "s":
-            if n in memo_s or n in needed_s:
-                continue
-            needed_s.add(n)
-            if n > 1:
-                m = int(tables.s_split[n])
-                work.append(("s", m))
-                work.append(("s", n - m))
-        else:
-            if n in memo_f or n in needed_f:
-                continue
-            needed_f.add(n)
-            if n > 1:
-                m = int(tables.f_split[n])
-                work.append(("s", m))
-                work.append(("f", n - m))
-    for n in sorted(needed_s):
+        key = work.pop()
+        if key in memo or key in needed:
+            continue
+        needed.add(key)
+        c, n = key
+        if n > 1:
+            op, split, _ = columns[c]
+            m = int(split[n])
+            lcls, rcls = operand_classes(op)
+            work += [(lcls, m), (rcls, n - m)]
+    # both operand rows of row n are shorter than n
+    for c, n in sorted(needed, key=lambda key: (key[1], key[0].value)):
+        op, split, rate = columns[c]
         if n == 1:
-            memo_s[n] = empty_schedule(CompClass.S)
+            h = empty_schedule(c)
         else:
-            m = int(tables.s_split[n])
-            memo_s[n] = join(JoinOp.SJOIN, memo_s[m], memo_s[n - m], tables.identity_tol)
-        if memo_s[n].rate != tables.s_rate[n]:
-            raise ScheduleError(f"s-table reconstruction mismatch at row {n}")
-    for n in sorted(needed_f):
-        if n == 1:
-            memo_f[n] = empty_schedule(CompClass.F)
-        else:
-            m = int(tables.f_split[n])
-            memo_f[n] = join(JoinOp.FJOIN, memo_s[m], memo_f[n - m], tables.identity_tol)
-        if memo_f[n].rate != tables.f_rate[n]:
-            raise ScheduleError(f"f-table reconstruction mismatch at row {n}")
-    return memo_s[idx] if kind == "s" else memo_f[idx]
+            m = int(split[n])
+            lcls, rcls = operand_classes(op)
+            h = join(op, memo[lcls, m], memo[rcls, n - m], tables.identity_tol)
+        if h.rate != rate[n]:
+            raise ScheduleError(f"{c.value}-table reconstruction mismatch at row {n}")
+        memo[c, n] = h
+    return memo[cls, idx]
 
 
 _SHARED_TABLES: "RateTables | None" = None
@@ -181,12 +164,12 @@ def _check_row(n: int, tables: "RateTables | None") -> RateTables:
 
 def obs_s(n: int, tables: "RateTables | None" = None) -> StepSchedule:
     """Optimal join-built S-class schedule of length ``n``."""
-    return _reconstruct(_check_row(n, tables), "s", n + 1)
+    return _reconstruct(_check_row(n, tables), CompClass.S, n + 1)
 
 
 def obs_f(n: int, tables: "RateTables | None" = None) -> StepSchedule:
     """Optimal join-built F-class schedule of length ``n``."""
-    return _reconstruct(_check_row(n, tables), "f", n + 1)
+    return _reconstruct(_check_row(n, tables), CompClass.F, n + 1)
 
 
 def obs_g(n: int, tables: "RateTables | None" = None) -> StepSchedule:
@@ -362,14 +345,22 @@ def save_tables(tables: RateTables, directory: str) -> str:
         "identity_tol": tables.identity_tol,
     }
     path = os.path.join(directory, _cache_name(tables.n_max, tables.identity_tol))
-    np.savez(
-        path,
-        s_rate=tables.s_rate,
-        f_rate=tables.f_rate,
-        s_split=tables.s_split,
-        f_split=tables.f_split,
-        meta=json.dumps(meta),
-    )
+    # write beside the target, then rename: a reader never sees half a file
+    # (np.savez appends .npz to a name without it)
+    tmp = f"{path}.{os.getpid()}.tmp.npz"
+    try:
+        np.savez(
+            tmp,
+            s_rate=tables.s_rate,
+            f_rate=tables.f_rate,
+            s_split=tables.s_split,
+            f_split=tables.f_split,
+            meta=json.dumps(meta),
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 
@@ -390,24 +381,28 @@ def load_tables(path: str) -> RateTables:
             data["f_split"].copy(),
             float(meta["identity_tol"]),
         )
-    if t.s_rate.shape != (t.n_max + 1,) or t.f_rate.shape != (t.n_max + 1,):
+    if any(a.shape != (t.n_max + 1,) for a in (t.s_rate, t.f_rate, t.s_split, t.f_split)):
         raise ScheduleError("cache arrays do not match the declared table size")
     return t
 
 
 def load_or_build(n_max: int, cache_dir: "str | None" = None) -> RateTables:
     """Fetch tables from the cache directory (``STEPWEAVER_CACHE`` by default),
-    building and caching them on a miss.  With no cache directory configured,
-    falls back to the in-process shared tables."""
+    building and caching them on a miss.  An unreadable or mismatched cache
+    file is rebuilt, with a warning on stderr.  With no cache directory
+    configured, falls back to the in-process shared tables."""
     directory = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not directory:
         return get_tables(n_max)
     path = os.path.join(directory, _cache_name(n_max, DEFAULT_IDENTITY_TOL))
     if os.path.exists(path):
         try:
-            return load_tables(path)
-        except (ScheduleError, OSError, KeyError, json.JSONDecodeError):
-            pass  # stale or foreign cache: rebuild below
+            tables = load_tables(path)
+            if tables.n_max != n_max:
+                raise ScheduleError(f"file holds n_max={tables.n_max}, expected {n_max}")
+            return tables
+        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as err:
+            print(f"warning: rebuilding table cache {path}: {err}", file=sys.stderr)
     tables = build_tables(n_max)
     save_tables(tables, directory)
     return tables

@@ -246,7 +246,7 @@ def defining_slack(schedule: StepSchedule, trace: GDTrace) -> float:
     eta = schedule.rate
     X, G, F = trace.x, trace.g, trace.f
     if schedule.comp_class is CompClass.F:
-        return float(eta * 0.5 * _dot(X[0], X[0]) - (F[-1] - 0.0))
+        return float(_f_direct_slack_raw(eta, X, G, F))
     if schedule.comp_class is CompClass.G:
         return float(eta * (F[0] - 0.0) - 0.5 * _dot(G[-1], G[-1]))
     lhs = (
@@ -401,8 +401,9 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         for purpose in ("f-line", "g-line"):
             delta = tight_delta(CompClass.S, purpose, eta)
             tr = run(schedule, huber_instance(delta), np.ones(1))
-            f_slack, g_slack = check_s_implies_fg(schedule, tr)
-            f_resid, g_resid = fg_residuals(schedule, tr)
+            f_slack, g_slack, f_resid, g_resid = (
+                float(v) for v in _s_fg_slacks_raw(schedule.steps, eta, tr.x, tr.g, tr.f)
+            )
             slack, resid = (f_slack, f_resid) if purpose == "f-line" else (g_slack, g_resid)
             label = f"huber delta={delta:.12g}"
             checks.append(

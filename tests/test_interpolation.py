@@ -1,5 +1,5 @@
 """The Gram-form interpolation kernel against the pairwise oracle, the cached
-battery, and the verifier names that the benchmark's traced run wraps."""
+battery, and the program names that the benchmark's traced run wraps."""
 
 import inspect
 from dataclasses import replace
@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import q_min_pairwise
-from stepweaver import verify
+from stepweaver import builders, dsl, optimizer, verify
 from stepweaver.builders import right_heavy, silver
-from stepweaver.gd import raw_run
+from stepweaver.gd import quad_instance, raw_run, run
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import build_tables, obs_f, obs_g, obs_s
+from stepweaver.schedule import CompClass
 from stepweaver.verify import _q_min_batched, _q_min_raw, verify_schedule
 
 DIMS = st.sampled_from([1, 2, 4, 8])
@@ -178,3 +179,17 @@ def test_traced_boundaries_exist():
     triples = verify.battery_instances(cfg)
     assert [t[0] for t in triples] == list(range(5))
     assert verify.raw_run is raw_run
+
+
+def test_traced_construction_boundaries_exist():
+    """The traced run also wraps these names in the construction and
+    certificate layers, the DSL's silver macro included."""
+    assert list(inspect.signature(optimizer.build_tables).parameters) == ["n_max"]
+    assert list(inspect.signature(optimizer._reconstruct).parameters) == ["tables", "cls", "idx"]
+    assert optimizer._reconstruct(build_tables(8), CompClass.F, 5).n == 4
+    assert dsl._MACROS["silver"] == (CompClass.S, builders.silver)
+    h = silver(2)
+    tr = run(h, quad_instance(1.0), np.ones(1))
+    assert isinstance(verify.defining_slack(h, tr), float)
+    assert np.shape(verify._f_direct_slack_raw(h.rate, tr.x, tr.g, tr.f)) == ()
+    assert len(verify._s_fg_slacks_raw(h.steps, h.rate, tr.x, tr.g, tr.f)) == 4

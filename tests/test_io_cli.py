@@ -13,7 +13,7 @@ from stepweaver.io import (
     loads_schedule,
     save_schedule,
 )
-from stepweaver.optimizer import obs_f
+from stepweaver.optimizer import load_tables, obs_f
 from stepweaver.schedule import CompClass
 
 SQ2 = math.sqrt(2.0)
@@ -321,6 +321,40 @@ class TestCli:
         monkeypatch.setenv("STEPWEAVER_CACHE", str(tmp_path / "cache"))
         assert main(["optimize", "--class", "s", "--n", "4"]) == 0
         assert list((tmp_path / "cache").glob("obs-tables-*.npz"))
+
+    @pytest.mark.parametrize("corrupt", ["garbage", "truncated", "empty"])
+    @pytest.mark.parametrize(
+        "argv", [["optimize", "--class", "s", "--n", "10"], ["bounds", "--k", "3"]]
+    )
+    def test_corrupt_table_cache_is_rebuilt(self, tmp_path, capsys, argv, corrupt):
+        assert main(argv + ["--cache", str(tmp_path / "cold")]) == 0
+        cold = capsys.readouterr().out
+        (path,) = (tmp_path / "cold").iterdir()
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        target = cache / path.name
+        data = path.read_bytes()
+        bad = {"garbage": b"\x93not a table" * 40, "truncated": data[: len(data) // 2], "empty": b""}
+        target.write_bytes(bad[corrupt])
+        assert main(argv + ["--cache", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert captured.err.startswith(f"warning: rebuilding table cache {target}: ")
+        assert captured.err.count("\n") == 1
+        assert load_tables(str(target)).n_max == load_tables(str(path)).n_max
+        assert [p.name for p in cache.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("key,value", [("construction", 5), ("construction", ["e"]), ("provenance", 7)])
+    @pytest.mark.parametrize("command", ["verify", "run"])
+    def test_non_string_text_field_exit_4(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "h.json"
+        main(["compose", "(e |> e)", "--class", "f", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        doc[key] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main([command, str(out)]) == 4
+        assert capsys.readouterr().err == f"error: {key}: expected a string, got {value!r}\n"
 
     def test_conjectured_schedule_verifies_without_certification(self, tmp_path, capsys):
         out = tmp_path / "c.json"

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from stepweaver.schedule import (
     CompClass,
     ResourceCapError,
     ScheduleError,
+    materialize,
     reverse,
+    trees_equal,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -74,9 +77,6 @@ class TestBuildTables:
         for n in (6, 8, 9):
             assert tables.f_rate[n + 1] < published[n - 1] - 1e-4
 
-    def test_doubling_cross_check_flag(self):
-        build_tables(64, cross_check_doubling=True)
-
     def test_rejects_bad_sizes(self):
         with pytest.raises(ScheduleError):
             build_tables(0)
@@ -121,6 +121,24 @@ class TestReconstruction:
     def test_beyond_table_rejected(self, tables):
         with pytest.raises(ScheduleError):
             obs_s(512, tables)
+
+    @pytest.mark.parametrize("cls,obs", [(CompClass.S, obs_s), (CompClass.F, obs_f)])
+    def test_tree_materializes_bitwise_on_every_row(self, tables, cls, obs):
+        for n in range(tables.n_max):
+            h = obs(n, tables)
+            again = materialize(h.tree, cls)
+            assert np.array_equal(again.steps, h.steps), n
+            assert again.rate == h.rate, n
+
+    def test_interleaved_classes_share_no_memo_entries(self):
+        mixed = build_tables(96)
+        fresh_s, fresh_f = build_tables(96), build_tables(96)
+        for n in (0, 1, 2, 7, 30, 31, 60, 95):
+            for got, want in ((obs_s(n, mixed), obs_s(n, fresh_s)), (obs_f(n, mixed), obs_f(n, fresh_f))):
+                assert got.comp_class is want.comp_class
+                assert np.array_equal(got.steps, want.steps)
+                assert got.rate == want.rate
+                assert trees_equal(got.tree, want.tree, check_mu=True)
 
 
 class TestEnumeration:
@@ -229,15 +247,16 @@ class TestAsymptotics:
 
 
 class TestDyadicSpotChecks:
+    """rate[2m] <= rate[m]/(1+sqrt2) for every m in 1..256: the dyadic upper
+    bound of a self-join, on the whole 512-row fixture."""
+
     def test_doubling_inequality_s(self, tables):
-        rng = np.random.default_rng(7)
-        for m in rng.integers(1, 256, size=200):
-            assert tables.s_rate[2 * m] <= tables.s_rate[m] / PHI * (1.0 + 1e-12)
+        m = np.arange(1, 257)
+        assert np.all(tables.s_rate[2 * m] <= tables.s_rate[m] / PHI * (1.0 + 1e-12))
 
     def test_doubling_inequality_f(self, tables):
-        rng = np.random.default_rng(8)
-        for m in rng.integers(1, 256, size=200):
-            assert tables.f_rate[2 * m] <= tables.f_rate[m] / PHI * (1.0 + 1e-12)
+        m = np.arange(1, 257)
+        assert np.all(tables.f_rate[2 * m] <= tables.f_rate[m] / PHI * (1.0 + 1e-12))
 
 
 class TestCache:
@@ -255,6 +274,20 @@ class TestCache:
         assert len(files) == 1
         t2 = load_or_build(32)
         assert np.array_equal(t1.s_rate[1:], t2.s_rate[1:])
+
+    def test_save_leaves_only_the_cache_file(self, tables, tmp_path):
+        path = save_tables(tables, str(tmp_path))
+        save_tables(tables, str(tmp_path))  # overwrite in place
+        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+
+    @pytest.mark.parametrize("key", ["s_rate", "f_rate", "s_split", "f_split"])
+    def test_short_array_rejected(self, tables, tmp_path, key):
+        path = save_tables(tables, str(tmp_path))
+        data = dict(np.load(path, allow_pickle=False))
+        data[key] = data[key][:-1]
+        np.savez(path, **data)
+        with pytest.raises(ScheduleError, match="table size"):
+            load_tables(path)
 
     def test_version_mismatch_rejected(self, tables, tmp_path):
         import json
