@@ -44,6 +44,16 @@ def _nonnegative_int(value: str) -> int:
     return int(value)
 
 
+def _positive_int(value: str, base: int = 10) -> int:
+    try:
+        number = int(value, base)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return number
+
+
 def cmd_compose(args) -> int:
     schedule, ast = dsl.compile_expression(args.expr, args.comp_class)
     text = dumps_schedule(
@@ -219,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run the verification checks on a schedule file")
     v.add_argument("file")
     v.add_argument("--config", help="RunConfig JSON file")
-    v.add_argument("--battery", type=int, default=None)
-    v.add_argument("--seed", type=lambda s: int(s, 0), default=None)
+    v.add_argument("--battery", type=_positive_int, default=None)
+    v.add_argument("--seed", type=lambda s: _positive_int(s, 0), default=None, help="e.g. 101 or 0xC0FFEE")
     v.add_argument("--json", action="store_true", help="print the JSON report")
     v.set_defaults(func=cmd_verify)
 

@@ -21,6 +21,7 @@ matrix product per instance), is compared with the absolute ``q_tol``.
 import functools
 import json
 from dataclasses import dataclass, field, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .gd import (
     random_instance,
     random_x0,
     raw_run,
-    run,
+    run,  # not called here; the benchmark's traced run wraps verify.run
     tight_delta,
     tight_instance,
 )
@@ -334,21 +335,79 @@ def battery_instance(config: RunConfig, index: int):
     return battery_instances(config)[index][1:]
 
 
+class BatteryChunk(NamedTuple):
+    """Battery instances packed as 1-D coordinates for one ``raw_run``.
+
+    ``is_huber``, ``param`` and ``x0`` have shape ``(m, 1)``; each group
+    ``(d, idx, start)`` lays its ``len(idx)`` instances of dimension ``d``
+    out as coordinates ``start .. start + len(idx)*d``, instance by instance.
+    """
+
+    is_huber: np.ndarray
+    param: np.ndarray
+    x0: np.ndarray
+    groups: tuple
+
+
 @functools.lru_cache(maxsize=4)
 def _battery(battery: int, seed: int):
-    """The battery of ``RunConfig(battery=battery, seed=seed)`` grouped by
-    dimension as stacked read-only ``(d, idx, is_huber, param, x0)`` arrays
-    for batched runs; cached, since no other config field changes it."""
+    """The battery of ``RunConfig(battery=battery, seed=seed)`` as read-only
+    :class:`BatteryChunk` s; cached, since no other config field changes it.
+
+    Coordinates evolve independently, so packing changes no bit of a trace.
+    Dimension groups are merged in ``BATTERY_DIMS`` order while a chunk
+    holds no more coordinates than the largest group, so one chunk's trace
+    is never larger than that group's alone.
+    """
     groups: dict[int, list] = {}
     for i, inst, x0 in battery_instances(RunConfig(battery=battery, seed=seed)):
         groups.setdefault(inst.dim, []).append((i, inst.is_huber, inst.param, x0))
-    stacked = []
+    largest = max(d * len(items) for d, items in groups.items())
+    plan = []
     for d, items in groups.items():
-        arrays = [np.stack(column) for column in zip(*items)]
-        for a in arrays:
+        if plan and sum(e * len(its) for e, its in plan[-1]) + d * len(items) <= largest:
+            plan[-1].append((d, items))
+        else:
+            plan.append([(d, items)])
+    chunks = []
+    for members in plan:
+        layout, start = [], 0
+        for d, items in members:
+            idx = np.array([item[0] for item in items])
+            idx.flags.writeable = False
+            layout.append((d, idx, start))
+            start += d * len(items)
+        columns = [
+            np.concatenate([item[k] for _, items in members for item in items]).reshape(-1, 1)
+            for k in (1, 2, 3)
+        ]
+        for a in columns:
             a.flags.writeable = False
-        stacked.append((d, *arrays))
-    return tuple(stacked)
+        chunks.append(BatteryChunk(*columns, tuple(layout)))
+    return tuple(chunks)
+
+
+_NO_COORDS = (np.zeros((0, 1), dtype=bool), np.zeros((0, 1)), np.zeros((0, 1)))
+
+
+def _packed_run(steps, coords, tight):
+    """``raw_run`` over packed coordinates ``coords = (is_huber, param, x0)``,
+    each ``(m, 1)``, with the 1-D ``tight`` instances appended as coordinates
+    that start from 1.  Returns the whole trace and one ``(x, g, f)`` per tight
+    instance, copied contiguous: a strided ``(n+1, 1)`` view sends
+    ``tensordot`` down another BLAS path, which changes the last bits."""
+    is_huber, param, x0 = coords
+    m = x0.shape[0]
+    xs, gs, fs = raw_run(
+        steps,
+        np.concatenate([is_huber] + [inst.is_huber[:, None] for inst in tight]),
+        np.concatenate([param] + [inst.param[:, None] for inst in tight]),
+        np.concatenate([x0, np.ones((len(tight), 1))]),
+    )
+    traces = [
+        tuple(np.ascontiguousarray(a[:, k]) for a in (xs, gs, fs)) for k in range(m, m + len(tight))
+    ]
+    return (xs, gs, fs), traces
 
 
 def _scales(x0, f0):
@@ -359,6 +418,40 @@ def _min_with_witness(slacks, scales, idx, d):
     rel = slacks / scales
     j = int(np.argmin(rel))
     return float(rel[j]), f"battery instance #{int(idx[j])} (d={d})"
+
+
+def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
+    """The class's battery slacks on a ``(n+1, B, d)`` trace, keyed by check name."""
+    eta = schedule.rate
+    if schedule.comp_class is CompClass.F:
+        if cert is not None:
+            return {"certificate": _f_cert_slack_raw(cert.weights, X, G, F)}
+        return {"gap-inequality": _f_direct_slack_raw(eta, X, G, F)}
+    if schedule.comp_class is CompClass.G:
+        return {"gradient-inequality": _g_slack_raw(eta, X, G, F)}
+    f_slack, g_slack, _, _ = _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
+    return {
+        "mixed-inequality": _s_slack_raw(schedule.steps, eta, X, G, F),
+        "implied-gap": f_slack,
+        "implied-gradient": g_slack,
+    }
+
+
+def _run_chunk(schedule: StepSchedule, cert, chunk: BatteryChunk, tight):
+    """One GD loop over a battery chunk with the 1-D ``tight`` instances
+    appended.  Returns ``(d, idx, scales, slacks, q_min)`` per dimension
+    group and the tight traces; the chunk's trace is freed on return, so
+    only one chunk's trace is alive at a time."""
+    (xs, gs, fs), traces = _packed_run(schedule.steps, (chunk.is_huber, chunk.param, chunk.x0), tight)
+    groups = []
+    for d, idx, start in chunk.groups:
+        stop = start + idx.size * d
+        X = xs[:, start:stop].reshape(-1, idx.size, d)
+        G = gs[:, start:stop].reshape(X.shape)
+        F = fs[:, start:stop].reshape(X.shape).sum(axis=-1)
+        scales = _scales(chunk.x0[start:stop].reshape(idx.size, d), F[0])
+        groups.append((d, idx, scales, _battery_slacks(schedule, cert, X, G, F), _q_min_batched(X, G, F)))
+    return groups, traces
 
 
 def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -> VerificationReport:
@@ -389,32 +482,12 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     except IdentityError as err:
         checks.append(CheckResult("identity", False, float("nan"), config.identity_tol, str(err)))
 
-    # tightness on the extremal pair
+    # tightness on the class's extremal 1-D instances from x0 = 1; they run
+    # as extra coordinates of the first battery chunk
     pair = tight_instance(schedule.comp_class, "defining", eta)
-    for inst, label in ((pair.quad, "tight quadratic"), (pair.huber, "tight " + pair.huber.describe())):
-        tr = run(schedule, inst, np.ones(1))
-        slack = defining_slack(schedule, tr)
-        checks.append(
-            CheckResult(f"tightness/{label}", abs(slack) <= config.tight_tol, slack, config.tight_tol, label)
-        )
+    tight = [(pair.quad, "tight quadratic"), (pair.huber, "tight " + pair.huber.describe())]
     if schedule.comp_class is CompClass.S:
-        for purpose in ("f-line", "g-line"):
-            delta = tight_delta(CompClass.S, purpose, eta)
-            tr = run(schedule, huber_instance(delta), np.ones(1))
-            f_slack, g_slack, f_resid, g_resid = (
-                float(v) for v in _s_fg_slacks_raw(schedule.steps, eta, tr.x, tr.g, tr.f)
-            )
-            slack, resid = (f_slack, f_resid) if purpose == "f-line" else (g_slack, g_resid)
-            label = f"huber delta={delta:.12g}"
-            checks.append(
-                CheckResult(
-                    f"tightness/implied-{purpose}",
-                    abs(slack) <= config.tight_tol and abs(resid) <= config.tight_tol,
-                    slack,
-                    config.tight_tol,
-                    f"{label}, residual={resid:.3e}",
-                )
-            )
+        tight += [(huber_instance(tight_delta(CompClass.S, p, eta)), p) for p in ("f-line", "g-line")]
 
     # certificate battery + interpolation on random separable instances
     cert = None
@@ -422,34 +495,39 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         cert = build_f_certificate(schedule.tree)
     worst: dict[str, tuple] = {}
     q_worst = (np.inf, "")
-    for d, idx, is_huber, param, x0 in _battery(config.battery, config.seed):
-        X, G, F = raw_run(schedule.steps, is_huber, param, x0)
-        scales = _scales(x0, F[0])
-        if schedule.comp_class is CompClass.F:
-            if cert is not None:
-                slacks = _f_cert_slack_raw(cert.weights, X, G, F)
-                key = "certificate"
-            else:
-                slacks = _f_direct_slack_raw(eta, X, G, F)
-                key = "gap-inequality"
-            entries = {key: slacks}
-        elif schedule.comp_class is CompClass.G:
-            entries = {"gradient-inequality": _g_slack_raw(eta, X, G, F)}
+    for c, chunk in enumerate(_battery(config.battery, config.seed)):
+        groups, traces = _run_chunk(schedule, cert, chunk, [inst for inst, _ in tight] if c == 0 else [])
+        if c == 0:
+            tight_traces = traces
+        for d, idx, scales, entries, qm in groups:
+            for key, slacks in entries.items():
+                rel, witness = _min_with_witness(slacks, scales, idx, d)
+                if key not in worst or rel < worst[key][0]:
+                    worst[key] = (rel, witness)
+            j = int(np.argmin(qm))
+            if qm[j] < q_worst[0]:
+                q_worst = (float(qm[j]), f"battery instance #{int(idx[j])} (d={d})")
+
+    for (inst, label), (X, G, F) in zip(tight, tight_traces):
+        if label in ("f-line", "g-line"):
+            f_slack, g_slack, f_resid, g_resid = (
+                float(v) for v in _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
+            )
+            slack, resid = (f_slack, f_resid) if label == "f-line" else (g_slack, g_resid)
+            checks.append(
+                CheckResult(
+                    f"tightness/implied-{label}",
+                    abs(slack) <= config.tight_tol and abs(resid) <= config.tight_tol,
+                    slack,
+                    config.tight_tol,
+                    f"huber delta={inst.param[0]:.12g}, residual={resid:.3e}",
+                )
+            )
         else:
-            f_slack, g_slack, _, _ = _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
-            entries = {
-                "mixed-inequality": _s_slack_raw(schedule.steps, eta, X, G, F),
-                "implied-gap": f_slack,
-                "implied-gradient": g_slack,
-            }
-        for key, slacks in entries.items():
-            rel, witness = _min_with_witness(slacks, scales, idx, d)
-            if key not in worst or rel < worst[key][0]:
-                worst[key] = (rel, witness)
-        qm = _q_min_batched(X, G, F)
-        j = int(np.argmin(qm))
-        if qm[j] < q_worst[0]:
-            q_worst = (float(qm[j]), f"battery instance #{int(idx[j])} (d={d})")
+            slack = defining_slack(schedule, GDTrace(X, G, F, schedule, inst))
+            checks.append(
+                CheckResult(f"tightness/{label}", abs(slack) <= config.tight_tol, slack, config.tight_tol, label)
+            )
     for key, (rel, witness) in sorted(worst.items()):
         checks.append(
             CheckResult(
@@ -480,9 +558,9 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         try:
             validate_schedule(rev, config.identity_tol)
             rpair = tight_instance(rev.comp_class, "defining", rev.rate)
-            for inst in rpair:
-                tr = run(rev, inst, np.ones(1))
-                rslack = defining_slack(rev, tr)
+            _, traces = _packed_run(rev.steps, _NO_COORDS, rpair)
+            for inst, (X, G, F) in zip(rpair, traces):
+                rslack = defining_slack(rev, GDTrace(X, G, F, rev, inst))
                 if abs(rslack) > config.tight_tol:
                     ok = False
                     slack = rslack

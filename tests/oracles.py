@@ -4,9 +4,44 @@
 interpolation check: it builds each term of Q_ij as its own (B, N, N) array.
 The production kernel, ``stepweaver.verify._q_min_raw``, evaluates the same
 minimum in Gram form; the tests compare the two.
+
+``raw_run_reference`` is the per-step GD loop that evaluates the branchy
+Huber/quadratic gradient and the value at every step.  The production
+``stepweaver.gd.raw_run`` (clip-form gradient written in place, values after
+the loop) must reproduce its traces byte for byte.
 """
 
 import numpy as np
+
+
+def coord_value(x, is_huber, param):
+    ax = np.abs(x)
+    quad = 0.5 * param * x * x
+    hub = np.where(ax <= param, 0.5 * x * x, param * ax - 0.5 * param * param)
+    return np.where(is_huber, hub, quad)
+
+
+def coord_grad(x, is_huber, param):
+    # Huber gradient at the kink takes the quadratic branch; both agree there.
+    quad = param * x
+    hub = np.where(np.abs(x) <= param, x, param * np.sign(x))
+    return np.where(is_huber, hub, quad)
+
+
+def raw_run_reference(steps, is_huber, param, x0):
+    """GD traces ``(xs, gs, fs)`` with shapes (n+1, ..., d) twice and (n+1, ...)."""
+    x = np.array(x0, dtype=np.float64, copy=True)
+    n = len(steps)
+    xs = np.empty((n + 1,) + x.shape)
+    gs = np.empty_like(xs)
+    fs = np.empty((n + 1,) + x.shape[:-1])
+    for i in range(n + 1):
+        xs[i] = x
+        gs[i] = coord_grad(x, is_huber, param)
+        fs[i] = coord_value(x, is_huber, param).sum(axis=-1)
+        if i < n:
+            x = x - steps[i] * gs[i]
+    return xs, gs, fs
 
 
 def q_min_pairwise(X, G, F, include_star: bool = True):

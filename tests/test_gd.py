@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import coord_grad, raw_run_reference
+from stepweaver import gd
 from stepweaver.builders import constant_optimal, dynamic_short, silver
 from stepweaver.gd import (
     GDTrace,
@@ -11,6 +14,7 @@ from stepweaver.gd import (
     huber_instance,
     quad_instance,
     random_instance,
+    raw_run,
     run,
     tight_delta,
     tight_instance,
@@ -223,6 +227,107 @@ class TestWorstCaseScan:
             worst_case_scan(obs_f(2), "objective_gap_per_D2", 50)
         with pytest.raises(ScheduleError):
             worst_case_scan(obs_f(2), "nonsense", 200)
+
+
+def instance_arrays(rng, shape):
+    """Random Huber/quadratic coordinates; about a fifth of the quadratic
+    ones get curvature exactly 1."""
+    is_huber = rng.random(shape) < 0.5
+    param = np.where(is_huber, 10.0 ** rng.uniform(-3.0, 0.0, shape), rng.uniform(0.05, 1.0, shape))
+    param[~is_huber & (rng.random(shape) < 0.2)] = 1.0
+    return is_huber, param
+
+
+def start_points(rng, shape, param):
+    """Gaussian start points with some coordinates exactly on the kink
+    (x = +-delta), at twice the kink (a unit step lands on it) or -0.0."""
+    x0 = rng.standard_normal(shape) * 10.0 ** rng.uniform(-1.0, 1.0)
+    delta = np.broadcast_to(param, shape)
+    pick = rng.random(shape)
+    x0 = np.where(pick < 0.15, delta, x0)
+    x0 = np.where((pick >= 0.15) & (pick < 0.3), -delta, x0)
+    x0 = np.where((pick >= 0.3) & (pick < 0.4), 2.0 * delta, x0)
+    return np.where(pick >= 0.95, -0.0, x0)
+
+
+# (instance shape, x0 shape) for b instances of dimension d
+LAYOUTS = {
+    "unbatched": lambda b, d: ((d,), (d,)),
+    "batched": lambda b, d: ((b, d), (b, d)),
+    "packed": lambda b, d: ((b * d, 1), (b * d, 1)),
+    "broadcast-rows": lambda b, d: ((d,), (b, d)),
+    "broadcast-cols": lambda b, d: ((b, 1), (b, d)),
+}
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+class TestRawRunOracle:
+    """The clip-form kernel reproduces the per-step reference loop byte for byte."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 40),
+        b=st.integers(1, 5),
+        d=st.sampled_from([1, 2, 4, 8]),
+        layout=st.sampled_from(sorted(LAYOUTS)),
+    )
+    def test_traces_match_reference(self, seed, n, b, d, layout):
+        rng = np.random.default_rng(seed)
+        inst_shape, x_shape = LAYOUTS[layout](b, d)
+        is_huber, param = instance_arrays(rng, inst_shape)
+        x0 = start_points(rng, x_shape, param)
+        steps = np.where(rng.random(n) < 0.3, 1.0, rng.uniform(0.1, 3.0, n))
+        assert_same_bytes(raw_run(steps, is_huber, param, x0), raw_run_reference(steps, is_huber, param, x0))
+
+    @pytest.mark.parametrize("shape,n", [((1200, 1), 60), ((300, 8), 40)])
+    def test_values_span_several_row_blocks(self, shape, n):
+        rows = gd._VALUE_BLOCK // (shape[0] * shape[1])
+        assert n + 1 > 2 * rows and (n + 1) % rows
+        rng = np.random.default_rng(n)
+        is_huber, param = instance_arrays(rng, shape)
+        x0 = start_points(rng, shape, param)
+        steps = rng.uniform(0.1, 3.0, n)
+        assert_same_bytes(raw_run(steps, is_huber, param, x0), raw_run_reference(steps, is_huber, param, x0))
+
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 4, 8]), b=st.integers(1, 4))
+    def test_instance_grad_matches_branch_formula(self, seed, d, b):
+        rng = np.random.default_rng(seed)
+        is_huber, param = instance_arrays(rng, (d,))
+        inst = ProblemInstance(is_huber, param)
+        for x in (start_points(rng, (d,), param), start_points(rng, (b, d), param)):
+            want = coord_grad(x, inst.is_huber, inst.param)
+            assert_same_bytes([inst.grad(x)], [want])
+
+
+def worst_case_reference(schedule, criterion, grid_size):
+    """The scan as two runs of the reference loop: the Huber grid, then the
+    unit quadratic on its own."""
+    deltas = np.geomspace(1e-6, 1.0, grid_size)
+    ones = np.ones((grid_size, 1))
+    xs, gs, fs = raw_run_reference(schedule.steps, ones > 0, deltas.reshape(-1, 1), ones)
+    qx, qg, qf = raw_run_reference(schedule.steps, np.zeros(1, dtype=bool), np.ones(1), np.ones(1))
+    if criterion == "objective_gap_per_D2":
+        vals, quad_val = fs[-1] / 0.5, float(qf[-1] / 0.5)
+    else:
+        vals, quad_val = 0.5 * gs[-1, :, 0] ** 2 / fs[0], float(0.5 * qg[-1, 0] ** 2 / qf[0])
+    i = int(np.argmax(vals))
+    return gd.WorstCaseResult(float(deltas[i]), float(vals[i]), quad_val, criterion)
+
+
+@pytest.mark.parametrize("criterion", gd.WORST_CASE_CRITERIA)
+@pytest.mark.parametrize(
+    "schedule",
+    [empty_schedule(CompClass.F), obs_f(3), obs_g(5), obs_s(5), silver(4), dynamic_short(30)],
+    ids=["empty", "obsf3", "obsg5", "obss5", "silver4", "dshort30"],
+)
+def test_worst_case_scan_matches_two_run_reference(schedule, criterion):
+    for grid in (100, 256):
+        assert worst_case_scan(schedule, criterion, grid) == worst_case_reference(schedule, criterion, grid)
 
 
 class TestInterpolationOnTraces:

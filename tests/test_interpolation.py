@@ -2,6 +2,7 @@
 battery, and the program names that the benchmark's traced run wraps."""
 
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import q_min_pairwise
-from stepweaver import builders, dsl, optimizer, verify
+from stepweaver import builders, dsl, gd, optimizer, verify
 from stepweaver.builders import right_heavy, silver
 from stepweaver.gd import quad_instance, raw_run, run
 from stepweaver.io import RunConfig
@@ -124,8 +125,8 @@ class TestBatteryCache:
         verify._battery.cache_clear()
 
     def test_arrays_are_read_only(self):
-        for d, *arrays in verify._battery(12, 7):
-            for a in arrays:
+        for chunk in verify._battery(12, 7):
+            for a in (chunk.is_huber, chunk.param, chunk.x0, *(idx for _, idx, _ in chunk.groups)):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = a[0]
@@ -133,15 +134,36 @@ class TestBatteryCache:
     @pytest.mark.parametrize("battery,seed", [(12, 8), (16, 7)])
     def test_entries_keyed_by_battery_and_seed(self, battery, seed):
         first = verify._battery(12, 7)
-        groups = verify._battery(battery, seed)
-        assert groups is not first
-        expected = {}
-        for _, inst, x0 in verify.battery_instances(RunConfig(battery=battery, seed=seed)):
-            expected.setdefault(inst.dim, []).append(x0)
-        assert {d: x0.tolist() for d, _, _, _, x0 in groups} == {
-            d: np.stack(x0s).tolist() for d, x0s in expected.items()
-        }
+        chunks = verify._battery(battery, seed)
+        assert chunks is not first
+        found = []
+        for chunk in chunks:
+            for d, idx, start in chunk.groups:
+                for k, i in enumerate(idx.tolist()):
+                    coords = slice(start + k * d, start + (k + 1) * d)
+                    found.append((i, chunk.is_huber[coords, 0], chunk.param[coords, 0], chunk.x0[coords, 0]))
+        assert sorted(i for i, *_ in found) == list(range(battery))
+        expected = {i: (inst, x0) for i, inst, x0 in verify.battery_instances(RunConfig(battery=battery, seed=seed))}
+        for i, is_huber, param, x0 in found:
+            inst, want_x0 = expected[i]
+            assert is_huber.tolist() == inst.is_huber.tolist()
+            assert param.tolist() == inst.param.tolist()
+            assert x0.tolist() == want_x0.tolist()
         assert verify._battery(12, 7) is first
+
+    @pytest.mark.parametrize("battery", [1, 3, 5, 12, 200, 203])
+    def test_no_chunk_exceeds_the_largest_group(self, battery):
+        dims = [inst.dim for _, inst, _ in verify.battery_instances(RunConfig(battery=battery))]
+        largest = max(d * dims.count(d) for d in set(dims))
+        chunks = verify._battery(battery, RunConfig().seed)
+        for chunk in chunks:
+            m = chunk.x0.shape[0]
+            assert chunk.is_huber.shape == chunk.param.shape == chunk.x0.shape == (m, 1)
+            assert m == sum(d * idx.size for d, idx, _ in chunk.groups) <= largest
+        assert [d for chunk in chunks for d, _, _ in chunk.groups] == sorted(set(dims))
+        if battery == 200:
+            assert [[d for d, _, _ in c.groups] for c in chunks] == [[1, 2, 4], [8]]
+            assert [c.x0.shape[0] for c in chunks] == [350, 400]
 
     def test_cache_stays_bounded(self):
         for seed in range(1, 13):
@@ -169,6 +191,43 @@ class TestBatteryCache:
         assert [(c.battery, c.seed) for c in calls] == [(20, 0x5EED), (20, 0x5EEE), (21, 0x5EED)]
 
 
+def test_gd_loops_per_verify(monkeypatch):
+    """One GD loop per battery chunk (the tight runs ride in the first) plus
+    one for the reversed schedule's tight pair; loops through ``gd.run``
+    count too."""
+    calls = []
+    original = verify.raw_run
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(verify, "raw_run", counting)
+    monkeypatch.setattr(gd, "raw_run", counting)
+    tables = build_tables(40)
+    treeless = replace(silver(3), tree=None)
+    for h, most in [(silver(3), 3), (obs_f(30, tables), 3), (obs_g(21, tables), 3), (treeless, 2)]:
+        calls.clear()
+        report = verify_schedule(h, RunConfig())
+        assert report.passed
+        assert len(calls) <= most, h.describe()
+
+
+def test_verify_peak_memory_stays_bounded():
+    """tracemalloc peak of one verify at n=511 with a warm battery cache:
+    6.9 MiB with one loop per dimension group, about 8.5 MiB with packed
+    chunks (numpy 2.4)."""
+    h = obs_s(511, build_tables(512))
+    verify_schedule(h)
+    tracemalloc.start()
+    try:
+        verify_schedule(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0 * 2**20
+
+
 def test_traced_boundaries_exist():
     """The benchmark's traced run wraps these names in ``stepweaver.verify``;
     dropping one silently removes a per-layer span."""
@@ -179,6 +238,7 @@ def test_traced_boundaries_exist():
     triples = verify.battery_instances(cfg)
     assert [t[0] for t in triples] == list(range(5))
     assert verify.raw_run is raw_run
+    assert verify.run is run
 
 
 def test_traced_construction_boundaries_exist():

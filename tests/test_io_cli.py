@@ -296,6 +296,43 @@ class TestCli:
         assert captured.err.startswith("usage: stepweaver")
         assert f"expected a nonnegative integer, got {argv[-1]!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--seed", "-1"), ("--seed", "0"), ("--seed", "0x0"), ("--seed", "abc"), ("--battery", "0"),
+         ("--battery", "-3"), ("--battery", "2.5")],
+    )
+    def test_verify_flags_must_be_positive_integers(self, tmp_path, capsys, flag, value):
+        sched = tmp_path / "h.json"
+        main(["compose", "silver(2)", "--class", "s", "--out", str(sched)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(sched), flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: stepweaver")
+        assert f"argument {flag}: expected a positive integer, got {value!r}" in captured.err
+
+    def test_verify_seed_keeps_base_prefixes(self, tmp_path, capsys):
+        sched = tmp_path / "h.json"
+        main(["compose", "silver(2)", "--class", "s", "--out", str(sched)])
+        capsys.readouterr()
+        assert main(["verify", str(sched), "--battery", "8", "--seed", "0x65", "--json"]) == 0
+        hex_report = json.loads(capsys.readouterr().out)
+        assert main(["verify", str(sched), "--battery", "8", "--seed", "101", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == hex_report
+        assert "seed 0x65" in hex_report["checks"][0]["instance"]
+
+    @pytest.mark.parametrize("doc", ['{"seed": -1}', '{"seed": 0}', '{"battery": 0}'])
+    def test_verify_config_file_values_exit_4(self, tmp_path, capsys, doc):
+        sched = tmp_path / "h.json"
+        main(["compose", "silver(2)", "--class", "s", "--out", str(sched)])
+        config = tmp_path / "config.json"
+        config.write_text(doc)
+        capsys.readouterr()
+        assert main(["verify", str(sched), "--config", str(config)]) == 4
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_bounds(self, capsys):
         assert main(["bounds", "--k", "3"]) == 0
         out = capsys.readouterr().out
