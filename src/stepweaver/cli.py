@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="normalized-rate constants and envelope data")
     b.add_argument("--k", type=_nonnegative_int, required=True, help="largest dyadic level")
     b.add_argument("--out", help="write per-n normalized rates CSV here")
-    b.add_argument("--force", action="store_true", help="allow k > 12 (long-running)")
+    b.add_argument("--force", action="store_true", help="allow k > 12 (long-running; the table cap allows k <= 13)")
     b.add_argument("--cache", help="table cache directory (default: $STEPWEAVER_CACHE)")
     b.set_defaults(func=cmd_bounds)
     return p

@@ -132,18 +132,12 @@ class GDTrace:
     schedule: StepSchedule
     instance: ProblemInstance
 
-    fstar: float = 0.0
-
-    @property
-    def xstar(self) -> np.ndarray:
-        return np.zeros(self.x.shape[-1])
-
     @property
     def n(self) -> int:
         return int(self.f.size - 1)
 
     def objective_gap(self) -> float:
-        return float(self.f[-1] - self.fstar)
+        return float(self.f[-1])  # f* = 0: every instance is minimized at the origin
 
     def half_grad_sq(self) -> float:
         return float(0.5 * np.sum(self.g[-1] * self.g[-1]))

@@ -12,14 +12,13 @@ import json
 import os
 import sys
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .numerics import golden_min
 from .schedule import (
-    DEFAULT_IDENTITY_TOL,
     CompClass,
     CompositionTree,
     JoinOp,
@@ -44,7 +43,7 @@ P_EXPONENT = float(np.log2(1.0 + np.sqrt(2.0)))
 
 MAX_TABLE_N = 20_001  # O(N^2) fill; ~2e4 is the supported envelope
 MAX_ENUM_LEN = 12
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 @dataclass(eq=False)
@@ -61,27 +60,28 @@ class RateTables:
     f_rate: np.ndarray
     s_split: np.ndarray
     f_split: np.ndarray
-    identity_tol: float = DEFAULT_IDENTITY_TOL
-    _memo: dict = field(default_factory=dict, repr=False)
 
 
-def build_tables(n_max: int) -> RateTables:
-    """Fill both tables up to ``n_max`` by exact O(N^2) dynamic programming.
+def _extend(tables: "RateTables | None", n_max: int) -> RateTables:
+    """Tables to row ``n_max``: the rows of ``tables`` (default: the base row)
+    copied, the rest filled by exact O(N^2) dynamic programming.
 
-    Split ties break to the smallest ``m`` (np.argmin returns the first
-    minimum), which makes reconstruction deterministic.
+    Row ``n`` reads only rows below it, so any prefix extends to the bytes of
+    a fresh fill.  Split ties break to the smallest ``m`` (np.argmin returns
+    the first minimum), which makes reconstruction deterministic.
     """
     if n_max < 1:
         raise ScheduleError(f"need n_max >= 1, got {n_max}")
     if n_max > MAX_TABLE_N:
         raise ResourceCapError(f"n_max {n_max} exceeds cap {MAX_TABLE_N} (O(N^2) fill)")
-    s = np.empty(n_max + 1)
-    f = np.empty(n_max + 1)
-    s_split = np.zeros(n_max + 1, dtype=np.int64)
-    f_split = np.zeros(n_max + 1, dtype=np.int64)
-    s[0] = f[0] = np.nan
-    s[1] = f[1] = 1.0
-    for n in range(2, n_max + 1):
+    base, no_split = np.array([np.nan, 1.0]), np.zeros(2, dtype=np.int64)
+    old = tables or RateTables(1, base, base, no_split, no_split)
+    done = min(old.n_max, n_max)
+    s, f, s_split, f_split = (
+        np.concatenate((col[: done + 1], np.zeros(n_max - done, col.dtype)))
+        for col in (old.s_rate, old.f_rate, old.s_split, old.f_split)
+    )
+    for n in range(done + 1, n_max + 1):
         a = s[1:n]
         cand = _sjoin_rate(a, a[::-1])
         i = int(np.argmin(cand))
@@ -94,24 +94,30 @@ def build_tables(n_max: int) -> RateTables:
     return RateTables(n_max, s, f, s_split, f_split)
 
 
+def build_tables(n_max: int) -> RateTables:
+    """Fill both tables up to ``n_max`` from scratch (see :func:`_extend`)."""
+    return _extend(None, n_max)
+
+
 def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
     """Rebuild the optimal schedule for table row ``idx`` by following splits.
 
     Row ``n`` of class ``cls`` joins rows ``m`` and ``n - m`` with the class's
     join, whose operand classes come from the join typing table.  Iterative:
     resolve all needed rows bottom-up so deep split chains cannot overflow
-    the stack.  Results are memoized on the tables object by ``(class, row)``.
+    the stack.  Rows are shared within this one walk only, so no schedule
+    outlives the caller's reference to the result.
     """
     columns = {
         CompClass.S: (JoinOp.SJOIN, tables.s_split, tables.s_rate),
         CompClass.F: (JoinOp.FJOIN, tables.f_split, tables.f_rate),
     }
-    memo = tables._memo
+    memo = {}
     needed = set()
     work = [(cls, idx)]
     while work:
         key = work.pop()
-        if key in memo or key in needed:
+        if key in needed:
             continue
         needed.add(key)
         c, n = key
@@ -128,7 +134,7 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
         else:
             m = int(split[n])
             lcls, rcls = operand_classes(op)
-            h = join(op, memo[lcls, m], memo[rcls, n - m], tables.identity_tol)
+            h = join(op, memo[lcls, m], memo[rcls, n - m])
         if h.rate != rate[n]:
             raise ScheduleError(f"{c.value}-table reconstruction mismatch at row {n}")
         memo[c, n] = h
@@ -139,24 +145,17 @@ _SHARED_TABLES: "RateTables | None" = None
 
 
 def get_tables(min_n: int) -> RateTables:
-    """Shared, lazily grown table cache (values are independent of table size)."""
+    """Shared in-process tables, extended to exactly ``min_n`` rows when shorter."""
     global _SHARED_TABLES
-    t = _SHARED_TABLES
-    if t is None or t.n_max < min_n:
-        size = max(min_n, 64 if t is None else 2 * t.n_max)
-        if min_n <= MAX_TABLE_N:
-            size = min(size, MAX_TABLE_N)  # doubling must not trip the cap itself
-        _SHARED_TABLES = t = build_tables(size)
-    return t
+    if _SHARED_TABLES is None or _SHARED_TABLES.n_max < min_n:
+        _SHARED_TABLES = _extend(_SHARED_TABLES, min_n)
+    return _SHARED_TABLES
 
 
 def _check_row(n: int, tables: "RateTables | None") -> RateTables:
     if n < 0:
         raise ScheduleError(f"length must be nonnegative, got {n}")
-    if tables is None:
-        if n + 1 > MAX_TABLE_N:
-            raise ResourceCapError(f"length {n} exceeds the supported table envelope")
-        return get_tables(n + 1)
+    tables = tables or get_tables(n + 1)
     if n + 1 > tables.n_max:
         raise ScheduleError(f"length {n} is beyond the table (n_max={tables.n_max})")
     return tables
@@ -294,13 +293,8 @@ def c_low(
 
 def asymptotic_constants(k_max: int, tables: "RateTables | None" = None) -> AsymptoticConstants:
     """Block constants for k = 0..k_max plus the lower constant and exponent."""
-    need = 2 ** (k_max + 1) - 1
     if tables is None:
-        if need > MAX_TABLE_N:
-            raise ResourceCapError(
-                f"k_max={k_max} needs tables to n={need}; beyond the supported envelope"
-            )
-        tables = get_tables(need)
+        tables = get_tables(2 ** (k_max + 1) - 1)
     ks = range(k_max + 1)
     return AsymptoticConstants(
         r_obs_s={k: r_constant(CompClass.S, k, tables) for k in ks},
@@ -329,22 +323,14 @@ def write_rate_csv(fh, n_rows: int, columns: dict) -> None:
 # ---------------------------------------------------------------------------
 
 CACHE_ENV_VAR = "STEPWEAVER_CACHE"
-
-
-def _cache_name(n_max: int, identity_tol: float) -> str:
-    return f"obs-tables-v{CACHE_VERSION}-N{n_max}-tol{identity_tol:g}.npz"
+CACHE_NAME = f"obs-tables-v{CACHE_VERSION}.npz"
 
 
 def save_tables(tables: RateTables, directory: str) -> str:
-    """Write the tables to a versioned .npz cache file; returns the path."""
+    """Write the tables to the versioned .npz cache file; returns the path."""
     os.makedirs(directory, exist_ok=True)
-    meta = {
-        "cache_version": CACHE_VERSION,
-        "package_version": _pkg_version,
-        "n_max": tables.n_max,
-        "identity_tol": tables.identity_tol,
-    }
-    path = os.path.join(directory, _cache_name(tables.n_max, tables.identity_tol))
+    meta = {"cache_version": CACHE_VERSION, "package_version": _pkg_version, "n_max": tables.n_max}
+    path = os.path.join(directory, CACHE_NAME)
     # write beside the target, then rename: a reader never sees half a file
     # (np.savez appends .npz to a name without it)
     tmp = f"{path}.{os.getpid()}.tmp.npz"
@@ -365,44 +351,58 @@ def save_tables(tables: RateTables, directory: str) -> str:
 
 
 def load_tables(path: str) -> RateTables:
-    """Load a cache written by :func:`save_tables`; validates the version key."""
+    """Load a cache written by :func:`save_tables`.  Raises ScheduleError unless
+    the version, size and shapes match, every split of row n >= 2 lies in
+    [1, n - 1] and every rate in (0, 1]."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
+        if not isinstance(meta, dict):
+            raise ScheduleError(f"cache meta is not an object: {meta!r}")
         if meta.get("cache_version") != CACHE_VERSION:
             raise ScheduleError(
                 f"cache version mismatch: file has {meta.get('cache_version')}, "
                 f"expected {CACHE_VERSION}"
             )
+        n_max = meta.get("n_max")
+        if type(n_max) is not int or n_max < 1:
+            raise ScheduleError(f"cache n_max must be a positive integer, got {n_max!r}")
         t = RateTables(
-            int(meta["n_max"]),
-            data["s_rate"].copy(),
-            data["f_rate"].copy(),
-            data["s_split"].copy(),
-            data["f_split"].copy(),
-            float(meta["identity_tol"]),
+            n_max,
+            data["s_rate"].astype(np.float64),
+            data["f_rate"].astype(np.float64),
+            data["s_split"].astype(np.int64),
+            data["f_split"].astype(np.int64),
         )
-    if any(a.shape != (t.n_max + 1,) for a in (t.s_rate, t.f_rate, t.s_split, t.f_split)):
+    if any(a.shape != (n_max + 1,) for a in (t.s_rate, t.f_rate, t.s_split, t.f_split)):
         raise ScheduleError("cache arrays do not match the declared table size")
+    n = np.arange(2, n_max + 1)
+    for split in (t.s_split, t.f_split):
+        if np.any((split[2:] < 1) | (split[2:] > n - 1)):
+            raise ScheduleError("cache splits out of range")
+    for rate in (t.s_rate, t.f_rate):
+        if not np.all((rate[1:] > 0.0) & (rate[1:] <= 1.0)):
+            raise ScheduleError("cache rates outside (0, 1]")
     return t
 
 
 def load_or_build(n_max: int, cache_dir: "str | None" = None) -> RateTables:
-    """Fetch tables from the cache directory (``STEPWEAVER_CACHE`` by default),
-    building and caching them on a miss.  An unreadable or mismatched cache
-    file is rebuilt, with a warning on stderr.  With no cache directory
-    configured, falls back to the in-process shared tables."""
+    """Fetch tables from the cache directory (``STEPWEAVER_CACHE`` by default):
+    its one file serves any request up to its size, and a larger request or a
+    miss extends or builds it and replaces it.  An unreadable or invalid file
+    is rebuilt, with a warning on stderr.  With no cache directory configured,
+    falls back to the in-process shared tables."""
     directory = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not directory:
         return get_tables(n_max)
-    path = os.path.join(directory, _cache_name(n_max, DEFAULT_IDENTITY_TOL))
+    path = os.path.join(directory, CACHE_NAME)
+    tables = None
     if os.path.exists(path):
         try:
             tables = load_tables(path)
-            if tables.n_max != n_max:
-                raise ScheduleError(f"file holds n_max={tables.n_max}, expected {n_max}")
-            return tables
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as err:
             print(f"warning: rebuilding table cache {path}: {err}", file=sys.stderr)
-    tables = build_tables(n_max)
+    if tables is not None and tables.n_max >= n_max:
+        return tables
+    tables = build_tables(n_max) if tables is None else _extend(tables, n_max)
     save_tables(tables, directory)
     return tables

@@ -2,6 +2,7 @@
 battery, and the program names that the benchmark's traced run wraps."""
 
 import inspect
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -241,10 +242,20 @@ def test_traced_boundaries_exist():
     assert verify.run is run
 
 
-def test_traced_construction_boundaries_exist():
+def test_traced_construction_boundaries_exist(tmp_path, monkeypatch):
     """The traced run also wraps these names in the construction and
-    certificate layers, the DSL's silver macro included."""
+    certificate layers, the DSL's silver macro included, and resets the
+    shared tables between ops."""
     assert list(inspect.signature(optimizer.build_tables).parameters) == ["n_max"]
+    assert hasattr(optimizer, "_SHARED_TABLES")
+    built = []
+    real_build = optimizer.build_tables
+    monkeypatch.setattr(optimizer, "build_tables", lambda n_max: built.append(n_max) or real_build(n_max))
+    cold = optimizer.load_or_build(9, str(tmp_path))  # a cold cache builds through build_tables
+    assert built == [9]
+    path = optimizer.save_tables(cold, str(tmp_path))  # the traced run sizes the file it returns
+    assert os.path.getsize(path) > 0
+    assert optimizer.load_tables(path).n_max == 9
     assert list(inspect.signature(optimizer._reconstruct).parameters) == ["tables", "cls", "idx"]
     assert optimizer._reconstruct(build_tables(8), CompClass.F, 5).n == 4
     assert dsl._MACROS["silver"] == (CompClass.S, builders.silver)

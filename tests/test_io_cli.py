@@ -359,7 +359,12 @@ class TestCli:
         assert main(["optimize", "--class", "s", "--n", "4"]) == 0
         assert list((tmp_path / "cache").glob("obs-tables-*.npz"))
 
-    @pytest.mark.parametrize("corrupt", ["garbage", "truncated", "empty"])
+    @pytest.mark.parametrize(
+        "corrupt",
+        ["garbage", "truncated", "empty", "meta=[]", "n_max=0", 'n_max="11"']
+        + [f"{key}={value}" for key in ("s_split", "f_split") for value in (0, 50, -3)]
+        + ["s_rate=0.0", "f_rate=1.5", "f_rate=nan"],
+    )
     @pytest.mark.parametrize(
         "argv", [["optimize", "--class", "s", "--n", "10"], ["bounds", "--k", "3"]]
     )
@@ -372,7 +377,19 @@ class TestCli:
         target = cache / path.name
         data = path.read_bytes()
         bad = {"garbage": b"\x93not a table" * 40, "truncated": data[: len(data) // 2], "empty": b""}
-        target.write_bytes(bad[corrupt])
+        if corrupt in bad:
+            target.write_bytes(bad[corrupt])
+        else:  # a loadable file with one wrong entry
+            arrays = dict(np.load(path, allow_pickle=False))
+            key, value = corrupt.split("=")
+            meta = json.loads(str(arrays["meta"]))
+            if key == "meta":
+                arrays["meta"] = value
+            elif key == "n_max":
+                arrays["meta"] = json.dumps(dict(meta, n_max=json.loads(value)))
+            else:
+                arrays[key][-1] = float(value)
+            np.savez(target, **arrays)
         assert main(argv + ["--cache", str(cache)]) == 0
         captured = capsys.readouterr()
         assert captured.out == cold
@@ -380,6 +397,20 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert load_tables(str(target)).n_max == load_tables(str(path)).n_max
         assert [p.name for p in cache.iterdir()] == [path.name]
+
+    def test_larger_cache_serves_smaller_optimize(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        argv = ["optimize", "--class", "g", "--n", "10", "--table", str(table), "--cache"]
+        assert main(argv + [str(tmp_path / "cold")]) == 0
+        cold = capsys.readouterr().out, table.read_text()
+        big = tmp_path / "big"
+        assert main(["optimize", "--class", "g", "--n", "40", "--cache", str(big)]) == 0
+        (path,) = big.iterdir()
+        capsys.readouterr()
+        assert main(argv + [str(big)]) == 0
+        assert (capsys.readouterr().out, table.read_text()) == cold
+        assert list(big.iterdir()) == [path]
+        assert load_tables(str(path)).n_max == 41
 
     @pytest.mark.parametrize("key,value", [("construction", 5), ("construction", ["e"]), ("provenance", 7)])
     @pytest.mark.parametrize("command", ["verify", "run"])

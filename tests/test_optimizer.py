@@ -1,12 +1,18 @@
+import dataclasses
+import gc
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from stepweaver import optimizer
 from stepweaver.builders import silver
 from stepweaver.optimizer import (
     AsymptoticConstants,
+    CACHE_NAME,
+    MAX_TABLE_N,
     P_EXPONENT,
     RateTables,
     asymptotic_constants,
@@ -82,6 +88,14 @@ class TestBuildTables:
             build_tables(0)
         with pytest.raises(ResourceCapError):
             build_tables(10**6)
+        with pytest.raises(ResourceCapError):
+            obs_s(MAX_TABLE_N)
+        with pytest.raises(ResourceCapError):
+            asymptotic_constants(14)
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(RateTables)]
+        assert names == ["n_max", "s_rate", "f_rate", "s_split", "f_split"]
 
 
 class TestReconstruction:
@@ -139,6 +153,57 @@ class TestReconstruction:
                 assert np.array_equal(got.steps, want.steps)
                 assert got.rate == want.rate
                 assert trees_equal(got.tree, want.tree, check_mu=True)
+
+    def test_returned_schedules_are_not_kept(self, tables):
+        refs = [
+            weakref.ref(obs(n, t)) for obs in (obs_s, obs_f, obs_g) for t in (tables, None) for n in (4, 100, 511)
+        ]
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
+
+
+def _same_tables(got, want):
+    """Rates and splits equal byte for byte (index 0 is unused)."""
+    assert got.n_max == want.n_max
+    for name in ("s_rate", "f_rate", "s_split", "f_split"):
+        assert getattr(got, name)[1:].tobytes() == getattr(want, name)[1:].tobytes(), name
+
+
+@pytest.fixture
+def rows_filled(monkeypatch):
+    """Counts DP rows filled: each row scans its s-candidates once."""
+    count = [0]
+    real = optimizer._sjoin_rate
+
+    def counted(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(optimizer, "_sjoin_rate", counted)
+    return count
+
+
+class TestTableStore:
+    def test_extend_equals_fresh_fill(self):
+        want = build_tables(700)
+        for prefix in (1, 2, 64, 511, 699, 700):
+            _same_tables(optimizer._extend(build_tables(prefix), 700), want)
+
+    def test_get_tables_fills_each_row_once(self, monkeypatch, rows_filled):
+        monkeypatch.setattr(optimizer, "_SHARED_TABLES", None)
+        sizes = [optimizer.get_tables(n).n_max for n in (100, 300, 200, 1000)]
+        assert sizes == [100, 300, 300, 1000]
+        assert rows_filled[0] == 999
+        _same_tables(optimizer.get_tables(1000), build_tables(1000))
+
+    def test_load_or_build_extends_the_one_file(self, tmp_path, rows_filled):
+        assert load_or_build(50, str(tmp_path)).n_max == 50
+        grown = load_or_build(300, str(tmp_path))
+        assert load_or_build(120, str(tmp_path)).n_max == 300  # served by the larger file
+        assert rows_filled[0] == 299
+        assert [p.name for p in tmp_path.iterdir()] == [CACHE_NAME]
+        _same_tables(grown, build_tables(300))
+        _same_tables(load_tables(str(tmp_path / CACHE_NAME)), grown)
 
 
 class TestEnumeration:
