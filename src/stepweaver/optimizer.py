@@ -29,13 +29,14 @@ from .schedule import (
     _fgjoin_rate,
     _s_side_first,
     _sjoin_rate,
-    empty_schedule,
-    join,
+    join,  # not called here; perfbench's traced layer map wraps optimizer.join
     join_rate,
     materialize,
+    middle_step,
     operand_classes,
     result_class,
     reverse,
+    validate_schedule,
 )
 
 # Exponent governing the n^-p decay of optimal rates; computed, never hard-coded.
@@ -103,42 +104,42 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
     """Rebuild the optimal schedule for table row ``idx`` by following splits.
 
     Row ``n`` of class ``cls`` joins rows ``m`` and ``n - m`` with the class's
-    join, whose operand classes come from the join typing table.  Iterative:
-    resolve all needed rows bottom-up so deep split chains cannot overflow
-    the stack.  Rows are shared within this one walk only, so no schedule
-    outlives the caller's reference to the result.
+    join, whose operand classes come from the join typing table.  Iterative,
+    so deep split chains cannot overflow the stack.  A row is its steps, tree
+    and rate, and the rate must equal the table's; only the returned schedule
+    is built and validated, and nothing is kept between calls.
     """
-    columns = {
-        CompClass.S: (JoinOp.SJOIN, tables.s_split, tables.s_rate),
-        CompClass.F: (JoinOp.FJOIN, tables.f_split, tables.f_rate),
+    columns = {  # class -> (join, split and rate columns, operand classes)
+        CompClass.S: (JoinOp.SJOIN, tables.s_split, tables.s_rate, *operand_classes(JoinOp.SJOIN)),
+        CompClass.F: (JoinOp.FJOIN, tables.f_split, tables.f_rate, *operand_classes(JoinOp.FJOIN)),
     }
-    memo = {}
-    needed = set()
+    rows = {}
     work = [(cls, idx)]
     while work:
-        key = work.pop()
-        if key in needed:
+        key = c, n = work.pop()
+        if key in rows:
             continue
-        needed.add(key)
-        c, n = key
-        if n > 1:
-            op, split, _ = columns[c]
-            m = int(split[n])
-            lcls, rcls = operand_classes(op)
-            work += [(lcls, m), (rcls, n - m)]
-    # both operand rows of row n are shorter than n
-    for c, n in sorted(needed, key=lambda key: (key[1], key[0].value)):
-        op, split, rate = columns[c]
+        op, split, rate, lcls, rcls = columns[c]
         if n == 1:
-            h = empty_schedule(c)
+            row = ((), LEAF, 1.0)
         else:
             m = int(split[n])
-            lcls, rcls = operand_classes(op)
-            h = join(op, memo[lcls, m], memo[rcls, n - m])
-        if h.rate != rate[n]:
+            if not 0 < m < n:  # operand rows must be shorter, or the walk never ends
+                raise ScheduleError(f"{c.value}-table split {m} out of range at row {n}")
+            left, right = rows.get((lcls, m)), rows.get((rcls, n - m))
+            if left is None or right is None:
+                work += [key, (lcls, m), (rcls, n - m)]  # resolve the operand rows first
+                continue
+            (lsteps, ltree, lrate), (rsteps, rtree, rrate) = left, right
+            mu = middle_step(op, lrate, rrate)  # both joins take the s-side operand on the left
+            row = (lsteps + (mu,) + rsteps, CompositionTree(op, ltree, rtree, mu), join_rate(op, lrate, rrate))
+        if row[2] != rate[n]:
             raise ScheduleError(f"{c.value}-table reconstruction mismatch at row {n}")
-        memo[c, n] = h
-    return memo[cls, idx]
+        rows[key] = row
+    steps, tree, h_rate = rows[cls, idx]
+    out = StepSchedule(steps, cls, h_rate, tree)
+    validate_schedule(out)
+    return out
 
 
 _SHARED_TABLES: "RateTables | None" = None
@@ -324,10 +325,12 @@ def write_rate_csv(fh, n_rows: int, columns: dict) -> None:
 
 CACHE_ENV_VAR = "STEPWEAVER_CACHE"
 CACHE_NAME = f"obs-tables-v{CACHE_VERSION}.npz"
+_CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 
 
 def save_tables(tables: RateTables, directory: str) -> str:
-    """Write the tables to the versioned .npz cache file; returns the path."""
+    """Write the tables to the versioned .npz cache file; returns the path.
+    A valid file with as many rows is kept: saving never shrinks the file."""
     os.makedirs(directory, exist_ok=True)
     meta = {"cache_version": CACHE_VERSION, "package_version": _pkg_version, "n_max": tables.n_max}
     path = os.path.join(directory, CACHE_NAME)
@@ -343,7 +346,12 @@ def save_tables(tables: RateTables, directory: str) -> str:
             f_split=tables.f_split,
             meta=json.dumps(meta),
         )
-        os.replace(tmp, path)
+        try:  # another process may have extended the file meanwhile
+            keep = os.path.exists(path) and load_tables(path).n_max >= tables.n_max
+        except _CACHE_ERRORS:
+            keep = False
+        if not keep:
+            os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -399,7 +407,7 @@ def load_or_build(n_max: int, cache_dir: "str | None" = None) -> RateTables:
     if os.path.exists(path):
         try:
             tables = load_tables(path)
-        except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as err:
+        except _CACHE_ERRORS as err:
             print(f"warning: rebuilding table cache {path}: {err}", file=sys.stderr)
     if tables is not None and tables.n_max >= n_max:
         return tables

@@ -276,14 +276,6 @@ class StepSchedule:
     def n(self) -> int:
         return int(self.steps.size)
 
-    @property
-    def step_sum(self) -> float:
-        return float(self.steps.sum())
-
-    @property
-    def is_join_built(self) -> bool:
-        return self.tree is not None and not self.conjectured
-
     def describe(self) -> str:
         tag = " (conjectured)" if self.conjectured else ""
         return f"{self.comp_class.value}-schedule n={self.n} rate={self.rate:.10g}{tag}"

@@ -8,7 +8,7 @@ import math
 
 from stepweaver import dsl
 from stepweaver.builders import left_heavy, right_heavy, silver
-from stepweaver.optimizer import get_tables, obs_f, obs_s
+from stepweaver.optimizer import get_tables, obs_f, obs_g, obs_s
 from stepweaver.schedule import CompClass, reverse
 
 SQ2 = math.sqrt(2.0)
@@ -65,7 +65,6 @@ def full_corpus(tables=None):
     out += [(f"lheavy({k})", left_heavy(k)) for k in HEAVY_LEVELS]
     for n in OBS_LENGTHS:
         out.append((f"obss({n})", obs_s(n, tables)))
-        f = obs_f(n, tables)  # obs_g(n) is reverse(obs_f(n)); one reconstruction serves both
-        out.append((f"obsf({n})", f))
-        out.append((f"obsg({n})", reverse(f)))
+        out.append((f"obsf({n})", obs_f(n, tables)))
+        out.append((f"obsg({n})", obs_g(n, tables)))
     return out

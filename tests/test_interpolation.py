@@ -244,18 +244,19 @@ def test_traced_boundaries_exist():
 
 def test_traced_construction_boundaries_exist(tmp_path, monkeypatch):
     """The traced run also wraps these names in the construction and
-    certificate layers, the DSL's silver macro included, and resets the
-    shared tables between ops."""
+    certificate layers, the DSL's silver macro included; the construct
+    workload resets ``optimizer._SHARED_TABLES`` between ops, so it must
+    exist."""
     assert list(inspect.signature(optimizer.build_tables).parameters) == ["n_max"]
     assert hasattr(optimizer, "_SHARED_TABLES")
-    built = []
-    real_build = optimizer.build_tables
+    built, saved = [], []
+    real_build, real_save = optimizer.build_tables, optimizer.save_tables
     monkeypatch.setattr(optimizer, "build_tables", lambda n_max: built.append(n_max) or real_build(n_max))
-    cold = optimizer.load_or_build(9, str(tmp_path))  # a cold cache builds through build_tables
+    monkeypatch.setattr(optimizer, "save_tables", lambda t, d: saved.append(real_save(t, d)) or saved[-1])
+    optimizer.load_or_build(9, str(tmp_path))  # a cold cache builds through build_tables
     assert built == [9]
-    path = optimizer.save_tables(cold, str(tmp_path))  # the traced run sizes the file it returns
-    assert os.path.getsize(path) > 0
-    assert optimizer.load_tables(path).n_max == 9
+    assert os.path.getsize(saved[0]) > 0  # the traced run sizes the file save_tables returns
+    assert optimizer.load_tables(saved[0]).n_max == 9
     assert list(inspect.signature(optimizer._reconstruct).parameters) == ["tables", "cls", "idx"]
     assert optimizer._reconstruct(build_tables(8), CompClass.F, 5).n == 4
     assert dsl._MACROS["silver"] == (CompClass.S, builders.silver)

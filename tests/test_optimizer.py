@@ -99,6 +99,25 @@ class TestBuildTables:
 
 
 class TestReconstruction:
+    @pytest.mark.parametrize(
+        "column, row, value, match",
+        [
+            ("s_split", 6, 0, "out of range"),
+            ("s_split", 6, 6, "out of range"),
+            ("f_split", 9, 0, "out of range"),
+            ("s_rate", 4, 0.5, "mismatch at row 4"),
+            ("f_rate", 1, 0.5, "mismatch at row 1"),
+        ],
+    )
+    def test_bad_tables_raise(self, column, row, value, match):
+        """A split that is not a shorter row, or a rate that is not the join
+        of its operands' rates, stops the walk with ScheduleError."""
+        t = build_tables(12)
+        getattr(t, column)[row] = value
+        obs = obs_s if column.startswith("s") else obs_f
+        with pytest.raises(ScheduleError, match=match):
+            obs(row - 1, t)
+
     def test_obs_s_three(self, tables):
         h = obs_s(3, tables)
         assert np.allclose(h.steps, [SQ2, 2.0, SQ2], rtol=1e-15)
@@ -344,6 +363,18 @@ class TestCache:
         path = save_tables(tables, str(tmp_path))
         save_tables(tables, str(tmp_path))  # overwrite in place
         assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+
+    def test_save_never_shrinks_the_file(self, tmp_path):
+        """A process saving smaller tables after another extended the file
+        keeps the larger file; an invalid file is still replaced."""
+        path = save_tables(build_tables(40), str(tmp_path))
+        assert save_tables(build_tables(10), str(tmp_path)) == path
+        assert load_tables(path).n_max == 40
+        assert [p.name for p in tmp_path.iterdir()] == [os.path.basename(path)]
+        with open(path, "wb") as fh:
+            fh.write(b"not a zip")
+        save_tables(build_tables(10), str(tmp_path))
+        assert load_tables(path).n_max == 10
 
     @pytest.mark.parametrize("key", ["s_rate", "f_rate", "s_split", "f_split"])
     def test_short_array_rejected(self, tables, tmp_path, key):
