@@ -70,11 +70,17 @@ class ExprJoin:
     right: object
 
 
+def _optimized(obs):
+    """``obs(n)`` on tables from the table cache (``STEPWEAVER_CACHE``) when
+    one is configured, else on the in-process shared tables."""
+    return lambda n: obs(n, optimizer.load_or_build(n + 1))
+
+
 _MACROS = {
     "silver": (CompClass.S, builders.silver),
-    "obss": (CompClass.S, optimizer.obs_s),
-    "obsf": (CompClass.F, optimizer.obs_f),
-    "obsg": (CompClass.G, optimizer.obs_g),
+    "obss": (CompClass.S, _optimized(optimizer.obs_s)),
+    "obsf": (CompClass.F, _optimized(optimizer.obs_f)),
+    "obsg": (CompClass.G, _optimized(optimizer.obs_g)),
     "rheavy": (CompClass.F, builders.right_heavy),
     "lheavy": (CompClass.G, builders.left_heavy),
     "dshort": (CompClass.G, lambda n: builders.dynamic_short(n, "empty")),

@@ -28,7 +28,6 @@ from .schedule import (
     StepSchedule,
     _fgjoin_rate,
     _s_side_first,
-    _sjoin_rate,
     join,  # not called here; perfbench's traced layer map wraps optimizer.join
     join_rate,
     materialize,
@@ -82,17 +81,55 @@ def _extend(tables: "RateTables | None", n_max: int) -> RateTables:
         np.concatenate((col[: done + 1], np.zeros(n_max - done, col.dtype)))
         for col in (old.s_rate, old.f_rate, old.s_split, old.f_split)
     )
+    cols = (s, f, s_split, f_split, s * s, 4.0 * f)
+    buf = tuple(np.empty(n_max) for _ in range(3))
     for n in range(done + 1, n_max + 1):
-        a = s[1:n]
-        cand = _sjoin_rate(a, a[::-1])
-        i = int(np.argmin(cand))
-        s[n] = cand[i]
-        s_split[n] = i + 1
-        candf = _fgjoin_rate(a, f[n - 1 : 0 : -1])
-        j = int(np.argmin(candf))
-        f[n] = candf[j]
-        f_split[n] = j + 1
+        _fill_row(n, cols, buf)
     return RateTables(n_max, s, f, s_split, f_split)
+
+
+def _fill_row(n: int, cols: tuple, buf: tuple) -> None:
+    """Fill row ``n`` of ``cols = (s, f, s_split, f_split, ss, f4)`` from the
+    rows below it; ``ss = s*s`` and ``f4 = 4*f`` are kept up to date here.
+
+    Bit-identical to ``argmin`` over ``_sjoin_rate(a, a[::-1])`` and
+    ``_fgjoin_rate(a, f[n-1:0:-1])`` with ``a = s[1:n]``: the operations and
+    their order are those of the join formulas, written into the scratch
+    arrays ``buf``.  The s-join is exactly commutative, so split ``m`` and
+    ``n - m`` tie and the first minimum lies in ``m <= n // 2``; only those
+    splits are scanned.  The factor 2 of the numerator is applied to the
+    minimum only, which is exact for the normal floats the rates are.
+    """
+    s, f, s_split, f_split, ss, f4 = cols
+    h = n // 2
+    p, d, t = (x[:h] for x in buf)
+    m, rest = slice(1, h + 1), slice(n - 1, n - h - 1, -1)  # splits m and rows n - m
+    np.multiply(s[m], s[rest], out=p)
+    np.multiply(6.0, p, out=t)
+    np.add(ss[m], ss[rest], out=d)
+    np.add(d, t, out=d)
+    np.sqrt(d, out=d)
+    np.add(s[m], s[rest], out=t)
+    np.add(t, d, out=d)
+    np.divide(p, d, out=p)
+    i = int(p.argmin())
+    s[n] = 2.0 * p[i]
+    s_split[n] = i + 1
+
+    p, d, t = (x[: n - 1] for x in buf)
+    m, rest = slice(1, n), slice(n - 1, 0, -1)
+    np.multiply(s[m], f[rest], out=p)
+    np.multiply(8.0, p, out=t)
+    np.add(ss[m], t, out=d)
+    np.sqrt(d, out=d)
+    np.add(s[m], f4[rest], out=t)
+    np.add(t, d, out=d)
+    np.divide(p, d, out=p)
+    j = int(p.argmin())
+    f[n] = 2.0 * p[j]
+    f_split[n] = j + 1
+    ss[n] = s[n] * s[n]
+    f4[n] = 4.0 * f[n]
 
 
 def build_tables(n_max: int) -> RateTables:

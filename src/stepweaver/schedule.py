@@ -96,7 +96,8 @@ def result_class(op: JoinOp) -> CompClass:
 #   f/g:  mu = 1 + (sqrt(a^2+8ab) - a) / (4ab)
 # but free of cancellation when one rate is much smaller than the other.
 # The symmetric grouping (a*a + b*b) + 6*(a*b) makes the s-join exactly
-# commutative in floating point.
+# commutative in floating point; the DP fill relies on it to scan only half
+# of the s-splits.
 # ---------------------------------------------------------------------------
 
 

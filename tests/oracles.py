@@ -9,9 +9,17 @@ minimum in Gram form; the tests compare the two.
 Huber/quadratic gradient and the value at every step.  The production
 ``stepweaver.gd.raw_run`` (clip-form gradient written in place, values after
 the loop) must reproduce its traces byte for byte.
+
+``build_tables_reference`` is the plain DP row loop: every split of both
+joins, scored by the scalar join formulas, with ``np.argmin`` picking the
+first minimum.  The production fill, ``stepweaver.optimizer._extend``, must
+give the same rates and splits byte for byte.
 """
 
 import numpy as np
+
+from stepweaver.optimizer import RateTables
+from stepweaver.schedule import _fgjoin_rate, _sjoin_rate
 
 
 def coord_value(x, is_huber, param):
@@ -73,3 +81,20 @@ def q_min_pairwise(X, G, F, include_star: bool = True):
         - (gsq[:, :, None] + gsq[:, None, :] - 2.0 * gg)
     )
     return Q.min(axis=(1, 2)) if not squeeze else float(Q.min())
+
+
+def build_tables_reference(n_max):
+    """Rate tables to row ``n_max`` by scanning all ``n - 1`` splits of row
+    ``n`` on both sides; index 0 is unused."""
+    s, f = np.full(n_max + 1, np.nan), np.full(n_max + 1, np.nan)
+    s_split, f_split = np.zeros(n_max + 1, np.int64), np.zeros(n_max + 1, np.int64)
+    s[1] = f[1] = 1.0
+    for n in range(2, n_max + 1):
+        a = s[1:n]
+        cand = _sjoin_rate(a, a[::-1])
+        i = int(np.argmin(cand))
+        s[n], s_split[n] = cand[i], i + 1
+        cand = _fgjoin_rate(a, f[n - 1 : 0 : -1])
+        j = int(np.argmin(cand))
+        f[n], f_split[n] = cand[j], j + 1
+    return RateTables(n_max, s, f, s_split, f_split)

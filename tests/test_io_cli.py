@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from stepweaver import dsl, optimizer
 from stepweaver.cli import main
 from stepweaver.io import (
     RunConfig,
@@ -13,7 +14,7 @@ from stepweaver.io import (
     loads_schedule,
     save_schedule,
 )
-from stepweaver.optimizer import load_tables, obs_f
+from stepweaver.optimizer import CACHE_ENV_VAR, CACHE_NAME, load_tables, obs_f
 from stepweaver.schedule import CompClass
 
 SQ2 = math.sqrt(2.0)
@@ -358,6 +359,30 @@ class TestCli:
         monkeypatch.setenv("STEPWEAVER_CACHE", str(tmp_path / "cache"))
         assert main(["optimize", "--class", "s", "--n", "4"]) == 0
         assert list((tmp_path / "cache").glob("obs-tables-*.npz"))
+
+    def test_compose_macros_use_the_table_cache(self, tmp_path, monkeypatch, capsys, rows_filled):
+        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+        out = tmp_path / "obss.json"
+
+        def compose():
+            optimizer._SHARED_TABLES = None
+            assert main(["compose", "obss(400)"]) == 0
+            assert main(["compose", "obss(400)", "--out", str(out)]) == 0
+            return capsys.readouterr().out, out.read_bytes()
+
+        monkeypatch.setattr(optimizer, "_SHARED_TABLES", None)
+        with monkeypatch.context() as m:  # obss on the in-process tables alone
+            m.setitem(dsl._MACROS, "obss", (CompClass.S, optimizer.obs_s))
+            before = compose()
+        assert compose() == before
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+        rows_filled[0] = 0
+        assert compose() == before
+        assert rows_filled[0] == 400
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [CACHE_NAME]
+        rows_filled[0] = 0
+        assert compose() == before
+        assert rows_filled[0] == 0
 
     @pytest.mark.parametrize(
         "corrupt",
