@@ -1,15 +1,17 @@
 """Composition expressions: parse, typecheck, format, evaluate.
 
 Grammar (whitespace-insensitive, every binary application parenthesized
-because the joins are not associative):
+because the joins are not associative; at most ``MAX_NESTING`` parentheses
+open at once):
 
     expr  :=  "e"  |  macro "(" int ")"  |  "(" expr op expr ")"
     op    :=  "><"  |  "|>"  |  "<|"
 
 ``e`` is the empty schedule, polymorphic over all three classes.  The
 Unicode operators for the three joins are accepted as aliases of the ASCII
-spellings.  Macros expand lazily at evaluation time, so parsing and
-typechecking stay cheap:
+spellings.  An expression folds through ``schedule.postorder`` like a
+construction tree, and evaluates by the same upward join.  Macros expand
+lazily at evaluation time, so parsing and typechecking stay cheap:
 
     silver(k)        balanced self-join family        class s
     obss(n)/obsf(n)/obsg(n)   optimized families      class s/f/g
@@ -28,10 +30,10 @@ from .schedule import (
     JoinOp,
     ScheduleError,
     StepSchedule,
-    empty_schedule,
-    join,
+    evaluate_tree,
+    join_classes,
     operand_classes,
-    result_class,
+    postorder,
 )
 
 
@@ -48,19 +50,20 @@ class DslTypeError(ScheduleError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST: folds through ``schedule.postorder`` like a construction tree
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExprLeaf:
-    pass
+    is_leaf = True
 
 
 @dataclass(frozen=True)
 class ExprMacro:
     name: str
     arg: int
+    is_leaf = True
 
 
 @dataclass(frozen=True)
@@ -68,19 +71,14 @@ class ExprJoin:
     op: JoinOp
     left: object
     right: object
-
-
-def _optimized(obs):
-    """``obs(n)`` on tables from the table cache (``STEPWEAVER_CACHE``) when
-    one is configured, else on the in-process shared tables."""
-    return lambda n: obs(n, optimizer.load_or_build(n + 1))
+    is_leaf = False
 
 
 _MACROS = {
     "silver": (CompClass.S, builders.silver),
-    "obss": (CompClass.S, _optimized(optimizer.obs_s)),
-    "obsf": (CompClass.F, _optimized(optimizer.obs_f)),
-    "obsg": (CompClass.G, _optimized(optimizer.obs_g)),
+    "obss": (CompClass.S, optimizer.obs_s),
+    "obsf": (CompClass.F, optimizer.obs_f),
+    "obsg": (CompClass.G, optimizer.obs_g),
     "rheavy": (CompClass.F, builders.right_heavy),
     "lheavy": (CompClass.G, builders.left_heavy),
     "dshort": (CompClass.G, lambda n: builders.dynamic_short(n, "empty")),
@@ -174,89 +172,89 @@ def tokenize(text: str):
 # Parser
 # ---------------------------------------------------------------------------
 
-
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.i]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expr(self):
-        tok = self.take()
-        if tok.kind == "LEAF":
-            return ExprLeaf()
-        if tok.kind == "MACRO":
-            return ExprMacro(tok.name, tok.arg)
-        if tok.kind == "LPAREN":
-            left = self.expr()
-            op_tok = self.take()
-            if op_tok.kind != "OP":
-                raise DslSyntaxError("expected a join operator", op_tok.pos, ("><", "|>", "<|"))
-            right = self.expr()
-            close = self.take()
-            if close.kind != "RPAREN":
-                raise DslSyntaxError("unbalanced parenthesis", close.pos, (")",))
-            return ExprJoin(op_tok.op, left, right)
-        raise DslSyntaxError("expected an expression", tok.pos, ("e", "macro", "("))
+MAX_NESTING = 1000  # open parentheses at once
 
 
 def parse(text: str):
-    """Parse a composition expression into its AST."""
-    parser = _Parser(tokenize(text))
-    try:
-        tree = parser.expr()
-    except RecursionError:
-        raise DslSyntaxError("expression nesting too deep", 0) from None
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise DslSyntaxError("trailing input after a complete expression", tail.pos, ("end of input",))
-    return tree
+    """Parse a composition expression into its AST.
+
+    Shift-reduce over the tokens: each open ``(`` is a frame ``[left, op]`` on
+    an explicit stack, so the nesting cap does not depend on the call stack."""
+    tokens = iter(tokenize(text))
+    frames = []
+    while True:
+        tok = next(tokens)
+        if tok.kind == "LPAREN":
+            if len(frames) == MAX_NESTING:
+                raise DslSyntaxError(f"expression nesting deeper than {MAX_NESTING}", tok.pos)
+            frames.append([None, None])
+            continue
+        if tok.kind == "LEAF":
+            node = ExprLeaf()
+        elif tok.kind == "MACRO":
+            node = ExprMacro(tok.name, tok.arg)
+        else:
+            raise DslSyntaxError("expected an expression", tok.pos, ("e", "macro", "("))
+        # ``node`` is complete: it closes every frame it is the right operand of
+        while frames and frames[-1][1] is not None:
+            left, op = frames.pop()
+            close = next(tokens)
+            if close.kind != "RPAREN":
+                raise DslSyntaxError("unbalanced parenthesis", close.pos, (")",))
+            node = ExprJoin(op, left, node)
+        if not frames:
+            tail = next(tokens)
+            if tail.kind != "EOF":
+                raise DslSyntaxError("trailing input after a complete expression", tail.pos, ("end of input",))
+            return node
+        op_tok = next(tokens)  # ``node`` is the left operand of the innermost frame
+        if op_tok.kind != "OP":
+            raise DslSyntaxError("expected a join operator", op_tok.pos, ("><", "|>", "<|"))
+        frames[-1][:] = [node, op_tok.op]
 
 
 # ---------------------------------------------------------------------------
-# Typecheck / format / evaluate
+# Typecheck / format / evaluate: folds over the AST
 # ---------------------------------------------------------------------------
 
 def _class_names(classes) -> str:
     return "{" + ", ".join(sorted(c.value for c in classes)) + "}"
 
 
+def _leaf_classes(node) -> frozenset:
+    return ALL_CLASSES if isinstance(node, ExprLeaf) else frozenset((_MACROS[node.name][0],))
+
+
 def typecheck(expr) -> frozenset:
     """Set of classes the expression can evaluate to; raises on a mismatch."""
-    if isinstance(expr, ExprLeaf):
-        return ALL_CLASSES
-    if isinstance(expr, ExprMacro):
-        return frozenset((_MACROS[expr.name][0],))
-    lcls = typecheck(expr.left)
-    rcls = typecheck(expr.right)
-    lneed, rneed = operand_classes(expr.op)
-    if lneed not in lcls:
-        raise DslTypeError(
-            f"left operand of {expr.op.symbol} has classes {_class_names(lcls)}, "
-            f"{lneed.value} required: {format_expr(expr.left)}"
-        )
-    if rneed not in rcls:
-        raise DslTypeError(
-            f"right operand of {expr.op.symbol} has classes {_class_names(rcls)}, "
-            f"{rneed.value} required: {format_expr(expr.right)}"
-        )
-    return frozenset((result_class(expr.op),))
+
+    def combine(node, left, right):
+        classes = join_classes(node.op, left, right)
+        if not classes:
+            lneed, rneed = operand_classes(node.op)
+            side, have, need, operand = (
+                ("left", left, lneed, node.left) if lneed not in left else ("right", right, rneed, node.right)
+            )
+            raise DslTypeError(
+                f"{side} operand of {node.op.symbol} has classes {_class_names(have)}, "
+                f"{need.value} required: {format_expr(operand)}"
+            )
+        return classes
+
+    return postorder(expr, _leaf_classes, combine)
+
+
+def _leaf_text(node) -> str:
+    return "e" if isinstance(node, ExprLeaf) else f"{node.name}({node.arg})"
 
 
 def format_expr(expr) -> str:
     """Canonical text form; round-trips through :func:`parse`."""
-    if isinstance(expr, ExprLeaf):
-        return "e"
-    if isinstance(expr, ExprMacro):
-        return f"{expr.name}({expr.arg})"
-    return f"({format_expr(expr.left)} {expr.op.symbol} {format_expr(expr.right)})"
+    return postorder(expr, _leaf_text, lambda node, left, right: f"({left} {node.op.symbol} {right})")
+
+
+def _leaf_schedule(node) -> "StepSchedule | None":
+    return None if isinstance(node, ExprLeaf) else _MACROS[node.name][1](node.arg)
 
 
 def evaluate(expr, comp_class: CompClass) -> StepSchedule:
@@ -267,16 +265,7 @@ def evaluate(expr, comp_class: CompClass) -> StepSchedule:
             f"expression has classes {_class_names(classes)}, cannot evaluate as "
             f"{comp_class.value}: {format_expr(expr)}"
         )
-
-    def _eval(node, cls):
-        if isinstance(node, ExprLeaf):
-            return empty_schedule(cls)
-        if isinstance(node, ExprMacro):
-            return _MACROS[node.name][1](node.arg)
-        lneed, rneed = operand_classes(node.op)
-        return join(node.op, _eval(node.left, lneed), _eval(node.right, rneed))
-
-    return _eval(expr, comp_class)
+    return evaluate_tree(expr, comp_class, _leaf_schedule)
 
 
 def compile_expression(text: str, comp_class: "CompClass | None" = None):
@@ -286,8 +275,8 @@ def compile_expression(text: str, comp_class: "CompClass | None" = None):
     leaf is the only ambiguous case).  Returns ``(schedule, ast)``.
     """
     ast = parse(text)
-    classes = typecheck(ast)
-    if comp_class is None:
+    if comp_class is None:  # else evaluate typechecks
+        classes = typecheck(ast)
         if len(classes) != 1:
             raise DslTypeError(
                 f"expression admits classes {_class_names(classes)}; pass an explicit class"

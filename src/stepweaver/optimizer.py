@@ -28,7 +28,6 @@ from .schedule import (
     StepSchedule,
     _fgjoin_rate,
     _s_side_first,
-    join,  # not called here; perfbench's traced layer map wraps optimizer.join
     join_rate,
     materialize,
     middle_step,
@@ -44,6 +43,10 @@ P_EXPONENT = float(np.log2(1.0 + np.sqrt(2.0)))
 MAX_TABLE_N = 20_001  # O(N^2) fill; ~2e4 is the supported envelope
 MAX_ENUM_LEN = 12
 CACHE_VERSION = 2
+C_LOW_GRID_STEP = 1e-3  # c_low: coarse lambda grid of the inner minimum
+C_LOW_INNER_TOL = 1e-12  # c_low: golden-section tolerance of the inner minimum
+C_LOW_FIXED_POINT_TOL = 1e-11
+C_LOW_MAX_OUTER = 10_000
 
 
 @dataclass(eq=False)
@@ -179,21 +182,10 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
     return out
 
 
-_SHARED_TABLES: "RateTables | None" = None
-
-
-def get_tables(min_n: int) -> RateTables:
-    """Shared in-process tables, extended to exactly ``min_n`` rows when shorter."""
-    global _SHARED_TABLES
-    if _SHARED_TABLES is None or _SHARED_TABLES.n_max < min_n:
-        _SHARED_TABLES = _extend(_SHARED_TABLES, min_n)
-    return _SHARED_TABLES
-
-
 def _check_row(n: int, tables: "RateTables | None") -> RateTables:
     if n < 0:
         raise ScheduleError(f"length must be nonnegative, got {n}")
-    tables = tables or get_tables(n + 1)
+    tables = tables or load_or_build(n + 1)
     if n + 1 > tables.n_max:
         raise ScheduleError(f"length {n} is beyond the table (n_max={tables.n_max})")
     return tables
@@ -283,12 +275,7 @@ def r_constant(comp_class: CompClass, k: int, tables: RateTables) -> float:
     return float(np.max(tab[ns] * ns.astype(np.float64) ** P_EXPONENT))
 
 
-def c_low(
-    grid_step: float = 1e-3,
-    inner_tol: float = 1e-12,
-    fixed_point_tol: float = 1e-11,
-    max_outer: int = 10_000,
-) -> float:
+def c_low() -> float:
     """Lower-envelope constant: the fixed point of
 
         c = min over lam in (0,1) of (lam^-p) |> (c * (1-lam)^-p)
@@ -297,7 +284,7 @@ def c_low(
     located on a coarse grid (validated to have a single local minimum, with
     a finer global grid as fallback) and polished by golden-section search.
     """
-    p = P_EXPONENT
+    p, grid_step = P_EXPONENT, C_LOW_GRID_STEP
     lam = np.arange(grid_step, 1.0, grid_step)
     lam_pow = lam ** (-p)
     rem_pow = (1.0 - lam) ** (-p)
@@ -314,25 +301,25 @@ def c_low(
         lo = grid_l[max(i - 1, 0)]
         hi = grid_l[min(i + 1, grid_l.size - 1)]
         _, val = golden_min(
-            lambda t: float(_fgjoin_rate(t ** (-p), c * (1.0 - t) ** (-p))), lo, hi, tol=inner_tol
+            lambda t: float(_fgjoin_rate(t ** (-p), c * (1.0 - t) ** (-p))), lo, hi, tol=C_LOW_INNER_TOL
         )
         return min(val, float(grid_v[i]))
 
     c = 0.5
-    for _ in range(max_outer):
+    for _ in range(C_LOW_MAX_OUTER):
         c_next = inner_min(c)
-        if abs(c_next - c) < fixed_point_tol:
+        if abs(c_next - c) < C_LOW_FIXED_POINT_TOL:
             return c_next
         c = c_next
     raise RuntimeError(
-        f"fixed-point iteration did not converge in {max_outer} steps (last c={c!r})"
+        f"fixed-point iteration did not converge in {C_LOW_MAX_OUTER} steps (last c={c!r})"
     )
 
 
 def asymptotic_constants(k_max: int, tables: "RateTables | None" = None) -> AsymptoticConstants:
     """Block constants for k = 0..k_max plus the lower constant and exponent."""
     if tables is None:
-        tables = get_tables(2 ** (k_max + 1) - 1)
+        tables = load_or_build(2 ** (k_max + 1) - 1)
     ks = range(k_max + 1)
     return AsymptoticConstants(
         r_obs_s={k: r_constant(CompClass.S, k, tables) for k in ks},
@@ -430,15 +417,22 @@ def load_tables(path: str) -> RateTables:
     return t
 
 
+_SHARED_TABLES: "RateTables | None" = None
+
+
 def load_or_build(n_max: int, cache_dir: "str | None" = None) -> RateTables:
-    """Fetch tables from the cache directory (``STEPWEAVER_CACHE`` by default):
-    its one file serves any request up to its size, and a larger request or a
-    miss extends or builds it and replaces it.  An unreadable or invalid file
-    is rebuilt, with a warning on stderr.  With no cache directory configured,
-    falls back to the in-process shared tables."""
+    """Tables of at least ``n_max`` rows, the one accessor of the table store.
+    The cache directory (``STEPWEAVER_CACHE`` by default) holds one file that
+    serves any request up to its size; a larger request or a miss extends or
+    builds it and replaces it, and an unreadable or invalid file is rebuilt
+    with a warning on stderr.  With no directory configured: the in-process
+    shared tables, extended to exactly ``n_max`` rows when shorter."""
+    global _SHARED_TABLES
     directory = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not directory:
-        return get_tables(n_max)
+        if _SHARED_TABLES is None or _SHARED_TABLES.n_max < n_max:
+            _SHARED_TABLES = _extend(_SHARED_TABLES, n_max)
+        return _SHARED_TABLES
     path = os.path.join(directory, CACHE_NAME)
     tables = None
     if os.path.exists(path):

@@ -182,7 +182,7 @@ class CompositionTree:
 
     def length(self) -> int:
         """Total schedule length: one step per join node (shared nodes counted per use)."""
-        return postorder(self, 0, lambda node, left, right: left + right + 1)
+        return postorder(self, lambda node: 0, lambda node, left, right: left + right + 1)
 
 
 LEAF = CompositionTree()
@@ -191,57 +191,66 @@ LEAF = CompositionTree()
 ALL_CLASSES = frozenset(CompClass)
 
 
-def postorder(tree: CompositionTree, leaf, combine):
-    """Fold a tree bottom-up: every leaf has the value ``leaf``, and a join
-    node has ``combine(node, left_value, right_value)``.
-
-    Iterative, so deep chains cannot overflow the stack, and memoized by node
-    identity, so a shared subtree is combined once.
-    """
-    memo: dict[int, object] = {}
-    stack = [(tree, False)]
+def postorder(tree, leaf, combine):
+    """Fold a tree bottom-up, left subtree first: a leaf node has the value
+    ``leaf(node)`` and a join node ``combine(node, left_value, right_value)``.
+    Construction trees and DSL expressions fold alike (``is_leaf``, ``left``,
+    ``right``).  Iterative, so deep chains cannot overflow the stack.  A node
+    shared by several parents (by identity) is folded once, and each value is
+    dropped after its last parent used it, so a chain holds O(1) values."""
+    order, uses = [], {}  # distinct nodes, children first; parent edges per node
+    stack = [tree]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            memo[id(node)] = combine(node, memo[id(node.left)], memo[id(node.right)])
-        elif id(node) not in memo:
-            if node.is_leaf:
-                memo[id(node)] = leaf
-            else:
-                stack.append((node, True))
-                stack.append((node.right, False))
-                stack.append((node.left, False))
-    return memo[id(tree)]
+        node = stack.pop()
+        if type(node) is tuple:  # (join,) once both its subtrees are ordered
+            order.append(node[0])
+            continue
+        seen = uses.get(id(node), 0)
+        uses[id(node)] = seen + 1
+        if seen:
+            continue
+        if node.is_leaf:
+            order.append(node)
+        else:
+            stack += ((node,), node.right, node.left)
+    values = {}
+    for node in order:
+        if node.is_leaf:
+            values[id(node)] = leaf(node)
+            continue
+        args = []
+        for child in (id(node.left), id(node.right)):
+            args.append(values[child])
+            uses[child] -= 1
+            if not uses[child]:
+                del values[child]
+        values[id(node)] = combine(node, *args)
+    return values[id(tree)]
+
+
+def join_classes(op: JoinOp, left: frozenset, right: frozenset) -> frozenset:
+    """The join typing rule: ``op`` on operands that admit the classes
+    ``left`` and ``right`` has its result class, or none when an operand
+    cannot take the class it needs."""
+    lneed, rneed = operand_classes(op)
+    return frozenset((result_class(op),)) if lneed in left and rneed in right else frozenset()
 
 
 def admissible_classes(tree: CompositionTree) -> frozenset:
     """Classes a tree can evaluate to: leaves admit all three, joins one."""
-
-    def combine(node, left, right):
-        lneed, rneed = operand_classes(node.op)
-        if lneed in left and rneed in right:
-            return frozenset((result_class(node.op),))
-        return frozenset()
-
-    return postorder(tree, ALL_CLASSES, combine)
+    return postorder(tree, lambda node: ALL_CLASSES, lambda node, left, right: join_classes(node.op, left, right))
 
 
 def trees_equal(a: CompositionTree, b: CompositionTree, check_mu: bool = False) -> bool:
-    """Structural tree equality (iterative; ignores mu unless asked)."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x.is_leaf != y.is_leaf:
-            return False
-        if x.is_leaf:
-            continue
-        if x.op is not y.op:
-            return False
-        if check_mu and x.mu != y.mu:
-            return False
-        stack.append((x.left, y.left))
-        stack.append((x.right, y.right))
-    return True
+    """Structural tree equality, ignoring mu unless asked: both trees fold into
+    ids of one table of node shapes, in time linear in their distinct nodes."""
+    shapes: dict = {}
+
+    def combine(node, left, right):
+        shape = (node.op, left, right, node.mu) if check_mu else (node.op, left, right)
+        return shapes.setdefault(shape, len(shapes))
+
+    return postorder(a, lambda node: -1, combine) == postorder(b, lambda node: -1, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +336,7 @@ def validate_schedule(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> Non
             )
 
 
-def join(op: JoinOp, a: StepSchedule, b: StepSchedule, identity_tol: float = DEFAULT_IDENTITY_TOL) -> StepSchedule:
+def join(op: JoinOp, a: StepSchedule, b: StepSchedule) -> StepSchedule:
     """Join two certified schedules: concatenate around the middle step.
 
     Operands are taken in concatenation order: ``|>`` needs (S, F), ``<|``
@@ -352,7 +361,7 @@ def join(op: JoinOp, a: StepSchedule, b: StepSchedule, identity_tol: float = DEF
     if a.tree is not None and b.tree is not None:
         tree = CompositionTree(op, a.tree, b.tree, mu)
     out = StepSchedule(steps, result_class(op), rate, tree)
-    validate_schedule(out, identity_tol)
+    validate_schedule(out)
     return out
 
 
@@ -372,7 +381,7 @@ def reverse(h: StepSchedule) -> StepSchedule:
         )
     mirrored = postorder(
         h.tree,
-        LEAF,
+        lambda node: LEAF,
         lambda node, left, right: CompositionTree(_REVERSED_OP[node.op], right, left, node.mu),
     )
     return StepSchedule(h.steps[::-1].copy(), _REVERSED_CLASS[h.comp_class], h.rate, mirrored)
@@ -389,7 +398,22 @@ def fg_rates_from_s(h: StepSchedule):
     return r, r
 
 
-def materialize(tree: CompositionTree, comp_class: CompClass, identity_tol: float = DEFAULT_IDENTITY_TOL) -> StepSchedule:
+def evaluate_tree(tree, comp_class: CompClass, leaf) -> StepSchedule:
+    """Fold a well-typed tree into a schedule of ``comp_class`` by joining upward.
+    ``leaf(node)`` is a leaf's schedule, or None for a bare leaf, which takes
+    the class its parent requires (``comp_class`` at the root)."""
+
+    def combine(node, left, right):
+        lcls, rcls = operand_classes(node.op)
+        left = empty_schedule(lcls) if left is None else left
+        right = empty_schedule(rcls) if right is None else right
+        return join(node.op, left, right)
+
+    out = postorder(tree, leaf, combine)
+    return empty_schedule(comp_class) if out is None else out
+
+
+def materialize(tree: CompositionTree, comp_class: CompClass) -> StepSchedule:
     """Evaluate a construction tree bottom-up into a schedule of the given class.
 
     Shared subtrees are evaluated once.  Raises ``ClassMismatchError`` if the
@@ -401,14 +425,4 @@ def materialize(tree: CompositionTree, comp_class: CompClass, identity_tol: floa
             f"tree does not admit class {comp_class.value} "
             f"(admits {{{', '.join(sorted(c.value for c in classes))}}})"
         )
-
-    # A join's class is fixed by its op; only a leaf (folded to None) takes
-    # the class its parent requires.
-    def combine(node, left, right):
-        lcls, rcls = operand_classes(node.op)
-        left = empty_schedule(lcls) if left is None else left
-        right = empty_schedule(rcls) if right is None else right
-        return join(node.op, left, right, identity_tol)
-
-    out = postorder(tree, None, combine)
-    return empty_schedule(comp_class) if out is None else out
+    return evaluate_tree(tree, comp_class, lambda node: None)

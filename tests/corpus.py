@@ -8,7 +8,7 @@ import math
 
 from stepweaver import dsl
 from stepweaver.builders import left_heavy, right_heavy, silver
-from stepweaver.optimizer import get_tables, obs_f, obs_g, obs_s
+from stepweaver.optimizer import load_or_build, obs_f, obs_g, obs_s
 from stepweaver.schedule import CompClass, reverse
 
 SQ2 = math.sqrt(2.0)
@@ -58,7 +58,7 @@ def short_table_schedules():
 
 def full_corpus(tables=None):
     """Every corpus schedule as (name, schedule) pairs."""
-    tables = tables if tables is not None else get_tables(max(OBS_LENGTHS) + 1)
+    tables = tables if tables is not None else load_or_build(max(OBS_LENGTHS) + 1)
     out = [(name, sched) for name, sched, _ in short_table_schedules()]
     out += [(f"silver({k})", silver(k)) for k in SILVER_LEVELS]
     out += [(f"rheavy({k})", right_heavy(k)) for k in HEAVY_LEVELS]

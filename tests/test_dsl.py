@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stepweaver import dsl
 from stepweaver.dsl import (
@@ -17,7 +18,7 @@ from stepweaver.dsl import (
     parse,
     typecheck,
 )
-from stepweaver.schedule import CompClass, JoinOp
+from stepweaver.schedule import LEAF, CompClass, CompositionTree, JoinOp, admissible_classes, postorder
 
 SQ2 = math.sqrt(2.0)
 
@@ -175,3 +176,30 @@ class TestRoundTrip:
             "(obss(3) >< dshort(2))",
         ]:
             assert format_expr(parse(text)) == text
+
+
+# Construction trees of any shape, mistyped ones included.
+any_trees = st.recursive(
+    st.just(LEAF),
+    lambda sub: st.builds(CompositionTree, st.sampled_from(list(JoinOp)), sub, sub),
+    max_leaves=24,
+)
+
+
+class TestFolds:
+    def test_ast_equality_is_structural(self):
+        want = ExprJoin(JoinOp.FJOIN, ExprMacro("silver", 2), ExprJoin(JoinOp.FJOIN, ExprLeaf(), ExprLeaf()))
+        assert parse("(silver(2) |> (e |> e))") == want
+        assert parse("(silver(2) |> (e |> e))") != parse("(silver(3) |> (e |> e))")
+        assert parse("(e >< e)") != parse("(e |> e)")
+        assert ExprLeaf().is_leaf and ExprMacro("obss", 3).is_leaf and not want.is_leaf
+
+    @given(any_trees)
+    def test_typecheck_agrees_with_admissible_classes(self, tree):
+        text = postorder(tree, lambda node: "e", lambda node, left, right: f"({left} {node.op.symbol} {right})")
+        classes = admissible_classes(tree)
+        if classes:
+            assert typecheck(parse(text)) == classes
+        else:
+            with pytest.raises(DslTypeError):
+                typecheck(parse(text))

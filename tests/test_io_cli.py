@@ -15,9 +15,14 @@ from stepweaver.io import (
     save_schedule,
 )
 from stepweaver.optimizer import CACHE_ENV_VAR, CACHE_NAME, load_tables, obs_f
-from stepweaver.schedule import CompClass
+from stepweaver.schedule import CompClass, JoinOp, empty_schedule, join
 
 SQ2 = math.sqrt(2.0)
+
+
+def _nested(depth):
+    """``((...(e >< e)...) >< e)`` with ``depth`` parentheses open at once."""
+    return "(" * depth + "e >< e)" + " >< e)" * (depth - 1)
 
 
 class TestScheduleFile:
@@ -458,6 +463,28 @@ class TestCli:
         assert doc["conjectured"] is True
         assert doc["passed"] is True
         assert doc["certified"] is False
+
+    @pytest.mark.parametrize("depth", [988, 990, dsl.MAX_NESTING])
+    def test_deep_nesting_composes(self, tmp_path, capsys, depth):
+        out = tmp_path / "h.json"
+        assert main(["compose", _nested(depth), "--class", "s", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["n"], doc["construction"]) == (depth, _nested(depth))
+
+    def test_nesting_beyond_the_cap_is_a_parse_error_at_the_paren(self, capsys):
+        assert main(["compose", _nested(dsl.MAX_NESTING + 1), "--class", "s"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: syntax error at byte {dsl.MAX_NESTING}: "
+            f"expression nesting deeper than {dsl.MAX_NESTING}\n"
+        )
+
+    def test_verify_deep_construction(self, tmp_path, capsys):
+        h = empty_schedule(CompClass.S)
+        for _ in range(990):
+            h = join(JoinOp.SJOIN, h, empty_schedule(CompClass.S))
+        path = tmp_path / "deep.json"
+        path.write_text(dumps_schedule(h, construction=_nested(990)))
+        assert main(["verify", str(path), "--battery", "5"]) == 0
 
     def test_deep_nesting_is_a_parse_error(self, capsys):
         text = "(e >< e)"

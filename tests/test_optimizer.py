@@ -243,12 +243,13 @@ class TestTableStore:
         for prefix in (1, 2, 64, 511, 699, 700):
             _same_tables(optimizer._extend(build_tables(prefix), 700), want)
 
-    def test_get_tables_fills_each_row_once(self, monkeypatch, rows_filled):
+    def test_shared_tables_fill_each_row_once(self, monkeypatch, rows_filled):
         monkeypatch.setattr(optimizer, "_SHARED_TABLES", None)
-        sizes = [optimizer.get_tables(n).n_max for n in (100, 300, 200, 1000)]
+        monkeypatch.delenv(optimizer.CACHE_ENV_VAR, raising=False)
+        sizes = [load_or_build(n).n_max for n in (100, 300, 200, 1000)]
         assert sizes == [100, 300, 300, 1000]
         assert rows_filled[0] == 999
-        _same_tables(optimizer.get_tables(1000), build_tables(1000))
+        _same_tables(load_or_build(1000), build_tables(1000))
 
     def test_load_or_build_extends_the_one_file(self, tmp_path, rows_filled):
         assert load_or_build(50, str(tmp_path)).n_max == 50

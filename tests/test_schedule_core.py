@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,3 +339,51 @@ class TestMaterialize:
         t = CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
         with pytest.raises(ClassMismatchError):
             materialize(t, CompClass.F)
+
+
+class TestTreesEqual:
+    def test_independent_shared_trees_fold_once(self):
+        from stepweaver.builders import silver
+
+        a, b = silver(20).tree, silver(20).tree
+        assert a is not b
+        start = time.perf_counter()
+        assert trees_equal(a, b, check_mu=True)
+        # 21 distinct nodes a tree; a walk over node pairs visits 2^21 (about 1 s)
+        assert time.perf_counter() - start < 0.25
+
+    def test_one_deep_mu_differs(self):
+        from stepweaver.builders import silver
+
+        a = silver(20).tree
+        spine = [a]
+        while not spine[-1].left.is_leaf:
+            spine.append(spine[-1].left)
+        b = LEAF
+        for depth, node in enumerate(reversed(spine)):
+            mu = np.nextafter(node.mu, 3.0) if depth == 0 else node.mu
+            b = CompositionTree(node.op, b, b, mu)
+        assert trees_equal(a, b)
+        assert not trees_equal(a, b, check_mu=True)
+        half = CompositionTree(a.op, a.left, b.right, a.mu)  # only the right half differs
+        assert trees_equal(a, half)
+        assert not trees_equal(a, half, check_mu=True)
+        assert not trees_equal(a, CompositionTree(JoinOp.FJOIN, a.left, a.right, a.mu))
+
+
+class TestFoldMemory:
+    def test_chain_fold_drops_used_values(self):
+        """A fold keeps a value only until its last parent used it: the
+        3000 intermediate schedules of a chain would hold 36 MB of steps."""
+        t = LEAF
+        for _ in range(3000):
+            t = CompositionTree(JoinOp.SJOIN, t, LEAF)
+        materialize(t, CompClass.S)
+        tracemalloc.start()
+        try:
+            h = materialize(t, CompClass.S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.n == 3000
+        assert peak < 4_000_000
