@@ -31,6 +31,7 @@ from .schedule import (
     ScheduleError,
     StepSchedule,
     evaluate_tree,
+    join,  # not called here; perfbench's traced layer map wraps dsl.join
     join_classes,
     operand_classes,
     postorder,
@@ -66,12 +67,22 @@ class ExprMacro:
     is_leaf = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ExprJoin:
     op: JoinOp
     left: object
     right: object
     is_leaf = False
+
+    # ==, hash and repr are folds, not the dataclass's recursive ones
+    def __eq__(self, other):
+        return isinstance(other, ExprJoin) and format_expr(self) == format_expr(other)
+
+    def __hash__(self):
+        return hash(format_expr(self))
+
+    def __repr__(self):
+        return postorder(self, repr, lambda node, l, r: f"ExprJoin(op={node.op!r}, left={l}, right={r})")
 
 
 _MACROS = {
@@ -125,22 +136,14 @@ def tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch == "(":
-            tokens.append(Token("LPAREN", i))
+        if ch in "()":
+            tokens.append(Token("LPAREN" if ch == "(" else "RPAREN", i))
             i += 1
             continue
-        if ch == ")":
-            tokens.append(Token("RPAREN", i))
-            i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _OP_ALIASES:
-            tokens.append(Token("OP", i, op=_OP_ALIASES[two]))
-            i += 2
-            continue
-        if ch in _OP_ALIASES:
-            tokens.append(Token("OP", i, op=_OP_ALIASES[ch]))
-            i += 1
+        op = text[i : i + 2] if text[i : i + 2] in _OP_ALIASES else ch
+        if op in _OP_ALIASES:
+            tokens.append(Token("OP", i, op=_OP_ALIASES[op]))
+            i += len(op)
             continue
         word = _WORD_RE.match(text, i)
         if word:
@@ -148,16 +151,13 @@ def tokenize(text: str):
                 tokens.append(Token("LEAF", i))
                 i = word.end()
                 continue
-            m = _MACRO_RE.match(text, i)
-            if not m:
-                if word.group(0) not in _MACROS:
-                    raise DslSyntaxError(f"unknown macro {word.group(0)!r}", i, MACRO_NAMES)
-                raise DslSyntaxError(
-                    f"macro {word.group(0)!r} needs an integer argument", i, ("macro(int)",)
-                )
-            name, arg = m.group(1), int(m.group(2))
+            name = word.group(0)  # ``_MACRO_RE`` matches the same name
             if name not in _MACROS:
                 raise DslSyntaxError(f"unknown macro {name!r}", i, MACRO_NAMES)
+            m = _MACRO_RE.match(text, i)
+            if not m:
+                raise DslSyntaxError(f"macro {name!r} needs an integer argument", i, ("macro(int)",))
+            arg = int(m.group(2))
             if arg < 0:
                 raise DslSyntaxError(f"negative macro argument {arg}", i)
             tokens.append(Token("MACRO", i, name=name, arg=arg))
@@ -275,11 +275,10 @@ def compile_expression(text: str, comp_class: "CompClass | None" = None):
     leaf is the only ambiguous case).  Returns ``(schedule, ast)``.
     """
     ast = parse(text)
-    if comp_class is None:  # else evaluate typechecks
-        classes = typecheck(ast)
-        if len(classes) != 1:
-            raise DslTypeError(
-                f"expression admits classes {_class_names(classes)}; pass an explicit class"
-            )
-        comp_class = next(iter(classes))
-    return evaluate(ast, comp_class), ast
+    if comp_class is not None:
+        return evaluate(ast, comp_class), ast
+    classes = typecheck(ast)
+    if len(classes) != 1:
+        raise DslTypeError(f"expression admits classes {_class_names(classes)}; pass an explicit class")
+    (comp_class,) = classes
+    return evaluate_tree(ast, comp_class, _leaf_schedule), ast

@@ -28,6 +28,7 @@ from .schedule import (
     StepSchedule,
     _fgjoin_rate,
     _s_side_first,
+    join,  # not called here; perfbench's traced layer map wraps optimizer.join
     join_rate,
     materialize,
     middle_step,

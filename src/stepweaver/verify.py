@@ -31,6 +31,7 @@ from .gd import (
     random_instance,
     random_x0,
     raw_run,
+    run,  # not called here; the benchmark's traced run wraps verify.run
     tight_delta,
     tight_instance,
 )

@@ -193,6 +193,19 @@ class TestFolds:
         assert parse("(silver(2) |> (e |> e))") != parse("(silver(3) |> (e |> e))")
         assert parse("(e >< e)") != parse("(e |> e)")
         assert ExprLeaf().is_leaf and ExprMacro("obss", 3).is_leaf and not want.is_leaf
+        assert hash(parse("(silver(2) |> (e |> e))")) == hash(want)
+        assert repr(want) == (
+            "ExprJoin(op=<JoinOp.FJOIN: '|>'>, left=ExprMacro(name='silver', arg=2), right=ExprJoin("
+            "op=<JoinOp.FJOIN: '|>'>, left=ExprLeaf(), right=ExprLeaf()))"
+        )
+
+    def test_ast_equality_hash_repr_at_the_nesting_cap(self):
+        depth = dsl.MAX_NESTING
+        text = "(" * depth + "e" + " >< e)" * depth
+        a, b = parse(text), parse(text)
+        assert a == b and hash(a) == hash(b)
+        assert a != parse(text[:-5] + "|> e)")
+        assert repr(a).count("ExprJoin(") == depth
 
     @given(any_trees)
     def test_typecheck_agrees_with_admissible_classes(self, tree):

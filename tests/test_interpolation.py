@@ -239,6 +239,7 @@ def test_traced_boundaries_exist():
     triples = verify.battery_instances(cfg)
     assert [t[0] for t in triples] == list(range(5))
     assert verify.raw_run is raw_run
+    assert verify.run is run
 
 
 def test_traced_construction_boundaries_exist(tmp_path, monkeypatch):
