@@ -254,25 +254,24 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The first row whose error types match an error gives its exit code, so
+# subclasses come before ScheduleError.
+_EXIT_CODES = (
+    ((dsl.DslSyntaxError,), EXIT_PARSE),
+    ((dsl.DslTypeError, ClassMismatchError, UncertifiedScheduleError, IdentityError), EXIT_TYPE),
+    ((ScheduleFileError, OSError), EXIT_IO),
+    ((ResourceCapError,), EXIT_CAP),
+    ((ScheduleError,), EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except dsl.DslSyntaxError as err:
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
-    except (dsl.DslTypeError, ClassMismatchError, UncertifiedScheduleError, IdentityError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_TYPE
-    except (ScheduleFileError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    except ResourceCapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAP
-    except ScheduleError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for types, code in _EXIT_CODES if isinstance(err, types))
 
 
 if __name__ == "__main__":

@@ -41,6 +41,11 @@ class ScheduleFileError(ScheduleError):
     """A schedule file violates the schema or fails revalidation."""
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether a JSON value is a number of ``kinds``; JSON booleans are not."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -80,7 +85,7 @@ def loads_schedule(text: str, identity_tol: float = 1e-9) -> StepSchedule:
     missing = [k for k in _REQUIRED_KEYS if k not in doc]
     if missing:
         raise ScheduleFileError(f"missing keys: {', '.join(missing)}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if not _is_number(doc["schema_version"], int) or doc["schema_version"] != SCHEMA_VERSION:
         raise ScheduleFileError(
             f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}"
         )
@@ -88,14 +93,14 @@ def loads_schedule(text: str, identity_tol: float = 1e-9) -> StepSchedule:
         comp_class = CompClass(doc["class"])
     except ValueError:
         raise ScheduleFileError(f"class: expected one of f/g/s, got {doc['class']!r}") from None
-    if not isinstance(doc["n"], int) or doc["n"] < 0:
+    if not _is_number(doc["n"], int) or doc["n"] < 0:
         raise ScheduleFileError(f"n: expected a nonnegative integer, got {doc['n']!r}")
     steps = doc["steps"]
-    if not isinstance(steps, list) or not all(isinstance(s, (int, float)) for s in steps):
+    if not isinstance(steps, list) or not all(_is_number(s) for s in steps):
         raise ScheduleFileError("steps: expected an array of numbers")
     if len(steps) != doc["n"]:
         raise ScheduleFileError(f"steps: length {len(steps)} does not match n={doc['n']}")
-    if not isinstance(doc["rate"], (int, float)):
+    if not _is_number(doc["rate"]):
         raise ScheduleFileError(f"rate: expected a number, got {doc['rate']!r}")
     for key in ("construction", "provenance"):
         if not isinstance(doc.get(key, ""), str):
@@ -152,8 +157,7 @@ class RunConfig:
         for name in ("battery", "seed", "identity_tol", "slack_tol", "tight_tol", "q_tol"):
             value = getattr(self, name)
             what = "integer" if name in ("battery", "seed") else "number"
-            kinds = int if what == "integer" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+            if not _is_number(value, int if what == "integer" else (int, float)) or not value > 0:
                 raise ScheduleFileError(
                     f"config field {name} must be a positive {what}, got {value!r}"
                 )

@@ -317,16 +317,15 @@ def closed_form_rates(steps: np.ndarray, comp_class: CompClass):
     return 1.0 / (1.0 + 2.0 * steps.sum()), prod * prod
 
 
-def validate_schedule(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> None:
-    """Check positivity and the closed-form rate identities to relative ``tol``."""
+def validate_schedule(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> float:
+    """Check positivity and the closed-form rate identities to relative ``tol``;
+    returns the larger relative deviation of the two closed forms."""
     if s.n and not np.all(s.steps > 0.0):
         raise IdentityError(f"steps must be positive: {s!r}")
     if not (0.0 < s.rate <= 1.0):
         raise IdentityError(f"rate must lie in (0, 1], got {s.rate}")
-    if s.n == 0:
-        if s.rate != 1.0:
-            raise IdentityError(f"empty schedule must have rate exactly 1, got {s.rate}")
-        return
+    if s.n == 0 and s.rate != 1.0:
+        raise IdentityError(f"empty schedule must have rate exactly 1, got {s.rate}")
     denom_form, prod_form = closed_form_rates(s.steps, s.comp_class)
     for name, val in (("1/(1+c*sum h)", denom_form), ("prod(h-1) form", prod_form)):
         if abs(s.rate - val) > tol * s.rate:
@@ -334,6 +333,7 @@ def validate_schedule(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> Non
                 f"{s.comp_class.value}-identity violated: rate={s.rate!r} but {name}={val!r} "
                 f"(relative error {abs(s.rate - val) / s.rate:.3e} > {tol:g})"
             )
+    return max(abs(s.rate - denom_form), abs(s.rate - prod_form)) / s.rate
 
 
 def join(op: JoinOp, a: StepSchedule, b: StepSchedule) -> StepSchedule:

@@ -14,8 +14,9 @@ bounds with explicit residual terms that vanish on their tight instances.
 Battery slacks (certificate and implied bounds) are divided by
 max(1, ||x0||^2, f_0) before they meet ``slack_tol``, so mixed-scale random
 instances are judged fairly.  The interpolation check is not rescaled: the
-minimum of Q_ij over all pairs, evaluated in Gram form (one rank-(d+2)
-matrix product per instance), is compared with the absolute ``q_tol``.
+minimum of Q_ij over all pairs, evaluated in Gram form (rank-(d+2) matrix
+products over row blocks of bounded size), is compared with the absolute
+``q_tol``.
 """
 
 import functools
@@ -44,10 +45,12 @@ from .schedule import (
     JoinOp,
     ScheduleError,
     StepSchedule,
-    closed_form_rates,
+    admissible_classes,
+    empty_schedule,
+    join,
     join_rate,
-    materialize,
     middle_step,
+    postorder,
     reverse,
     validate_schedule,
 )
@@ -78,26 +81,22 @@ class CertificateV:
 def build_f_certificate(tree: CompositionTree) -> CertificateV:
     """Construct the certificate weights for an F-class construction tree.
 
-    Walking the F-spine bottom-up: a leaf carries ``v = [1]``; joining an
+    One fold, bottom-up: a bare leaf on the F side carries ``v = [1]``, a
+    ``><`` node evaluates its s-operand, and a ``|>`` node joining an
     S-schedule ``a`` (rate alpha) onto a certificate ``w`` (rate beta) gives
     ``v = [a, 1 + 1/alpha, sqrt(beta/eta) * w]`` at the joined rate eta.
     The scaling factor is checked against its two algebraically equal forms
     ``beta/eta - 2*beta/alpha`` and ``alpha*beta*(mu-1)/eta``.
     """
-    chain = []
-    node = tree
-    while not node.is_leaf:
-        if node.op is not JoinOp.FJOIN:
-            raise ClassMismatchError(
-                f"tree rooted at {node.op.symbol if node.op else 'leaf'} is not an f-class construction"
-            )
-        chain.append(node)
-        node = node.right
-    v = np.array([1.0])
-    eta = 1.0
-    for nd in reversed(chain):
-        a = materialize(nd.left, CompClass.S)
-        beta = eta
+    if CompClass.F not in admissible_classes(tree):
+        raise ClassMismatchError("tree is not an f-class construction")
+    s_leaf, f_leaf = empty_schedule(CompClass.S), (np.array([1.0]), 1.0)
+
+    def combine(node, left, right):
+        a = s_leaf if left is None else left
+        if node.op is JoinOp.SJOIN:
+            return join(node.op, a, s_leaf if right is None else right)
+        w, beta = f_leaf if right is None else right
         eta = join_rate(JoinOp.FJOIN, a.rate, beta)
         scale = np.sqrt(beta / eta)
         alt1 = beta / eta - 2.0 * beta / a.rate
@@ -108,7 +107,9 @@ def build_f_certificate(tree: CompositionTree) -> CertificateV:
                 raise IdentityError(
                     f"certificate scaling identity violated: sqrt(beta/eta)={scale!r} vs {alt!r}"
                 )
-        v = np.concatenate([a.steps, [1.0 + 1.0 / a.rate], scale * v])
+        return np.concatenate([a.steps, [1.0 + 1.0 / a.rate], scale * w]), eta
+
+    v, eta = postorder(tree, lambda node: None, combine) or f_leaf
     return CertificateV(v, eta)
 
 
@@ -156,9 +157,18 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
     return f_slack, g_slack, f_resid, g_resid
 
 
-def _q_min_batched(X, G, F, max_elems: int = 2**18):
-    """Chunked wrapper over :func:`_q_min_raw`: bounds the (B, N, N) pair
-    matrix to ``max_elems`` float64 entries (2 MiB, so a chunk stays in cache)."""
+# Each block of the interpolation check's pair matrix holds at most this many
+# float64 entries (2 MiB, so a block stays in cache), whatever n is.
+_PAIR_BLOCK = 2**18
+
+
+def _q_min_batched(X, G, F, max_elems: int = _PAIR_BLOCK):
+    """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace:
+    :func:`_q_min_raw` over chunks of as many instances as ``max_elems`` pair
+    entries hold (one at least).  Within a chunk the product runs in row
+    blocks of at most ``_PAIR_BLOCK`` entries, so memory stays bounded at
+    every n; one product per instance would take 8*(n+2)^2 bytes (32 MiB at
+    n = 2047, 8 GiB at n = 32767)."""
     n_points = X.shape[0] + 1  # star row appended inside
     chunk = max(1, max_elems // (n_points * n_points))
     batch = X.shape[1]
@@ -176,9 +186,11 @@ def _q_min_raw(X, G, F, include_star: bool = True):
 
     Gram form: Q_ij = a_i + b_j + 2<g_i - x_i, g_j> with a_i = 2f_i - ||g_i||^2
     and b_j = -2f_j + 2<g_j, x_j> - ||g_j||^2, so with rows
-    P_i = [g_i - x_i, a_i, 1] and R_j = [2g_j, 1, b_j] the pair matrix is one
-    (N, d+2) @ (d+2, N) product per instance.  The minimizer (x, g, f) = 0
-    appends P_* = [0, 0, 1] and R_* = [0, 1, 0].
+    P_i = [g_i - x_i, a_i, 1] and R_j = [2g_j, 1, b_j] the pair matrix is
+    P @ R^T per instance.  The minimizer (x, g, f) = 0 appends P_* = [0, 0, 1]
+    and R_* = [0, 1, 0].  The product runs over blocks of rows of P with at
+    most ``_PAIR_BLOCK`` entries (one row at least), so memory stays
+    O(B*N*d) beside one block at any n.
     """
     # batch axes to the front: (N, B, d) -> (B, N, d); add B=1 if unbatched
     squeeze = X.ndim == 2
@@ -198,8 +210,22 @@ def _q_min_raw(X, G, F, include_star: bool = True):
     R[:, :n, :d] = 2.0 * Gb
     R[:, :, d] = 1.0
     R[:, :n, d + 1] = 2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb - gsq
-    Q = P @ R.swapaxes(1, 2)
-    return Q.min(axis=(1, 2)) if not squeeze else float(Q.min())
+    Rt = R.swapaxes(1, 2)
+    block = max(1, _PAIR_BLOCK // (batch * rows))
+    q = (P[:, :block] @ Rt).min(axis=(1, 2))
+    for r in range(block, rows, block):
+        q = np.minimum(q, (P[:, r : r + block] @ Rt).min(axis=(1, 2)))
+    return q if not squeeze else float(q[0])
+
+
+def _trace_arrays(schedule: StepSchedule, trace: GDTrace, comp_class=None):
+    """``(x, g, f)`` of a trace of the schedule's length, whose schedule is of
+    ``comp_class`` when one is given."""
+    if comp_class is not None and schedule.comp_class is not comp_class:
+        raise ClassMismatchError(f"expected class {comp_class.value}, got {schedule.comp_class.value}")
+    if schedule.n != trace.n:
+        raise ScheduleError(f"schedule has {schedule.n} steps, trace has {trace.n}")
+    return trace.x, trace.g, trace.f
 
 
 def check_f_certificate(cert: CertificateV, trace: GDTrace) -> float:
@@ -216,36 +242,28 @@ def check_g_inequality(trace: GDTrace, eta: float) -> float:
 
 
 def check_s_inequality(schedule: StepSchedule, trace: GDTrace, eta: float) -> float:
-    if schedule.n != trace.n:
-        raise ScheduleError(f"schedule has {schedule.n} steps, trace has {trace.n}")
-    return float(_s_slack_raw(schedule.steps, eta, trace.x, trace.g, trace.f))
+    return float(_s_slack_raw(schedule.steps, eta, *_trace_arrays(schedule, trace, CompClass.S)))
 
 
 def check_s_implies_fg(schedule: StepSchedule, trace: GDTrace):
     """Slacks of the objective-gap and gradient-norm bounds implied by class S."""
-    if schedule.comp_class is not CompClass.S:
-        raise ClassMismatchError(f"expected class s, got {schedule.comp_class.value}")
-    if schedule.n != trace.n:
-        raise ScheduleError(f"schedule has {schedule.n} steps, trace has {trace.n}")
-    f_slack, g_slack, _, _ = _s_fg_slacks_raw(
-        schedule.steps, schedule.rate, trace.x, trace.g, trace.f
-    )
+    arrays = _trace_arrays(schedule, trace, CompClass.S)
+    f_slack, g_slack, _, _ = _s_fg_slacks_raw(schedule.steps, schedule.rate, *arrays)
     return float(f_slack), float(g_slack)
 
 
 def fg_residuals(schedule: StepSchedule, trace: GDTrace):
     """Residual halves-of-squared-norms in the implied F/G bounds; both vanish
     on the respective tight instances."""
-    _, _, f_resid, g_resid = _s_fg_slacks_raw(
-        schedule.steps, schedule.rate, trace.x, trace.g, trace.f
-    )
+    arrays = _trace_arrays(schedule, trace, CompClass.S)
+    _, _, f_resid, g_resid = _s_fg_slacks_raw(schedule.steps, schedule.rate, *arrays)
     return float(f_resid), float(g_resid)
 
 
 def defining_slack(schedule: StepSchedule, trace: GDTrace) -> float:
     """Right-minus-left of the class's defining inequality on a trace."""
     eta = schedule.rate
-    X, G, F = trace.x, trace.g, trace.f
+    X, G, F = _trace_arrays(schedule, trace)
     if schedule.comp_class is CompClass.F:
         return float(_f_direct_slack_raw(eta, X, G, F))
     if schedule.comp_class is CompClass.G:
@@ -410,14 +428,44 @@ def _packed_run(steps, coords, tight):
     return (xs, gs, fs), traces
 
 
-def _scales(x0, f0):
-    return np.maximum(1.0, np.maximum(_dot(x0, x0), f0))
+def _track_min(worst: dict, name: str, values, idx, d) -> None:
+    """Keep in ``worst[name]`` the smallest of ``values`` (one per battery
+    instance ``idx``) seen so far, with the battery index and dimension it
+    came from.  A NaN is kept once seen, so it fails the check."""
+    j = int(np.argmin(values))  # the first NaN, if there is one
+    value = float(values[j])
+    if name not in worst or value < worst[name][0] or np.isnan(value):
+        worst[name] = (value, int(idx[j]), d)
 
 
-def _min_with_witness(slacks, scales, idx, d):
-    rel = slacks / scales
-    j = int(np.argmin(rel))
-    return float(rel[j]), f"battery instance #{int(idx[j])} (d={d})"
+def _tight_scorer(schedule: StepSchedule, tol: float, implied: bool = True):
+    """The class's tight 1-D instances, to run from ``x0 = 1``, and a scorer
+    that turns their traces, in the same order, into tightness checks: the
+    defining pair (quadratic first, then Huber) and, for class S when
+    ``implied``, the Huber instances of the implied gap and gradient bounds."""
+    eta = schedule.rate
+    pair = tight_instance(schedule.comp_class, "defining", eta)
+    tight = [(pair.quad, "tight quadratic"), (pair.huber, "tight " + pair.huber.describe())]
+    if implied and schedule.comp_class is CompClass.S:
+        tight += [(huber_instance(tight_delta(CompClass.S, p, eta)), p) for p in ("f-line", "g-line")]
+
+    def score(traces) -> list:
+        checks = []
+        for (inst, label), (X, G, F) in zip(tight, traces):
+            if label in ("f-line", "g-line"):
+                f_slack, g_slack, f_resid, g_resid = (
+                    float(v) for v in _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
+                )
+                slack, resid = (f_slack, f_resid) if label == "f-line" else (g_slack, g_resid)
+                name, ok = f"implied-{label}", abs(slack) <= tol and abs(resid) <= tol
+                text = f"huber delta={inst.param[0]:.12g}, residual={resid:.3e}"
+            else:
+                slack = defining_slack(schedule, GDTrace(X, G, F, schedule, inst))
+                name, ok, text = label, abs(slack) <= tol, label
+            checks.append(CheckResult(f"tightness/{name}", ok, slack, tol, text))
+        return checks
+
+    return [inst for inst, _ in tight], score
 
 
 def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
@@ -449,7 +497,8 @@ def _run_chunk(schedule: StepSchedule, cert, chunk: BatteryChunk, tight):
         X = xs[:, start:stop].reshape(-1, idx.size, d)
         G = gs[:, start:stop].reshape(X.shape)
         F = fs[:, start:stop].reshape(X.shape).sum(axis=-1)
-        scales = _scales(chunk.x0[start:stop].reshape(idx.size, d), F[0])
+        x0 = chunk.x0[start:stop].reshape(idx.size, d)
+        scales = np.maximum(1.0, np.maximum(_dot(x0, x0), F[0]))
         groups.append((d, idx, scales, _battery_slacks(schedule, cert, X, G, F), _q_min_batched(X, G, F)))
     return groups, traces
 
@@ -471,99 +520,47 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         conjectured=schedule.conjectured,
     )
     checks = report.checks
-    eta = schedule.rate
 
-    # identities
     try:
-        validate_schedule(schedule, config.identity_tol)
-        denom_form, prod_form = closed_form_rates(schedule.steps, schedule.comp_class)
-        dev = max(abs(eta - denom_form), abs(eta - prod_form)) / eta
+        dev = validate_schedule(schedule, config.identity_tol)
         checks.append(CheckResult("identity", True, dev, config.identity_tol, "closed forms"))
     except IdentityError as err:
         checks.append(CheckResult("identity", False, float("nan"), config.identity_tol, str(err)))
 
-    # tightness on the class's extremal 1-D instances from x0 = 1; they run
-    # as extra coordinates of the first battery chunk
-    pair = tight_instance(schedule.comp_class, "defining", eta)
-    tight = [(pair.quad, "tight quadratic"), (pair.huber, "tight " + pair.huber.describe())]
-    if schedule.comp_class is CompClass.S:
-        tight += [(huber_instance(tight_delta(CompClass.S, p, eta)), p) for p in ("f-line", "g-line")]
-
-    # certificate battery + interpolation on random separable instances
+    # the tight instances run as extra coordinates of the first battery chunk;
+    # every battery slack and the interpolation minimum keep their worst case
+    tight, score_tight = _tight_scorer(schedule, config.tight_tol)
     cert = None
     if schedule.comp_class is CompClass.F and schedule.tree is not None:
         cert = build_f_certificate(schedule.tree)
     worst: dict[str, tuple] = {}
-    q_worst = (np.inf, "")
     for c, chunk in enumerate(_battery(config.battery, config.seed)):
-        groups, traces = _run_chunk(schedule, cert, chunk, [inst for inst, _ in tight] if c == 0 else [])
+        groups, traces = _run_chunk(schedule, cert, chunk, tight if c == 0 else [])
         if c == 0:
-            tight_traces = traces
+            checks += score_tight(traces)
         for d, idx, scales, entries, qm in groups:
             for key, slacks in entries.items():
-                rel, witness = _min_with_witness(slacks, scales, idx, d)
-                if key not in worst or rel < worst[key][0]:
-                    worst[key] = (rel, witness)
-            j = int(np.argmin(qm))
-            if qm[j] < q_worst[0]:
-                q_worst = (float(qm[j]), f"battery instance #{int(idx[j])} (d={d})")
-
-    for (inst, label), (X, G, F) in zip(tight, tight_traces):
-        if label in ("f-line", "g-line"):
-            f_slack, g_slack, f_resid, g_resid = (
-                float(v) for v in _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
-            )
-            slack, resid = (f_slack, f_resid) if label == "f-line" else (g_slack, g_resid)
-            checks.append(
-                CheckResult(
-                    f"tightness/implied-{label}",
-                    abs(slack) <= config.tight_tol and abs(resid) <= config.tight_tol,
-                    slack,
-                    config.tight_tol,
-                    f"huber delta={inst.param[0]:.12g}, residual={resid:.3e}",
-                )
-            )
-        else:
-            slack = defining_slack(schedule, GDTrace(X, G, F, schedule, inst))
-            checks.append(
-                CheckResult(f"tightness/{label}", abs(slack) <= config.tight_tol, slack, config.tight_tol, label)
-            )
-    for key, (rel, witness) in sorted(worst.items()):
-        checks.append(
-            CheckResult(
-                f"battery/{key}",
-                rel >= -config.slack_tol,
-                rel,
-                config.slack_tol,
-                f"{config.battery} instances, seed {config.seed:#x}; min at {witness}",
-            )
-        )
-    checks.append(
-        CheckResult(
-            "interpolation",
-            q_worst[0] >= -config.q_tol,
-            q_worst[0],
-            config.q_tol,
-            f"min Q over all pairs; at {q_worst[1]}",
-        )
-    )
+                _track_min(worst, f"battery/{key}", slacks / scales, idx, d)
+            _track_min(worst, "interpolation", qm, idx, d)
+    limits = {"interpolation": (config.q_tol, "min Q over all pairs; at ")}
+    battery_limit = (config.slack_tol, f"{config.battery} instances, seed {config.seed:#x}; min at ")
+    for name, (value, i, d) in worst.items():
+        tol, text = limits.get(name, battery_limit)
+        checks.append(CheckResult(name, value >= -tol, value, tol, f"{text}battery instance #{i} (d={d})"))
 
     # reversal duality for join-built schedules: the reversed schedule keeps
     # the rate, satisfies the swapped class's identities, and meets its own
-    # tight pair at equality
+    # defining pair at equality; a failing pair reports the quadratic's slack
+    # if it fails, else the Huber instance's
     if schedule.tree is not None:
         rev = reverse(schedule)
-        ok = rev.rate == schedule.rate
-        slack = rev.rate - schedule.rate
+        ok, slack = rev.rate == schedule.rate, rev.rate - schedule.rate
         try:
             validate_schedule(rev, config.identity_tol)
-            rpair = tight_instance(rev.comp_class, "defining", rev.rate)
-            _, traces = _packed_run(rev.steps, _NO_COORDS, rpair)
-            for inst, (X, G, F) in zip(rpair, traces):
-                rslack = defining_slack(rev, GDTrace(X, G, F, rev, inst))
-                if abs(rslack) > config.tight_tol:
-                    ok = False
-                    slack = rslack
+            rtight, score_rev = _tight_scorer(rev, config.tight_tol, implied=False)
+            _, traces = _packed_run(rev.steps, _NO_COORDS, rtight)
+            failed = [c.slack for c in score_rev(traces) if not c.passed]
+            ok, slack = ok and not failed, failed[0] if failed else slack
         except IdentityError:
             ok = False
         checks.append(

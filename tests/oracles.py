@@ -10,6 +10,11 @@ Huber/quadratic gradient and the value at every step.  The production
 ``stepweaver.gd.raw_run`` (clip-form gradient written in place, values after
 the loop) must reproduce its traces byte for byte.
 
+``f_certificate_spine_walk`` is the F certificate's right-spine walk: it
+materializes each left operand and composes the weights from the leaf up.
+The production ``stepweaver.verify.build_f_certificate``, one tree fold, must
+give the same weights byte for byte.
+
 ``build_tables_reference`` is the plain DP row loop: every split of both
 joins, scored by the scalar join formulas, with ``np.argmin`` picking the
 first minimum.  The production fill, ``stepweaver.optimizer._extend``, must
@@ -19,7 +24,7 @@ give the same rates and splits byte for byte.
 import numpy as np
 
 from stepweaver.optimizer import RateTables
-from stepweaver.schedule import _fgjoin_rate, _sjoin_rate
+from stepweaver.schedule import CompClass, JoinOp, _fgjoin_rate, _sjoin_rate, join_rate, materialize
 
 
 def coord_value(x, is_huber, param):
@@ -98,3 +103,19 @@ def build_tables_reference(n_max):
         j = int(np.argmin(cand))
         f[n], f_split[n] = cand[j], j + 1
     return RateTables(n_max, s, f, s_split, f_split)
+
+
+def f_certificate_spine_walk(tree):
+    """``(weights, eta)`` of an F-class construction tree's certificate."""
+    chain = []
+    while not tree.is_leaf:
+        assert tree.op is JoinOp.FJOIN
+        chain.append(tree)
+        tree = tree.right
+    v, eta = np.array([1.0]), 1.0
+    for node in reversed(chain):
+        a = materialize(node.left, CompClass.S)
+        beta = eta
+        eta = join_rate(JoinOp.FJOIN, a.rate, beta)
+        v = np.concatenate([a.steps, [1.0 + 1.0 / a.rate], np.sqrt(beta / eta) * v])
+    return v, eta

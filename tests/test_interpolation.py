@@ -1,10 +1,12 @@
 """The Gram-form interpolation kernel against the pairwise oracle, the cached
 battery, and the program names that the benchmark's traced run wraps."""
 
+import importlib.util
 import inspect
 import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,20 @@ class TestGramKernelOracle:
         assert np.max(np.abs(_q_min_raw(X, G, F, include_star=False) - expected)) <= tol
         got = _q_min_raw(X[:, 0], G[:, 0], F[:, 0], include_star=False)
         assert abs(got - q_min_pairwise(X[:, 0], G[:, 0], F[:, 0], include_star=False)) <= tol
+
+    def test_row_blocks_bound_memory_at_n_2047(self, monkeypatch):
+        """8*(n+2)^2 bytes per instance in one product (32 MiB at n = 2047);
+        row blocks of at most 2**18 entries keep the peak near 2 MiB."""
+        X, G, F = convex_traces(11, 2047, 6, 2)
+        tracemalloc.start()
+        try:
+            got = _q_min_batched(X, G, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        monkeypatch.setattr(verify, "_PAIR_BLOCK", 2**40)  # one product per instance
+        assert got.tobytes() == _q_min_batched(X, G, F).tobytes()
 
     def test_star_only_pair_is_exactly_zero(self):
         # one point at the minimizer plus the appended star: every Q is 0
@@ -240,6 +256,24 @@ def test_traced_boundaries_exist():
     assert [t[0] for t in triples] == list(range(5))
     assert verify.raw_run is raw_run
     assert verify.run is run
+
+
+def test_every_benchmark_target_resolves():
+    """The traced run's ``Tracer`` finds every name it wraps (its ``TARGETS``
+    and ``MACRO_TARGETS``) and puts the originals back."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = verify._q_min_batched
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        assert verify._q_min_batched is not original
+    finally:
+        tracer.uninstall()
+    assert verify._q_min_batched is original
 
 
 def test_traced_construction_boundaries_exist(tmp_path, monkeypatch):

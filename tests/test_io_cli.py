@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stepweaver import dsl, optimizer
+from stepweaver import cli, dsl, optimizer
 from stepweaver.cli import main
 from stepweaver.io import (
     RunConfig,
@@ -15,7 +15,17 @@ from stepweaver.io import (
     save_schedule,
 )
 from stepweaver.optimizer import CACHE_ENV_VAR, CACHE_NAME, load_tables, obs_f
-from stepweaver.schedule import CompClass, JoinOp, empty_schedule, join
+from stepweaver.schedule import (
+    ClassMismatchError,
+    CompClass,
+    IdentityError,
+    JoinOp,
+    ResourceCapError,
+    ScheduleError,
+    UncertifiedScheduleError,
+    empty_schedule,
+    join,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -221,6 +231,57 @@ class TestCli:
         assert main(["verify", str(out), "--battery", "10", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["certified"] is True
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (dsl.DslSyntaxError("boom", 3), 2),
+            (dsl.DslTypeError("boom"), 3),
+            (ClassMismatchError("boom"), 3),
+            (UncertifiedScheduleError("boom"), 3),
+            (IdentityError("boom"), 3),
+            (ScheduleFileError("boom"), 4),
+            (FileNotFoundError("boom"), 4),
+            (ResourceCapError("boom"), 5),
+            (ScheduleError("boom"), 2),
+        ],
+    )
+    def test_exit_code_of_each_error_type(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_compose", fail)
+        assert main(["compose", "e"]) == code
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_other_errors_are_not_swallowed(self, monkeypatch):
+        def fail(args):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "cmd_compose", fail)
+        with pytest.raises(ZeroDivisionError):
+            main(["compose", "e"])
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("schema_version", True, "schema_version: expected 1, got True"),
+            ("schema_version", 1.0, "schema_version: expected 1, got 1.0"),
+            ("n", True, "n: expected a nonnegative integer, got True"),
+            ("steps", [True], "steps: expected an array of numbers"),
+            ("rate", True, "rate: expected a number, got True"),
+        ],
+    )
+    def test_json_booleans_are_not_numbers_exit_4(self, tmp_path, capsys, key, value, message):
+        doc = {"schema_version": 1, "class": "s", "n": 1, "steps": [1.4142135623730951]}
+        doc["rate"] = 0.41421356237309503
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--battery", "5"]) == 0
+        capsys.readouterr()
+        path.write_text(json.dumps(dict(doc, **{key: value})))
+        assert main(["verify", str(path), "--battery", "5"]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_io_error_exit_4(self, capsys):
         assert main(["verify", "/nonexistent/file.json"]) == 4

@@ -3,17 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import f_certificate_spine_walk
+from stepweaver import dsl
 from stepweaver.builders import constant_optimal, dynamic_short, silver
 from stepweaver.gd import huber_instance, quad_instance, random_instance, random_x0, run
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import obs_f, obs_g, obs_s
 from stepweaver.schedule import (
+    LEAF,
     ClassMismatchError,
     CompClass,
+    CompositionTree,
     IdentityError,
     JoinOp,
+    ScheduleError,
     StepSchedule,
+    admissible_classes,
     empty_schedule,
     join,
     join_rate,
@@ -87,6 +94,30 @@ class TestCertificateConstruction:
     def test_rejects_non_f_trees(self):
         with pytest.raises(ClassMismatchError):
             build_f_certificate(silver(2).tree)
+
+    @pytest.mark.parametrize(
+        "text", ["obsf(64)", "rheavy(6)", "(silver(4) |> (silver(3) |> (e |> e)))", "((e >< (e >< e)) |> e)"]
+    )
+    def test_fold_matches_the_spine_walk(self, text):
+        tree = dsl.compile_expression(text, CompClass.F)[0].tree
+        cert = build_f_certificate(tree)
+        weights, eta = f_certificate_spine_walk(tree)
+        assert cert.weights.tobytes() == weights.tobytes() and cert.eta == eta
+
+    @given(
+        st.recursive(
+            st.just(LEAF),
+            lambda sub: st.builds(CompositionTree, st.sampled_from(list(JoinOp)), sub, sub),
+            max_leaves=24,
+        )
+    )
+    def test_every_tree_without_class_f_is_a_class_mismatch(self, tree):
+        if CompClass.F in admissible_classes(tree):
+            cert = build_f_certificate(tree)
+            assert cert.weights.size == tree.length() + 1
+        else:
+            with pytest.raises(ClassMismatchError):
+                build_f_certificate(tree)
 
 
 class TestInequalities:
@@ -182,6 +213,43 @@ class TestInequalities:
             check_s_implies_fg(h, tr)
 
 
+def _f_and_long_traces():
+    """A trace of obs_f(3), and one of silver(3) for checking silver(2)."""
+    return run(obs_f(3), quad_instance(1.0), 1.0), run(silver(3), quad_instance(1.0), 1.0)
+
+
+class TestTraceGuards:
+    """The per-trace checks that take a schedule refuse one of the wrong
+    class or a trace of another length."""
+
+    def test_check_s_inequality(self):
+        f_trace, long_trace = _f_and_long_traces()
+        with pytest.raises(ClassMismatchError):
+            check_s_inequality(obs_f(3), f_trace, obs_f(3).rate)
+        with pytest.raises(ScheduleError, match="schedule has 3 steps, trace has 7"):
+            check_s_inequality(silver(2), long_trace, silver(2).rate)
+
+    def test_check_s_implies_fg(self):
+        f_trace, long_trace = _f_and_long_traces()
+        with pytest.raises(ClassMismatchError):
+            check_s_implies_fg(obs_f(3), f_trace)
+        with pytest.raises(ScheduleError, match="schedule has 3 steps, trace has 7"):
+            check_s_implies_fg(silver(2), long_trace)
+
+    def test_fg_residuals(self):
+        f_trace, long_trace = _f_and_long_traces()
+        with pytest.raises(ClassMismatchError):
+            fg_residuals(obs_f(3), f_trace)
+        with pytest.raises(ScheduleError, match="schedule has 3 steps, trace has 7"):
+            fg_residuals(silver(2), long_trace)
+
+    def test_defining_slack(self):
+        f_trace, long_trace = _f_and_long_traces()
+        assert isinstance(defining_slack(obs_f(3), f_trace), float)
+        with pytest.raises(ScheduleError, match="schedule has 3 steps, trace has 7"):
+            defining_slack(silver(2), long_trace)
+
+
 class TestVerifySchedule:
     def test_pass_for_certified_families(self):
         cfg = RunConfig(battery=60)
@@ -202,6 +270,16 @@ class TestVerifySchedule:
         doc = json.loads(report.to_json())
         assert doc["certified"] is True
         assert {c["name"] for c in doc["checks"]} >= {"identity", "interpolation"}
+
+    def test_nan_slacks_fail_their_checks(self):
+        # steps of 1000 diverge: every battery trace overflows to NaN
+        bad = StepSchedule(np.full(200, 1e3), CompClass.G, 0.5)
+        with np.errstate(all="ignore"):
+            report = verify_schedule(bad, RunConfig(battery=20))
+        for name in ("interpolation", "battery/gradient-inequality"):
+            check = next(c for c in report.checks if c.name == name)
+            assert not check.passed and np.isnan(check.slack), check
+            assert "battery instance #" in check.instance
 
     def test_checks_sorted_by_name(self):
         report = verify_schedule(obs_s(4), RunConfig(battery=20))
