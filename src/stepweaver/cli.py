@@ -74,7 +74,7 @@ _OBS = {CompClass.S: optimizer.obs_s, CompClass.F: optimizer.obs_f, CompClass.G:
 
 
 def cmd_optimize(args) -> int:
-    tables = optimizer.load_or_build(args.n + 1, args.cache)
+    tables = optimizer.load_or_build(args.n + 1, args.cache, f_table=args.comp_class is not CompClass.S)
     schedule = _OBS[args.comp_class](args.n, tables)
     macro = f"obs{args.comp_class.value}"
     if args.table:

@@ -56,7 +56,7 @@ def dumps_schedule(schedule: StepSchedule, construction: "str | None" = None, pr
         f'"schema_version": {SCHEMA_VERSION}',
         f'"class": {json.dumps(schedule.comp_class.value)}',
         f'"n": {schedule.n}',
-        '"steps": [' + ", ".join(_fmt17(s) for s in schedule.steps) + "]",
+        '"steps": [' + ", ".join(map("%.17g".__mod__, schedule.steps.tolist())) + "]",
         f'"rate": {_fmt17(schedule.rate)}',
     ]
     if construction:

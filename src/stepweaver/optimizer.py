@@ -7,7 +7,6 @@ convenience wrappers :func:`obs_s` / :func:`obs_f` / :func:`obs_g` take the
 schedule *length* instead.
 """
 
-import csv
 import json
 import os
 import sys
@@ -43,7 +42,7 @@ P_EXPONENT = float(np.log2(1.0 + np.sqrt(2.0)))
 
 MAX_TABLE_N = 20_001  # O(N^2) fill; ~2e4 is the supported envelope
 MAX_ENUM_LEN = 12
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 C_LOW_GRID_STEP = 1e-3  # c_low: coarse lambda grid of the inner minimum
 C_LOW_INNER_TOL = 1e-12  # c_low: golden-section tolerance of the inner minimum
 C_LOW_FIXED_POINT_TOL = 1e-11
@@ -54,9 +53,11 @@ C_LOW_MAX_OUTER = 10_000
 class RateTables:
     """DP memo of optimal s- and f-rates with the chosen split points.
 
-    ``s_rate[n]`` / ``f_rate[n]`` hold the optimal rate at length ``n - 1``
-    for n in [1, n_max]; index 0 is unused.  ``s_split[n]`` is the smallest
-    minimizing ``m``; 0 marks the base row.
+    ``s_rate[n]`` holds the optimal s-rate at length ``n - 1`` for n in
+    [1, n_max], and ``f_rate[n]`` the f-rate for n in [1, f_max], where
+    ``f_max <= n_max`` is the size of the f columns (1: the base row only);
+    index 0 is unused.  ``s_split[n]`` is the smallest minimizing ``m``; 0
+    marks the base row.
     """
 
     n_max: int
@@ -65,46 +66,62 @@ class RateTables:
     s_split: np.ndarray
     f_split: np.ndarray
 
+    @property
+    def f_max(self) -> int:
+        return len(self.f_rate) - 1
 
-def _extend(tables: "RateTables | None", n_max: int) -> RateTables:
-    """Tables to row ``n_max``: the rows of ``tables`` (default: the base row)
-    copied, the rest filled by exact O(N^2) dynamic programming.
 
-    Row ``n`` reads only rows below it, so any prefix extends to the bytes of
-    a fresh fill.  Split ties break to the smallest ``m`` (np.argmin returns
-    the first minimum), which makes reconstruction deterministic.
+def _rows(rate: np.ndarray, split: np.ndarray, rows: int):
+    """Copies of a rate and a split column cut or zero-padded to ``rows``."""
+    done = min(len(rate) - 1, rows)
+    return (np.concatenate((col[: done + 1], np.zeros(rows - done, col.dtype))) for col in (rate, split))
+
+
+def _extend(tables: "RateTables | None", n_max: int, f_max: "int | None" = None) -> RateTables:
+    """Tables of ``n_max`` s rows and ``f_max`` f rows (default ``n_max``):
+    the rows of ``tables`` (default: the base rows) copied, the rest filled by
+    exact O(N^2) dynamic programming.
+
+    Row ``n`` of the s-table reads only s rows below it, and row ``n`` of the
+    f-table only the rows below it of both, so the s-table fills alone and
+    any prefix extends to the bytes of a fresh fill.  Split ties break to the
+    smallest ``m`` (np.argmin returns the first minimum), which makes
+    reconstruction deterministic.
     """
+    f_max = n_max if f_max is None else f_max
     if n_max < 1:
         raise ScheduleError(f"need n_max >= 1, got {n_max}")
     if n_max > MAX_TABLE_N:
         raise ResourceCapError(f"n_max {n_max} exceeds cap {MAX_TABLE_N} (O(N^2) fill)")
+    if not 1 <= f_max <= n_max:
+        raise ScheduleError(f"need 1 <= f_max <= n_max = {n_max}, got {f_max}")
     base, no_split = np.array([np.nan, 1.0]), np.zeros(2, dtype=np.int64)
     old = tables or RateTables(1, base, base, no_split, no_split)
-    done = min(old.n_max, n_max)
-    s, f, s_split, f_split = (
-        np.concatenate((col[: done + 1], np.zeros(n_max - done, col.dtype)))
-        for col in (old.s_rate, old.f_rate, old.s_split, old.f_split)
-    )
-    cols = (s, f, s_split, f_split, s * s, 4.0 * f)
-    buf = tuple(np.empty(n_max) for _ in range(3))
-    for n in range(done + 1, n_max + 1):
-        _fill_row(n, cols, buf)
+    s, s_split = _rows(old.s_rate, old.s_split, n_max)
+    f, f_split = _rows(old.f_rate, old.f_split, f_max)
+    ss = s * s
+    buf = tuple(np.empty(max(n_max // 2, f_max - 1)) for _ in range(3))
+    for n in range(min(old.n_max, n_max) + 1, n_max + 1):
+        _fill_s_row(n, (s, s_split, ss), buf)
+    f_cols = (s, f, f_split, ss, 4.0 * f)
+    for n in range(min(old.f_max, f_max) + 1, f_max + 1):
+        _fill_f_row(n, f_cols, buf)
     return RateTables(n_max, s, f, s_split, f_split)
 
 
-def _fill_row(n: int, cols: tuple, buf: tuple) -> None:
-    """Fill row ``n`` of ``cols = (s, f, s_split, f_split, ss, f4)`` from the
-    rows below it; ``ss = s*s`` and ``f4 = 4*f`` are kept up to date here.
+def _fill_s_row(n: int, cols: tuple, buf: tuple) -> None:
+    """Fill row ``n`` of ``cols = (s, s_split, ss)`` from the rows below it;
+    ``ss = s*s`` is kept up to date here.
 
-    Bit-identical to ``argmin`` over ``_sjoin_rate(a, a[::-1])`` and
-    ``_fgjoin_rate(a, f[n-1:0:-1])`` with ``a = s[1:n]``: the operations and
-    their order are those of the join formulas, written into the scratch
-    arrays ``buf``.  The s-join is exactly commutative, so split ``m`` and
-    ``n - m`` tie and the first minimum lies in ``m <= n // 2``; only those
-    splits are scanned.  The factor 2 of the numerator is applied to the
-    minimum only, which is exact for the normal floats the rates are.
+    Bit-identical to ``argmin`` over ``_sjoin_rate(a, a[::-1])`` with
+    ``a = s[1:n]``: the operations and their order are those of the join
+    formula, written into the scratch arrays ``buf``.  The s-join is exactly
+    commutative, so split ``m`` and ``n - m`` tie and the first minimum lies
+    in ``m <= n // 2``; only those splits are scanned.  The factor 2 of the
+    numerator is applied to the minimum only, which is exact for the normal
+    floats the rates are.
     """
-    s, f, s_split, f_split, ss, f4 = cols
+    s, s_split, ss = cols
     h = n // 2
     p, d, t = (x[:h] for x in buf)
     m, rest = slice(1, h + 1), slice(n - 1, n - h - 1, -1)  # splits m and rows n - m
@@ -119,7 +136,17 @@ def _fill_row(n: int, cols: tuple, buf: tuple) -> None:
     i = int(p.argmin())
     s[n] = 2.0 * p[i]
     s_split[n] = i + 1
+    ss[n] = s[n] * s[n]
 
+
+def _fill_f_row(n: int, cols: tuple, buf: tuple) -> None:
+    """Fill row ``n`` of the f columns of ``cols = (s, f, f_split, ss, f4)``
+    from the s and f rows below it; ``f4 = 4*f`` is kept up to date here.
+
+    Bit-identical to ``argmin`` over ``_fgjoin_rate(s[1:n], f[n-1:0:-1])``,
+    in the manner of :func:`_fill_s_row`, over all ``n - 1`` splits.
+    """
+    s, f, f_split, ss, f4 = cols
     p, d, t = (x[: n - 1] for x in buf)
     m, rest = slice(1, n), slice(n - 1, 0, -1)
     np.multiply(s[m], f[rest], out=p)
@@ -132,7 +159,6 @@ def _fill_row(n: int, cols: tuple, buf: tuple) -> None:
     j = int(p.argmin())
     f[n] = 2.0 * p[j]
     f_split[n] = j + 1
-    ss[n] = s[n] * s[n]
     f4[n] = 4.0 * f[n]
 
 
@@ -183,23 +209,26 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
     return out
 
 
-def _check_row(n: int, tables: "RateTables | None") -> RateTables:
+def _check_row(n: int, tables: "RateTables | None", f_table: bool) -> RateTables:
+    """Tables holding row ``n + 1`` of the s-table, and of the f-table if
+    ``f_table``; without ``tables``, those of :func:`load_or_build`."""
     if n < 0:
         raise ScheduleError(f"length must be nonnegative, got {n}")
-    tables = tables or load_or_build(n + 1)
-    if n + 1 > tables.n_max:
-        raise ScheduleError(f"length {n} is beyond the table (n_max={tables.n_max})")
+    tables = tables or load_or_build(n + 1, f_table=f_table)
+    name, rows = ("f_max", tables.f_max) if f_table else ("n_max", tables.n_max)
+    if n + 1 > rows:
+        raise ScheduleError(f"length {n} is beyond the table ({name}={rows})")
     return tables
 
 
 def obs_s(n: int, tables: "RateTables | None" = None) -> StepSchedule:
     """Optimal join-built S-class schedule of length ``n``."""
-    return _reconstruct(_check_row(n, tables), CompClass.S, n + 1)
+    return _reconstruct(_check_row(n, tables, f_table=False), CompClass.S, n + 1)
 
 
 def obs_f(n: int, tables: "RateTables | None" = None) -> StepSchedule:
     """Optimal join-built F-class schedule of length ``n``."""
-    return _reconstruct(_check_row(n, tables), CompClass.F, n + 1)
+    return _reconstruct(_check_row(n, tables, f_table=True), CompClass.F, n + 1)
 
 
 def obs_g(n: int, tables: "RateTables | None" = None) -> StepSchedule:
@@ -269,10 +298,10 @@ def r_constant(comp_class: CompClass, k: int, tables: RateTables) -> float:
     if k < 0:
         raise ScheduleError(f"need k >= 0, got {k}")
     hi = 2 ** (k + 1) - 1
-    if tables.n_max < hi:
-        raise ScheduleError(f"tables cover n_max={tables.n_max}, need {hi} for k={k}")
-    ns = np.arange(2**k, 2 ** (k + 1))
     tab = tables.s_rate if comp_class is CompClass.S else tables.f_rate
+    if len(tab) <= hi:
+        raise ScheduleError(f"{comp_class.value}-table covers {len(tab) - 1} rows, need {hi} for k={k}")
+    ns = np.arange(2**k, 2 ** (k + 1))
     return float(np.max(tab[ns] * ns.astype(np.float64) ** P_EXPONENT))
 
 
@@ -331,17 +360,21 @@ def asymptotic_constants(k_max: int, tables: "RateTables | None" = None) -> Asym
 
 
 def write_rate_csv(fh, n_rows: int, columns: dict) -> None:
-    """Write rows ``n = 1..n_rows`` of rate tables as CSV: for each
-    ``prefix -> table`` in ``columns``, the columns ``<prefix>rate`` and
-    ``<prefix>normalized`` (``rate * n^p``), in 17 significant digits."""
-    w = csv.writer(fh)
-    w.writerow(["n", "length"] + [p + name for p in columns for name in ("rate", "normalized")])
-    for n in range(1, n_rows + 1):
-        row = [n, n - 1]
-        for tab in columns.values():
-            rate = float(tab[n])
-            row += [format(rate, ".17g"), format(rate * n**P_EXPONENT, ".17g")]
-        w.writerow(row)
+    """Write rows ``n = 1..n_rows`` of rate tables as CSV with ``\\r\\n`` line
+    ends: for each ``prefix -> table`` in ``columns``, the columns
+    ``<prefix>rate`` and ``<prefix>normalized`` (``rate * n^p``), in 17
+    significant digits.  ``n^p`` is Python's float power: numpy's ``power``
+    differs from it in the last bit for some n."""
+    names = [p + name for p in columns for name in ("rate", "normalized")]
+    line = "%d,%d" + ",%.17g,%.17g" * len(columns) + "\r\n"
+    tabs = [tab[1 : n_rows + 1].tolist() for tab in columns.values()]
+
+    def row(n, rates):
+        scale = n**P_EXPONENT
+        return line % (n, n - 1, *(v for rate in rates for v in (rate, rate * scale)))
+
+    fh.write(",".join(["n", "length"] + names) + "\r\n")
+    fh.writelines(map(row, range(1, n_rows + 1), zip(*tabs)))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +388,26 @@ _CACHE_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 
 def save_tables(tables: RateTables, directory: str) -> str:
     """Write the tables to the versioned .npz cache file; returns the path.
-    A valid file with as many rows is kept: saving never shrinks the file."""
+    Saving never shrinks either table: a valid file that holds as many rows
+    of both is kept, and the rows it holds beyond ``tables`` are written too."""
     os.makedirs(directory, exist_ok=True)
-    meta = {"cache_version": CACHE_VERSION, "package_version": _pkg_version, "n_max": tables.n_max}
     path = os.path.join(directory, CACHE_NAME)
+    try:  # another process may have extended the file meanwhile
+        held = load_tables(path) if os.path.exists(path) else None
+    except _CACHE_ERRORS:
+        held = None
+    if held is not None:
+        if held.n_max >= tables.n_max and held.f_max >= tables.f_max:
+            return path
+        s = held if held.n_max > tables.n_max else tables
+        f = held if held.f_max > tables.f_max else tables
+        tables = RateTables(s.n_max, s.s_rate, f.f_rate, s.s_split, f.f_split)
+    meta = {
+        "cache_version": CACHE_VERSION,
+        "package_version": _pkg_version,
+        "n_max": tables.n_max,
+        "f_max": tables.f_max,
+    }
     # write beside the target, then rename: a reader never sees half a file
     # (np.savez appends .npz to a name without it)
     tmp = f"{path}.{os.getpid()}.tmp.npz"
@@ -371,12 +420,7 @@ def save_tables(tables: RateTables, directory: str) -> str:
             f_split=tables.f_split,
             meta=json.dumps(meta),
         )
-        try:  # another process may have extended the file meanwhile
-            keep = os.path.exists(path) and load_tables(path).n_max >= tables.n_max
-        except _CACHE_ERRORS:
-            keep = False
-        if not keep:
-            os.replace(tmp, path)
+        os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -385,8 +429,9 @@ def save_tables(tables: RateTables, directory: str) -> str:
 
 def load_tables(path: str) -> RateTables:
     """Load a cache written by :func:`save_tables`.  Raises ScheduleError unless
-    the version, size and shapes match, every split of row n >= 2 lies in
-    [1, n - 1] and every rate in (0, 1]."""
+    the version, sizes and shapes match, ``1 <= f_max <= n_max``, and every
+    row the file holds is valid: the base row has rate 1 and split 0, every
+    split of row n >= 2 lies in [1, n - 1] and every rate in (0, 1]."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         if not isinstance(meta, dict):
@@ -396,9 +441,12 @@ def load_tables(path: str) -> RateTables:
                 f"cache version mismatch: file has {meta.get('cache_version')}, "
                 f"expected {CACHE_VERSION}"
             )
-        n_max = meta.get("n_max")
-        if type(n_max) is not int or n_max < 1:
-            raise ScheduleError(f"cache n_max must be a positive integer, got {n_max!r}")
+        n_max, f_max = meta.get("n_max"), meta.get("f_max")
+        for name, rows in (("n_max", n_max), ("f_max", f_max)):
+            if type(rows) is not int or rows < 1:
+                raise ScheduleError(f"cache {name} must be a positive integer, got {rows!r}")
+        if f_max > n_max:
+            raise ScheduleError(f"cache f_max {f_max} exceeds n_max {n_max}")
         t = RateTables(
             n_max,
             data["s_rate"].astype(np.float64),
@@ -406,13 +454,13 @@ def load_tables(path: str) -> RateTables:
             data["s_split"].astype(np.int64),
             data["f_split"].astype(np.int64),
         )
-    if any(a.shape != (n_max + 1,) for a in (t.s_rate, t.f_rate, t.s_split, t.f_split)):
-        raise ScheduleError("cache arrays do not match the declared table size")
-    n = np.arange(2, n_max + 1)
-    for split in (t.s_split, t.f_split):
-        if np.any((split[2:] < 1) | (split[2:] > n - 1)):
+    for rate, split, rows in ((t.s_rate, t.s_split, n_max), (t.f_rate, t.f_split, f_max)):
+        if rate.shape != (rows + 1,) or split.shape != (rows + 1,):
+            raise ScheduleError("cache arrays do not match the declared table size")
+        if rate[1] != 1.0 or split[1] != 0:
+            raise ScheduleError("cache base row is not rate 1 with split 0")
+        if np.any((split[2:] < 1) | (split[2:] > np.arange(1, rows))):
             raise ScheduleError("cache splits out of range")
-    for rate in (t.s_rate, t.f_rate):
         if not np.all((rate[1:] > 0.0) & (rate[1:] <= 1.0)):
             raise ScheduleError("cache rates outside (0, 1]")
     return t
@@ -421,18 +469,29 @@ def load_tables(path: str) -> RateTables:
 _SHARED_TABLES: "RateTables | None" = None
 
 
-def load_or_build(n_max: int, cache_dir: "str | None" = None) -> RateTables:
-    """Tables of at least ``n_max`` rows, the one accessor of the table store.
-    The cache directory (``STEPWEAVER_CACHE`` by default) holds one file that
-    serves any request up to its size; a larger request or a miss extends or
-    builds it and replaces it, and an unreadable or invalid file is rebuilt
-    with a warning on stderr.  With no directory configured: the in-process
-    shared tables, extended to exactly ``n_max`` rows when shorter."""
+def _served(tables: "RateTables | None", n_max: int, f_max: int) -> RateTables:
+    """``tables`` if it holds ``n_max`` s rows and ``f_max`` f rows, else the
+    tables extended to hold them (built when there are none)."""
+    if tables is None:
+        return build_tables(n_max) if f_max == n_max else _extend(None, n_max, f_max)
+    if tables.n_max >= n_max and tables.f_max >= f_max:
+        return tables
+    return _extend(tables, max(tables.n_max, n_max), max(tables.f_max, f_max))
+
+
+def load_or_build(n_max: int, cache_dir: "str | None" = None, f_table: bool = True) -> RateTables:
+    """Tables of at least ``n_max`` s rows, and as many f rows if ``f_table``
+    (an s-class request never fills the f-table), the one accessor of the
+    table store.  The cache directory (``STEPWEAVER_CACHE`` by default) holds
+    one file that serves any request it covers; a request it does not cover
+    fills the missing rows of each table and replaces it, and an unreadable
+    or invalid file is rebuilt with a warning on stderr.  With no directory
+    configured: the in-process shared tables, extended likewise."""
     global _SHARED_TABLES
+    f_max = n_max if f_table else 1
     directory = cache_dir or os.environ.get(CACHE_ENV_VAR)
     if not directory:
-        if _SHARED_TABLES is None or _SHARED_TABLES.n_max < n_max:
-            _SHARED_TABLES = _extend(_SHARED_TABLES, n_max)
+        _SHARED_TABLES = _served(_SHARED_TABLES, n_max, f_max)
         return _SHARED_TABLES
     path = os.path.join(directory, CACHE_NAME)
     tables = None
@@ -441,8 +500,7 @@ def load_or_build(n_max: int, cache_dir: "str | None" = None) -> RateTables:
             tables = load_tables(path)
         except _CACHE_ERRORS as err:
             print(f"warning: rebuilding table cache {path}: {err}", file=sys.stderr)
-    if tables is not None and tables.n_max >= n_max:
-        return tables
-    tables = build_tables(n_max) if tables is None else _extend(tables, n_max)
-    save_tables(tables, directory)
-    return tables
+    served = _served(tables, n_max, f_max)
+    if served is not tables:
+        save_tables(served, directory)
+    return served

@@ -330,7 +330,7 @@ def validate_schedule(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> flo
     for name, val in (("1/(1+c*sum h)", denom_form), ("prod(h-1) form", prod_form)):
         if abs(s.rate - val) > tol * s.rate:
             raise IdentityError(
-                f"{s.comp_class.value}-identity violated: rate={s.rate!r} but {name}={val!r} "
+                f"{s.comp_class.value}-identity violated: rate={float(s.rate)!r} but {name}={float(val)!r} "
                 f"(relative error {abs(s.rate - val) / s.rate:.3e} > {tol:g})"
             )
     return max(abs(s.rate - denom_form), abs(s.rate - prod_form)) / s.rate

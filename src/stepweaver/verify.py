@@ -105,7 +105,7 @@ def build_f_certificate(tree: CompositionTree) -> CertificateV:
         for alt in (alt1, alt2):
             if abs(scale - alt) > 1e-12 * scale:
                 raise IdentityError(
-                    f"certificate scaling identity violated: sqrt(beta/eta)={scale!r} vs {alt!r}"
+                    f"certificate scaling identity violated: sqrt(beta/eta)={float(scale)!r} vs {float(alt)!r}"
                 )
         return np.concatenate([a.steps, [1.0 + 1.0 / a.rate], scale * w]), eta
 
@@ -162,15 +162,15 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
 _PAIR_BLOCK = 2**18
 
 
-def _q_min_batched(X, G, F, max_elems: int = _PAIR_BLOCK):
+def _q_min_batched(X, G, F):
     """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace:
-    :func:`_q_min_raw` over chunks of as many instances as ``max_elems`` pair
-    entries hold (one at least).  Within a chunk the product runs in row
+    :func:`_q_min_raw` over chunks of as many instances as ``_PAIR_BLOCK``
+    pair entries hold (one at least).  Within a chunk the product runs in row
     blocks of at most ``_PAIR_BLOCK`` entries, so memory stays bounded at
     every n; one product per instance would take 8*(n+2)^2 bytes (32 MiB at
     n = 2047, 8 GiB at n = 32767)."""
     n_points = X.shape[0] + 1  # star row appended inside
-    chunk = max(1, max_elems // (n_points * n_points))
+    chunk = max(1, _PAIR_BLOCK // (n_points * n_points))
     batch = X.shape[1]
     return np.concatenate(
         [

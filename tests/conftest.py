@@ -11,13 +11,17 @@ hypothesis.settings.load_profile("ci")
 
 @pytest.fixture
 def rows_filled(monkeypatch):
-    """Counts DP rows filled: the fill calls ``_fill_row`` once per row."""
-    count = [0]
-    real = optimizer._fill_row
+    """Counts DP rows filled per table: the fill calls ``_fill_s_row`` once
+    per s row and ``_fill_f_row`` once per f row."""
+    count = {"s": 0, "f": 0}
 
-    def counted(n, cols, buf):
-        count[0] += 1
-        return real(n, cols, buf)
+    def counting(table, real):
+        def counted(n, cols, buf):
+            count[table] += 1
+            return real(n, cols, buf)
 
-    monkeypatch.setattr(optimizer, "_fill_row", counted)
+        return counted
+
+    monkeypatch.setattr(optimizer, "_fill_s_row", counting("s", optimizer._fill_s_row))
+    monkeypatch.setattr(optimizer, "_fill_f_row", counting("f", optimizer._fill_f_row))
     return count

@@ -19,11 +19,17 @@ give the same weights byte for byte.
 joins, scored by the scalar join formulas, with ``np.argmin`` picking the
 first minimum.  The production fill, ``stepweaver.optimizer._extend``, must
 give the same rates and splits byte for byte.
+
+``write_rate_csv_reference`` writes rate tables through ``csv.writer``, one
+``format`` per value.  The production ``stepweaver.optimizer.write_rate_csv``
+(one ``%`` format per row) must write the same bytes.
 """
+
+import csv
 
 import numpy as np
 
-from stepweaver.optimizer import RateTables
+from stepweaver.optimizer import P_EXPONENT, RateTables
 from stepweaver.schedule import CompClass, JoinOp, _fgjoin_rate, _sjoin_rate, join_rate, materialize
 
 
@@ -119,3 +125,15 @@ def f_certificate_spine_walk(tree):
         eta = join_rate(JoinOp.FJOIN, a.rate, beta)
         v = np.concatenate([a.steps, [1.0 + 1.0 / a.rate], np.sqrt(beta / eta) * v])
     return v, eta
+
+
+def write_rate_csv_reference(fh, n_rows, columns):
+    """Rows ``n = 1..n_rows`` of ``prefix -> table`` columns as CSV."""
+    w = csv.writer(fh)
+    w.writerow(["n", "length"] + [p + name for p in columns for name in ("rate", "normalized")])
+    for n in range(1, n_rows + 1):
+        row = [n, n - 1]
+        for tab in columns.values():
+            rate = float(tab[n])
+            row += [format(rate, ".17g"), format(rate * n**P_EXPONENT, ".17g")]
+        w.writerow(row)

@@ -7,6 +7,7 @@ import os
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -57,9 +58,10 @@ class TestGramKernelOracle:
         expected = q_min_pairwise(X, G, F)
         tol = q_tolerance(X, G, F)
         assert np.max(np.abs(_q_min_raw(X, G, F) - expected)) <= tol
-        # chunks of one instance and of several, against one call
-        for max_elems in (1, 3 * (n + 2) ** 2, 2**18):
-            got = _q_min_batched(X, G, F, max_elems=max_elems)
+        # chunks of one instance, of three and the default, against one call
+        for pair_block in (1, 3 * (n + 2) ** 2, verify._PAIR_BLOCK):
+            with mock.patch.object(verify, "_PAIR_BLOCK", pair_block):
+                got = _q_min_batched(X, G, F)
             assert got.shape == (batch,)
             assert np.max(np.abs(got - expected)) <= tol
 

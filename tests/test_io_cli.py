@@ -14,7 +14,7 @@ from stepweaver.io import (
     loads_schedule,
     save_schedule,
 )
-from stepweaver.optimizer import CACHE_ENV_VAR, CACHE_NAME, load_tables, obs_f
+from stepweaver.optimizer import CACHE_ENV_VAR, CACHE_NAME, build_tables, load_tables, obs_f, save_tables
 from stepweaver.schedule import (
     ClassMismatchError,
     CompClass,
@@ -52,6 +52,11 @@ class TestScheduleFile:
         doc = json.loads(text)
         assert doc["steps"][0] == h.steps[0]
         assert "1.4142135623730951" in text
+
+    def test_steps_keep_their_seventeen_digit_bytes(self):
+        h = obs_f(700)
+        doc = dumps_schedule(h)
+        assert '"steps": [' + ", ".join(format(float(x), ".17g") for x in h.steps) + "]" in doc
 
     def test_unknown_keys_rejected(self):
         h = obs_f(1)
@@ -442,13 +447,13 @@ class TestCli:
             before = compose()
         assert compose() == before
         monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
-        rows_filled[0] = 0
+        rows_filled.update(s=0, f=0)
         assert compose() == before
-        assert rows_filled[0] == 400
+        assert rows_filled == {"s": 400, "f": 0}  # an s-class request fills only the s-table
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [CACHE_NAME]
-        rows_filled[0] = 0
+        rows_filled.update(s=0, f=0)
         assert compose() == before
-        assert rows_filled[0] == 0
+        assert rows_filled == {"s": 0, "f": 0}
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -460,6 +465,8 @@ class TestCli:
         "argv", [["optimize", "--class", "s", "--n", "10"], ["bounds", "--k", "3"]]
     )
     def test_corrupt_table_cache_is_rebuilt(self, tmp_path, capsys, argv, corrupt):
+        if argv[0] == "optimize":  # an s-class fill writes only the base f row: seed f rows to corrupt
+            save_tables(build_tables(11), str(tmp_path / "cold"))
         assert main(argv + ["--cache", str(tmp_path / "cold")]) == 0
         cold = capsys.readouterr().out
         (path,) = (tmp_path / "cold").iterdir()
@@ -502,6 +509,55 @@ class TestCli:
         assert (capsys.readouterr().out, table.read_text()) == cold
         assert list(big.iterdir()) == [path]
         assert load_tables(str(path)).n_max == 41
+
+    def test_optimize_s_then_f_fills_only_the_missing_f_rows(self, tmp_path, capsys, rows_filled):
+        cache = str(tmp_path / "cache")
+        out = {}
+        for cls, n in (("s", 300), ("f", 200)):
+            rows_filled.update(s=0, f=0)
+            assert main(["optimize", "--class", cls, "--n", str(n), "--cache", cache]) == 0
+            out[cls] = rows_filled.copy(), capsys.readouterr().out
+        assert out["s"][0] == {"s": 300, "f": 0}
+        assert out["f"][0] == {"s": 0, "f": 200}  # from the s rows the file holds
+        rows_filled.update(s=0, f=0)
+        assert main(["optimize", "--class", "s", "--n", "300", "--cache", cache]) == 0
+        assert rows_filled == {"s": 0, "f": 0}
+        assert capsys.readouterr().out == out["s"][1]
+        path = tmp_path / "cache" / CACHE_NAME
+        assert [p.name for p in path.parent.iterdir()] == [CACHE_NAME]
+        assert (load_tables(str(path)).n_max, load_tables(str(path)).f_max) == (301, 201)
+        assert main(["optimize", "--class", "f", "--n", "200", "--cache", str(tmp_path / "cold")]) == 0
+        assert capsys.readouterr().out == out["f"][1]
+
+    @pytest.mark.parametrize("corrupt", ["f_max=12", "f_rate[:-1]", "f_split[:-1]"])
+    def test_cache_with_bad_f_rows_is_rebuilt(self, tmp_path, capsys, corrupt):
+        """A file declaring more f rows than s rows, or holding fewer f rows
+        than it declares, is rebuilt with the usual warning."""
+        argv = ["optimize", "--class", "f", "--n", "10", "--cache", str(tmp_path)]
+        path = save_tables(build_tables(11), str(tmp_path))
+        arrays = dict(np.load(path, allow_pickle=False))
+        if corrupt == "f_max=12":
+            arrays["meta"] = json.dumps(dict(json.loads(str(arrays["meta"])), f_max=12))
+        else:
+            key = corrupt.removesuffix("[:-1]")
+            arrays[key] = arrays[key][:-1]
+        np.savez(path, **arrays)
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"warning: rebuilding table cache {path}: ")
+        assert captured.err.count("\n") == 1
+        assert main(argv) == 0
+        assert capsys.readouterr() == (captured.out, "")
+        assert load_tables(path).f_max == 11
+
+    def test_identity_message_prints_plain_floats(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        doc = {"schema_version": 1, "class": "s", "n": 1, "steps": [1.4142135623730951], "rate": 0.4}
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "=0.4142135623730951" in err
+        assert "np.float64(" not in err
 
     @pytest.mark.parametrize("key,value", [("construction", 5), ("construction", ["e"]), ("provenance", 7)])
     @pytest.mark.parametrize("command", ["verify", "run"])

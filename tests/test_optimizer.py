@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import io
 import math
 import os
 import tracemalloc
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import build_tables_reference
+from oracles import build_tables_reference, write_rate_csv_reference
 from stepweaver import optimizer
 from stepweaver.builders import silver
 from stepweaver.optimizer import (
@@ -29,6 +30,7 @@ from stepweaver.optimizer import (
     obs_s,
     r_constant,
     save_tables,
+    write_rate_csv,
 )
 from stepweaver.schedule import (
     CompClass,
@@ -192,6 +194,13 @@ def _same_tables(got, want):
         assert getattr(got, name)[1:].tobytes() == getattr(want, name)[1:].tobytes(), name
 
 
+def _same_rows(got, want, n_max, f_max):
+    """s rows 1..n_max and f rows 1..f_max of ``got`` are those of ``want``."""
+    for names, rows in ((("s_rate", "s_split"), n_max), (("f_rate", "f_split"), f_max)):
+        for name in names:
+            assert getattr(got, name)[1:].tobytes() == getattr(want, name)[1 : rows + 1].tobytes(), name
+
+
 @pytest.fixture(scope="module")
 def reference_4096():
     return build_tables_reference(4096)
@@ -223,6 +232,23 @@ class TestFillKernel:
         for x, y in pairs:
             assert _sjoin_rate(x, y) == _sjoin_rate(y, x)
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 64, 1000, 4096])
+    def test_s_only_fill_matches_reference(self, n_max, reference_4096):
+        want = reference_4096 if n_max == 4096 else build_tables_reference(n_max)
+        got = optimizer._extend(None, n_max, 1)
+        assert (got.n_max, got.f_max) == (n_max, 1)
+        _same_rows(got, want, n_max, 1)
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [((2047, 1), (4096, 4096)), ((4096, 1), (4096, 3000)), ((3000, 1000), (4096, 4096)), ((4095, 2), (4096, 2047))],
+    )
+    def test_mixed_prefixes_extend_to_a_fresh_fill(self, first, then, reference_4096):
+        """s-only prefixes that later gain f rows, and f rows shorter than s rows."""
+        got = optimizer._extend(optimizer._extend(None, *first), *then)
+        assert (got.n_max, got.f_max) == then
+        _same_rows(got, reference_4096, *then)
+
     def test_fill_peak_memory_stays_bounded(self):
         """tracemalloc peak of a 4096-row fill, in table columns of 4097
         float64: about 9.1 with reused buffers, 11.1 with per-row arrays
@@ -248,17 +274,61 @@ class TestTableStore:
         monkeypatch.delenv(optimizer.CACHE_ENV_VAR, raising=False)
         sizes = [load_or_build(n).n_max for n in (100, 300, 200, 1000)]
         assert sizes == [100, 300, 300, 1000]
-        assert rows_filled[0] == 999
+        assert rows_filled == {"s": 999, "f": 999}
         _same_tables(load_or_build(1000), build_tables(1000))
 
     def test_load_or_build_extends_the_one_file(self, tmp_path, rows_filled):
         assert load_or_build(50, str(tmp_path)).n_max == 50
         grown = load_or_build(300, str(tmp_path))
         assert load_or_build(120, str(tmp_path)).n_max == 300  # served by the larger file
-        assert rows_filled[0] == 299
+        assert rows_filled == {"s": 299, "f": 299}
         assert [p.name for p in tmp_path.iterdir()] == [CACHE_NAME]
         _same_tables(grown, build_tables(300))
         _same_tables(load_tables(str(tmp_path / CACHE_NAME)), grown)
+
+
+    def test_s_requests_fill_only_the_s_table(self, monkeypatch, rows_filled):
+        monkeypatch.setattr(optimizer, "_SHARED_TABLES", None)
+        monkeypatch.delenv(optimizer.CACHE_ENV_VAR, raising=False)
+        s_only = load_or_build(500, f_table=False)
+        assert (s_only.n_max, s_only.f_max) == (500, 1)
+        assert obs_s(499).rate == s_only.s_rate[500]
+        assert rows_filled == {"s": 499, "f": 0}
+        assert obs_f(299).rate == load_or_build(300).f_rate[300]  # f rows from the s rows held
+        assert rows_filled == {"s": 499, "f": 299}
+        assert (load_or_build(300).n_max, load_or_build(300).f_max) == (500, 300)
+        _same_rows(load_or_build(300), build_tables(500), 500, 300)
+
+    def test_s_only_tables_refuse_f_rows(self):
+        t = optimizer._extend(None, 40, 10)
+        obs_s(39, t)
+        obs_f(9, t)
+        with pytest.raises(ScheduleError, match=r"beyond the table \(f_max=10\)"):
+            obs_f(10, t)
+        with pytest.raises(ScheduleError, match="f-table covers 10 rows"):
+            r_constant(CompClass.F, 3, t)
+        assert r_constant(CompClass.S, 4, t) == r_constant(CompClass.S, 4, build_tables(40))
+
+    @pytest.mark.parametrize("n_max, f_max", [(0, 1), (10, 0), (10, 11)])
+    def test_extend_rejects_bad_row_counts(self, n_max, f_max):
+        with pytest.raises(ScheduleError):
+            optimizer._extend(None, n_max, f_max)
+
+
+class TestRateCsv:
+    """The CSV writer formats each row at once; its bytes must stay those of
+    the ``csv.writer`` version."""
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 8191])
+    @pytest.mark.parametrize("prefixes", [("",), ("s_", "f_")])
+    def test_bytes_match_the_csv_writer(self, n_rows, prefixes):
+        t = build_tables(8191) if n_rows == 8191 else build_tables(2)
+        columns = dict(zip(prefixes, (t.s_rate, t.f_rate)))
+        got, want = io.StringIO(newline=""), io.StringIO(newline="")
+        write_rate_csv(got, n_rows, columns)
+        write_rate_csv_reference(want, n_rows, columns)
+        assert got.getvalue() == want.getvalue()
+        assert got.getvalue().count("\r\n") == n_rows + 1
 
 
 class TestEnumeration:
@@ -411,6 +481,23 @@ class TestCache:
             fh.write(b"not a zip")
         save_tables(build_tables(10), str(tmp_path))
         assert load_tables(path).n_max == 10
+
+    def test_save_never_shrinks_either_table(self, tmp_path):
+        """Tables with more s rows and tables with more f rows save to a
+        file that holds the rows of both."""
+        path = save_tables(optimizer._extend(None, 60, 1), str(tmp_path))
+        save_tables(build_tables(30), str(tmp_path))
+        _same_rows(load_tables(path), build_tables(60), 60, 30)
+        save_tables(optimizer._extend(None, 20, 5), str(tmp_path))  # covered: the file is kept
+        assert (load_tables(path).n_max, load_tables(path).f_max) == (60, 30)
+
+    def test_older_cache_versions_are_ignored_not_deleted(self, tmp_path):
+        assert CACHE_NAME == "obs-tables-v3.npz"
+        old = tmp_path / "obs-tables-v2.npz"
+        old.write_bytes(b"older tables")
+        load_or_build(20, str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [old.name, CACHE_NAME]
+        assert old.read_bytes() == b"older tables"
 
     @pytest.mark.parametrize("key", ["s_rate", "f_rate", "s_split", "f_split"])
     def test_short_array_rejected(self, tables, tmp_path, key):
