@@ -163,22 +163,36 @@ def cmd_run(args) -> int:
     else:
         vals = [_number(float, v, "--x0") for v in args.x0.split(",")]
         x0 = np.full(instance.dim, vals[0]) if len(vals) == 1 else np.array(vals)
-    trace = gd.run(schedule, instance, x0)
+    # an overflow is reported below, before anything is written
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = gd.run(schedule, instance, x0)
+        finite = (
+            np.isfinite(trace.x).all(axis=1)
+            & np.isfinite(np.linalg.norm(trace.g, axis=1))
+            & np.isfinite(trace.f)
+        )
+        summary = {
+            "instance": instance.describe(),
+            "class": schedule.comp_class.value,
+            "rate": schedule.rate,
+            "objective_gap": trace.objective_gap(),
+            "half_grad_sq": trace.half_grad_sq(),
+            "half_dist_sq": trace.half_dist_sq(),
+            "defining_slack": defining_slack(schedule, trace),
+        }
+    if not finite.all():
+        raise ScheduleError(
+            f"trace row {int(np.argmin(finite))} of 0..{trace.n} overflows; rerun from a smaller --x0"
+        )
+    for key, value in summary.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ScheduleError(f"{key} overflows on this trace; rerun from a smaller --x0")
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             trace.to_csv(fh)
         print(f"wrote trace {args.out}")
     else:
         sys.stdout.write(trace.to_csv())
-    summary = {
-        "instance": instance.describe(),
-        "class": schedule.comp_class.value,
-        "rate": schedule.rate,
-        "objective_gap": trace.objective_gap(),
-        "half_grad_sq": trace.half_grad_sq(),
-        "half_dist_sq": trace.half_dist_sq(),
-        "defining_slack": defining_slack(schedule, trace),
-    }
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 

@@ -195,6 +195,10 @@ def run(schedule: StepSchedule, instance: ProblemInstance, x0) -> GDTrace:
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     if x0.shape != (instance.dim,):
         raise ScheduleError(f"x0 has shape {x0.shape}, instance dimension is {instance.dim}")
+    finite = np.isfinite(x0)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ScheduleError(f"x0 must be finite, got {float(x0[i])!r} at coordinate {i}")
     xs, gs, fs = raw_run(schedule.steps, instance.is_huber, instance.param, x0)
     return GDTrace(xs, gs, fs, schedule, instance)
 

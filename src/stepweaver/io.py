@@ -19,6 +19,7 @@ schedule then carries the construction tree.
 """
 
 import json
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -139,7 +140,7 @@ def load_schedule(path, identity_tol: float = 1e-9) -> StepSchedule:
 
 @dataclass
 class RunConfig:
-    """Verification-run knobs; all numeric fields must be positive.
+    """Verification-run knobs; all numeric fields must be positive and finite.
 
     Defaults are fixed so runs are reproducible: 200-instance battery under
     numpy's PCG64 generator with seed 0xC0FFEE.
@@ -161,6 +162,8 @@ class RunConfig:
                 raise ScheduleFileError(
                     f"config field {name} must be a positive {what}, got {value!r}"
                 )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ScheduleFileError(f"config field {name} must be finite, got {value!r}")
         if self.output_format not in ("text", "json"):
             raise ScheduleFileError(
                 f"config field output_format must be 'text' or 'json', got {self.output_format!r}"

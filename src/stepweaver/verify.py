@@ -15,8 +15,9 @@ Battery slacks (certificate and implied bounds) are divided by
 max(1, ||x0||^2, f_0) before they meet ``slack_tol``, so mixed-scale random
 instances are judged fairly.  The interpolation check is not rescaled: the
 minimum of Q_ij over all pairs, evaluated in Gram form (rank-(d+2) matrix
-products over row blocks of bounded size), is compared with the absolute
-``q_tol``.
+products; the rows are assembled per sub-batch of instances and every
+product is written into one reused buffer, all of bounded size), is compared
+with the absolute ``q_tol``.
 """
 
 import functools
@@ -157,65 +158,89 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
     return f_slack, g_slack, f_resid, g_resid
 
 
-# Each block of the interpolation check's pair matrix holds at most this many
-# float64 entries (2 MiB, so a block stays in cache), whatever n is.
-_PAIR_BLOCK = 2**18
+# The interpolation check works in pieces of at most this many float64
+# entries (512 KiB): the rows P and R^T of a sub-batch of instances, and the
+# one buffer every product is written into, so that all three stay in a
+# core's L2 cache together.
+_PAIR_BLOCK = 2**16
 
 
-def _q_min_batched(X, G, F):
-    """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace:
-    :func:`_q_min_raw` over chunks of as many instances as ``_PAIR_BLOCK``
-    pair entries hold (one at least).  Within a chunk the product runs in row
-    blocks of at most ``_PAIR_BLOCK`` entries, so memory stays bounded at
-    every n; one product per instance would take 8*(n+2)^2 bytes (32 MiB at
-    n = 2047, 8 GiB at n = 32767)."""
-    n_points = X.shape[0] + 1  # star row appended inside
-    chunk = max(1, _PAIR_BLOCK // (n_points * n_points))
-    batch = X.shape[1]
-    return np.concatenate(
-        [
-            np.atleast_1d(_q_min_raw(X[:, i : i + chunk], G[:, i : i + chunk], F[:, i : i + chunk]))
-            for i in range(0, batch, chunk)
-        ]
-    )
+def _gram_rows(X, G, F, P, Rt) -> None:
+    """Write the Gram rows of an ``(n+1, m, d)`` trace into ``P`` of shape
+    ``(m, N, d+2)`` and ``Rt`` of shape ``(m, d+2, N)``, where N is n+1, or
+    n+2 with the star row last."""
+    points, _, d = X.shape
+    Xb, Gb, Fb = (np.moveaxis(a, 0, 1) for a in (X, G, F))
+    gsq = np.einsum("bnd,bnd->bn", Gb, Gb)
+    # elementwise work runs in the trace's own layout, then one strided copy
+    P[:, :points, :d] = np.moveaxis(G - X, 0, 1)
+    np.subtract(2.0 * Fb, gsq, out=P[:, :points, d])
+    P[:, :, d + 1] = 1.0
+    P[:, points:, : d + 1] = 0.0
+    np.multiply(np.moveaxis(G, 0, 2), 2.0, out=Rt[:, :d, :points])
+    Rt[:, :d, points:] = 0.0
+    Rt[:, d] = 1.0
+    np.subtract(2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb, gsq, out=Rt[:, d + 1, :points])
+    Rt[:, d + 1, points:] = 0.0
 
 
-def _q_min_raw(X, G, F, include_star: bool = True):
-    """Minimum over all ordered pairs of the smooth-convex interpolation
-    quantity Q_ij = 2f_i - 2f_j - 2<g_j, x_i - x_j> - ||g_i - g_j||^2.
+def _q_min_batched(X, G, F, include_star: bool = True):
+    """The ``(B,)`` minima, one per instance of an ``(n+1, B, d)`` trace, over
+    all ordered pairs of the smooth-convex interpolation quantity
+    Q_ij = 2f_i - 2f_j - 2<g_j, x_i - x_j> - ||g_i - g_j||^2.
 
     Gram form: Q_ij = a_i + b_j + 2<g_i - x_i, g_j> with a_i = 2f_i - ||g_i||^2
     and b_j = -2f_j + 2<g_j, x_j> - ||g_j||^2, so with rows
     P_i = [g_i - x_i, a_i, 1] and R_j = [2g_j, 1, b_j] the pair matrix is
-    P @ R^T per instance.  The minimizer (x, g, f) = 0 appends P_* = [0, 0, 1]
-    and R_* = [0, 1, 0].  The product runs over blocks of rows of P with at
-    most ``_PAIR_BLOCK`` entries (one row at least), so memory stays
-    O(B*N*d) beside one block at any n.
+    P @ R^T per instance.  With ``include_star`` the minimizer (x, g, f) = 0
+    appends P_* = [0, 0, 1] and R_* = [0, 1, 0].
+
+    P and a contiguous R^T are assembled once per sub-batch of instances
+    whose rows hold at most ``_PAIR_BLOCK`` entries.  Every product is
+    written into one buffer of at most ``_PAIR_BLOCK`` entries (one row at
+    least), allocated once per call: a product covers several whole
+    instances when an N x N matrix fits, and balanced blocks of rows of one
+    instance otherwise.  So memory stays O(B*N*d) beside about 2 MiB at
+    any n; one product per instance would take 8*N^2 bytes (32 MiB at
+    n = 2047, 8 GiB at n = 32767).  Minima fold with ``np.minimum``, so a
+    NaN reaches its instance's minimum and no other.
     """
-    # batch axes to the front: (N, B, d) -> (B, N, d); add B=1 if unbatched
-    squeeze = X.ndim == 2
-    if squeeze:
-        X, G, F = X[:, None, :], G[:, None, :], F[:, None]
-    Xb = np.moveaxis(X, 0, 1)
-    Gb = np.moveaxis(G, 0, 1)
-    Fb = np.moveaxis(F, 0, 1)
-    batch, n, d = Gb.shape
-    rows = n + 1 if include_star else n
-    gsq = np.einsum("bnd,bnd->bn", Gb, Gb)
-    P = np.zeros((batch, rows, d + 2))
-    R = np.zeros((batch, rows, d + 2))
-    P[:, :n, :d] = Gb - Xb
-    P[:, :n, d] = 2.0 * Fb - gsq
-    P[:, :, d + 1] = 1.0
-    R[:, :n, :d] = 2.0 * Gb
-    R[:, :, d] = 1.0
-    R[:, :n, d + 1] = 2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb - gsq
-    Rt = R.swapaxes(1, 2)
-    block = max(1, _PAIR_BLOCK // (batch * rows))
-    q = (P[:, :block] @ Rt).min(axis=(1, 2))
-    for r in range(block, rows, block):
-        q = np.minimum(q, (P[:, r : r + block] @ Rt).min(axis=(1, 2)))
-    return q if not squeeze else float(q[0])
+    points, batch, d = X.shape
+    rows = points + 1 if include_star else points
+    sub = max(1, min(batch, _PAIR_BLOCK // (rows * (d + 2))))
+    if rows * rows <= _PAIR_BLOCK:
+        per, block = min(sub, _PAIR_BLOCK // (rows * rows)), rows
+    else:
+        per, most = 1, max(1, _PAIR_BLOCK // rows)
+        block = -(-rows // -(-rows // most))
+    buf = np.empty(per * block * rows)
+    P, Rt = np.empty((sub, rows, d + 2)), np.empty((sub, d + 2, rows))
+    block_min = np.empty(-(-rows // block))
+    q = np.empty(batch)
+    for s in range(0, batch, sub):
+        m = min(sub, batch - s)
+        _gram_rows(X[:, s : s + m], G[:, s : s + m], F[:, s : s + m], P[:m], Rt[:m])
+        if block == rows:
+            for i in range(0, m, per):
+                k = min(per, m - i)
+                out = buf[: k * rows * rows].reshape(k, rows, rows)
+                np.matmul(P[i : i + k], Rt[i : i + k], out=out)
+                np.min(out.reshape(k, -1), axis=1, out=q[s + i : s + i + k])
+        else:
+            for i in range(m):
+                for j, r in enumerate(range(0, rows, block)):
+                    out = buf[: min(block, rows - r) * rows].reshape(-1, rows)
+                    block_min[j] = np.matmul(P[i, r : r + block], Rt[i], out=out).min()
+                q[s + i] = block_min.min()
+    return q
+
+
+def _q_min_raw(X, G, F, include_star: bool = True):
+    """:func:`_q_min_batched` of an ``(n+1, B, d)`` trace, or its minimum as
+    a float for one ``(n+1, d)`` trace."""
+    if X.ndim == 3:
+        return _q_min_batched(X, G, F, include_star)
+    return float(_q_min_batched(X[:, None], G[:, None], F[:, None], include_star)[0])
 
 
 def _trace_arrays(schedule: StepSchedule, trace: GDTrace, comp_class=None):

@@ -5,6 +5,12 @@ interpolation check: it builds each term of Q_ij as its own (B, N, N) array.
 The production kernel, ``stepweaver.verify._q_min_raw``, evaluates the same
 minimum in Gram form; the tests compare the two.
 
+``q_min_row_blocks_reference`` is the Gram-form kernel that builds P and R
+for chunks of as many instances as ``pair_block`` pair entries hold and takes
+one fresh product per block of rows.  The production kernel,
+``stepweaver.verify._q_min_batched`` (sub-batched rows, one reused product
+buffer), must give the same minima byte for byte.
+
 ``raw_run_reference`` is the per-step GD loop that evaluates the branchy
 Huber/quadratic gradient and the value at every step.  The production
 ``stepweaver.gd.raw_run`` (clip-form gradient written in place, values after
@@ -92,6 +98,33 @@ def q_min_pairwise(X, G, F, include_star: bool = True):
         - (gsq[:, :, None] + gsq[:, None, :] - 2.0 * gg)
     )
     return Q.min(axis=(1, 2)) if not squeeze else float(Q.min())
+
+
+def q_min_row_blocks_reference(X, G, F, include_star: bool = True, pair_block: int = 2**18):
+    """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace."""
+    rows = X.shape[0] + 1 if include_star else X.shape[0]
+    chunk = max(1, pair_block // (rows * rows))
+    minima = []
+    for i in range(0, X.shape[1], chunk):
+        # batch axes to the front: (N, b, d) -> (b, N, d)
+        Xb, Gb, Fb = (np.moveaxis(a[:, i : i + chunk], 0, 1) for a in (X, G, F))
+        batch, n, d = Gb.shape
+        gsq = np.einsum("bnd,bnd->bn", Gb, Gb)
+        P = np.zeros((batch, rows, d + 2))
+        R = np.zeros((batch, rows, d + 2))
+        P[:, :n, :d] = Gb - Xb
+        P[:, :n, d] = 2.0 * Fb - gsq
+        P[:, :, d + 1] = 1.0
+        R[:, :n, :d] = 2.0 * Gb
+        R[:, :, d] = 1.0
+        R[:, :n, d + 1] = 2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb - gsq
+        Rt = R.swapaxes(1, 2)
+        block = max(1, pair_block // (batch * rows))
+        q = (P[:, :block] @ Rt).min(axis=(1, 2))
+        for r in range(block, rows, block):
+            q = np.minimum(q, (P[:, r : r + block] @ Rt).min(axis=(1, 2)))
+        minima.append(q)
+    return np.concatenate(minima)
 
 
 def build_tables_reference(n_max):

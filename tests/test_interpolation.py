@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import q_min_pairwise
+from oracles import q_min_pairwise, q_min_row_blocks_reference
 from stepweaver import builders, dsl, gd, optimizer, verify
 from stepweaver.builders import right_heavy, silver
 from stepweaver.gd import quad_instance, raw_run, run
@@ -102,6 +102,50 @@ class TestGramKernelOracle:
         assert _q_min_raw(zero, zero, np.zeros(1)) == 0.0
 
 
+class TestSubBatchedKernel:
+    """The sub-batched kernel against the row-block kernel it replaced, on
+    both sides of its switch from whole instances per product to row blocks
+    of one instance at N^2 = ``_PAIR_BLOCK`` (N = n + 2 = 256 at n = 254
+    with the star row, N = n + 1 = 256 at n = 255 without)."""
+
+    @pytest.mark.parametrize("include_star", [True, False])
+    @pytest.mark.parametrize("n", [0, 1, 253, 254, 255, 383, 511])
+    def test_minima_are_byte_equal_to_row_blocks(self, n, include_star):
+        assert verify._PAIR_BLOCK == 256**2
+        for batch in (1, 7, 50):
+            for d in (1, 2, 4, 8):
+                X, G, F = convex_traces(1000 * n + 10 * batch + d, n, batch, d)
+                got = _q_min_batched(X, G, F, include_star)
+                assert got.tobytes() == q_min_row_blocks_reference(X, G, F, include_star).tobytes(), (batch, d)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [30, 300])  # 7 instances in one product; row blocks
+    def test_nan_stays_in_its_instance(self, n, bad):
+        """A NaN value makes a whole row and column of Q NaN; an infinite one
+        makes only Q_ii NaN, so the NaN sits in one row block."""
+        X, G, F = convex_traces(17, n, 7, 2)
+        F[n // 2, 3] = bad
+        with np.errstate(invalid="ignore"):
+            got = _q_min_batched(X, G, F)
+        assert np.isnan(got).tolist() == [i == 3 for i in range(7)]
+        with np.errstate(invalid="ignore"):
+            assert got.tobytes() == q_min_row_blocks_reference(X, G, F).tobytes()
+
+    @pytest.mark.parametrize("n", [511, 255])
+    def test_peak_memory_is_bounded(self, n):
+        """P, R^T and the product buffer each hold at most 2**16 entries:
+        about 1.9 MiB, where P and R^T of a whole 50-instance group would
+        take 3.9 MiB at n = 511."""
+        X, G, F = convex_traces(19, n, 50, 8)
+        tracemalloc.start()
+        try:
+            _q_min_batched(X, G, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
 def long_schedules():
     """The eight join-built schedules with n in 255..511 that the benchmark's
     verify-long workload verifies."""
@@ -130,6 +174,29 @@ def test_long_reports_match_pairwise_oracle(monkeypatch):
         for got, want in zip(report.checks, expected.checks):
             assert got.passed == want.passed, got.name
             if got.name == "interpolation":
+                assert abs(got.slack - want.slack) <= 1e-12
+            else:
+                assert got.slack == want.slack or np.isnan(got.slack) and np.isnan(want.slack)
+                assert got.instance == want.instance
+
+
+def test_long_reports_match_pairwise_oracle_per_instance(monkeypatch):
+    """The verify-long reports with the pairwise oracle, one instance at a
+    time, in place of the kernel the verifier calls."""
+    cfg = RunConfig()
+    schedules = long_schedules()
+    reports = [verify_schedule(h, cfg) for h in schedules]
+
+    def oracle(X, G, F):
+        return np.array([q_min_pairwise(X[:, i], G[:, i], F[:, i]) for i in range(X.shape[1])])
+
+    monkeypatch.setattr(verify, "_q_min_batched", oracle)
+    for h, report in zip(schedules, reports):
+        expected = verify_schedule(h, cfg)
+        assert (report.passed, report.certified) == (expected.passed, expected.certified)
+        for got, want in zip(report.checks, expected.checks, strict=True):
+            assert (got.name, got.passed) == (want.name, want.passed)
+            if got.name == "interpolation":  # near-ties may name another witness
                 assert abs(got.slack - want.slack) <= 1e-12
             else:
                 assert got.slack == want.slack or np.isnan(got.slack) and np.isnan(want.slack)

@@ -139,6 +139,32 @@ class TestRunConfig:
         with pytest.raises(ScheduleFileError, match=message):
             RunConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("name", ["identity_tol", "slack_tol", "tight_tol", "q_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_tolerances_must_be_finite(self, name, value):
+        with pytest.raises(ScheduleFileError, match=f"config field {name} must be"):
+            RunConfig.from_dict({name: value})
+
+    def test_infinite_tolerances_cannot_pass_a_wrong_rate(self, tmp_path, capsys):
+        """A silver(2) file whose rate is 0.3 (not 0.1716) fails revalidation
+        under the default config, and an all-Infinity config is refused
+        instead of passing it."""
+        sched = tmp_path / "h.json"
+        main(["compose", "silver(2)", "--class", "s", "--out", str(sched)])
+        doc = json.loads(sched.read_text())
+        doc["rate"] = 0.3
+        del doc["construction"]
+        sched.write_text(json.dumps(doc))
+        config = tmp_path / "config.json"
+        config.write_text('{"identity_tol": Infinity, "slack_tol": Infinity, "tight_tol": Infinity, "q_tol": Infinity}')
+        capsys.readouterr()
+        assert main(["verify", str(sched)]) == 4
+        assert "rate fails revalidation" in capsys.readouterr().err
+        assert main(["verify", str(sched), "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config field identity_tol must be finite, got inf\n"
+
     def test_cache_dir_is_an_unknown_key(self, tmp_path, capsys):
         sched = tmp_path / "h.json"
         main(["compose", "silver(2)", "--class", "s", "--out", str(sched)])
@@ -337,6 +363,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: expected float")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--x0", "nan"], "x0 must be finite, got nan at coordinate 0"),
+            (["--x0=-inf"], "x0 must be finite, got -inf at coordinate 0"),
+            (["--function", "random:d=2", "--x0", "1,1e309"], "x0 must be finite, got inf at coordinate 1"),
+            (["--x0", "1e308"], "trace row 0 of 0..3 overflows; rerun from a smaller --x0"),
+            (
+                ["--function", "huber:delta=1e-3", "--x0", "1e200"],
+                "half_dist_sq overflows on this trace; rerun from a smaller --x0",
+            ),
+        ],
+    )
+    def test_run_non_finite_is_an_argument_error(self, tmp_path, capsys, flags, message):
+        """A non-finite start point, or a trace or summary that overflows,
+        exits 2 with nothing on stdout: no CSV row, no NaN or Infinity."""
+        out = tmp_path / "h.json"
+        main(["compose", "silver(2)", "--class", "s", "--out", str(out)])
+        trace = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert main(["run", str(out), *flags]) == 2
+        assert main(["run", str(out), *flags, "--out", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n" * 2
+        assert not trace.exists()
 
     @pytest.mark.parametrize(
         "spec,message",
