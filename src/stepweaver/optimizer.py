@@ -101,8 +101,9 @@ def _extend(tables: "RateTables | None", n_max: int, f_max: "int | None" = None)
     f, f_split = _rows(old.f_rate, old.f_split, f_max)
     ss = s * s
     buf = tuple(np.empty(max(n_max // 2, f_max - 1)) for _ in range(3))
+    s_cols = (s, s_split, ss)
     for n in range(min(old.n_max, n_max) + 1, n_max + 1):
-        _fill_s_row(n, (s, s_split, ss), buf)
+        _fill_s_row(n, s_cols, buf)
     f_cols = (s, f, f_split, ss, 4.0 * f)
     for n in range(min(old.f_max, f_max) + 1, f_max + 1):
         _fill_f_row(n, f_cols, buf)
@@ -119,24 +120,30 @@ def _fill_s_row(n: int, cols: tuple, buf: tuple) -> None:
     commutative, so split ``m`` and ``n - m`` tie and the first minimum lies
     in ``m <= n // 2``; only those splits are scanned.  The factor 2 of the
     numerator is applied to the minimum only, which is exact for the normal
-    floats the rates are.
+    floats the rates are.  A row costs eight ufunc calls, so each operand is
+    sliced once, ``out`` is passed by position and the scalar tail runs on
+    Python floats (the same IEEE operations).
     """
+    multiply, add, sqrt, divide = np.multiply, np.add, np.sqrt, np.divide
     s, s_split, ss = cols
     h = n // 2
-    p, d, t = (x[:h] for x in buf)
+    p, d, t = buf
+    p, d, t = p[:h], d[:h], t[:h]
     m, rest = slice(1, h + 1), slice(n - 1, n - h - 1, -1)  # splits m and rows n - m
-    np.multiply(s[m], s[rest], out=p)
-    np.multiply(6.0, p, out=t)
-    np.add(ss[m], ss[rest], out=d)
-    np.add(d, t, out=d)
-    np.sqrt(d, out=d)
-    np.add(s[m], s[rest], out=t)
-    np.add(t, d, out=d)
-    np.divide(p, d, out=p)
-    i = int(p.argmin())
-    s[n] = 2.0 * p[i]
+    a, b = s[m], s[rest]
+    multiply(a, b, p)
+    multiply(6.0, p, t)
+    add(ss[m], ss[rest], d)
+    add(d, t, d)
+    sqrt(d, d)
+    add(a, b, t)
+    add(t, d, d)
+    divide(p, d, p)
+    i = p.argmin()
+    v = 2.0 * p.item(i)
+    s[n] = v
     s_split[n] = i + 1
-    ss[n] = s[n] * s[n]
+    ss[n] = v * v
 
 
 def _fill_f_row(n: int, cols: tuple, buf: tuple) -> None:
@@ -146,20 +153,24 @@ def _fill_f_row(n: int, cols: tuple, buf: tuple) -> None:
     Bit-identical to ``argmin`` over ``_fgjoin_rate(s[1:n], f[n-1:0:-1])``,
     in the manner of :func:`_fill_s_row`, over all ``n - 1`` splits.
     """
+    multiply, add, sqrt, divide = np.multiply, np.add, np.sqrt, np.divide
     s, f, f_split, ss, f4 = cols
-    p, d, t = (x[: n - 1] for x in buf)
+    p, d, t = buf
+    p, d, t = p[: n - 1], d[: n - 1], t[: n - 1]
     m, rest = slice(1, n), slice(n - 1, 0, -1)
-    np.multiply(s[m], f[rest], out=p)
-    np.multiply(8.0, p, out=t)
-    np.add(ss[m], t, out=d)
-    np.sqrt(d, out=d)
-    np.add(s[m], f4[rest], out=t)
-    np.add(t, d, out=d)
-    np.divide(p, d, out=p)
-    j = int(p.argmin())
-    f[n] = 2.0 * p[j]
+    a = s[m]
+    multiply(a, f[rest], p)
+    multiply(8.0, p, t)
+    add(ss[m], t, d)
+    sqrt(d, d)
+    add(a, f4[rest], t)
+    add(t, d, d)
+    divide(p, d, p)
+    j = p.argmin()
+    v = 2.0 * p.item(j)
+    f[n] = v
     f_split[n] = j + 1
-    f4[n] = 4.0 * f[n]
+    f4[n] = 4.0 * v
 
 
 def build_tables(n_max: int) -> RateTables:
@@ -364,17 +375,18 @@ def write_rate_csv(fh, n_rows: int, columns: dict) -> None:
     ends: for each ``prefix -> table`` in ``columns``, the columns
     ``<prefix>rate`` and ``<prefix>normalized`` (``rate * n^p``), in 17
     significant digits.  ``n^p`` is Python's float power: numpy's ``power``
-    differs from it in the last bit for some n."""
+    differs from it in the last bit for some n.  Each normalized column is
+    one elementwise multiply, the same IEEE product as in Python floats."""
     names = [p + name for p in columns for name in ("rate", "normalized")]
     line = "%d,%d" + ",%.17g,%.17g" * len(columns) + "\r\n"
-    tabs = [tab[1 : n_rows + 1].tolist() for tab in columns.values()]
-
-    def row(n, rates):
-        scale = n**P_EXPONENT
-        return line % (n, n - 1, *(v for rate in rates for v in (rate, rate * scale)))
-
+    ns = range(1, n_rows + 1)
+    scale = np.array([n**P_EXPONENT for n in ns])
+    values = []
+    for tab in columns.values():
+        rate = tab[1 : n_rows + 1]
+        values += [rate.tolist(), (rate * scale).tolist()]
     fh.write(",".join(["n", "length"] + names) + "\r\n")
-    fh.writelines(map(row, range(1, n_rows + 1), zip(*tabs)))
+    fh.writelines(map(line.__mod__, zip(ns, range(n_rows), *values)))
 
 
 # ---------------------------------------------------------------------------

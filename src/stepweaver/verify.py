@@ -22,6 +22,7 @@ with the absolute ``q_tol``.
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from typing import NamedTuple
 
@@ -121,13 +122,21 @@ def build_f_certificate(tree: CompositionTree) -> CertificateV:
 
 
 def _dot(a, b):
-    return np.sum(a * b, axis=-1)
+    return np.add.reduce(a * b, -1)
+
+
+def _weighted_sum(v, a):
+    """``sum_i v[i] * a[i]`` over the first axis of ``a`` for a 1-D ``v``:
+    ``np.tensordot(v, a, axes=(0, 0))``, by the same reshape and 2-D
+    ``np.dot`` that it runs, so the same BLAS call gives the same bits."""
+    n, rest = v.shape[0], a.shape[1:]
+    return np.dot(v.reshape(1, n), a.reshape(n, math.prod(rest))).reshape(rest)
 
 
 def _f_cert_slack_raw(v, X, G, F):
     terms = 2.0 * (F - F[-1]) + _dot(G, G) + 2.0 * _dot(G, X[0] - X)
-    weighted = np.tensordot(v, terms, axes=(0, 0))
-    combo = np.tensordot(v, G, axes=(0, 0))
+    weighted = _weighted_sum(v, terms)
+    combo = _weighted_sum(v, G)
     return weighted - _dot(combo, combo)
 
 
@@ -141,7 +150,7 @@ def _g_slack_raw(eta, X, G, F):
 
 def _s_slack_raw(steps, eta, X, G, F):
     terms = 2.0 * (F[:-1] - F[-1]) + _dot(G[:-1], G[:-1]) + 2.0 * _dot(G[:-1], X[0] - X[:-1])
-    weighted = np.tensordot(steps, terms, axes=(0, 0))
+    weighted = _weighted_sum(steps, terms)
     diff = X[-1] - X[0]
     return weighted - _dot(diff, diff) - (1.0 - eta) / (eta * eta) * _dot(G[-1], G[-1])
 
@@ -151,7 +160,7 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
     res_f = X[-1] - G[-1] / eta  # x* = 0
     f_resid = 0.5 * _dot(res_f, res_f)
     f_slack = r * (0.5 * _dot(X[0], X[0]) - f_resid) - F[-1]
-    hg = np.tensordot(steps, G[:-1], axes=(0, 0))
+    hg = _weighted_sum(steps, G[:-1])
     res_g = G[0] - eta * hg - eta * G[-1]
     g_resid = 0.5 * _dot(res_g, res_g)
     g_slack = r * (F[0] - g_resid) - 0.5 * _dot(G[-1], G[-1])
@@ -170,14 +179,14 @@ def _gram_rows(X, G, F, P, Rt) -> None:
     ``(m, N, d+2)`` and ``Rt`` of shape ``(m, d+2, N)``, where N is n+1, or
     n+2 with the star row last."""
     points, _, d = X.shape
-    Xb, Gb, Fb = (np.moveaxis(a, 0, 1) for a in (X, G, F))
+    Xb, Gb, Fb = X.swapaxes(0, 1), G.swapaxes(0, 1), F.T
     gsq = np.einsum("bnd,bnd->bn", Gb, Gb)
     # elementwise work runs in the trace's own layout, then one strided copy
-    P[:, :points, :d] = np.moveaxis(G - X, 0, 1)
+    P[:, :points, :d] = (G - X).swapaxes(0, 1)
     np.subtract(2.0 * Fb, gsq, out=P[:, :points, d])
     P[:, :, d + 1] = 1.0
     P[:, points:, : d + 1] = 0.0
-    np.multiply(np.moveaxis(G, 0, 2), 2.0, out=Rt[:, :d, :points])
+    np.multiply(G.transpose(1, 2, 0), 2.0, out=Rt[:, :d, :points])
     Rt[:, :d, points:] = 0.0
     Rt[:, d] = 1.0
     np.subtract(2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb, gsq, out=Rt[:, d + 1, :points])
@@ -438,7 +447,8 @@ def _packed_run(steps, coords, tight):
     each ``(m, 1)``, with the 1-D ``tight`` instances appended as coordinates
     that start from 1.  Returns the whole trace and one ``(x, g, f)`` per tight
     instance, copied contiguous: a strided ``(n+1, 1)`` view sends
-    ``tensordot`` down another BLAS path, which changes the last bits."""
+    the ``np.dot`` of :func:`_weighted_sum` down another BLAS path, which
+    changes the last bits."""
     is_huber, param, x0 = coords
     m = x0.shape[0]
     xs, gs, fs = raw_run(

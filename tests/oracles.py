@@ -11,6 +11,11 @@ one fresh product per block of rows.  The production kernel,
 ``stepweaver.verify._q_min_batched`` (sub-batched rows, one reused product
 buffer), must give the same minima byte for byte.
 
+``gram_rows_reference`` writes the Gram rows of a trace through
+``np.moveaxis`` views.  The production ``stepweaver.verify._gram_rows``
+(``swapaxes``/``transpose`` views of the same strides) must write the same
+bytes.
+
 ``raw_run_reference`` is the per-step GD loop that evaluates the branchy
 Huber/quadratic gradient and the value at every step.  The production
 ``stepweaver.gd.raw_run`` (clip-form gradient written in place, values after
@@ -125,6 +130,24 @@ def q_min_row_blocks_reference(X, G, F, include_star: bool = True, pair_block: i
             q = np.minimum(q, (P[:, r : r + block] @ Rt).min(axis=(1, 2)))
         minima.append(q)
     return np.concatenate(minima)
+
+
+def gram_rows_reference(X, G, F, P, Rt) -> None:
+    """Write the Gram rows of an ``(n+1, m, d)`` trace into ``P`` of shape
+    ``(m, N, d+2)`` and ``Rt`` of shape ``(m, d+2, N)``, where N is n+1, or
+    n+2 with the star row last."""
+    points, _, d = X.shape
+    Xb, Gb, Fb = (np.moveaxis(a, 0, 1) for a in (X, G, F))
+    gsq = np.einsum("bnd,bnd->bn", Gb, Gb)
+    P[:, :points, :d] = np.moveaxis(G - X, 0, 1)
+    np.subtract(2.0 * Fb, gsq, out=P[:, :points, d])
+    P[:, :, d + 1] = 1.0
+    P[:, points:, : d + 1] = 0.0
+    np.multiply(np.moveaxis(G, 0, 2), 2.0, out=Rt[:, :d, :points])
+    Rt[:, :d, points:] = 0.0
+    Rt[:, d] = 1.0
+    np.subtract(2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb, gsq, out=Rt[:, d + 1, :points])
+    Rt[:, d + 1, points:] = 0.0
 
 
 def build_tables_reference(n_max):

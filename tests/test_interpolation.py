@@ -1,4 +1,5 @@
-"""The Gram-form interpolation kernel against the pairwise oracle, the cached
+"""The Gram-form interpolation kernel against the pairwise oracle, the
+battery-evaluation helpers against the numpy calls they replace, the cached
 battery, and the program names that the benchmark's traced run wraps."""
 
 import importlib.util
@@ -13,14 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import q_min_pairwise, q_min_row_blocks_reference
+from oracles import gram_rows_reference, q_min_pairwise, q_min_row_blocks_reference
 from stepweaver import builders, dsl, gd, optimizer, verify
 from stepweaver.builders import right_heavy, silver
 from stepweaver.gd import quad_instance, raw_run, run
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import build_tables, obs_f, obs_g, obs_s
 from stepweaver.schedule import CompClass
-from stepweaver.verify import _q_min_batched, _q_min_raw, verify_schedule
+from stepweaver.verify import _dot, _gram_rows, _q_min_batched, _q_min_raw, _weighted_sum, verify_schedule
 
 DIMS = st.sampled_from([1, 2, 4, 8])
 
@@ -146,6 +147,74 @@ class TestSubBatchedKernel:
         assert peak <= 4 * 2**20
 
 
+def layout_traces(layout, n, d, batch=5):
+    """``(X, G, F)`` of ``n + 1`` points in one of the layouts the verifier
+    evaluates: ``contiguous`` ``(n+1, B, d)`` arrays; ``packed``, strided
+    ``(n+1, B, d)`` views of a packed ``(n+1, M, 1)`` trace cut as
+    ``verify._run_chunk`` cuts it; ``single``, the ``(n+1, d)`` and ``(n+1,)``
+    arrays of one trace that ``check_f_certificate`` passes."""
+    X, G, F = convex_traces(100 * n + d, n, 3 * batch, d)
+    if layout == "single":
+        return X[:, 0].copy(), G[:, 0].copy(), F[:, 0].copy()
+    if layout == "contiguous":
+        return X[:, :batch].copy(), G[:, :batch].copy(), F[:, :batch].copy()
+    # one coordinate per column, as raw_run leaves a packed chunk
+    xs, gs = (a.reshape(n + 1, -1, 1) for a in (X, G))
+    start, stop = 2 * d + 1, 2 * d + 1 + batch * d
+    X, G = (a[:, start:stop].reshape(-1, batch, d) for a in (xs, gs))
+    F = 0.5 * (X * G).sum(axis=-1)  # any values: F is a fresh array in the verifier too
+    assert n == 0 or not X.flags.c_contiguous  # one point is a contiguous row
+    return X, G, F
+
+
+LAYOUTS = pytest.mark.parametrize("layout", ["contiguous", "packed", "single"])
+SIZES = pytest.mark.parametrize("n", [0, 1, 40, 255])
+WIDTHS = pytest.mark.parametrize("d", [1, 2, 4, 8])
+
+
+class TestWrapperFreeHelpers:
+    """The battery slacks call ``_weighted_sum`` for ``np.tensordot(v, a,
+    axes=(0, 0))`` and ``_dot`` with ``np.add.reduce``, and ``_gram_rows``
+    reads ``swapaxes``/``transpose`` views; each must give the bytes of the
+    numpy call it replaces, on every layout the verifier passes."""
+
+    @LAYOUTS
+    @SIZES
+    @WIDTHS
+    def test_weighted_sum_is_tensordot(self, layout, n, d):
+        X, G, F = layout_traces(layout, n, d)
+        v = np.random.default_rng(n + d).uniform(0.1, 3.0, n + 1)
+        terms = 2.0 * (F - F[-1]) + np.sum(G * G, axis=-1)
+        for w, a in ((v, terms), (v, G), (v[:-1], G[:-1]), (v[:-1], terms[:-1])):
+            want = np.tensordot(w, a, axes=(0, 0))
+            got = _weighted_sum(w, a)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @LAYOUTS
+    @SIZES
+    @WIDTHS
+    def test_dot_is_sum_of_products(self, layout, n, d):
+        X, G, F = layout_traces(layout, n, d)
+        for a, b in ((G, G), (G, X[0] - X), (X[0], X[0]), (G[-1], G[-1]), (G[:-1], X[0] - X[:-1])):
+            want = np.sum(a * b, axis=-1)
+            got = _dot(a, b)
+            assert (type(got), np.shape(got)) == (type(want), np.shape(want))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("layout", ["contiguous", "packed"])
+    @pytest.mark.parametrize("include_star", [True, False])
+    @SIZES
+    @WIDTHS
+    def test_gram_rows_match_moveaxis_version(self, layout, include_star, n, d):
+        X, G, F = layout_traces(layout, n, d)
+        rows, batch = n + 1 + include_star, X.shape[1]
+        got = np.full((batch, rows, d + 2), np.nan), np.full((batch, d + 2, rows), np.nan)
+        want = np.full((batch, rows, d + 2), np.nan), np.full((batch, d + 2, rows), np.nan)
+        _gram_rows(X, G, F, *got)
+        gram_rows_reference(X, G, F, *want)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def long_schedules():
     """The eight join-built schedules with n in 255..511 that the benchmark's
     verify-long workload verifies."""
@@ -160,24 +229,6 @@ def long_schedules():
         obs_s(511, tables),
         right_heavy(9),
     ]
-
-
-def test_long_reports_match_pairwise_oracle(monkeypatch):
-    cfg = RunConfig()
-    schedules = long_schedules()
-    reports = [verify_schedule(h, cfg) for h in schedules]
-    monkeypatch.setattr(verify, "_q_min_raw", q_min_pairwise)
-    for h, report in zip(schedules, reports):
-        expected = verify_schedule(h, cfg)
-        assert (report.passed, report.certified) == (expected.passed, expected.certified)
-        assert [c.name for c in report.checks] == [c.name for c in expected.checks]
-        for got, want in zip(report.checks, expected.checks):
-            assert got.passed == want.passed, got.name
-            if got.name == "interpolation":
-                assert abs(got.slack - want.slack) <= 1e-12
-            else:
-                assert got.slack == want.slack or np.isnan(got.slack) and np.isnan(want.slack)
-                assert got.instance == want.instance
 
 
 def test_long_reports_match_pairwise_oracle_per_instance(monkeypatch):

@@ -320,6 +320,15 @@ class TestCli:
     def test_cap_error_exit_5(self, capsys):
         assert main(["compose", "silver(99)", "--class", "s"]) == 5
 
+    def test_optimize_cap_names_the_requested_length(self, capsys):
+        assert main(["optimize", "--class", "s", "--n", "20001"]) == 5
+        assert capsys.readouterr().err == (
+            "error: --n 20001 exceeds the largest accepted length 20000 (O(N^2) table fill)\n"
+        )
+        with pytest.raises(SystemExit):
+            main(["optimize", "--help"])
+        assert "schedule length, at most 20000" in " ".join(capsys.readouterr().out.split())
+
     def test_run_huber_tight(self, tmp_path, capsys):
         out = tmp_path / "h.json"
         main(["compose", "(e |> e)", "--class", "f", "--out", str(out)])

@@ -206,7 +206,22 @@ def reference_4096():
     return build_tables_reference(4096)
 
 
+@pytest.fixture(scope="module")
+def reference_700():
+    return build_tables_reference(700)
+
+
 RATES = st.floats(1e-12, 1.0)
+
+
+@st.composite
+def fill_requests(draw):
+    """``(prefix, n_max, f_max)``: row counts of a fill and the ``(n_max,
+    f_max)`` of the table it extends (none: a fresh fill), on either side."""
+    n_max = draw(st.integers(1, 700))
+    f_max = draw(st.integers(1, n_max))
+    prefix = draw(st.none() | st.integers(1, 700).flatmap(lambda p: st.tuples(st.just(p), st.integers(1, p))))
+    return prefix, n_max, f_max
 
 
 class TestFillKernel:
@@ -248,6 +263,16 @@ class TestFillKernel:
         got = optimizer._extend(optimizer._extend(None, *first), *then)
         assert (got.n_max, got.f_max) == then
         _same_rows(got, reference_4096, *then)
+
+    @given(fill=fill_requests())
+    def test_any_fill_from_any_prefix_matches_reference(self, fill, reference_700):
+        """h = 1 rows, odd and even n, s-only fills, prefixes shorter or
+        longer than the request and f rows shorter than s rows."""
+        prefix, n_max, f_max = fill
+        tables = None if prefix is None else optimizer._extend(None, *prefix)
+        got = optimizer._extend(tables, n_max, f_max)
+        assert (got.n_max, got.f_max) == (n_max, f_max)
+        _same_rows(got, reference_700, n_max, f_max)
 
     def test_fill_peak_memory_stays_bounded(self):
         """tracemalloc peak of a 4096-row fill, in table columns of 4097
@@ -329,6 +354,17 @@ class TestRateCsv:
         write_rate_csv_reference(want, n_rows, columns)
         assert got.getvalue() == want.getvalue()
         assert got.getvalue().count("\r\n") == n_rows + 1
+
+    @given(st.integers(1, 3000), st.integers(0, 40), st.sampled_from([("",), ("s_", "f_")]), st.integers(0, 2**32 - 1))
+    def test_random_tables_match_the_csv_writer(self, n_rows, extra, prefixes, seed):
+        """Rates of any magnitude, from tables ``extra`` rows longer than
+        the rows written."""
+        rng = np.random.default_rng(seed)
+        columns = {p: np.concatenate([[np.nan], 10.0 ** rng.uniform(-9.0, 0.0, n_rows + extra)]) for p in prefixes}
+        got, want = io.StringIO(newline=""), io.StringIO(newline="")
+        write_rate_csv(got, n_rows, columns)
+        write_rate_csv_reference(want, n_rows, columns)
+        assert got.getvalue() == want.getvalue()
 
 
 class TestEnumeration:
