@@ -25,6 +25,7 @@ from .schedule import (
 
 # Length 2^k - 1 at level k: keep the doubling family under ~8 MB of steps.
 MAX_SILVER_LEVEL = 20
+# Longest schedule the extensions and the constant schedules build.
 MAX_EXTEND_LEN = 100_000
 
 
@@ -106,12 +107,11 @@ def _extend(h: StepSchedule, n: int, op: JoinOp) -> StepSchedule:
     mus = []
     for _ in range(n - h.n):
         # the empty s-side has rate 1, so both joins use the same formulas
-        mu = middle_step(op, 1.0, rate)
+        mus.append(middle_step(op, 1.0, rate))
         rate = join_rate(op, 1.0, rate)
-        mus.append(mu)
         if tree is not None:
             pair = (tree, LEAF) if op is JoinOp.GJOIN else (LEAF, tree)
-            tree = CompositionTree(op, *pair, mu)
+            tree = CompositionTree(op, *pair)
     steps = [h.steps, mus] if op is JoinOp.GJOIN else [mus[::-1], h.steps]
     out = StepSchedule(np.concatenate(steps), cls, rate, tree)
     validate_schedule(out)
@@ -168,10 +168,13 @@ def constant_optimal(comp_class: CompClass, n: int, unverified: bool = False) ->
     ``1/(1 + h*n) = (h-1)^n`` for class S, on ``h in (1, 2)`` by bisection.
     Not join-built (no tree).  The S variant is proven only for n <= 2 and is
     flagged conjectured beyond that; the F variant is conjectured outright and
-    requires ``unverified=True``.
+    requires ``unverified=True``.  Lengths above ``MAX_EXTEND_LEN`` raise
+    ``ResourceCapError`` before the bisection.
     """
     if n < 1:
         raise ScheduleError(f"need n >= 1, got {n}")
+    if n > MAX_EXTEND_LEN:
+        raise ResourceCapError(f"length {n} exceeds cap {MAX_EXTEND_LEN}")
     if comp_class is CompClass.F and not unverified:
         raise UncertifiedScheduleError(
             "the constant f-class schedule is conjectural and carries no rate "

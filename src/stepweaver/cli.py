@@ -73,16 +73,12 @@ def cmd_compose(args) -> int:
 _OBS = {CompClass.S: optimizer.obs_s, CompClass.F: optimizer.obs_f, CompClass.G: optimizer.obs_g}
 
 
-MAX_OPTIMIZE_N = optimizer.MAX_TABLE_N - 1  # a length-n schedule reads table row n + 1
-
-
 def cmd_optimize(args) -> int:
-    try:
-        tables = optimizer.load_or_build(args.n + 1, args.cache, f_table=args.comp_class is not CompClass.S)
-    except ResourceCapError:
+    if args.n > optimizer.MAX_OBS_LEN:
         raise ResourceCapError(
-            f"--n {args.n} exceeds the largest accepted length {MAX_OPTIMIZE_N} (O(N^2) table fill)"
-        ) from None
+            f"--n {args.n} exceeds the largest accepted length {optimizer.MAX_OBS_LEN} (O(N^2) table fill)"
+        )
+    tables = optimizer.load_or_build(args.n + 1, args.cache, f_table=args.comp_class is not CompClass.S)
     schedule = _OBS[args.comp_class](args.n, tables)
     macro = f"obs{args.comp_class.value}"
     if args.table:
@@ -119,7 +115,7 @@ def cmd_verify(args) -> int:
         config = dataclasses.replace(config, **overrides)  # re-runs validation
     schedule = load_schedule(args.file, config.identity_tol)
     report = verify_schedule(schedule, config)
-    if args.json or config.output_format == "json":
+    if args.json:
         print(report.to_json())
     else:
         print(report.summary())
@@ -243,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("optimize", help="rate-optimal schedule of a given length")
     o.add_argument("--class", dest="comp_class", type=_class_arg, required=True)
     o.add_argument(
-        "--n", type=_nonnegative_int, required=True, help=f"schedule length, at most {MAX_OPTIMIZE_N}"
+        "--n", type=_nonnegative_int, required=True, help=f"schedule length, at most {optimizer.MAX_OBS_LEN}"
     )
     o.add_argument("--out", help="write the schedule file here")
     o.add_argument("--table", help="write the rate table CSV here")

@@ -16,7 +16,11 @@ coordinate has curvature 1 and cap ``delta``, a quadratic one has curvature
 ``clip(a*x, -inf, inf) == a*x``; at the kink it returns ``x``, the value of
 both branches.  ``raw_run`` writes each gradient and step in place into the
 trace and evaluates ``f`` after the loop, in row blocks, since no step
-needs it.
+needs it.  A trace is its arrays ``x, g, f`` and nothing else; ``run``
+wraps one unbatched ``raw_run`` in a :class:`GDTrace`.
+
+Each class's tight instances, from ``x0 = 1``, are the unit quadratic and
+the Huber function with the kink :func:`tight_delta` gives.
 
 Randomized generators take a ``numpy.random.Generator`` (PCG64 via
 ``default_rng`` everywhere in this package) so seeded runs reproduce
@@ -30,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schedule import CompClass, ScheduleError, StepSchedule
+from .schedule import CompClass, ScheduleError, StepSchedule, fg_rates_from_s
 
 
 def _coord_value(x, is_huber, param):
@@ -124,13 +128,12 @@ def random_x0(rng: np.random.Generator, d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GDTrace:
-    """Full history of one run: points, gradients, and values, 0..n."""
+    """Full history of one run: points, gradients, and values, 0..n.  Only
+    the arrays: the caller holds the schedule and the instance that made it."""
 
     x: np.ndarray  # (n+1, d)
     g: np.ndarray  # (n+1, d)
     f: np.ndarray  # (n+1,)
-    schedule: StepSchedule
-    instance: ProblemInstance
 
     @property
     def n(self) -> int:
@@ -200,12 +203,7 @@ def run(schedule: StepSchedule, instance: ProblemInstance, x0) -> GDTrace:
         i = int(np.argmin(finite))
         raise ScheduleError(f"x0 must be finite, got {float(x0[i])!r} at coordinate {i}")
     xs, gs, fs = raw_run(schedule.steps, instance.is_huber, instance.param, x0)
-    return GDTrace(xs, gs, fs, schedule, instance)
-
-
-class TightPair(NamedTuple):
-    huber: ProblemInstance
-    quad: ProblemInstance
+    return GDTrace(xs, gs, fs)
 
 
 # Which Huber kink makes each certified inequality an equality from x0 = 1.
@@ -213,6 +211,9 @@ TIGHT_PURPOSES = ("defining", "f-line", "g-line")
 
 
 def tight_delta(comp_class: CompClass, purpose: str, rate: float) -> float:
+    """The kink of the 1-D Huber instance that meets the class inequality of
+    ``purpose`` with equality from ``x0 = 1``; the unit quadratic
+    ``quad_instance()`` is tight for every defining inequality as well."""
     if not (0.0 < rate <= 1.0):
         raise ScheduleError(f"rate must lie in (0, 1], got {rate}")
     if purpose not in TIGHT_PURPOSES:
@@ -231,12 +232,6 @@ def tight_delta(comp_class: CompClass, purpose: str, rate: float) -> float:
     if purpose == "f-line":
         return rate / (2.0 - rate)
     return rate
-
-
-def tight_instance(comp_class: CompClass, purpose: str, rate: float) -> TightPair:
-    """The 1-D Huber instance that meets the class inequality with equality
-    from ``x0 = 1``, plus its full-curvature quadratic companion."""
-    return TightPair(huber_instance(tight_delta(comp_class, purpose, rate)), quad_instance(1.0))
 
 
 class WorstCaseResult(NamedTuple):
@@ -280,7 +275,7 @@ def certified_bound(schedule: StepSchedule, criterion: str) -> "float | None":
     """The certified value for a scan criterion, or None when the class
     does not certify it (F certifies gap, G certifies gradient, S both)."""
     if schedule.comp_class is CompClass.S:
-        return 1.0 / (2.0 / schedule.rate - 1.0)
+        return fg_rates_from_s(schedule)[0]
     if schedule.comp_class is CompClass.F and criterion == "objective_gap_per_D2":
         return schedule.rate
     if schedule.comp_class is CompClass.G and criterion == "gradnorm_per_gap":

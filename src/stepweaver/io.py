@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .schedule import (
+    DEFAULT_IDENTITY_TOL,
     CompClass,
     IdentityError,
     ScheduleError,
@@ -72,7 +73,7 @@ def save_schedule(path, schedule: StepSchedule, construction: "str | None" = Non
         fh.write(dumps_schedule(schedule, construction, provenance))
 
 
-def loads_schedule(text: str, identity_tol: float = 1e-9) -> StepSchedule:
+def loads_schedule(text: str, identity_tol: float = DEFAULT_IDENTITY_TOL) -> StepSchedule:
     """Parse and revalidate schedule-file JSON; see :func:`load_schedule`."""
     try:
         doc = json.loads(text)
@@ -133,7 +134,7 @@ def loads_schedule(text: str, identity_tol: float = 1e-9) -> StepSchedule:
     return schedule
 
 
-def load_schedule(path, identity_tol: float = 1e-9) -> StepSchedule:
+def load_schedule(path, identity_tol: float = DEFAULT_IDENTITY_TOL) -> StepSchedule:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_schedule(fh.read(), identity_tol)
 
@@ -148,14 +149,13 @@ class RunConfig:
 
     battery: int = 200
     seed: int = 0xC0FFEE
-    identity_tol: float = 1e-9
+    identity_tol: float = DEFAULT_IDENTITY_TOL
     slack_tol: float = 1e-8
     tight_tol: float = 1e-9
     q_tol: float = 1e-9
-    output_format: str = "text"
 
     def __post_init__(self):
-        for name in ("battery", "seed", "identity_tol", "slack_tol", "tight_tol", "q_tol"):
+        for name in (f.name for f in fields(self)):
             value = getattr(self, name)
             what = "integer" if name in ("battery", "seed") else "number"
             if not _is_number(value, int if what == "integer" else (int, float)) or not value > 0:
@@ -164,10 +164,6 @@ class RunConfig:
                 )
             if isinstance(value, float) and not math.isfinite(value):
                 raise ScheduleFileError(f"config field {name} must be finite, got {value!r}")
-        if self.output_format not in ("text", "json"):
-            raise ScheduleFileError(
-                f"config field output_format must be 'text' or 'json', got {self.output_format!r}"
-            )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":

@@ -41,6 +41,7 @@ from .schedule import (
 P_EXPONENT = float(np.log2(1.0 + np.sqrt(2.0)))
 
 MAX_TABLE_N = 20_001  # O(N^2) fill; ~2e4 is the supported envelope
+MAX_OBS_LEN = MAX_TABLE_N - 1  # a length-n schedule reads table row n + 1
 MAX_ENUM_LEN = 12
 CACHE_VERSION = 3
 C_LOW_GRID_STEP = 1e-3  # c_low: coarse lambda grid of the inner minimum
@@ -210,7 +211,7 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
                 continue
             (lsteps, ltree, lrate), (rsteps, rtree, rrate) = left, right
             mu = middle_step(op, lrate, rrate)  # both joins take the s-side operand on the left
-            row = (lsteps + (mu,) + rsteps, CompositionTree(op, ltree, rtree, mu), join_rate(op, lrate, rrate))
+            row = (lsteps + (mu,) + rsteps, CompositionTree(op, ltree, rtree), join_rate(op, lrate, rrate))
         if row[2] != rate[n]:
             raise ScheduleError(f"{c.value}-table reconstruction mismatch at row {n}")
         rows[key] = row
@@ -225,6 +226,8 @@ def _check_row(n: int, tables: "RateTables | None", f_table: bool) -> RateTables
     ``f_table``; without ``tables``, those of :func:`load_or_build`."""
     if n < 0:
         raise ScheduleError(f"length must be nonnegative, got {n}")
+    if n > MAX_OBS_LEN:
+        raise ResourceCapError(f"length {n} exceeds the largest accepted length {MAX_OBS_LEN} (O(N^2) table fill)")
     tables = tables or load_or_build(n + 1, f_table=f_table)
     name, rows = ("f_max", tables.f_max) if f_table else ("n_max", tables.n_max)
     if n + 1 > rows:

@@ -16,8 +16,10 @@ all three classes with rate exactly 1.
 
 Schedules of compatible classes combine with three join operations.  A
 join concatenates its operands around one closed-form middle step ``mu``
-and multiplies rates through a closed-form scalar join.  All values here
-are immutable; every operation is a pure function.
+and multiplies rates through a closed-form scalar join.  A join-built
+schedule carries its construction tree, which is a shape only: each ``mu``
+follows from the operand rates and is stored once, in the steps.  All
+values here are immutable; every operation is a pure function.
 """
 
 import enum
@@ -163,18 +165,18 @@ def middle_step(op: JoinOp, alpha: float, beta: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CompositionTree:
-    """Binary construction tree over empty-schedule leaves.
+    """Binary construction tree over empty-schedule leaves: a shape only.
 
-    ``op is None`` marks a leaf.  ``mu`` is filled when the tree comes from
-    a materialized schedule and is left ``None`` on freshly built shapes.
-    Equality and hashing are by identity: subtrees are routinely shared, so
-    structural comparison would blow up on large balanced trees.
+    ``op is None`` marks a leaf.  A join's middle step is fixed by its
+    operands' rates, so the steps of the schedule carrying the tree hold
+    every ``mu`` and the tree stores none.  Equality and hashing are by
+    identity: subtrees are routinely shared, so structural comparison would
+    blow up on large balanced trees (see :func:`trees_equal`).
     """
 
     op: "JoinOp | None" = None
     left: "CompositionTree | None" = None
     right: "CompositionTree | None" = None
-    mu: "float | None" = None
 
     @property
     def is_leaf(self) -> bool:
@@ -241,14 +243,13 @@ def admissible_classes(tree: CompositionTree) -> frozenset:
     return postorder(tree, lambda node: ALL_CLASSES, lambda node, left, right: join_classes(node.op, left, right))
 
 
-def trees_equal(a: CompositionTree, b: CompositionTree, check_mu: bool = False) -> bool:
-    """Structural tree equality, ignoring mu unless asked: both trees fold into
-    ids of one table of node shapes, in time linear in their distinct nodes."""
+def trees_equal(a: CompositionTree, b: CompositionTree) -> bool:
+    """Structural tree equality: both trees fold into ids of one table of node
+    shapes, in time linear in their distinct nodes."""
     shapes: dict = {}
 
     def combine(node, left, right):
-        shape = (node.op, left, right, node.mu) if check_mu else (node.op, left, right)
-        return shapes.setdefault(shape, len(shapes))
+        return shapes.setdefault((node.op, left, right), len(shapes))
 
     return postorder(a, lambda node: -1, combine) == postorder(b, lambda node: -1, combine)
 
@@ -359,7 +360,7 @@ def join(op: JoinOp, a: StepSchedule, b: StepSchedule) -> StepSchedule:
     steps = np.concatenate([a.steps, [mu], b.steps])
     tree = None
     if a.tree is not None and b.tree is not None:
-        tree = CompositionTree(op, a.tree, b.tree, mu)
+        tree = CompositionTree(op, a.tree, b.tree)
     out = StepSchedule(steps, result_class(op), rate, tree)
     validate_schedule(out)
     return out
@@ -382,7 +383,7 @@ def reverse(h: StepSchedule) -> StepSchedule:
     mirrored = postorder(
         h.tree,
         lambda node: LEAF,
-        lambda node, left, right: CompositionTree(_REVERSED_OP[node.op], right, left, node.mu),
+        lambda node, left, right: CompositionTree(_REVERSED_OP[node.op], right, left),
     )
     return StepSchedule(h.steps[::-1].copy(), _REVERSED_CLASS[h.comp_class], h.rate, mirrored)
 

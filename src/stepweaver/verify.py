@@ -18,6 +18,11 @@ minimum of Q_ij over all pairs, evaluated in Gram form (rank-(d+2) matrix
 products; the rows are assembled per sub-batch of instances and every
 product is written into one reused buffer, all of bounded size), is compared
 with the absolute ``q_tol``.
+
+The class's tight 1-D instances are ``(is_huber, param)`` columns that run
+as extra coordinates of the first battery chunk (and of one run of the
+reversed schedule), and are scored on the raw trace arrays: beside the
+cached battery, a verification builds no ``ProblemInstance`` or ``GDTrace``.
 """
 
 import functools
@@ -30,13 +35,11 @@ import numpy as np
 
 from .gd import (
     GDTrace,
-    huber_instance,
     random_instance,
     random_x0,
     raw_run,
     run,  # not called here; the benchmark's traced run wraps verify.run
     tight_delta,
-    tight_instance,
 )
 from .io import RunConfig
 from .schedule import (
@@ -294,20 +297,22 @@ def fg_residuals(schedule: StepSchedule, trace: GDTrace):
     return float(f_resid), float(g_resid)
 
 
-def defining_slack(schedule: StepSchedule, trace: GDTrace) -> float:
-    """Right-minus-left of the class's defining inequality on a trace."""
-    eta = schedule.rate
-    X, G, F = _trace_arrays(schedule, trace)
-    if schedule.comp_class is CompClass.F:
-        return float(_f_direct_slack_raw(eta, X, G, F))
-    if schedule.comp_class is CompClass.G:
-        return float(eta * (F[0] - 0.0) - 0.5 * _dot(G[-1], G[-1]))
+def _defining_slack_raw(comp_class: CompClass, eta: float, X, G, F):
+    if comp_class is CompClass.F:
+        return _f_direct_slack_raw(eta, X, G, F)
+    if comp_class is CompClass.G:
+        return eta * (F[0] - 0.0) - 0.5 * _dot(G[-1], G[-1])
     lhs = (
         0.5 * (1.0 - eta) * _dot(G[-1], G[-1])
         + 0.5 * eta * eta * _dot(X[-1], X[-1])
         + (eta - eta * eta) * (F[-1] - 0.0)
     )
-    return float(0.5 * eta * eta * _dot(X[0], X[0]) - lhs)
+    return 0.5 * eta * eta * _dot(X[0], X[0]) - lhs
+
+
+def defining_slack(schedule: StepSchedule, trace: GDTrace) -> float:
+    """Right-minus-left of the class's defining inequality on a trace."""
+    return float(_defining_slack_raw(schedule.comp_class, schedule.rate, *_trace_arrays(schedule, trace)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +449,20 @@ _NO_COORDS = (np.zeros((0, 1), dtype=bool), np.zeros((0, 1)), np.zeros((0, 1)))
 
 def _packed_run(steps, coords, tight):
     """``raw_run`` over packed coordinates ``coords = (is_huber, param, x0)``,
-    each ``(m, 1)``, with the 1-D ``tight`` instances appended as coordinates
-    that start from 1.  Returns the whole trace and one ``(x, g, f)`` per tight
-    instance, copied contiguous: a strided ``(n+1, 1)`` view sends
-    the ``np.dot`` of :func:`_weighted_sum` down another BLAS path, which
-    changes the last bits."""
-    is_huber, param, x0 = coords
-    m = x0.shape[0]
+    each ``(m, 1)``, with the 1-D tight instances ``tight = (is_huber, param)``,
+    each ``(k, 1)``, appended as coordinates that start from 1.  Returns the
+    whole trace and one ``(x, g, f)`` per tight instance, copied contiguous: a
+    strided ``(n+1, 1)`` view sends the ``np.dot`` of :func:`_weighted_sum`
+    down another BLAS path, which changes the last bits."""
+    (is_huber, param, x0), (tight_huber, tight_param) = coords, tight
+    m, k = x0.shape[0], tight_param.shape[0]
     xs, gs, fs = raw_run(
         steps,
-        np.concatenate([is_huber] + [inst.is_huber[:, None] for inst in tight]),
-        np.concatenate([param] + [inst.param[:, None] for inst in tight]),
-        np.concatenate([x0, np.ones((len(tight), 1))]),
+        np.concatenate([is_huber, tight_huber]),
+        np.concatenate([param, tight_param]),
+        np.concatenate([x0, np.ones((k, 1))]),
     )
-    traces = [
-        tuple(np.ascontiguousarray(a[:, k]) for a in (xs, gs, fs)) for k in range(m, m + len(tight))
-    ]
+    traces = [tuple(np.ascontiguousarray(a[:, j]) for a in (xs, gs, fs)) for j in range(m, m + k)]
     return (xs, gs, fs), traces
 
 
@@ -474,33 +477,34 @@ def _track_min(worst: dict, name: str, values, idx, d) -> None:
 
 
 def _tight_scorer(schedule: StepSchedule, tol: float, implied: bool = True):
-    """The class's tight 1-D instances, to run from ``x0 = 1``, and a scorer
-    that turns their traces, in the same order, into tightness checks: the
-    defining pair (quadratic first, then Huber) and, for class S when
+    """The class's tight 1-D instances as ``(is_huber, param)`` columns of
+    shape ``(k, 1)``, to run from ``x0 = 1``, and a scorer that turns their
+    traces, in the same order, into tightness checks: the defining pair (the
+    unit quadratic first, then the Huber instance) and, for class S when
     ``implied``, the Huber instances of the implied gap and gradient bounds."""
-    eta = schedule.rate
-    pair = tight_instance(schedule.comp_class, "defining", eta)
-    tight = [(pair.quad, "tight quadratic"), (pair.huber, "tight " + pair.huber.describe())]
-    if implied and schedule.comp_class is CompClass.S:
-        tight += [(huber_instance(tight_delta(CompClass.S, p, eta)), p) for p in ("f-line", "g-line")]
+    cls, eta = schedule.comp_class, schedule.rate
+    delta = tight_delta(cls, "defining", eta)
+    tight = [(False, 1.0, "tight quadratic"), (True, delta, f"tight huber:delta={delta:.12g}")]
+    if implied and cls is CompClass.S:
+        tight += [(True, tight_delta(cls, p, eta), p) for p in ("f-line", "g-line")]
 
     def score(traces) -> list:
         checks = []
-        for (inst, label), (X, G, F) in zip(tight, traces):
+        for (_, param, label), (X, G, F) in zip(tight, traces):
             if label in ("f-line", "g-line"):
                 f_slack, g_slack, f_resid, g_resid = (
                     float(v) for v in _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
                 )
                 slack, resid = (f_slack, f_resid) if label == "f-line" else (g_slack, g_resid)
                 name, ok = f"implied-{label}", abs(slack) <= tol and abs(resid) <= tol
-                text = f"huber delta={inst.param[0]:.12g}, residual={resid:.3e}"
+                text = f"huber delta={param:.12g}, residual={resid:.3e}"
             else:
-                slack = defining_slack(schedule, GDTrace(X, G, F, schedule, inst))
+                slack = float(_defining_slack_raw(cls, eta, X, G, F))
                 name, ok, text = label, abs(slack) <= tol, label
             checks.append(CheckResult(f"tightness/{name}", ok, slack, tol, text))
         return checks
 
-    return [inst for inst, _ in tight], score
+    return tuple(np.array([[row[k]] for row in tight]) for k in (0, 1)), score  # is_huber, param
 
 
 def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
@@ -570,7 +574,7 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         cert = build_f_certificate(schedule.tree)
     worst: dict[str, tuple] = {}
     for c, chunk in enumerate(_battery(config.battery, config.seed)):
-        groups, traces = _run_chunk(schedule, cert, chunk, tight if c == 0 else [])
+        groups, traces = _run_chunk(schedule, cert, chunk, tight if c == 0 else _NO_COORDS[:2])
         if c == 0:
             checks += score_tight(traces)
         for d, idx, scales, entries, qm in groups:
@@ -583,21 +587,21 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         tol, text = limits.get(name, battery_limit)
         checks.append(CheckResult(name, value >= -tol, value, tol, f"{text}battery instance #{i} (d={d})"))
 
-    # reversal duality for join-built schedules: the reversed schedule keeps
-    # the rate, satisfies the swapped class's identities, and meets its own
-    # defining pair at equality; a failing pair reports the quadratic's slack
-    # if it fails, else the Huber instance's
+    # reversal duality for join-built schedules: the reversed schedule (which
+    # keeps the rate by construction) satisfies the swapped class's identities
+    # and meets its own defining pair at equality; a failing pair reports the
+    # quadratic's slack if it fails, else the Huber instance's
     if schedule.tree is not None:
         rev = reverse(schedule)
-        ok, slack = rev.rate == schedule.rate, rev.rate - schedule.rate
+        ok, slack = False, 0.0
         try:
             validate_schedule(rev, config.identity_tol)
             rtight, score_rev = _tight_scorer(rev, config.tight_tol, implied=False)
             _, traces = _packed_run(rev.steps, _NO_COORDS, rtight)
             failed = [c.slack for c in score_rev(traces) if not c.passed]
-            ok, slack = ok and not failed, failed[0] if failed else slack
+            ok, slack = not failed, failed[0] if failed else 0.0
         except IdentityError:
-            ok = False
+            pass
         checks.append(
             CheckResult(
                 "reversal-duality",

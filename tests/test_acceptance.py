@@ -14,7 +14,7 @@ import pytest
 
 from corpus import OBS_LENGTHS, full_corpus
 from stepweaver.builders import dynamic_short, short_step_recurrence, silver
-from stepweaver.gd import huber_instance, quad_instance, run, tight_instance
+from stepweaver.gd import huber_instance, quad_instance, run, tight_delta
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import (
     P_EXPONENT,
@@ -175,7 +175,7 @@ def test_criterion_06_tightness_suite(corpus):
     worst_q = np.inf
     count = 0
     for name, sched in corpus:
-        pair = tight_instance(sched.comp_class, "defining", sched.rate)
+        pair = (huber_instance(tight_delta(sched.comp_class, "defining", sched.rate)), quad_instance())
         for inst in pair:
             tr = run(sched, inst, np.ones(1))
             worst = max(worst, abs(defining_slack(sched, tr)))

@@ -47,7 +47,7 @@ def assert_same_extension(ext, ref):
     assert ext.comp_class is ref.comp_class
     assert (ext.tree is None) == (ref.tree is None)
     if ref.tree is not None:
-        assert trees_equal(ext.tree, ref.tree, check_mu=True)
+        assert trees_equal(ext.tree, ref.tree)
 
 
 class TestSilver:

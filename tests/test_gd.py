@@ -17,7 +17,6 @@ from stepweaver.gd import (
     raw_run,
     run,
     tight_delta,
-    tight_instance,
     worst_case_scan,
 )
 from stepweaver.optimizer import obs_f, obs_g, obs_s
@@ -172,14 +171,14 @@ class TestTightInstances:
 
     def test_pair_achieves_equality_from_one(self):
         h = obs_f(4)
-        pair = tight_instance(CompClass.F, "defining", h.rate)
+        pair = (huber_instance(tight_delta(CompClass.F, "defining", h.rate)), quad_instance())
         for inst in pair:
             tr = run(h, inst, 1.0)
             assert tr.objective_gap() == pytest.approx(h.rate * 0.5, abs=1e-14)
 
     def test_g_pair_achieves_equality(self):
         h = obs_g(4)
-        pair = tight_instance(CompClass.G, "defining", h.rate)
+        pair = (huber_instance(tight_delta(CompClass.G, "defining", h.rate)), quad_instance())
         for inst in pair:
             tr = run(h, inst, 1.0)
             assert tr.half_grad_sq() == pytest.approx(h.rate * tr.f[0], abs=1e-14)

@@ -173,6 +173,19 @@ class TestRunConfig:
         assert main(["verify", str(sched), "--config", str(config)]) == 4
         assert "unknown config keys: cache_dir" in capsys.readouterr().err
 
+    def test_output_format_is_an_unknown_key(self, tmp_path, capsys):
+        """The report format has one switch, ``verify --json``; a config file
+        cannot set it."""
+        sched = tmp_path / "h.json"
+        main(["compose", "silver(2)", "--class", "s", "--out", str(sched)])
+        config = tmp_path / "config.json"
+        config.write_text('{"output_format": "json"}')
+        capsys.readouterr()
+        assert main(["verify", str(sched), "--config", str(config)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown config keys: output_format\n"
+
 
 class TestCli:
     def test_compose_writes_schedule(self, tmp_path, capsys):
@@ -319,6 +332,19 @@ class TestCli:
 
     def test_cap_error_exit_5(self, capsys):
         assert main(["compose", "silver(99)", "--class", "s"]) == 5
+
+    @pytest.mark.parametrize("expr", ["const_g(1000000000000000)", "const_s(1000000000)", "const_g(100001)"])
+    def test_constant_schedule_length_cap_exit_5(self, capsys, expr):
+        assert main(["compose", expr]) == 5
+        n = expr[expr.index("(") + 1 : -1]
+        assert capsys.readouterr().err == f"error: length {n} exceeds cap 100000\n"
+
+    @pytest.mark.parametrize("macro", ["obss", "obsf", "obsg"])
+    def test_obs_length_cap_exit_5(self, capsys, macro):
+        assert main(["compose", f"{macro}(20001)"]) == 5
+        assert capsys.readouterr().err == (
+            "error: length 20001 exceeds the largest accepted length 20000 (O(N^2) table fill)\n"
+        )
 
     def test_optimize_cap_names_the_requested_length(self, capsys):
         assert main(["optimize", "--class", "s", "--n", "20001"]) == 5

@@ -177,7 +177,7 @@ class TestReconstruction:
                 assert got.comp_class is want.comp_class
                 assert np.array_equal(got.steps, want.steps)
                 assert got.rate == want.rate
-                assert trees_equal(got.tree, want.tree, check_mu=True)
+                assert trees_equal(got.tree, want.tree)
 
     def test_returned_schedules_are_not_kept(self, tables):
         refs = [

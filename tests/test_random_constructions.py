@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stepweaver.gd import run, tight_instance
+from stepweaver.gd import huber_instance, quad_instance, run, tight_delta
 from stepweaver.schedule import (
     CompClass,
     JoinOp,
@@ -56,7 +56,7 @@ def test_random_constructions_satisfy_identities_and_tightness(cls, bits):
     assert denom == pytest.approx(h.rate, rel=1e-10)
     assert prod == pytest.approx(h.rate, rel=1e-10)
 
-    pair = tight_instance(h.comp_class, "defining", h.rate)
+    pair = (huber_instance(tight_delta(h.comp_class, "defining", h.rate)), quad_instance())
     for inst in pair:
         tr = run(h, inst, np.ones(1))
         assert abs(defining_slack(h, tr)) <= 1e-10 * max(1.0, 1.0 / h.rate)
@@ -71,7 +71,7 @@ def test_random_f_constructions_carry_valid_certificates(bits):
     h = build_random(CompClass.F, draws_from(bits))
     cert = build_f_certificate(h.tree)
     assert cert.weights.sum() == pytest.approx(1.0 / h.rate, rel=1e-10)
-    pair = tight_instance(CompClass.F, "defining", h.rate)
+    pair = (huber_instance(tight_delta(CompClass.F, "defining", h.rate)), quad_instance())
     for inst in pair:
         tr = run(h, inst, np.ones(1))
         # the aggregated certificate is exactly saturated on the tight pair

@@ -257,7 +257,7 @@ class TestReverse:
         assert np.array_equal(rr.steps, h.steps)
         assert rr.comp_class is h.comp_class
         assert rr.rate == h.rate
-        assert trees_equal(rr.tree, h.tree, check_mu=True)
+        assert trees_equal(rr.tree, h.tree)
 
     def test_mirrored_tree_swaps_f_and_g_joins(self):
         f1 = join(JoinOp.FJOIN, e(), e(CompClass.F))
@@ -348,7 +348,7 @@ class TestTreesEqual:
         a, b = silver(20).tree, silver(20).tree
         assert a is not b
         start = time.perf_counter()
-        assert trees_equal(a, b, check_mu=True)
+        assert trees_equal(a, b)
         # 21 distinct nodes a tree; a walk over node pairs visits 2^21 (about 1 s)
         assert time.perf_counter() - start < 0.25
 
@@ -360,15 +360,12 @@ class TestTreesEqual:
         while not spine[-1].left.is_leaf:
             spine.append(spine[-1].left)
         b = LEAF
-        for depth, node in enumerate(reversed(spine)):
-            mu = np.nextafter(node.mu, 3.0) if depth == 0 else node.mu
-            b = CompositionTree(node.op, b, b, mu)
+        for node in reversed(spine):
+            b = CompositionTree(node.op, b, b)
         assert trees_equal(a, b)
-        assert not trees_equal(a, b, check_mu=True)
-        half = CompositionTree(a.op, a.left, b.right, a.mu)  # only the right half differs
+        half = CompositionTree(a.op, a.left, b.right)  # only the right half is rebuilt
         assert trees_equal(a, half)
-        assert not trees_equal(a, half, check_mu=True)
-        assert not trees_equal(a, CompositionTree(JoinOp.FJOIN, a.left, a.right, a.mu))
+        assert not trees_equal(a, CompositionTree(JoinOp.FJOIN, a.left, a.right))
 
 
 class TestFoldMemory:

@@ -1,6 +1,7 @@
-"""Smoke test: the example script still runs against the package."""
+"""Smoke tests: the scripts still run against the package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,16 +9,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_worst_case_gallery_runs():
+def run_script(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "worst_case_gallery.py"), "--grid", "100"],
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_worst_case_gallery_runs():
+    proc = run_script("worst_case_gallery.py", "--grid", "100")
     assert proc.stdout.splitlines()[0].split()[:2] == ["schedule", "criterion"]
     assert any(line.startswith("silver(3)") for line in proc.stdout.splitlines())
+
+
+def test_report_digest_prints_count_and_sha256():
+    # the digest itself is not pinned: bits are not promised across platforms
+    out = run_script("report_digest.py").stdout
+    match = re.fullmatch(r"(\d+) reports, sha256 [0-9a-f]{64}\n", out)
+    assert match, out
+    assert int(match.group(1)) > 0 and int(match.group(1)) % 2 == 0  # every schedule under two configs

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from oracles import f_certificate_spine_walk
 from stepweaver import dsl
 from stepweaver.builders import constant_optimal, dynamic_short, silver
-from stepweaver.gd import huber_instance, quad_instance, random_instance, random_x0, run
+from stepweaver.gd import ProblemInstance, huber_instance, quad_instance, random_instance, random_x0, run
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import obs_f, obs_g, obs_s
 from stepweaver.schedule import (
@@ -316,6 +316,27 @@ class TestVerifySchedule:
             tr = run(bogus, inst, x0)
             scale = max(1.0, float(x0 @ x0), float(tr.f[0]))
             assert check_g_inequality(tr, bogus.rate) / scale == pytest.approx(check.slack, rel=1e-12)
+
+    @pytest.mark.parametrize("make", [lambda: silver(3), lambda: obs_f(6), lambda: obs_g(6)], ids=["s", "f", "g"])
+    def test_cached_battery_builds_no_instance(self, monkeypatch, make):
+        """Beside the battery, which is cached, a verification runs on raw
+        arrays: the tight instances and the reversed schedule's runs build no
+        ProblemInstance."""
+        schedule, cfg = make(), RunConfig(battery=40)
+        verify_schedule(schedule, cfg)  # builds and caches the battery
+        built = []
+        post_init = ProblemInstance.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ProblemInstance, "__post_init__", counted)
+        quad_instance()
+        assert len(built) == 1  # the counter sees a construction
+        report = verify_schedule(schedule, cfg)
+        assert report.certified, report.summary()
+        assert len(built) == 1
 
 
 class TestFalsifiability:
