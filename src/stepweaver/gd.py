@@ -14,9 +14,19 @@ Both gradients are one clip, ``grad = clip(curv*x, -cap, cap)``: a Huber
 coordinate has curvature 1 and cap ``delta``, a quadratic one has curvature
 ``a`` and no cap.  The clip is exact, because ``1*x == x`` and
 ``clip(a*x, -inf, inf) == a*x``; at the kink it returns ``x``, the value of
-both branches.  ``raw_run`` writes each gradient and step in place into the
-trace and evaluates ``f`` after the loop, in row blocks, since no step
-needs it.  A trace is its arrays ``x, g, f`` and nothing else; ``run``
+both branches.  Both values are one select over the same constants,
+``(0.5*curv*x)*x`` where ``|x| <= cap`` and ``delta*|x| - delta^2/2``
+elsewhere.  It gives the bits of the two-branch formulas; only at a NaN,
+where a quadratic coordinate takes the line, can the NaN's sign differ.
+:class:`CoordForm` holds these per-coordinate constants.
+
+:func:`descend` is the one GD loop: it stores only the points, takes each
+gradient into one reused row, and can drive segments of the coordinates
+with step sequences of their own.  Gradients and values are pure
+elementwise functions of the points, so :func:`gradients` and
+:func:`values` evaluate them after the loop, over whatever slice of the
+points a caller reads.  ``raw_run`` is the loop with one segment plus both
+evaluators.  A trace is its arrays ``x, g, f`` and nothing else; ``run``
 wraps one unbatched ``raw_run`` in a :class:`GDTrace`.
 
 Each class's tight instances, from ``x0 = 1``, are the unit quadratic and
@@ -37,22 +47,82 @@ import numpy as np
 from .schedule import CompClass, ScheduleError, StepSchedule, fg_rates_from_s
 
 
-def _coord_value(x, is_huber, param):
-    ax = np.abs(x)
-    quad = 0.5 * param * x * x
-    hub = np.where(ax <= param, 0.5 * x * x, param * ax - 0.5 * param * param)
-    return np.where(is_huber, hub, quad)
+class CoordForm(NamedTuple):
+    """Per-coordinate constants of a test function: the gradient is
+    ``clip(curv*x, low, high)`` and the value ``(0.5*curv*x)*x`` inside
+    ``|x| <= high``, ``param*|x| - 0.5*param*param`` outside."""
+
+    curv: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    param: np.ndarray
 
 
-def _clip_form(is_huber, param):
-    """``(curv, -cap, cap)`` of the gradient ``clip(curv*x, -cap, cap)``."""
+def coord_form(is_huber, param) -> CoordForm:
+    """The :class:`CoordForm` of Huber (kink ``param``) and quadratic
+    (curvature ``param``) coordinates; ``high`` is the cap, inf if quadratic."""
+    param = np.asarray(param, dtype=np.float64)
     cap = np.where(is_huber, param, np.inf)
-    return np.where(is_huber, 1.0, param), -cap, cap
+    return CoordForm(np.where(is_huber, 1.0, param), -cap, cap, param)
 
 
-# Values are evaluated over blocks of trace rows holding at most this many
-# coordinates, so their temporaries stay small beside the trace itself.
+def gradients(x, form: CoordForm, out=None):
+    """Gradients at the points ``x``, into ``out`` when given.  Three ufuncs
+    with ``out=`` instead of ``np.clip``, whose Python wrapper costs more
+    than the arithmetic at battery sizes."""
+    g = np.multiply(form.curv, x, out=out)
+    np.maximum(g, form.low, out=g)
+    return np.minimum(g, form.high, out=g)
+
+
+def _coord_value(x, form: CoordForm):
+    ax = np.abs(x)
+    return np.where(ax <= form.high, 0.5 * form.curv * x * x, form.param * ax - 0.5 * form.param * form.param)
+
+
+# Values are evaluated over blocks of rows holding at most this many
+# coordinates, so their temporaries stay small beside the points themselves.
 _VALUE_BLOCK = 2**15
+
+
+def values(xs, form: CoordForm):
+    """``f`` at each point of ``xs``, shaped ``(N, ..., d)``: the coordinate
+    values summed over the last axis, as an ``(N, ...)`` array."""
+    fs = np.empty(xs.shape[:-1])
+    rows = max(1, _VALUE_BLOCK // max(1, xs[0].size))
+    for r in range(0, len(xs), rows):
+        fs[r : r + rows] = _coord_value(xs[r : r + rows], form).sum(axis=-1)
+    return fs
+
+
+def descend(runs, form: CoordForm, x0):
+    """The points of gradient descent from ``x0``, shaped ``(n+1,) + x0.shape``.
+
+    ``runs`` is a list of ``(steps, stop)``: the coordinates of the last
+    axis from the previous run's ``stop`` (0 for the first) up to ``stop``
+    take ``steps``; every run has the same length n.  ``form`` broadcasts
+    against ``x0``.  Each step takes the gradient into one reused row, so
+    the loop keeps no gradient and evaluates no value.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = len(runs[0][0])
+    xs = np.empty((n + 1,) + x0.shape)
+    xs[0] = x0
+    g = np.empty(x0.shape)
+    # row views and Python-float steps are made once: indexing an array for
+    # them on every step costs about as much as a ufunc call's arithmetic
+    rows, segments, start = list(xs), [], 0
+    for steps, stop in runs:
+        steps = np.asarray(steps, dtype=np.float64).tolist()
+        segments.append((steps, g[..., start:stop], list(xs[1:, ..., start:stop])))
+        start = stop
+    for i in range(n):
+        x, nxt = rows[i], rows[i + 1]
+        gradients(x, form, out=g)
+        for steps, g_part, x_parts in segments:
+            np.multiply(g_part, steps[i], out=x_parts[i])
+        np.subtract(x, nxt, out=nxt)
+    return xs
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +155,10 @@ class ProblemInstance:
         return int(self.param.size)
 
     def value(self, x):
-        return _coord_value(x, self.is_huber, self.param).sum(axis=-1)
+        return _coord_value(x, coord_form(self.is_huber, self.param)).sum(axis=-1)
 
     def grad(self, x):
-        curv, low, high = _clip_form(self.is_huber, self.param)
-        return np.minimum(np.maximum(curv * x, low), high)
+        return gradients(x, coord_form(self.is_huber, self.param))
 
     def describe(self) -> str:
         if self.dim == 1:
@@ -172,25 +241,9 @@ def raw_run(steps, is_huber, param, x0):
     Returns ``(xs, gs, fs)`` with shapes (n+1, ..., d) twice and (n+1, ...).
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    n = len(steps)
-    curv, low, high = _clip_form(is_huber, param)
-    xs = np.empty((n + 1,) + x0.shape)
-    gs = np.empty_like(xs)
-    fs = np.empty((n + 1,) + x0.shape[:-1])
-    xs[0] = x0
-    for i in range(n + 1):
-        # ufuncs with out= instead of np.clip, whose Python wrapper costs
-        # more than the arithmetic at battery sizes
-        g = np.multiply(curv, xs[i], out=gs[i])
-        np.maximum(g, low, out=g)
-        np.minimum(g, high, out=g)
-        if i < n:
-            step = np.multiply(gs[i], steps[i], out=xs[i + 1])
-            np.subtract(xs[i], step, out=step)
-    rows = max(1, _VALUE_BLOCK // max(1, x0.size))
-    for r in range(0, n + 1, rows):
-        fs[r : r + rows] = _coord_value(xs[r : r + rows], is_huber, param).sum(axis=-1)
-    return xs, gs, fs
+    form = coord_form(is_huber, param)
+    xs = descend([(steps, x0.shape[-1])], form, x0)
+    return xs, gradients(xs, form), values(xs, form)
 
 
 def run(schedule: StepSchedule, instance: ProblemInstance, x0) -> GDTrace:

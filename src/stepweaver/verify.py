@@ -19,10 +19,14 @@ products; the rows are assembled per sub-batch of instances and every
 product is written into one reused buffer, all of bounded size), is compared
 with the absolute ``q_tol``.
 
-The class's tight 1-D instances are ``(is_huber, param)`` columns that run
-as extra coordinates of the first battery chunk (and of one run of the
-reversed schedule), and are scored on the raw trace arrays: beside the
-cached battery, a verification builds no ``ProblemInstance`` or ``GDTrace``.
+One verification runs one GD loop, which stores only the points: the
+packed battery and the class's tight 1-D instances (``(is_huber, param)``
+columns from ``x0 = 1``) take the schedule's steps, and the reversed
+schedule's tight pair takes the reversed steps on a trailing segment of the
+same coordinates.  Gradients and values are evaluated after the loop, one
+dimension group at a time, and the tight traces are scored on the raw
+arrays: beside the cached battery, a verification builds no
+``ProblemInstance`` or ``GDTrace``.
 """
 
 import functools
@@ -34,12 +38,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .gd import (
+    CoordForm,
     GDTrace,
+    coord_form,
+    descend,
+    gradients,
     random_instance,
     random_x0,
-    raw_run,
+    raw_run,  # not called here; the benchmark's traced run wraps verify.raw_run
     run,  # not called here; the benchmark's traced run wraps verify.run
     tight_delta,
+    values,
 )
 from .io import RunConfig
 from .schedule import (
@@ -392,10 +401,10 @@ def battery_instance(config: RunConfig, index: int):
     return battery_instances(config)[index][1:]
 
 
-class BatteryChunk(NamedTuple):
-    """Battery instances packed as 1-D coordinates for one ``raw_run``.
+class PackedBattery(NamedTuple):
+    """Battery instances packed as the 1-D coordinates of one GD loop.
 
-    ``is_huber``, ``param`` and ``x0`` have shape ``(m, 1)``; each group
+    ``is_huber``, ``param`` and ``x0`` have shape ``(m,)``; each group
     ``(d, idx, start)`` lays its ``len(idx)`` instances of dimension ``d``
     out as coordinates ``start .. start + len(idx)*d``, instance by instance.
     """
@@ -407,78 +416,45 @@ class BatteryChunk(NamedTuple):
 
 
 @functools.lru_cache(maxsize=4)
-def _battery(battery: int, seed: int):
-    """The battery of ``RunConfig(battery=battery, seed=seed)`` as read-only
-    :class:`BatteryChunk` s; cached, since no other config field changes it.
+def _battery(battery: int, seed: int) -> PackedBattery:
+    """The battery of ``RunConfig(battery=battery, seed=seed)`` as a read-only
+    :class:`PackedBattery`, with its dimension groups in ``BATTERY_DIMS``
+    order; cached, since no other config field changes it.
 
     Coordinates evolve independently, so packing changes no bit of a trace.
-    Dimension groups are merged in ``BATTERY_DIMS`` order while a chunk
-    holds no more coordinates than the largest group, so one chunk's trace
-    is never larger than that group's alone.
+    The battery cycles through ``BATTERY_DIMS``, so group sizes differ by at
+    most one instance and the whole battery holds at most three times the
+    largest group's coordinates: its points alone take no more memory than
+    the points, gradients and values of that group.
     """
     groups: dict[int, list] = {}
     for i, inst, x0 in battery_instances(RunConfig(battery=battery, seed=seed)):
         groups.setdefault(inst.dim, []).append((i, inst.is_huber, inst.param, x0))
-    largest = max(d * len(items) for d, items in groups.items())
-    plan = []
+    layout, start = [], 0
     for d, items in groups.items():
-        if plan and sum(e * len(its) for e, its in plan[-1]) + d * len(items) <= largest:
-            plan[-1].append((d, items))
-        else:
-            plan.append([(d, items)])
-    chunks = []
-    for members in plan:
-        layout, start = [], 0
-        for d, items in members:
-            idx = np.array([item[0] for item in items])
-            idx.flags.writeable = False
-            layout.append((d, idx, start))
-            start += d * len(items)
-        columns = [
-            np.concatenate([item[k] for _, items in members for item in items]).reshape(-1, 1)
-            for k in (1, 2, 3)
-        ]
-        for a in columns:
-            a.flags.writeable = False
-        chunks.append(BatteryChunk(*columns, tuple(layout)))
-    return tuple(chunks)
+        idx = np.array([item[0] for item in items])
+        idx.flags.writeable = False
+        layout.append((d, idx, start))
+        start += d * len(items)
+    columns = [np.concatenate([item[k] for items in groups.values() for item in items]) for k in (1, 2, 3)]
+    for a in columns:
+        a.flags.writeable = False
+    return PackedBattery(*columns, tuple(layout))
 
 
-_NO_COORDS = (np.zeros((0, 1), dtype=bool), np.zeros((0, 1)), np.zeros((0, 1)))
-
-
-def _packed_run(steps, coords, tight):
-    """``raw_run`` over packed coordinates ``coords = (is_huber, param, x0)``,
-    each ``(m, 1)``, with the 1-D tight instances ``tight = (is_huber, param)``,
-    each ``(k, 1)``, appended as coordinates that start from 1.  Returns the
-    whole trace and one ``(x, g, f)`` per tight instance, copied contiguous: a
-    strided ``(n+1, 1)`` view sends the ``np.dot`` of :func:`_weighted_sum`
-    down another BLAS path, which changes the last bits."""
-    (is_huber, param, x0), (tight_huber, tight_param) = coords, tight
-    m, k = x0.shape[0], tight_param.shape[0]
-    xs, gs, fs = raw_run(
-        steps,
-        np.concatenate([is_huber, tight_huber]),
-        np.concatenate([param, tight_param]),
-        np.concatenate([x0, np.ones((k, 1))]),
-    )
-    traces = [tuple(np.ascontiguousarray(a[:, j]) for a in (xs, gs, fs)) for j in range(m, m + k)]
-    return (xs, gs, fs), traces
-
-
-def _track_min(worst: dict, name: str, values, idx, d) -> None:
-    """Keep in ``worst[name]`` the smallest of ``values`` (one per battery
+def _track_min(worst: dict, name: str, scores, idx, d) -> None:
+    """Keep in ``worst[name]`` the smallest of ``scores`` (one per battery
     instance ``idx``) seen so far, with the battery index and dimension it
     came from.  A NaN is kept once seen, so it fails the check."""
-    j = int(np.argmin(values))  # the first NaN, if there is one
-    value = float(values[j])
+    j = int(np.argmin(scores))  # the first NaN, if there is one
+    value = float(scores[j])
     if name not in worst or value < worst[name][0] or np.isnan(value):
         worst[name] = (value, int(idx[j]), d)
 
 
 def _tight_scorer(schedule: StepSchedule, tol: float, implied: bool = True):
     """The class's tight 1-D instances as ``(is_huber, param)`` columns of
-    shape ``(k, 1)``, to run from ``x0 = 1``, and a scorer that turns their
+    shape ``(k,)``, to run from ``x0 = 1``, and a scorer that turns their
     traces, in the same order, into tightness checks: the defining pair (the
     unit quadratic first, then the Huber instance) and, for class S when
     ``implied``, the Huber instances of the implied gap and gradient bounds."""
@@ -504,7 +480,7 @@ def _tight_scorer(schedule: StepSchedule, tol: float, implied: bool = True):
             checks.append(CheckResult(f"tightness/{name}", ok, slack, tol, text))
         return checks
 
-    return tuple(np.array([[row[k]] for row in tight]) for k in (0, 1)), score  # is_huber, param
+    return tuple(np.array([row[k] for row in tight]) for k in (0, 1)), score  # is_huber, param
 
 
 def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
@@ -524,21 +500,37 @@ def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
     }
 
 
-def _run_chunk(schedule: StepSchedule, cert, chunk: BatteryChunk, tight):
-    """One GD loop over a battery chunk with the 1-D ``tight`` instances
-    appended.  Returns ``(d, idx, scales, slacks, q_min)`` per dimension
-    group and the tight traces; the chunk's trace is freed on return, so
-    only one chunk's trace is alive at a time."""
-    (xs, gs, fs), traces = _packed_run(schedule.steps, (chunk.is_huber, chunk.param, chunk.x0), tight)
-    groups = []
-    for d, idx, start in chunk.groups:
-        stop = start + idx.size * d
-        X = xs[:, start:stop].reshape(-1, idx.size, d)
-        G = gs[:, start:stop].reshape(X.shape)
-        F = fs[:, start:stop].reshape(X.shape).sum(axis=-1)
-        x0 = chunk.x0[start:stop].reshape(idx.size, d)
-        scales = np.maximum(1.0, np.maximum(_dot(x0, x0), F[0]))
-        groups.append((d, idx, scales, _battery_slacks(schedule, cert, X, G, F), _q_min_batched(X, G, F)))
+def _group_trace(xs, form, start: int, count: int, d: int):
+    """``(X, G, F)`` of the ``count`` instances of dimension ``d`` packed from
+    coordinate ``start`` of the points ``xs``: X is a view, G and F are new
+    contiguous arrays."""
+    stop = start + count * d
+    X = xs[:, start:stop].reshape(len(xs), count, d)
+    part = CoordForm(*(a[start:stop].reshape(count, d) for a in form))
+    return X, gradients(X, part), values(X, part)
+
+
+def _one_loop(battery: PackedBattery, runs):
+    """One GD loop over the packed battery followed by the 1-D tight columns
+    of ``runs``, a list of ``(steps, (is_huber, param))``: the battery and
+    the first run's columns take the first run's steps, each later run's
+    columns its own steps.  Returns a generator of ``(d, idx, (X, G, F))``,
+    one dimension group at a time, so only one group's gradients and values
+    are alive at once, and the tight traces ``(x, g, f)`` in column order,
+    copied contiguous: a strided ``(n+1, 1)`` view sends the ``np.dot`` of
+    :func:`_weighted_sum` down another BLAS path, which changes the last bits."""
+    m = stop = battery.x0.size
+    segments = []
+    for steps, cols in runs:
+        stop += cols[1].size
+        segments.append((steps, stop))
+    is_huber = np.concatenate([battery.is_huber] + [cols[0] for _, cols in runs])
+    param = np.concatenate([battery.param] + [cols[1] for _, cols in runs])
+    form = coord_form(is_huber, param)
+    xs = descend(segments, form, np.concatenate([battery.x0, np.ones(stop - m)]))
+    tail = _group_trace(xs, form, m, stop - m, 1)
+    traces = [tuple(np.ascontiguousarray(a[:, j]) for a in tail) for j in range(stop - m)]
+    groups = ((d, idx, _group_trace(xs, form, start, idx.size, d)) for d, idx, start in battery.groups)
     return groups, traces
 
 
@@ -558,50 +550,67 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         rate=schedule.rate,
         conjectured=schedule.conjectured,
     )
-    checks = report.checks
+    checks, nan = report.checks, float("nan")
 
     try:
         dev = validate_schedule(schedule, config.identity_tol)
         checks.append(CheckResult("identity", True, dev, config.identity_tol, "closed forms"))
     except IdentityError as err:
-        checks.append(CheckResult("identity", False, float("nan"), config.identity_tol, str(err)))
+        checks.append(CheckResult("identity", False, nan, config.identity_tol, str(err)))
 
-    # the tight instances run as extra coordinates of the first battery chunk;
-    # every battery slack and the interpolation minimum keep their worst case
-    tight, score_tight = _tight_scorer(schedule, config.tight_tol)
+    # a schedule whose tight instances or certificate cannot be built gets a
+    # failing entry, and the battery runs without them
+    try:
+        tight, score_tight = _tight_scorer(schedule, config.tight_tol)
+    except ScheduleError as err:
+        tight, score_tight = (np.zeros(0, dtype=bool), np.zeros(0)), lambda traces: []
+        checks.append(CheckResult("tightness", False, nan, config.tight_tol, str(err)))
     cert = None
     if schedule.comp_class is CompClass.F and schedule.tree is not None:
-        cert = build_f_certificate(schedule.tree)
+        try:
+            cert = build_f_certificate(schedule.tree)
+        except ScheduleError as err:
+            checks.append(CheckResult("battery/certificate", False, nan, config.slack_tol, str(err)))
+    runs = [(schedule.steps, tight)]
+
+    # reversal duality for join-built schedules: the reversed schedule (which
+    # keeps the rate by construction) satisfies the swapped class's identities
+    # and meets its own defining pair at equality; its pair runs in the same
+    # loop on reversed steps
+    rev = score_rev = None
+    if schedule.tree is not None:
+        rev = reverse(schedule)
+        try:
+            validate_schedule(rev, config.identity_tol)
+            rtight, score_rev = _tight_scorer(rev, config.tight_tol, implied=False)
+            runs.append((rev.steps, rtight))
+        except IdentityError:
+            pass
+
+    # every battery slack and the interpolation minimum keep their worst case
+    groups, traces = _one_loop(_battery(config.battery, config.seed), runs)
     worst: dict[str, tuple] = {}
-    for c, chunk in enumerate(_battery(config.battery, config.seed)):
-        groups, traces = _run_chunk(schedule, cert, chunk, tight if c == 0 else _NO_COORDS[:2])
-        if c == 0:
-            checks += score_tight(traces)
-        for d, idx, scales, entries, qm in groups:
-            for key, slacks in entries.items():
-                _track_min(worst, f"battery/{key}", slacks / scales, idx, d)
-            _track_min(worst, "interpolation", qm, idx, d)
+    for d, idx, (X, G, F) in groups:
+        scales = np.maximum(1.0, np.maximum(_dot(X[0], X[0]), F[0]))
+        for key, slacks in _battery_slacks(schedule, cert, X, G, F).items():
+            _track_min(worst, f"battery/{key}", slacks / scales, idx, d)
+        _track_min(worst, "interpolation", _q_min_batched(X, G, F), idx, d)
+        del X, G, F  # before the next group's are evaluated
     limits = {"interpolation": (config.q_tol, "min Q over all pairs; at ")}
     battery_limit = (config.slack_tol, f"{config.battery} instances, seed {config.seed:#x}; min at ")
     for name, (value, i, d) in worst.items():
         tol, text = limits.get(name, battery_limit)
         checks.append(CheckResult(name, value >= -tol, value, tol, f"{text}battery instance #{i} (d={d})"))
+    k = tight[1].size
+    checks += score_tight(traces[:k])
 
-    # reversal duality for join-built schedules: the reversed schedule (which
-    # keeps the rate by construction) satisfies the swapped class's identities
-    # and meets its own defining pair at equality; a failing pair reports the
-    # quadratic's slack if it fails, else the Huber instance's
-    if schedule.tree is not None:
-        rev = reverse(schedule)
+    # a failing pair reports the quadratic's slack if it fails, else the
+    # Huber instance's
+    if rev is not None:
         ok, slack = False, 0.0
-        try:
-            validate_schedule(rev, config.identity_tol)
-            rtight, score_rev = _tight_scorer(rev, config.tight_tol, implied=False)
-            _, traces = _packed_run(rev.steps, _NO_COORDS, rtight)
-            failed = [c.slack for c in score_rev(traces) if not c.passed]
+        if score_rev is not None:
+            failed = [c.slack for c in score_rev(traces[k:]) if not c.passed]
             ok, slack = not failed, failed[0] if failed else 0.0
-        except IdentityError:
-            pass
         checks.append(
             CheckResult(
                 "reversal-duality",

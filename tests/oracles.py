@@ -16,10 +16,15 @@ buffer), must give the same minima byte for byte.
 (``swapaxes``/``transpose`` views of the same strides) must write the same
 bytes.
 
+``coord_value_reference`` is the two-branch value: the quadratic and the
+Huber formula side by side, picked by ``is_huber``.  The production
+``stepweaver.gd._coord_value`` (one select over the clip form's constants)
+must give the same bytes; only a NaN's sign may differ.
+
 ``raw_run_reference`` is the per-step GD loop that evaluates the branchy
 Huber/quadratic gradient and the value at every step.  The production
-``stepweaver.gd.raw_run`` (clip-form gradient written in place, values after
-the loop) must reproduce its traces byte for byte.
+``stepweaver.gd.raw_run`` (one loop that stores only the points, gradients
+and values evaluated after it) must reproduce its traces byte for byte.
 
 ``f_certificate_spine_walk`` is the F certificate's right-spine walk: it
 materializes each left operand and composes the weights from the leaf up.
@@ -44,7 +49,7 @@ from stepweaver.optimizer import P_EXPONENT, RateTables
 from stepweaver.schedule import CompClass, JoinOp, _fgjoin_rate, _sjoin_rate, join_rate, materialize
 
 
-def coord_value(x, is_huber, param):
+def coord_value_reference(x, is_huber, param):
     ax = np.abs(x)
     quad = 0.5 * param * x * x
     hub = np.where(ax <= param, 0.5 * x * x, param * ax - 0.5 * param * param)
@@ -68,7 +73,7 @@ def raw_run_reference(steps, is_huber, param, x0):
     for i in range(n + 1):
         xs[i] = x
         gs[i] = coord_grad(x, is_huber, param)
-        fs[i] = coord_value(x, is_huber, param).sum(axis=-1)
+        fs[i] = coord_value_reference(x, is_huber, param).sum(axis=-1)
         if i < n:
             x = x - steps[i] * gs[i]
     return xs, gs, fs

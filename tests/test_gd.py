@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import coord_grad, raw_run_reference
+from oracles import coord_grad, coord_value_reference, raw_run_reference
 from stepweaver import gd
 from stepweaver.builders import constant_optimal, dynamic_short, silver
 from stepweaver.gd import (
@@ -301,6 +301,53 @@ class TestRawRunOracle:
         for x in (start_points(rng, (d,), param), start_points(rng, (b, d), param)):
             want = coord_grad(x, inst.is_huber, inst.param)
             assert_same_bytes([inst.grad(x)], [want])
+
+
+# (is_huber, param, x) of one coordinate; x is any double, one of moderate
+# size, a special value, or a multiple of the kink (1 puts x on it, where the
+# Huber branches meet)
+SPECIAL_X = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308, -1e-310]
+COORDS = st.tuples(
+    st.booleans(),
+    st.one_of(st.just(1.0), st.floats(min_value=5e-324, max_value=1.0), st.floats(0.05, 1.0)),
+    st.one_of(
+        st.floats(width=64).map(lambda x: math.nan if math.isnan(x) else x),
+        st.floats(-8.0, 8.0),
+        st.sampled_from(SPECIAL_X),
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.one_of(st.just(1.0), st.floats(0.0, 5.0))),
+    ),
+)
+
+
+def value_columns(coords):
+    is_huber = np.array([h for h, _, _ in coords])
+    param = np.array([p for _, p, _ in coords])
+    x = np.array([x[0] * x[1] * p if isinstance(x, tuple) else x for _, p, x in coords])
+    return x, is_huber, param
+
+
+class TestSelectValue:
+    """The one-select value over the clip form's constants gives the bytes
+    of the two-branch formulas."""
+
+    @given(st.lists(COORDS, min_size=1, max_size=40))
+    def test_select_is_byte_equal_to_two_branches(self, coords):
+        x, is_huber, param = value_columns(coords)
+        with np.errstate(all="ignore"):
+            got = gd._coord_value(x, gd.coord_form(is_huber, param))
+            want = coord_value_reference(x, is_huber, param)
+        assert_same_bytes([got], [want])
+
+    def test_negative_nan_is_nan_on_both_sides(self):
+        # x86 arithmetic makes a NaN with the sign bit set (inf - inf); at a
+        # NaN a quadratic coordinate takes the select's line, whose |x|
+        # clears that bit, while the quadratic formula keeps it
+        x = -np.full(4, np.nan)
+        is_huber, param = np.array([True, True, False, False]), np.array([0.5, 1.0, 0.3, 1.0])
+        got = gd._coord_value(x, gd.coord_form(is_huber, param))
+        want = coord_value_reference(x, is_huber, param)
+        assert np.isnan(got).all() and np.isnan(want).all()
+        assert got[:2].tobytes() == want[:2].tobytes()
 
 
 def worst_case_reference(schedule, criterion, grid_size):

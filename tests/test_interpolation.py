@@ -150,15 +150,16 @@ class TestSubBatchedKernel:
 def layout_traces(layout, n, d, batch=5):
     """``(X, G, F)`` of ``n + 1`` points in one of the layouts the verifier
     evaluates: ``contiguous`` ``(n+1, B, d)`` arrays; ``packed``, strided
-    ``(n+1, B, d)`` views of a packed ``(n+1, M, 1)`` trace cut as
-    ``verify._run_chunk`` cuts it; ``single``, the ``(n+1, d)`` and ``(n+1,)``
-    arrays of one trace that ``check_f_certificate`` passes."""
+    ``(n+1, B, d)`` views of packed ``(n+1, M)`` points cut as
+    ``verify._group_trace`` cuts them (it evaluates contiguous gradients;
+    strided ones are checked too); ``single``, the ``(n+1, d)`` and
+    ``(n+1,)`` arrays of one trace that ``check_f_certificate`` passes."""
     X, G, F = convex_traces(100 * n + d, n, 3 * batch, d)
     if layout == "single":
         return X[:, 0].copy(), G[:, 0].copy(), F[:, 0].copy()
     if layout == "contiguous":
         return X[:, :batch].copy(), G[:, :batch].copy(), F[:, :batch].copy()
-    # one coordinate per column, as raw_run leaves a packed chunk
+    # one coordinate per column, as the verifier's loop packs the battery
     xs, gs = (a.reshape(n + 1, -1, 1) for a in (X, G))
     start, stop = 2 * d + 1, 2 * d + 1 + batch * d
     X, G = (a[:, start:stop].reshape(-1, batch, d) for a in (xs, gs))
@@ -262,23 +263,22 @@ class TestBatteryCache:
         verify._battery.cache_clear()
 
     def test_arrays_are_read_only(self):
-        for chunk in verify._battery(12, 7):
-            for a in (chunk.is_huber, chunk.param, chunk.x0, *(idx for _, idx, _ in chunk.groups)):
-                assert not a.flags.writeable
-                with pytest.raises(ValueError):
-                    a[0] = a[0]
+        packed = verify._battery(12, 7)
+        for a in (packed.is_huber, packed.param, packed.x0, *(idx for _, idx, _ in packed.groups)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
 
     @pytest.mark.parametrize("battery,seed", [(12, 8), (16, 7)])
     def test_entries_keyed_by_battery_and_seed(self, battery, seed):
         first = verify._battery(12, 7)
-        chunks = verify._battery(battery, seed)
-        assert chunks is not first
+        packed = verify._battery(battery, seed)
+        assert packed is not first
         found = []
-        for chunk in chunks:
-            for d, idx, start in chunk.groups:
-                for k, i in enumerate(idx.tolist()):
-                    coords = slice(start + k * d, start + (k + 1) * d)
-                    found.append((i, chunk.is_huber[coords, 0], chunk.param[coords, 0], chunk.x0[coords, 0]))
+        for d, idx, start in packed.groups:
+            for k, i in enumerate(idx.tolist()):
+                coords = slice(start + k * d, start + (k + 1) * d)
+                found.append((i, packed.is_huber[coords], packed.param[coords], packed.x0[coords]))
         assert sorted(i for i, *_ in found) == list(range(battery))
         expected = {i: (inst, x0) for i, inst, x0 in verify.battery_instances(RunConfig(battery=battery, seed=seed))}
         for i, is_huber, param, x0 in found:
@@ -288,19 +288,25 @@ class TestBatteryCache:
             assert x0.tolist() == want_x0.tolist()
         assert verify._battery(12, 7) is first
 
-    @pytest.mark.parametrize("battery", [1, 3, 5, 12, 200, 203])
+    @pytest.mark.parametrize("battery", [1, 2, 3, 5, 7, 12, 200, 203, 2000])
     def test_no_chunk_exceeds_the_largest_group(self, battery):
+        """The whole battery is one chunk, one GD loop's points, and never
+        larger than the points, gradients and values of its largest group
+        alone: every coordinate once, the groups in ``BATTERY_DIMS`` order,
+        at most three times the largest group's coordinates."""
         dims = [inst.dim for _, inst, _ in verify.battery_instances(RunConfig(battery=battery))]
         largest = max(d * dims.count(d) for d in set(dims))
-        chunks = verify._battery(battery, RunConfig().seed)
-        for chunk in chunks:
-            m = chunk.x0.shape[0]
-            assert chunk.is_huber.shape == chunk.param.shape == chunk.x0.shape == (m, 1)
-            assert m == sum(d * idx.size for d, idx, _ in chunk.groups) <= largest
-        assert [d for chunk in chunks for d, _, _ in chunk.groups] == sorted(set(dims))
-        if battery == 200:
-            assert [[d for d, _, _ in c.groups] for c in chunks] == [[1, 2, 4], [8]]
-            assert [c.x0.shape[0] for c in chunks] == [350, 400]
+        packed = verify._battery(battery, RunConfig().seed)
+        m = packed.x0.size
+        assert packed.is_huber.shape == packed.param.shape == packed.x0.shape == (m,)
+        assert m == sum(dims) <= 3 * largest
+        assert [d for d, _, _ in packed.groups] == [d for d in verify.BATTERY_DIMS if d in dims]
+        layout = [(start, d * idx.size) for d, idx, start in packed.groups]
+        assert [start for start, _ in layout] == np.cumsum([0] + [size for _, size in layout])[:-1].tolist()
+        assert sorted(i for _, idx, _ in packed.groups for i in idx.tolist()) == list(range(battery))
+        if battery == RunConfig().battery:
+            assert [(d, idx.size) for d, idx, _ in packed.groups] == [(1, 50), (2, 50), (4, 50), (8, 50)]
+            assert m == 750
 
     def test_cache_stays_bounded(self):
         for seed in range(1, 13):
@@ -328,26 +334,69 @@ class TestBatteryCache:
         assert [(c.battery, c.seed) for c in calls] == [(20, 0x5EED), (20, 0x5EEE), (21, 0x5EED)]
 
 
+def same_bytes(got, want):
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("battery", [13, 200])
+def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
+    """Every battery group's ``(X, G, F)`` and every tight or reversal trace
+    of the one loop equals ``raw_run`` on that group or instance alone, byte
+    for byte."""
+    seen = []
+    original = verify._one_loop
+
+    def keeping(packed, runs):
+        groups, traces = original(packed, runs)
+        groups = list(groups)
+        seen.append((packed, runs, groups, traces))
+        return iter(groups), traces
+
+    monkeypatch.setattr(verify, "_one_loop", keeping)
+    tables = build_tables(70)
+    treeless = replace(obs_f(12, tables), tree=None)
+    for h in (silver(3), obs_f(64, tables), obs_g(41, tables), obs_s(63, tables), treeless):
+        seen.clear()
+        verify_schedule(h, RunConfig(battery=battery))
+        (packed, runs, groups, traces), = seen
+        assert [len(cols[0]) for _, cols in runs] == ([4] if h.comp_class is CompClass.S else [2]) + (
+            [] if h.tree is None else [2]
+        )
+        for (d, idx, trace), (e, want_idx, start) in zip(groups, packed.groups, strict=True):
+            assert d == e and idx is want_idx
+            coords = slice(start, start + idx.size * d)
+            alone = raw_run(
+                h.steps,
+                *(a[coords].reshape(idx.size, d) for a in (packed.is_huber, packed.param, packed.x0)),
+            )
+            assert same_bytes(trace, alone), (h.describe(), d)
+        columns = [(steps, hub, par) for steps, cols in runs for hub, par in zip(*cols)]
+        assert len(traces) == len(columns)
+        for trace, (steps, hub, par) in zip(traces, columns):
+            assert same_bytes(trace, raw_run(steps, np.array([hub]), np.array([par]), np.ones(1)))
+
+
 def test_gd_loops_per_verify(monkeypatch):
-    """One GD loop per battery chunk (the tight runs ride in the first) plus
-    one for the reversed schedule's tight pair; loops through ``gd.run``
-    count too."""
+    """One GD loop per verification: the battery, the tight instances and
+    the reversed schedule's tight pair all run in one ``descend``; loops
+    through ``raw_run`` or ``gd.run`` count too, since both call it."""
     calls = []
-    original = verify.raw_run
+    original = gd.descend
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(verify, "raw_run", counting)
-    monkeypatch.setattr(gd, "raw_run", counting)
+    monkeypatch.setattr(verify, "descend", counting)
+    monkeypatch.setattr(gd, "descend", counting)
     tables = build_tables(40)
     treeless = replace(silver(3), tree=None)
-    for h, most in [(silver(3), 3), (obs_f(30, tables), 3), (obs_g(21, tables), 3), (treeless, 2)]:
+    for h in (silver(3), obs_f(30, tables), obs_g(21, tables), obs_s(33, tables), treeless):
         calls.clear()
         report = verify_schedule(h, RunConfig())
         assert report.passed
-        assert len(calls) <= most, h.describe()
+        assert len(calls) == 1, h.describe()
+        assert len(calls[0][0]) == (1 if h.tree is None else 2)  # step runs: forward, reversed
 
 
 def test_verify_peak_memory_stays_bounded():
@@ -363,6 +412,26 @@ def test_verify_peak_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 9.0 * 2**20
+
+
+@pytest.mark.parametrize("cls,bound_mib", [("f", 42.05), ("g", 26.28), ("s", 42.03)])
+def test_large_battery_peak_memory_stays_bounded(cls, bound_mib):
+    """tracemalloc peak of one verify at n=255 with ``battery=2000`` and a
+    warm battery cache stays within that of two packed chunks holding points,
+    gradients and values (measured with numpy 2.4): the one loop's points
+    cover the whole battery, but only one group's gradients and values are
+    alive at a time."""
+    tables = build_tables(256)
+    h = {"f": obs_f, "g": obs_g, "s": obs_s}[cls](255, tables)
+    cfg = RunConfig(battery=2000)
+    verify_schedule(h, cfg)
+    tracemalloc.start()
+    try:
+        verify_schedule(h, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
 
 
 def test_traced_boundaries_exist():

@@ -281,6 +281,33 @@ class TestVerifySchedule:
             assert not check.passed and np.isnan(check.slack), check
             assert "battery instance #" in check.instance
 
+    def test_rate_outside_unit_interval_is_reported(self):
+        """No tight instance has a kink for rate 1.5: the tightness entry
+        fails with the reason, and the battery still runs."""
+        report = verify_schedule(StepSchedule([1.5], CompClass.S, 1.5), RunConfig(battery=8))
+        checks = {c.name: c for c in report.checks}
+        assert not report.passed
+        assert not checks["identity"].passed
+        tight = checks["tightness"]
+        assert not tight.passed and np.isnan(tight.slack)
+        assert tight.instance == "rate must lie in (0, 1], got 1.5"
+        assert not any(name.startswith("tightness/") for name in checks)
+        assert {"battery/mixed-inequality", "battery/implied-gap", "interpolation"} <= set(checks)
+
+    def test_tree_without_class_f_is_reported(self):
+        """silver(2)'s steps and s-tree labeled f have no f certificate: the
+        certificate entry fails with the reason, and the battery runs the
+        direct gap inequality instead."""
+        s2 = silver(2)
+        report = verify_schedule(StepSchedule(s2.steps, CompClass.F, s2.rate, s2.tree), RunConfig(battery=8))
+        checks = {c.name: c for c in report.checks}
+        assert not report.passed
+        cert = checks["battery/certificate"]
+        assert not cert.passed and np.isnan(cert.slack)
+        assert cert.instance == "tree is not an f-class construction"
+        assert {"battery/gap-inequality", "interpolation", "reversal-duality"} <= set(checks)
+        assert any(name.startswith("tightness/") for name in checks)
+
     def test_checks_sorted_by_name(self):
         report = verify_schedule(obs_s(4), RunConfig(battery=20))
         names = [c.name for c in report.checks]
