@@ -137,8 +137,8 @@ def f_extend(n: int, seed=None) -> StepSchedule:
     return _extend(empty_schedule(CompClass.F) if seed is None else seed, n, JoinOp.FJOIN)
 
 
-def short_step_recurrence(n: int, mu1: float = 1.5):
-    """Closed-form (mu_i, eta_i) sequence for empty-seeded short steps.
+def short_step_recurrence(n: int):
+    """Closed-form (mu_i, eta_i) sequence for empty-seeded short steps from ``mu_1 = 3/2``.
 
     Independent of the join machinery; used to cross-check
     :func:`dynamic_short`.  Iterated in 50-digit decimal arithmetic: the
@@ -153,7 +153,7 @@ def short_step_recurrence(n: int, mu1: float = 1.5):
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         two = decimal.Decimal(2)
-        mu = decimal.Decimal(mu1)
+        mu = decimal.Decimal("1.5")
         for i in range(n):
             mus[i] = float(mu)
             etas[i] = float((two - mu) / two)

@@ -137,26 +137,33 @@ def _at_least(least: int, text, field: str) -> int:
     return value
 
 
+_FUNCTION_KEYS = {"quad": ("a",), "huber": ("delta",), "random": ("d", "seed")}
+
+
 def _parse_function(spec: str):
     kind, _, body = spec.partition(":")
+    if kind not in _FUNCTION_KEYS:
+        raise ScheduleError(f"unknown function {kind!r}: expected quad, huber, or random")
     params = {}
     if body:
         for item in body.split(","):
             key, sep, value = item.partition("=")
+            key = key.strip()
             if not sep or not key:
                 raise ScheduleError(f"bad function parameter {item!r} in {spec!r}")
-            params[key.strip()] = value.strip()
+            if key in params or key not in _FUNCTION_KEYS[kind]:
+                why = "repeated key" if key in params else "unknown key, expected " + " or ".join(_FUNCTION_KEYS[kind])
+                raise ScheduleError(f"--function {kind}:{key}: {why}")
+            params[key] = value.strip()
     if kind == "quad":
         return gd.quad_instance(_number(float, params.get("a", 1.0), "--function quad:a"))
     if kind == "huber":
         if "delta" not in params:
             raise ScheduleError("huber function needs delta=<value>")
         return gd.huber_instance(_number(float, params["delta"], "--function huber:delta"))
-    if kind == "random":
-        d = _at_least(1, params.get("d", 8), "--function random:d")
-        seed = _at_least(0, params.get("seed", 0), "--function random:seed")
-        return gd.random_instance(np.random.default_rng(seed), d)
-    raise ScheduleError(f"unknown function {kind!r}: expected quad, huber, or random")
+    d = _at_least(1, params.get("d", 8), "--function random:d")
+    seed = _at_least(0, params.get("seed", 0), "--function random:seed")
+    return gd.random_instance(np.random.default_rng(seed), d)
 
 
 def cmd_run(args) -> int:
@@ -201,7 +208,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+_MAX_K = (optimizer.MAX_TABLE_N + 1).bit_length() - 2  # largest k whose 2^(k+1) - 1 rows fit the cap
+
+
 def cmd_bounds(args) -> int:
+    if args.k > _MAX_K:
+        raise ResourceCapError(f"--k {args.k} exceeds the largest accepted level {_MAX_K} (O(4^k) table fill)")
     n_rows = 2 ** (args.k + 1) - 1
     if args.k > 12 and not args.force:
         raise ResourceCapError(
@@ -268,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="normalized-rate constants and envelope data")
     b.add_argument("--k", type=_nonnegative_int, required=True, help="largest dyadic level")
     b.add_argument("--out", help="write per-n normalized rates CSV here")
-    b.add_argument("--force", action="store_true", help="allow k > 12 (long-running; the table cap allows k <= 13)")
+    b.add_argument("--force", action="store_true", help=f"allow 12 < k <= {_MAX_K} (long-running)")
     b.add_argument("--cache", help="table cache directory (default: $STEPWEAVER_CACHE)")
     b.set_defaults(func=cmd_bounds)
     return p

@@ -3,7 +3,7 @@
 import math
 
 
-def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 256) -> float:
+def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14) -> float:
     """Find a root of ``fn`` inside the bracket ``(lo, hi)`` by bisection.
 
     ``tol`` is an absolute tolerance on the bracket width.  Raises
@@ -17,7 +17,7 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 25
         return hi
     if flo * fhi > 0.0:
         raise ValueError(f"root not bracketed on ({lo}, {hi}): f(lo)={flo}, f(hi)={fhi}")
-    for _ in range(max_iter):
+    for _ in range(256):  # a guard: the tolerance or the float resolution ends the loop first
         mid = 0.5 * (lo + hi)
         if hi - lo < tol or mid == lo or mid == hi:
             return mid
@@ -34,7 +34,7 @@ def bisect_root(fn, lo: float, hi: float, tol: float = 1e-14, max_iter: int = 25
 _INVGOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(fn, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 400):
+def golden_min(fn, lo: float, hi: float, tol: float = 1e-12):
     """Golden-section search for a minimum of a unimodal ``fn`` on ``[lo, hi]``.
 
     Returns ``(x, fn(x))``.  ``tol`` is absolute on the interval width.
@@ -43,7 +43,7 @@ def golden_min(fn, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 400
     c = b - _INVGOLD * (b - a)
     d = a + _INVGOLD * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(max_iter):
+    for _ in range(400):  # a guard, as in bisect_root
         if b - a < tol:
             break
         if fc < fd:

@@ -325,8 +325,8 @@ def c_low() -> float:
         c = min over lam in (0,1) of (lam^-p) |> (c * (1-lam)^-p)
 
     solved by fixed-point iteration from ``c = 0.5``.  The inner minimum is
-    located on a coarse grid (validated to have a single local minimum, with
-    a finer global grid as fallback) and polished by golden-section search.
+    located on a coarse grid, which has a single dip at every iterate, and
+    polished by golden-section search.
     """
     p, grid_step = P_EXPONENT, C_LOW_GRID_STEP
     lam = np.arange(grid_step, 1.0, grid_step)
@@ -335,19 +335,13 @@ def c_low() -> float:
 
     def inner_min(c: float) -> float:
         vals = _fgjoin_rate(lam_pow, c * rem_pow)
-        dips = np.nonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:]))[0]
-        grid_l, grid_v = lam, vals
-        if dips.size != 1:
-            # coarse grid not unimodal: refine globally before polishing
-            grid_l = np.arange(grid_step * 1e-2, 1.0, grid_step * 1e-2)
-            grid_v = _fgjoin_rate(grid_l ** (-p), c * (1.0 - grid_l) ** (-p))
-        i = int(np.argmin(grid_v))
-        lo = grid_l[max(i - 1, 0)]
-        hi = grid_l[min(i + 1, grid_l.size - 1)]
+        i = int(np.argmin(vals))
+        lo = lam[max(i - 1, 0)]
+        hi = lam[min(i + 1, lam.size - 1)]
         _, val = golden_min(
             lambda t: float(_fgjoin_rate(t ** (-p), c * (1.0 - t) ** (-p))), lo, hi, tol=C_LOW_INNER_TOL
         )
-        return min(val, float(grid_v[i]))
+        return min(val, float(vals[i]))
 
     c = 0.5
     for _ in range(C_LOW_MAX_OUTER):

@@ -20,13 +20,16 @@ product is written into one reused buffer, all of bounded size), is compared
 with the absolute ``q_tol``.
 
 One verification runs one GD loop, which stores only the points: the
-packed battery and the class's tight 1-D instances (``(is_huber, param)``
-columns from ``x0 = 1``) take the schedule's steps, and the reversed
-schedule's tight pair takes the reversed steps on a trailing segment of the
-same coordinates.  Gradients and values are evaluated after the loop, one
-dimension group at a time, and the tight traces are scored on the raw
-arrays: beside the cached battery, a verification builds no
-``ProblemInstance`` or ``GDTrace``.
+packed battery and the class's tight 1-D instances (``(is_huber, param,
+label)`` rows, run from ``x0 = 1``) take the schedule's steps, and the
+reversed schedule's tight pair takes the reversed steps on a trailing
+segment of the same coordinates.  Gradients and values are evaluated after
+the loop, one dimension group at a time, and one scorer turns the tight
+traces of either schedule, on the raw arrays, into tightness checks: beside
+the cached battery, a verification builds no ``ProblemInstance`` or
+``GDTrace``.  A check that cannot be built (say, a reversed schedule that
+breaks its identities) fails with NaN slack and the error's text, and the
+battery runs without it.
 """
 
 import functools
@@ -452,35 +455,34 @@ def _track_min(worst: dict, name: str, scores, idx, d) -> None:
         worst[name] = (value, int(idx[j]), d)
 
 
-def _tight_scorer(schedule: StepSchedule, tol: float, implied: bool = True):
-    """The class's tight 1-D instances as ``(is_huber, param)`` columns of
-    shape ``(k,)``, to run from ``x0 = 1``, and a scorer that turns their
-    traces, in the same order, into tightness checks: the defining pair (the
-    unit quadratic first, then the Huber instance) and, for class S when
-    ``implied``, the Huber instances of the implied gap and gradient bounds."""
+def _tight_rows(schedule: StepSchedule, implied: bool = True) -> list:
+    """The class's tight 1-D instances as ``(is_huber, param, label)`` rows, to
+    run from ``x0 = 1``: the defining pair (the unit quadratic first, then the
+    Huber instance) and, for class S when ``implied``, the Huber instances of
+    the implied gap and gradient bounds."""
     cls, eta = schedule.comp_class, schedule.rate
     delta = tight_delta(cls, "defining", eta)
-    tight = [(False, 1.0, "tight quadratic"), (True, delta, f"tight huber:delta={delta:.12g}")]
+    rows = [(False, 1.0, "tight quadratic"), (True, delta, f"tight huber:delta={delta:.12g}")]
     if implied and cls is CompClass.S:
-        tight += [(True, tight_delta(cls, p, eta), p) for p in ("f-line", "g-line")]
+        rows += [(True, tight_delta(cls, p, eta), p) for p in ("f-line", "g-line")]
+    return rows
 
-    def score(traces) -> list:
-        checks = []
-        for (_, param, label), (X, G, F) in zip(tight, traces):
-            if label in ("f-line", "g-line"):
-                f_slack, g_slack, f_resid, g_resid = (
-                    float(v) for v in _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
-                )
-                slack, resid = (f_slack, f_resid) if label == "f-line" else (g_slack, g_resid)
-                name, ok = f"implied-{label}", abs(slack) <= tol and abs(resid) <= tol
-                text = f"huber delta={param:.12g}, residual={resid:.3e}"
-            else:
-                slack = float(_defining_slack_raw(cls, eta, X, G, F))
-                name, ok, text = label, abs(slack) <= tol, label
-            checks.append(CheckResult(f"tightness/{name}", ok, slack, tol, text))
-        return checks
 
-    return tuple(np.array([row[k] for row in tight]) for k in (0, 1)), score  # is_huber, param
+def _score_tight(schedule: StepSchedule, rows: list, traces, tol: float) -> list:
+    """The tightness checks of ``rows`` from the first ``len(rows)`` of
+    ``traces``, the rows' traces ``(x, g, f)`` in the same order."""
+    eta, checks = schedule.rate, []
+    for (_, param, label), (X, G, F) in zip(rows, traces):
+        if label in ("f-line", "g-line"):
+            f_slack, g_slack, f_resid, g_resid = (float(v) for v in _s_fg_slacks_raw(schedule.steps, eta, X, G, F))
+            slack, resid = (f_slack, f_resid) if label == "f-line" else (g_slack, g_resid)
+            name, ok = f"implied-{label}", abs(slack) <= tol and abs(resid) <= tol
+            text = f"huber delta={param:.12g}, residual={resid:.3e}"
+        else:
+            slack = float(_defining_slack_raw(schedule.comp_class, eta, X, G, F))
+            name, ok, text = label, abs(slack) <= tol, label
+        checks.append(CheckResult(f"tightness/{name}", ok, slack, tol, text))
+    return checks
 
 
 def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
@@ -511,21 +513,23 @@ def _group_trace(xs, form, start: int, count: int, d: int):
 
 
 def _one_loop(battery: PackedBattery, runs):
-    """One GD loop over the packed battery followed by the 1-D tight columns
-    of ``runs``, a list of ``(steps, (is_huber, param))``: the battery and
-    the first run's columns take the first run's steps, each later run's
-    columns its own steps.  Returns a generator of ``(d, idx, (X, G, F))``,
-    one dimension group at a time, so only one group's gradients and values
-    are alive at once, and the tight traces ``(x, g, f)`` in column order,
-    copied contiguous: a strided ``(n+1, 1)`` view sends the ``np.dot`` of
-    :func:`_weighted_sum` down another BLAS path, which changes the last bits."""
+    """One GD loop over the packed battery followed by the 1-D tight rows of
+    ``runs``, a list of ``(schedule, rows)`` with rows as :func:`_tight_rows`
+    gives them: the battery and the first run's rows take the first run's
+    steps, each later run's rows its own schedule's steps.  Returns a generator of
+    ``(d, idx, (X, G, F))``, one dimension group at a time, so only one
+    group's gradients and values are alive at once, and the tight traces
+    ``(x, g, f)`` in row order, copied contiguous: a strided ``(n+1, 1)``
+    view sends the ``np.dot`` of :func:`_weighted_sum` down another BLAS
+    path, which changes the last bits."""
     m = stop = battery.x0.size
-    segments = []
-    for steps, cols in runs:
-        stop += cols[1].size
-        segments.append((steps, stop))
-    is_huber = np.concatenate([battery.is_huber] + [cols[0] for _, cols in runs])
-    param = np.concatenate([battery.param] + [cols[1] for _, cols in runs])
+    segments, rows = [], []
+    for h, run_rows in runs:
+        stop += len(run_rows)
+        segments.append((h.steps, stop))
+        rows += run_rows
+    is_huber = np.concatenate([battery.is_huber, np.array([row[0] for row in rows], dtype=bool)])
+    param = np.concatenate([battery.param, np.array([row[1] for row in rows], dtype=np.float64)])
     form = coord_form(is_huber, param)
     xs = descend(segments, form, np.concatenate([battery.x0, np.ones(stop - m)]))
     tail = _group_trace(xs, form, m, stop - m, 1)
@@ -550,42 +554,36 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         rate=schedule.rate,
         conjectured=schedule.conjectured,
     )
-    checks, nan = report.checks, float("nan")
+    checks = report.checks
 
-    try:
-        dev = validate_schedule(schedule, config.identity_tol)
-        checks.append(CheckResult("identity", True, dev, config.identity_tol, "closed forms"))
-    except IdentityError as err:
-        checks.append(CheckResult("identity", False, nan, config.identity_tol, str(err)))
-
-    # a schedule whose tight instances or certificate cannot be built gets a
-    # failing entry, and the battery runs without them
-    try:
-        tight, score_tight = _tight_scorer(schedule, config.tight_tol)
-    except ScheduleError as err:
-        tight, score_tight = (np.zeros(0, dtype=bool), np.zeros(0)), lambda traces: []
-        checks.append(CheckResult("tightness", False, nan, config.tight_tol, str(err)))
-    cert = None
-    if schedule.comp_class is CompClass.F and schedule.tree is not None:
+    def build(name: str, tol: float, make):
+        """``make()``; a check that cannot be built instead gets a failing
+        entry with NaN slack and the error's text, and the rest runs
+        without it."""
         try:
-            cert = build_f_certificate(schedule.tree)
+            return make()
         except ScheduleError as err:
-            checks.append(CheckResult("battery/certificate", False, nan, config.slack_tol, str(err)))
-    runs = [(schedule.steps, tight)]
+            checks.append(CheckResult(name, False, float("nan"), tol, str(err)))
 
-    # reversal duality for join-built schedules: the reversed schedule (which
-    # keeps the rate by construction) satisfies the swapped class's identities
-    # and meets its own defining pair at equality; its pair runs in the same
-    # loop on reversed steps
-    rev = score_rev = None
+    def reversed_run():
+        # reversal duality: the reversed schedule keeps the rate by
+        # construction, is of the swapped class (its closed-form identities
+        # hold) and meets its own defining pair at equality
+        dual = reverse(schedule)
+        validate_schedule(dual, config.identity_tol)
+        return dual, _tight_rows(dual, implied=False)
+
+    dev = build("identity", config.identity_tol, lambda: validate_schedule(schedule, config.identity_tol))
+    if dev is not None:
+        checks.append(CheckResult("identity", True, dev, config.identity_tol, "closed forms"))
+    runs = [(schedule, build("tightness", config.tight_tol, lambda: _tight_rows(schedule)) or [])]
+    cert = None
     if schedule.tree is not None:
-        rev = reverse(schedule)
-        try:
-            validate_schedule(rev, config.identity_tol)
-            rtight, score_rev = _tight_scorer(rev, config.tight_tol, implied=False)
-            runs.append((rev.steps, rtight))
-        except IdentityError:
-            pass
+        if schedule.comp_class is CompClass.F:
+            cert = build("battery/certificate", config.slack_tol, lambda: build_f_certificate(schedule.tree))
+        dual = build("reversal-duality", config.tight_tol, reversed_run)
+        if dual is not None:
+            runs.append(dual)
 
     # every battery slack and the interpolation minimum keep their worst case
     groups, traces = _one_loop(_battery(config.battery, config.seed), runs)
@@ -601,25 +599,19 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     for name, (value, i, d) in worst.items():
         tol, text = limits.get(name, battery_limit)
         checks.append(CheckResult(name, value >= -tol, value, tol, f"{text}battery instance #{i} (d={d})"))
-    k = tight[1].size
-    checks += score_tight(traces[:k])
 
-    # a failing pair reports the quadratic's slack if it fails, else the
-    # Huber instance's
-    if rev is not None:
-        ok, slack = False, 0.0
-        if score_rev is not None:
-            failed = [c.slack for c in score_rev(traces[k:]) if not c.passed]
-            ok, slack = not failed, failed[0] if failed else 0.0
-        checks.append(
-            CheckResult(
-                "reversal-duality",
-                ok,
-                slack,
-                config.tight_tol,
-                f"reverse is class {rev.comp_class.value} at the same rate and stays tight",
-            )
-        )
+    # each run scores the next len(rows) tight traces; the reversed pair is
+    # one entry, with the quadratic's slack if it fails, else the Huber
+    # instance's
+    for h, rows in runs:
+        scored, traces = _score_tight(h, rows, traces, config.tight_tol), traces[len(rows) :]
+        if h is schedule:
+            checks += scored
+        else:
+            failed = [c.slack for c in scored if not c.passed]
+            text = f"reverse is class {h.comp_class.value} at the same rate and stays tight"
+            slack = failed[0] if failed else 0.0
+            checks.append(CheckResult("reversal-duality", not failed, slack, config.tight_tol, text))
 
     checks.sort(key=lambda c: c.name)
     return report

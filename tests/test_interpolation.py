@@ -359,7 +359,7 @@ def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
         seen.clear()
         verify_schedule(h, RunConfig(battery=battery))
         (packed, runs, groups, traces), = seen
-        assert [len(cols[0]) for _, cols in runs] == ([4] if h.comp_class is CompClass.S else [2]) + (
+        assert [len(rows) for _, rows in runs] == ([4] if h.comp_class is CompClass.S else [2]) + (
             [] if h.tree is None else [2]
         )
         for (d, idx, trace), (e, want_idx, start) in zip(groups, packed.groups, strict=True):
@@ -370,7 +370,7 @@ def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
                 *(a[coords].reshape(idx.size, d) for a in (packed.is_huber, packed.param, packed.x0)),
             )
             assert same_bytes(trace, alone), (h.describe(), d)
-        columns = [(steps, hub, par) for steps, cols in runs for hub, par in zip(*cols)]
+        columns = [(h.steps, hub, par) for h, rows in runs for hub, par, _ in rows]
         assert len(traces) == len(columns)
         for trace, (steps, hub, par) in zip(traces, columns):
             assert same_bytes(trace, raw_run(steps, np.array([hub]), np.array([par]), np.ones(1)))

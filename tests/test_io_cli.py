@@ -432,9 +432,18 @@ class TestCli:
             ("random:d=-2", "random:d: expected a positive integer, got -2"),
             ("random:d=0", "random:d: expected a positive integer, got 0"),
             ("random:d=2,seed=-1", "random:seed: expected a nonnegative integer, got -1"),
+            ("quad:a=0.5,d=3,bogus=1", "quad:d: unknown key, expected a"),
+            ("quad:bogus=1", "quad:bogus: unknown key, expected a"),
+            ("huber:a=1", "huber:a: unknown key, expected delta"),
+            ("random:d=2,delta=1", "random:delta: unknown key, expected d or seed"),
+            ("huber:delta=0.5,delta=0.7", "huber:delta: repeated key"),
+            ("random:seed=1,d=2,seed=3", "random:seed: repeated key"),
+            ("quad:a=1, a=2", "quad:a: repeated key"),
         ],
     )
     def test_run_random_out_of_range_is_a_parse_error(self, tmp_path, capsys, spec, message):
+        """A random parameter out of range, an unknown key or a repeated key
+        exits 2 with a line that names the function and the key."""
         out = tmp_path / "h.json"
         main(["compose", "(e |> e)", "--class", "f", "--out", str(out)])
         capsys.readouterr()
@@ -504,6 +513,25 @@ class TestCli:
 
     def test_bounds_k_guard(self, capsys):
         assert main(["bounds", "--k", "15"]) == 5
+
+    @pytest.mark.parametrize("force", [[], ["--force"]], ids=["plain", "force"])
+    @pytest.mark.parametrize("k", [14, 18])
+    def test_bounds_over_the_table_cap_names_k(self, monkeypatch, capsys, k, force):
+        """A level over the table cap exits 5 before any fill, with or
+        without --force, and names --k and the largest level allowed."""
+
+        def no_fill(*args, **kwargs):
+            raise AssertionError("table fill started")
+
+        monkeypatch.setattr(optimizer, "load_or_build", no_fill)
+        assert main(["bounds", "--k", str(k), *force]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --k {k} exceeds the largest accepted level 13 (O(4^k) table fill)\n"
+        assert captured.out == ""
+
+    def test_bounds_largest_level_still_needs_force(self, capsys):
+        assert main(["bounds", "--k", "13"]) == 5
+        assert "rerun with --force" in capsys.readouterr().err
 
     def test_bounds_csv(self, tmp_path, capsys):
         out = tmp_path / "bounds.csv"

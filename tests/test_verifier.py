@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from oracles import f_certificate_spine_walk
 from stepweaver import dsl
-from stepweaver.builders import constant_optimal, dynamic_short, silver
+from stepweaver.builders import constant_optimal, dynamic_short, right_heavy, silver
 from stepweaver.gd import ProblemInstance, huber_instance, quad_instance, random_instance, random_x0, run
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import obs_f, obs_g, obs_s
@@ -27,6 +27,7 @@ from stepweaver.schedule import (
     materialize,
     middle_step,
     reverse,
+    validate_schedule,
 )
 from stepweaver.verify import (
     CertificateV,
@@ -307,6 +308,27 @@ class TestVerifySchedule:
         assert cert.instance == "tree is not an f-class construction"
         assert {"battery/gap-inequality", "interpolation", "reversal-duality"} <= set(checks)
         assert any(name.startswith("tightness/") for name in checks)
+
+    @pytest.mark.parametrize(
+        "make,factor",
+        [(lambda: silver(2), 1.0), (lambda: right_heavy(3), 1.5)],
+        ids=["silver2-labeled-f", "rheavy3-rate-x1.5"],
+    )
+    def test_reversal_that_breaks_identities_is_reported(self, make, factor):
+        """A reversed schedule that breaks its class's identities fails the
+        reversal-duality entry with NaN slack and the IdentityError's text,
+        which says which identity failed: silver(2)'s steps and s-tree
+        labeled f, and the f-schedule right_heavy(3) with its rate x1.5."""
+        base, config = make(), RunConfig(battery=8)
+        h = StepSchedule(base.steps, CompClass.F, base.rate * factor, base.tree)
+        with pytest.raises(IdentityError) as err:
+            validate_schedule(reverse(h), config.identity_tol)
+        report = verify_schedule(h, config)
+        check = next(c for c in report.checks if c.name == "reversal-duality")
+        assert not check.passed and np.isnan(check.slack)
+        assert check.instance == str(err.value)
+        assert "identity violated" in check.instance
+        assert "interpolation" in {c.name for c in report.checks}
 
     def test_checks_sorted_by_name(self):
         report = verify_schedule(obs_s(4), RunConfig(battery=20))
