@@ -92,7 +92,7 @@ _MACROS = {
     "obsg": (CompClass.G, optimizer.obs_g),
     "rheavy": (CompClass.F, builders.right_heavy),
     "lheavy": (CompClass.G, builders.left_heavy),
-    "dshort": (CompClass.G, lambda n: builders.dynamic_short(n, "empty")),
+    "dshort": (CompClass.G, builders.dynamic_short),
     "dshort_sigma": (CompClass.G, lambda n: builders.dynamic_short(n, "sigma")),
     "const_s": (CompClass.S, lambda n: builders.constant_optimal(CompClass.S, n)),
     "const_g": (CompClass.G, lambda n: builders.constant_optimal(CompClass.G, n)),
@@ -102,18 +102,8 @@ MACRO_NAMES = tuple(sorted(_MACROS))
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer and parser
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # LEAF LPAREN RPAREN OP MACRO EOF
-    pos: int
-    op: "JoinOp | None" = None
-    name: "str | None" = None
-    arg: "int | None" = None
-
 
 _OP_ALIASES = {
     "><": JoinOp.SJOIN,
@@ -124,53 +114,46 @@ _OP_ALIASES = {
     "◁": JoinOp.GJOIN,  # left triangle
 }
 
-_MACRO_RE = re.compile(r"([a-z_][a-z0-9_]*)\s*\(\s*([+-]?\d+)\s*\)")
-_WORD_RE = re.compile(r"[a-z_][a-z0-9_]*")
+# One token after optional whitespace: a join operator, a parenthesis, the leaf, a
+# macro name with its ``(int)`` call or any other character; none at the end.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<op>" + "|".join(map(re.escape, _OP_ALIASES)) + r")|(?P<paren>[()])|(?P<leaf>e)(?![a-z0-9_])"
+    r"|(?P<macro>(?P<name>[a-z_][a-z0-9_]*)(?:\s*\(\s*(?P<arg>[+-]?\d+)\s*\))?)|(?P<char>.))?"
+)
 
 
-def tokenize(text: str):
+def _macro_leaf(name: str, arg: "str | None", pos: int) -> ExprMacro:
+    if name not in _MACROS:
+        raise DslSyntaxError(f"unknown macro {name!r}", pos, MACRO_NAMES)
+    if arg is None:
+        raise DslSyntaxError(f"macro {name!r} needs an integer argument", pos, ("macro(int)",))
+    value = int(arg)
+    if value < 0:
+        raise DslSyntaxError(f"negative macro argument {value}", pos)
+    return ExprMacro(name, value)
+
+
+def tokenize(text: str) -> list:
+    """Scan the whole text into ``(kind, pos, value)`` tuples, so a lexical
+    error anywhere wins over a syntax error.  Kinds are ``"("``, ``")"``,
+    ``"op"`` (value a ``JoinOp``), ``"atom"`` (value an ``ExprLeaf`` or
+    ``ExprMacro``) and a final ``"end"``."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(Token("LPAREN" if ch == "(" else "RPAREN", i))
-            i += 1
-            continue
-        op = text[i : i + 2] if text[i : i + 2] in _OP_ALIASES else ch
-        if op in _OP_ALIASES:
-            tokens.append(Token("OP", i, op=_OP_ALIASES[op]))
-            i += len(op)
-            continue
-        word = _WORD_RE.match(text, i)
-        if word:
-            if word.group(0) == "e":
-                tokens.append(Token("LEAF", i))
-                i = word.end()
-                continue
-            name = word.group(0)  # ``_MACRO_RE`` matches the same name
-            if name not in _MACROS:
-                raise DslSyntaxError(f"unknown macro {name!r}", i, MACRO_NAMES)
-            m = _MACRO_RE.match(text, i)
-            if not m:
-                raise DslSyntaxError(f"macro {name!r} needs an integer argument", i, ("macro(int)",))
-            arg = int(m.group(2))
-            if arg < 0:
-                raise DslSyntaxError(f"negative macro argument {arg}", i)
-            tokens.append(Token("MACRO", i, name=name, arg=arg))
-            i = m.end()
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", i, ("e", "macro", "(", ")"))
-    tokens.append(Token("EOF", len(text)))
+    m = _TOKEN_RE.match(text)
+    while m.lastgroup:
+        kind, pos = m.lastgroup, m.start(m.lastgroup)
+        if kind == "char":
+            raise DslSyntaxError(f"unexpected character {m['char']!r}", pos, ("e", "macro", "(", ")"))
+        if kind == "op":
+            tokens.append(("op", pos, _OP_ALIASES[m["op"]]))
+        elif kind == "paren":
+            tokens.append((m["paren"], pos, None))
+        else:
+            tokens.append(("atom", pos, ExprLeaf() if kind == "leaf" else _macro_leaf(m["name"], m["arg"], pos)))
+        m = _TOKEN_RE.match(text, m.end())
+    tokens.append(("end", len(text), None))
     return tokens
 
-
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
 
 MAX_NESTING = 1000  # open parentheses at once
 
@@ -183,34 +166,30 @@ def parse(text: str):
     tokens = iter(tokenize(text))
     frames = []
     while True:
-        tok = next(tokens)
-        if tok.kind == "LPAREN":
+        kind, pos, node = next(tokens)
+        if kind == "(":
             if len(frames) == MAX_NESTING:
-                raise DslSyntaxError(f"expression nesting deeper than {MAX_NESTING}", tok.pos)
+                raise DslSyntaxError(f"expression nesting deeper than {MAX_NESTING}", pos)
             frames.append([None, None])
             continue
-        if tok.kind == "LEAF":
-            node = ExprLeaf()
-        elif tok.kind == "MACRO":
-            node = ExprMacro(tok.name, tok.arg)
-        else:
-            raise DslSyntaxError("expected an expression", tok.pos, ("e", "macro", "("))
+        if kind != "atom":
+            raise DslSyntaxError("expected an expression", pos, ("e", "macro", "("))
         # ``node`` is complete: it closes every frame it is the right operand of
         while frames and frames[-1][1] is not None:
             left, op = frames.pop()
-            close = next(tokens)
-            if close.kind != "RPAREN":
-                raise DslSyntaxError("unbalanced parenthesis", close.pos, (")",))
+            kind, pos, _ = next(tokens)
+            if kind != ")":
+                raise DslSyntaxError("unbalanced parenthesis", pos, (")",))
             node = ExprJoin(op, left, node)
         if not frames:
-            tail = next(tokens)
-            if tail.kind != "EOF":
-                raise DslSyntaxError("trailing input after a complete expression", tail.pos, ("end of input",))
+            kind, pos, _ = next(tokens)
+            if kind != "end":
+                raise DslSyntaxError("trailing input after a complete expression", pos, ("end of input",))
             return node
-        op_tok = next(tokens)  # ``node`` is the left operand of the innermost frame
-        if op_tok.kind != "OP":
-            raise DslSyntaxError("expected a join operator", op_tok.pos, ("><", "|>", "<|"))
-        frames[-1][:] = [node, op_tok.op]
+        kind, pos, op = next(tokens)  # ``node`` is the left operand of the innermost frame
+        if kind != "op":
+            raise DslSyntaxError("expected a join operator", pos, ("><", "|>", "<|"))
+        frames[-1][:] = [node, op]
 
 
 # ---------------------------------------------------------------------------

@@ -365,7 +365,13 @@ class VerificationReport:
         return d
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """Strict JSON (RFC 8259 has no NaN or Infinity): a non-finite number is ``null``."""
+        d = self.to_dict()
+        for entry in (d, *d["checks"]):
+            for key, value in entry.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    entry[key] = None
+        return json.dumps(d, indent=indent, allow_nan=False)
 
     def summary(self) -> str:
         lines = [

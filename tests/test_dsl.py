@@ -77,6 +77,36 @@ class TestParse:
         text = "((silver(2) >< e) |> (e |> e))"
         assert parse(text) == parse(text)
 
+    @pytest.mark.parametrize(
+        "text,want",
+        [
+            # the scan is eager: a lexical error wins over the earlier missing operator
+            ("(e e) @", ("unexpected character '@'", 6, ("e", "macro", "(", ")"))),
+            ("e(3)", ("unexpected character '3'", 2, ("e", "macro", "(", ")"))),
+            ("E", ("unexpected character 'E'", 0, ("e", "macro", "(", ")"))),
+            ("(e><e)x", ("unknown macro 'x'", 6, dsl.MACRO_NAMES)),
+            ("(e >< e  ", ("unbalanced parenthesis", 9, (")",))),
+            ("obsf(1)(", ("trailing input after a complete expression", 7, ("end of input",))),
+            ("silver ( +3 )", "silver(3)"),
+            ("silver(-0)", "silver(0)"),
+            ("(e\t⋈\u3000e)", "(e >< e)"),
+            ("(silver(2)▷e)", "(silver(2) |> e)"),
+            ("\u3000e\n", "e"),
+        ],
+    )
+    def test_scanner_edge_cases(self, text, want):
+        if isinstance(want, str):
+            assert format_expr(parse(text)) == want
+            return
+        message, pos, expected = want
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.pos, exc.value.expected) == (
+            str(DslSyntaxError(message, pos, expected)),
+            pos,
+            expected,
+        )
+
 
 class TestTypecheck:
     def test_leaf_admits_everything(self):
@@ -157,6 +187,10 @@ def random_expr(rng, depth):
     return gen(cls, depth)
 
 
+WHITESPACE = (" ", "\t", "\n", "\u3000")
+SPELLINGS = {JoinOp.SJOIN: ("><", "⋈"), JoinOp.FJOIN: ("|>", "▷"), JoinOp.GJOIN: ("<|", "◁")}
+
+
 class TestRoundTrip:
     def test_thousand_random_trees(self):
         rng = random.Random(20240817)
@@ -176,6 +210,19 @@ class TestRoundTrip:
             "(obss(3) >< dshort(2))",
         ]:
             assert format_expr(parse(text)) == text
+
+    @given(st.randoms(use_true_random=False), st.integers(0, 8))
+    def test_any_spacing_and_spelling_parses_back(self, rng, depth):
+        ast = random_expr(rng, depth)
+
+        def space():
+            return "".join(rng.choice(WHITESPACE) for _ in range(rng.randint(0, 2)))
+
+        def combine(node, left, right):
+            return f"({space()}{left}{space()}{rng.choice(SPELLINGS[node.op])}{space()}{right}{space()})"
+
+        text = postorder(ast, lambda node: space() + "e" + space(), combine)
+        assert parse(text) == ast
 
 
 # Construction trees of any shape, mistyped ones included.

@@ -1,8 +1,13 @@
+import io
 import json
 import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from stepweaver import cli, dsl, optimizer
 from stepweaver.cli import main
@@ -28,6 +33,10 @@ from stepweaver.schedule import (
 )
 
 SQ2 = math.sqrt(2.0)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def _nested(depth):
@@ -275,6 +284,20 @@ class TestCli:
         assert main(["verify", str(out), "--battery", "10", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["certified"] is True
+
+    def test_verify_json_writes_a_nan_slack_as_null(self, tmp_path, capsys):
+        """RFC 8259 JSON has no NaN: a check that could not be built reports
+        ``"slack": null``.  right_heavy(3)'s reverse misses the 1e-15
+        identity tolerance, so its reversal-duality slack is NaN."""
+        sched, config = tmp_path / "r3.json", tmp_path / "tol.json"
+        assert main(["compose", "rheavy(3)", "--out", str(sched)]) == 0
+        config.write_text('{"identity_tol": 1e-15}')
+        capsys.readouterr()
+        assert main(["verify", str(sched), "--config", str(config), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+        entry = next(c for c in doc["checks"] if c["name"] == "reversal-duality")
+        assert entry["passed"] is False and entry["slack"] is None
+        assert entry["instance"].startswith("g-identity violated")
 
     @pytest.mark.parametrize(
         "error,code",
@@ -724,3 +747,134 @@ class TestCli:
         for _ in range(6000):
             text = f"({text} >< e)"
         assert main(["compose", text, "--class", "s"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: every input ends in a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda sub: st.lists(sub, max_size=3) | st.dictionaries(st.text(max_size=4), sub, max_size=3),
+    max_leaves=6,
+)
+_JUNK = st.text(st.sampled_from("()<>|eE3-+@é١ \t\u3000,=:") | st.characters(), min_size=1, max_size=3)
+
+_MACROS = st.builds("{}({})".format, st.sampled_from(dsl.MACRO_NAMES), st.integers(0, 12))
+_OVER_CAP = st.sampled_from(["silver(21)", "obss(20001)", "dshort(100001)", "const_s(100001)"])
+_EXPRESSIONS = st.recursive(
+    st.just("e") | _MACROS | _OVER_CAP,
+    lambda sub: st.builds("({} {} {})".format, sub, st.sampled_from(["><", "|>", "<|", "⋈", "▷", "◁"]), sub),
+    max_leaves=8,
+)
+
+_BASES = {"s": "silver(2)", "f": "((e >< e) |> (e |> e))", "g": "obsg(3)"}
+_SCHEDULE_KEYS = ("schema_version", "class", "n", "steps", "rate", "construction", "provenance")
+_TOLERANCES = st.floats(1e-12, 1e-3) | st.floats(1e-300, 1e300) | _JSON_VALUES
+_CONFIGS = st.builds(
+    lambda extra, doc: {**extra, **doc},
+    st.just({}) | st.dictionaries(st.text(max_size=6), _JSON_VALUES, min_size=1, max_size=1),
+    st.fixed_dictionaries(
+        {"battery": st.integers(1, 16)},
+        optional={"seed": st.integers(-3, 2**70) | _JSON_VALUES}
+        | dict.fromkeys(("identity_tol", "slack_tol", "tight_tol", "q_tol"), _TOLERANCES),
+    ),
+)
+
+_NO_DIGITS = st.text(st.sampled_from("abcxyz.-+ _;:=,"), max_size=5)  # never a large d
+_NUMBERS = st.one_of(
+    st.floats().map(repr), st.integers().map(str), st.sampled_from(["inf", "-inf", "nan", "1e308"]), _NO_DIGITS
+)
+_PARAMETERS = {
+    "a": st.floats(0, 1).map(repr) | _NUMBERS,
+    "delta": st.floats(0, 10).map(repr) | _NUMBERS,
+    "d": st.integers(-3, 16).map(str) | _NO_DIGITS,
+    "seed": st.integers(-3, 2**70).map(str) | _NO_DIGITS,
+    "x": _NUMBERS,
+}
+# a function takes its own keys three times as often as the foreign key ``x``
+_FUNCTION_KEYS = {"quad": ["a"] * 3, "huber": ["delta"] * 3, "random": ["d", "seed"] * 3, "bogus": [], "": []}
+_FUNCTIONS = st.sampled_from(list(_FUNCTION_KEYS)).flatmap(
+    lambda kind: st.lists(
+        st.sampled_from(_FUNCTION_KEYS[kind] + ["x"]).flatmap(lambda key: _PARAMETERS[key].map(f"{key}={{}}".format)),
+        max_size=2,
+    ).map(lambda params: f"{kind}:{','.join(params)}" if params else kind)
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """One schedule file per class, and scratch room for edited copies."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for cls, expr in _BASES.items():
+        schedule, ast = dsl.compile_expression(expr)
+        (root / f"{cls}.json").write_text(dumps_schedule(schedule, construction=dsl.format_expr(ast)))
+    return root
+
+
+def _run_cli(argv):
+    """``main(argv)`` with ``STEPWEAVER_CACHE`` unset: its exit code and
+    output.  Any exception other than argparse's exit propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop(CACHE_ENV_VAR, None)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    assert code in range(6), (argv, code, err.getvalue())
+    if code >= 2:
+        lines = err.getvalue().splitlines()
+        assert any(line.startswith("error: ") or ": error: " in line for line in lines), (argv, lines)
+    return code, out.getvalue()
+
+
+class TestCliFuzz:
+    @given(
+        _EXPRESSIONS,
+        st.lists(st.tuples(st.integers(0, 400), _JUNK), max_size=2),
+        st.sampled_from([[], ["--class", "s"], ["--class", "f"], ["--class", "g"]]),
+    )
+    def test_compose(self, expr, junk, cls):
+        for at, text in junk:
+            expr = expr[:at] + text + expr[at:]
+        _run_cli(["compose", *cls, "--", expr])
+
+    @given(
+        st.sampled_from(sorted(_BASES)),
+        st.sampled_from(["remove", "add", "retype"]),
+        st.sampled_from(_SCHEDULE_KEYS) | st.text(max_size=6),
+        _JSON_VALUES,
+    )
+    def test_verify_edited_schedule_file(self, fuzz_dir, cls, edit, key, value):
+        doc = json.loads((fuzz_dir / f"{cls}.json").read_text())
+        if edit == "remove":
+            assume(key in doc)
+            del doc[key]
+        elif edit == "add":
+            assume(key not in doc)
+            doc[key] = value
+        else:
+            assume(key in doc and type(value) is not type(doc[key]))
+            doc[key] = value
+        path = fuzz_dir / "edited.json"
+        path.write_text(json.dumps(doc))
+        _run_cli(["verify", str(path), "--battery", "4"])
+
+    @given(st.sampled_from(sorted(_BASES)), _CONFIGS, st.booleans())
+    def test_verify_random_config(self, fuzz_dir, cls, doc, as_json):
+        path = fuzz_dir / "config.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", str(fuzz_dir / f"{cls}.json"), "--config", str(path)]
+        code, out = _run_cli(argv + ["--json"] * as_json)
+        if as_json and code < 2:
+            json.loads(out, parse_constant=_refuse_constant)
+
+    @given(
+        st.sampled_from(sorted(_BASES)),
+        _FUNCTIONS,
+        st.none() | _NUMBERS | st.lists(st.floats().map(repr), min_size=1, max_size=3).map(",".join),
+    )
+    def test_run_function(self, fuzz_dir, cls, spec, x0):
+        argv = ["run", str(fuzz_dir / f"{cls}.json"), "--function", spec]
+        _run_cli(argv if x0 is None else argv + [f"--x0={x0}"])

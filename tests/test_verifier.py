@@ -330,6 +330,17 @@ class TestVerifySchedule:
         assert "identity violated" in check.instance
         assert "interpolation" in {c.name for c in report.checks}
 
+    def test_json_report_writes_a_nan_slack_as_null(self):
+        """``to_json`` is strict JSON: a NaN slack is ``null`` there, while the
+        check, ``to_dict()`` and ``summary()`` keep the NaN.  right_heavy(3)'s
+        reverse misses a 1e-15 identity tolerance by about 1.06e-15."""
+        report = verify_schedule(right_heavy(3), RunConfig(battery=8, identity_tol=1e-15))
+        i = next(i for i, c in enumerate(report.checks) if c.name == "reversal-duality")
+        assert np.isnan(report.checks[i].slack) and np.isnan(report.to_dict()["checks"][i]["slack"])
+        assert "slack=nan" in report.summary()
+        assert json.loads(report.to_json())["checks"][i]["slack"] is None
+        assert "NaN" not in report.to_json()
+
     def test_checks_sorted_by_name(self):
         report = verify_schedule(obs_s(4), RunConfig(battery=20))
         names = [c.name for c in report.checks]
