@@ -2,7 +2,7 @@
 """Report digest: one sha256 over every field of a fixed set of verification reports.
 
 Verifies the acceptance corpus (``tests/corpus.py``), the benchmark's
-verify-long schedules (``perfbench/workloads.py``) and ten fixed corrupted
+verify-long schedules (``perfbench/workloads.py``) and eleven fixed corrupted
 schedules, each under ``RunConfig()`` and under ``RunConfig(battery=40,
 seed=0x5EED)``, and prints the number of reports and the sha256 of all
 their fields: the schedule's name, ``describe()``, class, n, rate (as
@@ -54,12 +54,14 @@ def _rated(h: StepSchedule, rate: float) -> StepSchedule:
 
 
 def corruptions():
-    """Ten schedules that fail some check, or pass near one's edge: perturbed
-    steps or rates, with and without their construction trees, a NaN step,
-    mislabeled steps and an unverified constant schedule."""
+    """Eleven schedules that fail some check, or pass near one's edge:
+    perturbed steps or rates, with and without their construction trees, a
+    NaN step, mislabeled steps, a tree of another length and an unverified
+    constant schedule."""
     tables = build_tables(13)
     s2, s3, s5, s7 = silver(2), silver(3), obs_s(5, tables), obs_s(7, tables)
-    f10, f12, g10, r3 = obs_f(10, tables), obs_f(12, tables), obs_g(10, tables), right_heavy(3)
+    f5, f6, f10, f12 = obs_f(5, tables), obs_f(6, tables), obs_f(10, tables), obs_f(12, tables)
+    g10, r3 = obs_g(10, tables), right_heavy(3)
     return [
         ("silver(3) step 0 x(1+1e-7)", _changed(s3, 0, s3.steps[0] * (1 + 1e-7))),
         ("silver(2) step 1 = nan", _changed(s2, 1, float("nan"))),
@@ -68,6 +70,7 @@ def corruptions():
         ("obsf(12) step 3 x1.01, no tree", _changed(f12, 3, f12.steps[3] * 1.01, tree=False)),
         ("obsg(10) step 4 x(1+1e-6)", _changed(g10, 4, g10.steps[4] * (1 + 1e-6))),
         ("obss(5) steps labeled f", StepSchedule(s5.steps, CompClass.F, s5.rate)),
+        ("obsf(6) steps, obsf(5) tree", StepSchedule(f6.steps, CompClass.F, f6.rate, f5.tree)),
         ("obss(7) rate x0.5", _rated(s7, s7.rate * 0.5)),
         ("rheavy(3) rate x1.5", _rated(r3, r3.rate * 1.5)),
         ("const_f(4) unverified", constant_optimal(CompClass.F, 4, unverified=True)),

@@ -39,11 +39,14 @@ from .schedule import (
 
 
 class DslSyntaxError(ScheduleError):
+    """A syntax error at ``pos``, the 0-based index of a character (not of
+    a UTF-8 byte) in the text."""
+
     def __init__(self, message: str, pos: int, expected=()):
         self.pos = pos
         self.expected = tuple(expected)
         suffix = f" (expected one of: {', '.join(self.expected)})" if self.expected else ""
-        super().__init__(f"syntax error at byte {pos}: {message}{suffix}")
+        super().__init__(f"syntax error at position {pos}: {message}{suffix}")
 
 
 class DslTypeError(ScheduleError):

@@ -14,10 +14,10 @@ bounds with explicit residual terms that vanish on their tight instances.
 Battery slacks (certificate and implied bounds) are divided by
 max(1, ||x0||^2, f_0) before they meet ``slack_tol``, so mixed-scale random
 instances are judged fairly.  The interpolation check is not rescaled: the
-minimum of Q_ij over all pairs, evaluated in Gram form (rank-(d+2) matrix
-products; the rows are assembled per sub-batch of instances and every
-product is written into one reused buffer, all of bounded size), is compared
-with the absolute ``q_tol``.
+minimum of Q_ij over all pairs of the points 0..n and the minimizer,
+evaluated in Gram form (rank-(d+2) matrix products; the rows are assembled
+per sub-batch of instances and every product is written into one reused
+buffer, all of bounded size), is compared with the absolute ``q_tol``.
 
 One verification runs one GD loop, which stores only the points: the
 packed battery and the class's tight 1-D instances (``(is_huber, param,
@@ -130,6 +130,15 @@ def build_f_certificate(tree: CompositionTree) -> CertificateV:
     return CertificateV(v, eta)
 
 
+def _schedule_certificate(schedule: StepSchedule) -> CertificateV:
+    """The certificate of the schedule's tree, which must weigh each of the
+    schedule's n + 1 points: a schedule may carry a tree of another length."""
+    cert = build_f_certificate(schedule.tree)
+    if cert.weights.size != schedule.n + 1:
+        raise ScheduleError(f"certificate has {cert.weights.size} weights, schedule has {schedule.n + 1} points")
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # Slack evaluations.  The raw forms accept batched arrays: X, G of shape
 # (N, ..., d) and F of shape (N, ...); slacks come back with the batch shape.
@@ -208,7 +217,7 @@ def _gram_rows(X, G, F, P, Rt) -> None:
     Rt[:, d + 1, points:] = 0.0
 
 
-def _q_min_batched(X, G, F, include_star: bool = True):
+def _q_min_batched(X, G, F):
     """The ``(B,)`` minima, one per instance of an ``(n+1, B, d)`` trace, over
     all ordered pairs of the smooth-convex interpolation quantity
     Q_ij = 2f_i - 2f_j - 2<g_j, x_i - x_j> - ||g_i - g_j||^2.
@@ -216,8 +225,8 @@ def _q_min_batched(X, G, F, include_star: bool = True):
     Gram form: Q_ij = a_i + b_j + 2<g_i - x_i, g_j> with a_i = 2f_i - ||g_i||^2
     and b_j = -2f_j + 2<g_j, x_j> - ||g_j||^2, so with rows
     P_i = [g_i - x_i, a_i, 1] and R_j = [2g_j, 1, b_j] the pair matrix is
-    P @ R^T per instance.  With ``include_star`` the minimizer (x, g, f) = 0
-    appends P_* = [0, 0, 1] and R_* = [0, 1, 0].
+    P @ R^T per instance.  The minimizer (x, g, f) = 0 is the last point,
+    with P_* = [0, 0, 1] and R_* = [0, 1, 0].
 
     P and a contiguous R^T are assembled once per sub-batch of instances
     whose rows hold at most ``_PAIR_BLOCK`` entries.  Every product is
@@ -230,7 +239,7 @@ def _q_min_batched(X, G, F, include_star: bool = True):
     NaN reaches its instance's minimum and no other.
     """
     points, batch, d = X.shape
-    rows = points + 1 if include_star else points
+    rows = points + 1
     sub = max(1, min(batch, _PAIR_BLOCK // (rows * (d + 2))))
     if rows * rows <= _PAIR_BLOCK:
         per, block = min(sub, _PAIR_BLOCK // (rows * rows)), rows
@@ -259,14 +268,6 @@ def _q_min_batched(X, G, F, include_star: bool = True):
     return q
 
 
-def _q_min_raw(X, G, F, include_star: bool = True):
-    """:func:`_q_min_batched` of an ``(n+1, B, d)`` trace, or its minimum as
-    a float for one ``(n+1, d)`` trace."""
-    if X.ndim == 3:
-        return _q_min_batched(X, G, F, include_star)
-    return float(_q_min_batched(X[:, None], G[:, None], F[:, None], include_star)[0])
-
-
 def _trace_arrays(schedule: StepSchedule, trace: GDTrace, comp_class=None):
     """``(x, g, f)`` of a trace of the schedule's length, whose schedule is of
     ``comp_class`` when one is given."""
@@ -275,23 +276,6 @@ def _trace_arrays(schedule: StepSchedule, trace: GDTrace, comp_class=None):
     if schedule.n != trace.n:
         raise ScheduleError(f"schedule has {schedule.n} steps, trace has {trace.n}")
     return trace.x, trace.g, trace.f
-
-
-def check_f_certificate(cert: CertificateV, trace: GDTrace) -> float:
-    """Certificate slack for one trace; nonnegative for genuine instances."""
-    if cert.weights.size != trace.n + 1:
-        raise ScheduleError(
-            f"certificate has {cert.weights.size} weights, trace has {trace.n + 1} points"
-        )
-    return float(_f_cert_slack_raw(cert.weights, trace.x, trace.g, trace.f))
-
-
-def check_g_inequality(trace: GDTrace, eta: float) -> float:
-    return float(_g_slack_raw(eta, trace.x, trace.g, trace.f))
-
-
-def check_s_inequality(schedule: StepSchedule, trace: GDTrace, eta: float) -> float:
-    return float(_s_slack_raw(schedule.steps, eta, *_trace_arrays(schedule, trace, CompClass.S)))
 
 
 def check_s_implies_fg(schedule: StepSchedule, trace: GDTrace):
@@ -364,14 +348,14 @@ class VerificationReport:
         d["certified"] = self.certified
         return d
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Strict JSON (RFC 8259 has no NaN or Infinity): a non-finite number is ``null``."""
         d = self.to_dict()
         for entry in (d, *d["checks"]):
             for key, value in entry.items():
                 if isinstance(value, float) and not math.isfinite(value):
                     entry[key] = None
-        return json.dumps(d, indent=indent, allow_nan=False)
+        return json.dumps(d, indent=2, allow_nan=False)
 
     def summary(self) -> str:
         lines = [
@@ -586,7 +570,7 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     cert = None
     if schedule.tree is not None:
         if schedule.comp_class is CompClass.F:
-            cert = build("battery/certificate", config.slack_tol, lambda: build_f_certificate(schedule.tree))
+            cert = build("battery/certificate", config.slack_tol, lambda: _schedule_certificate(schedule))
         dual = build("reversal-duality", config.tight_tol, reversed_run)
         if dual is not None:
             runs.append(dual)

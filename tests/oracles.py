@@ -2,8 +2,8 @@
 
 ``q_min_pairwise`` is the direct pairwise form of the smooth-convex
 interpolation check: it builds each term of Q_ij as its own (B, N, N) array.
-The production kernel, ``stepweaver.verify._q_min_raw``, evaluates the same
-minimum in Gram form; the tests compare the two.
+The production kernel, ``stepweaver.verify._q_min_batched``, evaluates the
+same minimum in Gram form; the tests compare the two.
 
 ``q_min_row_blocks_reference`` is the Gram-form kernel that builds P and R
 for chunks of as many instances as ``pair_block`` pair entries hold and takes
@@ -79,18 +79,17 @@ def raw_run_reference(steps, is_huber, param, x0):
     return xs, gs, fs
 
 
-def q_min_pairwise(X, G, F, include_star: bool = True):
+def q_min_pairwise(X, G, F):
     """Minimum over all ordered pairs of the smooth-convex interpolation
-    quantity Q_ij = 2f_i - 2f_j - 2<g_j, x_i - x_j> - ||g_i - g_j||^2.
+    quantity Q_ij = 2f_i - 2f_j - 2<g_j, x_i - x_j> - ||g_i - g_j||^2, over
+    the points and the minimizer (x, g, f) = 0 appended to them.
 
     X, G have shape (N, d) or (N, B, d) and F has shape (N,) or (N, B); the
-    result is a float or a (B,) array.  ``include_star`` appends the
-    minimizer (x, g, f) = 0.
+    result is a float or a (B,) array.
     """
-    if include_star:
-        X = np.concatenate([X, np.zeros_like(X[:1])])
-        G = np.concatenate([G, np.zeros_like(G[:1])])
-        F = np.concatenate([F, np.zeros_like(F[:1])])
+    X = np.concatenate([X, np.zeros_like(X[:1])])
+    G = np.concatenate([G, np.zeros_like(G[:1])])
+    F = np.concatenate([F, np.zeros_like(F[:1])])
     # batch axes to the front: (N, B, d) -> (B, N, d); add B=1 if unbatched
     squeeze = X.ndim == 2
     if squeeze:
@@ -110,9 +109,10 @@ def q_min_pairwise(X, G, F, include_star: bool = True):
     return Q.min(axis=(1, 2)) if not squeeze else float(Q.min())
 
 
-def q_min_row_blocks_reference(X, G, F, include_star: bool = True, pair_block: int = 2**18):
-    """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace."""
-    rows = X.shape[0] + 1 if include_star else X.shape[0]
+def q_min_row_blocks_reference(X, G, F, pair_block: int = 2**18):
+    """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace, with the
+    minimizer appended."""
+    rows = X.shape[0] + 1
     chunk = max(1, pair_block // (rows * rows))
     minima = []
     for i in range(0, X.shape[1], chunk):

@@ -29,11 +29,11 @@ from stepweaver.optimizer import (
 from stepweaver.schedule import CompClass, StepSchedule, reverse
 from stepweaver.verify import (
     CertificateV,
-    _q_min_raw,
+    _f_cert_slack_raw,
+    _g_slack_raw,
+    _q_min_batched,
+    _s_slack_raw,
     build_f_certificate,
-    check_f_certificate,
-    check_g_inequality,
-    check_s_inequality,
     defining_slack,
     verify_schedule,
 )
@@ -179,7 +179,7 @@ def test_criterion_06_tightness_suite(corpus):
         for inst in pair:
             tr = run(sched, inst, np.ones(1))
             worst = max(worst, abs(defining_slack(sched, tr)))
-            worst_q = min(worst_q, _q_min_raw(tr.x, tr.g, tr.f))
+            worst_q = min(worst_q, _q_min_batched(tr.x[:, None], tr.g[:, None], tr.f[:, None])[0])
         count += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and worst_q >= -1e-9 and elapsed < 30.0
@@ -324,24 +324,25 @@ def test_criterion_11_falsifiability():
     object.__setattr__(doctored, "weights", weights)
     object.__setattr__(doctored, "eta", cert.eta)
     tr = run(h3, quad_instance(1.0), 1.0)
-    if not check_f_certificate(doctored, tr) < -1e-6:
+    if not _f_cert_slack_raw(doctored.weights, tr.x, tr.g, tr.f) < -1e-6:
         failures.append("halved certificate weight escaped the certificate check")
 
     # over-claimed gradient rate: tight run must show negative slack
     g1 = obs_g(1)
     tr = run(g1, huber_instance(2.0 * g1.rate / (1.0 + g1.rate)), 1.0)
-    if not check_g_inequality(tr, g1.rate * 0.6) < -1e-6:
+    if not _g_slack_raw(g1.rate * 0.6, tr.x, tr.g, tr.f) < -1e-6:
         failures.append("over-claimed gradient rate escaped the inequality check")
 
     # over-claimed mixed rate
     s2 = silver(2)
     tr = run(s2, quad_instance(1.0), 1.0)
-    if not check_s_inequality(s2, tr, s2.rate * 0.8) < -1e-6:
+    if not _s_slack_raw(s2.steps, s2.rate * 0.8, tr.x, tr.g, tr.f) < -1e-6:
         failures.append("over-claimed mixed rate escaped the inequality check")
 
-    # non-convex synthetic trace: interpolation check must reject
-    X, G, F = np.array([[0.0], [1.0]]), np.array([[0.0], [-1.0]]), np.array([0.0, -0.5])
-    if not _q_min_raw(X, G, F, include_star=False) < -1e-9:
+    # non-convex synthetic trace: interpolation check must reject; f(3) lies
+    # below the tangent at 1, and neither point alone clashes with the minimizer
+    X, G, F = np.array([[[1.0]], [[3.0]]]), np.array([[[1.0]], [[1.0]]]), np.array([[0.5], [1.5]])
+    if not _q_min_batched(X, G, F)[0] < -1e-9:
         failures.append("non-convex trace escaped the interpolation check")
 
     _report(

@@ -73,6 +73,13 @@ class TestParse:
         assert exc.value.pos == 6
         assert "e" in exc.value.expected
 
+    def test_position_counts_characters_not_bytes(self):
+        text = "(e ⋈ e) @"  # the operator is one character and three UTF-8 bytes
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(text)
+        assert exc.value.pos == text.index("@") == 8
+        assert str(exc.value).startswith("syntax error at position 8: unexpected character '@'")
+
     def test_determinism(self):
         text = "((silver(2) >< e) |> (e |> e))"
         assert parse(text) == parse(text)

@@ -378,7 +378,7 @@ def test_worst_case_scan_matches_two_run_reference(schedule, criterion):
 
 class TestInterpolationOnTraces:
     def test_q_nonnegative_on_genuine_runs(self):
-        from stepweaver.verify import _q_min_raw
+        from stepweaver.verify import _q_min_batched
 
         rng = np.random.default_rng(5)
         for sched in (silver(4), obs_f(10), obs_g(7)):
@@ -386,4 +386,4 @@ class TestInterpolationOnTraces:
                 d = int(rng.integers(1, 8))
                 inst = random_instance(rng, d)
                 tr = run(sched, inst, rng.standard_normal(d))
-                assert _q_min_raw(tr.x, tr.g, tr.f) >= -1e-9
+                assert _q_min_batched(tr.x[:, None], tr.g[:, None], tr.f[:, None])[0] >= -1e-9

@@ -21,7 +21,7 @@ from stepweaver.gd import quad_instance, raw_run, run
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import build_tables, obs_f, obs_g, obs_s
 from stepweaver.schedule import CompClass
-from stepweaver.verify import _dot, _gram_rows, _q_min_batched, _q_min_raw, _weighted_sum, verify_schedule
+from stepweaver.verify import _dot, _gram_rows, _q_min_batched, _weighted_sum, verify_schedule
 
 DIMS = st.sampled_from([1, 2, 4, 8])
 
@@ -58,7 +58,7 @@ class TestGramKernelOracle:
         X, G, F = convex_traces(seed, n, batch, d)
         expected = q_min_pairwise(X, G, F)
         tol = q_tolerance(X, G, F)
-        assert np.max(np.abs(_q_min_raw(X, G, F) - expected)) <= tol
+        assert np.max(np.abs(_q_min_batched(X, G, F) - expected)) <= tol
         # chunks of one instance, of three and the default, against one call
         for pair_block in (1, 3 * (n + 2) ** 2, verify._PAIR_BLOCK):
             with mock.patch.object(verify, "_PAIR_BLOCK", pair_block):
@@ -66,22 +66,10 @@ class TestGramKernelOracle:
             assert got.shape == (batch,)
             assert np.max(np.abs(got - expected)) <= tol
 
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), DIMS)
-    def test_convex_unbatched(self, seed, n, d):
-        X, G, F = convex_traces(seed, n, 1, d)
-        X, G, F = X[:, 0], G[:, 0], F[:, 0]
-        got = _q_min_raw(X, G, F)
-        assert isinstance(got, float)
-        assert abs(got - q_min_pairwise(X, G, F)) <= q_tolerance(X, G, F)
-
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6), DIMS)
-    def test_arbitrary_without_star(self, seed, n, batch, d):
+    def test_arbitrary(self, seed, n, batch, d):
         X, G, F = arbitrary_traces(seed, n, batch, d)
-        tol = q_tolerance(X, G, F)
-        expected = q_min_pairwise(X, G, F, include_star=False)
-        assert np.max(np.abs(_q_min_raw(X, G, F, include_star=False) - expected)) <= tol
-        got = _q_min_raw(X[:, 0], G[:, 0], F[:, 0], include_star=False)
-        assert abs(got - q_min_pairwise(X[:, 0], G[:, 0], F[:, 0], include_star=False)) <= tol
+        assert np.max(np.abs(_q_min_batched(X, G, F) - q_min_pairwise(X, G, F))) <= q_tolerance(X, G, F)
 
     def test_row_blocks_bound_memory_at_n_2047(self, monkeypatch):
         """8*(n+2)^2 bytes per instance in one product (32 MiB at n = 2047);
@@ -99,25 +87,25 @@ class TestGramKernelOracle:
 
     def test_star_only_pair_is_exactly_zero(self):
         # one point at the minimizer plus the appended star: every Q is 0
-        zero = np.zeros((1, 3))
-        assert _q_min_raw(zero, zero, np.zeros(1)) == 0.0
+        zero = np.zeros((1, 1, 3))
+        assert _q_min_batched(zero, zero, np.zeros((1, 1)))[0] == 0.0
 
 
 class TestSubBatchedKernel:
     """The sub-batched kernel against the row-block kernel it replaced, on
     both sides of its switch from whole instances per product to row blocks
     of one instance at N^2 = ``_PAIR_BLOCK`` (N = n + 2 = 256 at n = 254
-    with the star row, N = n + 1 = 256 at n = 255 without)."""
+    with the star row)."""
 
-    @pytest.mark.parametrize("include_star", [True, False])
-    @pytest.mark.parametrize("n", [0, 1, 253, 254, 255, 383, 511])
-    def test_minima_are_byte_equal_to_row_blocks(self, n, include_star):
+    # the "-True" suffix (minimizer row appended) keeps these cases' ids stable
+    @pytest.mark.parametrize("n", [0, 1, 253, 254, 255, 383, 511], ids="{}-True".format)
+    def test_minima_are_byte_equal_to_row_blocks(self, n):
         assert verify._PAIR_BLOCK == 256**2
         for batch in (1, 7, 50):
             for d in (1, 2, 4, 8):
                 X, G, F = convex_traces(1000 * n + 10 * batch + d, n, batch, d)
-                got = _q_min_batched(X, G, F, include_star)
-                assert got.tobytes() == q_min_row_blocks_reference(X, G, F, include_star).tobytes(), (batch, d)
+                got = _q_min_batched(X, G, F)
+                assert got.tobytes() == q_min_row_blocks_reference(X, G, F).tobytes(), (batch, d)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [30, 300])  # 7 instances in one product; row blocks
@@ -153,7 +141,7 @@ def layout_traces(layout, n, d, batch=5):
     ``(n+1, B, d)`` views of packed ``(n+1, M)`` points cut as
     ``verify._group_trace`` cuts them (it evaluates contiguous gradients;
     strided ones are checked too); ``single``, the ``(n+1, d)`` and
-    ``(n+1,)`` arrays of one trace that ``check_f_certificate`` passes."""
+    ``(n+1,)`` arrays of one trace that ``defining_slack`` passes."""
     X, G, F = convex_traces(100 * n + d, n, 3 * batch, d)
     if layout == "single":
         return X[:, 0].copy(), G[:, 0].copy(), F[:, 0].copy()

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -730,7 +731,7 @@ class TestCli:
     def test_nesting_beyond_the_cap_is_a_parse_error_at_the_paren(self, capsys):
         assert main(["compose", _nested(dsl.MAX_NESTING + 1), "--class", "s"]) == 2
         assert capsys.readouterr().err == (
-            f"error: syntax error at byte {dsl.MAX_NESTING}: "
+            f"error: syntax error at position {dsl.MAX_NESTING}: "
             f"expression nesting deeper than {dsl.MAX_NESTING}\n"
         )
 
@@ -800,6 +801,31 @@ _FUNCTIONS = st.sampled_from(list(_FUNCTION_KEYS)).flatmap(
         max_size=2,
     ).map(lambda params: f"{kind}:{','.join(params)}" if params else kind)
 )
+
+
+_CACHES = st.sampled_from([None, "fresh", "file", "under-file", "garbage", "directory"])
+
+
+def _cache_argv(root, kind):
+    """``--cache`` in a new directory under ``root`` of one ``kind``: the
+    directory itself (``fresh``), a file (``file``), a path under a file
+    (``under-file``), or the directory holding a garbage table file
+    (``garbage``) or a directory in the table file's place (``directory``);
+    no flag for ``None``."""
+    if kind is None:
+        return []
+    base = tempfile.mkdtemp(dir=root)
+    if kind in ("file", "under-file"):
+        path = os.path.join(base, "plain")
+        with open(path, "w") as fh:
+            fh.write("not a directory")
+        return ["--cache", path if kind == "file" else os.path.join(path, "tables")]
+    if kind == "garbage":
+        with open(os.path.join(base, CACHE_NAME), "wb") as fh:
+            fh.write(b"garbage")
+    elif kind == "directory":
+        os.mkdir(os.path.join(base, CACHE_NAME))
+    return ["--cache", base]
 
 
 @pytest.fixture(scope="module")
@@ -878,3 +904,15 @@ class TestCliFuzz:
     def test_run_function(self, fuzz_dir, cls, spec, x0):
         argv = ["run", str(fuzz_dir / f"{cls}.json"), "--function", spec]
         _run_cli(argv if x0 is None else argv + [f"--x0={x0}"])
+
+    @given(st.sampled_from("fgs"), st.integers(0, 64) | st.integers(optimizer.MAX_OBS_LEN + 1, 10**9), _CACHES)
+    def test_optimize(self, fuzz_dir, cls, n, cache):
+        _run_cli(["optimize", "--class", cls, "--n", str(n), *_cache_argv(fuzz_dir, cache)])
+
+    @given(
+        st.tuples(st.integers(0, 3) | st.integers(14, 10**6), st.booleans()) | st.just((13, False)),
+        _CACHES,
+    )
+    def test_bounds(self, fuzz_dir, k_force, cache):
+        k, force = k_force  # never --k 13 --force: that fills 16383 rows
+        _run_cli(["bounds", "--k", str(k), *["--force"] * force, *_cache_argv(fuzz_dir, cache)])
