@@ -2,7 +2,9 @@
 """Report digest: one sha256 over every field of a fixed set of verification reports.
 
 Verifies the acceptance corpus (``tests/corpus.py``), the benchmark's
-verify-long schedules (``perfbench/workloads.py``) and eleven fixed corrupted
+verify-long schedules (``perfbench/workloads.py``), two long schedules,
+``silver(10)`` and ``obss(2047)`` (n = 1023 and 2047, where the
+interpolation check skips the most pairs), and eleven fixed corrupted
 schedules, each under ``RunConfig()`` and under ``RunConfig(battery=40,
 seed=0x5EED)``, and prints the number of reports and the sha256 of all
 their fields: the schedule's name, ``describe()``, class, n, rate (as
@@ -77,6 +79,12 @@ def corruptions():
     ]
 
 
+def long_tail():
+    """Schedules longer than the benchmark's, kept here so that the
+    benchmark's workloads stay as they are."""
+    return [("silver(10)", silver(10)), ("obss(2047)", obs_s(2047, build_tables(2048)))]
+
+
 def report_fields(name: str, report):
     yield from (name, report.schedule, report.comp_class, str(report.n), float.hex(report.rate))
     yield from (str(report.conjectured), str(report.passed), str(report.certified))
@@ -87,7 +95,7 @@ def report_fields(name: str, report):
 
 
 def main() -> int:
-    schedules = corpus_schedules() + long_schedules() + corruptions()
+    schedules = corpus_schedules() + long_schedules() + long_tail() + corruptions()
     digest, count = hashlib.sha256(), 0
     with np.errstate(all="ignore"):  # the NaN step propagates through its runs
         for config in CONFIGS:

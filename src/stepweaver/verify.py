@@ -19,6 +19,19 @@ evaluated in Gram form (rank-(d+2) matrix products; the rows are assembled
 per sub-batch of instances and every product is written into one reused
 buffer, all of bounded size), is compared with the absolute ``q_tol``.
 
+From n = 255 on, the check skips the pairs that cannot hold an instance's
+minimum, and still returns the minimum over all pairs bit for bit.  A
+computed Gram entry q_ij = fl(P_i . R_j), with P_i = [u_i, a_i, 1] and
+R_j = [w_j, 1, b_j], is a sum of d + 2 rounded terms in some order, so it
+lies within GAMMA*(|a_i| + |b_j| + |u_i|_1 |w_j|_inf) + ETA of the exact
+P_i . R_j, with GAMMA = 2^-30 and ETA = 1e-300 far above (d+2)*2^-53 and
+the underflow (Hoelder: |<u_i, w_j>| <= |u_i|_1 |w_j|_inf).  A GD trace decays
+geometrically, so the late points' pairs are bounded in magnitude below the
+rounding noise of the early ones: every pair of a suffix S whose bound is
+below -best, with ``best`` an entry already computed, exceeds it, and so
+does every earlier row or column whose lower bound against S does.
+``_q_min_batched`` derives the three bounds.
+
 One verification runs one GD loop, which stores only the points: the
 packed battery and the class's tight 1-D instances (``(is_huber, param,
 label)`` rows, run from ``x0 = 1``) take the schedule's steps, and the
@@ -77,7 +90,8 @@ BATTERY_DIMS = (1, 2, 4, 8)
 
 @dataclass(frozen=True)
 class CertificateV:
-    """Nonnegative aggregation weights for the F-class certificate."""
+    """Finite nonnegative aggregation weights for the F-class certificate,
+    at a rate eta in (0, 1]."""
 
     weights: np.ndarray
     eta: float
@@ -86,6 +100,10 @@ class CertificateV:
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        if not 0.0 < self.eta <= 1.0:  # NaN too
+            raise IdentityError(f"certificate rate {self.eta!r} outside (0, 1]")
+        if not np.all(np.isfinite(w)):
+            raise IdentityError("certificate weights must be finite")
         if np.any(w < 0.0):
             raise IdentityError("certificate weights must be nonnegative")
         total = float(w.sum())
@@ -197,6 +215,15 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
 # core's L2 cache together.
 _PAIR_BLOCK = 2**16
 
+# A computed Gram product of d + 2 terms, summed in any order, FMA or not,
+# lies within (d+2)*2^-53 times the sum of its terms' magnitudes, plus
+# (d+2)*2^-1075 for underflow, of the exact one.  The bounds use far larger
+# constants, so that they also hold however they are rounded themselves.
+_GAMMA, _ETA = 2.0**-30, 1e-300
+# the first rows of an instance, computed against every column: their
+# minimum is the entry that the bounds measure the other pairs against
+_LEAD_ROWS = 16
+
 
 def _gram_rows(X, G, F, P, Rt) -> None:
     """Write the Gram rows of an ``(n+1, m, d)`` trace into ``P`` of shape
@@ -232,11 +259,42 @@ def _q_min_batched(X, G, F):
     whose rows hold at most ``_PAIR_BLOCK`` entries.  Every product is
     written into one buffer of at most ``_PAIR_BLOCK`` entries (one row at
     least), allocated once per call: a product covers several whole
-    instances when an N x N matrix fits, and balanced blocks of rows of one
-    instance otherwise.  So memory stays O(B*N*d) beside about 2 MiB at
-    any n; one product per instance would take 8*N^2 bytes (32 MiB at
-    n = 2047, 8 GiB at n = 32767).  Minima fold with ``np.minimum``, so a
-    NaN reaches its instance's minimum and no other.
+    instances when an N x N matrix fits, and blocks of rows of one instance
+    otherwise.  So memory stays O(B*N*d) beside about 3 MiB at any n; one
+    product per instance would take 8*N^2 bytes (32 MiB at n = 2047, 8 GiB
+    at n = 32767).  Minima fold with ``np.minimum``, so a NaN reaches its
+    instance's minimum and no other.
+
+    One instance at a time (N^2 > ``_PAIR_BLOCK``, so n >= 255), the pairs
+    that provably cannot hold the minimum are skipped.  With u_i = g_i - x_i
+    and w_j = 2g_j, every computed entry q_ij of d + 2 rounded terms obeys
+
+        |q_ij - P_i . R_j| <= GAMMA*(|a_i| + |b_j| + |u_i|_1 |w_j|_inf) + ETA
+
+    (P_i . R_j exact), since sum_k |u_ik w_jk| <= |u_i|_1 |w_j|_inf; so,
+    with A, B, U, W the maxima of |a|, |b|, |u|_1 and |w|_inf over the
+    points t..N-1:
+
+    * every pair of the suffix S = {t..N-1} has |q_ij| <= mag[t] =
+      (1+GAMMA)*(A + B + U*W) + ETA;
+    * a row i < t against S has q_ij >= a_i - GAMMA*|a_i|
+      - (1+GAMMA)*(B + |u_i|_1 W) - ETA, and a column j < t against S has
+      q_ij >= b_j - GAMMA*|b_j| - (1+GAMMA)*(A + U |w_j|_inf) - ETA.
+
+    ``best``, the minimum of the first ``_LEAD_ROWS`` rows against every
+    column, is a computed entry, so a pair whose bound exceeds it cannot be
+    the minimum.  The traces of a converging descent decay geometrically,
+    so S, from the first t with mag[t] < -best, is often most of the
+    points: rows ``_LEAD_ROWS``..t-1 are computed against columns 0..t-1,
+    the rows and columns below t whose bound is not above ``best`` against
+    S, and S x S not at all.  Each product has at least two rows and two
+    columns, so BLAS computes it as a matrix product (GEMM), which gives an
+    entry the bits of the full product; numpy sends a one-row or one-column
+    product to GEMV, which sums in another order.  The minimum is negative
+    and finite, so it is the full one bit for bit.  An instance with
+    ``best`` >= 0 or NaN, or a NaN or infinity anywhere in its rows (so
+    mag[0] is not finite), skips nothing and takes the unpruned row blocks,
+    so signed zeros and NaNs keep their bits too.
     """
     points, batch, d = X.shape
     rows = points + 1
@@ -250,6 +308,8 @@ def _q_min_batched(X, G, F):
     P, Rt = np.empty((sub, rows, d + 2)), np.empty((sub, d + 2, rows))
     block_min = np.empty(-(-rows // block))
     q = np.empty(batch)
+    lead = min(_LEAD_ROWS, block)
+    prune = 2 <= lead <= rows - 2
     for s in range(0, batch, sub):
         m = min(sub, batch - s)
         _gram_rows(X[:, s : s + m], G[:, s : s + m], F[:, s : s + m], P[:m], Rt[:m])
@@ -259,13 +319,93 @@ def _q_min_batched(X, G, F):
                 out = buf[: k * rows * rows].reshape(k, rows, rows)
                 np.matmul(P[i : i + k], Rt[i : i + k], out=out)
                 np.min(out.reshape(k, -1), axis=1, out=q[s + i : s + i + k])
-        else:
-            for i in range(m):
+            continue
+        cut = np.full(m, rows)
+        if prune:
+            first = buf[: lead * rows].reshape(lead, rows)
+            best = np.array([np.matmul(P[i, :lead], Rt[i], out=first).min() for i in range(m)])
+            cut, need_row, need_col = _suffix_cut(P[:m], Rt[:m], best)
+        for i in range(m):
+            t = int(cut[i])
+            if t == rows:
                 for j, r in enumerate(range(0, rows, block)):
                     out = buf[: min(block, rows - r) * rows].reshape(-1, rows)
                     block_min[j] = np.matmul(P[i, r : r + block], Rt[i], out=out).min()
                 q[s + i] = block_min.min()
+                continue
+            # rows lead..t-1 against columns 0..t-1, then the rows and
+            # columns below t that the bounds keep against S = t..N-1
+            low, Pi, Rti = best[i], P[i], Rt[i]
+            if t > lead:
+                low = min(low, _product_min(Pi[min(lead, t - 2) : t], Rti[:, :t], buf))
+                kept = np.flatnonzero(need_row[i, lead:t]) + lead
+                if kept.size:
+                    low = min(low, _product_min(Pi[_two(kept)], Rti[:, t:], buf))
+            kept = np.flatnonzero(need_col[i, :t])
+            if kept.size:
+                low = min(low, _product_min(Pi[max(lead, t) :], Rti[:, _two(kept)], buf))
+            q[s + i] = low
     return q
+
+
+def _suffix_cut(P, Rt, best):
+    """The bounds of :func:`_q_min_batched` for the Gram rows ``P`` of shape
+    ``(m, N, d+2)`` and ``R^T`` of shape ``(m, d+2, N)`` of m instances,
+    with a computed entry ``best`` of each: ``(cut, need_row, need_col)``,
+    the start t of each instance's suffix S (N where nothing is skipped:
+    ``best`` >= 0 or NaN, a non-finite magnitude, or fewer than two points
+    in S) and ``(m, N)`` masks of the rows and columns whose pairs with S may
+    not exceed ``best``, read below t only.  NaN bounds compare false, so
+    they keep their rows."""
+    m, rows, d = P.shape[0], P.shape[1], P.shape[2] - 2
+    a, b = P[:, :, d], Rt[:, d + 1]
+    mags = np.empty((4, m, rows))
+    absa, absb, u, w = mags  # |a_i|, |b_j|, |u_i|_1, |w_j|_inf
+    np.abs(a, out=absa)
+    np.abs(b, out=absb)
+    np.abs(P[:, :, 0], out=u)
+    np.abs(Rt[:, 0], out=w)
+    part = np.empty((m, rows))
+    for k in range(1, d):
+        u += np.abs(P[:, :, k], out=part)
+        np.maximum(w, np.abs(Rt[:, k], out=part), out=w)
+    sup = np.maximum.accumulate(mags[:, :, ::-1], axis=2)[:, :, ::-1]  # suffix maxima
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row prunes nothing
+        mag = np.multiply(sup[2], sup[3], out=part)
+        mag += sup[0]
+        mag += sup[1]
+        mag *= 1.0 + _GAMMA
+        mag += _ETA
+        # mag does not rise along the rows, so where it is below -best is a suffix
+        cut = rows - np.count_nonzero(mag < -best[:, None], axis=1)
+        cut[(cut > rows - 2) | ~np.isfinite(mag[:, 0])] = rows
+        At, Bt, Ut, Wt = (1.0 + _GAMMA) * sup[:, np.arange(m), np.minimum(cut, rows - 1)]
+        lows = sup[:2]  # the suffix maxima are gathered: their memory takes the lower bounds
+        for low, x, absx, y, Y, Z in ((lows[0], a, absa, u, Wt, Bt), (lows[1], b, absb, w, Ut, At)):
+            np.multiply(absx, -_GAMMA, out=low)
+            low += x
+            low -= np.multiply(y, Y[:, None], out=part)
+            low -= (Z + _ETA)[:, None]
+    return cut, ~(lows[0] > best[:, None]), ~(lows[1] > best[:, None])
+
+
+def _two(index):
+    """An index array of at least two entries: a single row or column below
+    the cut gets the next one, which is a pair of the instance too."""
+    return index if index.size > 1 else np.array([index[0], index[0] + 1])
+
+
+def _product_min(Pr, Rc, buf):
+    """The minimum of ``Pr @ Rc``, at least two rows by two columns, by
+    blocks of rows that fit ``buf``, each at least two rows."""
+    rows, cols = Pr.shape[0], Rc.shape[1]
+    step = buf.size // cols
+    low = np.inf
+    for r in range(0, rows, step):
+        r = min(r, rows - 2)
+        out = buf[: min(step, rows - r) * cols].reshape(-1, cols)
+        low = min(low, np.matmul(Pr[r : r + step], Rc, out=out).min())
+    return low
 
 
 def _trace_arrays(schedule: StepSchedule, trace: GDTrace, comp_class=None):

@@ -11,6 +11,11 @@ one fresh product per block of rows.  The production kernel,
 ``stepweaver.verify._q_min_batched`` (sub-batched rows, one reused product
 buffer), must give the same minima byte for byte.
 
+``q_min_unpruned_reference`` is the sub-batched Gram-form kernel that
+evaluates every pair.  The production kernel, which skips the pairs that
+provably cannot hold an instance's minimum, must give the same minima byte
+for byte.
+
 ``gram_rows_reference`` writes the Gram rows of a trace through
 ``np.moveaxis`` views.  The production ``stepweaver.verify._gram_rows``
 (``swapaxes``/``transpose`` views of the same strides) must write the same
@@ -36,6 +41,12 @@ joins, scored by the scalar join formulas, with ``np.argmin`` picking the
 first minimum.  The production fill, ``stepweaver.optimizer._extend``, must
 give the same rates and splits byte for byte.
 
+``rate_rows_mp`` recomputes the s- and f-rate rows from the two join
+formulas alone in 50-digit ``mpmath`` arithmetic, with each row's best
+split and its relative lead over the second best.  The float tables of
+``stepweaver.optimizer.build_tables`` must stay within a stated relative
+drift of it.
+
 ``write_rate_csv_reference`` writes rate tables through ``csv.writer``, one
 ``format`` per value.  The production ``stepweaver.optimizer.write_rate_csv``
 (one ``%`` format per row) must write the same bytes.
@@ -43,6 +54,7 @@ give the same rates and splits byte for byte.
 
 import csv
 
+import mpmath
 import numpy as np
 
 from stepweaver.optimizer import P_EXPONENT, RateTables
@@ -137,6 +149,42 @@ def q_min_row_blocks_reference(X, G, F, pair_block: int = 2**18):
     return np.concatenate(minima)
 
 
+def q_min_unpruned_reference(X, G, F, pair_block: int = 2**16):
+    """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace over
+    all ordered pairs, the minimizer appended: Gram rows per sub-batch of
+    instances, one reused product buffer of at most ``pair_block`` entries,
+    whole instances per product while an N x N matrix fits and balanced
+    blocks of rows of one instance otherwise."""
+    points, batch, d = X.shape
+    rows = points + 1
+    sub = max(1, min(batch, pair_block // (rows * (d + 2))))
+    if rows * rows <= pair_block:
+        per, block = min(sub, pair_block // (rows * rows)), rows
+    else:
+        per, most = 1, max(1, pair_block // rows)
+        block = -(-rows // -(-rows // most))
+    buf = np.empty(per * block * rows)
+    P, Rt = np.empty((sub, rows, d + 2)), np.empty((sub, d + 2, rows))
+    block_min = np.empty(-(-rows // block))
+    q = np.empty(batch)
+    for s in range(0, batch, sub):
+        m = min(sub, batch - s)
+        gram_rows_reference(X[:, s : s + m], G[:, s : s + m], F[:, s : s + m], P[:m], Rt[:m])
+        if block == rows:
+            for i in range(0, m, per):
+                k = min(per, m - i)
+                out = buf[: k * rows * rows].reshape(k, rows, rows)
+                np.matmul(P[i : i + k], Rt[i : i + k], out=out)
+                np.min(out.reshape(k, -1), axis=1, out=q[s + i : s + i + k])
+        else:
+            for i in range(m):
+                for j, r in enumerate(range(0, rows, block)):
+                    out = buf[: min(block, rows - r) * rows].reshape(-1, rows)
+                    block_min[j] = np.matmul(P[i, r : r + block], Rt[i], out=out).min()
+                q[s + i] = block_min.min()
+    return q
+
+
 def gram_rows_reference(X, G, F, P, Rt) -> None:
     """Write the Gram rows of an ``(n+1, m, d)`` trace into ``P`` of shape
     ``(m, N, d+2)`` and ``Rt`` of shape ``(m, d+2, N)``, where N is n+1, or
@@ -186,6 +234,35 @@ def f_certificate_spine_walk(tree):
         eta = join_rate(JoinOp.FJOIN, a.rate, beta)
         v = np.concatenate([a.steps, [1.0 + 1.0 / a.rate], np.sqrt(beta / eta) * v])
     return v, eta
+
+
+def rate_rows_mp(n_max, dps=50):
+    """Rows 1..``n_max`` of both rate tables as ``{"s": rows, "f": rows}``,
+    each row ``(rate, split, lead)``: the least join rate over the splits
+    (s: m <= n/2, since the s-join is symmetric; f: m = 1..n-1, joining s row
+    m with f row n - m), the first m that attains it, and the relative gap
+    to the second best split (infinite with one split)."""
+    with mpmath.workdps(dps):
+        one, two, four, six, eight = (mpmath.mpf(v) for v in (1, 2, 4, 6, 8))
+        rows = {"s": [None, (one, 0, mpmath.inf)], "f": [None, (one, 0, mpmath.inf)]}
+
+        def sjoin(a, b):
+            return two * a * b / ((a + b) + mpmath.sqrt(a * a + b * b + six * a * b))
+
+        def fgjoin(a, b):
+            return two * a * b / ((a + four * b) + mpmath.sqrt(a * a + eight * a * b))
+
+        for n in range(2, n_max + 1):
+            s, f = [row[0] for row in rows["s"][1:]], [row[0] for row in rows["f"][1:]]
+            for name, cand in (
+                ("s", [sjoin(s[m - 1], s[n - m - 1]) for m in range(1, n // 2 + 1)]),
+                ("f", [fgjoin(s[m - 1], f[n - m - 1]) for m in range(1, n)]),
+            ):
+                order = sorted(range(len(cand)), key=lambda k: (cand[k], k))
+                best = cand[order[0]]
+                lead = (cand[order[1]] - best) / best if len(cand) > 1 else mpmath.inf
+                rows[name].append((best, order[0] + 1, lead))
+        return rows
 
 
 def write_rate_csv_reference(fh, n_rows, columns):

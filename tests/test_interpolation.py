@@ -1,20 +1,22 @@
-"""The Gram-form interpolation kernel against the pairwise oracle, the
-battery-evaluation helpers against the numpy calls they replace, the cached
-battery, and the program names that the benchmark's traced run wraps."""
+"""The Gram-form interpolation kernel against the pairwise oracle and the
+unpruned kernel, its pruning bounds, the battery-evaluation helpers against
+the numpy calls they replace, the cached battery, and the program names that
+the benchmark's traced run wraps."""
 
 import importlib.util
 import inspect
 import os
 import tracemalloc
+from fractions import Fraction
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import gram_rows_reference, q_min_pairwise, q_min_row_blocks_reference
+from oracles import gram_rows_reference, q_min_pairwise, q_min_row_blocks_reference, q_min_unpruned_reference
 from stepweaver import builders, dsl, gd, optimizer, verify
 from stepweaver.builders import right_heavy, silver
 from stepweaver.gd import quad_instance, raw_run, run
@@ -133,6 +135,218 @@ class TestSubBatchedKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+def decaying_traces(seed, n, batch, d, floor):
+    """Points, gradients and values drawn independently (mostly non-convex),
+    point k's x and g scaled by 2^-e_k and its value by 2^-2e_k, with e_k
+    rising evenly from 0 to ``floor``: exact scalings down to subnormals."""
+    rng = np.random.default_rng(seed)
+    e = np.floor(np.linspace(0.0, floor, n + 1)).astype(np.int64)
+    X = np.ldexp(rng.standard_normal((n + 1, batch, d)), -e[:, None, None])
+    G = np.ldexp(rng.standard_normal((n + 1, batch, d)), -e[:, None, None])
+    F = np.ldexp(rng.standard_normal((n + 1, batch)), -2 * e[:, None])
+    return X, G, F
+
+
+def halving_traces(seed, n, batch, curvature=None):
+    """1-D GD traces on quadratics from random x0.  By default curvature 1
+    and step 1/2: every point halves, and Q_ij is exactly zero (a = b = u =
+    0).  With ``curvature = (low, high)``, step 1 on curvatures drawn from
+    it: the points shrink by 1 - curvature per step."""
+    rng = np.random.default_rng(seed)
+    param = np.full((batch, 1), 1.0) if curvature is None else rng.uniform(*curvature, (batch, 1))
+    steps = np.full(n, 0.5 if curvature is None else 1.0)
+    return raw_run(steps, np.zeros((batch, 1), dtype=bool), param, rng.standard_normal((batch, 1)))
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """``(N, cut)`` of every ``_suffix_cut`` call: the rows of the pair
+    matrix and where each instance's skipped suffix starts (N: none)."""
+    seen = []
+    real = verify._suffix_cut
+
+    def keeping(P, Rt, best):
+        got = real(P, Rt, best)
+        seen.append((P.shape[1], got[0].copy()))
+        return got
+
+    monkeypatch.setattr(verify, "_suffix_cut", keeping)
+    return seen
+
+
+class TestPrunedKernel:
+    """One instance at a time (n >= 255) the kernel skips the pairs whose
+    rounding bound exceeds a computed entry: the minima must be the
+    unpruned kernel's, byte for byte."""
+
+    def test_verify_long_traces(self, monkeypatch, cuts):
+        groups = []
+        real = verify._q_min_batched
+
+        def keeping(X, G, F):
+            groups.append((X, G, F))
+            return real(X, G, F)
+
+        monkeypatch.setattr(verify, "_q_min_batched", keeping)
+        for h in long_schedules():
+            verify_schedule(h, RunConfig(battery=40))
+        assert len(groups) == 32
+        cuts.clear()
+        for X, G, F in groups:
+            assert real(X, G, F).tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
+        skipped = sum(int(np.count_nonzero(cut < rows)) for rows, cut in cuts)
+        assert skipped >= 0.75 * 8 * 40  # most instances skip a suffix
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.integers(255, 700), st.integers(1, 6), DIMS, st.integers(0, 560))
+    def test_decaying_traces(self, seed, n, batch, d, floor):
+        X, G, F = decaying_traces(seed, n, batch, d, floor)
+        assert _q_min_batched(X, G, F).tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["x", "g", "f"])
+    def test_non_finite_point_in_the_skipped_suffix(self, cuts, where, bad):
+        X, G, F = decaying_traces(5, 300, 4, 2, 400)
+        clean = _q_min_batched(X, G, F)
+        (rows, cut), = cuts
+        assert cut[1] <= rows - 2  # instance 1 skips a suffix of two rows at least
+        {"x": X, "g": G, "f": F}[where][(cut[1] + rows) // 2, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _q_min_batched(X, G, F)
+            assert got.tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
+        assert np.isnan(got[1])
+        assert np.delete(got, 1).tobytes() == np.delete(clean, 1).tobytes()
+
+    def test_zero_minimum_skips_nothing(self, cuts):
+        X, G, F = halving_traces(3, 400, 5)  # f_n near 2^-800: no rounding below the normal floats
+        got = _q_min_batched(X, G, F)
+        assert got.tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
+        assert got.tolist() == [0.0] * 5
+        assert all(np.all(cut == rows) for rows, cut in cuts)
+
+    def test_violating_pair_among_late_points(self, cuts):
+        """f_{k+1} = f_k at a late point k: the pair (k, k+1) falls far below
+        the early points' rounding noise, and each instance still skips a
+        suffix."""
+        X, G, F = halving_traces(11, 400, 4, curvature=(0.3, 0.7))
+        clean = _q_min_batched(X, G, F)
+        k = np.argmax(F < 1e-9 * F[0], axis=0)  # the first point below 1e-9 f_0
+        cols = np.arange(4)
+        F[k + 1, cols] = F[k, cols]
+        got = _q_min_batched(X, G, F)
+        assert got.tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
+        assert np.all(got < -1e-3 * F[k, cols]) and np.all(clean > 1e-6 * got)
+        assert all(np.all(cut < rows) for rows, cut in cuts)
+
+
+def gram_rows_spread(rng, m, rows, d, low, high):
+    """Gram rows ``(P, R^T)`` of m instances, shaped ``(m, rows, d+2)`` and
+    ``(m, d+2, rows)``, with u, a, w and b of magnitudes 2^e, e drawn from
+    [low, high] and falling along the rows.  In half the instances every u
+    is negative and every w positive, so that the inner products come near
+    Hoelder's bound; one a_i per instance cancels a pair's other terms."""
+    e = -np.sort(-rng.integers(low, high, (m, rows, 1)), axis=1)
+    mant = rng.uniform(0.5, 1.0, (4, m, rows, d)) * rng.choice([-1.0, 1.0], (4, m, rows, d))
+    aligned = np.arange(m) % 2 == 0
+    mant[0, aligned] = -np.abs(mant[0, aligned]).max(axis=-1, keepdims=True)
+    mant[2, aligned] = np.abs(mant[2, aligned]).max(axis=-1, keepdims=True)
+    val = np.ldexp(mant, e + rng.integers(-3, 1, (4, m, rows, d)))
+    P, Rt = np.ones((m, rows, d + 2)), np.ones((m, d + 2, rows))
+    P[:, :, :d], P[:, :, d] = val[0], val[1, :, :, 0]
+    Rt[:, :d], Rt[:, d + 1] = val[2].swapaxes(1, 2), val[3, :, :, 0]
+    for i in range(m):
+        r, c = rng.integers(0, rows, 2)
+        P[i, r, d] = -(Rt[i, d + 1, c] + P[i, r, :d] @ Rt[i, :d, c])
+    return P, Rt
+
+
+@given(st.integers(0, 2**32 - 1), DIMS)
+def test_rounding_bound_holds_for_every_product(seed, d):
+    """Every GEMM entry q_ij of Gram rows spread over 2^-1000..2^500 lies
+    within GAMMA*(|a_i| + |b_j| + |u_i|_1 |w_j|_inf) + ETA of the exact sum,
+    and so within the pruning bounds (exact rational arithmetic)."""
+    rng = np.random.default_rng(seed)
+    P, Rt = gram_rows_spread(rng, 1, 8, d, -1000, 500)
+    Q = np.matmul(P[0], Rt[0])
+    gamma, eta = Fraction(verify._GAMMA), Fraction(verify._ETA)
+    for i in range(8):
+        row = [Fraction(v) for v in P[0, i]]
+        for j in range(8):
+            col = [Fraction(v) for v in Rt[0, :, j]]
+            q, exact = Fraction(Q[i, j]), sum(x * y for x, y in zip(row, col))
+            a, b = abs(row[d]), abs(col[d + 1])
+            uw = sum(abs(x) for x in row[:d]) * max(abs(y) for y in col[:d])
+            assert abs(q - exact) <= gamma * (a + b + uw) + eta
+            assert abs(q) <= (1 + gamma) * (a + b + uw) + eta
+            assert q >= row[d] - gamma * a - (1 + gamma) * (b + uw) - eta
+            assert q >= col[d + 1] - gamma * b - (1 + gamma) * (a + uw) - eta
+
+
+def tight_gram_rows(rng, m, d, scale):
+    """Gram rows of m instances of 8 points whose row bound is tight: rows
+    below a cut c are of order 1, the rest of order 2^scale and falling;
+    every u is negative and every w has equal positive components, so
+    <u_i, w_j> = -|u_i|_1 |w_j|_inf; every b is negative, so the pair (r, c)
+    meets the bound a_r - |b_c| - |u_r|_1 |w_c|_inf up to rounding, and a_r
+    cancels part of it.  Returns ``(P, R^T, pairs)``, ``pairs`` indexing
+    each instance's (r, c) in the ``(m, 8, 8)`` pair matrices."""
+    P, Rt = np.ones((m, 8, d + 2)), np.ones((m, d + 2, 8))
+    c = rng.integers(2, 6, m)
+    r = rng.integers(0, c)
+    for i in range(m):
+        e = np.where(np.arange(8) < c[i], 0.0, scale - 3.0 * (np.arange(8) - c[i]))
+        big = np.where(np.arange(8) < c[i], 8.0, 1.0)
+        P[i, :, :d] = -rng.uniform(1.0, 2.0, (8, d)) * (big * np.exp2(e))[:, None]
+        Rt[i, :d] = rng.uniform(1.0, 2.0, 8) * np.exp2(e)
+        P[i, :, d] = rng.uniform(1.0, 2.0, 8) * np.exp2(e)
+        Rt[i, d + 1] = -rng.uniform(1.0, 2.0, 8) * np.exp2(e)
+        P[i, r[i], d] = -(Rt[i, d + 1, c[i]] + P[i, r[i], :d] @ Rt[i, :d, c[i]]) * rng.uniform(0.5, 0.98)
+    return P, Rt, (np.arange(m), r, c)
+
+
+def assert_skipped_pairs_exceed(Q, best, got):
+    """Every pair that ``_suffix_cut``'s result ``got`` lets the kernel skip
+    exceeds ``best``: those of the suffix, and those of the rows and columns
+    below the cut that it does not keep."""
+    rows = Q.shape[1]
+    for i, t in enumerate(got[0].tolist()):
+        if t == rows:
+            continue
+        assert t <= rows - 2
+        assert np.all(Q[i, t:, t:] > best[i])
+        assert np.all(Q[i, :t][~got[1][i, :t], t:] > best[i])
+        assert np.all(Q[i, t:, :t][:, ~got[2][i, :t]] > best[i])
+
+
+SPREADS = st.sampled_from([(-1000, 500), (-1100, -1000), (-60, 60)])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(4, 48), DIMS, SPREADS)
+def test_suffix_cut_skips_only_pairs_above_best(seed, m, rows, d, spread):
+    """Against any computed entry ``best`` (here: the first two rows'
+    minimum, or an entry's next float up, of the whole matrix or of a
+    suffix), every pair the kernel may skip exceeds it."""
+    rng = np.random.default_rng(seed)
+    P, Rt = gram_rows_spread(rng, m, rows, d, *spread)
+    Q = np.matmul(P, Rt)
+    best = np.empty(m)
+    for i in range(m):
+        k = int(rng.integers(0, rows - 1))
+        pick = (Q[i, :2].min(), Q[i].flat[rng.integers(rows * rows)], Q[i, k:, k:].min())[i % 3]
+        best[i] = pick if i % 3 == 0 else np.nextafter(pick, np.inf)
+    assert_skipped_pairs_exceed(Q, best, verify._suffix_cut(P, Rt, best))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]), st.sampled_from([-200.0, -537.0, -1066.0, -1070.0]))
+def test_suffix_cut_keeps_tight_pairs(seed, d, scale):
+    """Where a row's bound is met up to rounding, and at subnormal scales
+    where rounding is absolute, the pair next below ``best`` is kept."""
+    P, Rt, pairs = tight_gram_rows(np.random.default_rng(seed), 64, d, scale)
+    Q = np.matmul(P, Rt)
+    best = np.nextafter(Q[pairs], np.inf)
+    assert_skipped_pairs_exceed(Q, best, verify._suffix_cut(P, Rt, best))
 
 
 def layout_traces(layout, n, d, batch=5):

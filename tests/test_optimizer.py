@@ -6,11 +6,12 @@ import os
 import tracemalloc
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import build_tables_reference, write_rate_csv_reference
+from oracles import build_tables_reference, rate_rows_mp, write_rate_csv_reference
 from stepweaver import optimizer
 from stepweaver.builders import silver
 from stepweaver.optimizer import (
@@ -102,6 +103,31 @@ class TestBuildTables:
     def test_fields(self):
         names = [f.name for f in dataclasses.fields(RateTables)]
         assert names == ["n_max", "s_rate", "f_rate", "s_split", "f_split"]
+
+
+class TestMpOracle:
+    """``build_tables(160)`` against the two join formulas in 50-digit
+    arithmetic: an oracle that shares no code with the fill."""
+
+    @pytest.fixture(scope="class")
+    def both(self):
+        return build_tables(160), rate_rows_mp(160)
+
+    def test_rates_drift_at_most_1e_13(self, both):
+        tables, rows = both
+        for name, rate in (("s", tables.s_rate), ("f", tables.f_rate)):
+            drift = max(abs(mpmath.mpf(float(rate[n])) - rows[name][n][0]) / rows[name][n][0] for n in range(1, 161))
+            assert drift <= 1e-13, name
+
+    def test_splits_agree_where_the_best_leads(self, both):
+        """Where two splits tie in exact arithmetic, rounding may pick
+        either; where the best leads the second by more than 1e-12, the
+        float fill must pick it."""
+        tables, rows = both
+        for name, split, least in (("s", tables.s_split, 80), ("f", tables.f_split, 150)):
+            led = [n for n in range(2, 161) if rows[name][n][2] > 1e-12]
+            assert len(led) >= least, name  # the check covers most rows
+            assert [int(split[n]) for n in led] == [rows[name][n][1] for n in led], name
 
 
 class TestReconstruction:

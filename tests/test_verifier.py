@@ -473,6 +473,21 @@ class TestFalsifiability:
         with pytest.raises(IdentityError):
             CertificateV(np.array([5.0, -1.0]), 0.25)
 
+    @pytest.mark.parametrize(
+        "weights,eta",
+        [
+            ([np.nan, 1.0], 0.5),  # NaN < 0 and the NaN sum test are both false
+            ([np.inf, 1.0], 0.5),
+            ([2.0], float("nan")),
+            ([0.5], 2.0),
+            ([-1.0], -1.0),
+            ([1.0], 0.0),
+        ],
+    )
+    def test_certificate_refuses_non_finite_weight_and_rate_outside_unit_interval(self, weights, eta):
+        with pytest.raises(IdentityError):
+            CertificateV(np.array(weights), eta)
+
 
 class TestHDualityBattery:
     @pytest.mark.parametrize("n", [1, 4, 9, 16])
