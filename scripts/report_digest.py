@@ -4,7 +4,7 @@
 Verifies the acceptance corpus (``tests/corpus.py``), the benchmark's
 verify-long schedules (``perfbench/workloads.py``), two long schedules,
 ``silver(10)`` and ``obss(2047)`` (n = 1023 and 2047, where the
-interpolation check skips the most pairs), and eleven fixed corrupted
+interpolation check skips the most pairs), and fourteen fixed corrupted
 schedules, each under ``RunConfig()`` and under ``RunConfig(battery=40,
 seed=0x5EED)``, and prints the number of reports and the sha256 of all
 their fields: the schedule's name, ``describe()``, class, n, rate (as
@@ -56,14 +56,15 @@ def _rated(h: StepSchedule, rate: float) -> StepSchedule:
 
 
 def corruptions():
-    """Eleven schedules that fail some check, or pass near one's edge:
+    """Fourteen schedules that fail some check, or pass near one's edge:
     perturbed steps or rates, with and without their construction trees, a
-    NaN step, mislabeled steps, a tree of another length and an unverified
-    constant schedule."""
+    NaN step, mislabeled steps, trees that do not build their steps (of
+    another class or length) and an unverified constant schedule."""
     tables = build_tables(13)
     s2, s3, s5, s7 = silver(2), silver(3), obs_s(5, tables), obs_s(7, tables)
-    f5, f6, f10, f12 = obs_f(5, tables), obs_f(6, tables), obs_f(10, tables), obs_f(12, tables)
-    g10, r3 = obs_g(10, tables), right_heavy(3)
+    f5, f6, f7 = obs_f(5, tables), obs_f(6, tables), obs_f(7, tables)
+    f10, f12 = obs_f(10, tables), obs_f(12, tables)
+    g5, g6, g10, r3 = obs_g(5, tables), obs_g(6, tables), obs_g(10, tables), right_heavy(3)
     return [
         ("silver(3) step 0 x(1+1e-7)", _changed(s3, 0, s3.steps[0] * (1 + 1e-7))),
         ("silver(2) step 1 = nan", _changed(s2, 1, float("nan"))),
@@ -73,6 +74,9 @@ def corruptions():
         ("obsg(10) step 4 x(1+1e-6)", _changed(g10, 4, g10.steps[4] * (1 + 1e-6))),
         ("obss(5) steps labeled f", StepSchedule(s5.steps, CompClass.F, s5.rate)),
         ("obsf(6) steps, obsf(5) tree", StepSchedule(f6.steps, CompClass.F, f6.rate, f5.tree)),
+        ("obss(7) steps, obsf(7) tree", StepSchedule(s7.steps, CompClass.S, s7.rate, f7.tree)),
+        ("silver(3) steps, silver(2) tree", StepSchedule(s3.steps, CompClass.S, s3.rate, s2.tree)),
+        ("obsg(6) steps, obsg(5) tree", StepSchedule(g6.steps, CompClass.G, g6.rate, g5.tree)),
         ("obss(7) rate x0.5", _rated(s7, s7.rate * 0.5)),
         ("rheavy(3) rate x1.5", _rated(r3, r3.rate * 1.5)),
         ("const_f(4) unverified", constant_optimal(CompClass.F, 4, unverified=True)),

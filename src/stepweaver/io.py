@@ -14,8 +14,10 @@ decimals, which round-trip binary64 exactly.  The schema is flat:
     }
 
 On load the closed-form identities are revalidated; if a construction is
-present it is re-evaluated and must reproduce the stored steps, and the
-schedule then carries the construction tree.
+present it is re-evaluated (one fold, no join per node) and must reproduce
+the stored steps and rate (``schedule.check_steps``, the comparison the
+verifier's tree check makes), and the schedule then carries the
+construction tree.
 """
 
 import json
@@ -30,6 +32,7 @@ from .schedule import (
     IdentityError,
     ScheduleError,
     StepSchedule,
+    check_steps,
     validate_schedule,
 )
 
@@ -119,14 +122,10 @@ def loads_schedule(text: str, identity_tol: float = DEFAULT_IDENTITY_TOL) -> Ste
         from .dsl import compile_expression  # deferred: io loads without the dsl otherwise
 
         built, _ = compile_expression(construction, comp_class)
-        if built.n != schedule.n or (
-            schedule.n
-            and np.max(np.abs(built.steps - schedule.steps) / np.maximum(1.0, schedule.steps))
-            > identity_tol
-        ):
-            raise ScheduleFileError(
-                "construction: expression does not reproduce the stored steps"
-            )
+        try:
+            check_steps(schedule, built.steps, built.rate, identity_tol, "construction")
+        except IdentityError as err:
+            raise ScheduleFileError(f"construction: expression does not reproduce the stored steps: {err}") from err
         # adopt the construction's tree (and conjectured flag) with stored steps
         schedule = StepSchedule(
             schedule.steps, comp_class, schedule.rate, built.tree, built.conjectured

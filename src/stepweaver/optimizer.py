@@ -30,11 +30,9 @@ from .schedule import (
     join,  # not called here; perfbench's traced layer map wraps optimizer.join
     join_rate,
     materialize,
-    middle_step,
     operand_classes,
     result_class,
     reverse,
-    validate_schedule,
 )
 
 # Exponent governing the n^-p decay of optimal rates; computed, never hard-coded.
@@ -184,9 +182,10 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
 
     Row ``n`` of class ``cls`` joins rows ``m`` and ``n - m`` with the class's
     join, whose operand classes come from the join typing table.  Iterative,
-    so deep split chains cannot overflow the stack.  A row is its steps, tree
-    and rate, and the rate must equal the table's; only the returned schedule
-    is built and validated, and nothing is kept between calls.
+    so deep split chains cannot overflow the stack.  The walk builds each
+    row's tree once, with its rate, which must equal the table's; the
+    steps come from one :func:`materialize` of the returned row's tree, and
+    nothing is kept between calls.
     """
     columns = {  # class -> (join, split and rate columns, operand classes)
         CompClass.S: (JoinOp.SJOIN, tables.s_split, tables.s_rate, *operand_classes(JoinOp.SJOIN)),
@@ -200,7 +199,7 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
             continue
         op, split, rate, lcls, rcls = columns[c]
         if n == 1:
-            row = ((), LEAF, 1.0)
+            row = (LEAF, 1.0)
         else:
             m = int(split[n])
             if not 0 < m < n:  # operand rows must be shorter, or the walk never ends
@@ -209,16 +208,13 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
             if left is None or right is None:
                 work += [key, (lcls, m), (rcls, n - m)]  # resolve the operand rows first
                 continue
-            (lsteps, ltree, lrate), (rsteps, rtree, rrate) = left, right
-            mu = middle_step(op, lrate, rrate)  # both joins take the s-side operand on the left
-            row = (lsteps + (mu,) + rsteps, CompositionTree(op, ltree, rtree), join_rate(op, lrate, rrate))
-        if row[2] != rate[n]:
+            (ltree, lrate), (rtree, rrate) = left, right
+            # both joins take the s-side operand on the left
+            row = (CompositionTree(op, ltree, rtree), join_rate(op, lrate, rrate))
+        if row[1] != rate[n]:
             raise ScheduleError(f"{c.value}-table reconstruction mismatch at row {n}")
         rows[key] = row
-    steps, tree, h_rate = rows[cls, idx]
-    out = StepSchedule(steps, cls, h_rate, tree)
-    validate_schedule(out)
-    return out
+    return materialize(rows[cls, idx][0], cls)
 
 
 def _check_row(n: int, tables: "RateTables | None", f_table: bool) -> RateTables:

@@ -31,8 +31,14 @@ Huber/quadratic gradient and the value at every step.  The production
 ``stepweaver.gd.raw_run`` (one loop that stores only the points, gradients
 and values evaluated after it) must reproduce its traces byte for byte.
 
+``join_by_join`` evaluates a construction tree by joining upward, one
+``join`` per node.  The production ``stepweaver.schedule.tree_steps`` (one
+rate fold, then the middle steps laid out in order), and so ``materialize``,
+must give the same steps byte for byte and the same rate.
+
 ``f_certificate_spine_walk`` is the F certificate's right-spine walk: it
-materializes each left operand and composes the weights from the leaf up.
+evaluates each left operand join by join and composes the weights from the
+leaf up.
 The production ``stepweaver.verify.build_f_certificate``, one tree fold, must
 give the same weights byte for byte.
 
@@ -58,7 +64,17 @@ import mpmath
 import numpy as np
 
 from stepweaver.optimizer import P_EXPONENT, RateTables
-from stepweaver.schedule import CompClass, JoinOp, _fgjoin_rate, _sjoin_rate, join_rate, materialize
+from stepweaver.schedule import (
+    CompClass,
+    JoinOp,
+    _fgjoin_rate,
+    _sjoin_rate,
+    empty_schedule,
+    join,
+    join_rate,
+    operand_classes,
+    postorder,
+)
 
 
 def coord_value_reference(x, is_huber, param):
@@ -220,6 +236,21 @@ def build_tables_reference(n_max):
     return RateTables(n_max, s, f, s_split, f_split)
 
 
+def join_by_join(tree, comp_class):
+    """The schedule of ``comp_class`` a construction tree builds, one ``join``
+    per node: a bare leaf is the empty schedule of the class its parent
+    requires (``comp_class`` at the root)."""
+
+    def combine(node, left, right):
+        lcls, rcls = operand_classes(node.op)
+        left = empty_schedule(lcls) if left is None else left
+        right = empty_schedule(rcls) if right is None else right
+        return join(node.op, left, right)
+
+    out = postorder(tree, lambda node: None, combine)
+    return empty_schedule(comp_class) if out is None else out
+
+
 def f_certificate_spine_walk(tree):
     """``(weights, eta)`` of an F-class construction tree's certificate."""
     chain = []
@@ -229,7 +260,7 @@ def f_certificate_spine_walk(tree):
         tree = tree.right
     v, eta = np.array([1.0]), 1.0
     for node in reversed(chain):
-        a = materialize(node.left, CompClass.S)
+        a = join_by_join(node.left, CompClass.S)
         beta = eta
         eta = join_rate(JoinOp.FJOIN, a.rate, beta)
         v = np.concatenate([a.steps, [1.0 + 1.0 / a.rate], np.sqrt(beta / eta) * v])

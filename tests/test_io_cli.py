@@ -99,6 +99,24 @@ class TestScheduleFile:
         with pytest.raises(ScheduleFileError, match="construction"):
             loads_schedule(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "construction,reason",
+        [
+            ("(e |> (e |> (e |> e)))", "construction steps differ: step 0 is "),
+            ("(e |> (e |> e))", "construction has length 2, schedule has 3 steps"),
+        ],
+    )
+    def test_construction_mismatch_says_what_differs(self, tmp_path, capsys, construction, reason):
+        """The check the verifier makes of a tree: the error keeps its
+        documented text and exit code 4, and names the first difference."""
+        doc = json.loads(dumps_schedule(obs_f(3), construction="obsf(3)"))
+        doc["construction"] = construction
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 4
+        prefix = "error: construction: expression does not reproduce the stored steps: "
+        assert capsys.readouterr().err.startswith(prefix + reason)
+
     def test_schema_version_checked(self):
         doc = json.loads(dumps_schedule(obs_f(1)))
         doc["schema_version"] = 99
@@ -828,6 +846,25 @@ def _cache_argv(root, kind):
     return ["--cache", base]
 
 
+# where an output file cannot go, and the empty path, which means stdout:
+# (kind, exit code)
+_OUT_PATHS = st.sampled_from([("directory", 4), ("under-file", 4), ("empty", 0)])
+
+
+def _out_path(root, kind):
+    """An output path in a new directory under ``root``: the directory
+    itself, a path under a plain file, or ``""``."""
+    base = tempfile.mkdtemp(dir=root)
+    if kind == "directory":
+        return base
+    if kind == "under-file":
+        path = os.path.join(base, "plain")
+        with open(path, "w") as fh:
+            fh.write("not a directory")
+        return os.path.join(path, "out.csv")
+    return ""
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """One schedule file per class, and scratch room for edited copies."""
@@ -904,6 +941,28 @@ class TestCliFuzz:
     def test_run_function(self, fuzz_dir, cls, spec, x0):
         argv = ["run", str(fuzz_dir / f"{cls}.json"), "--function", spec]
         _run_cli(argv if x0 is None else argv + [f"--x0={x0}"])
+
+    @given(st.sampled_from(sorted(_BASES)), _OUT_PATHS)
+    def test_run_out(self, fuzz_dir, cls, out):
+        kind, expected = out
+        code, _ = _run_cli(["run", str(fuzz_dir / f"{cls}.json"), "--out", _out_path(fuzz_dir, kind)])
+        assert code == expected
+
+    @given(st.sampled_from("fgs"), st.integers(0, 16), st.sampled_from(["--out", "--table"]), _OUT_PATHS)
+    def test_optimize_out_and_table(self, fuzz_dir, cls, n, flag, out):
+        kind, expected = out
+        code, _ = _run_cli(["optimize", "--class", cls, "--n", str(n), flag, _out_path(fuzz_dir, kind)])
+        assert code == expected
+
+    @given(
+        st.sampled_from(sorted(_BASES)),
+        st.lists(_JSON_VALUES, max_size=3) | st.text(max_size=6) | st.none() | st.integers() | st.floats(),
+    )
+    def test_verify_config_not_an_object(self, fuzz_dir, cls, doc):
+        path = fuzz_dir / "config.json"
+        path.write_text(json.dumps(doc))
+        code, _ = _run_cli(["verify", str(fuzz_dir / f"{cls}.json"), "--config", str(path)])
+        assert code == 4
 
     @given(st.sampled_from("fgs"), st.integers(0, 64) | st.integers(optimizer.MAX_OBS_LEN + 1, 10**9), _CACHES)
     def test_optimize(self, fuzz_dir, cls, n, cache):

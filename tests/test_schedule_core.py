@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from stepweaver.schedule import (
     StepSchedule,
     UncertifiedScheduleError,
     admissible_classes,
+    check_tree,
     closed_form_rates,
     empty_schedule,
     fg_rates_from_s,
@@ -24,10 +27,16 @@ from stepweaver.schedule import (
     join_rate,
     materialize,
     middle_step,
+    operand_classes,
+    result_class,
     reverse,
+    tree_steps,
     trees_equal,
     validate_schedule,
 )
+
+from corpus import full_corpus
+from oracles import join_by_join
 
 SQ2 = math.sqrt(2.0)
 
@@ -384,3 +393,165 @@ class TestFoldMemory:
             tracemalloc.stop()
         assert h.n == 3000
         assert peak < 4_000_000
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_fold_matches_joins(tree, cls, h=None):
+    """``tree_steps`` and ``materialize`` give the join-by-join steps byte for
+    byte and the same rate (and ``h``'s, when given)."""
+    ref = join_by_join(tree, cls)
+    steps, rate = tree_steps(tree)
+    built = materialize(tree, cls)
+    assert steps.tobytes() == built.steps.tobytes() == ref.steps.tobytes()
+    assert rate == built.rate == ref.rate
+    assert built.tree is tree
+    if h is not None:
+        assert steps.tobytes() == h.steps.tobytes() and rate == h.rate
+
+
+@st.composite
+def shared_trees(draw, cls, max_len=600):
+    """A construction tree of class ``cls`` whose joins take their operands
+    from a pool of earlier subtrees, so subtrees are shared (by identity)
+    between parents and within one parent."""
+    pools = {c: [(LEAF, 0)] for c in CompClass}
+
+    def pick(c):  # index 0 is the newest subtree, so examples shrink to large trees
+        pool = pools[c]
+        return pool[-1 - draw(st.integers(0, len(pool) - 1))]
+
+    for _ in range(draw(st.integers(1, 60))):
+        op = draw(st.sampled_from(list(JoinOp)))
+        lcls, rcls = operand_classes(op)
+        (left, m), (right, k) = pick(lcls), pick(rcls)
+        if m + k + 1 <= max_len:
+            pools[result_class(op)].append((CompositionTree(op, left, right), m + k + 1))
+    return pick(cls)[0]
+
+
+class TestTreeSteps:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        from stepweaver.optimizer import build_tables
+
+        return build_tables(4096)
+
+    @pytest.mark.parametrize(
+        "name", ["silver(12)", "obss(2047)", "obsf(4095)", "rheavy(12)", "dshort(2000)", "dshort_sigma(300)"]
+    )
+    def test_long_schedules_match_join_by_join(self, tables, name):
+        from stepweaver import builders, optimizer
+
+        makers = {
+            "silver(12)": lambda: builders.silver(12),
+            "obss(2047)": lambda: optimizer.obs_s(2047, tables),
+            "obsf(4095)": lambda: optimizer.obs_f(4095, tables),
+            "rheavy(12)": lambda: builders.right_heavy(12),
+            "dshort(2000)": lambda: builders.dynamic_short(2000),
+            "dshort_sigma(300)": lambda: builders.dynamic_short(300, "sigma"),
+        }
+        h = makers[name]()
+        _assert_fold_matches_joins(h.tree, h.comp_class, h)
+
+    def test_benchmark_schedules_match_join_by_join(self):
+        """Every verify-corpus and verify-long schedule with a tree, and every
+        schedule the construct workload builds."""
+        from stepweaver import dsl, optimizer
+
+        workloads = _workloads()
+        schedules = full_corpus(optimizer.build_tables(65)) + workloads.long_schedules()
+        tables = optimizer.build_tables(max(n for _, n in workloads.OPTIMIZE_SIZES) + 1)
+        obs = {"s": optimizer.obs_s, "f": optimizer.obs_f, "g": optimizer.obs_g}
+        schedules += [(f"obs{c}({n})", obs[c](n, tables)) for c, n in workloads.OPTIMIZE_SIZES]
+        schedules += [(text, dsl.compile_expression(text)[0]) for text in workloads.COMPOSE_EXPRS]
+        with_tree = [(name, h) for name, h in schedules if h.tree is not None]
+        assert len(with_tree) >= 200
+        for name, h in with_tree:
+            _assert_fold_matches_joins(h.tree, h.comp_class, h)
+            check_tree(h)
+
+    @given(st.sampled_from(list(CompClass)).flatmap(lambda cls: st.tuples(st.just(cls), shared_trees(cls))))
+    def test_random_shared_trees_match_join_by_join(self, cls_tree):
+        cls, tree = cls_tree
+        _assert_fold_matches_joins(tree, cls)
+
+    def test_leaf_is_the_empty_schedule(self):
+        steps, rate = tree_steps(LEAF)
+        assert steps.size == 0 and rate == 1.0
+
+    def test_no_consumer_joins_per_node(self, monkeypatch):
+        """materialize, the table walk, the F certificate, the DSL's
+        evaluation and a schedule file's construction check run no join."""
+        from stepweaver import dsl, io as sw_io, optimizer, schedule, verify
+
+        def refuse(*args):
+            raise AssertionError("join called")
+
+        for module in (schedule, optimizer, dsl):
+            monkeypatch.setattr(module, "join", refuse)
+        tables = optimizer.build_tables(40)
+        h = optimizer.obs_f(39, tables)
+        assert materialize(h.tree, CompClass.F).steps.tobytes() == h.steps.tobytes()
+        assert verify.build_f_certificate(h.tree).weights.size == 40
+        text = "(((e >< e) >< (e >< e)) |> ((e >< e) |> (e |> e)))"
+        built, _ = dsl.compile_expression(text, CompClass.F)
+        loaded = sw_io.loads_schedule(sw_io.dumps_schedule(built, construction=text))
+        assert loaded.steps.tobytes() == built.steps.tobytes() and loaded.tree is not None
+
+
+class TestCheckTree:
+    """A schedule's tree must admit its class and reproduce its steps and rate;
+    the error says which of these fails."""
+
+    def test_join_built_schedules_pass(self):
+        from stepweaver.builders import dynamic_short, right_heavy, silver
+
+        for h in (silver(5), right_heavy(5), reverse(right_heavy(5)), dynamic_short(40), e(CompClass.G)):
+            check_tree(h)
+
+    def test_class_not_admitted(self):
+        from stepweaver.builders import right_heavy, silver
+
+        h = silver(3)
+        with pytest.raises(ClassMismatchError, match=r"tree does not admit class s \(admits \{f\}\)"):
+            check_tree(StepSchedule(h.steps[:7], CompClass.S, h.rate, right_heavy(3).tree))
+
+    def test_other_length(self):
+        from stepweaver.builders import silver
+
+        h = silver(3)
+        with pytest.raises(IdentityError, match="tree has length 3, schedule has 7 steps"):
+            check_tree(StepSchedule(h.steps, CompClass.S, h.rate, silver(2).tree))
+
+    def test_other_steps_name_the_step(self):
+        from stepweaver.builders import silver
+
+        h = silver(2)
+        steps = h.steps.copy()
+        steps[2] *= 1 + 1e-6
+        with pytest.raises(IdentityError, match=r"tree steps differ: step 2 is .*\(relative 1\.\d+e-06 > 1e-09\)"):
+            check_tree(StepSchedule(steps, CompClass.S, h.rate, h.tree))
+
+    def test_nan_step_fails(self):
+        from stepweaver.builders import silver
+
+        h = silver(2)
+        steps = h.steps.copy()
+        steps[1] = np.nan
+        with pytest.raises(IdentityError, match="step 1 is"):
+            check_tree(StepSchedule(steps, CompClass.S, h.rate, h.tree))
+
+    def test_other_rate(self):
+        from stepweaver.builders import silver
+
+        h = silver(2)
+        with pytest.raises(IdentityError, match="tree rate .* differs"):
+            check_tree(StepSchedule(h.steps, CompClass.S, h.rate * (1 + 1e-8), h.tree))
+        check_tree(StepSchedule(h.steps, CompClass.S, h.rate * (1 + 1e-10), h.tree))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -342,8 +343,6 @@ class TestVerifySchedule:
         assert all(c.instance for c in failing)
 
     def test_battery_witness_is_replayable(self):
-        import re
-
         from stepweaver import verify
         from stepweaver.verify import battery_instance
 
@@ -364,19 +363,45 @@ class TestVerifySchedule:
             scale = max(1.0, float(x0 @ x0), float(tr.f[0]))
             assert _g_slack_raw(bogus.rate, tr.x, tr.g, tr.f) / scale == pytest.approx(check.slack, rel=1e-12)
 
-    @pytest.mark.parametrize("n,tree_n", [(6, 5), (5, 6)])
-    def test_tree_of_another_length_fails_the_certificate(self, n, tree_n):
-        """The certificate weighs the tree's points: on a schedule of another
-        length it is a failing entry, and the battery checks the gap
-        inequality instead."""
-        h = StepSchedule(obs_f(n).steps, CompClass.F, obs_f(n).rate, obs_f(tree_n).tree)
-        report = verify_schedule(h, RunConfig(battery=8))
+    @pytest.mark.parametrize(
+        "steps_of,tree_of,message",
+        [
+            (lambda: obs_s(7), lambda: obs_f(7), r"tree does not admit class s \(admits \{f\}\)"),
+            (lambda: silver(3), lambda: silver(2), "tree has length 3, schedule has 7 steps"),
+            (lambda: obs_g(6), lambda: obs_g(5), "tree has length 5, schedule has 6 steps"),
+            (lambda: obs_f(6), lambda: obs_f(5), "tree has length 5, schedule has 6 steps"),
+            (lambda: obs_f(5), lambda: obs_f(6), "tree has length 6, schedule has 5 steps"),
+            (lambda: obs_f(3), lambda: dsl.compile_expression("(e |> (e |> (e |> e)))")[0], "tree steps differ"),
+        ],
+        ids=[
+            "obss7-obsf7-tree",
+            "silver3-silver2-tree",
+            "obsg6-obsg5-tree",
+            "obsf6-obsf5-tree",
+            "obsf5-obsf6-tree",
+            "obsf3-chain-tree",
+        ],
+    )
+    def test_wrong_tree_fails_identity(self, steps_of, tree_of, message):
+        """A schedule carrying a tree that does not build its steps, though
+        its closed forms hold, fails the identity entry with NaN slack and a
+        message naming what differs (class, length or steps), and is neither
+        passed nor certified.  A tree of another length feeds neither the
+        certificate nor the reversal check, so an f-schedule's battery checks
+        the gap inequality instead."""
+        h, tree = steps_of(), tree_of().tree
+        bad = StepSchedule(h.steps, h.comp_class, h.rate, tree)
+        validate_schedule(bad)
+        report = verify_schedule(bad, RunConfig(battery=8))
         checks = {c.name: c for c in report.checks}
-        cert = checks["battery/certificate"]
-        assert not cert.passed and math.isnan(cert.slack)
-        assert cert.instance == f"certificate has {tree_n + 1} weights, schedule has {n + 1} points"
-        assert checks["battery/gap-inequality"].passed
-        assert not report.passed
+        identity = checks["identity"]
+        assert not identity.passed and math.isnan(identity.slack)
+        assert re.search(message, identity.instance), identity.instance
+        assert not report.passed and not report.certified
+        if tree.length() != h.n:
+            assert "reversal-duality" not in checks and "battery/certificate" not in checks
+            if h.comp_class is CompClass.F:
+                assert checks["battery/gap-inequality"].passed
 
     @pytest.mark.parametrize("make", [lambda: silver(3), lambda: obs_f(6), lambda: obs_g(6)], ids=["s", "f", "g"])
     def test_cached_battery_builds_no_instance(self, monkeypatch, make):
