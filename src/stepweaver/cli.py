@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__, dsl, gd, optimizer
-from .io import RunConfig, ScheduleFileError, load_schedule, save_schedule, dumps_schedule
+from .io import RunConfig, ScheduleFileError, load_schedule, dumps_schedule
 from .schedule import (
     ClassMismatchError,
     CompClass,
@@ -54,6 +54,14 @@ def _positive_int(value: str, base: int = 10) -> int:
     return number
 
 
+def _write_file(path: str, write, notice: str) -> None:
+    """Open the output file ``path`` (UTF-8, line ends as written), fill it
+    with ``write(fh)`` and print ``notice``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write(fh)
+    print(notice)
+
+
 def cmd_compose(args) -> int:
     schedule, ast = dsl.compile_expression(args.expr, args.comp_class)
     text = dumps_schedule(
@@ -61,10 +69,8 @@ def cmd_compose(args) -> int:
         construction=dsl.format_expr(ast),
         provenance=f"stepweaver {__version__} compose",
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}: {schedule.describe()}")
+    if args.out is not None:
+        _write_file(args.out, lambda fh: fh.write(text), f"wrote {args.out}: {schedule.describe()}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -81,19 +87,16 @@ def cmd_optimize(args) -> int:
     tables = optimizer.load_or_build(args.n + 1, args.cache, f_table=args.comp_class is not CompClass.S)
     schedule = _OBS[args.comp_class](args.n, tables)
     macro = f"obs{args.comp_class.value}"
-    if args.table:
-        with open(args.table, "w", newline="", encoding="utf-8") as fh:
-            tab = tables.s_rate if args.comp_class is CompClass.S else tables.f_rate
-            optimizer.write_rate_csv(fh, args.n + 1, {"": tab})
-        print(f"wrote rate table {args.table}")
-    if args.out:
-        save_schedule(
-            args.out,
-            schedule,
-            construction=f"{macro}({args.n})",
-            provenance=f"stepweaver {__version__} optimize",
+    if args.table is not None:
+        tab = tables.s_rate if args.comp_class is CompClass.S else tables.f_rate
+        _write_file(
+            args.table, lambda fh: optimizer.write_rate_csv(fh, args.n + 1, {"": tab}), f"wrote rate table {args.table}"
         )
-        print(f"wrote {args.out}: {schedule.describe()}")
+    if args.out is not None:
+        text = dumps_schedule(
+            schedule, construction=f"{macro}({args.n})", provenance=f"stepweaver {__version__} optimize"
+        )
+        _write_file(args.out, lambda fh: fh.write(text), f"wrote {args.out}: {schedule.describe()}")
     else:
         print(schedule.describe())
         print("steps:", " ".join(format(s, ".17g") for s in schedule.steps))
@@ -198,22 +201,19 @@ def cmd_run(args) -> int:
     for key, value in summary.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ScheduleError(f"{key} overflows on this trace; rerun from a smaller --x0")
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            trace.to_csv(fh)
-        print(f"wrote trace {args.out}")
+    if args.out is not None:
+        _write_file(args.out, trace.to_csv, f"wrote trace {args.out}")
     else:
         sys.stdout.write(trace.to_csv())
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 
-_MAX_K = (optimizer.MAX_TABLE_N + 1).bit_length() - 2  # largest k whose 2^(k+1) - 1 rows fit the cap
-
-
 def cmd_bounds(args) -> int:
-    if args.k > _MAX_K:
-        raise ResourceCapError(f"--k {args.k} exceeds the largest accepted level {_MAX_K} (O(4^k) table fill)")
+    if args.k > optimizer.MAX_LEVEL:
+        raise ResourceCapError(
+            f"--k {args.k} exceeds the largest accepted level {optimizer.MAX_LEVEL} (O(4^k) table fill)"
+        )
     n_rows = 2 ** (args.k + 1) - 1
     if args.k > 12 and not args.force:
         raise ResourceCapError(
@@ -227,10 +227,10 @@ def cmd_bounds(args) -> int:
     print("k,r_obs_s,r_obs_f")
     for k in range(args.k + 1):
         print(f"{k},{format(consts.r_obs_s[k], '.17g')},{format(consts.r_obs_f[k], '.17g')}")
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            optimizer.write_rate_csv(fh, n_rows, {"s_": tables.s_rate, "f_": tables.f_rate})
-        print(f"wrote normalized rates {args.out}")
+    if args.out is not None:
+        columns = {"s_": tables.s_rate, "f_": tables.f_rate}
+        notice = f"wrote normalized rates {args.out}"
+        _write_file(args.out, lambda fh: optimizer.write_rate_csv(fh, n_rows, columns), notice)
     return EXIT_OK
 
 
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="normalized-rate constants and envelope data")
     b.add_argument("--k", type=_nonnegative_int, required=True, help="largest dyadic level")
     b.add_argument("--out", help="write per-n normalized rates CSV here")
-    b.add_argument("--force", action="store_true", help=f"allow 12 < k <= {_MAX_K} (long-running)")
+    b.add_argument("--force", action="store_true", help=f"allow 12 < k <= {optimizer.MAX_LEVEL} (long-running)")
     b.add_argument("--cache", help="table cache directory (default: $STEPWEAVER_CACHE)")
     b.set_defaults(func=cmd_bounds)
     return p
@@ -300,6 +300,9 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "table"):  # before any work, so nothing reaches stdout
+            if getattr(args, flag, None) == "":
+                raise ScheduleFileError(f"--{flag}: empty path")
         return args.func(args)
     except tuple(t for types, _ in _EXIT_CODES for t in types) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -40,6 +40,7 @@ P_EXPONENT = float(np.log2(1.0 + np.sqrt(2.0)))
 
 MAX_TABLE_N = 20_001  # O(N^2) fill; ~2e4 is the supported envelope
 MAX_OBS_LEN = MAX_TABLE_N - 1  # a length-n schedule reads table row n + 1
+MAX_LEVEL = (MAX_TABLE_N + 1).bit_length() - 2  # largest dyadic level k whose 2^(k+1) - 1 rows fit the cap
 MAX_ENUM_LEN = 12
 CACHE_VERSION = 3
 C_LOW_GRID_STEP = 1e-3  # c_low: coarse lambda grid of the inner minimum
@@ -209,8 +210,7 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
                 work += [key, (lcls, m), (rcls, n - m)]  # resolve the operand rows first
                 continue
             (ltree, lrate), (rtree, rrate) = left, right
-            # both joins take the s-side operand on the left
-            row = (CompositionTree(op, ltree, rtree), join_rate(op, lrate, rrate))
+            row = (CompositionTree(op, ltree, rtree), join_rate(op, *_s_side_first(op, lrate, rrate)))
         if row[1] != rate[n]:
             raise ScheduleError(f"{c.value}-table reconstruction mismatch at row {n}")
         rows[key] = row
@@ -352,6 +352,10 @@ def c_low() -> float:
 
 def asymptotic_constants(k_max: int, tables: "RateTables | None" = None) -> AsymptoticConstants:
     """Block constants for k = 0..k_max plus the lower constant and exponent."""
+    if k_max < 0:
+        raise ScheduleError(f"need k_max >= 0, got {k_max}")
+    if k_max > MAX_LEVEL:
+        raise ResourceCapError(f"level {k_max} exceeds the largest accepted level {MAX_LEVEL} (O(4^k) table fill)")
     if tables is None:
         tables = load_or_build(2 ** (k_max + 1) - 1)
     ks = range(k_max + 1)

@@ -19,21 +19,12 @@ evaluated in Gram form (rank-(d+2) matrix products; the rows are assembled
 per sub-batch of instances and every product is written into one reused
 buffer, all of bounded size), is compared with the absolute ``q_tol``.
 
-From n = 255 on, the check skips the pairs that provably cannot hold an
-instance's minimum.  Its minima equal the unpruned kernel's byte for byte on
-the tests' traces and on the report-digest set; that is checked there, not
-proved, since a product over a sub-block need not give an entry the bits
-that the full product gives it.  A computed Gram entry
-q_ij = fl(P_i . R_j), with P_i = [u_i, a_i, 1] and R_j = [w_j, 1, b_j], is
-a sum of d + 2 rounded terms in some order, so it lies within
-GAMMA*(|a_i| + |b_j| + |u_i|_1 |w_j|_inf) + ETA of the exact P_i . R_j,
-with GAMMA = 2^-30 and ETA = 1e-300 far above (d+2)*2^-53 and the underflow
-(Hoelder: |<u_i, w_j>| <= |u_i|_1 |w_j|_inf).  A GD trace decays
-geometrically, so the late points' pairs are bounded in magnitude below the
-rounding noise of the early ones: every pair of a suffix S whose bound is
-below -best, with ``best`` an entry already computed, exceeds it, and so
-does every earlier row or column whose lower bound against S does.
-``_q_min_batched`` derives the three bounds.
+From n = 255 on, each instance is taken alone: one routine computes every
+product of it by blocks of rows, and the pairs that a rounding bound
+(derived in ``_q_min_batched``) proves cannot hold its minimum are skipped;
+an instance where the bound cannot be used skips nothing.  Its minima equal
+the unpruned kernel's byte for byte on the tests' traces and on the
+report-digest set, a tested fact and not a proof (see ``_q_min_batched``).
 
 One verification runs one GD loop, which stores only the points: the
 packed battery and the class's tight 1-D instances (``(is_huber, param,
@@ -209,10 +200,7 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
 # core's L2 cache together.
 _PAIR_BLOCK = 2**16
 
-# A computed Gram product of d + 2 terms, summed in any order, FMA or not,
-# lies within (d+2)*2^-53 times the sum of its terms' magnitudes, plus
-# (d+2)*2^-1075 for underflow, of the exact one.  The bounds use far larger
-# constants, so that they also hold however they are rounded themselves.
+# the rounding bound's constants, derived in _q_min_batched
 _GAMMA, _ETA = 2.0**-30, 1e-300
 # the first rows of an instance, computed against every column: their
 # minimum is the entry that the bounds measure the other pairs against
@@ -252,22 +240,27 @@ def _q_min_batched(X, G, F):
     P and a contiguous R^T are assembled once per sub-batch of instances
     whose rows hold at most ``_PAIR_BLOCK`` entries.  Every product is
     written into one buffer of at most ``_PAIR_BLOCK`` entries (one row at
-    least), allocated once per call: a product covers several whole
-    instances when an N x N matrix fits, and blocks of rows of one instance
-    otherwise.  So memory stays O(B*N*d) beside about 3 MiB at any n; one
-    product per instance would take 8*N^2 bytes (32 MiB at n = 2047, 8 GiB
-    at n = 32767).  Minima fold with ``np.minimum``, so a NaN reaches its
+    least), allocated once per call.  While an N x N matrix fits, a product
+    covers several whole instances.  Otherwise (N^2 > ``_PAIR_BLOCK``, so
+    n >= 255) each instance is taken alone, and :func:`_product_min` takes
+    every product of it, by balanced blocks of rows.  So memory stays
+    O(B*N*d) beside about 3 MiB at any n; one product per instance would take
+    8*N^2 bytes (32 MiB at n = 2047, 8 GiB at n = 32767).  A NaN reaches its
     instance's minimum and no other.
 
-    One instance at a time (N^2 > ``_PAIR_BLOCK``, so n >= 255), the pairs
-    that provably cannot hold the minimum are skipped.  With u_i = g_i - x_i
-    and w_j = 2g_j, every computed entry q_ij of d + 2 rounded terms obeys
+    A large instance skips the pairs that provably cannot hold its minimum.
+    A computed entry q_ij = fl(P_i . R_j) is a sum of d + 2 rounded terms;
+    in any order, FMA or not, it lies within (d+2)*2^-53 times the sum of
+    the terms' magnitudes, plus (d+2)*2^-1075 for underflow, of the exact
+    P_i . R_j.  With u_i = g_i - x_i and w_j = 2g_j, Hoelder's inequality
+    (sum_k |u_ik w_jk| <= |u_i|_1 |w_j|_inf) gives
 
         |q_ij - P_i . R_j| <= GAMMA*(|a_i| + |b_j| + |u_i|_1 |w_j|_inf) + ETA
 
-    (P_i . R_j exact), since sum_k |u_ik w_jk| <= |u_i|_1 |w_j|_inf; so,
-    with A, B, U, W the maxima of |a|, |b|, |u|_1 and |w|_inf over the
-    points t..N-1:
+    with GAMMA = 2^-30 and ETA = 1e-300 far above those constants, so that
+    the bounds also hold however they are rounded themselves.  With A,
+    B, U, W the maxima of |a|, |b|, |u|_1 and |w|_inf over the points
+    t..N-1:
 
     * every pair of the suffix S = {t..N-1} has |q_ij| <= mag[t] =
       (1+GAMMA)*(A + B + U*W) + ETA;
@@ -281,19 +274,19 @@ def _q_min_batched(X, G, F):
     so S, from the first t with mag[t] < -best, is often most of the
     points: rows ``_LEAD_ROWS``..t-1 are computed against columns 0..t-1,
     the rows and columns below t whose bound is not above ``best`` against
-    S, and S x S not at all.  Each product has at least two rows and two
-    columns, so BLAS computes it as a matrix product (GEMM); numpy sends a
-    one-row or one-column product to GEMV, which sums in another order.  A
-    GEMM over a sub-block need not give an entry the bits of the full
-    product either: on random Gram rows scaled 10^+-5, column-prefix and
-    row-suffix products differ from the full one in about 10% and 20-35% of
-    trials.  So byte equality of the minima with the unpruned kernel
+    S, and S x S not at all.  An instance with ``best`` >= 0 or NaN, or a
+    NaN or infinity anywhere in its rows (so mag[0] is not finite), skips
+    nothing: its one product is P @ R^T.  While the buffer holds two rows or
+    more, each product has at least two rows and two columns, so BLAS
+    computes it as a matrix product (GEMM); numpy sends a one-row or
+    one-column product to GEMV, which sums in another order.  A GEMM over a
+    sub-block need not give an entry the bits of the full product either:
+    on random Gram rows scaled 10^+-5, column-prefix and row-suffix products
+    differ from the full one in about 10% and 20-35% of trials.  So byte
+    equality of the minima with the unpruned kernel
     (``tests/oracles.q_min_unpruned_reference``) is a tested fact, on the
     tests' traces and the report-digest set, where each minimum sits in the
-    first rows, and not a proof.  An instance with
-    ``best`` >= 0 or NaN, or a NaN or infinity anywhere in its rows (so
-    mag[0] is not finite), skips nothing and takes the unpruned row blocks,
-    so signed zeros and NaNs keep their bits too.
+    first rows, and not a proof.
     """
     points, batch, d = X.shape
     rows = points + 1
@@ -305,7 +298,6 @@ def _q_min_batched(X, G, F):
         block = -(-rows // -(-rows // most))
     buf = np.empty(per * block * rows)
     P, Rt = np.empty((sub, rows, d + 2)), np.empty((sub, d + 2, rows))
-    block_min = np.empty(-(-rows // block))
     q = np.empty(batch)
     lead = min(_LEAD_ROWS, block)
     prune = 2 <= lead <= rows - 2
@@ -325,16 +317,13 @@ def _q_min_batched(X, G, F):
             best = np.array([np.matmul(P[i, :lead], Rt[i], out=first).min() for i in range(m)])
             cut, need_row, need_col = _suffix_cut(P[:m], Rt[:m], best)
         for i in range(m):
-            t = int(cut[i])
+            t, Pi, Rti = int(cut[i]), P[i], Rt[i]
             if t == rows:
-                for j, r in enumerate(range(0, rows, block)):
-                    out = buf[: min(block, rows - r) * rows].reshape(-1, rows)
-                    block_min[j] = np.matmul(P[i, r : r + block], Rt[i], out=out).min()
-                q[s + i] = block_min.min()
+                q[s + i] = _product_min(Pi, Rti, buf)
                 continue
             # rows lead..t-1 against columns 0..t-1, then the rows and
             # columns below t that the bounds keep against S = t..N-1
-            low, Pi, Rti = best[i], P[i], Rt[i]
+            low = best[i]
             if t > lead:
                 low = min(low, _product_min(Pi[min(lead, t - 2) : t], Rti[:, :t], buf))
                 kept = np.flatnonzero(need_row[i, lead:t]) + lead
@@ -395,15 +384,19 @@ def _two(index):
 
 
 def _product_min(Pr, Rc, buf):
-    """The minimum of ``Pr @ Rc``, at least two rows by two columns, by
-    blocks of rows that fit ``buf``, each at least two rows."""
+    """The minimum of ``Pr @ Rc`` by blocks of rows that fit ``buf``, a NaN
+    kept once seen.  A buffer of two rows or more takes blocks of at least
+    two rows (a one-row tail is computed with the row before it), so with
+    two columns or more every product is a GEMM; a one-row buffer takes
+    one-row products."""
     rows, cols = Pr.shape[0], Rc.shape[1]
     step = buf.size // cols
     low = np.inf
     for r in range(0, rows, step):
-        r = min(r, rows - 2)
+        r = min(r, rows - min(step, 2))
         out = buf[: min(step, rows - r) * cols].reshape(-1, cols)
-        low = min(low, np.matmul(Pr[r : r + step], Rc, out=out).min())
+        x = np.matmul(Pr[r : r + step], Rc, out=out).min()
+        low = x if x != x else min(low, x)  # min(nan, x) is nan: a NaN stays once seen
     return low
 
 

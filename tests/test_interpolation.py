@@ -241,6 +241,53 @@ class TestPrunedKernel:
         assert all(np.all(cut < rows) for rows, cut in cuts)
 
 
+class TestProductMin:
+    """``_product_min`` against ``np.min(Pr @ Rc)`` on small integer
+    entries, whose products are exact in any summation order."""
+
+    @staticmethod
+    def operands(rows, cols, d=3, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.integers(-9, 10, (rows, d)).astype(float), rng.integers(-9, 10, (d, cols)).astype(float)
+
+    @staticmethod
+    def block_rows(monkeypatch):
+        """The row count of every product ``np.matmul`` computes."""
+        seen, real = [], np.matmul
+
+        def counting(a, b, out):
+            seen.append(a.shape[0])
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        return seen
+
+    @pytest.mark.parametrize("row", [0, 1, 6, 11, 12])  # blocks 0..2, 3..5, 6..8, 9..11, 11..12
+    def test_nan_in_any_block_reaches_the_minimum(self, row):
+        Pr, Rc = self.operands(13, 7)
+        Pr[row, 1] = np.nan
+        assert np.isnan(np.min(Pr @ Rc))
+        assert np.isnan(verify._product_min(Pr, Rc, np.empty(3 * 7)))
+
+    def test_one_row_buffer_covers_the_last_row(self, monkeypatch):
+        Pr, Rc = self.operands(6, 5)
+        Pr[-1], Rc[:, 0] = 100.0, -9.0  # the minimum, -2700, lies in the last row only
+        rows = self.block_rows(monkeypatch)
+        got = verify._product_min(Pr, Rc, np.empty(5))
+        monkeypatch.undo()
+        assert rows == [1] * 6
+        assert got == np.min(Pr @ Rc) == -2700.0
+
+    def test_one_row_tail_takes_a_two_row_product(self, monkeypatch):
+        Pr, Rc = self.operands(7, 5)
+        Pr[-1], Rc[:, 0] = 100.0, -9.0
+        rows = self.block_rows(monkeypatch)
+        got = verify._product_min(Pr, Rc, np.empty(3 * 5))
+        monkeypatch.undo()
+        assert rows == [3, 3, 2]
+        assert got == np.min(Pr @ Rc) == -2700.0
+
+
 def gram_rows_spread(rng, m, rows, d, low, high):
     """Gram rows ``(P, R^T)`` of m instances, shaped ``(m, rows, d+2)`` and
     ``(m, d+2, rows)``, with u, a, w and b of magnitudes 2^e, e drawn from

@@ -846,9 +846,9 @@ def _cache_argv(root, kind):
     return ["--cache", base]
 
 
-# where an output file cannot go, and the empty path, which means stdout:
+# where an output file cannot go, and the empty path, which is refused:
 # (kind, exit code)
-_OUT_PATHS = st.sampled_from([("directory", 4), ("under-file", 4), ("empty", 0)])
+_OUT_PATHS = st.sampled_from([("directory", 4), ("under-file", 4), ("empty", 4)])
 
 
 def _out_path(root, kind):
@@ -873,6 +873,29 @@ def fuzz_dir(tmp_path_factory):
         schedule, ast = dsl.compile_expression(expr)
         (root / f"{cls}.json").write_text(dumps_schedule(schedule, construction=dsl.format_expr(ast)))
     return root
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "silver(2)", "--out"],
+        ["optimize", "--class", "f", "--n", "4", "--out"],
+        ["optimize", "--class", "s", "--n", "4", "--table"],
+        ["optimize", "--class", "g", "--n", "4", "--out", "{dir}/h.json", "--table"],
+        ["run", "{dir}/s.json", "--out"],
+        ["bounds", "--k", "2", "--out"],
+    ],
+)
+def test_empty_output_path_is_refused(fuzz_dir, capsys, argv):
+    """An empty ``--out`` or ``--table`` exits 4 with an error naming the
+    flag, before anything is computed, written or printed."""
+    argv = [a.format(dir=fuzz_dir) for a in argv] + [""]
+    before = sorted(fuzz_dir.iterdir())
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[-2]}: empty path\n"
+    assert sorted(fuzz_dir.iterdir()) == before
 
 
 def _run_cli(argv):
@@ -953,6 +976,21 @@ class TestCliFuzz:
         kind, expected = out
         code, _ = _run_cli(["optimize", "--class", cls, "--n", str(n), flag, _out_path(fuzz_dir, kind)])
         assert code == expected
+
+    @given(st.sampled_from(sorted(_BASES.values())), _OUT_PATHS)
+    def test_compose_out(self, fuzz_dir, expr, out):
+        kind, expected = out
+        code, stdout = _run_cli(["compose", "--out", _out_path(fuzz_dir, kind), "--", expr])
+        assert code == expected
+        assert stdout == ""
+
+    @given(st.integers(0, 3), _OUT_PATHS)
+    def test_bounds_out(self, fuzz_dir, k, out):
+        kind, expected = out
+        code, stdout = _run_cli(["bounds", "--k", str(k), "--out", _out_path(fuzz_dir, kind)])
+        assert code == expected
+        if kind == "empty":  # refused before the constants are printed
+            assert stdout == ""
 
     @given(
         st.sampled_from(sorted(_BASES)),

@@ -17,6 +17,7 @@ from stepweaver.builders import silver
 from stepweaver.optimizer import (
     AsymptoticConstants,
     CACHE_NAME,
+    MAX_LEVEL,
     MAX_TABLE_N,
     P_EXPONENT,
     RateTables,
@@ -100,6 +101,23 @@ class TestBuildTables:
         with pytest.raises(ResourceCapError):
             asymptotic_constants(14)
 
+    @pytest.mark.parametrize(
+        "k, error, match",
+        [(-1, ScheduleError, "need k_max >= 0, got -1"), (-7, ScheduleError, "got -7")]
+        + [(MAX_LEVEL + 1, ResourceCapError, f"level {MAX_LEVEL + 1} exceeds"), (60, ResourceCapError, "level 60")],
+    )
+    @pytest.mark.parametrize("given_tables", [False, True])
+    def test_level_outside_the_cap_is_refused_first(self, monkeypatch, k, error, match, given_tables):
+        tables = build_tables(3) if given_tables else None
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused level must not load, fill or solve anything")
+
+        for name in ("load_or_build", "c_low", "r_constant"):
+            monkeypatch.setattr(optimizer, name, no_work)
+        with pytest.raises(error, match=match):
+            asymptotic_constants(k, tables)
+
     def test_fields(self):
         names = [f.name for f in dataclasses.fields(RateTables)]
         assert names == ["n_max", "s_rate", "f_rate", "s_split", "f_split"]
@@ -128,6 +146,20 @@ class TestMpOracle:
             led = [n for n in range(2, 161) if rows[name][n][2] > 1e-12]
             assert len(led) >= least, name  # the check covers most rows
             assert [int(split[n]) for n in led] == [rows[name][n][1] for n in led], name
+
+
+@pytest.mark.slow
+def test_mp_oracle_to_row_512():
+    """:class:`TestMpOracle`'s two checks up to row 512, a few seconds of
+    mpmath: deselected by default, ``pytest -m slow`` runs it."""
+    tables, rows = build_tables(512), rate_rows_mp(512)
+    columns = (("s", tables.s_rate, tables.s_split, 256), ("f", tables.f_rate, tables.f_split, 480))
+    for name, rate, split, least in columns:
+        drift = max(abs(mpmath.mpf(float(rate[n])) - rows[name][n][0]) / rows[name][n][0] for n in range(1, 513))
+        assert drift <= 1e-13, name
+        led = [n for n in range(2, 513) if rows[name][n][2] > 1e-12]
+        assert len(led) >= least, name
+        assert [int(split[n]) for n in led] == [rows[name][n][1] for n in led], name
 
 
 class TestReconstruction:
