@@ -21,6 +21,7 @@ from .schedule import (  # noqa: F401
     fg_rates_from_s,
     join,
     join_rate,
+    join_step,
     materialize,
     middle_step,
     reverse,

@@ -16,8 +16,9 @@ from .schedule import (
     UncertifiedScheduleError,
     empty_schedule,
     join,
-    join_rate,
-    middle_step,
+    join_step,
+    materialize,
+    operand_classes,
     result_class,
     reverse,
     validate_schedule,
@@ -32,32 +33,33 @@ MAX_EXTEND_LEN = 100_000
 def silver(k: int) -> StepSchedule:
     """Level-``k`` balanced self-join schedule of length ``2^k - 1``, class S.
 
-    ``k`` self-joins of the empty s-schedule, ``h = h >< h``: every level
-    shares one subtree for both halves.  Rate is ``(1+sqrt(2))^-k``.
+    The tree of ``h = h >< h`` over the empty s-schedule, whose halves share
+    one subtree at every level, materialized once.  Rate is ``(1+sqrt(2))^-k``.
     """
     if k < 0:
         raise ScheduleError(f"level must be nonnegative, got {k}")
     if k > MAX_SILVER_LEVEL:
         raise ResourceCapError(f"level {k} exceeds cap {MAX_SILVER_LEVEL} (length 2^k - 1)")
-    h = empty_schedule(CompClass.S)
+    tree = LEAF
     for _ in range(k):
-        h = join(JoinOp.SJOIN, h, h)
-    return h
+        tree = CompositionTree(JoinOp.SJOIN, tree, tree)
+    return materialize(tree, CompClass.S)
 
 
 def right_heavy(k: int) -> StepSchedule:
     """Level-``k`` objective-gap schedule: prepend a silver block at each level.
 
     ``h(0)`` is empty; ``h(i+1) = silver(i) |> h(i)``.  Class F, length 2^k - 1.
+    One tree, sharing each level's silver subtree, is materialized once.
     """
     if k < 0:
         raise ScheduleError(f"level must be nonnegative, got {k}")
     if k > MAX_SILVER_LEVEL:
         raise ResourceCapError(f"level {k} exceeds cap {MAX_SILVER_LEVEL}")
-    h = empty_schedule(CompClass.F)
-    for i in range(k):
-        h = join(JoinOp.FJOIN, silver(i), h)
-    return h
+    tree = s = LEAF
+    for _ in range(k):
+        tree, s = CompositionTree(JoinOp.FJOIN, s, tree), CompositionTree(JoinOp.SJOIN, s, s)
+    return materialize(tree, CompClass.F)
 
 
 def left_heavy(k: int) -> StepSchedule:
@@ -103,16 +105,16 @@ def _extend(h: StepSchedule, n: int, op: JoinOp) -> StepSchedule:
         return h
     if h.conjectured:
         raise UncertifiedScheduleError("cannot extend a conjectured seed: its class is unproven")
+    seed_first = operand_classes(op)[0] is cls  # <| joins after the seed, |> before it
+    order = (lambda seed, s: (seed, s)) if seed_first else (lambda seed, s: (s, seed))
     rate, tree = h.rate, h.tree
     mus = []
     for _ in range(n - h.n):
-        # the empty s-side has rate 1, so both joins use the same formulas
-        mus.append(middle_step(op, 1.0, rate))
-        rate = join_rate(op, 1.0, rate)
+        mu, rate = join_step(op, *order(rate, 1.0))  # the empty s-side has rate 1
+        mus.append(mu)
         if tree is not None:
-            pair = (tree, LEAF) if op is JoinOp.GJOIN else (LEAF, tree)
-            tree = CompositionTree(op, *pair)
-    steps = [h.steps, mus] if op is JoinOp.GJOIN else [mus[::-1], h.steps]
+            tree = CompositionTree(op, *order(tree, LEAF))
+    steps = [h.steps, mus] if seed_first else [mus[::-1], h.steps]
     out = StepSchedule(np.concatenate(steps), cls, rate, tree)
     validate_schedule(out)
     return out

@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse or argument error,
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -54,12 +55,27 @@ def _positive_int(value: str, base: int = 10) -> int:
     return number
 
 
-def _write_file(path: str, write, notice: str) -> None:
-    """Open the output file ``path`` (UTF-8, line ends as written), fill it
-    with ``write(fh)`` and print ``notice``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        write(fh)
-    print(notice)
+def _write_outputs(args, *outputs, printed: str = "") -> None:
+    """Open the file of every ``(flag, write, notice)`` whose flag is given
+    (UTF-8, line ends as written), then print ``printed``, then fill each
+    file with ``write(fh)``, close it and print its notice.  Every path is
+    opened first: one that cannot be opened raises ``ScheduleFileError``
+    naming its flag before anything is written or printed."""
+    with contextlib.ExitStack() as stack:
+        files = []
+        for flag, write, notice in outputs:
+            path = getattr(args, flag)
+            if path is None:
+                continue
+            try:
+                files.append((stack.enter_context(open(path, "w", newline="", encoding="utf-8")), write, notice))
+            except OSError as err:
+                raise ScheduleFileError(f"--{flag}: {err}") from None
+        sys.stdout.write(printed)
+        for fh, write, notice in files:
+            with fh:
+                write(fh)
+            print(notice)
 
 
 def cmd_compose(args) -> int:
@@ -69,10 +85,9 @@ def cmd_compose(args) -> int:
         construction=dsl.format_expr(ast),
         provenance=f"stepweaver {__version__} compose",
     )
-    if args.out is not None:
-        _write_file(args.out, lambda fh: fh.write(text), f"wrote {args.out}: {schedule.describe()}")
-    else:
+    if args.out is None:
         sys.stdout.write(text)
+    _write_outputs(args, ("out", lambda fh: fh.write(text), f"wrote {args.out}: {schedule.describe()}"))
     return EXIT_OK
 
 
@@ -86,18 +101,16 @@ def cmd_optimize(args) -> int:
         )
     tables = optimizer.load_or_build(args.n + 1, args.cache, f_table=args.comp_class is not CompClass.S)
     schedule = _OBS[args.comp_class](args.n, tables)
-    macro = f"obs{args.comp_class.value}"
-    if args.table is not None:
-        tab = tables.s_rate if args.comp_class is CompClass.S else tables.f_rate
-        _write_file(
-            args.table, lambda fh: optimizer.write_rate_csv(fh, args.n + 1, {"": tab}), f"wrote rate table {args.table}"
-        )
-    if args.out is not None:
-        text = dumps_schedule(
-            schedule, construction=f"{macro}({args.n})", provenance=f"stepweaver {__version__} optimize"
-        )
-        _write_file(args.out, lambda fh: fh.write(text), f"wrote {args.out}: {schedule.describe()}")
-    else:
+    tab = tables.s_rate if args.comp_class is CompClass.S else tables.f_rate
+    text = dumps_schedule(
+        schedule, construction=f"obs{args.comp_class.value}({args.n})", provenance=f"stepweaver {__version__} optimize"
+    )
+    _write_outputs(
+        args,
+        ("table", lambda fh: optimizer.write_rate_csv(fh, args.n + 1, {"": tab}), f"wrote rate table {args.table}"),
+        ("out", lambda fh: fh.write(text), f"wrote {args.out}: {schedule.describe()}"),
+    )
+    if args.out is None:
         print(schedule.describe())
         print("steps:", " ".join(format(s, ".17g") for s in schedule.steps))
     return EXIT_OK
@@ -201,10 +214,9 @@ def cmd_run(args) -> int:
     for key, value in summary.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ScheduleError(f"{key} overflows on this trace; rerun from a smaller --x0")
-    if args.out is not None:
-        _write_file(args.out, trace.to_csv, f"wrote trace {args.out}")
-    else:
+    if args.out is None:
         sys.stdout.write(trace.to_csv())
+    _write_outputs(args, ("out", trace.to_csv, f"wrote trace {args.out}"))
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -222,15 +234,11 @@ def cmd_bounds(args) -> int:
         )
     tables = optimizer.load_or_build(n_rows, args.cache)
     consts = optimizer.asymptotic_constants(args.k, tables)
-    print(f"p,{format(consts.p, '.17g')}")
-    print(f"c_low,{format(consts.c_low, '.17g')}")
-    print("k,r_obs_s,r_obs_f")
-    for k in range(args.k + 1):
-        print(f"{k},{format(consts.r_obs_s[k], '.17g')},{format(consts.r_obs_f[k], '.17g')}")
-    if args.out is not None:
-        columns = {"s_": tables.s_rate, "f_": tables.f_rate}
-        notice = f"wrote normalized rates {args.out}"
-        _write_file(args.out, lambda fh: optimizer.write_rate_csv(fh, n_rows, columns), notice)
+    lines = [f"p,{format(consts.p, '.17g')}", f"c_low,{format(consts.c_low, '.17g')}", "k,r_obs_s,r_obs_f"]
+    lines += [f"{k},{format(consts.r_obs_s[k], '.17g')},{format(consts.r_obs_f[k], '.17g')}" for k in range(args.k + 1)]
+    columns = {"s_": tables.s_rate, "f_": tables.f_rate}
+    write = lambda fh: optimizer.write_rate_csv(fh, n_rows, columns)
+    _write_outputs(args, ("out", write, f"wrote normalized rates {args.out}"), printed="\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -26,9 +26,8 @@ from .schedule import (
     ScheduleError,
     StepSchedule,
     _fgjoin_rate,
-    _s_side_first,
     join,  # not called here; perfbench's traced layer map wraps optimizer.join
-    join_rate,
+    join_step,
     materialize,
     operand_classes,
     result_class,
@@ -210,7 +209,7 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
                 work += [key, (lcls, m), (rcls, n - m)]  # resolve the operand rows first
                 continue
             (ltree, lrate), (rtree, rrate) = left, right
-            row = (CompositionTree(op, ltree, rtree), join_rate(op, *_s_side_first(op, lrate, rrate)))
+            row = (CompositionTree(op, ltree, rtree), join_step(op, lrate, rrate)[1])
         if row[1] != rate[n]:
             raise ScheduleError(f"{c.value}-table reconstruction mismatch at row {n}")
         rows[key] = row
@@ -274,7 +273,7 @@ def enumerate_basic(n: int, comp_class: CompClass):
             # ordered by split m, then left, then right: this order fixes min's tie-break
             pairs[result_class(op)].append(
                 [
-                    (CompositionTree(op, left, right), join_rate(op, *_s_side_first(op, lrate, rrate)))
+                    (CompositionTree(op, left, right), join_step(op, lrate, rrate)[1])
                     for m in range(ln)
                     for left, lrate in lefts[m]
                     for right, rrate in rights[ln - 1 - m]

@@ -89,45 +89,39 @@ def result_class(op: JoinOp) -> CompClass:
 
 
 # ---------------------------------------------------------------------------
-# Scalar join formulas.
+# Scalar join formulas: one per join, giving the middle step and the rate
+# from one square root, on scalars and arrays alike.
 #
 # ``alpha`` is always the rate of the S-class operand; ``beta`` the rate of
-# the other operand (F for |>, G for <|, the second S for ><).  The middle
-# steps use rationalized forms equivalent to the subtractive ones,
-#   s:    mu = 1 + (sqrt(a^2+6ab+b^2) - (a+b)) / (2ab)
-#   f/g:  mu = 1 + (sqrt(a^2+8ab) - a) / (4ab)
-# but free of cancellation when one rate is much smaller than the other.
-# The symmetric grouping (a*a + b*b) + 6*(a*b) makes the s-join exactly
-# commutative in floating point; the DP fill relies on it to scan only half
-# of the s-splits.
+# the other operand (F for |>, G for <|, the second S for ><).  The s-join
+# shares the denominator D = (a+b) + sqrt(a^2+6ab+b^2), the f/g-join the
+# root r = sqrt(a^2+8ab):
+#   s:    mu = 1 + 2/D,        rate = 2ab/D
+#   f/g:  mu = 1 + 2/(a+r),    rate = 2ab/((a+4b)+r)
+# These middle steps are the rationalized forms of the subtractive
+# 1 + (sqrt(a^2+6ab+b^2) - (a+b))/(2ab) and 1 + (r - a)/(4ab), free of
+# cancellation when one rate is much smaller than the other.  The symmetric
+# grouping (a*a + b*b) + 6*(a*b) makes the s-join exactly commutative in
+# floating point; the DP fill relies on it to scan only half of the s-splits.
 # ---------------------------------------------------------------------------
 
 
+def _sjoin(alpha, beta):
+    d = (alpha + beta) + np.sqrt((alpha * alpha + beta * beta) + 6.0 * (alpha * beta))
+    return 1.0 + 2.0 / d, (2.0 * alpha * beta) / d
+
+
+def _fgjoin(alpha, beta):
+    r = np.sqrt(alpha * alpha + 8.0 * (alpha * beta))
+    return 1.0 + 2.0 / (alpha + r), (2.0 * alpha * beta) / ((alpha + 4.0 * beta) + r)
+
+
 def _sjoin_rate(alpha, beta):
-    return (2.0 * alpha * beta) / (
-        (alpha + beta) + np.sqrt((alpha * alpha + beta * beta) + 6.0 * (alpha * beta))
-    )
+    return _sjoin(alpha, beta)[1]
 
 
 def _fgjoin_rate(alpha, beta):
-    return (2.0 * alpha * beta) / (
-        (alpha + 4.0 * beta) + np.sqrt(alpha * alpha + 8.0 * (alpha * beta))
-    )
-
-
-def _sjoin_mu(alpha, beta):
-    return 1.0 + 2.0 / (
-        (alpha + beta) + np.sqrt((alpha * alpha + beta * beta) + 6.0 * (alpha * beta))
-    )
-
-
-def _fgjoin_mu(alpha, beta):
-    return 1.0 + 2.0 / (alpha + np.sqrt(alpha * alpha + 8.0 * (alpha * beta)))
-
-
-def _require_positive(alpha, beta):
-    if not (alpha > 0.0 and beta > 0.0):
-        raise ScheduleError(f"join rates must be positive, got alpha={alpha}, beta={beta}")
+    return _fgjoin(alpha, beta)[1]
 
 
 def _s_side_first(op: JoinOp, left_rate: float, right_rate: float):
@@ -137,25 +131,28 @@ def _s_side_first(op: JoinOp, left_rate: float, right_rate: float):
     return left_rate, right_rate
 
 
-def join_rate(op: JoinOp, alpha: float, beta: float) -> float:
-    """Scalar join of two rates.
+def join_step(op: JoinOp, left_rate: float, right_rate: float):
+    """``(mu, rate)`` of a join node: the middle step it inserts and the
+    joined rate, from the operand rates in concatenation order.
 
-    ``alpha`` is the S-side rate, ``beta`` the F/G/second-S side.  Values
-    above 1 are accepted: the formulas are defined for all positive scalars,
-    which the asymptotic-bound computations rely on.
+    Rates above 1 are accepted: the formulas are defined for all positive
+    scalars, which the asymptotic-bound computations rely on.
     """
-    _require_positive(alpha, beta)
-    if op is JoinOp.SJOIN:
-        return float(_sjoin_rate(alpha, beta))
-    return float(_fgjoin_rate(alpha, beta))
+    if not (left_rate > 0.0 and right_rate > 0.0):
+        raise ScheduleError(f"join rates must be positive, got {left_rate} and {right_rate}")
+    mu, rate = (_sjoin if op is JoinOp.SJOIN else _fgjoin)(*_s_side_first(op, left_rate, right_rate))
+    return float(mu), float(rate)
+
+
+def join_rate(op: JoinOp, alpha: float, beta: float) -> float:
+    """Scalar join of two rates; ``alpha`` is the S-side rate, ``beta`` the
+    F/G/second-S side (see :func:`join_step`)."""
+    return join_step(op, *_s_side_first(op, alpha, beta))[1]
 
 
 def middle_step(op: JoinOp, alpha: float, beta: float) -> float:
-    """Middle stepsize inserted by a join; always > 1."""
-    _require_positive(alpha, beta)
-    if op is JoinOp.SJOIN:
-        return float(_sjoin_mu(alpha, beta))
-    return float(_fgjoin_mu(alpha, beta))
+    """Middle stepsize inserted by a join, S-side rate first; always > 1."""
+    return join_step(op, *_s_side_first(op, alpha, beta))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +351,7 @@ def join(op: JoinOp, a: StepSchedule, b: StepSchedule) -> StepSchedule:
         raise UncertifiedScheduleError(
             "cannot join conjectured schedules: their class membership is unproven"
         )
-    alpha, beta = _s_side_first(op, a.rate, b.rate)
-    mu = middle_step(op, alpha, beta)
-    rate = join_rate(op, alpha, beta)
+    mu, rate = join_step(op, a.rate, b.rate)
     steps = np.concatenate([a.steps, [mu], b.steps])
     tree = None
     if a.tree is not None and b.tree is not None:
@@ -419,10 +414,9 @@ def tree_steps(tree, leaf=lambda node: None):
         return 1.0 if h is None else h.rate
 
     def combine(node, left, right):
-        alpha, beta = _s_side_first(node.op, left, right)
-        mus[id(node)] = middle_step(node.op, alpha, beta)
+        mus[id(node)], rate = join_step(node.op, left, right)
         sizes[id(node)] = sizes[id(node.left)] + sizes[id(node.right)] + 1
-        return join_rate(node.op, alpha, beta)
+        return rate
 
     rate = postorder(tree, leaf_rate, combine)
     steps = np.empty(sizes[id(tree)])

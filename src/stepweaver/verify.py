@@ -71,8 +71,7 @@ from .schedule import (
     StepSchedule,
     admissible_classes,
     check_tree,
-    join_rate,
-    middle_step,
+    join_step,
     postorder,
     reverse,
     tree_steps,
@@ -126,10 +125,9 @@ def build_f_certificate(tree: CompositionTree) -> CertificateV:
             return None  # inside an s-subtree, which its |> parent evaluates whole
         a, alpha = tree_steps(node.left)
         w, beta = f_leaf if right is None else right
-        eta = join_rate(JoinOp.FJOIN, alpha, beta)
+        mu, eta = join_step(JoinOp.FJOIN, alpha, beta)
         scale = np.sqrt(beta / eta)
         alt1 = beta / eta - 2.0 * beta / alpha
-        mu = middle_step(JoinOp.FJOIN, alpha, beta)
         alt2 = alpha * beta * (mu - 1.0) / eta
         for alt in (alt1, alt2):
             if abs(scale - alt) > 1e-12 * scale:
@@ -197,7 +195,8 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
 # The interpolation check works in pieces of at most this many float64
 # entries (512 KiB): the rows P and R^T of a sub-batch of instances, and the
 # one buffer every product is written into, so that all three stay in a
-# core's L2 cache together.
+# core's L2 cache together (from n = 4095 on, the buffer holds the
+# _LEAD_ROWS rows, and so more).
 _PAIR_BLOCK = 2**16
 
 # the rounding bound's constants, derived in _q_min_batched
@@ -239,14 +238,15 @@ def _q_min_batched(X, G, F):
 
     P and a contiguous R^T are assembled once per sub-batch of instances
     whose rows hold at most ``_PAIR_BLOCK`` entries.  Every product is
-    written into one buffer of at most ``_PAIR_BLOCK`` entries (one row at
-    least), allocated once per call.  While an N x N matrix fits, a product
-    covers several whole instances.  Otherwise (N^2 > ``_PAIR_BLOCK``, so
-    n >= 255) each instance is taken alone, and :func:`_product_min` takes
-    every product of it, by balanced blocks of rows.  So memory stays
-    O(B*N*d) beside about 3 MiB at any n; one product per instance would take
-    8*N^2 bytes (32 MiB at n = 2047, 8 GiB at n = 32767).  A NaN reaches its
-    instance's minimum and no other.
+    written into one buffer, allocated once per call, of at most
+    ``_PAIR_BLOCK`` entries or ``_LEAD_ROWS`` rows, whichever is larger.
+    While an N x N matrix fits, a product covers several whole instances.
+    Otherwise (N^2 > ``_PAIR_BLOCK``, so n >= 255) each instance is taken
+    alone, and :func:`_product_min` takes every product of it, by blocks of
+    rows that fill the buffer.  So memory stays O(B*N*d) beside a buffer of
+    512 KiB through n = 4094 and 8*16*N bytes beyond (4 MiB at n = 32767);
+    one product per instance would take 8*N^2 bytes (32 MiB at n = 2047,
+    8 GiB at n = 32767).  A NaN reaches its instance's minimum and no other.
 
     A large instance skips the pairs that provably cannot hold its minimum.
     A computed entry q_ij = fl(P_i . R_j) is a sum of d + 2 rounded terms;
@@ -296,11 +296,11 @@ def _q_min_batched(X, G, F):
     else:
         per, most = 1, max(1, _PAIR_BLOCK // rows)
         block = -(-rows // -(-rows // most))
-    buf = np.empty(per * block * rows)
+    lead = _LEAD_ROWS
+    buf = np.empty(max(per * block, lead) * rows)  # the lead product fits at every N
     P, Rt = np.empty((sub, rows, d + 2)), np.empty((sub, d + 2, rows))
     q = np.empty(batch)
-    lead = min(_LEAD_ROWS, block)
-    prune = 2 <= lead <= rows - 2
+    prune = lead <= rows - 2  # always at N^2 > _PAIR_BLOCK = 2**16
     for s in range(0, batch, sub):
         m = min(sub, batch - s)
         _gram_rows(X[:, s : s + m], G[:, s : s + m], F[:, s : s + m], P[:m], Rt[:m])

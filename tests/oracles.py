@@ -53,6 +53,13 @@ split and its relative lead over the second best.  The float tables of
 ``stepweaver.optimizer.build_tables`` must stay within a stated relative
 drift of it.
 
+``sjoin_rate_reference``, ``sjoin_mu_reference``, ``fgjoin_rate_reference``
+and ``fgjoin_mu_reference`` are the scalar join formulas written separately,
+each with its own square root.  The production ``stepweaver.schedule`` gives
+each join one formula for the middle step and the rate, from one square
+root; ``join_step``, ``join_rate``, ``middle_step``, ``_sjoin_rate`` and
+``_fgjoin_rate`` must give the same bits on scalars and arrays.
+
 ``write_rate_csv_reference`` writes rate tables through ``csv.writer``, one
 ``format`` per value.  The production ``stepweaver.optimizer.write_rate_csv``
 (one ``%`` format per row) must write the same bytes.
@@ -217,6 +224,22 @@ def gram_rows_reference(X, G, F, P, Rt) -> None:
     Rt[:, d] = 1.0
     np.subtract(2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb, gsq, out=Rt[:, d + 1, :points])
     Rt[:, d + 1, points:] = 0.0
+
+
+def sjoin_rate_reference(alpha, beta):
+    return (2.0 * alpha * beta) / ((alpha + beta) + np.sqrt((alpha * alpha + beta * beta) + 6.0 * (alpha * beta)))
+
+
+def sjoin_mu_reference(alpha, beta):
+    return 1.0 + 2.0 / ((alpha + beta) + np.sqrt((alpha * alpha + beta * beta) + 6.0 * (alpha * beta)))
+
+
+def fgjoin_rate_reference(alpha, beta):
+    return (2.0 * alpha * beta) / ((alpha + 4.0 * beta) + np.sqrt(alpha * alpha + 8.0 * (alpha * beta)))
+
+
+def fgjoin_mu_reference(alpha, beta):
+    return 1.0 + 2.0 / (alpha + np.sqrt(alpha * alpha + 8.0 * (alpha * beta)))
 
 
 def build_tables_reference(n_max):

@@ -127,6 +127,19 @@ class TestHeavy:
         assert lh.rate == rh.rate
         assert lh.comp_class is CompClass.G
 
+    @pytest.mark.parametrize("k", range(0, 15))
+    def test_equal_joining_level_by_level(self, k):
+        """``right_heavy`` and ``left_heavy`` from one materialized tree equal
+        joining a fresh silver block onto the level below, level by level."""
+        s, f, g = empty_schedule(CompClass.S), empty_schedule(CompClass.F), empty_schedule(CompClass.G)
+        for _ in range(k):
+            f, g, s = join(JoinOp.FJOIN, s, f), join(JoinOp.GJOIN, g, s), join(JoinOp.SJOIN, s, s)
+        for h, ref in ((right_heavy(k), f), (left_heavy(k), g)):
+            assert h.steps.tobytes() == ref.steps.tobytes()
+            assert h.rate == ref.rate
+            assert h.comp_class is ref.comp_class
+            assert trees_equal(h.tree, ref.tree)
+
     def test_dominated_by_optimized_family(self):
         from stepweaver.optimizer import obs_f
 

@@ -240,6 +240,27 @@ class TestPrunedKernel:
         assert np.all(got < -1e-3 * F[k, cols]) and np.all(clean > 1e-6 * got)
         assert all(np.all(cut < rows) for rows, cut in cuts)
 
+    def test_one_row_buffer_still_prunes(self, monkeypatch):
+        """A buffer of one row (N > 32768 at the default ``_PAIR_BLOCK``)
+        still takes the lead rows in one product, so a decaying instance
+        skips pairs, and its minimum is the unpruned kernel's."""
+        n = 300
+        X, G, F = decaying_traces(7, n, 1, 2, 400)
+        expected = q_min_unpruned_reference(X, G, F)
+        monkeypatch.setattr(verify, "_PAIR_BLOCK", n + 2)  # one row of the pair matrix
+        entries, real = [], np.matmul
+
+        def counting(a, b, out):
+            entries.append(out.size)
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        got = _q_min_batched(X, G, F)
+        monkeypatch.undo()
+        assert entries[0] == verify._LEAD_ROWS * (n + 2)
+        assert sum(entries) < (n + 2) ** 2
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestProductMin:
     """``_product_min`` against ``np.min(Pr @ Rc)`` on small integer

@@ -898,6 +898,29 @@ def test_empty_output_path_is_refused(fuzz_dir, capsys, argv):
     assert sorted(fuzz_dir.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--class", "f", "--n", "4", "--table", "{tmp}/t.csv", "--out", "{tmp}"],
+        ["optimize", "--class", "s", "--n", "4", "--out", "{tmp}/h.json", "--table", "{tmp}"],
+        ["optimize", "--class", "g", "--n", "4", "--out", "{tmp}"],
+        ["compose", "silver(2)", "--out", "{tmp}"],
+        ["run", "{dir}/s.json", "--out", "{tmp}"],
+        ["bounds", "--k", "2", "--out", "{tmp}"],
+    ],
+)
+def test_unopenable_output_path_fails_before_any_output(fuzz_dir, tmp_path, capsys, argv):
+    """An output path that cannot be opened (here a directory) exits 4 with
+    an error naming its flag; nothing is printed and no output file gets
+    content, the other output of the same command included."""
+    argv = [a.format(dir=fuzz_dir, tmp=tmp_path) for a in argv]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {argv[-2]}: ")
+    assert all(path.stat().st_size == 0 for path in tmp_path.iterdir())
+
+
 def _run_cli(argv):
     """``main(argv)`` with ``STEPWEAVER_CACHE`` unset: its exit code and
     output.  Any exception other than argparse's exit propagates."""
@@ -989,8 +1012,7 @@ class TestCliFuzz:
         kind, expected = out
         code, stdout = _run_cli(["bounds", "--k", str(k), "--out", _out_path(fuzz_dir, kind)])
         assert code == expected
-        if kind == "empty":  # refused before the constants are printed
-            assert stdout == ""
+        assert stdout == ""  # refused before the constants are printed
 
     @given(
         st.sampled_from(sorted(_BASES)),

@@ -23,8 +23,13 @@ from stepweaver.schedule import (
     closed_form_rates,
     empty_schedule,
     fg_rates_from_s,
+    _fgjoin,
+    _fgjoin_rate,
+    _sjoin,
+    _sjoin_rate,
     join,
     join_rate,
+    join_step,
     materialize,
     middle_step,
     operand_classes,
@@ -36,7 +41,13 @@ from stepweaver.schedule import (
 )
 
 from corpus import full_corpus
-from oracles import join_by_join
+from oracles import (
+    fgjoin_mu_reference,
+    fgjoin_rate_reference,
+    join_by_join,
+    sjoin_mu_reference,
+    sjoin_rate_reference,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -162,6 +173,53 @@ class TestMiddleStep:
         # subtractive form would cancel catastrophically here
         mu = middle_step(JoinOp.FJOIN, 1.0, 1e-14)
         assert mu == pytest.approx(2.0, rel=1e-10)
+
+
+_ANY_RATE = (
+    st.floats(min_value=1e-300, max_value=1e-6)  # tiny
+    | st.floats(min_value=0.5, max_value=1.5)  # near 1
+    | st.floats(min_value=1.0, max_value=1e6)  # above 1
+)
+_REFERENCE = {  # S-side rate first: (mu, rate)
+    JoinOp.SJOIN: (sjoin_mu_reference, sjoin_rate_reference),
+    JoinOp.FJOIN: (fgjoin_mu_reference, fgjoin_rate_reference),
+    JoinOp.GJOIN: (fgjoin_mu_reference, fgjoin_rate_reference),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestJoinFormulas:
+    """One formula per join against the separate formulas, each with its own
+    square root: the same bits for every view, on scalars and arrays."""
+
+    @given(_ANY_RATE, _ANY_RATE)
+    def test_scalar_views(self, a, b):
+        for op, (mu_ref, rate_ref) in _REFERENCE.items():
+            mu, rate = mu_ref(a, b), rate_ref(a, b)
+            concat = (b, a) if op is JoinOp.GJOIN else (a, b)
+            assert _bits(join_step(op, *concat)) == _bits((mu, rate))
+            assert _bits(join_rate(op, a, b)) == _bits(rate)
+            assert _bits(middle_step(op, a, b)) == _bits(mu)
+        assert _bits(_sjoin_rate(a, b)) == _bits(sjoin_rate_reference(a, b))
+        assert _bits(_fgjoin_rate(a, b)) == _bits(fgjoin_rate_reference(a, b))
+
+    @given(st.lists(st.tuples(_ANY_RATE, _ANY_RATE), min_size=1, max_size=40))
+    def test_array_views(self, pairs):
+        a, b = np.array(pairs).T
+        assert _bits(_sjoin_rate(a, b)) == _bits(sjoin_rate_reference(a, b))
+        assert _bits(_fgjoin_rate(a, b)) == _bits(fgjoin_rate_reference(a, b))
+        assert _bits(_sjoin(a, b)) == _bits((sjoin_mu_reference(a, b), sjoin_rate_reference(a, b)))
+        assert _bits(_fgjoin(a, b)) == _bits((fgjoin_mu_reference(a, b), fgjoin_rate_reference(a, b)))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan])
+    def test_rejects_a_nonpositive_rate_on_either_side(self, bad):
+        for op in JoinOp:
+            for pair in ((bad, 0.5), (0.5, bad)):
+                with pytest.raises(ScheduleError, match="join rates must be positive"):
+                    join_step(op, *pair)
 
 
 class TestJoin:

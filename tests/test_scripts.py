@@ -35,3 +35,10 @@ def test_report_digest_prints_count_and_sha256():
     match = re.fullmatch(r"(\d+) reports, sha256 [0-9a-f]{64}\n", out)
     assert match, out
     assert int(match.group(1)) > 0 and int(match.group(1)) % 2 == 0  # every schedule under two configs
+
+
+def test_construction_digest_prints_count_and_sha256():
+    out = run_script("construction_digest.py").stdout
+    match = re.fullmatch(r"(\d+) constructions, sha256 [0-9a-f]{64}\n", out)
+    assert match, out
+    assert int(match.group(1)) > 0
