@@ -6,10 +6,19 @@ Builds ``silver(0..16)``, ``right_heavy(0..14)``, ``left_heavy(0..10)``;
 n in {0, 1, 2, 3, 10, 100, 4000}; the ``obs_s``/``obs_f``/``obs_g`` optima
 of lengths 0..300 and 2047; the ``enumerate_basic`` optima of every class
 for n <= 8, with their sorted rate lists; and the construct benchmark's
-compose expressions (``perfbench/workloads.py``).  It prints the number of
-constructions and the sha256 of, for each, its name, class, steps (as
-``float.hex``) and rate (``float.hex``); a construction that raises
-contributes its error type and message instead.
+compose expressions (``perfbench/workloads.py``).  Then a fixed, seeded set
+of composition expressions: random ones over ``e`` and small macros, typed
+and mistyped, in both operator spellings with random whitespace, a quarter
+of them garbled by one or two character edits; a few fixed malformed and
+over-cap ones; and chains nested ``MAX_NESTING - 1`` to ``MAX_NESTING + 1``
+deep.  It prints the number of constructions and expressions and the sha256
+of, for each construction, its name, class, steps (as ``float.hex``) and
+rate (``float.hex``), and for each expression its text, its canonical form
+``format_expr(parse(text))``, its ``typecheck`` classes and what
+``compile_expression`` gives with the class inferred and with each class
+given.  A construction, parse, typecheck or compile that raises
+contributes its error type, message and (for a syntax error) position
+instead.
 
 Only public APIs are used, so two source trees that print the same line on
 one machine build the same schedules bit for bit:
@@ -20,6 +29,8 @@ Bits are not promised across platforms: compare digests made on one machine.
 """
 
 import hashlib
+import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -29,13 +40,75 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import COMPOSE_EXPRS  # noqa: E402
 
 from stepweaver.builders import dynamic_short, f_extend, left_heavy, right_heavy, silver  # noqa: E402
-from stepweaver.dsl import compile_expression  # noqa: E402
+from stepweaver.dsl import MAX_NESTING, compile_expression, format_expr, parse, typecheck  # noqa: E402
 from stepweaver.optimizer import build_tables, enumerate_basic, obs_f, obs_g, obs_s  # noqa: E402
-from stepweaver.schedule import CompClass, ScheduleError  # noqa: E402
+from stepweaver.schedule import CompClass, ResourceCapError, ScheduleError  # noqa: E402
 
 EXTEND_LENGTHS = (0, 1, 2, 3, 10, 100, 4000)
 OBS_LENGTHS = (*range(301), 2047)
 ENUM_MAX = 8
+
+DSL_SEED = 20261020
+DSL_COUNT = 800
+SPELLINGS = {"><": ("><", "⋈"), "|>": ("|>", "▷"), "<|": ("<|", "◁")}
+OPERANDS = {"><": ("s", "s"), "|>": ("s", "f"), "<|": ("g", "s")}
+JOIN_OF = {"s": "><", "f": "|>", "g": "<|"}
+MACROS = {
+    "s": ("silver", "obss", "const_s"),
+    "f": ("obsf", "rheavy"),
+    "g": ("obsg", "lheavy", "dshort", "dshort_sigma", "const_g"),
+}
+JUNK = "()<>|eE3-+@é \t\u3000,"
+FIXED_EXPRESSIONS = (
+    "", " ", "e", "E", "(e e)", "(e >< )", "((e >< e)", "(e >< e))", "(e ⋈ e) @", "e(3)",
+    "silver", "silver(-1)", "silver ( +3 )", "nosuch(2)", "(e\t⋈\u3000e)",
+    "silver(21)", "obss(20001)", "obsf(20001)", "dshort(100001)", "const_s(100001)",
+)
+
+
+def dsl_expressions():
+    """The fixed expressions, then ``DSL_COUNT`` seeded random ones, then
+    left- and right-nested chains of each join around the nesting cap."""
+    rng = random.Random(DSL_SEED)
+
+    def space():
+        return rng.choice(("", "", " ", "\t", "\n", "\u3000"))
+
+    def expr(cls, depth):
+        """A random expression of class ``cls`` (any shape when None)."""
+        if depth == 0 or rng.random() < 0.3:
+            if rng.random() < 0.6:
+                return "e"
+            names = MACROS[cls] if cls else sum(MACROS.values(), ())
+            return f"{rng.choice(names)}({rng.randint(0, 6)})"
+        op = JOIN_OF[cls] if cls else rng.choice(list(SPELLINGS))
+        left, right = (expr(c if cls else None, depth - 1) for c in OPERANDS[op])
+        return f"({space()}{left}{space()}{rng.choice(SPELLINGS[op])}{space()}{right}{space()})"
+
+    def garble(text):
+        for _ in range(rng.randint(1, 2)):
+            at, edit, char = rng.randint(0, len(text)), rng.choice(("insert", "delete", "replace")), rng.choice(JUNK)
+            text = text[:at] + ("" if edit == "delete" else char) + text[at + (edit != "insert") :]
+        return text
+
+    yield from FIXED_EXPRESSIONS
+    for _ in range(DSL_COUNT):
+        text = expr(rng.choice((None, "s", "f", "g")), rng.randint(0, 7))
+        yield garble(text) if rng.random() < 0.25 else text
+    for depth in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        for op, (ascii_op, unicode_op) in SPELLINGS.items():
+            yield "(" * depth + "e" + f" {ascii_op} e)" * depth
+            yield f"(e {unicode_op} " * depth + "e" + ")" * depth
+
+
+def error_fields(exc):
+    return ("error", type(exc).__name__, str(exc), str(getattr(exc, "pos", "")))
+
+
+def schedule_fields(schedule):
+    yield schedule.comp_class.value
+    yield " ".join(map(float.hex, schedule.steps.tolist()))
+    yield float.hex(schedule.rate)
 
 
 def constructions():
@@ -61,19 +134,36 @@ def fields(name, build):
     try:
         built = build()
     except ScheduleError as exc:
-        yield from ("error", type(exc).__name__, str(exc))
+        yield from error_fields(exc)
         return
     schedule, rates = built if isinstance(built, tuple) else (built, ())
-    yield schedule.comp_class.value
-    yield " ".join(map(float.hex, schedule.steps.tolist()))
-    yield float.hex(schedule.rate)
+    yield from schedule_fields(schedule)
     yield " ".join(map(float.hex, rates))
+
+
+def dsl_fields(text):
+    yield text
+    try:
+        tree = parse(text)
+    except ScheduleError as exc:
+        yield from error_fields(exc)
+        return
+    yield format_expr(tree)
+    try:
+        yield " ".join(sorted(c.value for c in typecheck(tree)))
+    except ScheduleError as exc:
+        yield from error_fields(exc)
+    for cls in (None, *CompClass):
+        try:
+            yield from schedule_fields(compile_expression(text, cls)[0])
+        except (ScheduleError, ResourceCapError) as exc:
+            yield from error_fields(exc)
 
 
 def main() -> int:
     digest, count = hashlib.sha256(), 0
-    for name, build in constructions():
-        for text in fields(name, build):
+    for item in itertools.chain(itertools.starmap(fields, constructions()), map(dsl_fields, dsl_expressions())):
+        for text in item:
             digest.update(text.encode() + b"\0")
         count += 1
     print(f"{count} constructions, sha256 {digest.hexdigest()}")

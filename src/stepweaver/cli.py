@@ -8,6 +8,8 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -57,10 +59,11 @@ def _positive_int(value: str, base: int = 10) -> int:
 
 def _write_outputs(args, *outputs, printed: str = "") -> None:
     """Open the file of every ``(flag, write, notice)`` whose flag is given
-    (UTF-8, line ends as written), then print ``printed``, then fill each
-    file with ``write(fh)``, close it and print its notice.  Every path is
-    opened first: one that cannot be opened raises ``ScheduleFileError``
-    naming its flag before anything is written or printed."""
+    (UTF-8, line ends as written, not truncated), then print ``printed``, then
+    fill each file with ``write(fh)`` (emptying a regular file first: a pipe
+    cannot be), close it and print its notice.  A path that cannot be opened
+    raises ``ScheduleFileError`` naming its flag before anything is written or printed."""
+    untruncated = lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)
     with contextlib.ExitStack() as stack:
         files = []
         for flag, write, notice in outputs:
@@ -68,12 +71,15 @@ def _write_outputs(args, *outputs, printed: str = "") -> None:
             if path is None:
                 continue
             try:
-                files.append((stack.enter_context(open(path, "w", newline="", encoding="utf-8")), write, notice))
+                fh = open(path, "w", newline="", encoding="utf-8", opener=untruncated)
             except OSError as err:
                 raise ScheduleFileError(f"--{flag}: {err}") from None
+            files.append((stack.enter_context(fh), write, notice))
         sys.stdout.write(printed)
         for fh, write, notice in files:
             with fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
                 write(fh)
             print(notice)
 

@@ -9,9 +9,9 @@ open at once):
 
 ``e`` is the empty schedule, polymorphic over all three classes.  The
 Unicode operators for the three joins are accepted as aliases of the ASCII
-spellings.  An expression folds through ``schedule.postorder`` like a
-construction tree, and evaluates by the same upward join.  Macros expand
-lazily at evaluation time, so parsing and typechecking stay cheap:
+spellings.  An expression parses into a construction tree over ``LEAF``
+(``e``) and ``ExprMacro`` leaves, evaluated by the same upward join.  Macros
+expand lazily at evaluation time, so parsing and typechecking stay cheap:
 
     silver(k)        balanced self-join family        class s
     obss(n)/obsf(n)/obsg(n)   optimized families      class s/f/g
@@ -26,7 +26,9 @@ from dataclasses import dataclass
 from . import builders, optimizer
 from .schedule import (
     ALL_CLASSES,
+    LEAF,
     CompClass,
+    CompositionTree,
     JoinOp,
     ScheduleError,
     StepSchedule,
@@ -54,13 +56,8 @@ class DslTypeError(ScheduleError):
 
 
 # ---------------------------------------------------------------------------
-# AST: folds through ``schedule.postorder`` like a construction tree
+# Expressions are construction trees whose leaves are ``e`` or macros
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExprLeaf:
-    is_leaf = True
 
 
 @dataclass(frozen=True)
@@ -69,23 +66,8 @@ class ExprMacro:
     arg: int
     is_leaf = True
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ExprJoin:
-    op: JoinOp
-    left: object
-    right: object
-    is_leaf = False
-
-    # ==, hash and repr are folds, not the dataclass's recursive ones
-    def __eq__(self, other):
-        return isinstance(other, ExprJoin) and format_expr(self) == format_expr(other)
-
-    def __hash__(self):
-        return hash(format_expr(self))
-
-    def __repr__(self):
-        return postorder(self, repr, lambda node, l, r: f"ExprJoin(op={node.op!r}, left={l}, right={r})")
+    def __str__(self):
+        return f"{self.name}({self.arg})"
 
 
 _MACROS = {
@@ -139,7 +121,7 @@ def _macro_leaf(name: str, arg: "str | None", pos: int) -> ExprMacro:
 def tokenize(text: str) -> list:
     """Scan the whole text into ``(kind, pos, value)`` tuples, so a lexical
     error anywhere wins over a syntax error.  Kinds are ``"("``, ``")"``,
-    ``"op"`` (value a ``JoinOp``), ``"atom"`` (value an ``ExprLeaf`` or
+    ``"op"`` (value a ``JoinOp``), ``"atom"`` (value ``LEAF`` or an
     ``ExprMacro``) and a final ``"end"``."""
     tokens = []
     m = _TOKEN_RE.match(text)
@@ -152,7 +134,7 @@ def tokenize(text: str) -> list:
         elif kind == "paren":
             tokens.append((m["paren"], pos, None))
         else:
-            tokens.append(("atom", pos, ExprLeaf() if kind == "leaf" else _macro_leaf(m["name"], m["arg"], pos)))
+            tokens.append(("atom", pos, LEAF if kind == "leaf" else _macro_leaf(m["name"], m["arg"], pos)))
         m = _TOKEN_RE.match(text, m.end())
     tokens.append(("end", len(text), None))
     return tokens
@@ -162,7 +144,7 @@ MAX_NESTING = 1000  # open parentheses at once
 
 
 def parse(text: str):
-    """Parse a composition expression into its AST.
+    """Parse an expression into its tree: a join, ``LEAF`` (``e``) or an ``ExprMacro``.
 
     Shift-reduce over the tokens: each open ``(`` is a frame ``[left, op]`` on
     an explicit stack, so the nesting cap does not depend on the call stack."""
@@ -183,7 +165,7 @@ def parse(text: str):
             kind, pos, _ = next(tokens)
             if kind != ")":
                 raise DslSyntaxError("unbalanced parenthesis", pos, (")",))
-            node = ExprJoin(op, left, node)
+            node = CompositionTree(op, left, node)
         if not frames:
             kind, pos, _ = next(tokens)
             if kind != "end":
@@ -196,7 +178,7 @@ def parse(text: str):
 
 
 # ---------------------------------------------------------------------------
-# Typecheck / format / evaluate: folds over the AST
+# Typecheck / format / evaluate: folds over the tree
 # ---------------------------------------------------------------------------
 
 def _class_names(classes) -> str:
@@ -204,7 +186,7 @@ def _class_names(classes) -> str:
 
 
 def _leaf_classes(node) -> frozenset:
-    return ALL_CLASSES if isinstance(node, ExprLeaf) else frozenset((_MACROS[node.name][0],))
+    return frozenset((_MACROS[node.name][0],)) if isinstance(node, ExprMacro) else ALL_CLASSES
 
 
 def typecheck(expr) -> frozenset:
@@ -226,17 +208,13 @@ def typecheck(expr) -> frozenset:
     return postorder(expr, _leaf_classes, combine)
 
 
-def _leaf_text(node) -> str:
-    return "e" if isinstance(node, ExprLeaf) else f"{node.name}({node.arg})"
-
-
 def format_expr(expr) -> str:
-    """Canonical text form; round-trips through :func:`parse`."""
-    return postorder(expr, _leaf_text, lambda node, left, right: f"({left} {node.op.symbol} {right})")
+    """Canonical text form (a tree's ``repr``); round-trips through :func:`parse`."""
+    return str(expr)
 
 
 def _leaf_schedule(node) -> "StepSchedule | None":
-    return None if isinstance(node, ExprLeaf) else _MACROS[node.name][1](node.arg)
+    return _MACROS[node.name][1](node.arg) if isinstance(node, ExprMacro) else None
 
 
 def evaluate(expr, comp_class: CompClass) -> StepSchedule:
@@ -253,14 +231,13 @@ def evaluate(expr, comp_class: CompClass) -> StepSchedule:
 def compile_expression(text: str, comp_class: "CompClass | None" = None):
     """Parse + typecheck + evaluate in one step.
 
-    With ``comp_class=None`` the class is inferred when unambiguous (the bare
-    leaf is the only ambiguous case).  Returns ``(schedule, ast)``.
+    With ``comp_class=None`` the class is inferred when unambiguous (``e``
+    alone is the only ambiguous case).  Returns ``(schedule, tree)``.
     """
-    ast = parse(text)
-    if comp_class is not None:
-        return evaluate(ast, comp_class), ast
-    classes = typecheck(ast)
-    if len(classes) != 1:
-        raise DslTypeError(f"expression admits classes {_class_names(classes)}; pass an explicit class")
-    (comp_class,) = classes
-    return evaluate_tree(ast, comp_class, _leaf_schedule), ast
+    tree = parse(text)
+    if comp_class is None:
+        classes = typecheck(tree)
+        if len(classes) != 1:
+            raise DslTypeError(f"expression admits classes {_class_names(classes)}; pass an explicit class")
+        (comp_class,) = classes
+    return evaluate(tree, comp_class), tree

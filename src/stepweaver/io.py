@@ -17,7 +17,8 @@ On load the closed-form identities are revalidated; if a construction is
 present it is re-evaluated (one fold, no join per node) and must reproduce
 the stored steps and rate (``schedule.check_steps``, the comparison the
 verifier's tree check makes), and the schedule then carries the
-construction tree.
+construction tree.  Any construction error but a resource cap is a
+``ScheduleFileError`` whose message starts ``construction:``.
 """
 
 import json
@@ -121,7 +122,10 @@ def loads_schedule(text: str, identity_tol: float = DEFAULT_IDENTITY_TOL) -> Ste
     if construction:
         from .dsl import compile_expression  # deferred: io loads without the dsl otherwise
 
-        built, _ = compile_expression(construction, comp_class)
+        try:
+            built, _ = compile_expression(construction, comp_class)
+        except ScheduleError as err:  # not a ResourceCapError, which keeps its exit code
+            raise ScheduleFileError(f"construction: {err}") from err
         try:
             check_steps(schedule, built.steps, built.rate, identity_tol, "construction")
         except IdentityError as err:

@@ -160,15 +160,16 @@ def middle_step(op: JoinOp, alpha: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class CompositionTree:
-    """Binary construction tree over empty-schedule leaves: a shape only.
+    """Binary construction tree: a shape only, and what ``dsl.parse`` returns.
 
-    ``op is None`` marks a leaf.  A join's middle step is fixed by its
-    operands' rates, so the steps of the schedule carrying the tree hold
-    every ``mu`` and the tree stores none.  Equality and hashing are by
-    identity: subtrees are routinely shared, so structural comparison would
-    blow up on large balanced trees (see :func:`trees_equal`).
+    ``op is None`` marks the empty-schedule leaf ``e``; an operand may also be
+    a foreign leaf with ``is_leaf``, ``==`` and hash (the DSL's macros).  The
+    steps of the schedule carrying the tree hold every join's ``mu``, which its
+    operands' rates fix.  ``==``, hash and ``repr`` (the canonical expression
+    text) are structural :func:`postorder` folds: they never recurse, and
+    ``==`` and hash cost time linear in the distinct nodes, however shared.
     """
 
     op: "JoinOp | None" = None
@@ -183,6 +184,27 @@ class CompositionTree:
         """Total schedule length: one step per join node (shared nodes counted per use)."""
         return postorder(self, lambda node: 0, lambda node, left, right: left + right + 1)
 
+    def __eq__(self, other):
+        """Both trees fold into ids of one table of node shapes."""
+        if not isinstance(other, CompositionTree):
+            return NotImplemented
+        shapes: dict = {}
+        shape = lambda node, *ids: shapes.setdefault(_shape_key(node, *ids), len(shapes))
+        return self is other or postorder(self, shape, shape) == postorder(other, shape, shape)
+
+    def __hash__(self):
+        shape = lambda node, *hashes: hash(_shape_key(node, *hashes))
+        return postorder(self, shape, shape)
+
+    def __repr__(self):
+        leaf = lambda node: "e" if isinstance(node, CompositionTree) else str(node)
+        return postorder(self, leaf, lambda node, left, right: f"({left} {node.op.symbol} {right})")
+
+
+def _shape_key(node, *operands):
+    """A join's op and operand values, or a leaf's ``==`` key (every ``e`` alike)."""
+    return (node.op, *operands) if operands else (None if isinstance(node, CompositionTree) else node)
+
 
 LEAF = CompositionTree()
 
@@ -193,10 +215,10 @@ ALL_CLASSES = frozenset(CompClass)
 def postorder(tree, leaf, combine):
     """Fold a tree bottom-up, left subtree first: a leaf node has the value
     ``leaf(node)`` and a join node ``combine(node, left_value, right_value)``.
-    Construction trees and DSL expressions fold alike (``is_leaf``, ``left``,
-    ``right``).  Iterative, so deep chains cannot overflow the stack.  A node
-    shared by several parents (by identity) is folded once, and each value is
-    dropped after its last parent used it, so a chain holds O(1) values."""
+    The one tree walk (any leaf with ``is_leaf`` folds, the DSL's macros too).
+    Iterative, so deep chains cannot overflow the stack.  A node shared by
+    several parents (by identity) is folded once, and each value is dropped
+    after its last parent used it, so a chain holds O(1) values."""
     order, uses = [], {}  # distinct nodes, children first; parent edges per node
     stack = [tree]
     while stack:
@@ -238,17 +260,6 @@ def join_classes(op: JoinOp, left: frozenset, right: frozenset) -> frozenset:
 def admissible_classes(tree: CompositionTree) -> frozenset:
     """Classes a tree can evaluate to: leaves admit all three, joins one."""
     return postorder(tree, lambda node: ALL_CLASSES, lambda node, left, right: join_classes(node.op, left, right))
-
-
-def trees_equal(a: CompositionTree, b: CompositionTree) -> bool:
-    """Structural tree equality: both trees fold into ids of one table of node
-    shapes, in time linear in their distinct nodes."""
-    shapes: dict = {}
-
-    def combine(node, left, right):
-        return shapes.setdefault((node.op, left, right), len(shapes))
-
-    return postorder(a, lambda node: -1, combine) == postorder(b, lambda node: -1, combine)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +500,8 @@ def check_tree(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> None:
 def evaluate_tree(tree, comp_class: CompClass, leaf) -> StepSchedule:
     """Evaluate a well-typed tree into a schedule of ``comp_class``, as joining
     upward would, but from one :func:`tree_steps` fold and one validation.
-    ``leaf(node)`` is a leaf's schedule, or None for a bare leaf, which takes
-    the class its parent requires (``comp_class`` at the root).  The result
+    ``leaf(node)`` is a leaf's schedule, or None for ``e``, which takes the
+    class its parent requires (``comp_class`` at the root).  The result
     carries its leaves' trees joined, or none when a leaf has none; a
     conjectured leaf cannot be joined."""
     leaves = {}

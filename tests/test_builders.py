@@ -25,7 +25,6 @@ from stepweaver.schedule import (
     empty_schedule,
     join,
     reverse,
-    trees_equal,
     validate_schedule,
 )
 
@@ -47,7 +46,7 @@ def assert_same_extension(ext, ref):
     assert ext.comp_class is ref.comp_class
     assert (ext.tree is None) == (ref.tree is None)
     if ref.tree is not None:
-        assert trees_equal(ext.tree, ref.tree)
+        assert ext.tree == ref.tree
 
 
 class TestSilver:
@@ -138,7 +137,7 @@ class TestHeavy:
             assert h.steps.tobytes() == ref.steps.tobytes()
             assert h.rate == ref.rate
             assert h.comp_class is ref.comp_class
-            assert trees_equal(h.tree, ref.tree)
+            assert h.tree == ref.tree
 
     def test_dominated_by_optimized_family(self):
         from stepweaver.optimizer import obs_f

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stepweaver import dsl
+from stepweaver.builders import right_heavy, silver
 from stepweaver.dsl import (
     DslSyntaxError,
     DslTypeError,
-    ExprJoin,
-    ExprLeaf,
     ExprMacro,
     compile_expression,
     evaluate,
@@ -26,7 +25,7 @@ SQ2 = math.sqrt(2.0)
 class TestParse:
     def test_sjoin_of_leaves(self):
         ast = parse("(e >< e)")
-        assert ast == ExprJoin(JoinOp.SJOIN, ExprLeaf(), ExprLeaf())
+        assert ast == CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
 
     def test_nested(self):
         ast = parse("((e >< e) |> (e |> e))")
@@ -117,7 +116,7 @@ class TestParse:
 
 class TestTypecheck:
     def test_leaf_admits_everything(self):
-        assert typecheck(ExprLeaf()) == frozenset(CompClass)
+        assert typecheck(LEAF) == frozenset(CompClass)
 
     def test_sjoin_requires_s_operands(self):
         with pytest.raises(DslTypeError, match=r"left operand of >< has classes \{f\}"):
@@ -183,12 +182,12 @@ def random_expr(rng, depth):
 
     def gen(cls, d):
         if d == 0 or rng.random() < 0.3:
-            return ExprLeaf()
+            return LEAF
         if cls is CompClass.S:
-            return ExprJoin(JoinOp.SJOIN, gen(CompClass.S, d - 1), gen(CompClass.S, d - 1))
+            return CompositionTree(JoinOp.SJOIN, gen(CompClass.S, d - 1), gen(CompClass.S, d - 1))
         if cls is CompClass.F:
-            return ExprJoin(JoinOp.FJOIN, gen(CompClass.S, d - 1), gen(CompClass.F, d - 1))
-        return ExprJoin(JoinOp.GJOIN, gen(CompClass.G, d - 1), gen(CompClass.S, d - 1))
+            return CompositionTree(JoinOp.FJOIN, gen(CompClass.S, d - 1), gen(CompClass.F, d - 1))
+        return CompositionTree(JoinOp.GJOIN, gen(CompClass.G, d - 1), gen(CompClass.S, d - 1))
 
     cls = rng.choice([CompClass.S, CompClass.F, CompClass.G])
     return gen(cls, depth)
@@ -242,16 +241,13 @@ any_trees = st.recursive(
 
 class TestFolds:
     def test_ast_equality_is_structural(self):
-        want = ExprJoin(JoinOp.FJOIN, ExprMacro("silver", 2), ExprJoin(JoinOp.FJOIN, ExprLeaf(), ExprLeaf()))
+        want = CompositionTree(JoinOp.FJOIN, ExprMacro("silver", 2), CompositionTree(JoinOp.FJOIN, LEAF, LEAF))
         assert parse("(silver(2) |> (e |> e))") == want
         assert parse("(silver(2) |> (e |> e))") != parse("(silver(3) |> (e |> e))")
         assert parse("(e >< e)") != parse("(e |> e)")
-        assert ExprLeaf().is_leaf and ExprMacro("obss", 3).is_leaf and not want.is_leaf
+        assert LEAF.is_leaf and ExprMacro("obss", 3).is_leaf and not want.is_leaf
         assert hash(parse("(silver(2) |> (e |> e))")) == hash(want)
-        assert repr(want) == (
-            "ExprJoin(op=<JoinOp.FJOIN: '|>'>, left=ExprMacro(name='silver', arg=2), right=ExprJoin("
-            "op=<JoinOp.FJOIN: '|>'>, left=ExprLeaf(), right=ExprLeaf()))"
-        )
+        assert repr(want) == "(silver(2) |> (e |> e))"
 
     def test_ast_equality_hash_repr_at_the_nesting_cap(self):
         depth = dsl.MAX_NESTING
@@ -259,11 +255,49 @@ class TestFolds:
         a, b = parse(text), parse(text)
         assert a == b and hash(a) == hash(b)
         assert a != parse(text[:-5] + "|> e)")
-        assert repr(a).count("ExprJoin(") == depth
+        assert repr(a) == text
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_family_trees_equal_their_parsed_expansion(self, k):
+        s_text, f_text = "e", "e"
+        for _ in range(k):
+            s_text, f_text = f"({s_text} >< {s_text})", f"({s_text} |> {f_text})"
+        for macro, built, text in (("silver", silver(k), s_text), ("rheavy", right_heavy(k), f_text)):
+            parsed = parse(text)
+            assert parsed == built.tree and built.tree == parsed
+            assert hash(parsed) == hash(built.tree)
+            assert repr(built.tree) == text
+            # a macro leaf evaluates to a schedule carrying the same tree
+            assert compile_expression(f"{macro}({k})")[0].tree == parsed
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            "((silver(2) >< e) |> (e |> obsf(4)))",  # one macro argument
+            "((silver(3) >< e) |> (e |> obsf(3)))",
+            "((silver(2) >< e) |> (e |> obsg(3)))",  # one macro name
+            "((silver(2) >< e) |> (e <| obsf(3)))",  # one op
+            "((silver(2) |> e) |> (e |> obsf(3)))",
+            "((silver(2) >< e) |> (silver(0) |> obsf(3)))",  # e against a macro
+            "((silver(2) >< e) |> (obsf(3) |> e))",  # operands swapped
+        ],
+    )
+    def test_one_difference_makes_trees_unequal(self, other):
+        base = parse("((silver(2) >< e) |> (e |> obsf(3)))")
+        assert base == parse("((silver(2) ⋈ e) ▷ (e ▷ obsf(3)))")
+        assert base != parse(other) and parse(other) != base
+        assert not base == parse(other)
+
+    def test_macro_leaf_is_never_e(self):
+        for macro in (ExprMacro("silver", 0), ExprMacro("obss", 0)):
+            assert macro != LEAF and LEAF != macro
+            assert CompositionTree(JoinOp.SJOIN, macro, LEAF) != CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
+        assert ExprMacro("silver", 0) != ExprMacro("obss", 0)
 
     @given(any_trees)
     def test_typecheck_agrees_with_admissible_classes(self, tree):
         text = postorder(tree, lambda node: "e", lambda node, left, right: f"({left} {node.op.symbol} {right})")
+        assert repr(tree) == text and parse(text) == tree
         classes = admissible_classes(tree)
         if classes:
             assert typecheck(parse(text)) == classes

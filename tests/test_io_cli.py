@@ -2,8 +2,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,6 +37,7 @@ from stepweaver.schedule import (
 )
 
 SQ2 = math.sqrt(2.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _refuse_constant(name):
@@ -116,6 +120,31 @@ class TestScheduleFile:
         assert main(["verify", str(path)]) == 4
         prefix = "error: construction: expression does not reproduce the stored steps: "
         assert capsys.readouterr().err.startswith(prefix + reason)
+
+    @pytest.mark.parametrize(
+        "base,construction,code,message",
+        [
+            ("obsf(3)", "(e >< )", 4, "construction: syntax error at position 6: expected an expression"),
+            ("obsf(3)", "(e >< e)", 4, "construction: expression has classes {s}, cannot evaluate as f: (e >< e)"),
+            ("silver(2)", "(const_s(3) >< e)", 4, "construction: cannot join conjectured schedules"),
+            ("obsf(3)", "obsf(20001)", 5, "length 20001 exceeds the largest accepted length"),
+        ],
+    )
+    def test_construction_errors_name_the_field(self, tmp_path, capsys, base, construction, code, message):
+        """A construction that does not compile is a schedule-file error
+        (exit 4) naming the field; only a resource cap keeps exit 5."""
+        schedule, _ = dsl.compile_expression(base)
+        doc = json.loads(dumps_schedule(schedule, construction=base))
+        doc["construction"] = construction
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ScheduleFileError if code == 4 else ResourceCapError) as exc:
+            loads_schedule(path.read_text())
+        assert str(exc.value).startswith(message)
+        for command in ("verify", "run"):
+            assert main([command, str(path)]) == code
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err.startswith(f"error: {message}")) == ("", True)
 
     def test_schema_version_checked(self):
         doc = json.loads(dumps_schedule(obs_f(1)))
@@ -919,6 +948,48 @@ def test_unopenable_output_path_fails_before_any_output(fuzz_dir, tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith(f"error: {argv[-2]}: ")
     assert all(path.stat().st_size == 0 for path in tmp_path.iterdir())
+
+
+def test_unopenable_output_path_keeps_an_existing_file(tmp_path, capsys):
+    """An existing output file is not emptied when another output path of
+    the same command cannot be opened."""
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"old bytes\n")
+    assert main(["optimize", "--class", "f", "--n", "4", "--table", str(table), "--out", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ")
+    assert table.read_bytes() == b"old bytes\n"
+
+
+def test_output_replaces_a_longer_existing_file(tmp_path, capsys):
+    assert main(["compose", "silver(2)"]) == 0
+    want = capsys.readouterr().out
+    path = tmp_path / "h.json"
+    path.write_text("x" * 4 * len(want))
+    assert main(["compose", "silver(2)", "--out", str(path)]) == 0
+    assert path.read_text() == want
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_outputs_to_dev_stdout_in_a_pipe(tmp_path, capsys):
+    """``/dev/stdout`` into a pipe cannot be truncated; both outputs reach it."""
+    argv = ["optimize", "--class", "f", "--n", "3"]
+    assert main(argv + ["--out", str(tmp_path / "h.json"), "--table", str(tmp_path / "t.csv")]) == 0
+    capsys.readouterr()
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stepweaver.cli", *argv, "--out", "/dev/stdout", "--table", "/dev/stdout"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    for name in ("t.csv", "h.json"):
+        assert (tmp_path / name).read_text() in proc.stdout
+    assert "wrote rate table /dev/stdout\n" in proc.stdout and "wrote /dev/stdout: f-schedule n=3" in proc.stdout
 
 
 def _run_cli(argv):

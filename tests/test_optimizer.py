@@ -41,7 +41,6 @@ from stepweaver.schedule import (
     _sjoin_rate,
     materialize,
     reverse,
-    trees_equal,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -235,7 +234,7 @@ class TestReconstruction:
                 assert got.comp_class is want.comp_class
                 assert np.array_equal(got.steps, want.steps)
                 assert got.rate == want.rate
-                assert trees_equal(got.tree, want.tree)
+                assert got.tree == want.tree
 
     def test_returned_schedules_are_not_kept(self, tables):
         refs = [

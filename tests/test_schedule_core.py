@@ -36,7 +36,6 @@ from stepweaver.schedule import (
     result_class,
     reverse,
     tree_steps,
-    trees_equal,
     validate_schedule,
 )
 
@@ -324,7 +323,7 @@ class TestReverse:
         assert np.array_equal(rr.steps, h.steps)
         assert rr.comp_class is h.comp_class
         assert rr.rate == h.rate
-        assert trees_equal(rr.tree, h.tree)
+        assert rr.tree == h.tree
 
     def test_mirrored_tree_swaps_f_and_g_joins(self):
         f1 = join(JoinOp.FJOIN, e(), e(CompClass.F))
@@ -415,9 +414,18 @@ class TestTreesEqual:
         a, b = silver(20).tree, silver(20).tree
         assert a is not b
         start = time.perf_counter()
-        assert trees_equal(a, b)
+        assert a == b and hash(a) == hash(b)
         # 21 distinct nodes a tree; a walk over node pairs visits 2^21 (about 1 s)
         assert time.perf_counter() - start < 0.25
+
+    def test_deep_chain_compares_hashes_and_prints_without_recursion(self):
+        from stepweaver.builders import dynamic_short
+
+        n = 3000  # deeper than the default recursion limit
+        a, b = dynamic_short(n).tree, dynamic_short(n).tree
+        assert repr(a) == "(" * n + "e" + " <| e)" * n  # first: a failing == would print the trees
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != CompositionTree(JoinOp.GJOIN, a.left, CompositionTree(JoinOp.SJOIN, LEAF, LEAF))
 
     def test_one_deep_mu_differs(self):
         from stepweaver.builders import silver
@@ -429,10 +437,10 @@ class TestTreesEqual:
         b = LEAF
         for node in reversed(spine):
             b = CompositionTree(node.op, b, b)
-        assert trees_equal(a, b)
+        assert a == b
         half = CompositionTree(a.op, a.left, b.right)  # only the right half is rebuilt
-        assert trees_equal(a, half)
-        assert not trees_equal(a, CompositionTree(JoinOp.FJOIN, a.left, a.right))
+        assert a == half
+        assert a != CompositionTree(JoinOp.FJOIN, a.left, a.right)
 
 
 class TestFoldMemory:
