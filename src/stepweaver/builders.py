@@ -15,7 +15,7 @@ from .schedule import (
     StepSchedule,
     UncertifiedScheduleError,
     empty_schedule,
-    join,
+    join,  # not called here; perfbench's traced layer map wraps builders.join
     join_step,
     materialize,
     operand_classes,
@@ -68,12 +68,8 @@ def left_heavy(k: int) -> StepSchedule:
 
 
 def sigma_seed() -> StepSchedule:
-    """The two-step short-stepsize seed ``[] <| ([] >< [])``, class G."""
-    return join(
-        JoinOp.GJOIN,
-        empty_schedule(CompClass.G),
-        join(JoinOp.SJOIN, empty_schedule(CompClass.S), empty_schedule(CompClass.S)),
-    )
+    """The two-step short-stepsize seed ``e <| (e >< e)``, class G, materialized from its tree."""
+    return materialize(CompositionTree(JoinOp.GJOIN, LEAF, CompositionTree(JoinOp.SJOIN, LEAF, LEAF)), CompClass.G)
 
 
 def _resolve_seed(seed) -> StepSchedule:
@@ -182,18 +178,9 @@ def constant_optimal(comp_class: CompClass, n: int, unverified: bool = False) ->
             "the constant f-class schedule is conjectural and carries no rate "
             "certificate; pass unverified=True to build it anyway"
         )
-    lo, hi = 1.0 + 1e-12, 2.0 - 1e-12
-    if comp_class is CompClass.S:
-        fn = lambda h: 1.0 / (1.0 + h * n) - (h - 1.0) ** n
-    else:
-        fn = lambda h: 1.0 / (1.0 + 2.0 * h * n) - (h - 1.0) ** (2 * n)
-    hbar = bisect_root(fn, lo, hi, tol=1e-14)
-    if comp_class is CompClass.S:
-        rate = 1.0 / (1.0 + hbar * n)
-        conjectured = n >= 3
-    else:
-        rate = 1.0 / (1.0 + 2.0 * hbar * n)
-        conjectured = comp_class is CompClass.F
-    out = StepSchedule(np.full(n, hbar), comp_class, rate, tree=None, conjectured=conjectured)
+    c = 1 if comp_class is CompClass.S else 2  # the closed forms' factor, as in closed_form_rates
+    hbar = bisect_root(lambda h: 1.0 / (1.0 + c * h * n) - (h - 1.0) ** (c * n), 1.0 + 1e-12, 2.0 - 1e-12, tol=1e-14)
+    conjectured = n >= 3 if comp_class is CompClass.S else comp_class is CompClass.F
+    out = StepSchedule(np.full(n, hbar), comp_class, 1.0 / (1.0 + c * hbar * n), tree=None, conjectured=conjectured)
     validate_schedule(out)
     return out

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, dsl, gd, optimizer
-from .io import RunConfig, ScheduleFileError, load_schedule, dumps_schedule
+from .io import RunConfig, ScheduleFileError, dumps_schedule, load_schedule, read_text
 from .schedule import (
     ClassMismatchError,
     CompClass,
@@ -61,39 +61,49 @@ def _write_outputs(args, *outputs, printed: str = "") -> None:
     """Open the file of every ``(flag, write, notice)`` whose flag is given
     (UTF-8, line ends as written, not truncated), then print ``printed``, then
     fill each file with ``write(fh)`` (emptying a regular file first: a pipe
-    cannot be), close it and print its notice.  A path that cannot be opened
-    raises ``ScheduleFileError`` naming its flag before anything is written or printed."""
+    cannot be), close it and print its notice.  A path to the file stdout
+    writes to (``/dev/stdout``, into a pipe or a file) is not opened again:
+    ``write(sys.stdout)`` fills it in order.  A path that cannot be opened
+    raises ``ScheduleFileError`` naming its flag before anything is written or
+    printed, and removes the files this call created for the paths before it."""
+    try:
+        stdout = os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # no descriptor, as in a redirect to a StringIO
+        stdout = None
     untruncated = lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)
     with contextlib.ExitStack() as stack:
-        files = []
+        files, created = [], []
         for flag, write, notice in outputs:
             path = getattr(args, flag)
             if path is None:
                 continue
+            if stdout is not None and os.path.exists(path) and os.path.samestat(os.stat(path), stdout):
+                files.append((contextlib.nullcontext(sys.stdout), write, notice))  # never closed
+                continue
+            new = not os.path.lexists(path)
             try:
                 fh = open(path, "w", newline="", encoding="utf-8", opener=untruncated)
             except OSError as err:
+                for new_path in created:
+                    os.remove(new_path)
                 raise ScheduleFileError(f"--{flag}: {err}") from None
             files.append((stack.enter_context(fh), write, notice))
+            if new:
+                created.append(path)
         sys.stdout.write(printed)
         for fh, write, notice in files:
-            with fh:
-                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    fh.truncate()
-                write(fh)
+            with fh as out:
+                if out is not sys.stdout and stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                    out.truncate()
+                write(out)
             print(notice)
 
 
 def cmd_compose(args) -> int:
     schedule, ast = dsl.compile_expression(args.expr, args.comp_class)
-    text = dumps_schedule(
-        schedule,
-        construction=dsl.format_expr(ast),
-        provenance=f"stepweaver {__version__} compose",
-    )
-    if args.out is None:
-        sys.stdout.write(text)
-    _write_outputs(args, ("out", lambda fh: fh.write(text), f"wrote {args.out}: {schedule.describe()}"))
+    text = dumps_schedule(schedule, construction=dsl.format_expr(ast), provenance=f"stepweaver {__version__} compose")
+    notice = f"wrote {args.out}: {schedule.describe()}"
+    _write_outputs(args, ("out", lambda fh: fh.write(text), notice), printed=text if args.out is None else "")
     return EXIT_OK
 
 
@@ -123,24 +133,13 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = RunConfig.from_json(fh.read())
-    else:
-        config = RunConfig()
-    overrides = {}
-    if args.battery is not None:
-        overrides["battery"] = args.battery
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    config = RunConfig.from_json(read_text(args.config)) if args.config else RunConfig()
+    overrides = {key: getattr(args, key) for key in ("battery", "seed") if getattr(args, key) is not None}
     if overrides:
         config = dataclasses.replace(config, **overrides)  # re-runs validation
     schedule = load_schedule(args.file, config.identity_tol)
     report = verify_schedule(schedule, config)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.summary())
+    print(report.to_json() if args.json else report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -199,11 +198,8 @@ def cmd_run(args) -> int:
     # an overflow is reported below, before anything is written
     with np.errstate(over="ignore", invalid="ignore"):
         trace = gd.run(schedule, instance, x0)
-        finite = (
-            np.isfinite(trace.x).all(axis=1)
-            & np.isfinite(np.linalg.norm(trace.g, axis=1))
-            & np.isfinite(trace.f)
-        )
+        finite = np.isfinite(trace.x).all(axis=1) & np.isfinite(trace.f)
+        finite &= np.isfinite(np.linalg.norm(trace.g, axis=1))
         summary = {
             "instance": instance.describe(),
             "class": schedule.comp_class.value,
@@ -220,9 +216,8 @@ def cmd_run(args) -> int:
     for key, value in summary.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ScheduleError(f"{key} overflows on this trace; rerun from a smaller --x0")
-    if args.out is None:
-        sys.stdout.write(trace.to_csv())
-    _write_outputs(args, ("out", trace.to_csv, f"wrote trace {args.out}"))
+    printed = trace.to_csv() if args.out is None else ""
+    _write_outputs(args, ("out", trace.to_csv, f"wrote trace {args.out}"), printed=printed)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 

@@ -10,8 +10,10 @@ open at once):
 ``e`` is the empty schedule, polymorphic over all three classes.  The
 Unicode operators for the three joins are accepted as aliases of the ASCII
 spellings.  An expression parses into a construction tree over ``LEAF``
-(``e``) and ``ExprMacro`` leaves, evaluated by the same upward join.  Macros
-expand lazily at evaluation time, so parsing and typechecking stay cheap:
+(``e``) and ``ExprMacro`` leaves, evaluated by ``schedule.materialize`` with
+each macro's schedule as its leaf schedule; every other fold refuses a macro
+leaf.  Macros expand lazily at evaluation time, so parsing and typechecking
+stay cheap:
 
     silver(k)        balanced self-join family        class s
     obss(n)/obsf(n)/obsg(n)   optimized families      class s/f/g
@@ -32,9 +34,9 @@ from .schedule import (
     JoinOp,
     ScheduleError,
     StepSchedule,
-    evaluate_tree,
     join,  # not called here; perfbench's traced layer map wraps dsl.join
     join_classes,
+    materialize,
     operand_classes,
     postorder,
 )
@@ -218,14 +220,15 @@ def _leaf_schedule(node) -> "StepSchedule | None":
 
 
 def evaluate(expr, comp_class: CompClass) -> StepSchedule:
-    """Materialize a well-typed expression in the requested class."""
+    """Materialize a well-typed expression in the requested class: one
+    ``schedule.materialize`` with each macro's schedule as its leaf schedule."""
     classes = typecheck(expr)
     if comp_class not in classes:
         raise DslTypeError(
             f"expression has classes {_class_names(classes)}, cannot evaluate as "
             f"{comp_class.value}: {format_expr(expr)}"
         )
-    return evaluate_tree(expr, comp_class, _leaf_schedule)
+    return materialize(expr, comp_class, _leaf_schedule)
 
 
 def compile_expression(text: str, comp_class: "CompClass | None" = None):

@@ -44,7 +44,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .schedule import CompClass, ScheduleError, StepSchedule, fg_rates_from_s
+from .schedule import CompClass, ResourceCapError, ScheduleError, StepSchedule, fg_rates_from_s
+
+# Most coordinates a random instance draws or a trace holds, (n+1)*d: 128 MiB per float array.
+MAX_COORDS = 2**24
 
 
 class CoordForm(NamedTuple):
@@ -178,9 +181,12 @@ def huber_instance(delta: float, d: int = 1) -> ProblemInstance:
 
 
 def random_instance(rng: np.random.Generator, d: int) -> ProblemInstance:
-    """Random per-coordinate mixture; deltas log-uniform, curvatures uniform."""
+    """Random per-coordinate mixture; deltas log-uniform, curvatures uniform.
+    A dimension above ``MAX_COORDS`` raises ``ResourceCapError`` before any draw."""
     if d < 1:
         raise ScheduleError(f"dimension must be a positive integer, got {d}")
+    if d > MAX_COORDS:
+        raise ResourceCapError(f"dimension {d} exceeds cap {MAX_COORDS}")
     is_huber = rng.random(d) < 0.5
     param = np.where(
         is_huber,
@@ -223,14 +229,8 @@ class GDTrace:
         w = csv.writer(out)
         w.writerow(["i", "x", "f_i", "grad_norm"])
         for i in range(self.n + 1):
-            w.writerow(
-                [
-                    i,
-                    ";".join(format(v, ".17g") for v in self.x[i]),
-                    format(self.f[i], ".17g"),
-                    format(float(np.linalg.norm(self.g[i])), ".17g"),
-                ]
-            )
+            x = ";".join(format(v, ".17g") for v in self.x[i])
+            w.writerow([i, x, format(self.f[i], ".17g"), format(float(np.linalg.norm(self.g[i])), ".17g")])
         return out.getvalue() if fileobj is None else ""
 
 
@@ -247,7 +247,8 @@ def raw_run(steps, is_huber, param, x0):
 
 
 def run(schedule: StepSchedule, instance: ProblemInstance, x0) -> GDTrace:
-    """Run gradient descent with the schedule's steps from ``x0``."""
+    """Run gradient descent with the schedule's steps from ``x0``.  A trace of
+    more than ``MAX_COORDS`` coordinates raises ``ResourceCapError`` first."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     if x0.shape != (instance.dim,):
         raise ScheduleError(f"x0 has shape {x0.shape}, instance dimension is {instance.dim}")
@@ -255,6 +256,8 @@ def run(schedule: StepSchedule, instance: ProblemInstance, x0) -> GDTrace:
     if not finite.all():
         i = int(np.argmin(finite))
         raise ScheduleError(f"x0 must be finite, got {float(x0[i])!r} at coordinate {i}")
+    if (schedule.n + 1) * instance.dim > MAX_COORDS:
+        raise ResourceCapError(f"trace of {schedule.n + 1} points in dimension {instance.dim} exceeds cap {MAX_COORDS}")
     xs, gs, fs = raw_run(schedule.steps, instance.is_huber, instance.param, x0)
     return GDTrace(xs, gs, fs)
 
@@ -271,13 +274,11 @@ def tight_delta(comp_class: CompClass, purpose: str, rate: float) -> float:
         raise ScheduleError(f"rate must lie in (0, 1], got {rate}")
     if purpose not in TIGHT_PURPOSES:
         raise ScheduleError(f"unknown purpose {purpose!r}, expected one of {TIGHT_PURPOSES}")
+    if comp_class is not CompClass.S and purpose != "defining":
+        raise ScheduleError(f"{comp_class.value}-class schedules only have the defining tight instance")
     if comp_class is CompClass.F:
-        if purpose != "defining":
-            raise ScheduleError("f-class schedules only have the defining tight instance")
         return rate
     if comp_class is CompClass.G:
-        if purpose != "defining":
-            raise ScheduleError("g-class schedules only have the defining tight instance")
         return 2.0 * rate / (1.0 + rate)
     # class S: the defining inequality is tight for any delta <= rate; take
     # delta = rate.  The implied objective-gap bound needs rate/(2 - rate),

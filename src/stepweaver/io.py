@@ -52,6 +52,25 @@ def _is_number(value, kinds=(int, float)) -> bool:
     return isinstance(value, kinds) and not isinstance(value, bool)
 
 
+def _binary64(convert, value, field: str):
+    """``convert(value)``; an integer beyond the binary64 range raises
+    ``ScheduleFileError`` naming ``field``."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise ScheduleFileError(f"{field}: number beyond the binary64 range") from None
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of an input file (a schedule or a config); bytes that
+    do not decode raise ``ScheduleFileError`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as err:
+            raise ScheduleFileError(f"{path}: not UTF-8 text: {err}") from None
+
+
 def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -81,7 +100,7 @@ def loads_schedule(text: str, identity_tol: float = DEFAULT_IDENTITY_TOL) -> Ste
     """Parse and revalidate schedule-file JSON; see :func:`load_schedule`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer of over 4300 digits
         raise ScheduleFileError(f"not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ScheduleFileError("top level must be a JSON object")
@@ -92,9 +111,7 @@ def loads_schedule(text: str, identity_tol: float = DEFAULT_IDENTITY_TOL) -> Ste
     if missing:
         raise ScheduleFileError(f"missing keys: {', '.join(missing)}")
     if not _is_number(doc["schema_version"], int) or doc["schema_version"] != SCHEMA_VERSION:
-        raise ScheduleFileError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}"
-        )
+        raise ScheduleFileError(f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']!r}")
     try:
         comp_class = CompClass(doc["class"])
     except ValueError:
@@ -112,7 +129,8 @@ def loads_schedule(text: str, identity_tol: float = DEFAULT_IDENTITY_TOL) -> Ste
         if not isinstance(doc.get(key, ""), str):
             raise ScheduleFileError(f"{key}: expected a string, got {doc[key]!r}")
 
-    schedule = StepSchedule(np.array(steps, dtype=np.float64), comp_class, float(doc["rate"]))
+    steps = _binary64(lambda v: np.array(v, dtype=np.float64), steps, "steps")
+    schedule = StepSchedule(steps, comp_class, _binary64(float, doc["rate"], "rate"))
     try:
         validate_schedule(schedule, identity_tol)
     except IdentityError as err:
@@ -131,15 +149,12 @@ def loads_schedule(text: str, identity_tol: float = DEFAULT_IDENTITY_TOL) -> Ste
         except IdentityError as err:
             raise ScheduleFileError(f"construction: expression does not reproduce the stored steps: {err}") from err
         # adopt the construction's tree (and conjectured flag) with stored steps
-        schedule = StepSchedule(
-            schedule.steps, comp_class, schedule.rate, built.tree, built.conjectured
-        )
+        schedule = StepSchedule(schedule.steps, comp_class, schedule.rate, built.tree, built.conjectured)
     return schedule
 
 
 def load_schedule(path, identity_tol: float = DEFAULT_IDENTITY_TOL) -> StepSchedule:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_schedule(fh.read(), identity_tol)
+    return loads_schedule(read_text(path), identity_tol)
 
 
 @dataclass
@@ -162,10 +177,8 @@ class RunConfig:
             value = getattr(self, name)
             what = "integer" if name in ("battery", "seed") else "number"
             if not _is_number(value, int if what == "integer" else (int, float)) or not value > 0:
-                raise ScheduleFileError(
-                    f"config field {name} must be a positive {what}, got {value!r}"
-                )
-            if isinstance(value, float) and not math.isfinite(value):
+                raise ScheduleFileError(f"config field {name} must be a positive {what}, got {value!r}")
+            if what == "number" and not math.isfinite(_binary64(float, value, f"config field {name}")):
                 raise ScheduleFileError(f"config field {name} must be finite, got {value!r}")
 
     @classmethod
@@ -180,7 +193,7 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # as in loads_schedule
             raise ScheduleFileError(f"config is not valid JSON: {err}") from err
         if not isinstance(doc, dict):
             raise ScheduleFileError("config top level must be a JSON object")

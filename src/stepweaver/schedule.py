@@ -209,6 +209,14 @@ def _shape_key(node, *operands):
 LEAF = CompositionTree()
 
 
+def empty_leaf(node) -> None:
+    """The one reading of a leaf without a schedule of its own: ``e``, the
+    empty schedule (None).  Any other leaf, such as a DSL macro, raises a
+    ``ScheduleError`` naming it, so no fold reads it as empty."""
+    if not isinstance(node, CompositionTree):
+        raise ScheduleError(f"leaf {node} is not e: it needs its leaf schedule")
+
+
 ALL_CLASSES = frozenset(CompClass)
 
 
@@ -359,9 +367,7 @@ def join(op: JoinOp, a: StepSchedule, b: StepSchedule) -> StepSchedule:
             f"got (left={a.comp_class.value}, right={b.comp_class.value})"
         )
     if a.conjectured or b.conjectured:
-        raise UncertifiedScheduleError(
-            "cannot join conjectured schedules: their class membership is unproven"
-        )
+        raise UncertifiedScheduleError("cannot join conjectured schedules: their class membership is unproven")
     mu, rate = join_step(op, a.rate, b.rate)
     steps = np.concatenate([a.steps, [mu], b.steps])
     tree = None
@@ -380,15 +386,14 @@ def reverse(h: StepSchedule) -> StepSchedule:
     """Reversal duality: flip the steps, swap F and G, keep the rate.
 
     Only proven for join-built schedules, so a construction tree is
-    required.  The tree is mirrored with ``|>`` and ``<|`` exchanged.
+    required.  The tree is mirrored with ``|>`` and ``<|`` exchanged; its
+    leaves must be ``e`` (:func:`empty_leaf`), so a DSL macro leaf raises.
     """
     if h.tree is None:
-        raise UncertifiedScheduleError(
-            "reversal is certified only for schedules with a construction tree"
-        )
+        raise UncertifiedScheduleError("reversal is certified only for schedules with a construction tree")
     mirrored = postorder(
         h.tree,
-        lambda node: LEAF,
+        lambda node: empty_leaf(node) or LEAF,
         lambda node, left, right: CompositionTree(_REVERSED_OP[node.op], right, left),
     )
     return StepSchedule(h.steps[::-1].copy(), _REVERSED_CLASS[h.comp_class], h.rate, mirrored)
@@ -405,7 +410,7 @@ def fg_rates_from_s(h: StepSchedule):
     return r, r
 
 
-def tree_steps(tree, leaf=lambda node: None):
+def tree_steps(tree, leaf=empty_leaf):
     """``(steps, rate)`` of the schedule a tree evaluates to, bit for bit
     those of joining upward, with no join per node.
 
@@ -415,7 +420,8 @@ def tree_steps(tree, leaf=lambda node: None):
     of a shared node copies the segment of its first.  So the Python work is
     O(distinct nodes) plus O(n) array writes: a chain of n joins costs O(n),
     where joining it copies O(n^2) steps.  ``leaf(node)`` is a leaf's
-    schedule, or None for the empty one (rate 1, no steps).
+    schedule, or None for the empty one (rate 1, no steps); the default,
+    :func:`empty_leaf`, reads ``e`` alone and refuses any other leaf.
     """
     mus, sizes, leaves = {}, {}, {}
 
@@ -488,8 +494,9 @@ def _require_class(tree: CompositionTree, comp_class: CompClass) -> None:
 
 def check_tree(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> None:
     """Raise a ``ScheduleError`` unless the schedule's tree builds it: the
-    tree admits the class, and its :func:`tree_steps` reproduce the steps
-    and the rate (:func:`check_steps`).
+    tree admits the class, its leaves are all ``e`` (:func:`empty_leaf`),
+    and its :func:`tree_steps` reproduce the steps and the rate
+    (:func:`check_steps`).
 
     Linear in the tree.  ``StepSchedule`` does not run it: :func:`join`
     builds one at every node, so a chain of joins would cost O(n^2)."""
@@ -497,18 +504,26 @@ def check_tree(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> None:
     check_steps(s, *tree_steps(s.tree), tol)
 
 
-def evaluate_tree(tree, comp_class: CompClass, leaf) -> StepSchedule:
-    """Evaluate a well-typed tree into a schedule of ``comp_class``, as joining
-    upward would, but from one :func:`tree_steps` fold and one validation.
-    ``leaf(node)`` is a leaf's schedule, or None for ``e``, which takes the
-    class its parent requires (``comp_class`` at the root).  The result
-    carries its leaves' trees joined, or none when a leaf has none; a
-    conjectured leaf cannot be joined."""
+def materialize(tree: CompositionTree, comp_class: CompClass, leaf=None) -> StepSchedule:
+    """The schedule of the given class that a construction tree builds, bit
+    for bit as joining upward would, from one :func:`tree_steps` fold and one
+    validated ``StepSchedule``: O(n + distinct nodes).  For
+    ``dynamic_short(20000)``'s chain that is 0.15 s, where joining node by
+    node took 1.4 s (2-vCPU VM).  Raises ``ClassMismatchError`` if the tree
+    cannot produce the requested class.
+
+    ``leaf(node)`` is a leaf's schedule, of the class its place requires (the
+    DSL typechecks first), or None for ``e``; the default :func:`empty_leaf`
+    reads ``e`` alone.  A conjectured leaf schedule cannot be joined.  The
+    result carries the tree, with each leaf's own tree in its place when
+    ``leaf`` is given, or none when a leaf has none.
+    """
+    _require_class(tree, comp_class)
     leaves = {}
 
     def leaf_once(node):
         if id(node) not in leaves:
-            leaves[id(node)] = leaf(node)
+            leaves[id(node)] = (leaf or empty_leaf)(node)
         return leaves[id(node)]
 
     def combine(node, left, right):
@@ -518,24 +533,10 @@ def evaluate_tree(tree, comp_class: CompClass, leaf) -> StepSchedule:
         return None if left is None or right is None else CompositionTree(node.op, left, right)
 
     if tree.is_leaf:
-        h = leaf_once(tree)
-        return empty_schedule(comp_class) if h is None else h
-    shape = postorder(tree, lambda node: LEAF if leaf_once(node) is None else leaf_once(node).tree, combine)
+        return leaf_once(tree) or empty_schedule(comp_class)
+    # empty_leaf gives no schedule, so only leaf schedules can be conjectured or put their own trees in
+    shape = tree if leaf is None else postorder(tree, lambda node: getattr(leaf_once(node), "tree", node), combine)
     steps, rate = tree_steps(tree, leaf_once)
     out = StepSchedule(steps, comp_class, rate, shape)
-    validate_schedule(out)
-    return out
-
-
-def materialize(tree: CompositionTree, comp_class: CompClass) -> StepSchedule:
-    """The schedule of the given class that a construction tree builds, with
-    the tree itself: :func:`tree_steps` and one validated ``StepSchedule``,
-    O(n + distinct nodes).  For ``dynamic_short(20000)``'s chain that is
-    0.15 s, where joining node by node took 1.4 s (2-vCPU VM).  Raises
-    ``ClassMismatchError`` if the tree cannot produce the requested class.
-    """
-    _require_class(tree, comp_class)
-    steps, rate = tree_steps(tree)
-    out = StepSchedule(steps, comp_class, rate, tree)
     validate_schedule(out)
     return out

@@ -71,6 +71,7 @@ from .schedule import (
     StepSchedule,
     admissible_classes,
     check_tree,
+    empty_leaf,
     join_step,
     postorder,
     reverse,
@@ -101,15 +102,14 @@ class CertificateV:
             raise IdentityError("certificate weights must be nonnegative")
         total = float(w.sum())
         if abs(total - 1.0 / self.eta) > 1e-10 / self.eta:
-            raise IdentityError(
-                f"certificate weights sum to {total!r}, expected 1/eta = {1.0 / self.eta!r}"
-            )
+            raise IdentityError(f"certificate weights sum to {total!r}, expected 1/eta = {1.0 / self.eta!r}")
 
 
 def build_f_certificate(tree: CompositionTree) -> CertificateV:
     """Construct the certificate weights for an F-class construction tree.
 
-    One fold, bottom-up: a bare leaf on the F side carries ``v = [1]``, and a
+    One fold, bottom-up: a bare ``e`` on the F side carries ``v = [1]`` (any
+    other leaf is refused, see ``schedule.empty_leaf``), and a
     ``|>`` node joining an S-subtree with steps ``a`` and rate alpha (from
     :func:`tree_steps`, so no join per node) onto a certificate ``w`` at rate
     beta gives ``v = [a, 1 + 1/alpha, sqrt(beta/eta) * w]`` at the joined rate
@@ -136,7 +136,7 @@ def build_f_certificate(tree: CompositionTree) -> CertificateV:
                 )
         return np.concatenate([a, [1.0 + 1.0 / alpha], scale * w]), eta
 
-    v, eta = postorder(tree, lambda node: None, combine) or f_leaf
+    v, eta = postorder(tree, empty_leaf, combine) or f_leaf
     return CertificateV(v, eta)
 
 
@@ -511,12 +511,8 @@ def battery_instances(config: RunConfig):
     named in a report is reproducible with the same config.
     """
     rng = np.random.default_rng(config.seed)
-    out = []
-    for i in range(config.battery):
-        d = BATTERY_DIMS[i % len(BATTERY_DIMS)]
-        inst = random_instance(rng, d)
-        out.append((i, inst, random_x0(rng, d)))
-    return out
+    dims = [BATTERY_DIMS[i % len(BATTERY_DIMS)] for i in range(config.battery)]
+    return [(i, random_instance(rng, d), random_x0(rng, d)) for i, d in enumerate(dims)]
 
 
 def battery_instance(config: RunConfig, index: int):

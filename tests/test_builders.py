@@ -16,7 +16,9 @@ from stepweaver.builders import (
 )
 from stepweaver.io import dumps_schedule, loads_schedule
 from stepweaver.schedule import (
+    LEAF,
     CompClass,
+    CompositionTree,
     JoinOp,
     ResourceCapError,
     ScheduleError,
@@ -166,6 +168,18 @@ class TestDynamicShort:
             s.steps, [(3.0 + math.sqrt(9.0 + 8.0 * SQ2)) / 4.0, SQ2], rtol=1e-14
         )
         assert s.rate == pytest.approx(0.131892, abs=1e-6)
+        want = join(JoinOp.GJOIN, empty_schedule(CompClass.G), join(JoinOp.SJOIN, *[empty_schedule(CompClass.S)] * 2))
+        assert s.steps.tobytes() == want.steps.tobytes() and s.rate == want.rate and s.tree == want.tree
+
+    def test_sigma_seed_is_materialized_without_a_join(self, monkeypatch):
+        from stepweaver import builders, schedule
+
+        def refuse(*args):
+            raise AssertionError("join called")
+
+        for module in (builders, schedule):
+            monkeypatch.setattr(module, "join", refuse)
+        assert sigma_seed().tree == CompositionTree(JoinOp.GJOIN, LEAF, CompositionTree(JoinOp.SJOIN, LEAF, LEAF))
 
     def test_recurrence_matches_joins(self):
         h = dynamic_short(60)

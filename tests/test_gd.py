@@ -23,7 +23,9 @@ from stepweaver.optimizer import obs_f, obs_g, obs_s
 from stepweaver.schedule import (
     CompClass,
     JoinOp,
+    ResourceCapError,
     ScheduleError,
+    StepSchedule,
     empty_schedule,
     join,
 )
@@ -99,6 +101,11 @@ class TestInstances:
         with pytest.raises(ScheduleError, match="positive integer"):
             random_instance(np.random.default_rng(0), d)
 
+    def test_random_dimension_cap_comes_before_any_draw(self):
+        """No generator is touched (``None`` has no methods) above the cap."""
+        with pytest.raises(ResourceCapError, match=f"dimension {gd.MAX_COORDS + 1} exceeds cap {gd.MAX_COORDS}"):
+            random_instance(None, gd.MAX_COORDS + 1)
+
     def test_one_smoothness_on_random_pairs(self):
         rng = np.random.default_rng(3)
         inst = random_instance(rng, 6)
@@ -110,6 +117,18 @@ class TestInstances:
 
 
 class TestRun:
+    def test_trace_cap_comes_before_the_run(self, monkeypatch):
+        """A trace of (n+1)*d > ``MAX_COORDS`` coordinates is refused before
+        ``raw_run`` allocates it; a short trace in the same dimension runs."""
+        d = 4096
+        steps = np.full(gd.MAX_COORDS // d, 0.5)  # (n+1)*d is one row over the cap
+        refuse = lambda *args: pytest.fail("raw_run called")
+        monkeypatch.setattr(gd, "raw_run", refuse)
+        with pytest.raises(ResourceCapError, match=f"trace of {steps.size + 1} points in dimension {d} exceeds cap"):
+            run(StepSchedule(steps, CompClass.G, 0.5), quad_instance(1.0, d), np.ones(d))
+        monkeypatch.undo()
+        assert run(StepSchedule(steps[:3], CompClass.G, 0.5), quad_instance(1.0, d), np.ones(d)).n == 3
+
     def test_single_step_on_quadratic(self):
         tr = run(one_step_s(), quad_instance(1.0), 1.0)
         assert tr.x[-1, 0] == pytest.approx(1.0 - SQ2, rel=1e-15)

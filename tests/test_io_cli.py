@@ -573,6 +573,66 @@ class TestCli:
         assert main(["verify", str(sched), "--config", str(config)]) == 4
         assert "must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["verify", "{bad}"], ["run", "{bad}"], ["verify", "{good}", "--config", "{bad}"]], ids=["verify", "run", "config"]
+    )
+    def test_undecodable_input_file_exit_4(self, tmp_path, capsys, argv):
+        """A schedule or config file that is not UTF-8 exits 4 with one line
+        naming the file, not a decode traceback (exit 1 is a failed verification)."""
+        good, bad = tmp_path / "h.json", tmp_path / "bad.json"
+        main(["compose", "silver(2)", "--out", str(good)])
+        bad.write_bytes(b"\xff")
+        capsys.readouterr()
+        assert main([a.format(good=good, bad=bad) for a in argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: not UTF-8 text: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("field", ["steps", "rate", "identity_tol", "slack_tol", "tight_tol", "q_tol"])
+    def test_number_beyond_binary64_exit_4(self, tmp_path, capsys, field):
+        """A JSON integer too large for a float (here 10^400) exits 4 with a
+        line naming its field, not an OverflowError traceback."""
+        sched, config = tmp_path / "h.json", tmp_path / "config.json"
+        main(["compose", "silver(2)", "--out", str(sched)])
+        capsys.readouterr()
+        huge, argv, name = "1" + "0" * 400, ["verify", str(sched)], field
+        if field in ("steps", "rate"):
+            doc = json.loads(sched.read_text())
+            doc["rate" if field == "rate" else "steps"] = "HUGE" if field == "rate" else ["HUGE"] + doc["steps"][1:]
+            sched.write_text(json.dumps(doc).replace('"HUGE"', huge))
+        else:
+            config.write_text(f'{{"{field}": {huge}}}')
+            argv, name = argv + ["--config", str(config)], f"config field {field}"
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {name}: number beyond the binary64 range\n")
+
+    def test_integer_fields_keep_their_rules(self, tmp_path, capsys):
+        """``seed`` takes any positive integer, however large; an integer too
+        long for Python to read (over 4300 digits) is invalid JSON, exit 4."""
+        assert RunConfig.from_json('{"seed": 1' + "0" * 400 + "}").seed == 10**400
+        sched, config = tmp_path / "h.json", tmp_path / "config.json"
+        main(["compose", "silver(2)", "--out", str(sched)])
+        config.write_text('{"battery": 2, "seed": 1' + "0" * 400 + "}")
+        capsys.readouterr()
+        assert main(["verify", str(sched), "--config", str(config)]) == 0
+        config.write_text('{"seed": 1' + "0" * 5000 + "}")
+        capsys.readouterr()
+        assert main(["verify", str(sched), "--config", str(config)]) == 4
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON: Exceeds the limit")
+        sched.write_text(sched.read_text().replace('"n": 3', '"n": 1' + "0" * 5000))
+        assert main(["verify", str(sched)]) == 4
+        assert capsys.readouterr().err.startswith("error: not valid JSON: Exceeds the limit")
+
+    def test_huge_random_dimension_exit_5(self, tmp_path, capsys):
+        """``random:d`` beyond ``gd.MAX_COORDS`` is refused before anything is drawn."""
+        sched = tmp_path / "h.json"
+        main(["compose", "silver(2)", "--out", str(sched)])
+        capsys.readouterr()
+        assert main(["run", str(sched), "--function", "random:d=10000000000000"]) == 5
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: dimension 10000000000000 exceeds cap 16777216\n")
+
     def test_bounds(self, capsys):
         assert main(["bounds", "--k", "3"]) == 0
         out = capsys.readouterr().out
@@ -940,14 +1000,14 @@ def test_empty_output_path_is_refused(fuzz_dir, capsys, argv):
 )
 def test_unopenable_output_path_fails_before_any_output(fuzz_dir, tmp_path, capsys, argv):
     """An output path that cannot be opened (here a directory) exits 4 with
-    an error naming its flag; nothing is printed and no output file gets
-    content, the other output of the same command included."""
+    an error naming its flag; nothing is printed and no output file is left,
+    the one this call created for the other output of the same command included."""
     argv = [a.format(dir=fuzz_dir, tmp=tmp_path) for a in argv]
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {argv[-2]}: ")
-    assert all(path.stat().st_size == 0 for path in tmp_path.iterdir())
+    assert not any(tmp_path.iterdir())
 
 
 def test_unopenable_output_path_keeps_an_existing_file(tmp_path, capsys):
@@ -990,6 +1050,37 @@ def test_outputs_to_dev_stdout_in_a_pipe(tmp_path, capsys):
     for name in ("t.csv", "h.json"):
         assert (tmp_path / name).read_text() in proc.stdout
     assert "wrote rate table /dev/stdout\n" in proc.stdout and "wrote /dev/stdout: f-schedule n=3" in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "silver(1)", "--out", "/dev/stdout"],
+        ["bounds", "--k", "2", "--out", "/dev/stdout"],
+        ["optimize", "--class", "f", "--n", "3", "--out", "/dev/stdout", "--table", "/dev/stdout"],
+    ],
+)
+def test_outputs_to_dev_stdout_in_a_regular_file(tmp_path, capsys, argv):
+    """``/dev/stdout`` redirected to a regular file gets, byte for byte, what
+    a pipe gets: what the command prints, then each output and its notice."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "stepweaver.cli", *argv]
+    piped = subprocess.run(command, env=env, capture_output=True, timeout=120)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    path = tmp_path / "stdout.txt"
+    with open(path, "wb") as fh:
+        assert subprocess.run(command, env=env, stdout=fh, timeout=120).returncode == 0
+    assert path.read_bytes() == piped.stdout
+    # the same outputs into files, in process
+    assert main([str(tmp_path / argv[i - 1][2:]) if a == "/dev/stdout" else a for i, a in enumerate(argv)]) == 0
+    printed = "".join(line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("wrote "))
+    last = piped.stdout.splitlines()[-1]
+    assert piped.stdout.startswith(printed.encode()) and last.startswith(b"wrote ") and b"/dev/stdout" in last
+    for name in ("out", "table"):
+        if (tmp_path / name).exists():
+            assert (tmp_path / name).read_bytes() in piped.stdout
 
 
 def _run_cli(argv):

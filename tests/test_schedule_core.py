@@ -21,6 +21,7 @@ from stepweaver.schedule import (
     admissible_classes,
     check_tree,
     closed_form_rates,
+    empty_leaf,
     empty_schedule,
     fg_rates_from_s,
     _fgjoin,
@@ -405,6 +406,72 @@ class TestMaterialize:
         t = CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
         with pytest.raises(ClassMismatchError):
             materialize(t, CompClass.F)
+
+
+class TestMacroLeaves:
+    """Only ``e`` reads as the empty schedule: a DSL macro leaf needs its leaf
+    schedule, so every fold without one refuses it and names it."""
+
+    TEXT = "(silver(2) >< e)"
+
+    @staticmethod
+    def one_step(text):
+        from stepweaver.dsl import parse
+
+        return StepSchedule([SQ2], CompClass.S, SQ2 - 1.0, parse(text))
+
+    def test_empty_leaf_reads_e_alone(self):
+        from stepweaver.dsl import ExprMacro
+
+        assert empty_leaf(LEAF) is None and empty_leaf(CompositionTree()) is None
+        with pytest.raises(ScheduleError, match=r"leaf obsf\(3\) is not e"):
+            empty_leaf(ExprMacro("obsf", 3))
+
+    def test_materialize_without_leaf_schedules_refuses_a_macro(self):
+        from stepweaver.dsl import parse
+
+        for text in (self.TEXT, "silver(2)", "((e >< e) |> (e |> obsf(2)))"):
+            with pytest.raises(ScheduleError, match="is not e"):
+                materialize(parse(text), CompClass.S if "|>" not in text else CompClass.F)
+        with pytest.raises(ScheduleError, match=r"leaf silver\(2\) is not e"):
+            tree_steps(parse(self.TEXT))
+
+    def test_check_tree_and_reverse_refuse_a_macro(self):
+        h = self.one_step(self.TEXT)
+        with pytest.raises(ScheduleError, match=r"leaf silver\(2\) is not e"):
+            check_tree(h)
+        with pytest.raises(ScheduleError, match=r"leaf silver\(2\) is not e"):
+            reverse(h)
+        check_tree(self.one_step("(e >< e)"))
+        assert reverse(self.one_step("(e >< e)")).tree == CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
+
+    def test_length_and_classes_still_count_a_macro_leaf(self):
+        from stepweaver.dsl import parse
+
+        tree = parse(self.TEXT)
+        assert tree.length() == 1 and admissible_classes(tree) == {CompClass.S}
+
+    def test_leaf_schedules_take_their_places(self):
+        """With leaf schedules, the result is the join of the leaves and
+        carries each leaf's own tree in its place."""
+        from stepweaver.builders import silver
+        from stepweaver.dsl import parse
+
+        leaf = lambda node: None if node == LEAF else silver(node.arg)
+        h = materialize(parse(self.TEXT), CompClass.S, leaf)
+        want = join(JoinOp.SJOIN, silver(2), e())
+        assert h.steps.tobytes() == want.steps.tobytes() and h.rate == want.rate and h.tree == want.tree
+        assert materialize(parse("silver(3)"), CompClass.S, leaf).steps.tobytes() == silver(3).steps.tobytes()
+
+    def test_a_conjectured_leaf_is_refused_only_where_joined(self):
+        from stepweaver.builders import constant_optimal
+        from stepweaver.dsl import parse
+
+        leaf = lambda node: None if node == LEAF else constant_optimal(CompClass.S, node.arg)
+        assert materialize(parse("const_s(3)"), CompClass.S, leaf).conjectured
+        with pytest.raises(UncertifiedScheduleError):
+            materialize(parse("(e >< const_s(3))"), CompClass.S, leaf)
+        assert materialize(parse("(e >< const_s(2))"), CompClass.S, leaf).tree is None
 
 
 class TestTreesEqual:

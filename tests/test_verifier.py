@@ -97,6 +97,13 @@ class TestCertificateConstruction:
         with pytest.raises(ClassMismatchError):
             build_f_certificate(silver(2).tree)
 
+    @pytest.mark.parametrize("text", ["(e |> obsf(2))", "((e >< e) |> (e |> rheavy(1)))", "(silver(1) |> e)"])
+    def test_rejects_a_macro_leaf(self, text):
+        """A macro is not the bare ``e`` an F side starts from, nor an empty
+        S side: the fold refuses it instead of reading it as empty."""
+        with pytest.raises(ScheduleError, match=r"leaf \w+\(\d\) is not e"):
+            build_f_certificate(dsl.parse(text))
+
     @pytest.mark.parametrize(
         "text", ["obsf(64)", "rheavy(6)", "(silver(4) |> (silver(3) |> (e |> e)))", "((e >< (e >< e)) |> e)"]
     )
@@ -402,6 +409,19 @@ class TestVerifySchedule:
             assert "reversal-duality" not in checks and "battery/certificate" not in checks
             if h.comp_class is CompClass.F:
                 assert checks["battery/gap-inequality"].passed
+
+    def test_macro_leaf_tree_is_not_certified(self):
+        """A one-step schedule carrying ``(silver(2) >< e)`` (whose expansion
+        has 4 steps) fails the identity entry, which names the macro, and the
+        reversal check, which cannot mirror it."""
+        bad = StepSchedule([math.sqrt(2.0)], CompClass.S, math.sqrt(2.0) - 1.0, dsl.parse("(silver(2) >< e)"))
+        validate_schedule(bad)
+        report = verify_schedule(bad, RunConfig(battery=8))
+        checks = {c.name: c for c in report.checks}
+        for name in ("identity", "reversal-duality"):
+            assert not checks[name].passed and math.isnan(checks[name].slack)
+            assert "leaf silver(2) is not e" in checks[name].instance
+        assert not report.passed and not report.certified
 
     @pytest.mark.parametrize("make", [lambda: silver(3), lambda: obs_f(6), lambda: obs_g(6)], ids=["s", "f", "g"])
     def test_cached_battery_builds_no_instance(self, monkeypatch, make):
