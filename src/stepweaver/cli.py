@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification failure, 2 parse or argument error,
-3 type/class error, 4 I/O or schema error, 5 resource cap exceeded.
+3 type/class error, 4 I/O or schema error, 5 resource cap exceeded.  A
+reader that closes stdout early ends the output quietly, with the command's
+own exit code.
 """
 
 import argparse
@@ -57,27 +59,54 @@ def _positive_int(value: str, base: int = 10) -> int:
     return number
 
 
+def _file_key(path: str, st):
+    """What names the regular file at ``path``, whose ``os.stat`` is ``st``
+    (None when it has none): its device and inode, or, for a path that does
+    not exist yet, the absolute path with symlinks resolved that opening it
+    would create.  None for a directory, device or pipe."""
+    if st is None:
+        return os.path.realpath(path)
+    return (st.st_dev, st.st_ino) if stat.S_ISREG(st.st_mode) else None
+
+
 def _write_outputs(args, *outputs, printed: str = "") -> None:
     """Open the file of every ``(flag, write, notice)`` whose flag is given
     (UTF-8, line ends as written, not truncated), then print ``printed``, then
     fill each file with ``write(fh)`` (emptying a regular file first: a pipe
     cannot be), close it and print its notice.  A path to the file stdout
     writes to (``/dev/stdout``, into a pipe or a file) is not opened again:
-    ``write(sys.stdout)`` fills it in order.  A path that cannot be opened
-    raises ``ScheduleFileError`` naming its flag before anything is written or
-    printed, and removes the files this call created for the paths before it."""
+    ``write(sys.stdout)`` fills it in order.  Two flags that name the same
+    regular file, and a path that cannot be opened, raise
+    ``ScheduleFileError`` naming the flags before anything is written or
+    printed; an unopenable path also removes the files this call created
+    for the paths before it."""
     try:
         stdout = os.fstat(sys.stdout.fileno())
     except (OSError, ValueError):  # no descriptor, as in a redirect to a StringIO
         stdout = None
+    paths, owners = [], {}
+    for flag, write, notice in outputs:
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        try:
+            st = os.stat(path)
+        except OSError:  # not there yet, or not reachable: opening it tells
+            st = None
+        if st is not None and stdout is not None and os.path.samestat(st, stdout):
+            paths.append((flag, None, write, notice))  # written through stdout
+            continue
+        key = _file_key(path, st)
+        if key in owners:
+            raise ScheduleFileError(f"--{flag}: names the same file as --{owners[key]}")
+        if key is not None:
+            owners[key] = flag
+        paths.append((flag, path, write, notice))
     untruncated = lambda path, flags: os.open(path, flags & ~os.O_TRUNC, 0o666)
     with contextlib.ExitStack() as stack:
         files, created = [], []
-        for flag, write, notice in outputs:
-            path = getattr(args, flag)
+        for flag, path, write, notice in paths:
             if path is None:
-                continue
-            if stdout is not None and os.path.exists(path) and os.path.samestat(os.stat(path), stdout):
                 files.append((contextlib.nullcontext(sys.stdout), write, notice))  # never closed
                 continue
             new = not os.path.lexists(path)
@@ -97,6 +126,22 @@ def _write_outputs(args, *outputs, printed: str = "") -> None:
                     out.truncate()
                 write(out)
             print(notice)
+
+
+@contextlib.contextmanager
+def _until_reader_closes():
+    """Run the block, then flush stdout.  A reader that closed its end of
+    stdout's pipe (``stepweaver bounds ... | head -2``) ends the output
+    quietly, not as an I/O error: stdout is pointed at ``os.devnull``, so the
+    interpreter's last flush writes nowhere, and the command's exit code
+    stands."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_compose(args) -> int:
@@ -139,7 +184,8 @@ def cmd_verify(args) -> int:
         config = dataclasses.replace(config, **overrides)  # re-runs validation
     schedule = load_schedule(args.file, config.identity_tol)
     report = verify_schedule(schedule, config)
-    print(report.to_json() if args.json else report.summary())
+    with _until_reader_closes():  # a failed report exits 1 all the same
+        print(report.to_json() if args.json else report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
 
@@ -312,7 +358,10 @@ def main(argv=None) -> int:
         for flag in ("out", "table"):  # before any work, so nothing reaches stdout
             if getattr(args, flag, None) == "":
                 raise ScheduleFileError(f"--{flag}: empty path")
-        return args.func(args)
+        code = EXIT_OK
+        with _until_reader_closes():
+            code = args.func(args)
+        return code
     except tuple(t for types, _ in _EXIT_CODES for t in types) as err:
         print(f"error: {err}", file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(err, types))

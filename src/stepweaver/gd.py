@@ -83,8 +83,9 @@ def _coord_value(x, form: CoordForm):
     return np.where(ax <= form.high, 0.5 * form.curv * x * x, form.param * ax - 0.5 * form.param * form.param)
 
 
-# Values are evaluated over blocks of rows holding at most this many
-# coordinates, so their temporaries stay small beside the points themselves.
+# Values, and the verifier's per-point certificate terms, are evaluated over
+# blocks of rows holding at most this many coordinates, so their temporaries
+# stay small beside the points themselves.
 _VALUE_BLOCK = 2**15
 
 

@@ -31,12 +31,14 @@ packed battery and the class's tight 1-D instances (``(is_huber, param,
 label)`` rows, run from ``x0 = 1``) take the schedule's steps, and the
 reversed schedule's tight pair takes the reversed steps on a trailing
 segment of the same coordinates.  Gradients and values are evaluated after
-the loop, one dimension group at a time, and one scorer turns the tight
-traces of either schedule, on the raw arrays, into tightness checks: beside
-the cached battery, a verification builds no ``ProblemInstance`` or
-``GDTrace``.  A check that cannot be built (say, a reversed schedule that
-breaks its identities) fails with NaN slack and the error's text, and the
-battery runs without it.
+the loop, one dimension group at a time, and the certificate slacks take
+their per-point terms by blocks of points, so every class holds at most the
+points, one group's gradients and values and the interpolation kernel's
+buffers.  One scorer turns the tight traces of either schedule, on the raw
+arrays, into tightness checks: beside the cached battery, a verification
+builds no ``ProblemInstance`` or ``GDTrace``.  A check that cannot be built
+(say, a reversed schedule that breaks its identities) fails with NaN slack
+and the error's text, and the battery runs without it.
 """
 
 import functools
@@ -48,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gd import (
+    _VALUE_BLOCK,
     CoordForm,
     GDTrace,
     coord_form,
@@ -158,9 +161,22 @@ def _weighted_sum(v, a):
     return np.dot(v.reshape(1, n), a.reshape(n, math.prod(rest))).reshape(rest)
 
 
+def _point_terms(X, G, F, count):
+    """``2(f_i - f_n) + ||g_i||^2 + 2<g_i, x_0 - x_i>`` of the first ``count``
+    points, as an array of shape ``(count, ...)``.  The points are taken in
+    blocks of at most ``_VALUE_BLOCK`` coordinates, so the temporaries of
+    the per-point products stay that small; each entry gets the bits that
+    the expression over all points at once gives it."""
+    terms = np.empty((count,) + F.shape[1:])
+    rows = max(1, _VALUE_BLOCK // max(1, X[0].size))
+    for r in range(0, count, rows):
+        s = slice(r, min(r + rows, count))
+        terms[s] = 2.0 * (F[s] - F[-1]) + _dot(G[s], G[s]) + 2.0 * _dot(G[s], X[0] - X[s])
+    return terms
+
+
 def _f_cert_slack_raw(v, X, G, F):
-    terms = 2.0 * (F - F[-1]) + _dot(G, G) + 2.0 * _dot(G, X[0] - X)
-    weighted = _weighted_sum(v, terms)
+    weighted = _weighted_sum(v, _point_terms(X, G, F, len(X)))
     combo = _weighted_sum(v, G)
     return weighted - _dot(combo, combo)
 
@@ -174,8 +190,7 @@ def _g_slack_raw(eta, X, G, F):
 
 
 def _s_slack_raw(steps, eta, X, G, F):
-    terms = 2.0 * (F[:-1] - F[-1]) + _dot(G[:-1], G[:-1]) + 2.0 * _dot(G[:-1], X[0] - X[:-1])
-    weighted = _weighted_sum(steps, terms)
+    weighted = _weighted_sum(steps, _point_terms(X, G, F, len(X) - 1))
     diff = X[-1] - X[0]
     return weighted - _dot(diff, diff) - (1.0 - eta) / (eta * eta) * _dot(G[-1], G[-1])
 

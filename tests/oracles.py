@@ -21,6 +21,12 @@ for byte.
 (``swapaxes``/``transpose`` views of the same strides) must write the same
 bytes.
 
+``f_cert_slack_reference`` and ``s_slack_reference`` are the F-certificate
+and S-inequality slacks with their per-point terms
+2(f_i - f_n) + ||g_i||^2 + 2<g_i, x_0 - x_i> built for all points at once.
+The production ``stepweaver.verify._f_cert_slack_raw`` and ``_s_slack_raw``
+(the terms by blocks of points) must give the same bytes.
+
 ``coord_value_reference`` is the two-branch value: the quadratic and the
 Huber formula side by side, picked by ``is_huber``.  The production
 ``stepweaver.gd._coord_value`` (one select over the clip form's constants)
@@ -82,6 +88,19 @@ from stepweaver.schedule import (
     operand_classes,
     postorder,
 )
+
+
+def f_cert_slack_reference(v, X, G, F):
+    terms = 2.0 * (F - F[-1]) + np.sum(G * G, axis=-1) + 2.0 * np.sum(G * (X[0] - X), axis=-1)
+    combo = np.tensordot(v, G, axes=(0, 0))
+    return np.tensordot(v, terms, axes=(0, 0)) - np.sum(combo * combo, axis=-1)
+
+
+def s_slack_reference(steps, eta, X, G, F):
+    terms = 2.0 * (F[:-1] - F[-1]) + np.sum(G[:-1] * G[:-1], axis=-1) + 2.0 * np.sum(G[:-1] * (X[0] - X[:-1]), axis=-1)
+    diff = X[-1] - X[0]
+    gn = np.sum(G[-1] * G[-1], axis=-1)
+    return np.tensordot(steps, terms, axes=(0, 0)) - np.sum(diff * diff, axis=-1) - (1.0 - eta) / (eta * eta) * gn
 
 
 def coord_value_reference(x, is_huber, param):

@@ -669,39 +669,54 @@ def test_gd_loops_per_verify(monkeypatch):
         assert len(calls[0][0]) == (1 if h.tree is None else 2)  # step runs: forward, reversed
 
 
+# Beside the points of the whole battery and one dimension group's gradients
+# and values, a verification holds the interpolation kernel's three
+# 2**16-entry buffers (P, R^T and the product: 1.5 MiB), its pruning bounds
+# for one sub-batch of instances (under 0.5 MiB), and the tight rows, the
+# report and numpy's small temporaries.
+KERNEL_ALLOWANCE = 2.5 * 2**20
+
+
+def working_set_bound(n: int, battery: int) -> float:
+    """Bytes a verification at length n may hold at once: the n+1 points of
+    every battery coordinate, the gradients and values of the largest
+    dimension group, and ``KERNEL_ALLOWANCE``."""
+    dims = verify.BATTERY_DIMS
+    counts = [len(range(i, battery, len(dims))) for i in range(len(dims))]
+    coords = sum(c * d for c, d in zip(counts, dims))
+    group = max(c * (d + 1) for c, d in zip(counts, dims))
+    return 8 * (n + 1) * (coords + group) + KERNEL_ALLOWANCE
+
+
+def verify_peak(h, config=None) -> int:
+    """tracemalloc peak of one verify with a warm battery cache."""
+    verify_schedule(h, config)
+    tracemalloc.start()
+    try:
+        verify_schedule(h, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_verify_peak_memory_stays_bounded():
-    """tracemalloc peak of one verify at n=511 with a warm battery cache:
-    6.9 MiB with one loop per dimension group, about 8.5 MiB with packed
-    chunks (numpy 2.4)."""
-    h = obs_s(511, build_tables(512))
-    verify_schedule(h)
-    tracemalloc.start()
-    try:
-        verify_schedule(h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9.0 * 2**20
+    """At n=511 every class stays within the working set of class g (bound
+    7.19 MiB; 6.7 MiB measured with numpy 2.4, where per-point certificate
+    terms built from two whole-group temporaries took 8.3 MiB for s and f)."""
+    tables = build_tables(512)
+    peaks = {cls: verify_peak(make(511, tables)) for cls, make in (("f", obs_f), ("g", obs_g), ("s", obs_s))}
+    bound = working_set_bound(511, RunConfig().battery)
+    assert all(peak <= bound for peak in peaks.values()), (peaks, bound)
 
 
-@pytest.mark.parametrize("cls,bound_mib", [("f", 42.05), ("g", 26.28), ("s", 42.03)])
-def test_large_battery_peak_memory_stays_bounded(cls, bound_mib):
-    """tracemalloc peak of one verify at n=255 with ``battery=2000`` and a
-    warm battery cache stays within that of two packed chunks holding points,
-    gradients and values (measured with numpy 2.4): the one loop's points
-    cover the whole battery, but only one group's gradients and values are
-    alive at a time."""
-    tables = build_tables(256)
-    h = {"f": obs_f, "g": obs_g, "s": obs_s}[cls](255, tables)
-    cfg = RunConfig(battery=2000)
-    verify_schedule(h, cfg)
-    tracemalloc.start()
-    try:
-        verify_schedule(h, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound_mib * 2**20
+@pytest.mark.parametrize("cls", ["f", "g", "s"])
+def test_large_battery_peak_memory_stays_bounded(cls):
+    """At n=255 with ``battery=2000``, where the one loop's points cover the
+    whole battery but only one group's gradients and values are alive at a
+    time: bound 25.94 MiB, 25.6 MiB measured with numpy 2.4 (41.3 MiB for s
+    and f with whole-group certificate temporaries)."""
+    h = {"f": obs_f, "g": obs_g, "s": obs_s}[cls](255, build_tables(256))
+    assert verify_peak(h, RunConfig(battery=2000)) <= working_set_bound(255, 2000)
 
 
 def test_traced_boundaries_exist():

@@ -31,6 +31,7 @@ from stepweaver.schedule import (
     JoinOp,
     ResourceCapError,
     ScheduleError,
+    StepSchedule,
     UncertifiedScheduleError,
     empty_schedule,
     join,
@@ -38,6 +39,15 @@ from stepweaver.schedule import (
 
 SQ2 = math.sqrt(2.0)
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bogus_g_schedule():
+    """Steps that satisfy the closed-form g-identities yet break the
+    gradient-norm inequality: the file loads cleanly and fails verification."""
+    b = 1.07
+    for _ in range(60):
+        b = 1.0 + 1.0 / (4.0 * math.sqrt(11.0 + 2.0 * b))
+    return StepSchedule(np.array([5.0, b]), CompClass.G, 1.0 / (1.0 + 2.0 * (5.0 + b)))
 
 
 def _refuse_constant(name):
@@ -301,18 +311,8 @@ class TestCli:
         assert "PASS" in capsys.readouterr().out
 
     def test_verify_fail_exit_1(self, tmp_path, capsys):
-        # steps satisfying the closed-form identities that nevertheless break
-        # the gradient-norm inequality: loads cleanly, fails verification
-        import numpy as np
-        from stepweaver.io import dumps_schedule
-        from stepweaver.schedule import StepSchedule
-
-        b = 1.07
-        for _ in range(60):
-            b = 1.0 + 1.0 / (4.0 * math.sqrt(11.0 + 2.0 * b))
-        bogus = StepSchedule(np.array([5.0, b]), CompClass.G, 1.0 / (1.0 + 2.0 * (5.0 + b)))
         out = tmp_path / "bogus.json"
-        out.write_text(dumps_schedule(bogus))
+        out.write_text(dumps_schedule(_bogus_g_schedule()))
         assert main(["verify", str(out), "--battery", "40"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -996,18 +996,35 @@ def test_empty_output_path_is_refused(fuzz_dir, capsys, argv):
         ["compose", "silver(2)", "--out", "{tmp}"],
         ["run", "{dir}/s.json", "--out", "{tmp}"],
         ["bounds", "--k", "2", "--out", "{tmp}"],
+        ["optimize", "--class", "f", "--n", "3", "--table", "{tmp}/x.txt", "--out", "{tmp}/x.txt"],
     ],
 )
 def test_unopenable_output_path_fails_before_any_output(fuzz_dir, tmp_path, capsys, argv):
-    """An output path that cannot be opened (here a directory) exits 4 with
-    an error naming its flag; nothing is printed and no output file is left,
-    the one this call created for the other output of the same command included."""
+    """An output path that cannot be opened (here a directory), or that names
+    the file of another output flag, exits 4 with an error naming its flag;
+    nothing is printed and no output file is left, the one this call created
+    for the other output of the same command included."""
     argv = [a.format(dir=fuzz_dir, tmp=tmp_path) for a in argv]
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {argv[-2]}: ")
     assert not any(tmp_path.iterdir())
+
+
+def test_two_flags_naming_one_file_are_refused(tmp_path, monkeypatch, capsys):
+    """``--table`` and ``--out`` that name one regular file (an existing one,
+    through another spelling or a symlink) exit 4 with an error naming both
+    flags; the file keeps its bytes."""
+    table = tmp_path / "x.txt"
+    table.write_bytes(b"old bytes\n")
+    (tmp_path / "link.txt").symlink_to(table)
+    monkeypatch.chdir(tmp_path)
+    for out in ("./x.txt", "link.txt"):
+        assert main(["optimize", "--class", "f", "--n", "3", "--table", str(table), "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --out: names the same file as --table\n")
+        assert table.read_bytes() == b"old bytes\n"
 
 
 def test_unopenable_output_path_keeps_an_existing_file(tmp_path, capsys):
@@ -1031,17 +1048,23 @@ def test_output_replaces_a_longer_existing_file(tmp_path, capsys):
     assert path.read_text() == want
 
 
+def _cli_env() -> dict:
+    """The environment of a CLI subprocess: this tree's sources first on the
+    path, ``STEPWEAVER_CACHE`` unset."""
+    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 def test_outputs_to_dev_stdout_in_a_pipe(tmp_path, capsys):
     """``/dev/stdout`` into a pipe cannot be truncated; both outputs reach it."""
     argv = ["optimize", "--class", "f", "--n", "3"]
     assert main(argv + ["--out", str(tmp_path / "h.json"), "--table", str(tmp_path / "t.csv")]) == 0
     capsys.readouterr()
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stepweaver.cli", *argv, "--out", "/dev/stdout", "--table", "/dev/stdout"],
-        env=env,
+        env=_cli_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -1064,8 +1087,7 @@ def test_outputs_to_dev_stdout_in_a_pipe(tmp_path, capsys):
 def test_outputs_to_dev_stdout_in_a_regular_file(tmp_path, capsys, argv):
     """``/dev/stdout`` redirected to a regular file gets, byte for byte, what
     a pipe gets: what the command prints, then each output and its notice."""
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env = _cli_env()
     command = [sys.executable, "-m", "stepweaver.cli", *argv]
     piped = subprocess.run(command, env=env, capture_output=True, timeout=120)
     assert (piped.returncode, piped.stderr) == (0, b"")
@@ -1081,6 +1103,48 @@ def test_outputs_to_dev_stdout_in_a_regular_file(tmp_path, capsys, argv):
     for name in ("out", "table"):
         if (tmp_path / name).exists():
             assert (tmp_path / name).read_bytes() in piped.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_a_reader_that_stops_after_one_line_ends_the_command_quietly():
+    """A reader that closes stdout's pipe after the first line ends the
+    output without an ``error:`` line or the interpreter's own complaint,
+    and the command exits 0.  The output (95 KB) is more than the pipe holds
+    (64 KiB on Linux) beside one line, so the command writes into the
+    closed pipe."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "stepweaver.cli", "bounds", "--k", "9", "--out", "/dev/stdout"],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,  # an unbuffered reader takes the first line and no more
+    )
+    with proc:
+        assert proc.stdout.readline().startswith(b"p,")
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=120)) == (b"", 0)
+
+
+@pytest.mark.parametrize("failed", [True, False])
+def test_a_closed_reader_keeps_the_verify_exit_code(tmp_path, failed):
+    """``verify`` into a pipe whose read end is closed before it starts exits
+    as its report says, 1 for a failed one and 0 for a pass, with nothing on
+    stderr."""
+    path = tmp_path / "h.json"
+    path.write_text(dumps_schedule(_bogus_g_schedule() if failed else obs_f(3, build_tables(4))))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stepweaver.cli", "verify", str(path), "--battery", "40"],
+            env=_cli_env(),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.stderr, proc.returncode) == (b"", 1 if failed else 0)
 
 
 def _run_cli(argv):

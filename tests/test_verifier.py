@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import f_certificate_spine_walk
-from stepweaver import dsl
+from oracles import f_cert_slack_reference, f_certificate_spine_walk, s_slack_reference
+from stepweaver import dsl, gd
 from stepweaver.builders import constant_optimal, dynamic_short, right_heavy, silver
 from stepweaver.gd import ProblemInstance, huber_instance, quad_instance, random_instance, random_x0, run
 from stepweaver.io import RunConfig
@@ -214,6 +214,52 @@ class TestInequalities:
         tr = run(h, quad_instance(1.0), 1.0)
         with pytest.raises(ClassMismatchError):
             check_s_implies_fg(h, tr)
+
+
+def _slack_cases(seed, points, shape):
+    """Points, gradients and values drawn independently, shaped
+    ``(points,) + shape`` (the last entry of ``shape`` is d), with S steps,
+    F weights and a rate to weigh them."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-1.0, 1.0)
+    X = scale * rng.standard_normal((points,) + shape)
+    G = rng.standard_normal((points,) + shape)
+    F = scale * rng.standard_normal((points,) + shape[:-1])
+    return X, G, F, rng.uniform(0.1, 3.0, points - 1), rng.uniform(0.0, 2.0, points), rng.uniform(0.05, 1.0)
+
+
+class TestBlockedPointTerms:
+    """Both certificate slacks take their per-point terms by blocks of points
+    of at most ``gd._VALUE_BLOCK`` coordinates; they must give the bytes of
+    the one-shot expressions in ``oracles``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    @pytest.mark.parametrize("batch", [None, 64], ids=["one-trace", "batch64"])
+    def test_slacks_are_byte_equal_to_one_shot(self, batch, d):
+        shape = (d,) if batch is None else (batch, d)
+        rows = gd._VALUE_BLOCK // math.prod(shape)  # points per block
+        # S weighs points 0..n-1 and F points 0..n, so both meet each edge
+        for points in (1, 2, rows - 1, rows, rows + 1, rows + 2, 3 * rows + 5):
+            X, G, F, steps, v, eta = _slack_cases(points * d, points, shape)
+            got, want = _s_slack_raw(steps, eta, X, G, F), s_slack_reference(steps, eta, X, G, F)
+            assert got.tobytes() == want.tobytes(), ("s", points)
+            got, want = _f_cert_slack_raw(v, X, G, F), f_cert_slack_reference(v, X, G, F)
+            assert got.tobytes() == want.tobytes(), ("f", points)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_a_nan_reaches_its_slack(self, d):
+        """A NaN coordinate in the second block of points makes its
+        instance's slacks NaN and no other's."""
+        rows = gd._VALUE_BLOCK // (64 * d)
+        X, G, F, steps, v, eta = _slack_cases(d, 3 * rows + 5, (64, d))
+        X[rows + 3, 5, d - 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            for got, want in (
+                (_s_slack_raw(steps, eta, X, G, F), s_slack_reference(steps, eta, X, G, F)),
+                (_f_cert_slack_raw(v, X, G, F), f_cert_slack_reference(v, X, G, F)),
+            ):
+                assert np.isnan(got).tolist() == [i == 5 for i in range(64)]
+                assert got.tobytes() == want.tobytes()
 
 
 def _f_and_long_traces():
