@@ -23,7 +23,9 @@ values here are immutable; every operation is a pure function.
 """
 
 import enum
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -329,15 +331,15 @@ def closed_form_rates(steps: np.ndarray, comp_class: CompClass):
     if steps.size == 0:
         return 1.0, 1.0
     if comp_class is CompClass.S:
-        return 1.0 / (1.0 + steps.sum()), float(np.prod(steps - 1.0))
-    prod = float(np.prod(steps - 1.0))
+        return 1.0 / (1.0 + steps.sum()), float((steps - 1.0).prod())
+    prod = float((steps - 1.0).prod())
     return 1.0 / (1.0 + 2.0 * steps.sum()), prod * prod
 
 
 def validate_schedule(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> float:
     """Check positivity and the closed-form rate identities to relative ``tol``;
     returns the larger relative deviation of the two closed forms."""
-    if s.n and not np.all(s.steps > 0.0):
+    if s.n and not (s.steps > 0.0).all():
         raise IdentityError(f"steps must be positive: {s!r}")
     if not (0.0 < s.rate <= 1.0):
         raise IdentityError(f"rate must lie in (0, 1], got {s.rate}")
@@ -396,7 +398,13 @@ def reverse(h: StepSchedule) -> StepSchedule:
         lambda node: empty_leaf(node) or LEAF,
         lambda node, left, right: CompositionTree(_REVERSED_OP[node.op], right, left),
     )
-    return StepSchedule(h.steps[::-1].copy(), _REVERSED_CLASS[h.comp_class], h.rate, mirrored)
+    return flip(h, mirrored)
+
+
+def flip(h: StepSchedule, tree: "CompositionTree | None" = None) -> StepSchedule:
+    """The reversed steps, of the swapped class (F and G exchanged) at the same
+    rate, carrying ``tree``: :func:`reverse` without mirroring the tree."""
+    return StepSchedule(h.steps[::-1], _REVERSED_CLASS[h.comp_class], h.rate, tree)
 
 
 def fg_rates_from_s(h: StepSchedule):
@@ -410,58 +418,102 @@ def fg_rates_from_s(h: StepSchedule):
     return r, r
 
 
-def tree_steps(tree, leaf=empty_leaf):
-    """``(steps, rate)`` of the schedule a tree evaluates to, bit for bit
-    those of joining upward, with no join per node.
+class TreeFold(NamedTuple):
+    """What one fold of a construction tree gives (:func:`fold_tree`)."""
+
+    steps: np.ndarray  # the schedule's steps, in order
+    rate: float
+    classes: frozenset  # the classes the tree admits (:func:`admissible_classes`)
+    index: dict  # id(node) -> the distinct node's entry in rates and sizes
+    rates: array  # each distinct node's rate
+    sizes: array  # and its number of steps
+    error: "ScheduleError | None"  # the first leaf's refusal, read as empty
+
+    def node(self, node):
+        """``(rate, number of steps)`` of a node of the tree."""
+        i = self.index[id(node)]
+        return self.rates[i], self.sizes[i]
+
+
+def fold_tree(tree, leaf=empty_leaf) -> TreeFold:
+    """The schedule a tree evaluates to, bit for bit that of joining upward,
+    with no join per node, and the classes it admits, from one walk.
 
     One :func:`postorder` fold carries the operand rates up the distinct
-    nodes as :func:`join` does, keeping each node's middle step and length;
-    an explicit stack then lays the steps out in order, and each later use
-    of a shared node copies the segment of its first.  So the Python work is
-    O(distinct nodes) plus O(n) array writes: a chain of n joins costs O(n),
-    where joining it copies O(n^2) steps.  ``leaf(node)`` is a leaf's
-    schedule, or None for the empty one (rate 1, no steps); the default,
-    :func:`empty_leaf`, reads ``e`` alone and refuses any other leaf.
+    nodes as :func:`join` does, keeping each node's rate, middle step, length
+    and classes; an explicit stack then lays the steps out in order, and
+    each later use of a shared node copies the segment of its first.  So the
+    Python work is O(distinct nodes) plus O(n) array writes: a chain of n
+    joins costs O(n), where joining it copies O(n^2) steps.  ``leaf(node)``
+    is a leaf's schedule, or None for the empty one (rate 1, no steps); the
+    default, :func:`empty_leaf`, reads ``e`` alone.  A leaf that ``leaf``
+    refuses with a ``ScheduleError`` counts as empty and the first refusal
+    is kept in ``error``, so the classes and the length stay known.
     """
-    mus, sizes, leaves = {}, {}, {}
+    # per distinct node one dict entry and machine numbers in typed arrays,
+    # not a float or int object each: materializing dynamic_short(4000)'s
+    # tree peaks at 1.05 MiB of Python allocations (1.68 with dicts of them)
+    index, rates, sizes, mus, leaves, errors = {}, array("d"), array("q"), array("d"), {}, []
 
-    def leaf_rate(node):
-        h = leaves[id(node)] = leaf(node)
-        sizes[id(node)] = 0 if h is None else h.n
-        return 1.0 if h is None else h.rate
+    def leaf_classes(node):
+        try:
+            h = leaf(node)
+        except ScheduleError as err:
+            errors.append(err)
+            h = None
+        leaves[len(rates)] = h
+        index[id(node)] = len(rates)
+        rates.append(1.0 if h is None else h.rate)
+        sizes.append(0 if h is None else h.n)
+        mus.append(0.0)  # a leaf has no middle step
+        return ALL_CLASSES
 
     def combine(node, left, right):
-        mus[id(node)], rate = join_step(node.op, left, right)
-        sizes[id(node)] = sizes[id(node.left)] + sizes[id(node.right)] + 1
-        return rate
+        i, j = index[id(node.left)], index[id(node.right)]
+        mu, rate = join_step(node.op, rates[i], rates[j])
+        index[id(node)] = len(rates)
+        rates.append(rate)
+        sizes.append(sizes[i] + sizes[j] + 1)
+        mus.append(mu)
+        return join_classes(node.op, left, right)
 
-    rate = postorder(tree, leaf_rate, combine)
-    steps = np.empty(sizes[id(tree)])
-    first, at_mu, mu, copies = {}, [], [], []
+    classes = postorder(tree, leaf_classes, combine)
+    steps = np.empty(sizes[index[id(tree)]])
+    first, at_mu, mu, copies = array("q", [-1]) * len(rates), array("q"), array("d"), []
     stack = [(tree, 0)]
     while stack:
         node, at = stack.pop()
-        key = id(node)
-        size = sizes[key]
+        k = index[id(node)]
+        size = sizes[k]
         if not size:
             continue
-        if key in first:  # a later use: copied once every step is in place
-            copies.append((at, first[key], size))
-        elif node.is_leaf:
-            first[key] = at
-            steps[at : at + size] = leaves[key].steps
+        if first[k] >= 0:  # a later use: copied once every step is in place
+            copies.append((at, first[k], size))
+            continue
+        first[k] = at
+        if node.is_leaf:
+            steps[at : at + size] = leaves[k].steps
         else:
-            first[key] = at
-            mid = at + sizes[id(node.left)]
+            mid = at + sizes[index[id(node.left)]]
             at_mu.append(mid)
-            mu.append(mus[key])
+            mu.append(mus[k])
             stack += ((node.right, mid + 1), (node.left, at))
-    steps[at_mu] = mu
+    steps[np.asarray(at_mu)] = np.asarray(mu)
     # uses are visited in step order: a first use lies wholly before every
     # later use of its node, and the copies inside it come earlier in the list
     for at, src, size in copies:
         steps[at : at + size] = steps[src : src + size]
-    return steps, rate
+    root = index[id(tree)]
+    return TreeFold(steps, rates[root], classes, index, rates, sizes, errors[0] if errors else None)
+
+
+def tree_steps(tree, leaf=empty_leaf):
+    """``(steps, rate)`` of the schedule a tree evaluates to (:func:`fold_tree`);
+    a leaf that ``leaf`` refuses raises its ``ScheduleError``."""
+    fold = fold_tree(tree, leaf)
+    if fold.error is not None:
+        raise fold.error
+    return fold.steps, fold.rate
 
 
 def check_steps(s: StepSchedule, steps, rate: float, tol: float = DEFAULT_IDENTITY_TOL, source: str = "tree") -> None:
@@ -483,8 +535,7 @@ def check_steps(s: StepSchedule, steps, rate: float, tol: float = DEFAULT_IDENTI
         raise IdentityError(f"{source} rate {float(rate)!r} differs from the schedule's {s.rate!r} (tol {tol:g})")
 
 
-def _require_class(tree: CompositionTree, comp_class: CompClass) -> None:
-    classes = admissible_classes(tree)
+def _require_class(classes: frozenset, comp_class: CompClass) -> None:
     if comp_class not in classes:
         raise ClassMismatchError(
             f"tree does not admit class {comp_class.value} "
@@ -492,21 +543,24 @@ def _require_class(tree: CompositionTree, comp_class: CompClass) -> None:
         )
 
 
-def check_tree(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> None:
+def check_tree(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL, fold: "TreeFold | None" = None) -> None:
     """Raise a ``ScheduleError`` unless the schedule's tree builds it: the
     tree admits the class, its leaves are all ``e`` (:func:`empty_leaf`),
-    and its :func:`tree_steps` reproduce the steps and the rate
-    (:func:`check_steps`).
+    and its steps and rate reproduce the schedule's (:func:`check_steps`).
+    ``fold`` is the tree's :func:`fold_tree`, when the caller has made it.
 
     Linear in the tree.  ``StepSchedule`` does not run it: :func:`join`
     builds one at every node, so a chain of joins would cost O(n^2)."""
-    _require_class(s.tree, s.comp_class)
-    check_steps(s, *tree_steps(s.tree), tol)
+    fold = fold_tree(s.tree) if fold is None else fold
+    _require_class(fold.classes, s.comp_class)
+    if fold.error is not None:
+        raise fold.error
+    check_steps(s, fold.steps, fold.rate, tol)
 
 
 def materialize(tree: CompositionTree, comp_class: CompClass, leaf=None) -> StepSchedule:
     """The schedule of the given class that a construction tree builds, bit
-    for bit as joining upward would, from one :func:`tree_steps` fold and one
+    for bit as joining upward would, from one :func:`fold_tree` and one
     validated ``StepSchedule``: O(n + distinct nodes).  For
     ``dynamic_short(20000)``'s chain that is 0.15 s, where joining node by
     node took 1.4 s (2-vCPU VM).  Raises ``ClassMismatchError`` if the tree
@@ -514,11 +568,14 @@ def materialize(tree: CompositionTree, comp_class: CompClass, leaf=None) -> Step
 
     ``leaf(node)`` is a leaf's schedule, of the class its place requires (the
     DSL typechecks first), or None for ``e``; the default :func:`empty_leaf`
-    reads ``e`` alone.  A conjectured leaf schedule cannot be joined.  The
-    result carries the tree, with each leaf's own tree in its place when
-    ``leaf`` is given, or none when a leaf has none.
+    reads ``e`` alone, and then the one fold gives the classes too.  The
+    classes are checked before ``leaf`` is called.  A conjectured leaf
+    schedule cannot be joined.  The result carries the tree, with each
+    leaf's own tree in its place when ``leaf`` is given, or none when a leaf
+    has none.
     """
-    _require_class(tree, comp_class)
+    fold = fold_tree(tree) if leaf is None else None
+    _require_class(admissible_classes(tree) if fold is None else fold.classes, comp_class)
     leaves = {}
 
     def leaf_once(node):
@@ -535,8 +592,12 @@ def materialize(tree: CompositionTree, comp_class: CompClass, leaf=None) -> Step
     if tree.is_leaf:
         return leaf_once(tree) or empty_schedule(comp_class)
     # empty_leaf gives no schedule, so only leaf schedules can be conjectured or put their own trees in
-    shape = tree if leaf is None else postorder(tree, lambda node: getattr(leaf_once(node), "tree", node), combine)
-    steps, rate = tree_steps(tree, leaf_once)
-    out = StepSchedule(steps, comp_class, rate, shape)
+    shape = tree
+    if fold is None:
+        shape = postorder(tree, lambda node: getattr(leaf_once(node), "tree", node), combine)
+        fold = fold_tree(tree, leaf_once)
+    if fold.error is not None:
+        raise fold.error
+    out = StepSchedule(fold.steps, comp_class, fold.rate, shape)
     validate_schedule(out)
     return out

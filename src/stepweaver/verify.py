@@ -39,6 +39,16 @@ arrays, into tightness checks: beside the cached battery, a verification
 builds no ``ProblemInstance`` or ``GDTrace``.  A check that cannot be built
 (say, a reversed schedule that breaks its identities) fails with NaN slack
 and the error's text, and the battery runs without it.
+
+Inner products sum over the coordinates with ``gd.coord_sum`` (the bits of
+``np.add.reduce``, by column adds on many rows); the einsums of the Gram
+rows stay, since their order differs from the reduce's at d >= 3.  A
+carried construction tree is walked once per verification, by
+``schedule.fold_tree``: its classes, steps and rate feed the identity
+entry, its per-node rates and lengths the F weights (each ``|>`` node's S
+operand is a slice of its steps), and the reversal check runs the reversed
+steps at the swapped class and the same rate (``schedule.flip``) without
+mirroring the tree.
 """
 
 import functools
@@ -54,6 +64,7 @@ from .gd import (
     CoordForm,
     GDTrace,
     coord_form,
+    coord_sum,
     descend,
     gradients,
     random_instance,
@@ -72,13 +83,12 @@ from .schedule import (
     JoinOp,
     ScheduleError,
     StepSchedule,
-    admissible_classes,
+    TreeFold,
     check_tree,
-    empty_leaf,
+    flip,
+    fold_tree,
     join_step,
-    postorder,
-    reverse,
-    tree_steps,
+    reverse,  # not called here; the benchmark's traced run wraps verify.reverse
     validate_schedule,
 )
 
@@ -99,35 +109,42 @@ class CertificateV:
         object.__setattr__(self, "weights", w)
         if not 0.0 < self.eta <= 1.0:  # NaN too
             raise IdentityError(f"certificate rate {self.eta!r} outside (0, 1]")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise IdentityError("certificate weights must be finite")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise IdentityError("certificate weights must be nonnegative")
         total = float(w.sum())
         if abs(total - 1.0 / self.eta) > 1e-10 / self.eta:
             raise IdentityError(f"certificate weights sum to {total!r}, expected 1/eta = {1.0 / self.eta!r}")
 
 
-def build_f_certificate(tree: CompositionTree) -> CertificateV:
+def build_f_certificate(tree: CompositionTree, fold: "TreeFold | None" = None) -> CertificateV:
     """Construct the certificate weights for an F-class construction tree.
 
-    One fold, bottom-up: a bare ``e`` on the F side carries ``v = [1]`` (any
-    other leaf is refused, see ``schedule.empty_leaf``), and a
-    ``|>`` node joining an S-subtree with steps ``a`` and rate alpha (from
-    :func:`tree_steps`, so no join per node) onto a certificate ``w`` at rate
-    beta gives ``v = [a, 1 + 1/alpha, sqrt(beta/eta) * w]`` at the joined rate
-    eta.  The scaling factor is checked against its two algebraically equal
-    forms ``beta/eta - 2*beta/alpha`` and ``alpha*beta*(mu-1)/eta``.
+    An F-class tree is a right spine of ``|>`` nodes ending in ``e``, each
+    joining an S-subtree on its left.  Bottom-up along the spine: the ``e``
+    carries ``v = [1]`` (any other leaf is refused, see
+    ``schedule.empty_leaf``), and a ``|>`` node joining an S-subtree with
+    steps ``a`` and rate alpha onto a certificate ``w`` at rate beta gives
+    ``v = [a, 1 + 1/alpha, sqrt(beta/eta) * w]`` at the joined rate eta.  A
+    spine node's subtree holds the last steps of the tree, so ``a`` is a
+    slice of the tree's steps, and the rates are the fold's: ``fold`` is the
+    tree's ``schedule.fold_tree``, made here when not given.  The scaling
+    factor is checked against its two algebraically equal forms
+    ``beta/eta - 2*beta/alpha`` and ``alpha*beta*(mu-1)/eta``.
     """
-    if CompClass.F not in admissible_classes(tree):
+    fold = fold_tree(tree) if fold is None else fold
+    if CompClass.F not in fold.classes:
         raise ClassMismatchError("tree is not an f-class construction")
-    f_leaf = (np.array([1.0]), 1.0)
-
-    def combine(node, left, right):
-        if node.op is JoinOp.SJOIN:
-            return None  # inside an s-subtree, which its |> parent evaluates whole
-        a, alpha = tree_steps(node.left)
-        w, beta = f_leaf if right is None else right
+    if fold.error is not None:
+        raise fold.error
+    spine = []
+    while not tree.is_leaf:
+        spine.append(tree)
+        tree = tree.right
+    v, beta, n = np.array([1.0]), 1.0, fold.steps.size
+    for node in reversed(spine):
+        (alpha, size), start = fold.node(node.left), n - fold.node(node)[1]
         mu, eta = join_step(JoinOp.FJOIN, alpha, beta)
         scale = np.sqrt(beta / eta)
         alt1 = beta / eta - 2.0 * beta / alpha
@@ -137,10 +154,9 @@ def build_f_certificate(tree: CompositionTree) -> CertificateV:
                 raise IdentityError(
                     f"certificate scaling identity violated: sqrt(beta/eta)={float(scale)!r} vs {float(alt)!r}"
                 )
-        return np.concatenate([a, [1.0 + 1.0 / alpha], scale * w]), eta
-
-    v, eta = postorder(tree, empty_leaf, combine) or f_leaf
-    return CertificateV(v, eta)
+        a = fold.steps[start : start + size]
+        v, beta = np.concatenate([a, [1.0 + 1.0 / alpha], scale * v]), eta
+    return CertificateV(v, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +166,7 @@ def build_f_certificate(tree: CompositionTree) -> CertificateV:
 
 
 def _dot(a, b):
-    return np.add.reduce(a * b, -1)
+    return coord_sum(a * b)
 
 
 def _weighted_sum(v, a):
@@ -189,10 +205,20 @@ def _g_slack_raw(eta, X, G, F):
     return eta * (F[0] - F[-1]) - 0.5 * (1.0 - eta) * _dot(G[-1], G[-1])
 
 
+def _s_gradient_weight(eta: float) -> float:
+    """``(1 - eta)/eta^2``, the weight of ``||g_n||^2`` in the S certificate.
+    Where it is not finite (a rate below about 1.5e-154, whose square
+    underflows, or a NaN) it raises a ``ScheduleError``."""
+    weight = (1.0 - eta) / (eta * eta) if eta * eta != 0.0 else math.inf
+    if not math.isfinite(weight):
+        raise ScheduleError(f"the s certificate's weight (1 - eta)/eta^2 is not finite at rate {eta!r}")
+    return weight
+
+
 def _s_slack_raw(steps, eta, X, G, F):
     weighted = _weighted_sum(steps, _point_terms(X, G, F, len(X) - 1))
     diff = X[-1] - X[0]
-    return weighted - _dot(diff, diff) - (1.0 - eta) / (eta * eta) * _dot(G[-1], G[-1])
+    return weighted - _dot(diff, diff) - _s_gradient_weight(eta) * _dot(G[-1], G[-1])
 
 
 def _s_fg_slacks_raw(steps, eta, X, G, F):
@@ -324,7 +350,7 @@ def _q_min_batched(X, G, F):
                 k = min(per, m - i)
                 out = buf[: k * rows * rows].reshape(k, rows, rows)
                 np.matmul(P[i : i + k], Rt[i : i + k], out=out)
-                np.min(out.reshape(k, -1), axis=1, out=q[s + i : s + i + k])
+                np.minimum.reduce(out.reshape(k, -1), axis=1, out=q[s + i : s + i + k])
             continue
         cut = np.full(m, rows)
         if prune:
@@ -582,7 +608,7 @@ def _track_min(worst: dict, name: str, scores, idx, d) -> None:
     """Keep in ``worst[name]`` the smallest of ``scores`` (one per battery
     instance ``idx``) seen so far, with the battery index and dimension it
     came from.  A NaN is kept once seen, so it fails the check."""
-    j = int(np.argmin(scores))  # the first NaN, if there is one
+    j = int(scores.argmin())  # the first NaN, if there is one
     value = float(scores[j])
     if name not in worst or value < worst[name][0] or np.isnan(value):
         worst[name] = (value, int(idx[j]), d)
@@ -619,7 +645,12 @@ def _score_tight(schedule: StepSchedule, rows: list, traces, tol: float) -> list
 
 
 def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
-    """The class's battery slacks on a ``(n+1, B, d)`` trace, keyed by check name."""
+    """The class's battery slacks on a ``(n+1, B, d)`` trace, keyed by check
+    name.  ``cert`` is what the class's certificate needs, made before the
+    battery runs, or None if it could not be made: the F weights
+    (:class:`CertificateV`; without them the direct gap inequality is
+    checked) or the S gradient weight (without it the mixed inequality is
+    not checked)."""
     eta = schedule.rate
     if schedule.comp_class is CompClass.F:
         if cert is not None:
@@ -628,11 +659,10 @@ def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
     if schedule.comp_class is CompClass.G:
         return {"gradient-inequality": _g_slack_raw(eta, X, G, F)}
     f_slack, g_slack, _, _ = _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
-    return {
-        "mixed-inequality": _s_slack_raw(schedule.steps, eta, X, G, F),
-        "implied-gap": f_slack,
-        "implied-gradient": g_slack,
-    }
+    slacks = {"implied-gap": f_slack, "implied-gradient": g_slack}
+    if cert is not None:
+        slacks["mixed-inequality"] = _s_slack_raw(schedule.steps, eta, X, G, F)
+    return slacks
 
 
 def _group_trace(xs, form, start: int, count: int, d: int):
@@ -699,19 +729,26 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         except ScheduleError as err:
             checks.append(CheckResult(name, False, float("nan"), tol, str(err)))
 
+    # one fold of the tree gives its classes, steps and rate, what the
+    # identity entry, the f certificate and the reversal check read of it
+    fold = None if schedule.tree is None else fold_tree(schedule.tree)
+
     def reversed_run():
         # reversal duality: the reversed schedule keeps the rate by
         # construction, is of the swapped class (its closed-form identities
-        # hold) and meets its own defining pair at equality
-        dual = reverse(schedule)
+        # hold) and meets its own defining pair at equality; it is certified
+        # for trees of e leaves alone
+        if fold.error is not None:
+            raise fold.error
+        dual = flip(schedule)
         validate_schedule(dual, config.identity_tol)
         return dual, _tight_rows(dual, implied=False)
 
     def identity():
         # the closed forms, then the tree, which must build the schedule
         dev = validate_schedule(schedule, config.identity_tol)
-        if schedule.tree is not None:
-            check_tree(schedule, config.identity_tol)
+        if fold is not None:
+            check_tree(schedule, config.identity_tol, fold)
         return dev
 
     dev = build("identity", config.identity_tol, identity)
@@ -719,12 +756,14 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         checks.append(CheckResult("identity", True, dev, config.identity_tol, "closed forms"))
     runs = [(schedule, build("tightness", config.tight_tol, lambda: _tight_rows(schedule)) or [])]
     cert = None
+    if schedule.comp_class is CompClass.S:
+        cert = build("battery/mixed-inequality", config.slack_tol, lambda: _s_gradient_weight(schedule.rate))
     # a tree that passed the identity entry builds the schedule; after a
     # failure, one of the schedule's length still feeds the certificate (which
     # weighs the tree's points) and the reversal check, as diagnostics
-    if schedule.tree is not None and (dev is not None or schedule.tree.length() == schedule.n):
+    if fold is not None and (dev is not None or fold.steps.size == schedule.n):
         if schedule.comp_class is CompClass.F:
-            cert = build("battery/certificate", config.slack_tol, lambda: build_f_certificate(schedule.tree))
+            cert = build("battery/certificate", config.slack_tol, lambda: build_f_certificate(schedule.tree, fold))
         dual = build("reversal-duality", config.tight_tol, reversed_run)
         if dual is not None:
             runs.append(dual)

@@ -45,8 +45,9 @@ must give the same steps byte for byte and the same rate.
 ``f_certificate_spine_walk`` is the F certificate's right-spine walk: it
 evaluates each left operand join by join and composes the weights from the
 leaf up.
-The production ``stepweaver.verify.build_f_certificate``, one tree fold, must
-give the same weights byte for byte.
+The production ``stepweaver.verify.build_f_certificate``, which reads each
+left operand as a slice of the tree's one ``fold_tree``, must give the same
+weights byte for byte.
 
 ``build_tables_reference`` is the plain DP row loop: every split of both
 joins, scored by the scalar join formulas, with ``np.argmin`` picking the

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import gram_rows_reference, q_min_pairwise, q_min_row_blocks_reference, q_min_unpruned_reference
-from stepweaver import builders, dsl, gd, optimizer, verify
+from stepweaver import builders, dsl, gd, optimizer, schedule, verify
 from stepweaver.builders import right_heavy, silver
 from stepweaver.gd import quad_instance, raw_run, run
 from stepweaver.io import RunConfig
@@ -443,11 +443,23 @@ SIZES = pytest.mark.parametrize("n", [0, 1, 40, 255])
 WIDTHS = pytest.mark.parametrize("d", [1, 2, 4, 8])
 
 
+def special_rows(rng, rows, d, pool):
+    """``rows`` rows of ``d`` entries drawn from ``pool``, a quarter of them
+    all -0.0 (numpy's sum of such a row is +0.0)."""
+    a = rng.choice(np.array(pool), (rows, d))
+    a[rng.random(rows) < 0.25] = -0.0
+    return a
+
+
+FINITE_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-315, 2.2250738585072014e-308, 1.0, -3.0, 1e308, -1e308]
+
+
 class TestWrapperFreeHelpers:
     """The battery slacks call ``_weighted_sum`` for ``np.tensordot(v, a,
-    axes=(0, 0))`` and ``_dot`` with ``np.add.reduce``, and ``_gram_rows``
-    reads ``swapaxes``/``transpose`` views; each must give the bytes of the
-    numpy call it replaces, on every layout the verifier passes."""
+    axes=(0, 0))`` and ``_dot`` with ``gd.coord_sum`` for ``np.add.reduce``,
+    and ``_gram_rows`` reads ``swapaxes``/``transpose`` views; each must give
+    the bytes of the numpy call it replaces, on every layout the verifier
+    passes."""
 
     @LAYOUTS
     @SIZES
@@ -463,14 +475,54 @@ class TestWrapperFreeHelpers:
 
     @LAYOUTS
     @SIZES
-    @WIDTHS
+    @pytest.mark.parametrize("d", range(1, 10))
     def test_dot_is_sum_of_products(self, layout, n, d):
+        """``coord_sum`` adds columns from 64*d rows on, so the whole-trace
+        products take that path at n = 255 for every d <= 8 (1280 rows; 256
+        in the single layout, for d <= 4), at n = 40 for d <= 3 (205 rows)
+        and at n = 0 or 1 never."""
         X, G, F = layout_traces(layout, n, d)
         for a, b in ((G, G), (G, X[0] - X), (X[0], X[0]), (G[-1], G[-1]), (G[:-1], X[0] - X[:-1])):
             want = np.sum(a * b, axis=-1)
             got = _dot(a, b)
             assert (type(got), np.shape(got)) == (type(want), np.shape(want))
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_coord_sum_is_add_reduce_beside_its_switch(self, d):
+        """``gd.coord_sum`` against ``np.add.reduce(a, -1)``, byte for byte,
+        on one row, on 64*d - 1 rows (the reduce) and on 64*d rows (the
+        columns, for d <= 8), as ``(rows, d)`` and ``(2, rows/2, d)``
+        arrays: random rows of every scale, all -0.0 rows, subnormals,
+        +-inf (whose NaN from inf - inf comes out alike) and +-1e308
+        (which overflow)."""
+        rng = np.random.default_rng(d)
+        for rows in (1, 64 * d - 1, 64 * d, 64 * d + 64):
+            scaled = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-300, 300, (rows, d))
+            scaled[rng.random(rows) < 0.25] = -0.0
+            pools = (FINITE_SPECIALS, FINITE_SPECIALS + [np.inf, -np.inf])
+            for a in (scaled, *(special_rows(rng, rows, d, pool) for pool in pools)):
+                for shaped in (a, a[: rows - rows % 2].reshape(2, -1, d)):
+                    with np.errstate(all="ignore"):
+                        want = np.add.reduce(shaped, -1)
+                        got = gd.coord_sum(shaped.copy())
+                        into = gd.coord_sum(shaped.copy(), out=np.full(shaped.shape[:-1], np.nan))
+                    assert (type(got), got.shape, got.tobytes()) == (type(want), want.shape, want.tobytes())
+                    assert into.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_coord_sum_keeps_every_nan(self, d):
+        """With NaNs of both signs among the entries, a sum is NaN exactly
+        where numpy's is, and keeps numpy's bytes wherever it is not; only
+        the sign of a NaN may differ, where NaNs of both signs meet."""
+        rng = np.random.default_rng(100 + d)
+        for rows in (64 * d - 1, 64 * d):
+            a = special_rows(rng, rows, d, FINITE_SPECIALS + [np.inf, -np.inf, np.nan, -np.nan])
+            with np.errstate(all="ignore"):
+                want, got = np.add.reduce(a, -1), gd.coord_sum(a.copy())
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert got[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
+            assert np.isnan(want).any()
 
     @pytest.mark.parametrize("layout", ["contiguous", "packed"])
     @pytest.mark.parametrize("include_star", [True, False])
@@ -667,6 +719,30 @@ def test_gd_loops_per_verify(monkeypatch):
         assert report.passed
         assert len(calls) == 1, h.describe()
         assert len(calls[0][0]) == (1 if h.tree is None else 2)  # step runs: forward, reversed
+
+
+def test_one_tree_fold_per_verify(monkeypatch):
+    """One walk of the construction tree per verification: the identity
+    entry, the f certificate and the reversal check all read one
+    ``schedule.fold_tree``, whose ``postorder`` is counted (patched in
+    ``schedule`` and in ``verify``, so a walk through either counts)."""
+    calls = []
+    original = schedule.postorder
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(schedule, "postorder", counting)
+    monkeypatch.setattr(verify, "postorder", counting, raising=False)
+    tables = build_tables(40)
+    cases = [(obs_f(30, tables), 1), (obs_g(30, tables), 1), (obs_s(30, tables), 1), (silver(5), 1)]
+    cases.append((replace(silver(3), tree=None), 0))
+    for h, folds in cases:
+        calls.clear()
+        report = verify_schedule(h, RunConfig())
+        assert report.certified, report.summary()
+        assert len(calls) == folds, h.describe()
 
 
 # Beside the points of the whole battery and one dimension group's gradients

@@ -336,6 +336,29 @@ class TestVerifySchedule:
         assert not any(name.startswith("tightness/") for name in checks)
         assert {"battery/mixed-inequality", "battery/implied-gap", "interpolation"} <= set(checks)
 
+    @pytest.mark.parametrize("rate", [1e-300, 1e-160, 5e-324])
+    @pytest.mark.parametrize("comp_class", list(CompClass), ids=lambda c: c.value)
+    def test_rate_that_underflows_is_reported(self, comp_class, rate):
+        """A rate whose square underflows, or makes the s certificate's
+        weight (1 - eta)/eta^2 of ||g_n||^2 infinite, fails the class's
+        battery entry it cannot weigh (s: the mixed inequality, with NaN
+        slack and the reason) and the identity entry; the battery runs the
+        rest."""
+        with np.errstate(all="ignore"):
+            report = verify_schedule(StepSchedule([1.5], comp_class, rate), RunConfig(battery=8))
+        checks = {c.name: c for c in report.checks}
+        assert not report.passed and not report.certified
+        assert not checks["identity"].passed
+        assert "interpolation" in checks and any(name.startswith("tightness/") for name in checks)
+        if comp_class is CompClass.S:
+            mixed = checks["battery/mixed-inequality"]
+            assert not mixed.passed and math.isnan(mixed.slack)
+            assert mixed.instance == f"the s certificate's weight (1 - eta)/eta^2 is not finite at rate {rate!r}"
+            assert {"battery/implied-gap", "battery/implied-gradient"} <= set(checks)
+        else:
+            battery = "battery/gap-inequality" if comp_class is CompClass.F else "battery/gradient-inequality"
+            assert not checks[battery].passed
+
     def test_tree_without_class_f_is_reported(self):
         """silver(2)'s steps and s-tree labeled f have no f certificate: the
         certificate entry fails with the reason, and the battery runs the
