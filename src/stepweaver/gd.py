@@ -40,7 +40,10 @@ the Huber function with the kink :func:`tight_delta` gives.
 
 Randomized generators take a ``numpy.random.Generator`` (PCG64 via
 ``default_rng`` everywhere in this package) so seeded runs reproduce
-trace statistics; bit-exactness across platforms is not promised.
+trace statistics; bit-exactness across platforms is not promised.  The
+annotations that name it are quoted, so ``numpy.random`` loads at the first
+draw (the verifier's battery, ``run --function random:``), not with this
+module.
 """
 
 import csv
@@ -216,7 +219,7 @@ def huber_instance(delta: float, d: int = 1) -> ProblemInstance:
     return ProblemInstance(np.ones(d, dtype=bool), np.full(d, float(delta)))
 
 
-def random_instance(rng: np.random.Generator, d: int) -> ProblemInstance:
+def random_instance(rng: "np.random.Generator", d: int) -> ProblemInstance:
     """Random per-coordinate mixture; deltas log-uniform, curvatures uniform.
     A dimension above ``MAX_COORDS`` raises ``ResourceCapError`` before any draw."""
     if d < 1:
@@ -232,7 +235,7 @@ def random_instance(rng: np.random.Generator, d: int) -> ProblemInstance:
     return ProblemInstance(is_huber, param)
 
 
-def random_x0(rng: np.random.Generator, d: int) -> np.ndarray:
+def random_x0(rng: "np.random.Generator", d: int) -> np.ndarray:
     """Gaussian start point with a random decade of overall scale."""
     return rng.standard_normal(d) * 10.0 ** rng.uniform(-1.0, 1.0)
 

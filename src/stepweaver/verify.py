@@ -221,8 +221,17 @@ def _s_slack_raw(steps, eta, X, G, F):
     return weighted - _dot(diff, diff) - _s_gradient_weight(eta) * _dot(G[-1], G[-1])
 
 
+def _s_fg_ratio(eta: float) -> float:
+    """``1/(2/eta - 1)``, the factor of the gap and gradient bounds that
+    class S implies.  At rate 0 or 2 it, or the ``g_n/eta`` of the gap
+    bound's residual, divides by zero: there it raises a ``ScheduleError``."""
+    if eta == 0.0 or eta == 2.0:
+        raise ScheduleError(f"the s-implied bounds' factor 1/(2/eta - 1) is not defined at rate {eta!r}")
+    return 1.0 / (2.0 / eta - 1.0)
+
+
 def _s_fg_slacks_raw(steps, eta, X, G, F):
-    r = 1.0 / (2.0 / eta - 1.0)
+    r = _s_fg_ratio(eta)
     res_f = X[-1] - G[-1] / eta  # x* = 0
     f_resid = 0.5 * _dot(res_f, res_f)
     f_slack = r * (0.5 * _dot(X[0], X[0]) - f_resid) - F[-1]
@@ -644,13 +653,14 @@ def _score_tight(schedule: StepSchedule, rows: list, traces, tol: float) -> list
     return checks
 
 
-def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
+def _battery_slacks(schedule: StepSchedule, cert, implied: bool, X, G, F) -> dict:
     """The class's battery slacks on a ``(n+1, B, d)`` trace, keyed by check
     name.  ``cert`` is what the class's certificate needs, made before the
     battery runs, or None if it could not be made: the F weights
     (:class:`CertificateV`; without them the direct gap inequality is
     checked) or the S gradient weight (without it the mixed inequality is
-    not checked)."""
+    not checked).  ``implied`` says whether the S-implied gap and gradient
+    bounds are checked (their factor, :func:`_s_fg_ratio`, could be made)."""
     eta = schedule.rate
     if schedule.comp_class is CompClass.F:
         if cert is not None:
@@ -658,8 +668,9 @@ def _battery_slacks(schedule: StepSchedule, cert, X, G, F) -> dict:
         return {"gap-inequality": _f_direct_slack_raw(eta, X, G, F)}
     if schedule.comp_class is CompClass.G:
         return {"gradient-inequality": _g_slack_raw(eta, X, G, F)}
-    f_slack, g_slack, _, _ = _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
-    slacks = {"implied-gap": f_slack, "implied-gradient": g_slack}
+    slacks = {}
+    if implied:
+        slacks["implied-gap"], slacks["implied-gradient"], _, _ = _s_fg_slacks_raw(schedule.steps, eta, X, G, F)
     if cert is not None:
         slacks["mixed-inequality"] = _s_slack_raw(schedule.steps, eta, X, G, F)
     return slacks
@@ -701,6 +712,7 @@ def _one_loop(battery: PackedBattery, runs):
     return groups, traces
 
 
+@np.errstate(all="ignore")
 def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -> VerificationReport:
     """Run every class-appropriate check; failures become report entries.
 
@@ -708,7 +720,9 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     class's extremal instances, the certificate inequality across the random
     battery, interpolation nonnegativity on every trace, and (for join-built
     schedules) a tree that builds the steps and the rate (in the identity
-    entry, by ``schedule.check_tree``) and the reversal duality.
+    entry, by ``schedule.check_tree``) and the reversal duality.  numpy's
+    floating-point warnings are off inside: an overflow or invalid value
+    reaches its check's slack as an infinity or NaN, and the check fails.
     """
     config = config or RunConfig()
     report = VerificationReport(
@@ -755,9 +769,11 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     if dev is not None:
         checks.append(CheckResult("identity", True, dev, config.identity_tol, "closed forms"))
     runs = [(schedule, build("tightness", config.tight_tol, lambda: _tight_rows(schedule)) or [])]
-    cert = None
+    cert, implied = None, False
     if schedule.comp_class is CompClass.S:
         cert = build("battery/mixed-inequality", config.slack_tol, lambda: _s_gradient_weight(schedule.rate))
+        for key in ("gap", "gradient"):
+            implied = build(f"battery/implied-{key}", config.slack_tol, lambda: _s_fg_ratio(schedule.rate)) is not None
     # a tree that passed the identity entry builds the schedule; after a
     # failure, one of the schedule's length still feeds the certificate (which
     # weighs the tree's points) and the reversal check, as diagnostics
@@ -773,7 +789,7 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     worst: dict[str, tuple] = {}
     for d, idx, (X, G, F) in groups:
         scales = np.maximum(1.0, np.maximum(_dot(X[0], X[0]), F[0]))
-        for key, slacks in _battery_slacks(schedule, cert, X, G, F).items():
+        for key, slacks in _battery_slacks(schedule, cert, implied, X, G, F).items():
             _track_min(worst, f"battery/{key}", slacks / scales, idx, d)
         _track_min(worst, "interpolation", _q_min_batched(X, G, F), idx, d)
         del X, G, F  # before the next group's are evaluated

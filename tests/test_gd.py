@@ -1,4 +1,5 @@
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from stepweaver.gd import (
     huber_instance,
     quad_instance,
     random_instance,
+    random_x0,
     raw_run,
     run,
     tight_delta,
@@ -105,6 +107,12 @@ class TestInstances:
         """No generator is touched (``None`` has no methods) above the cap."""
         with pytest.raises(ResourceCapError, match=f"dimension {gd.MAX_COORDS + 1} exceeds cap {gd.MAX_COORDS}"):
             random_instance(None, gd.MAX_COORDS + 1)
+
+    def test_generator_annotations_resolve(self):
+        """The quoted ``rng`` annotations, which keep ``numpy.random`` from
+        loading with the module, name numpy's ``Generator``."""
+        for draw in (random_instance, random_x0):
+            assert typing.get_type_hints(draw)["rng"] is np.random.Generator
 
     def test_one_smoothness_on_random_pairs(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -1145,6 +1146,48 @@ def test_a_closed_reader_keeps_the_verify_exit_code(tmp_path, failed):
     finally:
         os.close(write)
     assert (proc.stderr, proc.returncode) == (b"", 1 if failed else 0)
+
+
+# Imports the package, constructs schedules (compose into argv[1], optimize,
+# bounds), then runs the command argv[2:]; prints the constructs' exit codes,
+# whether numpy.random was loaded before and after the command, its exit
+# code and its output.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import stepweaver
+from stepweaver import cli
+
+def call(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+constructs = (["compose", "silver(3)", "--out", sys.argv[1]], ["optimize", "--class", "g", "--n", "20"], ["bounds", "--k", "3"])
+codes = [call(argv)[0] for argv in constructs]
+before = "numpy.random" in sys.modules
+code, out = call(sys.argv[2:])
+print(json.dumps([codes, before, "numpy.random" in sys.modules, code, out]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["run", "--function", "random:d=3,seed=1"]], ids=["verify", "run-random"])
+def test_numpy_random_loads_at_the_first_draw(tmp_path, capsys, argv):
+    """A fresh interpreter that imports the package and runs compose,
+    optimize and bounds has not loaded ``numpy.random``; ``verify`` (its
+    battery) and ``run --function random:`` load it at their first draw and
+    print what they print in a process that had loaded it already."""
+    path = str(tmp_path / "h.json")
+    command = [argv[0], path, *argv[1:]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, path, *command], env=_cli_env(), capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    codes, before, after, code, out = json.loads(proc.stdout)
+    assert (codes, before, after, code) == ([0, 0, 0], False, True, 0)
+    importlib.import_module("numpy.random")  # in this process, loaded before the command runs
+    assert main(command) == 0
+    assert capsys.readouterr().out == out
 
 
 def _run_cli(argv):

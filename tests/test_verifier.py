@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -316,8 +317,7 @@ class TestVerifySchedule:
     def test_nan_slacks_fail_their_checks(self):
         # steps of 1000 diverge: every battery trace overflows to NaN
         bad = StepSchedule(np.full(200, 1e3), CompClass.G, 0.5)
-        with np.errstate(all="ignore"):
-            report = verify_schedule(bad, RunConfig(battery=20))
+        report = verify_schedule(bad, RunConfig(battery=20))
         for name in ("interpolation", "battery/gradient-inequality"):
             check = next(c for c in report.checks if c.name == name)
             assert not check.passed and np.isnan(check.slack), check
@@ -344,8 +344,7 @@ class TestVerifySchedule:
         battery entry it cannot weigh (s: the mixed inequality, with NaN
         slack and the reason) and the identity entry; the battery runs the
         rest."""
-        with np.errstate(all="ignore"):
-            report = verify_schedule(StepSchedule([1.5], comp_class, rate), RunConfig(battery=8))
+        report = verify_schedule(StepSchedule([1.5], comp_class, rate), RunConfig(battery=8))
         checks = {c.name: c for c in report.checks}
         assert not report.passed and not report.certified
         assert not checks["identity"].passed
@@ -358,6 +357,44 @@ class TestVerifySchedule:
         else:
             battery = "battery/gap-inequality" if comp_class is CompClass.F else "battery/gradient-inequality"
             assert not checks[battery].passed
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0])
+    def test_rate_where_the_implied_bounds_divide_by_zero_is_reported(self, rate):
+        """At rate 0 or 2 the factor 1/(2/eta - 1) of the s-implied gap and
+        gradient bounds divides by zero: both battery/implied-* entries fail
+        with NaN slack and the reason, the tightness entry fails (no kink
+        outside (0, 1]), and the battery runs the rest.  The per-trace
+        functions raise the same ``ScheduleError``."""
+        h = StepSchedule([1.5], CompClass.S, rate)
+        report = verify_schedule(h, RunConfig(battery=8))
+        checks = {c.name: c for c in report.checks}
+        assert not report.passed
+        reason = f"the s-implied bounds' factor 1/(2/eta - 1) is not defined at rate {rate!r}"
+        for name in ("battery/implied-gap", "battery/implied-gradient"):
+            assert not checks[name].passed and math.isnan(checks[name].slack)
+            assert checks[name].instance == reason
+        tight = checks["tightness"]
+        assert not tight.passed and math.isnan(tight.slack)
+        assert not any(name.startswith("tightness/") for name in checks)
+        assert {"battery/mixed-inequality", "interpolation"} <= set(checks)
+        trace = run(h, quad_instance(1.0), 1.0)
+        for check in (check_s_implies_fg, fg_residuals):
+            with pytest.raises(ScheduleError, match=re.escape(reason)):
+                check(h, trace)
+
+    @pytest.mark.parametrize(
+        "steps,comp_class,rate",
+        [(steps, c, 0.5) for steps in ([math.inf], [1e308], [1.5, 1e200]) for c in CompClass]
+        + [([1.5], CompClass.S, math.inf)],
+        ids=lambda v: v.value if isinstance(v, CompClass) else repr(v),
+    )
+    def test_overflowing_schedule_fails_without_a_warning(self, steps, comp_class, rate):
+        """Steps whose runs overflow, and an infinite s rate, fail the report
+        while no numpy warning leaves the verifier."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_schedule(StepSchedule(steps, comp_class, rate), RunConfig(battery=8))
+        assert not report.passed
 
     def test_tree_without_class_f_is_reported(self):
         """silver(2)'s steps and s-tree labeled f have no f certificate: the
