@@ -4,21 +4,24 @@
 Builds ``silver(0..16)``, ``right_heavy(0..14)``, ``left_heavy(0..10)``;
 ``dynamic_short`` from the empty and the sigma seed and ``f_extend`` at
 n in {0, 1, 2, 3, 10, 100, 4000}; the ``obs_s``/``obs_f``/``obs_g`` optima
-of lengths 0..300 and 2047; the ``enumerate_basic`` optima of every class
-for n <= 8, with their sorted rate lists; and the construct benchmark's
+of lengths 0..300 and 2047, read from ``build_tables(8191)``; the
+``enumerate_basic`` optima of every class for n <= 8, with their sorted
+rate lists; and the construct benchmark's
 compose expressions (``perfbench/workloads.py``).  Then a fixed, seeded set
 of composition expressions: random ones over ``e`` and small macros, typed
 and mistyped, in both operator spellings with random whitespace, a quarter
 of them garbled by one or two character edits; a few fixed malformed and
 over-cap ones; and chains nested ``MAX_NESTING - 1`` to ``MAX_NESTING + 1``
-deep.  It prints the number of constructions and expressions and the sha256
-of, for each construction, its name, class, steps (as ``float.hex``) and
-rate (``float.hex``), and for each expression its text, its canonical form
-``format_expr(parse(text))``, its ``typecheck`` classes and what
-``compile_expression`` gives with the class inferred and with each class
-given.  A construction, parse, typecheck or compile that raises
-contributes its error type, message and (for a syntax error) position
-instead.
+deep.  Last, the rows of ``build_tables(8191)`` themselves, whose f rows
+from 2048 on the fill prunes.  It prints the number of constructions,
+expressions and tables and the sha256 of, for each construction, its name,
+class, steps (as ``float.hex``) and rate (``float.hex``); for each
+expression its text, its canonical form ``format_expr(parse(text))``, its
+``typecheck`` classes and what ``compile_expression`` gives with the class
+inferred and with each class given; and for the tables their name, the s
+and f rates (``float.hex``) and splits (decimal ints).  A construction,
+parse, typecheck or compile that raises contributes its error type,
+message and (for a syntax error) position instead.
 
 Only public APIs are used, so two source trees that print the same line on
 one machine build the same schedules bit for bit:
@@ -46,6 +49,7 @@ from stepweaver.schedule import CompClass, ResourceCapError, ScheduleError  # no
 
 EXTEND_LENGTHS = (0, 1, 2, 3, 10, 100, 4000)
 OBS_LENGTHS = (*range(301), 2047)
+TABLE_ROWS = 8191
 ENUM_MAX = 8
 
 DSL_SEED = 20261020
@@ -111,9 +115,10 @@ def schedule_fields(schedule):
     yield float.hex(schedule.rate)
 
 
-def constructions():
+def constructions(tables):
     """``(name, build)`` pairs, each ``build`` a thunk returning the schedule
-    and, for the enumeration optima, the rates of every construction."""
+    and, for the enumeration optima, the rates of every construction; the
+    optima of the DP read ``tables``."""
     yield from ((f"silver({k})", lambda k=k: silver(k)) for k in range(17))
     yield from ((f"right_heavy({k})", lambda k=k: right_heavy(k)) for k in range(15))
     yield from ((f"left_heavy({k})", lambda k=k: left_heavy(k)) for k in range(11))
@@ -121,7 +126,6 @@ def constructions():
         yield f"dynamic_short({n})", lambda n=n: dynamic_short(n)
         yield f"dynamic_short({n}, sigma)", lambda n=n: dynamic_short(n, "sigma")
         yield f"f_extend({n})", lambda n=n: f_extend(n)
-    tables = build_tables(max(OBS_LENGTHS) + 1)
     for name, obs in (("obs_s", obs_s), ("obs_f", obs_f), ("obs_g", obs_g)):
         yield from ((f"{name}({n})", lambda obs=obs, n=n: obs(n, tables)) for n in OBS_LENGTHS)
     for cls in CompClass:
@@ -160,9 +164,20 @@ def dsl_fields(text):
             yield from error_fields(exc)
 
 
+def table_fields(tables):
+    yield f"build_tables({tables.n_max})"
+    for rate, split in ((tables.s_rate, tables.s_split), (tables.f_rate, tables.f_split)):
+        yield " ".join(map(float.hex, rate[1:].tolist()))
+        yield " ".join(map(str, split[1:].tolist()))
+
+
 def main() -> int:
     digest, count = hashlib.sha256(), 0
-    for item in itertools.chain(itertools.starmap(fields, constructions()), map(dsl_fields, dsl_expressions())):
+    tables = build_tables(TABLE_ROWS)
+    items = itertools.chain(
+        itertools.starmap(fields, constructions(tables)), map(dsl_fields, dsl_expressions()), [table_fields(tables)]
+    )
+    for item in items:
         for text in item:
             digest.update(text.encode() + b"\0")
         count += 1

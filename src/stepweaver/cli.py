@@ -355,7 +355,7 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("out", "table"):  # before any work, so nothing reaches stdout
+        for flag in ("out", "table", "cache"):  # before any work, so nothing reaches stdout
             if getattr(args, flag, None) == "":
                 raise ScheduleFileError(f"--{flag}: empty path")
         code = EXIT_OK

@@ -5,9 +5,17 @@ a join-built schedule of length ``n - 1`` (so ``n`` counts the leaves of the
 construction, and a split ``m`` composes rows ``m`` and ``n - m``).  The
 convenience wrappers :func:`obs_s` / :func:`obs_f` / :func:`obs_g` take the
 schedule *length* instead.
+
+The fill is exact: each row's rate and split are those of a scan of every
+split.  The s rows scan half the splits (the s-join is commutative); f rows
+from ``_PRUNE_MIN_ROW`` on scan only the splits that the paper's lower
+envelope cannot rule out, about a fifth of them, and every split when the
+rows held leave the envelope (see :func:`_f_spans`).
 """
 
+import bisect
 import json
+import math
 import os
 import sys
 import zipfile
@@ -85,7 +93,8 @@ def _extend(tables: "RateTables | None", n_max: int, f_max: "int | None" = None)
     f-table only the rows below it of both, so the s-table fills alone and
     any prefix extends to the bytes of a fresh fill.  Split ties break to the
     smallest ``m`` (np.argmin returns the first minimum), which makes
-    reconstruction deterministic.
+    reconstruction deterministic.  The f rows skip the splits that the lower
+    envelope of the rows held rules out (:func:`_f_spans`).
     """
     f_max = n_max if f_max is None else f_max
     if n_max < 1:
@@ -96,20 +105,36 @@ def _extend(tables: "RateTables | None", n_max: int, f_max: "int | None" = None)
         raise ScheduleError(f"need 1 <= f_max <= n_max = {n_max}, got {f_max}")
     base, no_split = np.array([np.nan, 1.0]), np.zeros(2, dtype=np.int64)
     old = tables or RateTables(1, base, base, no_split, no_split)
+    held = min(old.f_max, f_max)
+    # built per fill, before the columns: neither it nor its scratch arrays
+    # stay in the heap between fills or under the fill's peak
+    bounds = _envelope_bounds(_fgjoin_rate, _ENVELOPE_RHO) if held < f_max and f_max >= _PRUNE_MIN_ROW else None
     s, s_split = _rows(old.s_rate, old.s_split, n_max)
     f, f_split = _rows(old.f_rate, old.f_split, f_max)
     ss = s * s
-    buf = tuple(np.empty(max(n_max // 2, f_max - 1)) for _ in range(3))
+    # sized to the s scans and the unpruned f rows; _fill_f_row grows them for longer scans
+    buf = [np.empty(max(n_max // 2, min(f_max, _PRUNE_MIN_ROW) - 1)) for _ in range(3)]
     s_cols = (s, s_split, ss)
     for n in range(min(old.n_max, n_max) + 1, n_max + 1):
         _fill_s_row(n, s_cols, buf)
-    f_cols = (s, f, f_split, ss, 4.0 * f)
-    for n in range(min(old.f_max, f_max) + 1, f_max + 1):
-        _fill_f_row(n, f_cols, buf)
+    if held < f_max:
+        envelope = [bounds, _normalized_min(s, n_max), _normalized_min(f, held)]
+        f_cols = (s, f, f_split, ss, 4.0 * f, 8.0 * f, envelope)
+        for n in range(held + 1, f_max + 1):
+            _fill_f_row(n, f_cols, buf)
     return RateTables(n_max, s, f, s_split, f_split)
 
 
-def _fill_s_row(n: int, cols: tuple, buf: tuple) -> None:
+def _normalized_min(rate: np.ndarray, rows: int) -> float:
+    """Least ``rate[k] * k^p`` over rows ``1..rows`` (nan if one is nan),
+    in one scratch column."""
+    k = np.arange(1.0, rows + 1)
+    np.power(k, P_EXPONENT, k)
+    np.multiply(k, rate[1 : rows + 1], k)
+    return float(k.min())
+
+
+def _fill_s_row(n: int, cols: tuple, buf: list) -> None:
     """Fill row ``n`` of ``cols = (s, s_split, ss)`` from the rows below it;
     ``ss = s*s`` is kept up to date here.
 
@@ -145,31 +170,133 @@ def _fill_s_row(n: int, cols: tuple, buf: tuple) -> None:
     ss[n] = v * v
 
 
-def _fill_f_row(n: int, cols: tuple, buf: tuple) -> None:
-    """Fill row ``n`` of the f columns of ``cols = (s, f, f_split, ss, f4)``
-    from the s and f rows below it; ``f4 = 4*f`` is kept up to date here.
+def _fill_f_row(n: int, cols: tuple, buf: list) -> None:
+    """Fill row ``n`` of the f columns of ``cols = (s, f, f_split, ss, f4,
+    f8, envelope)`` from the s and f rows below it; ``f4 = 4*f``,
+    ``f8 = 8*f`` and the least normalized f-rate ``envelope[2]`` are kept up
+    to date here.
 
     Bit-identical to ``argmin`` over ``_fgjoin_rate(s[1:n], f[n-1:0:-1])``,
-    in the manner of :func:`_fill_s_row`, over all ``n - 1`` splits.
+    in the manner of :func:`_fill_s_row`, over the spans of
+    :func:`_f_spans`.  They hold every split that can be the first minimum
+    and ascend, so the first of their minima is the row's.  The numerator
+    ``a * f8 = 8ab`` and the quotient are exactly 8 times those of the join
+    formula for normal floats, which saves the kernel a multiply; the rate
+    is the quotient over 4.
     """
     multiply, add, sqrt, divide = np.multiply, np.add, np.sqrt, np.divide
-    s, f, f_split, ss, f4 = cols
-    p, d, t = buf
-    p, d, t = p[: n - 1], d[: n - 1], t[: n - 1]
-    m, rest = slice(1, n), slice(n - 1, 0, -1)
-    a = s[m]
-    multiply(a, f[rest], p)
-    multiply(8.0, p, t)
-    add(ss[m], t, d)
-    sqrt(d, d)
-    add(a, f4[rest], t)
-    add(t, d, d)
-    divide(p, d, p)
-    j = p.argmin()
-    v = 2.0 * p.item(j)
+    s, f, f_split, ss, f4, f8, envelope = cols
+    best = j = None
+    for lo, hi in _f_spans(n, cols):
+        k = hi - lo + 1
+        if len(buf[0]) < k:  # a full scan of a long row the envelope leaves unpruned
+            buf[:] = (np.empty(len(f) - 2) for _ in buf)
+        p, d, t = buf
+        p, d, t = p[:k], d[:k], t[:k]
+        m, rest = slice(lo, hi + 1), slice(n - lo, n - hi - 1, -1)  # splits m and rows n - m
+        a = s[m]
+        multiply(a, f8[rest], p)
+        add(ss[m], p, d)
+        sqrt(d, d)
+        add(a, f4[rest], t)
+        add(t, d, d)
+        divide(p, d, p)
+        i = p.argmin()
+        q = p.item(i)
+        if best is None or q < best:
+            best, j = q, lo + i
+    v = 0.25 * best
     f[n] = v
-    f_split[n] = j + 1
+    f_split[n] = j
     f4[n] = 4.0 * v
+    f8[n] = 8.0 * v
+    phi = v * n**P_EXPONENT
+    if not phi >= envelope[2]:  # a nan sticks and stops the pruning
+        envelope[2] = phi
+
+
+# ---------------------------------------------------------------------------
+# Lower-envelope pruning of the f-splits.
+# ---------------------------------------------------------------------------
+#
+# The joins are homogeneous of degree 1 and increase in each operand.  With
+# L_s <= s[k] k^p and L_f <= f[k] k^p over the rows held, split m of f row n
+# has rate >= L_s n^-p h(m/n), where h(x) = J_f(x^-p, rho (1-x)^-p), for any
+# rho <= L_f / L_s.  Over the cell [x_i, x_i+1] of a grid, h(x) >= lb_i =
+# J_f(x_i+1^-p, rho (1-x_i)^-p).  So a cell with L_s n^-p lb_i above the
+# value v0 of one split of the row holds no split whose rate is at most v0,
+# and none that can be the row's first minimum.
+
+_PRUNE_MIN_ROW = 2048  # shorter f rows scan every split: a second span costs more than it saves there
+_ENVELOPE_RHO = 0.4208  # rho of the bound table, just below c_low() = 0.42080935...
+_ENVELOPE_CELLS = 4096
+_ENVELOPE_MARGIN = 1e-9  # relative; covers the rounding of v0, n^p, the minima and the table
+
+
+def _envelope_bounds(join_rate, rho: float):
+    """``(bound, i1, i2)``: lower bounds of
+    ``h(x) = join_rate(x^-p, rho * (1-x)^-p)`` on the ``_ENVELOPE_CELLS``
+    cells ``[x_i, x_i+1]`` of [0, 1], ``lb_i = join_rate(x_i+1^-p,
+    rho * (1-x_i)^-p)``, valid for any join homogeneous of degree 1 and
+    increasing in both operands.  None unless ``lb`` rises to cell ``i1``,
+    falls to cell ``i2`` and rises to the end.  ``bound``, a memoryview
+    (bisected faster than the array), holds ``lb_i``, negated strictly
+    inside the fall, so that each run bisects as an ascending sequence."""
+    cells = _ENVELOPE_CELLS
+    x = np.arange(cells + 1) / cells
+    lb = join_rate(x[1:] ** -P_EXPONENT, rho * (1.0 - x[:-1]) ** -P_EXPONENT)
+    step = np.diff(lb)
+    down = np.flatnonzero(step < 0.0)
+    i1 = int(down[0]) if down.size else cells - 1
+    up = np.flatnonzero(step[i1:] > 0.0)
+    i2 = i1 + int(up[0]) if up.size else cells - 1
+    if np.any(step[i2:] < 0.0):
+        return None
+    lb[i1 + 1 : i2] *= -1.0
+    return memoryview(lb), i1, i2
+
+
+def _windows(bounds: tuple, thr: float, n: int) -> tuple:
+    """Inclusive split spans of row ``n`` that cover every cell of
+    ``bounds`` whose bound is at most ``thr``, cell ends rounded outward:
+    none, one or two, ascending and disjoint."""
+    bound, i1, i2 = bounds
+    cells = len(bound)
+    last = n - 1
+    a = bisect.bisect_right(bound, thr, 0, i1 + 1)  # cells [0, a) of the first rise
+    b = bisect.bisect_left(bound, -thr, i1 + 1, i2)  # cells [b, i2] of the fall (i2 if only i2)
+    c = bisect.bisect_right(bound, thr, i2, cells)  # cells [i2, c) of the last rise
+    spans = ()
+    if a:
+        hi = -(-a * n // cells)
+        spans = ((1, hi if hi < last else last),)
+    if b < c:
+        lo, hi = b * n // cells, -(-c * n // cells)
+        hi = hi if hi < last else last
+        if spans and lo > spans[0][1] + 1:
+            return spans + ((lo, hi),)
+        return ((1 if spans or lo < 1 else lo, hi),)
+    return spans
+
+
+def _f_spans(n: int, cols: tuple) -> tuple:
+    """Inclusive split spans of f row ``n`` that hold every split able to be
+    its first minimum: all splits, or the envelope's windows when the row is
+    long enough and the rows held keep ``L_f >= rho * L_s``.  The windows
+    are those of the value ``v0`` of the split at the previous row's split
+    ratio, computed in the kernel's operations on Python floats."""
+    s, f, f_split, ss, f4, f8, (bounds, low_s, low_f) = cols
+    if bounds is None or n < _PRUNE_MIN_ROW or not (
+        low_s > 0.0 and low_f >= _ENVELOPE_RHO * low_s * (1.0 + _ENVELOPE_MARGIN)
+    ):
+        return ((1, n - 1),)
+    m0 = (f_split.item(n - 1) * n + (n - 1) // 2) // (n - 1)
+    if not 0 < m0 < n:  # a split the fill did not write: any one serves
+        m0 = n // 2
+    a = s.item(m0)
+    p = a * f8.item(n - m0)
+    v0 = 0.25 * (p / ((a + f4.item(n - m0)) + math.sqrt(ss.item(m0) + p)))
+    return _windows(bounds, v0 * n**P_EXPONENT / (low_s * (1.0 - _ENVELOPE_MARGIN)), n)
 
 
 def build_tables(n_max: int) -> RateTables:

@@ -262,13 +262,21 @@ def fgjoin_mu_reference(alpha, beta):
     return 1.0 + 2.0 / (alpha + np.sqrt(alpha * alpha + 8.0 * (alpha * beta)))
 
 
-def build_tables_reference(n_max):
+def build_tables_reference(n_max, prefix=None):
     """Rate tables to row ``n_max`` by scanning all ``n - 1`` splits of row
-    ``n`` on both sides; index 0 is unused."""
+    ``n`` on both sides, after the rows of ``prefix`` (tables of as many s
+    as f rows; default: the base row), copied as they are; index 0 is
+    unused."""
     s, f = np.full(n_max + 1, np.nan), np.full(n_max + 1, np.nan)
     s_split, f_split = np.zeros(n_max + 1, np.int64), np.zeros(n_max + 1, np.int64)
     s[1] = f[1] = 1.0
-    for n in range(2, n_max + 1):
+    start = 2
+    if prefix is not None:
+        assert prefix.f_max == prefix.n_max <= n_max
+        start = prefix.n_max + 1
+        for col, held in ((s, prefix.s_rate), (f, prefix.f_rate), (s_split, prefix.s_split), (f_split, prefix.f_split)):
+            col[1:start] = held[1:start]
+    for n in range(start, n_max + 1):
         a = s[1:n]
         cand = _sjoin_rate(a, a[::-1])
         i = int(np.argmin(cand))

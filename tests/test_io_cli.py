@@ -902,6 +902,20 @@ _PARAMETERS = {
     "x": _NUMBERS,
 }
 # a function takes its own keys three times as often as the foreign key ``x``
+@pytest.mark.parametrize("argv", [["optimize", "--class", "s", "--n", "10"], ["bounds", "--k", "2"]])
+def test_empty_cache_path_is_refused(tmp_path, monkeypatch, capsys, argv):
+    """An empty ``--cache`` exits 4 like an empty output path: it is not
+    read as absent, so the ``$STEPWEAVER_CACHE`` directory stays untouched."""
+    env = tmp_path / "env"
+    env.mkdir()
+    monkeypatch.setenv(CACHE_ENV_VAR, str(env))
+    assert main(argv + ["--cache", ""]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --cache: empty path\n"
+    assert list(env.iterdir()) == []
+
+
 _FUNCTION_KEYS = {"quad": ["a"] * 3, "huber": ["delta"] * 3, "random": ["d", "seed"] * 3, "bogus": [], "": []}
 _FUNCTIONS = st.sampled_from(list(_FUNCTION_KEYS)).flatmap(
     lambda kind: st.lists(

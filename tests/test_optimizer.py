@@ -148,6 +148,13 @@ class TestMpOracle:
 
 
 @pytest.mark.slow
+def test_pruned_fill_at_the_cap_matches_reference():
+    """The fill of the largest table, 80% of its f-splits skipped, against
+    the all-splits scan (several seconds): deselected by default."""
+    _same_tables(build_tables(MAX_TABLE_N), build_tables_reference(MAX_TABLE_N))
+
+
+@pytest.mark.slow
 def test_mp_oracle_to_row_512():
     """:class:`TestMpOracle`'s two checks up to row 512, a few seconds of
     mpmath: deselected by default, ``pytest -m slow`` runs it."""
@@ -343,6 +350,106 @@ class TestFillKernel:
         finally:
             tracemalloc.stop()
         assert peak <= 10 * 8 * 4097
+
+
+@pytest.fixture
+def f_spans_seen(monkeypatch):
+    """``{n: spans}``: the split spans the fill scanned in each f row."""
+    seen = {}
+    real = optimizer._f_spans
+
+    def spy(n, cols):
+        seen[n] = spans = real(n, cols)
+        return spans
+
+    monkeypatch.setattr(optimizer, "_f_spans", spy)
+    return seen
+
+
+def _scanned(seen, rows):
+    """The fraction of the splits of ``rows`` that ``seen`` scanned."""
+    return sum(hi - lo + 1 for n in rows for lo, hi in seen[n]) / sum(n - 1 for n in rows)
+
+
+class TestEnvelopePruning:
+    """The f rows scan only the splits the lower envelope leaves; the rates
+    and splits must stay byte-equal to the all-splits scan, whatever the
+    prefix holds."""
+
+    def test_envelope_constant_is_pinned_below_c_low(self):
+        assert c_low() - 1e-4 < optimizer._ENVELOPE_RHO <= c_low()
+
+    def test_bound_table_rises_falls_rises(self):
+        bound, i1, i2 = optimizer._envelope_bounds(optimizer._fgjoin_rate, optimizer._ENVELOPE_RHO)
+        lb = np.array(bound)
+        lb[i1 + 1 : i2] *= -1.0  # stored negated inside the fall
+        assert len(lb) == optimizer._ENVELOPE_CELLS and 0 < i1 < i2 < len(lb) - 1
+        assert np.all(np.diff(lb[: i1 + 1]) >= 0) and np.all(np.diff(lb[i1 : i2 + 1]) <= 0)
+        assert np.all(np.diff(lb[i2:]) >= 0)
+        assert lb[0] < optimizer._ENVELOPE_RHO < lb[i1] and 0.42 < lb[i2] < lb[-1] < 0.5
+
+    def test_bound_table_of_another_shape_is_refused(self):
+        assert optimizer._envelope_bounds(lambda a, b: np.cos(8.0 / a), 1.0) is None
+
+    def test_row_8191_scans_a_fifth_and_holds_its_split(self, f_spans_seen):
+        tables = build_tables(8191)
+        spans = f_spans_seen[8191]
+        assert len(spans) == 2 and spans[0][0] == 1
+        assert sum(hi - lo + 1 for lo, hi in spans) <= 0.25 * 8190
+        assert any(lo <= tables.f_split[8191] <= hi for lo, hi in spans)
+        assert _scanned(f_spans_seen, range(optimizer._PRUNE_MIN_ROW, 8192)) <= 0.25
+        assert all(f_spans_seen[n] == ((1, n - 1),) for n in range(2, optimizer._PRUNE_MIN_ROW))
+
+    @pytest.mark.parametrize("n_max", [1000, 4096])
+    def test_pruned_from_row_16_matches_reference(self, monkeypatch, f_spans_seen, n_max, reference_4096):
+        monkeypatch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
+        want = reference_4096 if n_max == 4096 else build_tables_reference(n_max)
+        _same_tables(build_tables(n_max), want)
+        assert _scanned(f_spans_seen, range(16, n_max + 1)) < 0.5
+
+    @given(fill=fill_requests())
+    def test_any_pruned_fill_from_any_prefix_matches_reference(self, fill, reference_700):
+        prefix, n_max, f_max = fill
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
+            tables = None if prefix is None else optimizer._extend(None, *prefix)
+            got = optimizer._extend(tables, n_max, f_max)
+        _same_rows(got, reference_700, n_max, f_max)
+
+    def test_constant_above_the_least_f_rate_scans_every_split(self, monkeypatch, f_spans_seen):
+        """Once an f row held has ``f[k] k^p`` below the table's constant,
+        every later row scans all its splits."""
+        monkeypatch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
+        monkeypatch.setattr(optimizer, "_ENVELOPE_RHO", 0.43)
+        got = build_tables(1000)
+        _same_tables(got, build_tables_reference(1000))
+        below = np.flatnonzero(got.f_rate[1:] * np.arange(1, 1001) ** P_EXPONENT < 0.43) + 1
+        assert below.size and below[0] < 500
+        assert all(f_spans_seen[n] == ((1, n - 1),) for n in range(below[0] + 1, 1001))
+
+    @pytest.mark.parametrize("tamper, pruned", [("f_below_envelope", False), ("s_scaled_down", True), ("far_split", True)])
+    def test_tampered_cache_extends_like_a_full_scan(self, tmp_path, f_spans_seen, tamper, pruned):
+        """An f row below the envelope turns the pruning off, s rows scaled
+        down loosen it, a last split far from the minimum leaves it on; each
+        extension of the cache file equals the all-splits extension of its
+        rows."""
+        prefix = build_tables(3000)
+        if tamper == "f_below_envelope":
+            prefix.f_rate[2500] *= 0.9
+        elif tamper == "s_scaled_down":
+            prefix.s_rate[1000:2000] *= 0.99
+        else:
+            prefix.f_split[3000] = 1
+        save_tables(prefix, str(tmp_path))
+        got = load_or_build(4096, str(tmp_path))
+        _same_tables(got, build_tables_reference(4096, prefix))
+        assert (_scanned(f_spans_seen, range(3001, 4097)) < 0.5) is pruned
+
+    def test_in_memory_prefix_without_a_split_is_extended_exactly(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
+        prefix = build_tables(300)
+        prefix.f_split[300] = 0  # not a split: the fill takes another
+        _same_tables(optimizer._extend(prefix, 700), build_tables_reference(700, prefix))
 
 
 class TestTableStore:
