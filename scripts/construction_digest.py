@@ -15,13 +15,15 @@ over-cap ones; and chains nested ``MAX_NESTING - 1`` to ``MAX_NESTING + 1``
 deep.  Last, the rows of ``build_tables(8191)`` themselves, whose f rows
 from 2048 on the fill prunes.  It prints the number of constructions,
 expressions and tables and the sha256 of, for each construction, its name,
-class, steps (as ``float.hex``) and rate (``float.hex``); for each
+class, steps (as ``float.hex``) and rate (``float.hex``), and for an f-class
+one with a tree the weights of its ``build_f_certificate`` (``float.hex``);
+for each
 expression its text, its canonical form ``format_expr(parse(text))``, its
 ``typecheck`` classes and what ``compile_expression`` gives with the class
 inferred and with each class given; and for the tables their name, the s
 and f rates (``float.hex``) and splits (decimal ints).  A construction,
-parse, typecheck or compile that raises contributes its error type,
-message and (for a syntax error) position instead.
+parse, typecheck, compile or certificate that raises contributes its error
+type, message and (for a syntax error) position instead.
 
 Only public APIs are used, so two source trees that print the same line on
 one machine build the same schedules bit for bit:
@@ -46,6 +48,7 @@ from stepweaver.builders import dynamic_short, f_extend, left_heavy, right_heavy
 from stepweaver.dsl import MAX_NESTING, compile_expression, format_expr, parse, typecheck  # noqa: E402
 from stepweaver.optimizer import build_tables, enumerate_basic, obs_f, obs_g, obs_s  # noqa: E402
 from stepweaver.schedule import CompClass, ResourceCapError, ScheduleError  # noqa: E402
+from stepweaver.verify import build_f_certificate  # noqa: E402
 
 EXTEND_LENGTHS = (0, 1, 2, 3, 10, 100, 4000)
 OBS_LENGTHS = (*range(301), 2047)
@@ -113,6 +116,11 @@ def schedule_fields(schedule):
     yield schedule.comp_class.value
     yield " ".join(map(float.hex, schedule.steps.tolist()))
     yield float.hex(schedule.rate)
+    if schedule.comp_class is CompClass.F and schedule.tree is not None:
+        try:
+            yield " ".join(map(float.hex, build_f_certificate(schedule.tree).weights.tolist()))
+        except ScheduleError as exc:
+            yield from error_fields(exc)
 
 
 def constructions(tables):

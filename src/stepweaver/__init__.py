@@ -20,10 +20,8 @@ from .schedule import (  # noqa: F401
     empty_schedule,
     fg_rates_from_s,
     join,
-    join_rate,
     join_step,
     materialize,
-    middle_step,
     reverse,
     validate_schedule,
 )

@@ -366,7 +366,8 @@ def worst_case_scan(
 
 def certified_bound(schedule: StepSchedule, criterion: str) -> "float | None":
     """The certified value for a scan criterion, or None when the class
-    does not certify it (F certifies gap, G certifies gradient, S both)."""
+    does not certify it (F certifies gap, G certifies gradient, S both).
+    An S rate of 0 or 2 raises ``ScheduleError`` (``fg_rates_from_s``)."""
     if schedule.comp_class is CompClass.S:
         return fg_rates_from_s(schedule)[0]
     if schedule.comp_class is CompClass.F and criterion == "objective_gap_per_D2":

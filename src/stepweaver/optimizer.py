@@ -34,12 +34,14 @@ from .schedule import (
     ScheduleError,
     StepSchedule,
     _fgjoin_rate,
+    fold_tree,
     join,  # not called here; perfbench's traced layer map wraps optimizer.join
     join_step,
     materialize,
     operand_classes,
     result_class,
     reverse,
+    validate_schedule,
 )
 
 # Exponent governing the n^-p decay of optimal rates; computed, never hard-coded.
@@ -233,10 +235,10 @@ _ENVELOPE_CELLS = 4096
 _ENVELOPE_MARGIN = 1e-9  # relative; covers the rounding of v0, n^p, the minima and the table
 
 
-def _envelope_bounds(join_rate, rho: float):
+def _envelope_bounds(rate_of, rho: float):
     """``(bound, i1, i2)``: lower bounds of
-    ``h(x) = join_rate(x^-p, rho * (1-x)^-p)`` on the ``_ENVELOPE_CELLS``
-    cells ``[x_i, x_i+1]`` of [0, 1], ``lb_i = join_rate(x_i+1^-p,
+    ``h(x) = rate_of(x^-p, rho * (1-x)^-p)`` on the ``_ENVELOPE_CELLS``
+    cells ``[x_i, x_i+1]`` of [0, 1], ``lb_i = rate_of(x_i+1^-p,
     rho * (1-x_i)^-p)``, valid for any join homogeneous of degree 1 and
     increasing in both operands.  None unless ``lb`` rises to cell ``i1``,
     falls to cell ``i2`` and rises to the end.  ``bound``, a memoryview
@@ -244,7 +246,7 @@ def _envelope_bounds(join_rate, rho: float):
     inside the fall, so that each run bisects as an ascending sequence."""
     cells = _ENVELOPE_CELLS
     x = np.arange(cells + 1) / cells
-    lb = join_rate(x[1:] ** -P_EXPONENT, rho * (1.0 - x[:-1]) ** -P_EXPONENT)
+    lb = rate_of(x[1:] ** -P_EXPONENT, rho * (1.0 - x[:-1]) ** -P_EXPONENT)
     step = np.diff(lb)
     down = np.flatnonzero(step < 0.0)
     i1 = int(down[0]) if down.size else cells - 1
@@ -310,37 +312,41 @@ def _reconstruct(tables: RateTables, cls: CompClass, idx: int) -> StepSchedule:
     Row ``n`` of class ``cls`` joins rows ``m`` and ``n - m`` with the class's
     join, whose operand classes come from the join typing table.  Iterative,
     so deep split chains cannot overflow the stack.  The walk builds each
-    row's tree once, with its rate, which must equal the table's; the
-    steps come from one :func:`materialize` of the returned row's tree, and
-    nothing is kept between calls.
+    row's tree node once, a shape only; one :func:`fold_tree` of the
+    returned row then gives every row's rate, which must equal the table's
+    bit for bit (the first row that differs, in the walk's order of
+    building, is named), and the steps.  Nothing is kept between calls.
     """
     columns = {  # class -> (join, split and rate columns, operand classes)
         CompClass.S: (JoinOp.SJOIN, tables.s_split, tables.s_rate, *operand_classes(JoinOp.SJOIN)),
         CompClass.F: (JoinOp.FJOIN, tables.f_split, tables.f_rate, *operand_classes(JoinOp.FJOIN)),
     }
-    rows = {}
+    rows = {}  # (class, row) -> its tree node, children first
     work = [(cls, idx)]
     while work:
         key = c, n = work.pop()
         if key in rows:
             continue
-        op, split, rate, lcls, rcls = columns[c]
+        op, split, _, lcls, rcls = columns[c]
         if n == 1:
-            row = (LEAF, 1.0)
-        else:
-            m = int(split[n])
-            if not 0 < m < n:  # operand rows must be shorter, or the walk never ends
-                raise ScheduleError(f"{c.value}-table split {m} out of range at row {n}")
-            left, right = rows.get((lcls, m)), rows.get((rcls, n - m))
-            if left is None or right is None:
-                work += [key, (lcls, m), (rcls, n - m)]  # resolve the operand rows first
-                continue
-            (ltree, lrate), (rtree, rrate) = left, right
-            row = (CompositionTree(op, ltree, rtree), join_step(op, lrate, rrate)[1])
-        if row[1] != rate[n]:
+            rows[key] = LEAF
+            continue
+        m = int(split[n])
+        if not 0 < m < n:  # operand rows must be shorter, or the walk never ends
+            raise ScheduleError(f"{c.value}-table split {m} out of range at row {n}")
+        left, right = rows.get((lcls, m)), rows.get((rcls, n - m))
+        if left is None or right is None:
+            work += [key, (lcls, m), (rcls, n - m)]  # resolve the operand rows first
+            continue
+        rows[key] = CompositionTree(op, left, right)
+    tree = rows[cls, idx]
+    fold = fold_tree(tree)
+    for (c, n), node in rows.items():
+        if fold.node(node)[0] != columns[c][2][n]:
             raise ScheduleError(f"{c.value}-table reconstruction mismatch at row {n}")
-        rows[key] = row
-    return materialize(rows[cls, idx][0], cls)
+    out = StepSchedule(fold.steps, cls, fold.rate, tree)
+    validate_schedule(out)
+    return out
 
 
 def _check_row(n: int, tables: "RateTables | None", f_table: bool) -> RateTables:

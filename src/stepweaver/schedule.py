@@ -126,13 +126,6 @@ def _fgjoin_rate(alpha, beta):
     return _fgjoin(alpha, beta)[1]
 
 
-def _s_side_first(op: JoinOp, left_rate: float, right_rate: float):
-    """``(alpha, beta)`` from operand rates in concatenation order: S-side rate first."""
-    if op is JoinOp.GJOIN:
-        return right_rate, left_rate
-    return left_rate, right_rate
-
-
 def join_step(op: JoinOp, left_rate: float, right_rate: float):
     """``(mu, rate)`` of a join node: the middle step it inserts and the
     joined rate, from the operand rates in concatenation order.
@@ -142,19 +135,10 @@ def join_step(op: JoinOp, left_rate: float, right_rate: float):
     """
     if not (left_rate > 0.0 and right_rate > 0.0):
         raise ScheduleError(f"join rates must be positive, got {left_rate} and {right_rate}")
-    mu, rate = (_sjoin if op is JoinOp.SJOIN else _fgjoin)(*_s_side_first(op, left_rate, right_rate))
+    # the formulas take the S-side rate first: <| has it on the right
+    alpha, beta = (right_rate, left_rate) if op is JoinOp.GJOIN else (left_rate, right_rate)
+    mu, rate = (_sjoin if op is JoinOp.SJOIN else _fgjoin)(alpha, beta)
     return float(mu), float(rate)
-
-
-def join_rate(op: JoinOp, alpha: float, beta: float) -> float:
-    """Scalar join of two rates; ``alpha`` is the S-side rate, ``beta`` the
-    F/G/second-S side (see :func:`join_step`)."""
-    return join_step(op, *_s_side_first(op, alpha, beta))[1]
-
-
-def middle_step(op: JoinOp, alpha: float, beta: float) -> float:
-    """Middle stepsize inserted by a join, S-side rate first; always > 1."""
-    return join_step(op, *_s_side_first(op, alpha, beta))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +249,6 @@ def join_classes(op: JoinOp, left: frozenset, right: frozenset) -> frozenset:
     cannot take the class it needs."""
     lneed, rneed = operand_classes(op)
     return frozenset((result_class(op),)) if lneed in left and rneed in right else frozenset()
-
-
-def admissible_classes(tree: CompositionTree) -> frozenset:
-    """Classes a tree can evaluate to: leaves admit all three, joins one."""
-    return postorder(tree, lambda node: ALL_CLASSES, lambda node, left, right: join_classes(node.op, left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +389,21 @@ def flip(h: StepSchedule, tree: "CompositionTree | None" = None) -> StepSchedule
 def fg_rates_from_s(h: StepSchedule):
     """Objective-gap and gradient-norm rates implied by an S-class schedule.
 
-    Both equal ``1/(1 + 2*sum h) = 1/(2/eta - 1)``.
+    Both equal ``1/(1 + 2*sum h) = 1/(2/eta - 1)`` (:func:`_s_fg_ratio`).
     """
     if h.comp_class is not CompClass.S:
         raise ClassMismatchError(f"expected an s-class schedule, got {h.comp_class.value}")
-    r = 1.0 / (2.0 / h.rate - 1.0)
+    r = _s_fg_ratio(h.rate)
     return r, r
+
+
+def _s_fg_ratio(eta: float) -> float:
+    """``1/(2/eta - 1)``, the factor of the gap and gradient bounds that
+    class S implies.  At rate 0 or 2 it, or the ``g_n/eta`` of the gap
+    bound's residual, divides by zero: there it raises a ``ScheduleError``."""
+    if eta == 0.0 or eta == 2.0:
+        raise ScheduleError(f"the s-implied bounds' factor 1/(2/eta - 1) is not defined at rate {eta!r}")
+    return 1.0 / (2.0 / eta - 1.0)
 
 
 class TreeFold(NamedTuple):
@@ -423,7 +411,7 @@ class TreeFold(NamedTuple):
 
     steps: np.ndarray  # the schedule's steps, in order
     rate: float
-    classes: frozenset  # the classes the tree admits (:func:`admissible_classes`)
+    classes: frozenset  # the classes the tree admits: leaves all three, joins :func:`join_classes`
     index: dict  # id(node) -> the distinct node's entry in rates and sizes
     rates: array  # each distinct node's rate
     sizes: array  # and its number of steps
@@ -507,15 +495,6 @@ def fold_tree(tree, leaf=empty_leaf) -> TreeFold:
     return TreeFold(steps, rates[root], classes, index, rates, sizes, errors[0] if errors else None)
 
 
-def tree_steps(tree, leaf=empty_leaf):
-    """``(steps, rate)`` of the schedule a tree evaluates to (:func:`fold_tree`);
-    a leaf that ``leaf`` refuses raises its ``ScheduleError``."""
-    fold = fold_tree(tree, leaf)
-    if fold.error is not None:
-        raise fold.error
-    return fold.steps, fold.rate
-
-
 def check_steps(s: StepSchedule, steps, rate: float, tol: float = DEFAULT_IDENTITY_TOL, source: str = "tree") -> None:
     """Raise ``IdentityError`` unless ``steps`` and ``rate``, built by
     ``source``, reproduce the schedule: the same length, every step within
@@ -568,14 +547,15 @@ def materialize(tree: CompositionTree, comp_class: CompClass, leaf=None) -> Step
 
     ``leaf(node)`` is a leaf's schedule, of the class its place requires (the
     DSL typechecks first), or None for ``e``; the default :func:`empty_leaf`
-    reads ``e`` alone, and then the one fold gives the classes too.  The
-    classes are checked before ``leaf`` is called.  A conjectured leaf
-    schedule cannot be joined.  The result carries the tree, with each
-    leaf's own tree in its place when ``leaf`` is given, or none when a leaf
-    has none.
+    reads ``e`` alone, and then the one fold gives the classes too.  With
+    ``leaf``, the classes come from a first fold that reads every leaf as
+    empty, so they are checked before ``leaf`` is called, and a second fold
+    takes the leaf schedules.  A conjectured leaf schedule cannot be joined.
+    The result carries the tree, with each leaf's own tree in its place when
+    ``leaf`` is given, or none when a leaf has none.
     """
-    fold = fold_tree(tree) if leaf is None else None
-    _require_class(admissible_classes(tree) if fold is None else fold.classes, comp_class)
+    fold = fold_tree(tree)
+    _require_class(fold.classes, comp_class)
     leaves = {}
 
     def leaf_once(node):
@@ -593,7 +573,7 @@ def materialize(tree: CompositionTree, comp_class: CompClass, leaf=None) -> Step
         return leaf_once(tree) or empty_schedule(comp_class)
     # empty_leaf gives no schedule, so only leaf schedules can be conjectured or put their own trees in
     shape = tree
-    if fold is None:
+    if leaf is not None:
         shape = postorder(tree, lambda node: getattr(leaf_once(node), "tree", node), combine)
         fold = fold_tree(tree, leaf_once)
     if fold.error is not None:

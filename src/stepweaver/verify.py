@@ -80,19 +80,23 @@ from .schedule import (
     CompClass,
     CompositionTree,
     IdentityError,
-    JoinOp,
+    ResourceCapError,
     ScheduleError,
     StepSchedule,
     TreeFold,
+    _s_fg_ratio,
     check_tree,
     flip,
     fold_tree,
-    join_step,
     reverse,  # not called here; the benchmark's traced run wraps verify.reverse
     validate_schedule,
 )
 
 BATTERY_DIMS = (1, 2, 4, 8)
+# Most float64 values the one GD loop of a verification may hold: n+1 points
+# of every battery coordinate and tight row, 256 MiB.  The default battery
+# at n = 32767 takes 2.5e7, battery 2000 at n = 255 takes 1.9e6.
+MAX_TRACE_VALUES = 2**25
 
 
 @dataclass(frozen=True)
@@ -127,11 +131,12 @@ def build_f_certificate(tree: CompositionTree, fold: "TreeFold | None" = None) -
     ``schedule.empty_leaf``), and a ``|>`` node joining an S-subtree with
     steps ``a`` and rate alpha onto a certificate ``w`` at rate beta gives
     ``v = [a, 1 + 1/alpha, sqrt(beta/eta) * w]`` at the joined rate eta.  A
-    spine node's subtree holds the last steps of the tree, so ``a`` is a
-    slice of the tree's steps, and the rates are the fold's: ``fold`` is the
-    tree's ``schedule.fold_tree``, made here when not given.  The scaling
-    factor is checked against its two algebraically equal forms
-    ``beta/eta - 2*beta/alpha`` and ``alpha*beta*(mu-1)/eta``.
+    spine node's subtree holds the last steps of the tree, so ``a`` and the
+    node's middle step ``mu`` are read off the tree's steps, and the rates
+    are the fold's: ``fold`` is the tree's ``schedule.fold_tree``, made here
+    when not given.  The scaling factor is checked against its two
+    algebraically equal forms ``beta/eta - 2*beta/alpha`` and
+    ``alpha*beta*(mu-1)/eta``.
     """
     fold = fold_tree(tree) if fold is None else fold
     if CompClass.F not in fold.classes:
@@ -144,8 +149,9 @@ def build_f_certificate(tree: CompositionTree, fold: "TreeFold | None" = None) -
         tree = tree.right
     v, beta, n = np.array([1.0]), 1.0, fold.steps.size
     for node in reversed(spine):
-        (alpha, size), start = fold.node(node.left), n - fold.node(node)[1]
-        mu, eta = join_step(JoinOp.FJOIN, alpha, beta)
+        (alpha, size), (eta, length) = fold.node(node.left), fold.node(node)
+        start = n - length
+        mu = fold.steps[start + size]
         scale = np.sqrt(beta / eta)
         alt1 = beta / eta - 2.0 * beta / alpha
         alt2 = alpha * beta * (mu - 1.0) / eta
@@ -219,15 +225,6 @@ def _s_slack_raw(steps, eta, X, G, F):
     weighted = _weighted_sum(steps, _point_terms(X, G, F, len(X) - 1))
     diff = X[-1] - X[0]
     return weighted - _dot(diff, diff) - _s_gradient_weight(eta) * _dot(G[-1], G[-1])
-
-
-def _s_fg_ratio(eta: float) -> float:
-    """``1/(2/eta - 1)``, the factor of the gap and gradient bounds that
-    class S implies.  At rate 0 or 2 it, or the ``g_n/eta`` of the gap
-    bound's residual, divides by zero: there it raises a ``ScheduleError``."""
-    if eta == 0.0 or eta == 2.0:
-        raise ScheduleError(f"the s-implied bounds' factor 1/(2/eta - 1) is not defined at rate {eta!r}")
-    return 1.0 / (2.0 / eta - 1.0)
 
 
 def _s_fg_slacks_raw(steps, eta, X, G, F):
@@ -553,6 +550,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _check_trace_size(n: int, battery: int, rows: int) -> None:
+    """Raise ``ResourceCapError`` unless the one GD loop of a schedule of
+    length ``n`` over ``battery`` instances and ``rows`` tight rows, n+1
+    points of their coordinates, holds at most ``MAX_TRACE_VALUES`` values.
+    From the sizes alone: no instance is drawn."""
+    cycles, rest = divmod(battery, len(BATTERY_DIMS))
+    coords = cycles * sum(BATTERY_DIMS) + sum(BATTERY_DIMS[:rest]) + rows
+    if (n + 1) * coords > MAX_TRACE_VALUES:
+        raise ResourceCapError(
+            f"verification trace of {n + 1} points x {coords} coordinates (battery {battery}) "
+            f"exceeds cap {MAX_TRACE_VALUES} values"
+        )
+
+
 def battery_instances(config: RunConfig):
     """The deterministic random battery as ``(index, instance, x0)`` triples.
 
@@ -660,7 +671,7 @@ def _battery_slacks(schedule: StepSchedule, cert, implied: bool, X, G, F) -> dic
     (:class:`CertificateV`; without them the direct gap inequality is
     checked) or the S gradient weight (without it the mixed inequality is
     not checked).  ``implied`` says whether the S-implied gap and gradient
-    bounds are checked (their factor, :func:`_s_fg_ratio`, could be made)."""
+    bounds are checked (their factor, ``schedule._s_fg_ratio``, could be made)."""
     eta = schedule.rate
     if schedule.comp_class is CompClass.F:
         if cert is not None:
@@ -723,6 +734,8 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     entry, by ``schedule.check_tree``) and the reversal duality.  numpy's
     floating-point warnings are off inside: an overflow or invalid value
     reaches its check's slack as an infinity or NaN, and the check fails.
+    A run of more than ``MAX_TRACE_VALUES`` values raises
+    ``ResourceCapError`` before the battery is drawn.
     """
     config = config or RunConfig()
     report = VerificationReport(
@@ -784,6 +797,7 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         if dual is not None:
             runs.append(dual)
 
+    _check_trace_size(schedule.n, config.battery, sum(len(rows) for _, rows in runs))
     # every battery slack and the interpolation minimum keep their worst case
     groups, traces = _one_loop(_battery(config.battery, config.seed), runs)
     worst: dict[str, tuple] = {}

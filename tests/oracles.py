@@ -38,7 +38,7 @@ Huber/quadratic gradient and the value at every step.  The production
 and values evaluated after it) must reproduce its traces byte for byte.
 
 ``join_by_join`` evaluates a construction tree by joining upward, one
-``join`` per node.  The production ``stepweaver.schedule.tree_steps`` (one
+``join`` per node.  The production ``stepweaver.schedule.fold_tree`` (one
 rate fold, then the middle steps laid out in order), and so ``materialize``,
 must give the same steps byte for byte and the same rate.
 
@@ -64,8 +64,8 @@ drift of it.
 and ``fgjoin_mu_reference`` are the scalar join formulas written separately,
 each with its own square root.  The production ``stepweaver.schedule`` gives
 each join one formula for the middle step and the rate, from one square
-root; ``join_step``, ``join_rate``, ``middle_step``, ``_sjoin_rate`` and
-``_fgjoin_rate`` must give the same bits on scalars and arrays.
+root; ``join_step``, ``_sjoin_rate`` and ``_fgjoin_rate`` must give the
+same bits on scalars and arrays.
 
 ``write_rate_csv_reference`` writes rate tables through ``csv.writer``, one
 ``format`` per value.  The production ``stepweaver.optimizer.write_rate_csv``
@@ -85,7 +85,7 @@ from stepweaver.schedule import (
     _sjoin_rate,
     empty_schedule,
     join,
-    join_rate,
+    join_step,
     operand_classes,
     postorder,
 )
@@ -313,7 +313,7 @@ def f_certificate_spine_walk(tree):
     for node in reversed(chain):
         a = join_by_join(node.left, CompClass.S)
         beta = eta
-        eta = join_rate(JoinOp.FJOIN, a.rate, beta)
+        eta = join_step(JoinOp.FJOIN, a.rate, beta)[1]
         v = np.concatenate([a.steps, [1.0 + 1.0 / a.rate], np.sqrt(beta / eta) * v])
     return v, eta
 

@@ -17,7 +17,7 @@ from stepweaver.dsl import (
     parse,
     typecheck,
 )
-from stepweaver.schedule import LEAF, CompClass, CompositionTree, JoinOp, admissible_classes, postorder
+from stepweaver.schedule import LEAF, CompClass, CompositionTree, JoinOp, fold_tree, postorder
 
 SQ2 = math.sqrt(2.0)
 
@@ -298,7 +298,7 @@ class TestFolds:
     def test_typecheck_agrees_with_admissible_classes(self, tree):
         text = postorder(tree, lambda node: "e", lambda node, left, right: f"({left} {node.op.symbol} {right})")
         assert repr(tree) == text and parse(text) == tree
-        classes = admissible_classes(tree)
+        classes = fold_tree(tree).classes
         if classes:
             assert typecheck(parse(text)) == classes
         else:

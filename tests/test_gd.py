@@ -248,6 +248,12 @@ class TestWorstCaseScan:
     def test_uncertified_combination_returns_none(self):
         assert certified_bound(obs_f(2), "gradnorm_per_gap") is None
 
+    @pytest.mark.parametrize("rate", [0.0, 2.0])
+    @pytest.mark.parametrize("criterion", ["objective_gap_per_D2", "gradnorm_per_gap"])
+    def test_s_rate_zero_or_two_is_a_schedule_error(self, rate, criterion):
+        with pytest.raises(ScheduleError, match=r"1/\(2/eta - 1\) is not defined at rate"):
+            certified_bound(StepSchedule([1.5], CompClass.S, rate), criterion)
+
     def test_grid_size_guard(self):
         with pytest.raises(ScheduleError):
             worst_case_scan(obs_f(2), "objective_gap_per_D2", 50)

@@ -634,6 +634,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: dimension 10000000000000 exceeds cap 16777216\n")
 
+    def test_huge_battery_exit_5_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        """A battery whose trace exceeds ``verify.MAX_TRACE_VALUES``, from the
+        flag or from a config, is refused from its size: no instance is drawn."""
+        from stepweaver import verify
+
+        sched, config = tmp_path / "h.json", tmp_path / "c.json"
+        main(["compose", "silver(2)", "--out", str(sched)])
+        config.write_text('{"battery": 5000000}')
+        capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("battery drawn")
+
+        monkeypatch.setattr(verify, "battery_instances", refuse)
+        monkeypatch.setattr(verify, "random_instance", refuse)
+        want = "error: verification trace of 4 points x {} coordinates (battery {}) exceeds cap 33554432 values\n"
+        assert main(["verify", str(sched), "--battery", "1000000000000"]) == 5
+        assert capsys.readouterr() == ("", want.format(3750000000006, 1000000000000))
+        assert main(["verify", str(sched), "--config", str(config)]) == 5
+        assert capsys.readouterr() == ("", want.format(18750006, 5000000))
+
     def test_bounds(self, capsys):
         assert main(["bounds", "--k", "3"]) == 0
         out = capsys.readouterr().out

@@ -188,6 +188,41 @@ class TestReconstruction:
         with pytest.raises(ScheduleError, match=match):
             obs(row - 1, t)
 
+    @staticmethod
+    def _operand_rows(t, cls, n):
+        """The rows that row ``n`` of class ``cls`` joins, ``(class, row)`` each."""
+        m = int((t.s_split if cls == "s" else t.f_split)[n])
+        return ("s", m), (cls, n - m)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("cls", ["s", "f"])
+    @pytest.mark.parametrize("bad", ["zero", "row"])
+    def test_split_out_of_range_names_its_row(self, cls, side, bad):
+        """An operand row of the root (the left or the right) whose split is 0
+        or the row itself: the walk names that split and row."""
+        t = build_tables(40)
+        c, row = self._operand_rows(t, cls, 40)[side]
+        split = t.s_split if c == "s" else t.f_split
+        split[row] = 0 if bad == "zero" else row
+        obs = obs_s if cls == "s" else obs_f
+        with pytest.raises(ScheduleError, match=rf"^{c}-table split {split[row]} out of range at row {row}$"):
+            obs(39, t)
+
+    @pytest.mark.parametrize("toward", [0.0, 2.0])
+    @pytest.mark.parametrize("side", [0, 1, None])
+    @pytest.mark.parametrize("cls", ["s", "f"])
+    def test_rate_one_ulp_off_names_its_row(self, cls, side, toward):
+        """A rate one ulp from the join of its operands' rates, at the root
+        (``side`` None) or at one of its operand rows, is a mismatch at that
+        row: the rates are compared bit for bit."""
+        t = build_tables(40)
+        c, row = (cls, 40) if side is None else self._operand_rows(t, cls, 40)[side]
+        rate = t.s_rate if c == "s" else t.f_rate
+        rate[row] = np.nextafter(rate[row], toward)
+        obs = obs_s if cls == "s" else obs_f
+        with pytest.raises(ScheduleError, match=rf"^{c}-table reconstruction mismatch at row {row}$"):
+            obs(39, t)
+
     def test_obs_s_three(self, tables):
         h = obs_s(3, tables)
         assert np.allclose(h.steps, [SQ2, 2.0, SQ2], rtol=1e-15)
@@ -616,9 +651,9 @@ class TestAsymptotics:
 
     def test_inner_objective_sanity_points(self):
         # at lambda = 1/2 with c = 1 the objective is (1+sqrt2) * (1 |> 1)
-        from stepweaver.schedule import JoinOp, join_rate
+        from stepweaver.schedule import JoinOp, join_step
 
-        val = join_rate(JoinOp.FJOIN, 2.0**P_EXPONENT, 2.0**P_EXPONENT)
+        val = join_step(JoinOp.FJOIN, 2.0**P_EXPONENT, 2.0**P_EXPONENT)[1]
         assert val == pytest.approx((1.0 + SQ2) / 4.0, rel=1e-14)
 
     def test_bundle(self, tables):

@@ -18,25 +18,22 @@ from stepweaver.schedule import (
     ScheduleError,
     StepSchedule,
     UncertifiedScheduleError,
-    admissible_classes,
     check_tree,
     closed_form_rates,
     empty_leaf,
     empty_schedule,
     fg_rates_from_s,
+    fold_tree,
     _fgjoin,
     _fgjoin_rate,
     _sjoin,
     _sjoin_rate,
     join,
-    join_rate,
     join_step,
     materialize,
-    middle_step,
     operand_classes,
     result_class,
     reverse,
-    tree_steps,
     validate_schedule,
 )
 
@@ -72,43 +69,45 @@ class TestEmpty:
         validate_schedule(h)
 
     def test_polymorphic_leaf(self):
-        assert admissible_classes(LEAF) == frozenset(CompClass)
+        assert fold_tree(LEAF).classes == frozenset(CompClass)
 
 
 class TestJoinRate:
+    """The joined rate of ``join_step``, operands in concatenation order:
+    ``<|`` takes its s-side rate second."""
+
     def test_sjoin_of_ones(self):
-        assert join_rate(JoinOp.SJOIN, 1.0, 1.0) == pytest.approx(SQ2 - 1.0, rel=1e-15)
+        assert join_step(JoinOp.SJOIN, 1.0, 1.0)[1] == pytest.approx(SQ2 - 1.0, rel=1e-15)
 
     def test_fjoin_of_ones(self):
-        assert join_rate(JoinOp.FJOIN, 1.0, 1.0) == 0.25
+        assert join_step(JoinOp.FJOIN, 1.0, 1.0)[1] == 0.25
 
     def test_fjoin_silver_one(self):
         # composing the one-step balanced schedule with an empty f-schedule
         expected = 2.0 / (math.sqrt(9.0 + 8.0 * SQ2) + 4.0 * SQ2 + 5.0)
-        assert join_rate(JoinOp.FJOIN, SQ2 - 1.0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert join_step(JoinOp.FJOIN, SQ2 - 1.0, 1.0)[1] == pytest.approx(expected, rel=1e-14)
+        assert join_step(JoinOp.GJOIN, 1.0, SQ2 - 1.0)[1] == pytest.approx(expected, rel=1e-14)
 
     def test_rejects_nonpositive(self):
         for bad in (0.0, -0.1):
             with pytest.raises(ScheduleError):
-                join_rate(JoinOp.SJOIN, bad, 0.5)
+                join_step(JoinOp.SJOIN, bad, 0.5)
             with pytest.raises(ScheduleError):
-                join_rate(JoinOp.FJOIN, 0.5, bad)
+                join_step(JoinOp.FJOIN, 0.5, bad)
 
     def test_accepts_rates_above_one(self):
         # the scalar overload is defined for all positive values
-        assert join_rate(JoinOp.FJOIN, 4.0, 4.0) == pytest.approx(1.0, rel=1e-14)
+        assert join_step(JoinOp.FJOIN, 4.0, 4.0)[1] == pytest.approx(1.0, rel=1e-14)
 
     @given(rates, rates, st.floats(min_value=1e-3, max_value=1.0))
     def test_homogeneity(self, a, b, r):
         for op in JoinOp:
-            assert join_rate(op, r * a, r * b) == pytest.approx(
-                r * join_rate(op, a, b), rel=1e-13
-            )
+            assert join_step(op, r * a, r * b)[1] == pytest.approx(r * join_step(op, a, b)[1], rel=1e-13)
 
     def test_homogeneity_spec_point(self):
         r, a, b = 0.5, 0.3, 0.7
-        assert join_rate(JoinOp.SJOIN, r * a, r * b) == pytest.approx(
-            r * join_rate(JoinOp.SJOIN, a, b), rel=1e-13
+        assert join_step(JoinOp.SJOIN, r * a, r * b)[1] == pytest.approx(
+            r * join_step(JoinOp.SJOIN, a, b)[1], rel=1e-13
         )
 
     @given(rates, rates, st.floats(min_value=1.001, max_value=2.0))
@@ -117,7 +116,7 @@ class TestJoinRate:
         if a2 - a < 1e-9 * a:  # below float resolution of the join
             return
         for op in JoinOp:
-            assert join_rate(op, a2, b) > join_rate(op, a, b)
+            assert join_step(op, a2, b)[1] > join_step(op, a, b)[1]
 
     @given(rates, rates, st.floats(min_value=1.001, max_value=2.0))
     def test_monotone_in_second_argument(self, a, b, bump):
@@ -125,53 +124,56 @@ class TestJoinRate:
         if b2 - b < 1e-9 * b:
             return
         for op in JoinOp:
-            assert join_rate(op, a, b2) > join_rate(op, a, b)
+            assert join_step(op, a, b2)[1] > join_step(op, a, b)[1]
 
     @given(rates, rates)
     def test_sjoin_commutative_exactly(self, a, b):
-        assert join_rate(JoinOp.SJOIN, a, b) == join_rate(JoinOp.SJOIN, b, a)
+        assert join_step(JoinOp.SJOIN, a, b) == join_step(JoinOp.SJOIN, b, a)
 
     @given(rates)
     def test_self_sjoin_identity(self, a):
-        assert join_rate(JoinOp.SJOIN, a, a) == pytest.approx(a / (1.0 + SQ2), rel=1e-13)
+        assert join_step(JoinOp.SJOIN, a, a)[1] == pytest.approx(a / (1.0 + SQ2), rel=1e-13)
 
     @given(rates)
     def test_join_with_one_decreases(self, a):
-        assert join_rate(JoinOp.SJOIN, a, 1.0) < a
-        assert join_rate(JoinOp.FJOIN, 1.0, a) < a  # 1 |> a
-        assert join_rate(JoinOp.GJOIN, 1.0, a) < a  # a <| 1 in concat order
+        assert join_step(JoinOp.SJOIN, a, 1.0)[1] < a
+        assert join_step(JoinOp.FJOIN, 1.0, a)[1] < a  # 1 |> a
+        assert join_step(JoinOp.GJOIN, a, 1.0)[1] < a  # a <| 1
 
 
 class TestMiddleStep:
+    """The middle step of ``join_step``, operands in concatenation order."""
+
     def test_sjoin_of_ones_is_sqrt2(self):
-        assert middle_step(JoinOp.SJOIN, 1.0, 1.0) == pytest.approx(SQ2, rel=1e-15)
+        assert join_step(JoinOp.SJOIN, 1.0, 1.0)[0] == pytest.approx(SQ2, rel=1e-15)
 
     def test_fjoin_example(self):
-        assert middle_step(JoinOp.FJOIN, 1.0, 0.25) == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert join_step(JoinOp.FJOIN, 1.0, 0.25)[0] == pytest.approx(math.sqrt(3.0), rel=1e-15)
 
     def test_gjoin_example(self):
         expected = (3.0 + math.sqrt(9.0 + 8.0 * SQ2)) / 4.0
-        assert middle_step(JoinOp.GJOIN, SQ2 - 1.0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert join_step(JoinOp.GJOIN, 1.0, SQ2 - 1.0)[0] == pytest.approx(expected, rel=1e-14)
 
     @given(rates, rates)
     def test_exceeds_one(self, a, b):
         for op in JoinOp:
-            assert middle_step(op, a, b) > 1.0
+            assert join_step(op, a, b)[0] > 1.0
 
     @given(
         st.floats(min_value=1e-3, max_value=1.0), st.floats(min_value=1e-3, max_value=1.0)
     )
     def test_matches_subtractive_forms(self, a, b):
         # the rationalized forms agree with the direct subtractive expressions
-        # wherever the latter are numerically stable
+        # wherever the latter are numerically stable (a is the s-side rate)
         s_sub = 1.0 + (math.sqrt(a * a + 6 * a * b + b * b) - (a + b)) / (2 * a * b)
         fg_sub = 1.0 + (math.sqrt(a * a + 8 * a * b) - a) / (4 * a * b)
-        assert middle_step(JoinOp.SJOIN, a, b) == pytest.approx(s_sub, rel=1e-12)
-        assert middle_step(JoinOp.FJOIN, a, b) == pytest.approx(fg_sub, rel=1e-12)
+        assert join_step(JoinOp.SJOIN, a, b)[0] == pytest.approx(s_sub, rel=1e-12)
+        assert join_step(JoinOp.FJOIN, a, b)[0] == pytest.approx(fg_sub, rel=1e-12)
+        assert join_step(JoinOp.GJOIN, b, a)[0] == pytest.approx(fg_sub, rel=1e-12)
 
     def test_stable_for_extreme_ratios(self):
         # subtractive form would cancel catastrophically here
-        mu = middle_step(JoinOp.FJOIN, 1.0, 1e-14)
+        mu = join_step(JoinOp.FJOIN, 1.0, 1e-14)[0]
         assert mu == pytest.approx(2.0, rel=1e-10)
 
 
@@ -193,7 +195,8 @@ def _bits(x):
 
 class TestJoinFormulas:
     """One formula per join against the separate formulas, each with its own
-    square root: the same bits for every view, on scalars and arrays."""
+    square root: the same bits from ``join_step`` and the array forms, on
+    scalars and arrays."""
 
     @given(_ANY_RATE, _ANY_RATE)
     def test_scalar_views(self, a, b):
@@ -201,8 +204,6 @@ class TestJoinFormulas:
             mu, rate = mu_ref(a, b), rate_ref(a, b)
             concat = (b, a) if op is JoinOp.GJOIN else (a, b)
             assert _bits(join_step(op, *concat)) == _bits((mu, rate))
-            assert _bits(join_rate(op, a, b)) == _bits(rate)
-            assert _bits(middle_step(op, a, b)) == _bits(mu)
         assert _bits(_sjoin_rate(a, b)) == _bits(sjoin_rate_reference(a, b))
         assert _bits(_fgjoin_rate(a, b)) == _bits(fgjoin_rate_reference(a, b))
 
@@ -342,8 +343,8 @@ class TestReverse:
         h = dynamic_short(20000)
         r = reverse(h)
         assert r.tree.length() == h.tree.length() == 20000
-        assert admissible_classes(h.tree) == {CompClass.G}
-        assert admissible_classes(r.tree) == {CompClass.F}
+        assert fold_tree(h.tree).classes == {CompClass.G}
+        assert fold_tree(r.tree).classes == {CompClass.F}
 
 
 class TestFgRates:
@@ -367,6 +368,17 @@ class TestFgRates:
     def test_rejects_other_classes(self):
         with pytest.raises(ClassMismatchError):
             fg_rates_from_s(e(CompClass.F))
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0])
+    def test_rate_zero_or_two_is_a_schedule_error(self, rate):
+        # 1/(2/eta - 1) divides by zero there
+        with pytest.raises(ScheduleError, match=r"1/\(2/eta - 1\) is not defined at rate"):
+            fg_rates_from_s(StepSchedule([1.5], CompClass.S, rate))
+
+    @given(st.floats(min_value=1e-300, max_value=1e6).filter(lambda eta: eta != 2.0))
+    def test_bits_of_the_closed_form(self, eta):
+        r = 1.0 / (2.0 / eta - 1.0)
+        assert fg_rates_from_s(StepSchedule([1.5], CompClass.S, eta)) == (r, r)
 
 
 class TestValidation:
@@ -394,13 +406,14 @@ class TestMaterialize:
 
     def test_length_counts_shared_subtrees_per_use(self):
         from stepweaver.builders import silver
+        from stepweaver.dsl import typecheck
 
         assert silver(20).tree.length() == 2**20 - 1
         t = LEAF
         for _ in range(64):  # 2^64 - 1 joins: finishes only if shared nodes are folded once
             t = CompositionTree(JoinOp.SJOIN, t, t)
         assert t.length() == 2**64 - 1
-        assert admissible_classes(t) == {CompClass.S}
+        assert typecheck(t) == {CompClass.S}  # the DSL's typing fold: fold_tree would lay 2^64 steps out
 
     def test_rejects_inadmissible_class(self):
         t = CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
@@ -433,8 +446,8 @@ class TestMacroLeaves:
         for text in (self.TEXT, "silver(2)", "((e >< e) |> (e |> obsf(2)))"):
             with pytest.raises(ScheduleError, match="is not e"):
                 materialize(parse(text), CompClass.S if "|>" not in text else CompClass.F)
-        with pytest.raises(ScheduleError, match=r"leaf silver\(2\) is not e"):
-            tree_steps(parse(self.TEXT))
+        fold = fold_tree(parse(self.TEXT))
+        assert isinstance(fold.error, ScheduleError) and "leaf silver(2) is not e" in str(fold.error)
 
     def test_check_tree_and_reverse_refuse_a_macro(self):
         h = self.one_step(self.TEXT)
@@ -449,7 +462,7 @@ class TestMacroLeaves:
         from stepweaver.dsl import parse
 
         tree = parse(self.TEXT)
-        assert tree.length() == 1 and admissible_classes(tree) == {CompClass.S}
+        assert tree.length() == 1 and fold_tree(tree).classes == {CompClass.S}
 
     def test_leaf_schedules_take_their_places(self):
         """With leaf schedules, the result is the join of the leaves and
@@ -537,10 +550,12 @@ def _workloads():
 
 
 def _assert_fold_matches_joins(tree, cls, h=None):
-    """``tree_steps`` and ``materialize`` give the join-by-join steps byte for
+    """``fold_tree`` and ``materialize`` give the join-by-join steps byte for
     byte and the same rate (and ``h``'s, when given)."""
     ref = join_by_join(tree, cls)
-    steps, rate = tree_steps(tree)
+    fold = fold_tree(tree)
+    assert fold.error is None
+    steps, rate = fold.steps, fold.rate
     built = materialize(tree, cls)
     assert steps.tobytes() == built.steps.tobytes() == ref.steps.tobytes()
     assert rate == built.rate == ref.rate
@@ -616,8 +631,8 @@ class TestTreeSteps:
         _assert_fold_matches_joins(tree, cls)
 
     def test_leaf_is_the_empty_schedule(self):
-        steps, rate = tree_steps(LEAF)
-        assert steps.size == 0 and rate == 1.0
+        fold = fold_tree(LEAF)
+        assert fold.steps.size == 0 and fold.rate == 1.0 and fold.error is None
 
     def test_no_consumer_joins_per_node(self, monkeypatch):
         """materialize, the table walk, the F certificate, the DSL's

@@ -20,19 +20,21 @@ from stepweaver.schedule import (
     CompositionTree,
     IdentityError,
     JoinOp,
+    ResourceCapError,
     ScheduleError,
     StepSchedule,
-    admissible_classes,
     empty_schedule,
+    fold_tree,
     join,
-    join_rate,
+    join_step,
     materialize,
-    middle_step,
     reverse,
     validate_schedule,
 )
 from stepweaver.verify import (
+    MAX_TRACE_VALUES,
     CertificateV,
+    _check_trace_size,
     _f_cert_slack_raw,
     _g_slack_raw,
     _q_min_batched,
@@ -87,8 +89,7 @@ class TestCertificateConstruction:
                 a = materialize(node.left, CompClass.S)
                 beta_tree = node.right
                 beta = materialize(beta_tree, CompClass.F).rate
-                eta = join_rate(JoinOp.FJOIN, a.rate, beta)
-                mu = middle_step(JoinOp.FJOIN, a.rate, beta)
+                mu, eta = join_step(JoinOp.FJOIN, a.rate, beta)
                 scale = math.sqrt(beta / eta)
                 assert scale == pytest.approx(beta / eta - 2.0 * beta / a.rate, rel=1e-12)
                 assert scale == pytest.approx(a.rate * beta * (mu - 1.0) / eta, rel=1e-12)
@@ -122,7 +123,7 @@ class TestCertificateConstruction:
         )
     )
     def test_every_tree_without_class_f_is_a_class_mismatch(self, tree):
-        if CompClass.F in admissible_classes(tree):
+        if CompClass.F in fold_tree(tree).classes:
             cert = build_f_certificate(tree)
             assert cert.weights.size == tree.length() + 1
         else:
@@ -549,6 +550,35 @@ class TestVerifySchedule:
         report = verify_schedule(schedule, cfg)
         assert report.certified, report.summary()
         assert len(built) == 1
+
+
+class TestTraceCap:
+    """``MAX_TRACE_VALUES`` bounds the (n+1) x (battery coordinates + tight
+    rows) values of a verification's one GD loop."""
+
+    @pytest.mark.parametrize("n, battery", [(32767, 200), (255, 2000)])
+    def test_admits_the_stated_sizes(self, n, battery):
+        _check_trace_size(n, battery, 6)  # 4 tight rows of class s, 2 of its reversal
+
+    def test_counts_each_dimension_of_the_cycle(self):
+        # battery 7 is dims 1, 2, 4, 8, 1, 2, 4: 22 coordinates
+        n = MAX_TRACE_VALUES // 24 - 1
+        _check_trace_size(n, 7, 2)
+        with pytest.raises(ResourceCapError, match=f"of {n + 1} points x 25 coordinates"):
+            _check_trace_size(n, 7, 3)
+        with pytest.raises(ResourceCapError, match=f"of {n + 1} points x 30 coordinates"):
+            _check_trace_size(n, 8, 0)
+
+    def test_refused_before_any_instance_is_drawn(self, monkeypatch):
+        from stepweaver import verify
+
+        def refuse(*args):
+            raise AssertionError("battery drawn")
+
+        monkeypatch.setattr(verify, "battery_instances", refuse)
+        monkeypatch.setattr(verify, "random_instance", refuse)
+        with pytest.raises(ResourceCapError, match="exceeds cap 33554432 values"):
+            verify_schedule(silver(3), RunConfig(battery=10**9))
 
 
 class TestFalsifiability:
