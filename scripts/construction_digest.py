@@ -12,8 +12,11 @@ of composition expressions: random ones over ``e`` and small macros, typed
 and mistyped, in both operator spellings with random whitespace, a quarter
 of them garbled by one or two character edits; a few fixed malformed and
 over-cap ones; and chains nested ``MAX_NESTING - 1`` to ``MAX_NESTING + 1``
-deep.  Last, the rows of ``build_tables(8191)`` themselves, whose f rows
-from 2048 on the fill prunes.  It prints the number of constructions,
+deep.  Last, the rows of ``build_tables(8191)`` themselves, whose s and f
+rows from 2048 on the fill prunes and checks in batches, and those of the
+same tables extended through a cache directory from an s-only prefix
+(``load_or_build(3001, f_table=False)``, then ``load_or_build(8191)``),
+whose s batches start at another row.  It prints the number of constructions,
 expressions and tables and the sha256 of, for each construction, its name,
 class, steps (as ``float.hex``) and rate (``float.hex``), and for an f-class
 one with a tree the weights of its ``build_f_certificate`` (``float.hex``);
@@ -37,6 +40,7 @@ import hashlib
 import itertools
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,13 +50,14 @@ from workloads import COMPOSE_EXPRS  # noqa: E402
 
 from stepweaver.builders import dynamic_short, f_extend, left_heavy, right_heavy, silver  # noqa: E402
 from stepweaver.dsl import MAX_NESTING, compile_expression, format_expr, parse, typecheck  # noqa: E402
-from stepweaver.optimizer import build_tables, enumerate_basic, obs_f, obs_g, obs_s  # noqa: E402
+from stepweaver.optimizer import build_tables, enumerate_basic, load_or_build, obs_f, obs_g, obs_s  # noqa: E402
 from stepweaver.schedule import CompClass, ResourceCapError, ScheduleError  # noqa: E402
 from stepweaver.verify import build_f_certificate  # noqa: E402
 
 EXTEND_LENGTHS = (0, 1, 2, 3, 10, 100, 4000)
 OBS_LENGTHS = (*range(301), 2047)
 TABLE_ROWS = 8191
+PREFIX_ROWS = 3001
 ENUM_MAX = 8
 
 DSL_SEED = 20261020
@@ -172,8 +177,8 @@ def dsl_fields(text):
             yield from error_fields(exc)
 
 
-def table_fields(tables):
-    yield f"build_tables({tables.n_max})"
+def table_fields(name, tables):
+    yield name
     for rate, split in ((tables.s_rate, tables.s_split), (tables.f_rate, tables.f_split)):
         yield " ".join(map(float.hex, rate[1:].tolist()))
         yield " ".join(map(str, split[1:].tolist()))
@@ -182,8 +187,14 @@ def table_fields(tables):
 def main() -> int:
     digest, count = hashlib.sha256(), 0
     tables = build_tables(TABLE_ROWS)
+    with tempfile.TemporaryDirectory() as cache:
+        load_or_build(PREFIX_ROWS, cache, f_table=False)
+        extended = load_or_build(TABLE_ROWS, cache)
     items = itertools.chain(
-        itertools.starmap(fields, constructions(tables)), map(dsl_fields, dsl_expressions()), [table_fields(tables)]
+        itertools.starmap(fields, constructions(tables)),
+        map(dsl_fields, dsl_expressions()),
+        [table_fields(f"build_tables({TABLE_ROWS})", tables)],
+        [table_fields(f"load_or_build({PREFIX_ROWS}, f_table=False), load_or_build({TABLE_ROWS})", extended)],
     )
     for item in items:
         for text in item:

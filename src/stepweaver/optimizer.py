@@ -7,13 +7,12 @@ convenience wrappers :func:`obs_s` / :func:`obs_f` / :func:`obs_g` take the
 schedule *length* instead.
 
 The fill is exact: each row's rate and split are those of a scan of every
-split.  The s rows scan half the splits (the s-join is commutative); f rows
-from ``_PRUNE_MIN_ROW`` on scan only the splits that the paper's lower
-envelope cannot rule out, about a fifth of them, and every split when the
-rows held leave the envelope (see :func:`_f_spans`).
+split.  The s rows scan half the splits (the s-join is commutative); rows
+from ``_PRUNE_MIN_ROW`` on scan only the window near the optimum that the
+paper's lower envelope leaves, and a check scores the short splits of 32
+rows at once (see :func:`_fill`).
 """
 
-import bisect
 import json
 import math
 import os
@@ -34,6 +33,7 @@ from .schedule import (
     ScheduleError,
     StepSchedule,
     _fgjoin_rate,
+    _sjoin_rate,
     fold_tree,
     join,  # not called here; perfbench's traced layer map wraps optimizer.join
     join_step,
@@ -89,14 +89,11 @@ def _rows(rate: np.ndarray, split: np.ndarray, rows: int):
 def _extend(tables: "RateTables | None", n_max: int, f_max: "int | None" = None) -> RateTables:
     """Tables of ``n_max`` s rows and ``f_max`` f rows (default ``n_max``):
     the rows of ``tables`` (default: the base rows) copied, the rest filled by
-    exact O(N^2) dynamic programming.
+    exact O(N^2) dynamic programming (:func:`_fill`).
 
     Row ``n`` of the s-table reads only s rows below it, and row ``n`` of the
     f-table only the rows below it of both, so the s-table fills alone and
-    any prefix extends to the bytes of a fresh fill.  Split ties break to the
-    smallest ``m`` (np.argmin returns the first minimum), which makes
-    reconstruction deterministic.  The f rows skip the splits that the lower
-    envelope of the rows held rules out (:func:`_f_spans`).
+    any prefix extends to the bytes of a fresh fill.
     """
     f_max = n_max if f_max is None else f_max
     if n_max < 1:
@@ -107,145 +104,179 @@ def _extend(tables: "RateTables | None", n_max: int, f_max: "int | None" = None)
         raise ScheduleError(f"need 1 <= f_max <= n_max = {n_max}, got {f_max}")
     base, no_split = np.array([np.nan, 1.0]), np.zeros(2, dtype=np.int64)
     old = tables or RateTables(1, base, base, no_split, no_split)
-    held = min(old.f_max, f_max)
-    # built per fill, before the columns: neither it nor its scratch arrays
+    held_s, held_f = min(old.n_max, n_max), min(old.f_max, f_max)
+    # built per fill, before the columns: neither they nor their scratch arrays
     # stay in the heap between fills or under the fill's peak
-    bounds = _envelope_bounds(_fgjoin_rate, _ENVELOPE_RHO) if held < f_max and f_max >= _PRUNE_MIN_ROW else None
+    s_bounds = _envelope_bounds(_sjoin_rate, 1.0, 0.5) if held_s < n_max and n_max >= _PRUNE_MIN_ROW else None
+    f_bounds = _envelope_bounds(_fgjoin_rate, _ENVELOPE_RHO) if held_f < f_max and f_max >= _PRUNE_MIN_ROW else None
     s, s_split = _rows(old.s_rate, old.s_split, n_max)
     f, f_split = _rows(old.f_rate, old.f_split, f_max)
     ss = s * s
-    # sized to the s scans and the unpruned f rows; _fill_f_row grows them for longer scans
+    # sized to the s scans and the unpruned f rows; _scan grows them for longer scans
     buf = [np.empty(max(n_max // 2, min(f_max, _PRUNE_MIN_ROW) - 1)) for _ in range(3)]
-    s_cols = (s, s_split, ss)
-    for n in range(min(old.n_max, n_max) + 1, n_max + 1):
-        _fill_s_row(n, s_cols, buf)
-    if held < f_max:
-        envelope = [bounds, _normalized_min(s, n_max), _normalized_min(f, held)]
-        f_cols = (s, f, f_split, ss, 4.0 * f, 8.0 * f, envelope)
-        for n in range(held + 1, f_max + 1):
-            _fill_f_row(n, f_cols, buf)
+    lows = [_normalized_min(s, 1, held_s), math.nan]
+    if held_s < n_max:
+        _fill(_Table(CompClass.S, s, s_split, s, ss, s_bounds, lows), held_s + 1, n_max, buf)
+    del s_bounds  # not held under the f fill's peak
+    if held_f < f_max:
+        lows[1] = _normalized_min(f, 1, held_f)
+        f *= 4.0  # the f fill keeps 4f, the kernel's quotient; scaling by 4 is exact
+        _fill(_Table(CompClass.F, f, f_split, s, ss, f_bounds, lows), held_f + 1, f_max, buf)
+        f *= 0.25
     return RateTables(n_max, s, f, s_split, f_split)
 
 
-def _normalized_min(rate: np.ndarray, rows: int) -> float:
-    """Least ``rate[k] * k^p`` over rows ``1..rows`` (nan if one is nan),
-    in one scratch column."""
-    k = np.arange(1.0, rows + 1)
+def _normalized_min(rate: np.ndarray, first: int, last: int) -> float:
+    """Least ``rate[k] * k^p`` over rows ``first..last`` (nan if one is nan)."""
+    k = np.arange(float(first), last + 1)
     np.power(k, P_EXPONENT, k)
-    np.multiply(k, rate[1 : rows + 1], k)
+    np.multiply(k, rate[first : last + 1], k)
     return float(k.min())
 
 
-def _fill_s_row(n: int, cols: tuple, buf: list) -> None:
-    """Fill row ``n`` of ``cols = (s, s_split, ss)`` from the rows below it;
-    ``ss = s*s`` is kept up to date here.
+_multiply, _add, _sqrt, _divide = np.multiply, np.add, np.sqrt, np.divide
+_SIX = np.array(6.0)  # numpy converts a Python float on every call
 
-    Bit-identical to ``argmin`` over ``_sjoin_rate(a, a[::-1])`` with
-    ``a = s[1:n]``: the operations and their order are those of the join
-    formula, written into the scratch arrays ``buf``.  The s-join is exactly
-    commutative, so split ``m`` and ``n - m`` tie and the first minimum lies
-    in ``m <= n // 2``; only those splits are scanned.  The factor 2 of the
-    numerator is applied to the minimum only, which is exact for the normal
-    floats the rates are.  A row costs eight ufunc calls, so each operand is
-    sliced once, ``out`` is passed by position and the scalar tail runs on
-    Python floats (the same IEEE operations).
-    """
-    multiply, add, sqrt, divide = np.multiply, np.add, np.sqrt, np.divide
-    s, s_split, ss = cols
-    h = n // 2
-    p, d, t = buf
-    p, d, t = p[:h], d[:h], t[:h]
-    m, rest = slice(1, h + 1), slice(n - 1, n - h - 1, -1)  # splits m and rows n - m
-    a, b = s[m], s[rest]
-    multiply(a, b, p)
-    multiply(6.0, p, t)
-    add(ss[m], ss[rest], d)
-    add(d, t, d)
-    sqrt(d, d)
-    add(a, b, t)
-    add(t, d, d)
-    divide(p, d, p)
+
+def _s_kernel(a, aa, x, y, p, d, t) -> None:
+    """Half the s-join rates of rows ``a`` and ``x`` (squares ``aa``, ``y``)
+    into ``p``, in the join formula's operations."""
+    _multiply(a, x, p)
+    _multiply(_SIX, p, t)
+    _add(aa, y, d)
+    _add(d, t, d)
+    _sqrt(d, d)
+    _add(a, x, t)
+    _add(t, d, d)
+    _divide(p, d, p)
+
+
+def _f_kernel(a, aa, x, y, p, d, t) -> None:
+    """Four times the f-join rates of s rows ``a`` and the f rows of ``x =
+    8f``, ``y = 4f``: 8 times the join formula's numerator and quotient."""
+    _multiply(a, x, p)
+    _add(aa, p, d)
+    _sqrt(d, d)
+    _add(a, y, t)
+    _add(t, d, d)
+    _divide(p, d, p)
+
+
+class _Table:
+    """One table in a fill: split ``m`` of row ``n`` joins s row ``m`` with
+    row ``n - m`` of ``rate`` (operand columns ``x``, ``y``), whose rate is
+    ``scale * unit`` times the kernel's least quotient.  ``lows`` holds
+    ``L_s`` and ``L_f``, the least ``rate[k] k^p`` of the rows that stand."""
+
+    __slots__ = ("cls", "rate", "split", "x", "y", "s", "ss", "bounds", "lows", "own", "half", "kernel", "scale", "unit", "den", "need")
+
+    def __init__(self, cls, rate, split, s, ss, bounds, lows):
+        self.cls, self.rate, self.split, self.s, self.ss, self.bounds, self.lows = cls, rate, split, s, ss, bounds, lows
+        self.half = cls is CompClass.S  # split m and n - m tie exactly: scan m <= n // 2
+        self.own, self.x, self.y = (0, rate, ss) if self.half else (1, 2.0 * rate, rate)
+        self.kernel, self.scale, self.unit = (_s_kernel, 2.0, 1.0) if self.half else (_f_kernel, 1.0, 0.25)
+        self.den = _ENVELOPE_CELLS * (2 if self.half else 1)  # bound cells per unit of m / n
+        self.need = 0.0 if self.half else _ENVELOPE_RHO * (1.0 + _ENVELOPE_MARGIN)  # L_f >= rho L_s
+
+
+def _scan(t: _Table, n: int, lo: int, hi: int, buf: list) -> None:
+    """Row ``n`` takes the first minimum of its splits ``lo..hi``."""
+    k = hi - lo + 1
+    if len(buf[0]) < k:  # a full scan of a long f row the envelope leaves unpruned
+        buf[:] = (np.empty(len(t.rate) - 2) for _ in buf)
+    p, d, q = buf
+    p, d, q = p[:k], d[:k], q[:k]
+    m, rest = slice(lo, hi + 1), slice(n - lo, n - hi - 1, -1)  # splits m and rows n - m
+    t.kernel(t.s[m], t.ss[m], t.x[rest], t.y[rest], p, d, q)
     i = p.argmin()
-    v = 2.0 * p.item(i)
-    s[n] = v
-    s_split[n] = i + 1
-    ss[n] = v * v
+    v = t.scale * p.item(i)  # exact: a power of 2 times a normal float
+    t.rate[n] = v
+    t.split[n] = lo + i
+    if t.half:
+        t.y[n] = v * v
+    else:
+        t.x[n] = v + v
 
 
-def _fill_f_row(n: int, cols: tuple, buf: list) -> None:
-    """Fill row ``n`` of the f columns of ``cols = (s, f, f_split, ss, f4,
-    f8, envelope)`` from the s and f rows below it; ``f4 = 4*f``,
-    ``f8 = 8*f`` and the least normalized f-rate ``envelope[2]`` are kept up
-    to date here.
+_BATCH_ROWS = 32
 
-    Bit-identical to ``argmin`` over ``_fgjoin_rate(s[1:n], f[n-1:0:-1])``,
-    in the manner of :func:`_fill_s_row`, over the spans of
-    :func:`_f_spans`.  They hold every split that can be the first minimum
-    and ascend, so the first of their minima is the row's.  The numerator
-    ``a * f8 = 8ab`` and the quotient are exactly 8 times those of the join
-    formula for normal floats, which saves the kernel a multiply; the rate
-    is the quotient over 4.
-    """
-    multiply, add, sqrt, divide = np.multiply, np.add, np.sqrt, np.divide
-    s, f, f_split, ss, f4, f8, envelope = cols
-    best = j = None
-    for lo, hi in _f_spans(n, cols):
-        k = hi - lo + 1
-        if len(buf[0]) < k:  # a full scan of a long row the envelope leaves unpruned
-            buf[:] = (np.empty(len(f) - 2) for _ in buf)
-        p, d, t = buf
-        p, d, t = p[:k], d[:k], t[:k]
-        m, rest = slice(lo, hi + 1), slice(n - lo, n - hi - 1, -1)  # splits m and rows n - m
-        a = s[m]
-        multiply(a, f8[rest], p)
-        add(ss[m], p, d)
-        sqrt(d, d)
-        add(a, f4[rest], t)
-        add(t, d, d)
-        divide(p, d, p)
-        i = p.argmin()
-        q = p.item(i)
-        if best is None or q < best:
-            best, j = q, lo + i
-    v = 0.25 * best
-    f[n] = v
-    f_split[n] = j
-    f4[n] = 4.0 * v
-    f8[n] = 8.0 * v
-    phi = v * n**P_EXPONENT
-    if not phi >= envelope[2]:  # a nan sticks and stops the pruning
-        envelope[2] = phi
+
+def _fill(t: _Table, first: int, last: int, buf: list) -> None:
+    """Fill rows ``first..last``, each the first minimum over all its splits.
+
+    In batches of up to ``_BATCH_ROWS`` rows, each row scans every split
+    below ``_PRUNE_MIN_ROW``, else only its window of :func:`_windows`.  One
+    kernel call on Hankel views of the columns then scores the splits ``m <=
+    M`` of the batch, ``M`` covering each row's short span and every split
+    that reads a row of the batch.  A row's window minimum stands if each
+    split checked below the window is strictly larger; the first row where
+    one is not scans every split, and the fill goes on after it.  So each
+    row checked reads only rows that stand."""
+    n = first
+    while n <= last:
+        size, stop = len(buf[0]), last if n >= _PRUNE_MIN_ROW else min(last, _PRUNE_MIN_ROW - 1)
+        k = max(1, min(_BATCH_ROWS, n // 8, math.isqrt(size), stop - n + 1))
+        if t.bounds is not None and n >= _PRUNE_MIN_ROW:
+            # checked splits are splits of every row of the batch, and fit buf
+            shorts, los, his = _windows(t, n, k, min(n // 2 if t.half else n - 1, size // k))
+        else:
+            shorts, los, his = (0,), (1,) * k, [r // 2 if t.half else r - 1 for r in range(n, n + k)]
+        for r, lo, hi in zip(range(n, n + k), los, his):
+            _scan(t, r, lo, hi, buf)
+        short = max(k - 1, *shorts)
+        r = _check(t, n, short, los, buf) if short and max(los) > 1 else 0
+        if r:
+            _scan(t, r, 1, r // 2 if t.half else r - 1, buf)
+        end = r or n + k - 1
+        low, least = t.lows[t.own], _normalized_min(t.rate, n, end) * t.unit
+        if least < low or least != least:  # a nan sticks
+            t.lows[t.own] = least
+        n = end + 1
+
+
+def _check(t: _Table, n: int, short: int, los: list, buf: list) -> int:
+    """The first row ``n + i`` with a split ``m <= short`` below its window
+    start ``los[i]`` rated at most the row's rate, or 0."""
+    k = len(los)
+    p, d, q = (b[: k * short].reshape(k, short) for b in buf)
+    rest = [np.ndarray((k, short), buffer=col, offset=8 * (n - 1), strides=(8, -8)) for col in (t.x, t.y)]
+    t.kernel(t.s[1 : short + 1], t.ss[1 : short + 1], *rest, p, d, q)
+    for i, lo in enumerate(los):
+        if lo <= short:  # the window scanned these splits
+            p[i, lo - 1 :] = np.inf
+    fails = np.flatnonzero(p.min(1) * t.scale <= t.rate[n : n + k])
+    return n + int(fails[0]) if fails.size else 0
 
 
 # ---------------------------------------------------------------------------
-# Lower-envelope pruning of the f-splits.
+# Lower-envelope pruning.
 # ---------------------------------------------------------------------------
 #
 # The joins are homogeneous of degree 1 and increase in each operand.  With
-# L_s <= s[k] k^p and L_f <= f[k] k^p over the rows held, split m of f row n
-# has rate >= L_s n^-p h(m/n), where h(x) = J_f(x^-p, rho (1-x)^-p), for any
-# rho <= L_f / L_s.  Over the cell [x_i, x_i+1] of a grid, h(x) >= lb_i =
-# J_f(x_i+1^-p, rho (1-x_i)^-p).  So a cell with L_s n^-p lb_i above the
-# value v0 of one split of the row holds no split whose rate is at most v0,
-# and none that can be the row's first minimum.
+# L_s <= s[k] k^p and L_f <= f[k] k^p over the rows held, split m of row n
+# has rate >= L_s n^-p h(m/n): h(x) = J_f(x^-p, rho (1-x)^-p) for f, any
+# rho <= L_f / L_s, and h(x) = J_s(x^-p, (1-x)^-p) on [0, 1/2] for s.  On
+# the cell [x_i, x_i+1] of a grid, h >= lb_i = J(x_i+1^-p, rho (1-x_i)^-p),
+# so a cell with L_s n^-p lb_i above the value v0 of one split of the row
+# holds no split that can be the row's first minimum.
 
-_PRUNE_MIN_ROW = 2048  # shorter f rows scan every split: a second span costs more than it saves there
-_ENVELOPE_RHO = 0.4208  # rho of the bound table, just below c_low() = 0.42080935...
+_PRUNE_MIN_ROW = 2048  # shorter rows scan every split: a window and a check cost more than they save
+_ENVELOPE_RHO = 0.4208  # rho of the f bound table, just below c_low() = 0.42080935...
 _ENVELOPE_CELLS = 4096
 _ENVELOPE_MARGIN = 1e-9  # relative; covers the rounding of v0, n^p, the minima and the table
 
 
-def _envelope_bounds(rate_of, rho: float):
+def _envelope_bounds(rate_of, rho: float, width: float = 1.0):
     """``(bound, i1, i2)``: lower bounds of
     ``h(x) = rate_of(x^-p, rho * (1-x)^-p)`` on the ``_ENVELOPE_CELLS``
-    cells ``[x_i, x_i+1]`` of [0, 1], ``lb_i = rate_of(x_i+1^-p,
+    cells ``[x_i, x_i+1]`` of [0, ``width``], ``lb_i = rate_of(x_i+1^-p,
     rho * (1-x_i)^-p)``, valid for any join homogeneous of degree 1 and
     increasing in both operands.  None unless ``lb`` rises to cell ``i1``,
-    falls to cell ``i2`` and rises to the end.  ``bound``, a memoryview
-    (bisected faster than the array), holds ``lb_i``, negated strictly
-    inside the fall, so that each run bisects as an ascending sequence."""
+    falls to cell ``i2`` and rises to the end (``i2`` is the last cell if
+    it only falls).  ``bound`` holds ``lb_i``, negated strictly inside the
+    fall, so that each run is searched as an ascending sequence."""
     cells = _ENVELOPE_CELLS
-    x = np.arange(cells + 1) / cells
+    x = np.arange(cells + 1) / cells * width
     lb = rate_of(x[1:] ** -P_EXPONENT, rho * (1.0 - x[:-1]) ** -P_EXPONENT)
     step = np.diff(lb)
     down = np.flatnonzero(step < 0.0)
@@ -255,50 +286,36 @@ def _envelope_bounds(rate_of, rho: float):
     if np.any(step[i2:] < 0.0):
         return None
     lb[i1 + 1 : i2] *= -1.0
-    return memoryview(lb), i1, i2
+    return lb, i1, i2
 
 
-def _windows(bounds: tuple, thr: float, n: int) -> tuple:
-    """Inclusive split spans of row ``n`` that cover every cell of
-    ``bounds`` whose bound is at most ``thr``, cell ends rounded outward:
-    none, one or two, ascending and disjoint."""
-    bound, i1, i2 = bounds
-    cells = len(bound)
-    last = n - 1
-    a = bisect.bisect_right(bound, thr, 0, i1 + 1)  # cells [0, a) of the first rise
-    b = bisect.bisect_left(bound, -thr, i1 + 1, i2)  # cells [b, i2] of the fall (i2 if only i2)
-    c = bisect.bisect_right(bound, thr, i2, cells)  # cells [i2, c) of the last rise
-    spans = ()
-    if a:
-        hi = -(-a * n // cells)
-        spans = ((1, hi if hi < last else last),)
-    if b < c:
-        lo, hi = b * n // cells, -(-c * n // cells)
-        hi = hi if hi < last else last
-        if spans and lo > spans[0][1] + 1:
-            return spans + ((lo, hi),)
-        return ((1 if spans or lo < 1 else lo, hi),)
-    return spans
-
-
-def _f_spans(n: int, cols: tuple) -> tuple:
-    """Inclusive split spans of f row ``n`` that hold every split able to be
-    its first minimum: all splits, or the envelope's windows when the row is
-    long enough and the rows held keep ``L_f >= rho * L_s``.  The windows
-    are those of the value ``v0`` of the split at the previous row's split
-    ratio, computed in the kernel's operations on Python floats."""
-    s, f, f_split, ss, f4, f8, (bounds, low_s, low_f) = cols
-    if bounds is None or n < _PRUNE_MIN_ROW or not (
-        low_s > 0.0 and low_f >= _ENVELOPE_RHO * low_s * (1.0 + _ENVELOPE_MARGIN)
-    ):
-        return ((1, n - 1),)
-    m0 = (f_split.item(n - 1) * n + (n - 1) // 2) // (n - 1)
-    if not 0 < m0 < n:  # a split the fill did not write: any one serves
-        m0 = n // 2
-    a = s.item(m0)
-    p = a * f8.item(n - m0)
-    v0 = 0.25 * (p / ((a + f4.item(n - m0)) + math.sqrt(ss.item(m0) + p)))
-    return _windows(bounds, v0 * n**P_EXPONENT / (low_s * (1.0 - _ENVELOPE_MARGIN)), n)
+def _windows(t: _Table, n: int, k: int, cap: int) -> tuple:
+    """``(shorts, los, his)``: row ``n + i`` scans its splits
+    ``los[i]..his[i]`` and leaves ``1..shorts[i]`` (at most ``cap``) to the
+    check, covering each cell whose bound is at most ``v0 r^p / L_s`` (ends
+    rounded outward).  ``v0`` is the value of the split at row ``n - 1``'s
+    split ratio, with operands below the batch.  Every split when ``L_s <=
+    0``, ``L_f < rho L_s`` or a nan."""
+    r = np.arange(n, n + k)
+    last = r // 2 if t.half else r - 1
+    low_s = t.lows[0]
+    if not (low_s > 0.0 and t.lows[t.own] >= t.need * low_s):
+        return [0] * k, [1] * k, last.tolist()
+    j = t.split.item(n - 1)
+    m0 = (j * r + (n - 1) // 2) // (n - 1) if 0 < j < n - 1 else r // 2  # else: a split the fill did not write
+    m0 = np.minimum(np.maximum(m0, r - n + 1), last)
+    v0 = np.empty((3, k))
+    t.kernel(t.s[m0], t.ss[m0], t.x[r - m0], t.y[r - m0], *v0)
+    thr = v0[0] * (r ** P_EXPONENT * (t.scale * t.unit / (low_s * (1.0 - _ENVELOPE_MARGIN))))
+    lb, i1, i2 = t.bounds
+    a = np.searchsorted(lb[: i1 + 1], thr, "right")  # cells [0, a) of the first rise
+    b = np.searchsorted(lb[i1 + 1 : i2], -thr) + (i1 + 1)  # cells [b, i2] of the fall (i2 if only i2)
+    c = np.searchsorted(lb[i2:], thr, "right") + i2  # cells [i2, c) of the last rise
+    short = np.minimum(-(-a * r // t.den), last)
+    lo, hi = b * r // t.den, np.minimum(-(-c * r // t.den), last)
+    # one span from split 1 when the spans meet, the short span is too long or there is no window
+    full = (lo <= short + 1) | (short > cap) | (b >= c)
+    return np.where(full, 0, short).tolist(), np.where(full, 1, lo).tolist(), np.where(b >= c, last, hi).tolist()
 
 
 def build_tables(n_max: int) -> RateTables:

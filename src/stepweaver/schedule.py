@@ -30,6 +30,11 @@ from typing import NamedTuple
 import numpy as np
 
 DEFAULT_IDENTITY_TOL = 1e-9
+# Longest schedule a tree may build (128 MiB of steps): silver(20) and a few
+# joins of it fit, while a shared tree doubles its length with each level.
+MAX_TREE_STEPS = 2**24
+# Longest tree text; a longer one, only a shared tree's, is abbreviated.
+MAX_TREE_TEXT = 2**24
 
 
 class ScheduleError(ValueError):
@@ -183,7 +188,12 @@ class CompositionTree:
         return postorder(self, shape, shape)
 
     def __repr__(self):
+        """The canonical text, or past ``MAX_TREE_TEXT`` characters (sized
+        first, per distinct node) an abbreviation."""
         leaf = lambda node: "e" if isinstance(node, CompositionTree) else str(node)
+        size = postorder(self, lambda node: len(leaf(node)), lambda node, left, right: left + right + 4 + len(node.op.symbol))
+        if size > MAX_TREE_TEXT:
+            return f"<CompositionTree of {self.length()} steps: {size} characters of text>"
         return postorder(self, leaf, lambda node, left, right: f"({left} {node.op.symbol} {right})")
 
 
@@ -436,7 +446,9 @@ def fold_tree(tree, leaf=empty_leaf) -> TreeFold:
     is a leaf's schedule, or None for the empty one (rate 1, no steps); the
     default, :func:`empty_leaf`, reads ``e`` alone.  A leaf that ``leaf``
     refuses with a ``ScheduleError`` counts as empty and the first refusal
-    is kept in ``error``, so the classes and the length stay known.
+    is kept in ``error``, so the classes and the length stay known.  A node
+    of more than ``MAX_TREE_STEPS`` steps raises ``ResourceCapError`` before
+    anything of its size is made.
     """
     # per distinct node one dict entry and machine numbers in typed arrays,
     # not a float or int object each: materializing dynamic_short(4000)'s
@@ -458,10 +470,13 @@ def fold_tree(tree, leaf=empty_leaf) -> TreeFold:
 
     def combine(node, left, right):
         i, j = index[id(node.left)], index[id(node.right)]
+        size = sizes[i] + sizes[j] + 1
+        if size > MAX_TREE_STEPS:
+            raise ResourceCapError(f"tree builds more than {MAX_TREE_STEPS} steps (cap)")
         mu, rate = join_step(node.op, rates[i], rates[j])
         index[id(node)] = len(rates)
         rates.append(rate)
-        sizes.append(sizes[i] + sizes[j] + 1)
+        sizes.append(size)
         mus.append(mu)
         return join_classes(node.op, left, right)
 

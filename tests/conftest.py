@@ -11,17 +11,14 @@ hypothesis.settings.load_profile("ci")
 
 @pytest.fixture
 def rows_filled(monkeypatch):
-    """Counts DP rows filled per table: the fill calls ``_fill_s_row`` once
-    per s row and ``_fill_f_row`` once per f row."""
+    """Counts DP rows filled per table: the fill calls ``_fill`` once per
+    table it extends, with the first and last row to fill."""
     count = {"s": 0, "f": 0}
+    real = optimizer._fill
 
-    def counting(table, real):
-        def counted(n, cols, buf):
-            count[table] += 1
-            return real(n, cols, buf)
+    def counted(t, first, last, buf):
+        count[t.cls.value] += last - first + 1
+        return real(t, first, last, buf)
 
-        return counted
-
-    monkeypatch.setattr(optimizer, "_fill_s_row", counting("s", optimizer._fill_s_row))
-    monkeypatch.setattr(optimizer, "_fill_f_row", counting("f", optimizer._fill_f_row))
+    monkeypatch.setattr(optimizer, "_fill", counted)
     return count

@@ -375,7 +375,8 @@ class TestFillKernel:
 
     def test_fill_peak_memory_stays_bounded(self):
         """tracemalloc peak of a 4096-row fill, in table columns of 4097
-        float64: about 9.1 with reused buffers, 11.1 with per-row arrays
+        float64: about 9.4 with reused buffers (the f column holds 4f while
+        the f rows fill, so no 4f column is made), 11.1 with per-row arrays
         (numpy 2.4).  A per-row or O(N^2) scratch array breaks the bound."""
         build_tables(8)
         tracemalloc.start()
@@ -388,26 +389,32 @@ class TestFillKernel:
 
 
 @pytest.fixture
-def f_spans_seen(monkeypatch):
-    """``{n: spans}``: the split spans the fill scanned in each f row."""
-    seen = {}
-    real = optimizer._f_spans
+def windows_seen(monkeypatch):
+    """``{"s": {n: window}, "f": {n: window}}``: the ``(short, lo, hi)`` of
+    each row the envelope pruned, last seen: the row scanned its splits
+    ``lo..hi`` and left ``1..short`` to the batch check."""
+    seen = {"s": {}, "f": {}}
+    real = optimizer._windows
 
-    def spy(n, cols):
-        seen[n] = spans = real(n, cols)
-        return spans
+    def spy(t, n, k, cap):
+        windows = real(t, n, k, cap)
+        seen[t.cls.value].update(zip(range(n, n + k), zip(*windows)))
+        return windows
 
-    monkeypatch.setattr(optimizer, "_f_spans", spy)
+    monkeypatch.setattr(optimizer, "_windows", spy)
     return seen
 
 
-def _scanned(seen, rows):
-    """The fraction of the splits of ``rows`` that ``seen`` scanned."""
-    return sum(hi - lo + 1 for n in rows for lo, hi in seen[n]) / sum(n - 1 for n in rows)
+def _scanned(seen, rows, half=False):
+    """The fraction of the splits of ``rows`` (``m <= n // 2`` if ``half``)
+    that ``seen`` scanned or left to the check."""
+    return sum(hi - lo + 1 + short for short, lo, hi in map(seen.get, rows)) / sum(
+        n // 2 if half else n - 1 for n in rows
+    )
 
 
 class TestEnvelopePruning:
-    """The f rows scan only the splits the lower envelope leaves; the rates
+    """The rows scan only the splits the lower envelope leaves; the rates
     and splits must stay byte-equal to the all-splits scan, whatever the
     prefix holds."""
 
@@ -423,24 +430,39 @@ class TestEnvelopePruning:
         assert np.all(np.diff(lb[i2:]) >= 0)
         assert lb[0] < optimizer._ENVELOPE_RHO < lb[i1] and 0.42 < lb[i2] < lb[-1] < 0.5
 
+    def test_s_bound_table_rises_then_falls_to_one_half(self):
+        bound, i1, i2 = optimizer._envelope_bounds(optimizer._sjoin_rate, 1.0, 0.5)
+        lb = np.array(bound)
+        lb[i1 + 1 : i2] *= -1.0
+        assert len(lb) == optimizer._ENVELOPE_CELLS and 0 < i1 < i2 == len(lb) - 1
+        assert np.all(np.diff(lb[: i1 + 1]) >= 0) and np.all(np.diff(lb[i1:]) <= 0)
+        assert lb[0] < 1.0 < lb[i1] < 1.03 and lb[-1] < 1.0  # L_s = 1: the silver rows lie in both ends
+
     def test_bound_table_of_another_shape_is_refused(self):
         assert optimizer._envelope_bounds(lambda a, b: np.cos(8.0 / a), 1.0) is None
 
-    def test_row_8191_scans_a_fifth_and_holds_its_split(self, f_spans_seen):
+    def test_row_8191_scans_a_fifth_and_holds_its_split(self, windows_seen):
         tables = build_tables(8191)
-        spans = f_spans_seen[8191]
-        assert len(spans) == 2 and spans[0][0] == 1
-        assert sum(hi - lo + 1 for lo, hi in spans) <= 0.25 * 8190
-        assert any(lo <= tables.f_split[8191] <= hi for lo, hi in spans)
-        assert _scanned(f_spans_seen, range(optimizer._PRUNE_MIN_ROW, 8192)) <= 0.25
-        assert all(f_spans_seen[n] == ((1, n - 1),) for n in range(2, optimizer._PRUNE_MIN_ROW))
+        short, lo, hi = windows_seen["f"][8191]
+        assert 0 < short < lo - 1 and hi - lo + 1 + short <= 0.25 * 8190
+        assert lo <= tables.f_split[8191] <= hi
+        assert _scanned(windows_seen["f"], range(optimizer._PRUNE_MIN_ROW, 8192)) <= 0.25
+        assert min(windows_seen["f"]) == optimizer._PRUNE_MIN_ROW  # shorter rows scan every split
+
+    def test_s_rows_from_2048_scan_a_third_of_the_half_splits(self, windows_seen):
+        tables = optimizer._extend(None, 8191, 1)
+        seen = windows_seen["s"]
+        assert _scanned(seen, range(optimizer._PRUNE_MIN_ROW, 8192), half=True) <= 0.35
+        assert all(lo <= tables.s_split[n] <= hi for n, (short, lo, hi) in seen.items())
+        assert min(seen) == optimizer._PRUNE_MIN_ROW and not windows_seen["f"]
 
     @pytest.mark.parametrize("n_max", [1000, 4096])
-    def test_pruned_from_row_16_matches_reference(self, monkeypatch, f_spans_seen, n_max, reference_4096):
+    def test_pruned_from_row_16_matches_reference(self, monkeypatch, windows_seen, n_max, reference_4096):
         monkeypatch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
         want = reference_4096 if n_max == 4096 else build_tables_reference(n_max)
         _same_tables(build_tables(n_max), want)
-        assert _scanned(f_spans_seen, range(16, n_max + 1)) < 0.5
+        assert _scanned(windows_seen["f"], range(16, n_max + 1)) < 0.5
+        assert _scanned(windows_seen["s"], range(16, n_max + 1), half=True) < 0.6
 
     @given(fill=fill_requests())
     def test_any_pruned_fill_from_any_prefix_matches_reference(self, fill, reference_700):
@@ -451,19 +473,20 @@ class TestEnvelopePruning:
             got = optimizer._extend(tables, n_max, f_max)
         _same_rows(got, reference_700, n_max, f_max)
 
-    def test_constant_above_the_least_f_rate_scans_every_split(self, monkeypatch, f_spans_seen):
+    def test_constant_above_the_least_f_rate_scans_every_split(self, monkeypatch, windows_seen):
         """Once an f row held has ``f[k] k^p`` below the table's constant,
-        every later row scans all its splits."""
+        every row of each later batch scans all its splits."""
         monkeypatch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
         monkeypatch.setattr(optimizer, "_ENVELOPE_RHO", 0.43)
         got = build_tables(1000)
         _same_tables(got, build_tables_reference(1000))
         below = np.flatnonzero(got.f_rate[1:] * np.arange(1, 1001) ** P_EXPONENT < 0.43) + 1
         assert below.size and below[0] < 500
-        assert all(f_spans_seen[n] == ((1, n - 1),) for n in range(below[0] + 1, 1001))
+        later = range(below[0] + optimizer._BATCH_ROWS, 1001)
+        assert all(windows_seen["f"][n] == (0, 1, n - 1) for n in later)
 
     @pytest.mark.parametrize("tamper, pruned", [("f_below_envelope", False), ("s_scaled_down", True), ("far_split", True)])
-    def test_tampered_cache_extends_like_a_full_scan(self, tmp_path, f_spans_seen, tamper, pruned):
+    def test_tampered_cache_extends_like_a_full_scan(self, tmp_path, windows_seen, tamper, pruned):
         """An f row below the envelope turns the pruning off, s rows scaled
         down loosen it, a last split far from the minimum leaves it on; each
         extension of the cache file equals the all-splits extension of its
@@ -478,13 +501,109 @@ class TestEnvelopePruning:
         save_tables(prefix, str(tmp_path))
         got = load_or_build(4096, str(tmp_path))
         _same_tables(got, build_tables_reference(4096, prefix))
-        assert (_scanned(f_spans_seen, range(3001, 4097)) < 0.5) is pruned
+        assert (_scanned(windows_seen["f"], range(3001, 4097)) < 0.5) is pruned
 
     def test_in_memory_prefix_without_a_split_is_extended_exactly(self, monkeypatch):
         monkeypatch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
         prefix = build_tables(300)
         prefix.f_split[300] = 0  # not a split: the fill takes another
         _same_tables(optimizer._extend(prefix, 700), build_tables_reference(700, prefix))
+
+
+@pytest.fixture
+def checks_failed(monkeypatch):
+    """``[(table, row, its place in the batch)]``: each row where the batch
+    check found a short split at most the window's minimum."""
+    failed = []
+    real = optimizer._check
+
+    def spy(t, n, short, los, buf):
+        row = real(t, n, short, los, buf)
+        if row:
+            failed.append((t.cls.value, row, row - n))
+        return row
+
+    monkeypatch.setattr(optimizer, "_check", spy)
+    return failed
+
+
+@pytest.fixture(scope="module")
+def tables_3000():
+    return build_tables(3000)
+
+
+def _cut(tables, rows):
+    """A copy of rows ``1..rows`` of both tables."""
+    return RateTables(rows, *(getattr(tables, name)[: rows + 1].copy() for name in ("s_rate", "f_rate", "s_split", "f_split")))
+
+
+def _tie(join, w):
+    """The rate ``b`` with ``join(1, b) == w`` exactly (bisection)."""
+    lo, hi = w, 2.0 * w
+    while 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if join(1.0, mid) < w else (lo, mid)
+    found = [b for b in (lo, hi) if join(1.0, b) == w]
+    assert found, "no rate ties the row"
+    return found[0]
+
+
+class TestBatchCheck:
+    """A long row scans one window, and a batch check scores the short
+    splits below it; a short split that wins or ties must be found, in any
+    row of a batch, so the tables stay those of the all-splits scan."""
+
+    @pytest.mark.parametrize("rows", [3200, 3001])
+    @pytest.mark.parametrize("cls", ["s", "f"])
+    def test_short_split_that_wins_is_taken(self, tables_3000, checks_failed, cls, rows):
+        """The last row of a prefix 0.1% below its rate: the next rows take
+        split 1 or 2, outside their windows, and the check fails at each
+        (the first row of a batch, also a batch of one row)."""
+        prefix = _cut(tables_3000, 3000)
+        getattr(prefix, f"{cls}_rate")[3000] *= 0.999
+        got = optimizer._extend(prefix, rows)
+        _same_tables(got, build_tables_reference(rows, prefix))
+        assert (cls, 3001, 0) in checks_failed and getattr(got, f"{cls}_split")[3001] == 1
+
+    @pytest.mark.parametrize("cls", ["s", "f"])
+    def test_short_split_that_ties_the_window_is_taken(self, tables_3000, checks_failed, cls):
+        """A prefix whose last row makes split 1 of the next row tie its
+        window minimum bit for bit: the first minimum is split 1, so a tie
+        fails the check."""
+        prefix = _cut(tables_3000, 3000)
+        join = optimizer._sjoin_rate if cls == "s" else optimizer._fgjoin_rate
+        rate = getattr(prefix, f"{cls}_rate")
+        rate[3000] = _tie(join, getattr(build_tables_reference(3001, prefix), f"{cls}_rate")[3001])
+        got = optimizer._extend(prefix, 3001)
+        _same_tables(got, build_tables_reference(3001, prefix))
+        assert (cls, 3001, 0) in checks_failed and getattr(got, f"{cls}_split")[3001] == 1
+
+    def test_check_fails_inside_a_batch(self, monkeypatch, checks_failed):
+        """Small rows, and a prefix whose last s row is 2% low: the first row
+        of the fill scans every split, and the check fails at the second."""
+        monkeypatch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
+        prefix = _cut(build_tables(224), 224)
+        prefix.s_rate[224] *= 0.98
+        _same_tables(optimizer._extend(prefix, 300), build_tables_reference(300, prefix))
+        assert any(table == "s" and at > 0 for table, _, at in checks_failed)
+
+    @pytest.mark.parametrize("cls", ["s", "f"])
+    def test_splits_that_read_the_batch_are_checked(self, monkeypatch, tables_3000, checks_failed, cls):
+        """Windows that leave no short split to the check, and a first row
+        of each batch that scans every split: after a prefix row set low,
+        the rows inside each batch that take split 1 (a row of the batch)
+        are found, since the check covers every split that reads one."""
+        real = optimizer._windows
+
+        def windows(t, n, k, cap):
+            shorts, los, his = real(t, n, k, cap)
+            return [0] * k, [1] + los[1:], [n // 2 if t.half else n - 1] + his[1:]
+
+        monkeypatch.setattr(optimizer, "_windows", windows)
+        prefix = _cut(tables_3000, 3000)
+        getattr(prefix, f"{cls}_rate")[3000] *= 0.999
+        _same_tables(optimizer._extend(prefix, 3200), build_tables_reference(3200, prefix))
+        assert any(table == cls and at > 0 for table, _, at in checks_failed)
 
 
 class TestTableStore:

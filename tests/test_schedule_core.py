@@ -15,6 +15,9 @@ from stepweaver.schedule import (
     IdentityError,
     JoinOp,
     LEAF,
+    MAX_TREE_STEPS,
+    MAX_TREE_TEXT,
+    ResourceCapError,
     ScheduleError,
     StepSchedule,
     UncertifiedScheduleError,
@@ -415,6 +418,24 @@ class TestMaterialize:
         assert t.length() == 2**64 - 1
         assert typecheck(t) == {CompClass.S}  # the DSL's typing fold: fold_tree would lay 2^64 steps out
 
+    @pytest.mark.parametrize("levels", [40, 64])
+    def test_shared_tree_past_the_step_cap_is_refused(self, levels):
+        """2^40 - 1 steps would ask numpy for 8 TiB, 2^64 - 1 overflow the
+        int64 sizes: each fold stops at the cap instead."""
+        t = LEAF
+        for _ in range(levels):
+            t = CompositionTree(JoinOp.SJOIN, t, t)
+        with pytest.raises(ResourceCapError, match="cap"):
+            materialize(t, CompClass.S)
+        with pytest.raises(ResourceCapError, match="cap"):
+            check_tree(StepSchedule([], CompClass.S, 1.0, t))
+
+    def test_step_cap_admits_silver_20_and_a_join_of_two(self):
+        from stepweaver.builders import silver
+
+        t = CompositionTree(JoinOp.SJOIN, silver(20).tree, silver(20).tree)
+        assert materialize(t, CompClass.S).n == 2**21 - 1 <= MAX_TREE_STEPS
+
     def test_rejects_inadmissible_class(self):
         t = CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
         with pytest.raises(ClassMismatchError):
@@ -506,6 +527,20 @@ class TestTreesEqual:
         assert repr(a) == "(" * n + "e" + " <| e)" * n  # first: a failing == would print the trees
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != CompositionTree(JoinOp.GJOIN, a.left, CompositionTree(JoinOp.SJOIN, LEAF, LEAF))
+
+    def test_shared_tree_prints_an_abbreviation(self):
+        """Text that doubles with each level of sharing is sized per distinct
+        node first: past the bound the repr names the length instead."""
+        from stepweaver.builders import silver
+
+        t = LEAF
+        for _ in range(64):
+            t = CompositionTree(JoinOp.SJOIN, t, t)
+        assert repr(t) == f"<CompositionTree of {2**64 - 1} steps: {(2**64 - 1) * 7 + 1} characters of text>"
+        assert len(repr(silver(20).tree)) == (2**20 - 1) * 7 + 1 <= MAX_TREE_TEXT  # "(" left " >< " right ")"
+        half = CompositionTree(JoinOp.SJOIN, silver(20).tree, silver(20).tree)
+        big = CompositionTree(JoinOp.SJOIN, half, half)
+        assert repr(big) == f"<CompositionTree of {2**22 - 1} steps: {(2**22 - 1) * 7 + 1} characters of text>"
 
     def test_one_deep_mu_differs(self):
         from stepweaver.builders import silver
