@@ -16,6 +16,7 @@ import sys
 from stepweaver.builders import dynamic_short, left_heavy, right_heavy, silver
 from stepweaver.gd import certified_bound, worst_case_scan
 from stepweaver.optimizer import obs_f, obs_g, obs_s
+from stepweaver.schedule import ResourceCapError, ScheduleError
 
 
 def gallery():
@@ -39,18 +40,21 @@ def main() -> int:
     args = ap.parse_args()
 
     header = f"{'schedule':18s} {'criterion':22s} {'worst':>12s} {'certified':>12s} {'slack':>10s} {'kink*':>10s}"
-    print(header)
-    print("-" * len(header))
+    lines = [header, "-" * len(header)]
     for name, sched in gallery():
         for criterion in ("objective_gap_per_D2", "gradnorm_per_gap"):
             bound = certified_bound(sched, criterion)
             if bound is None:
                 continue
-            res = worst_case_scan(sched, criterion, args.grid)
-            print(
+            try:
+                res = worst_case_scan(sched, criterion, args.grid)
+            except (ScheduleError, ResourceCapError) as exc:  # only --grid can make a scan fail
+                ap.error(str(exc))
+            lines.append(
                 f"{name:18s} {criterion:22s} {res.worst_value:12.8f} {bound:12.8f} "
                 f"{bound - res.worst_value:10.2e} {res.delta_star:10.6f}"
             )
+    print("\n".join(lines))
     return 0
 
 

@@ -344,12 +344,15 @@ def worst_case_scan(
 
     Scans the kink over a log-uniform grid in (1e-6, 1], plus the unit
     quadratic.  All runs execute as one separable batch since the
-    coordinates evolve independently; the quadratic is the last row.
+    coordinates evolve independently; the quadratic is the last row.  A scan
+    of more than ``MAX_COORDS`` points raises ``ResourceCapError`` first.
     """
     if criterion not in WORST_CASE_CRITERIA:
         raise ScheduleError(f"unknown criterion {criterion!r}, expected one of {WORST_CASE_CRITERIA}")
     if grid_size < 100:
         raise ScheduleError(f"grid_size must be at least 100, got {grid_size}")
+    if (schedule.n + 1) * (grid_size + 1) > MAX_COORDS:
+        raise ResourceCapError(f"scan of {schedule.n + 1} points x {grid_size + 1} runs exceeds cap {MAX_COORDS}")
     deltas = np.geomspace(1e-6, 1.0, grid_size)
     is_huber = np.arange(grid_size + 1).reshape(-1, 1) < grid_size
     param = np.append(deltas, 1.0).reshape(-1, 1)

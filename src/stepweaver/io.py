@@ -91,11 +91,6 @@ def dumps_schedule(schedule: StepSchedule, construction: "str | None" = None, pr
     return "{\n  " + ",\n  ".join(parts) + "\n}\n"
 
 
-def save_schedule(path, schedule: StepSchedule, construction: "str | None" = None, provenance: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_schedule(schedule, construction, provenance))
-
-
 def loads_schedule(text: str, identity_tol: float = DEFAULT_IDENTITY_TOL) -> StepSchedule:
     """Parse and revalidate schedule-file JSON; see :func:`load_schedule`."""
     try:

@@ -576,13 +576,6 @@ def battery_instances(config: RunConfig):
     return [(i, random_instance(rng, d), random_x0(rng, d)) for i, d in enumerate(dims)]
 
 
-def battery_instance(config: RunConfig, index: int):
-    """Replay helper: the single battery instance a report witness names."""
-    if not 0 <= index < config.battery:
-        raise ScheduleError(f"battery index {index} outside [0, {config.battery})")
-    return battery_instances(config)[index][1:]
-
-
 class PackedBattery(NamedTuple):
     """Battery instances packed as the 1-D coordinates of one GD loop.
 

@@ -260,6 +260,19 @@ class TestWorstCaseScan:
         with pytest.raises(ScheduleError):
             worst_case_scan(obs_f(2), "nonsense", 200)
 
+    def test_scan_cap_comes_before_the_run(self, monkeypatch):
+        """A scan of (n+1)*(grid+1) > ``MAX_COORDS`` points is refused before
+        ``raw_run`` allocates it; a short schedule on the same grid runs."""
+        steps = np.full(gd.MAX_COORDS // 101, 0.5)  # (n+1)*101 is past the cap
+        assert (steps.size + 1) * 101 > gd.MAX_COORDS >= steps.size * 101
+        refuse = lambda *args: pytest.fail("raw_run called")
+        monkeypatch.setattr(gd, "raw_run", refuse)
+        with pytest.raises(ResourceCapError, match=f"scan of {steps.size + 1} points x 101 runs exceeds cap"):
+            worst_case_scan(StepSchedule(steps, CompClass.G, 0.5), "gradnorm_per_gap", 100)
+        monkeypatch.undo()
+        res = worst_case_scan(StepSchedule(steps[:3], CompClass.G, 0.5), "gradnorm_per_gap", 100)
+        assert res.criterion == "gradnorm_per_gap"
+
 
 def instance_arrays(rng, shape):
     """Random Huber/quadratic coordinates; about a fifth of the quadratic

@@ -22,7 +22,6 @@ from stepweaver.io import (
     dumps_schedule,
     load_schedule,
     loads_schedule,
-    save_schedule,
 )
 from stepweaver.optimizer import CACHE_ENV_VAR, CACHE_NAME, build_tables, load_tables, obs_f, save_tables
 from stepweaver.schedule import (
@@ -64,7 +63,7 @@ class TestScheduleFile:
     def test_round_trip_bit_exact(self, tmp_path):
         h = obs_f(10)
         path = tmp_path / "h.json"
-        save_schedule(path, h, construction="obsf(10)")
+        path.write_text(dumps_schedule(h, construction="obsf(10)"), encoding="utf-8")
         loaded = load_schedule(path)
         assert np.array_equal(loaded.steps, h.steps)
         assert loaded.rate == h.rate
@@ -168,7 +167,7 @@ class TestScheduleFile:
 
         h = constant_optimal(CompClass.S, 4)
         path = tmp_path / "c.json"
-        save_schedule(path, h, construction="const_s(4)")
+        path.write_text(dumps_schedule(h, construction="const_s(4)"), encoding="utf-8")
         assert load_schedule(path).conjectured
 
 

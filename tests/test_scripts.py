@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(*argv):
+def run_script(*argv, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -19,7 +21,7 @@ def run_script(*argv):
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 
@@ -27,6 +29,16 @@ def test_worst_case_gallery_runs():
     proc = run_script("worst_case_gallery.py", "--grid", "100")
     assert proc.stdout.splitlines()[0].split()[:2] == ["schedule", "criterion"]
     assert any(line.startswith("silver(3)") for line in proc.stdout.splitlines())
+
+
+@pytest.mark.parametrize("grid", ["50", "20000000"])
+def test_worst_case_gallery_refuses_a_bad_grid_in_one_line(grid):
+    """A grid below 100 (``ScheduleError``) or one whose scan passes the
+    coordinate cap (``ResourceCapError``) is a usage error, not a traceback."""
+    proc = run_script("worst_case_gallery.py", "--grid", grid, returncode=2)
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("worst_case_gallery.py: error: ")
 
 
 def test_report_digest_prints_count_and_sha256():

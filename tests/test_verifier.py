@@ -458,7 +458,6 @@ class TestVerifySchedule:
 
     def test_battery_witness_is_replayable(self):
         from stepweaver import verify
-        from stepweaver.verify import battery_instance
 
         # the bogus gradient schedule from the falsifiability family
         b = 1.07
@@ -472,7 +471,7 @@ class TestVerifySchedule:
             check = next(c for c in report.checks if c.name == "battery/gradient-inequality")
             assert not check.passed
             index = int(re.search(r"instance #(\d+)", check.instance).group(1))
-            inst, x0 = battery_instance(cfg, index)
+            inst, x0 = verify.battery_instances(cfg)[index][1:]
             tr = run(bogus, inst, x0)
             scale = max(1.0, float(x0 @ x0), float(tr.f[0]))
             assert _g_slack_raw(bogus.rate, tr.x, tr.g, tr.f) / scale == pytest.approx(check.slack, rel=1e-12)
