@@ -425,7 +425,6 @@ class TreeFold(NamedTuple):
     index: dict  # id(node) -> the distinct node's entry in rates and sizes
     rates: array  # each distinct node's rate
     sizes: array  # and its number of steps
-    error: "ScheduleError | None"  # the first leaf's refusal, read as empty
 
     def node(self, node):
         """``(rate, number of steps)`` of a node of the tree."""
@@ -444,23 +443,17 @@ def fold_tree(tree, leaf=empty_leaf) -> TreeFold:
     Python work is O(distinct nodes) plus O(n) array writes: a chain of n
     joins costs O(n), where joining it copies O(n^2) steps.  ``leaf(node)``
     is a leaf's schedule, or None for the empty one (rate 1, no steps); the
-    default, :func:`empty_leaf`, reads ``e`` alone.  A leaf that ``leaf``
-    refuses with a ``ScheduleError`` counts as empty and the first refusal
-    is kept in ``error``, so the classes and the length stay known.  A node
-    of more than ``MAX_TREE_STEPS`` steps raises ``ResourceCapError`` before
-    anything of its size is made.
+    default, :func:`empty_leaf`, reads ``e`` alone and raises its
+    ``ScheduleError`` at any other leaf, so no tree folds with a refused
+    leaf.  A node of more than ``MAX_TREE_STEPS`` steps raises
+    ``ResourceCapError`` before anything of its size is made.
     """
     # per distinct node one dict entry and machine numbers in typed arrays,
-    # not a float or int object each: materializing dynamic_short(4000)'s
-    # tree peaks at 1.05 MiB of Python allocations (1.68 with dicts of them)
-    index, rates, sizes, mus, leaves, errors = {}, array("d"), array("q"), array("d"), {}, []
+    # not a float or int object each
+    index, rates, sizes, mus, leaves = {}, array("d"), array("q"), array("d"), {}
 
     def leaf_classes(node):
-        try:
-            h = leaf(node)
-        except ScheduleError as err:
-            errors.append(err)
-            h = None
+        h = leaf(node)
         leaves[len(rates)] = h
         index[id(node)] = len(rates)
         rates.append(1.0 if h is None else h.rate)
@@ -507,7 +500,7 @@ def fold_tree(tree, leaf=empty_leaf) -> TreeFold:
     for at, src, size in copies:
         steps[at : at + size] = steps[src : src + size]
     root = index[id(tree)]
-    return TreeFold(steps, rates[root], classes, index, rates, sizes, errors[0] if errors else None)
+    return TreeFold(steps, rates[root], classes, index, rates, sizes)
 
 
 def check_steps(s: StepSchedule, steps, rate: float, tol: float = DEFAULT_IDENTITY_TOL, source: str = "tree") -> None:
@@ -537,62 +530,54 @@ def _require_class(classes: frozenset, comp_class: CompClass) -> None:
         )
 
 
-def check_tree(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL, fold: "TreeFold | None" = None) -> None:
-    """Raise a ``ScheduleError`` unless the schedule's tree builds it: the
-    tree admits the class, its leaves are all ``e`` (:func:`empty_leaf`),
-    and its steps and rate reproduce the schedule's (:func:`check_steps`).
-    ``fold`` is the tree's :func:`fold_tree`, when the caller has made it.
+def check_tree(s: StepSchedule, tol: float = DEFAULT_IDENTITY_TOL) -> TreeFold:
+    """The schedule's tree's :func:`fold_tree`, once it is proven to build
+    the schedule: else a ``ScheduleError``, raised at a leaf that is not
+    ``e`` (:func:`empty_leaf`), or because the tree does not admit the class,
+    or because its steps and rate do not reproduce the schedule's
+    (:func:`check_steps`).
 
     Linear in the tree.  ``StepSchedule`` does not run it: :func:`join`
     builds one at every node, so a chain of joins would cost O(n^2)."""
-    fold = fold_tree(s.tree) if fold is None else fold
+    fold = fold_tree(s.tree)
     _require_class(fold.classes, s.comp_class)
-    if fold.error is not None:
-        raise fold.error
     check_steps(s, fold.steps, fold.rate, tol)
+    return fold
 
 
 def materialize(tree: CompositionTree, comp_class: CompClass, leaf=None) -> StepSchedule:
     """The schedule of the given class that a construction tree builds, bit
     for bit as joining upward would, from one :func:`fold_tree` and one
-    validated ``StepSchedule``: O(n + distinct nodes).  For
-    ``dynamic_short(20000)``'s chain that is 0.15 s, where joining node by
-    node took 1.4 s (2-vCPU VM).  Raises ``ClassMismatchError`` if the tree
-    cannot produce the requested class.
+    validated ``StepSchedule``: O(n + distinct nodes).  Raises
+    ``ClassMismatchError`` if the tree cannot produce the requested class.
 
     ``leaf(node)`` is a leaf's schedule, of the class its place requires (the
     DSL typechecks first), or None for ``e``; the default :func:`empty_leaf`
-    reads ``e`` alone, and then the one fold gives the classes too.  With
-    ``leaf``, the classes come from a first fold that reads every leaf as
-    empty, so they are checked before ``leaf`` is called, and a second fold
-    takes the leaf schedules.  A conjectured leaf schedule cannot be joined.
-    The result carries the tree, with each leaf's own tree in its place when
-    ``leaf`` is given, or none when a leaf has none.
+    reads ``e`` alone.  With ``leaf``, a shape walk first builds each leaf
+    schedule once, refusing a conjectured one where it would be joined, so
+    a DSL expression raises the error of its first offending node in walk
+    order; the fold then reads the built leaves.  The result carries the
+    tree, with each leaf's own tree in its place when ``leaf`` is given, or
+    none when a leaf has none.
     """
-    fold = fold_tree(tree)
-    _require_class(fold.classes, comp_class)
-    leaves = {}
-
-    def leaf_once(node):
-        if id(node) not in leaves:
-            leaves[id(node)] = (leaf or empty_leaf)(node)
-        return leaves[id(node)]
-
-    def combine(node, left, right):
-        # only a leaf can be conjectured: refuse it where its join would
-        if any(child.is_leaf and getattr(leaf_once(child), "conjectured", False) for child in (node.left, node.right)):
-            raise UncertifiedScheduleError("cannot join conjectured schedules: their class membership is unproven")
-        return None if left is None or right is None else CompositionTree(node.op, left, right)
-
     if tree.is_leaf:
-        return leaf_once(tree) or empty_schedule(comp_class)
-    # empty_leaf gives no schedule, so only leaf schedules can be conjectured or put their own trees in
-    shape = tree
+        return (leaf or empty_leaf)(tree) or empty_schedule(comp_class)
+    shape, leaves = tree, {}
     if leaf is not None:
-        shape = postorder(tree, lambda node: getattr(leaf_once(node), "tree", node), combine)
-        fold = fold_tree(tree, leaf_once)
-    if fold.error is not None:
-        raise fold.error
+
+        def leaf_shape(node):
+            h = leaves[id(node)] = leaf(node)
+            return getattr(h, "tree", node)  # e (None) keeps its own leaf
+
+        def combine(node, left, right):
+            # only a leaf schedule can be conjectured: refuse it where its join would
+            if any(getattr(leaves.get(id(child)), "conjectured", False) for child in (node.left, node.right)):
+                raise UncertifiedScheduleError("cannot join conjectured schedules: their class membership is unproven")
+            return None if left is None or right is None else CompositionTree(node.op, left, right)
+
+        shape = postorder(tree, leaf_shape, combine)
+    fold = fold_tree(tree, empty_leaf if leaf is None else lambda node: leaves[id(node)])
+    _require_class(fold.classes, comp_class)
     out = StepSchedule(fold.steps, comp_class, fold.rate, shape)
     validate_schedule(out)
     return out

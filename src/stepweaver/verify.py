@@ -43,12 +43,12 @@ and the error's text, and the battery runs without it.
 Inner products sum over the coordinates with ``gd.coord_sum`` (the bits of
 ``np.add.reduce``, by column adds on many rows); the einsums of the Gram
 rows stay, since their order differs from the reduce's at d >= 3.  A
-carried construction tree is walked once per verification, by
-``schedule.fold_tree``: its classes, steps and rate feed the identity
-entry, its per-node rates and lengths the F weights (each ``|>`` node's S
-operand is a slice of its steps), and the reversal check runs the reversed
-steps at the swapped class and the same rate (``schedule.flip``) without
-mirroring the tree.
+carried construction tree is walked at most once per verification, by the
+identity entry's ``schedule.check_tree`` once the closed forms hold.  Only
+a tree that this entry proved feeds the F weights (its fold's per-node
+rates and lengths; each ``|>`` node's S operand is a slice of its steps)
+and the reversal check, which runs the reversed steps at the swapped class
+and the same rate (``schedule.flip``) without mirroring the tree.
 """
 
 import functools
@@ -141,8 +141,6 @@ def build_f_certificate(tree: CompositionTree, fold: "TreeFold | None" = None) -
     fold = fold_tree(tree) if fold is None else fold
     if CompClass.F not in fold.classes:
         raise ClassMismatchError("tree is not an f-class construction")
-    if fold.error is not None:
-        raise fold.error
     spine = []
     while not tree.is_leaf:
         spine.append(tree)
@@ -724,7 +722,9 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     class's extremal instances, the certificate inequality across the random
     battery, interpolation nonnegativity on every trace, and (for join-built
     schedules) a tree that builds the steps and the rate (in the identity
-    entry, by ``schedule.check_tree``) and the reversal duality.  numpy's
+    entry, by ``schedule.check_tree`` once the closed forms hold) and the
+    reversal duality.  A tree that fails the identity entry is not read
+    again: it feeds neither the f certificate nor the reversal check.  numpy's
     floating-point warnings are off inside: an overflow or invalid value
     reaches its check's slack as an infinity or NaN, and the check fails.
     A run of more than ``MAX_TRACE_VALUES`` values raises
@@ -749,29 +749,20 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         except ScheduleError as err:
             checks.append(CheckResult(name, False, float("nan"), tol, str(err)))
 
-    # one fold of the tree gives its classes, steps and rate, what the
-    # identity entry, the f certificate and the reversal check read of it
-    fold = None if schedule.tree is None else fold_tree(schedule.tree)
-
     def reversed_run():
         # reversal duality: the reversed schedule keeps the rate by
         # construction, is of the swapped class (its closed-form identities
-        # hold) and meets its own defining pair at equality; it is certified
-        # for trees of e leaves alone
-        if fold.error is not None:
-            raise fold.error
+        # hold) and meets its own defining pair at equality
         dual = flip(schedule)
         validate_schedule(dual, config.identity_tol)
         return dual, _tight_rows(dual, implied=False)
 
     def identity():
-        # the closed forms, then the tree, which must build the schedule
+        # the closed forms, then the tree's one fold, which must build the schedule
         dev = validate_schedule(schedule, config.identity_tol)
-        if fold is not None:
-            check_tree(schedule, config.identity_tol, fold)
-        return dev
+        return dev, None if schedule.tree is None else check_tree(schedule, config.identity_tol)
 
-    dev = build("identity", config.identity_tol, identity)
+    dev, fold = build("identity", config.identity_tol, identity) or (None, None)
     if dev is not None:
         checks.append(CheckResult("identity", True, dev, config.identity_tol, "closed forms"))
     runs = [(schedule, build("tightness", config.tight_tol, lambda: _tight_rows(schedule)) or [])]
@@ -780,10 +771,9 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
         cert = build("battery/mixed-inequality", config.slack_tol, lambda: _s_gradient_weight(schedule.rate))
         for key in ("gap", "gradient"):
             implied = build(f"battery/implied-{key}", config.slack_tol, lambda: _s_fg_ratio(schedule.rate)) is not None
-    # a tree that passed the identity entry builds the schedule; after a
-    # failure, one of the schedule's length still feeds the certificate (which
-    # weighs the tree's points) and the reversal check, as diagnostics
-    if fold is not None and (dev is not None or fold.steps.size == schedule.n):
+    # only a tree that the identity entry proved feeds the f certificate and
+    # the reversal check
+    if fold is not None:
         if schedule.comp_class is CompClass.F:
             cert = build("battery/certificate", config.slack_tol, lambda: build_f_certificate(schedule.tree, fold))
         dual = build("reversal-duality", config.tight_tol, reversed_run)

@@ -721,11 +721,9 @@ def test_gd_loops_per_verify(monkeypatch):
         assert len(calls[0][0]) == (1 if h.tree is None else 2)  # step runs: forward, reversed
 
 
-def test_one_tree_fold_per_verify(monkeypatch):
-    """One walk of the construction tree per verification: the identity
-    entry, the f certificate and the reversal check all read one
-    ``schedule.fold_tree``, whose ``postorder`` is counted (patched in
-    ``schedule`` and in ``verify``, so a walk through either counts)."""
+def _count_tree_walks(monkeypatch) -> list:
+    """The calls of ``postorder``, patched in ``schedule`` and in ``verify``,
+    so a walk through either counts."""
     calls = []
     original = schedule.postorder
 
@@ -735,6 +733,14 @@ def test_one_tree_fold_per_verify(monkeypatch):
 
     monkeypatch.setattr(schedule, "postorder", counting)
     monkeypatch.setattr(verify, "postorder", counting, raising=False)
+    return calls
+
+
+def test_one_tree_fold_per_verify(monkeypatch):
+    """One walk of the construction tree per verification: the identity
+    entry, the f certificate and the reversal check all read one
+    ``schedule.fold_tree``, whose ``postorder`` is counted."""
+    calls = _count_tree_walks(monkeypatch)
     tables = build_tables(40)
     cases = [(obs_f(30, tables), 1), (obs_g(30, tables), 1), (obs_s(30, tables), 1), (silver(5), 1)]
     cases.append((replace(silver(3), tree=None), 0))
@@ -743,6 +749,24 @@ def test_one_tree_fold_per_verify(monkeypatch):
         report = verify_schedule(h, RunConfig())
         assert report.certified, report.summary()
         assert len(calls) == folds, h.describe()
+
+
+@pytest.mark.parametrize("corrupt", ["rate", "step"])
+def test_no_tree_fold_when_closed_forms_fail(monkeypatch, corrupt):
+    """The identity entry folds the tree only once the closed forms hold:
+    a schedule whose rate or step breaks them walks its tree zero times."""
+    calls = _count_tree_walks(monkeypatch)
+    for h in (silver(3), right_heavy(3), obs_g(6, build_tables(8))):
+        steps, rate = h.steps.copy(), h.rate
+        if corrupt == "rate":
+            rate *= 1.01
+        else:
+            steps[1] *= 1.01
+        bad = replace(h, steps=steps, rate=rate)
+        calls.clear()
+        report = verify_schedule(bad, RunConfig(battery=8))
+        assert not next(c for c in report.checks if c.name == "identity").passed
+        assert calls == [], h.describe()
 
 
 # Beside the points of the whole battery and one dimension group's gradients

@@ -444,7 +444,7 @@ class TestMaterialize:
 
 class TestMacroLeaves:
     """Only ``e`` reads as the empty schedule: a DSL macro leaf needs its leaf
-    schedule, so every fold without one refuses it and names it."""
+    schedule, so every fold without one raises at that leaf and names it."""
 
     TEXT = "(silver(2) >< e)"
 
@@ -467,8 +467,25 @@ class TestMacroLeaves:
         for text in (self.TEXT, "silver(2)", "((e >< e) |> (e |> obsf(2)))"):
             with pytest.raises(ScheduleError, match="is not e"):
                 materialize(parse(text), CompClass.S if "|>" not in text else CompClass.F)
-        fold = fold_tree(parse(self.TEXT))
-        assert isinstance(fold.error, ScheduleError) and "leaf silver(2) is not e" in str(fold.error)
+
+    def test_fold_tree_raises_at_a_macro_leaf(self, monkeypatch):
+        """The leaf reader's error leaves ``fold_tree`` at the leaf itself:
+        the fold reads no leaf after it and joins nothing above it."""
+        from stepweaver import schedule
+        from stepweaver.dsl import parse
+
+        with pytest.raises(ScheduleError, match=r"leaf silver\(2\) is not e"):
+            fold_tree(parse(self.TEXT))
+        read, joined, join_step = [], [], schedule.join_step
+        monkeypatch.setattr(schedule, "join_step", lambda *args: joined.append(args) or join_step(*args))
+
+        def leaf(node):
+            read.append(node)
+            return empty_leaf(node)
+
+        with pytest.raises(ScheduleError, match=r"leaf obsf\(2\) is not e"):
+            fold_tree(parse("((e >< e) |> (obsf(2) |> silver(1)))"), leaf)
+        assert [str(node) for node in read] == ["e", "obsf(2)"] and len(joined) == 1  # (e >< e) alone
 
     def test_check_tree_and_reverse_refuse_a_macro(self):
         h = self.one_step(self.TEXT)
@@ -480,10 +497,14 @@ class TestMacroLeaves:
         assert reverse(self.one_step("(e >< e)")).tree == CompositionTree(JoinOp.SJOIN, LEAF, LEAF)
 
     def test_length_and_classes_still_count_a_macro_leaf(self):
-        from stepweaver.dsl import parse
+        """``length`` counts a macro leaf as empty and the DSL's typecheck
+        gives its classes; ``fold_tree``, which needs its steps, refuses it."""
+        from stepweaver.dsl import parse, typecheck
 
         tree = parse(self.TEXT)
-        assert tree.length() == 1 and fold_tree(tree).classes == {CompClass.S}
+        assert tree.length() == 1 and typecheck(tree) == {CompClass.S}
+        with pytest.raises(ScheduleError, match="is not e"):
+            fold_tree(tree)
 
     def test_leaf_schedules_take_their_places(self):
         """With leaf schedules, the result is the join of the leaves and
@@ -506,6 +527,34 @@ class TestMacroLeaves:
         with pytest.raises(UncertifiedScheduleError):
             materialize(parse("(e >< const_s(3))"), CompClass.S, leaf)
         assert materialize(parse("(e >< const_s(2))"), CompClass.S, leaf).tree is None
+
+    def test_shape_walk_keeps_each_expressions_first_error(self):
+        """The shape walk refuses the conjectured join before the fold reads
+        the leaf to its right, whose builder would raise its own error."""
+        from stepweaver.dsl import compile_expression
+
+        with pytest.raises(ScheduleError, match="need n >= 1"):
+            compile_expression("const_s(0)")
+        with pytest.raises(UncertifiedScheduleError):
+            compile_expression("((e >< const_s(3)) >< const_s(0))")
+
+    @pytest.mark.parametrize("text", ["(silver(2) >< e)", "((e >< silver(1)) |> obsf(3))", "(e |> e)"])
+    def test_materialize_folds_once(self, monkeypatch, text):
+        """One ``fold_tree`` per ``materialize``, with leaf schedules or without;
+        the leaf schedules are built once each."""
+        from stepweaver import schedule
+        from stepweaver.dsl import _leaf_schedule, parse
+
+        folds, built = [], []
+        original = schedule.fold_tree
+        monkeypatch.setattr(schedule, "fold_tree", lambda *args: folds.append(args) or original(*args))
+        tree, cls = parse(text), CompClass.F if "|>" in text else CompClass.S
+        h = materialize(tree, cls, lambda node: built.append(node) or _leaf_schedule(node))
+        # the leaf builders materialize their own trees: count the folds of this one
+        assert sum(args[0] is tree for args in folds) == 1 and len(built) == len(set(map(id, built)))
+        if "obsf" not in text and "silver" not in text:
+            folds.clear()
+            assert materialize(tree, cls).steps.tobytes() == h.steps.tobytes() and len(folds) == 1
 
 
 class TestTreesEqual:
@@ -589,7 +638,6 @@ def _assert_fold_matches_joins(tree, cls, h=None):
     byte and the same rate (and ``h``'s, when given)."""
     ref = join_by_join(tree, cls)
     fold = fold_tree(tree)
-    assert fold.error is None
     steps, rate = fold.steps, fold.rate
     built = materialize(tree, cls)
     assert steps.tobytes() == built.steps.tobytes() == ref.steps.tobytes()
@@ -667,7 +715,7 @@ class TestTreeSteps:
 
     def test_leaf_is_the_empty_schedule(self):
         fold = fold_tree(LEAF)
-        assert fold.steps.size == 0 and fold.rate == 1.0 and fold.error is None
+        assert fold.steps.size == 0 and fold.rate == 1.0 and fold.classes == frozenset(CompClass)
 
     def test_no_consumer_joins_per_node(self, monkeypatch):
         """materialize, the table walk, the F certificate, the DSL's

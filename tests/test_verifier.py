@@ -398,39 +398,39 @@ class TestVerifySchedule:
         assert not report.passed
 
     def test_tree_without_class_f_is_reported(self):
-        """silver(2)'s steps and s-tree labeled f have no f certificate: the
-        certificate entry fails with the reason, and the battery runs the
-        direct gap inequality instead."""
-        s2 = silver(2)
-        report = verify_schedule(StepSchedule(s2.steps, CompClass.F, s2.rate, s2.tree), RunConfig(battery=8))
+        """obs_f(3)'s steps carrying obs_g(3)'s g-tree, whose closed forms
+        hold, fail the identity entry with the class the tree admits.  An
+        unproven tree gets no f certificate and no reversal check: the
+        battery runs the direct gap inequality instead."""
+        f3 = obs_f(3)
+        report = verify_schedule(StepSchedule(f3.steps, CompClass.F, f3.rate, obs_g(3).tree), RunConfig(battery=8))
         checks = {c.name: c for c in report.checks}
-        assert not report.passed
-        cert = checks["battery/certificate"]
-        assert not cert.passed and np.isnan(cert.slack)
-        assert cert.instance == "tree is not an f-class construction"
-        assert {"battery/gap-inequality", "interpolation", "reversal-duality"} <= set(checks)
+        assert not report.passed and not report.certified
+        identity = checks["identity"]
+        assert not identity.passed and np.isnan(identity.slack)
+        assert identity.instance == "tree does not admit class f (admits {g})"
+        assert "battery/certificate" not in checks and "reversal-duality" not in checks
+        assert checks["battery/gap-inequality"].passed and "interpolation" in checks
         assert any(name.startswith("tightness/") for name in checks)
 
-    @pytest.mark.parametrize(
-        "make,factor",
-        [(lambda: silver(2), 1.0), (lambda: right_heavy(3), 1.5)],
-        ids=["silver2-labeled-f", "rheavy3-rate-x1.5"],
-    )
-    def test_reversal_that_breaks_identities_is_reported(self, make, factor):
-        """A reversed schedule that breaks its class's identities fails the
-        reversal-duality entry with NaN slack and the IdentityError's text,
-        which says which identity failed: silver(2)'s steps and s-tree
-        labeled f, and the f-schedule right_heavy(3) with its rate x1.5."""
-        base, config = make(), RunConfig(battery=8)
-        h = StepSchedule(base.steps, CompClass.F, base.rate * factor, base.tree)
+    def test_reversal_that_breaks_identities_is_reported(self):
+        """A proven tree whose reversed schedule breaks its class's identities
+        fails the reversal-duality entry with NaN slack and the
+        IdentityError's text, which says which identity failed:
+        right_heavy(3) meets a 1e-15 identity tolerance, and its reverse
+        misses it by about 1.06e-15."""
+        h, config = right_heavy(3), RunConfig(battery=8, identity_tol=1e-15)
+        validate_schedule(h, config.identity_tol)
         with pytest.raises(IdentityError) as err:
             validate_schedule(reverse(h), config.identity_tol)
         report = verify_schedule(h, config)
-        check = next(c for c in report.checks if c.name == "reversal-duality")
+        checks = {c.name: c for c in report.checks}
+        assert checks["identity"].passed and checks["battery/certificate"].passed
+        check = checks["reversal-duality"]
         assert not check.passed and np.isnan(check.slack)
         assert check.instance == str(err.value)
         assert "identity violated" in check.instance
-        assert "interpolation" in {c.name for c in report.checks}
+        assert "interpolation" in checks
 
     def test_json_report_writes_a_nan_slack_as_null(self):
         """``to_json`` is strict JSON: a NaN slack is ``null`` there, while the
@@ -499,7 +499,7 @@ class TestVerifySchedule:
         """A schedule carrying a tree that does not build its steps, though
         its closed forms hold, fails the identity entry with NaN slack and a
         message naming what differs (class, length or steps), and is neither
-        passed nor certified.  A tree of another length feeds neither the
+        passed nor certified.  The unproven tree feeds neither the
         certificate nor the reversal check, so an f-schedule's battery checks
         the gap inequality instead."""
         h, tree = steps_of(), tree_of().tree
@@ -511,22 +511,21 @@ class TestVerifySchedule:
         assert not identity.passed and math.isnan(identity.slack)
         assert re.search(message, identity.instance), identity.instance
         assert not report.passed and not report.certified
-        if tree.length() != h.n:
-            assert "reversal-duality" not in checks and "battery/certificate" not in checks
-            if h.comp_class is CompClass.F:
-                assert checks["battery/gap-inequality"].passed
+        assert "reversal-duality" not in checks and "battery/certificate" not in checks
+        if h.comp_class is CompClass.F:
+            assert checks["battery/gap-inequality"].passed
 
     def test_macro_leaf_tree_is_not_certified(self):
         """A one-step schedule carrying ``(silver(2) >< e)`` (whose expansion
-        has 4 steps) fails the identity entry, which names the macro, and the
-        reversal check, which cannot mirror it."""
+        has 4 steps) fails the identity entry, whose fold stops at the macro
+        and names it; the unproven tree gets no reversal check."""
         bad = StepSchedule([math.sqrt(2.0)], CompClass.S, math.sqrt(2.0) - 1.0, dsl.parse("(silver(2) >< e)"))
         validate_schedule(bad)
         report = verify_schedule(bad, RunConfig(battery=8))
         checks = {c.name: c for c in report.checks}
-        for name in ("identity", "reversal-duality"):
-            assert not checks[name].passed and math.isnan(checks[name].slack)
-            assert "leaf silver(2) is not e" in checks[name].instance
+        assert not checks["identity"].passed and math.isnan(checks["identity"].slack)
+        assert checks["identity"].instance == "leaf silver(2) is not e: it needs its leaf schedule"
+        assert "reversal-duality" not in checks
         assert not report.passed and not report.certified
 
     @pytest.mark.parametrize("make", [lambda: silver(3), lambda: obs_f(6), lambda: obs_g(6)], ids=["s", "f", "g"])
@@ -588,13 +587,15 @@ class TestFalsifiability:
         report = verify_schedule(bad, RunConfig(battery=20))
         assert any(c.name == "identity" and not c.passed for c in report.checks)
 
-    def test_corrupted_rate_with_tree_fires_identity_tightness_and_reversal(self):
+    def test_corrupted_rate_with_tree_fires_identity_and_tightness(self):
+        """A tree whose schedule fails its closed forms is not proven, so it
+        gets no reversal check."""
         s2 = silver(2)
         bad = StepSchedule(s2.steps, CompClass.S, s2.rate * 1.01, s2.tree)
         report = verify_schedule(bad, RunConfig(battery=20))
         failed = {c.name for c in report.checks if not c.passed}
         assert "identity" in failed
-        assert "reversal-duality" in failed
+        assert "reversal-duality" not in {c.name for c in report.checks}
         assert any(name.startswith("tightness/") for name in failed)
 
     def test_typecheck_rejects_mistyped_tree(self):
