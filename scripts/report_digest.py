@@ -4,7 +4,7 @@
 Verifies the acceptance corpus (``tests/corpus.py``), the benchmark's
 verify-long schedules (``perfbench/workloads.py``), two long schedules,
 ``silver(10)`` and ``obss(2047)`` (n = 1023 and 2047, where the
-interpolation check skips the most pairs), and fourteen fixed corrupted
+interpolation check skips the most pairs), and fifteen fixed corrupted
 schedules, each under ``RunConfig()`` and under ``RunConfig(battery=40,
 seed=0x5EED)``, and prints the number of reports and the sha256 of all
 their fields: the schedule's name, ``describe()``, class, n, rate (as
@@ -54,10 +54,13 @@ def _rated(h: StepSchedule, rate: float) -> StepSchedule:
 
 
 def corruptions():
-    """Fourteen schedules that fail some check, or pass near one's edge:
-    perturbed steps or rates, with and without their construction trees, a
-    NaN step, mislabeled steps, trees that do not build their steps (of
-    another class or length) and an unverified constant schedule."""
+    """Fifteen schedules that fail some check, or pass near one's edge or
+    without certification: perturbed steps or rates, with and without their
+    construction trees, a NaN step, mislabeled steps, trees that do not
+    build their steps (of another class or length), an unverified constant
+    schedule and a tree-less f-schedule whose closed forms hold at a rate
+    under half its true worst case (it passes every check, but is not
+    certified)."""
     tables = build_tables(13)
     s2, s3, s5, s7 = silver(2), silver(3), obs_s(5, tables), obs_s(7, tables)
     f5, f6, f7 = obs_f(5, tables), obs_f(6, tables), obs_f(7, tables)
@@ -78,6 +81,7 @@ def corruptions():
         ("obss(7) rate x0.5", _rated(s7, s7.rate * 0.5)),
         ("rheavy(3) rate x1.5", _rated(r3, r3.rate * 1.5)),
         ("const_f(4) unverified", constant_optimal(CompClass.F, 4, unverified=True)),
+        ("f [2, 1.35991], no tree", StepSchedule([2.0, 1.3599119790003549], CompClass.F, 0.12953663262795195)),
     ]
 
 

@@ -510,6 +510,7 @@ class VerificationReport:
     rate: float
     conjectured: bool
     checks: list = field(default_factory=list)
+    proven_tree: bool = False  # the identity entry proved a carried tree; no JSON key
 
     @property
     def passed(self) -> bool:
@@ -517,10 +518,13 @@ class VerificationReport:
 
     @property
     def certified(self) -> bool:
-        return self.passed and not self.conjectured
+        """Passed, not conjectured, and with a proof of the rate: the checks
+        alone cannot refute a wrong rate of a schedule without a tree."""
+        return self.passed and not self.conjectured and self.proven_tree
 
     def to_dict(self) -> dict:
         d = asdict(self)
+        del d["proven_tree"]
         d["passed"] = self.passed
         d["certified"] = self.certified
         return d
@@ -535,11 +539,12 @@ class VerificationReport:
         return json.dumps(d, indent=2, allow_nan=False)
 
     def summary(self) -> str:
-        lines = [
-            f"schedule: {self.schedule}",
-            f"result: {'PASS' if self.passed else 'FAIL'}"
-            + (" (conjectured: inequality checks only)" if self.conjectured else ""),
-        ]
+        note = ""
+        if self.conjectured:
+            note = " (conjectured: inequality checks only)"
+        elif self.passed and not self.proven_tree:
+            note = " (not certified: no construction tree proves the rate)"
+        lines = [f"schedule: {self.schedule}", f"result: {'PASS' if self.passed else 'FAIL'}{note}"]
         for c in self.checks:
             lines.append(
                 f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: slack={c.slack:.3e} "
@@ -718,13 +723,16 @@ def _one_loop(battery: PackedBattery, runs):
 def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -> VerificationReport:
     """Run every class-appropriate check; failures become report entries.
 
-    A certified PASS needs the closed-form identities, tightness on the
-    class's extremal instances, the certificate inequality across the random
+    A PASS needs the closed-form identities, tightness on the class's
+    extremal instances, the certificate inequality across the random
     battery, interpolation nonnegativity on every trace, and (for join-built
     schedules) a tree that builds the steps and the rate (in the identity
     entry, by ``schedule.check_tree`` once the closed forms hold) and the
     reversal duality.  A tree that fails the identity entry is not read
-    again: it feeds neither the f certificate nor the reversal check.  numpy's
+    again: it feeds neither the f certificate nor the reversal check.  A
+    certified PASS also needs that proven tree: without one, no check can
+    refute a wrong rate, so a passing tree-less schedule is not certified
+    (``VerificationReport.certified``).  numpy's
     floating-point warnings are off inside: an overflow or invalid value
     reaches its check's slack as an infinity or NaN, and the check fails.
     A run of more than ``MAX_TRACE_VALUES`` values raises
@@ -765,6 +773,7 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     dev, fold = build("identity", config.identity_tol, identity) or (None, None)
     if dev is not None:
         checks.append(CheckResult("identity", True, dev, config.identity_tol, "closed forms"))
+    report.proven_tree = fold is not None
     runs = [(schedule, build("tightness", config.tight_tol, lambda: _tight_rows(schedule)) or [])]
     cert, implied = None, False
     if schedule.comp_class is CompClass.S:

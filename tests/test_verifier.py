@@ -12,6 +12,7 @@ from stepweaver import dsl, gd
 from stepweaver.builders import constant_optimal, dynamic_short, right_heavy, silver
 from stepweaver.gd import ProblemInstance, huber_instance, quad_instance, random_instance, random_x0, run
 from stepweaver.io import RunConfig
+from stepweaver.numerics import bisect_root
 from stepweaver.optimizer import obs_f, obs_g, obs_s
 from stepweaver.schedule import (
     LEAF,
@@ -301,6 +302,28 @@ class TestVerifySchedule:
             report = verify_schedule(h, cfg)
             assert report.passed, report.summary()
             assert report.certified
+
+    @pytest.mark.parametrize(
+        "comp_class,first",
+        [(CompClass.F, 1.8), (CompClass.F, 1.414), (CompClass.G, 2.0), (CompClass.S, 2.0)],
+        ids=["f-1.8", "f-1.414", "g-2", "s-2"],
+    )
+    def test_treeless_schedule_passes_but_is_not_certified(self, comp_class, first):
+        """Two-step tree-less schedules whose second step solves both closed
+        forms pass every check, though their true worst cases exceed their
+        rates (F [1.8, 1.45607]: 1.23x; G [2, 1.35991]: 1.39x): without a
+        proven tree a passing report is not certified, and says why."""
+        c = 1.0 if comp_class is CompClass.S else 2.0  # the closed forms' factor
+        power = 1 if comp_class is CompClass.S else 2
+        gap = lambda h: 1.0 / (1.0 + c * (first + h)) - ((first - 1.0) * (h - 1.0)) ** power
+        second = bisect_root(gap, 1.0 + 1e-12, 2.0 - 1e-12, tol=1e-15)
+        h = StepSchedule([first, second], comp_class, 1.0 / (1.0 + c * (first + second)))
+        assert validate_schedule(h, 1e-12) <= 1e-12
+        report = verify_schedule(h, RunConfig(battery=40))
+        assert report.passed and not report.certified, report.summary()
+        assert "identity" in {c.name for c in report.checks} and "reversal-duality" not in {c.name for c in report.checks}
+        assert report.summary().splitlines()[1] == "result: PASS (not certified: no construction tree proves the rate)"
+        assert "proven_tree" not in report.to_dict()
 
     def test_conjectured_report(self):
         report = verify_schedule(constant_optimal(CompClass.S, 5), RunConfig(battery=40))
