@@ -168,10 +168,10 @@ class _Table:
     ``scale * unit`` times the kernel's least quotient.  ``lows`` holds
     ``L_s`` and ``L_f``, the least ``rate[k] k^p`` of the rows that stand."""
 
-    __slots__ = ("cls", "rate", "split", "x", "y", "s", "ss", "bounds", "lows", "own", "half", "kernel", "scale", "unit", "den", "need")
+    __slots__ = ("rate", "split", "x", "y", "s", "ss", "bounds", "lows", "own", "half", "kernel", "scale", "unit", "den", "need")
 
     def __init__(self, cls, rate, split, s, ss, bounds, lows):
-        self.cls, self.rate, self.split, self.s, self.ss, self.bounds, self.lows = cls, rate, split, s, ss, bounds, lows
+        self.rate, self.split, self.s, self.ss, self.bounds, self.lows = rate, split, s, ss, bounds, lows
         self.half = cls is CompClass.S  # split m and n - m tie exactly: scan m <= n // 2
         self.own, self.x, self.y = (0, rate, ss) if self.half else (1, 2.0 * rate, rate)
         self.kernel, self.scale, self.unit = (_s_kernel, 2.0, 1.0) if self.half else (_f_kernel, 1.0, 0.25)

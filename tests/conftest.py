@@ -17,7 +17,7 @@ def rows_filled(monkeypatch):
     real = optimizer._fill
 
     def counted(t, first, last, buf):
-        count[t.cls.value] += last - first + 1
+        count["s" if t.half else "f"] += last - first + 1
         return real(t, first, last, buf)
 
     monkeypatch.setattr(optimizer, "_fill", counted)

@@ -398,7 +398,7 @@ def windows_seen(monkeypatch):
 
     def spy(t, n, k, cap):
         windows = real(t, n, k, cap)
-        seen[t.cls.value].update(zip(range(n, n + k), zip(*windows)))
+        seen["s" if t.half else "f"].update(zip(range(n, n + k), zip(*windows)))
         return windows
 
     monkeypatch.setattr(optimizer, "_windows", spy)
@@ -520,7 +520,7 @@ def checks_failed(monkeypatch):
     def spy(t, n, short, los, buf):
         row = real(t, n, short, los, buf)
         if row:
-            failed.append((t.cls.value, row, row - n))
+            failed.append(("s" if t.half else "f", row, row - n))
         return row
 
     monkeypatch.setattr(optimizer, "_check", spy)
