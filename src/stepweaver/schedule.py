@@ -442,11 +442,12 @@ def fold_tree(tree, leaf=empty_leaf) -> TreeFold:
     each later use of a shared node copies the segment of its first.  So the
     Python work is O(distinct nodes) plus O(n) array writes: a chain of n
     joins costs O(n), where joining it copies O(n^2) steps.  ``leaf(node)``
-    is a leaf's schedule, or None for the empty one (rate 1, no steps); the
-    default, :func:`empty_leaf`, reads ``e`` alone and raises its
-    ``ScheduleError`` at any other leaf, so no tree folds with a refused
-    leaf.  A node of more than ``MAX_TREE_STEPS`` steps raises
-    ``ResourceCapError`` before anything of its size is made.
+    is a leaf's schedule, or None for the empty one (rate 1, no steps); a
+    ``ScheduleError`` it raises leaves the fold at that leaf, so no tree
+    folds with a refused leaf.  The default, :func:`empty_leaf`, reads ``e``
+    alone and refuses any other leaf.  A node of more than
+    ``MAX_TREE_STEPS`` steps raises ``ResourceCapError`` before anything of
+    its size is made.
     """
     # per distinct node one dict entry and machine numbers in typed arrays,
     # not a float or int object each

@@ -728,11 +728,9 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     battery, interpolation nonnegativity on every trace, and (for join-built
     schedules) a tree that builds the steps and the rate (in the identity
     entry, by ``schedule.check_tree`` once the closed forms hold) and the
-    reversal duality.  A tree that fails the identity entry is not read
-    again: it feeds neither the f certificate nor the reversal check.  A
-    certified PASS also needs that proven tree: without one, no check can
-    refute a wrong rate, so a passing tree-less schedule is not certified
-    (``VerificationReport.certified``).  numpy's
+    reversal duality.  Only a tree that the identity entry proved feeds the
+    f certificate and the reversal check, and a certified PASS needs that
+    tree: without one, no check can refute a wrong rate.  numpy's
     floating-point warnings are off inside: an overflow or invalid value
     reaches its check's slack as an infinity or NaN, and the check fails.
     A run of more than ``MAX_TRACE_VALUES`` values raises
