@@ -436,22 +436,40 @@ class TestVerifySchedule:
         assert checks["battery/gap-inequality"].passed and "interpolation" in checks
         assert any(name.startswith("tightness/") for name in checks)
 
-    def test_reversal_that_breaks_identities_is_reported(self):
-        """A proven tree whose reversed schedule breaks its class's identities
-        fails the reversal-duality entry with NaN slack and the
-        IdentityError's text, which says which identity failed:
-        right_heavy(3) meets a 1e-15 identity tolerance, and its reverse
-        misses it by about 1.06e-15."""
-        h, config = right_heavy(3), RunConfig(battery=8, identity_tol=1e-15)
-        validate_schedule(h, config.identity_tol)
-        with pytest.raises(IdentityError) as err:
+    @pytest.mark.parametrize(
+        "make,factor,tol",
+        [(lambda: silver(2), 1.0, 1e-9), (lambda: right_heavy(3), 1.5, 1e-9), (lambda: right_heavy(3), 1.0, 1e-15)],
+        ids=["silver2-labeled-f", "rheavy3-rate-x1.5", "rheavy3-tol-1e-15"],
+    )
+    def test_reversal_that_breaks_identities_is_reported(self, make, factor, tol):
+        """A schedule labeled f whose reverse breaks its class's identities
+        fails, and the failing entry carries NaN slack and the text of an
+        IdentityError, which says which identity failed.  silver(2)'s steps
+        and s-tree, and right_heavy(3) with its rate x1.5, break the forward
+        identities too: the identity entry reports that, and the unproven
+        tree gets no reversal check.  right_heavy(3) meets a 1e-15 identity
+        tolerance and its reverse misses it by about 1.06e-15: the proven
+        tree's reversal-duality entry reports the reverse's error."""
+        base, config = make(), RunConfig(battery=8, identity_tol=tol)
+        h = StepSchedule(base.steps, CompClass.F, base.rate * factor, base.tree)
+        with pytest.raises(IdentityError) as reverse_err:
             validate_schedule(reverse(h), config.identity_tol)
+        try:
+            validate_schedule(h, config.identity_tol)
+            forward_err = None
+        except IdentityError as err:
+            forward_err = err
         report = verify_schedule(h, config)
         checks = {c.name: c for c in report.checks}
-        assert checks["identity"].passed and checks["battery/certificate"].passed
-        check = checks["reversal-duality"]
+        assert not report.passed and not report.certified
+        if forward_err is None:
+            assert checks["identity"].passed and checks["battery/certificate"].passed
+            check, err = checks["reversal-duality"], reverse_err.value
+        else:
+            assert "reversal-duality" not in checks and "battery/certificate" not in checks
+            check, err = checks["identity"], forward_err
         assert not check.passed and np.isnan(check.slack)
-        assert check.instance == str(err.value)
+        assert check.instance == str(err)
         assert "identity violated" in check.instance
         assert "interpolation" in checks
 
