@@ -31,9 +31,8 @@ wraps one unbatched ``raw_run`` in a :class:`GDTrace`.
 
 :func:`coord_sum` is the one sum over the coordinate axis, of values here
 and of the verifier's inner products.  It keeps the bits of
-``np.add.reduce(a, -1)`` but, on many rows of at most 8 coordinates, adds
-strided columns in numpy's own order instead of paying numpy's cost per
-row.
+``np.add.reduce(a, -1)`` but, on many rows of one coordinate (the verifier's
+battery), adds the column instead of paying numpy's cost per row.
 
 Each class's tight instances, from ``x0 = 1``, are the unit quadratic and
 the Huber function with the kink :func:`tight_delta` gives.
@@ -99,31 +98,18 @@ _VALUE_BLOCK = 2**15
 
 
 def coord_sum(a, out=None):
-    """``np.add.reduce(a, -1)`` bit for bit, into ``out`` when given; ``a`` is
-    scratch: its columns may be overwritten.
+    """``np.add.reduce(a, -1)`` bit for bit, into ``out`` when given.
 
     numpy sums each row of the last axis alone, at about 25 ns a row, which
-    at 1-8 coordinates costs more than the additions.  From 64*d rows of d
-    <= 8 coordinates on, the strided columns are added instead, in numpy's
-    own order: below 8, in sequence from +0.0; at 8, as the pairwise tree
-    ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))``, then ``+ 0.0``, which turns a
-    -0.0 into +0.0 as the reduce's start value does.  Fewer rows, where
-    numpy's per-row cost is below the column calls' (the crossover lies
-    near 64*d rows), and wider rows take the reduce.  Where NaNs of both
-    signs meet in one sum, the sign of the NaN that comes out may differ.
+    at one coordinate costs more than the addition.  From 64 rows of one
+    coordinate on (the verifier's battery, whose instances are 1-D), the
+    column is added to +0.0 instead, which turns a -0.0 into +0.0 as the
+    reduce's start value does.  Fewer rows, where numpy's per-row cost is
+    below the column call's, and wider rows take the reduce.
     """
-    d = a.shape[-1]
-    if not 0 < d <= 8 or a.size < 64 * d * d:
+    if a.shape[-1] != 1 or a.size < 64:
         return np.add.reduce(a, -1, out=out)
-    if d == 8:  # in place: the pairs, the pairs of pairs, then the halves
-        np.add(a[..., 0::2], a[..., 1::2], out=a[..., 0::2])
-        np.add(a[..., 0::4], a[..., 2::4], out=a[..., 0::4])
-        out = np.add(a[..., 0], a[..., 4], out=out)
-        return np.add(out, 0.0, out=out)
-    out = np.add(a[..., 0], 0.0, out=out)
-    for k in range(1, d):
-        np.add(out, a[..., k], out=out)
-    return out
+    return np.add(a[..., 0], 0.0, out=out)
 
 
 def values(xs, form: CoordForm):

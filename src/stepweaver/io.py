@@ -156,8 +156,10 @@ def load_schedule(path, identity_tol: float = DEFAULT_IDENTITY_TOL) -> StepSched
 class RunConfig:
     """Verification-run knobs; all numeric fields must be positive and finite.
 
-    Defaults are fixed so runs are reproducible: 200-instance battery under
-    numpy's PCG64 generator with seed 0xC0FFEE.
+    ``battery`` counts the verifier's random instances, each one coordinate
+    (``verify.battery_instances``).  Defaults are fixed so runs are
+    reproducible: 200 instances under numpy's PCG64 generator with seed
+    0xC0FFEE.
     """
 
     battery: int = 200

@@ -26,14 +26,18 @@ an instance where the bound cannot be used skips nothing.  Its minima equal
 the unpruned kernel's byte for byte on the tests' traces and on the
 report-digest set, a tested fact and not a proof (see ``_q_min_batched``).
 
-One verification runs one GD loop, which stores only the points: the
+Every battery instance is one coordinate.  Each battery function is
+separable, so the slacks and Q_ij of a d-dimensional instance are sums of
+the same 1-D quantities over its coordinates: wider instances would refute
+nothing more, and in a sum a failing coordinate can hide behind passing
+ones.  One verification runs one GD loop, which stores only the points: the
 packed battery and the class's tight 1-D instances (``(is_huber, param,
 label)`` rows, run from ``x0 = 1``) take the schedule's steps, and the
 reversed schedule's tight pair takes the reversed steps on a trailing
 segment of the same coordinates.  Gradients and values are evaluated after
-the loop, one dimension group at a time, and the certificate slacks take
-their per-point terms by blocks of points, so every class holds at most the
-points, one group's gradients and values and the interpolation kernel's
+the loop, and the certificate slacks take their per-point terms by blocks
+of points, so every class holds at most the points, the battery's
+gradients, values and per-point terms and the interpolation kernel's
 buffers.  One scorer turns the tight traces of either schedule, on the raw
 arrays, into tightness checks: beside the cached battery, a verification
 builds no ``ProblemInstance`` or ``GDTrace``.  A check that cannot be built
@@ -41,8 +45,8 @@ builds no ``ProblemInstance`` or ``GDTrace``.  A check that cannot be built
 and the error's text, and the battery runs without it.
 
 Inner products sum over the coordinates with ``gd.coord_sum`` (the bits of
-``np.add.reduce``, by column adds on many rows); the einsums of the Gram
-rows stay, since their order differs from the reduce's at d >= 3.  A
+``np.add.reduce``, by one column add on many 1-D rows); the einsums of the
+Gram rows stay, since their order differs from the reduce's at d >= 3.  A
 carried construction tree is walked at most once per verification, by the
 identity entry's ``schedule.check_tree`` once the closed forms hold.  Only
 a tree that this entry proved feeds the F weights (its fold's per-node
@@ -92,10 +96,10 @@ from .schedule import (
     validate_schedule,
 )
 
-BATTERY_DIMS = (1, 2, 4, 8)
 # Most float64 values the one GD loop of a verification may hold: n+1 points
 # of every battery coordinate and tight row, 256 MiB.  The default battery
-# at n = 32767 takes 2.5e7, battery 2000 at n = 255 takes 1.9e6.
+# at n = 32767 takes 32768 x 206, about 6.75e6; battery 2000 at n = 255
+# takes about 5.1e5.
 MAX_TRACE_VALUES = 2**25
 
 
@@ -556,10 +560,9 @@ class VerificationReport:
 def _check_trace_size(n: int, battery: int, rows: int) -> None:
     """Raise ``ResourceCapError`` unless the one GD loop of a schedule of
     length ``n`` over ``battery`` instances and ``rows`` tight rows, n+1
-    points of their coordinates, holds at most ``MAX_TRACE_VALUES`` values.
-    From the sizes alone: no instance is drawn."""
-    cycles, rest = divmod(battery, len(BATTERY_DIMS))
-    coords = cycles * sum(BATTERY_DIMS) + sum(BATTERY_DIMS[:rest]) + rows
+    points of one coordinate each, holds at most ``MAX_TRACE_VALUES``
+    values.  From the sizes alone: no instance is drawn."""
+    coords = battery + rows
     if (n + 1) * coords > MAX_TRACE_VALUES:
         raise ResourceCapError(
             f"verification trace of {n + 1} points x {coords} coordinates (battery {battery}) "
@@ -570,64 +573,39 @@ def _check_trace_size(n: int, battery: int, rows: int) -> None:
 def battery_instances(config: RunConfig):
     """The deterministic random battery as ``(index, instance, x0)`` triples.
 
-    Instances cycle through dimensions 1, 2, 4, 8 and are drawn from numpy's
-    default PCG64 generator seeded with ``config.seed``, so any battery index
-    named in a report is reproducible with the same config.
+    Every instance is one coordinate (see the module docstring for why).
+    They are drawn from numpy's default PCG64 generator seeded with
+    ``config.seed``, so any battery index named in a report is reproducible
+    with the same config.
     """
     rng = np.random.default_rng(config.seed)
-    dims = [BATTERY_DIMS[i % len(BATTERY_DIMS)] for i in range(config.battery)]
-    return [(i, random_instance(rng, d), random_x0(rng, d)) for i, d in enumerate(dims)]
+    return [(i, random_instance(rng, 1), random_x0(rng, 1)) for i in range(config.battery)]
 
 
 class PackedBattery(NamedTuple):
-    """Battery instances packed as the 1-D coordinates of one GD loop.
-
-    ``is_huber``, ``param`` and ``x0`` have shape ``(m,)``; each group
-    ``(d, idx, start)`` lays its ``len(idx)`` instances of dimension ``d``
-    out as coordinates ``start .. start + len(idx)*d``, instance by instance.
-    """
+    """Battery instances packed as the coordinates of one GD loop:
+    ``is_huber``, ``param`` and ``x0`` have shape ``(battery,)``, and
+    instance i is coordinate i."""
 
     is_huber: np.ndarray
     param: np.ndarray
     x0: np.ndarray
-    groups: tuple
 
 
 @functools.lru_cache(maxsize=4)
 def _battery(battery: int, seed: int) -> PackedBattery:
     """The battery of ``RunConfig(battery=battery, seed=seed)`` as a read-only
-    :class:`PackedBattery`, with its dimension groups in ``BATTERY_DIMS``
-    order; cached, since no other config field changes it.
-
-    Coordinates evolve independently, so packing changes no bit of a trace.
-    The battery cycles through ``BATTERY_DIMS``, so group sizes differ by at
-    most one instance and the whole battery holds at most three times the
-    largest group's coordinates: its points alone take no more memory than
-    the points, gradients and values of that group.
-    """
-    groups: dict[int, list] = {}
-    for i, inst, x0 in battery_instances(RunConfig(battery=battery, seed=seed)):
-        groups.setdefault(inst.dim, []).append((i, inst.is_huber, inst.param, x0))
-    layout, start = [], 0
-    for d, items in groups.items():
-        idx = np.array([item[0] for item in items])
-        idx.flags.writeable = False
-        layout.append((d, idx, start))
-        start += d * len(items)
-    columns = [np.concatenate([item[k] for items in groups.values() for item in items]) for k in (1, 2, 3)]
+    :class:`PackedBattery`; cached, since no other config field changes it.
+    Coordinates evolve independently, so packing changes no bit of a trace."""
+    triples = battery_instances(RunConfig(battery=battery, seed=seed))
+    columns = (
+        np.concatenate([inst.is_huber for _, inst, _ in triples]),
+        np.concatenate([inst.param for _, inst, _ in triples]),
+        np.concatenate([x0 for _, _, x0 in triples]),
+    )
     for a in columns:
         a.flags.writeable = False
-    return PackedBattery(*columns, tuple(layout))
-
-
-def _track_min(worst: dict, name: str, scores, idx, d) -> None:
-    """Keep in ``worst[name]`` the smallest of ``scores`` (one per battery
-    instance ``idx``) seen so far, with the battery index and dimension it
-    came from.  A NaN is kept once seen, so it fails the check."""
-    j = int(scores.argmin())  # the first NaN, if there is one
-    value = float(scores[j])
-    if name not in worst or value < worst[name][0] or np.isnan(value):
-        worst[name] = (value, int(idx[j]), d)
+    return PackedBattery(*columns)
 
 
 def _tight_rows(schedule: StepSchedule, implied: bool = True) -> list:
@@ -683,13 +661,12 @@ def _battery_slacks(schedule: StepSchedule, cert, implied: bool, X, G, F) -> dic
     return slacks
 
 
-def _group_trace(xs, form, start: int, count: int, d: int):
-    """``(X, G, F)`` of the ``count`` instances of dimension ``d`` packed from
-    coordinate ``start`` of the points ``xs``: X is a view, G and F are new
-    contiguous arrays."""
-    stop = start + count * d
-    X = xs[:, start:stop].reshape(len(xs), count, d)
-    part = CoordForm(*(a[start:stop].reshape(count, d) for a in form))
+def _slice_trace(xs, form, start: int, stop: int):
+    """``(X, G, F)`` of the coordinates ``start..stop`` of the points ``xs``,
+    one instance each: X is an ``(n+1, stop - start, 1)`` view, G and F are
+    new contiguous arrays."""
+    X = xs[:, start:stop, None]
+    part = CoordForm(*(a[start:stop, None] for a in form))
     return X, gradients(X, part), values(X, part)
 
 
@@ -697,9 +674,8 @@ def _one_loop(battery: PackedBattery, runs):
     """One GD loop over the packed battery followed by the 1-D tight rows of
     ``runs``, a list of ``(schedule, rows)`` with rows as :func:`_tight_rows`
     gives them: the battery and the first run's rows take the first run's
-    steps, each later run's rows its own schedule's steps.  Returns a generator of
-    ``(d, idx, (X, G, F))``, one dimension group at a time, so only one
-    group's gradients and values are alive at once, and the tight traces
+    steps, each later run's rows its own schedule's steps.  Returns the
+    battery's ``(X, G, F)``, instances in index order, and the tight traces
     ``(x, g, f)`` in row order, copied contiguous: a strided ``(n+1, 1)``
     view sends the ``np.dot`` of :func:`_weighted_sum` down another BLAS
     path, which changes the last bits."""
@@ -713,10 +689,9 @@ def _one_loop(battery: PackedBattery, runs):
     param = np.concatenate([battery.param, np.array([row[1] for row in rows], dtype=np.float64)])
     form = coord_form(is_huber, param)
     xs = descend(segments, form, np.concatenate([battery.x0, np.ones(stop - m)]))
-    tail = _group_trace(xs, form, m, stop - m, 1)
+    tail = _slice_trace(xs, form, m, stop)
     traces = [tuple(np.ascontiguousarray(a[:, j]) for a in tail) for j in range(stop - m)]
-    groups = ((d, idx, _group_trace(xs, form, start, idx.size, d)) for d, idx, start in battery.groups)
-    return groups, traces
+    return _slice_trace(xs, form, 0, m), traces
 
 
 @np.errstate(all="ignore")
@@ -788,20 +763,20 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
             runs.append(dual)
 
     _check_trace_size(schedule.n, config.battery, sum(len(rows) for _, rows in runs))
-    # every battery slack and the interpolation minimum keep their worst case
-    groups, traces = _one_loop(_battery(config.battery, config.seed), runs)
-    worst: dict[str, tuple] = {}
-    for d, idx, (X, G, F) in groups:
-        scales = np.maximum(1.0, np.maximum(_dot(X[0], X[0]), F[0]))
-        for key, slacks in _battery_slacks(schedule, cert, implied, X, G, F).items():
-            _track_min(worst, f"battery/{key}", slacks / scales, idx, d)
-        _track_min(worst, "interpolation", _q_min_batched(X, G, F), idx, d)
-        del X, G, F  # before the next group's are evaluated
+    # every battery slack and the interpolation minimum keep their worst
+    # instance, the first NaN if there is one
+    (X, G, F), traces = _one_loop(_battery(config.battery, config.seed), runs)
+    scales = np.maximum(1.0, np.maximum(_dot(X[0], X[0]), F[0]))
+    slacks = _battery_slacks(schedule, cert, implied, X, G, F)
+    scores = {f"battery/{key}": slack / scales for key, slack in slacks.items()}
+    scores["interpolation"] = _q_min_batched(X, G, F)
     limits = {"interpolation": (config.q_tol, "min Q over all pairs; at ")}
     battery_limit = (config.slack_tol, f"{config.battery} instances, seed {config.seed:#x}; min at ")
-    for name, (value, i, d) in worst.items():
+    for name, score in scores.items():
+        i = int(score.argmin())
+        value = float(score[i])
         tol, text = limits.get(name, battery_limit)
-        checks.append(CheckResult(name, value >= -tol, value, tol, f"{text}battery instance #{i} (d={d})"))
+        checks.append(CheckResult(name, value >= -tol, value, tol, f"{text}battery instance #{i}"))
 
     # each run scores the next len(rows) tight traces; the reversed pair is
     # one entry, with the quadratic's slack if it fails, else the Huber

@@ -182,19 +182,20 @@ class TestPrunedKernel:
     unpruned kernel's, byte for byte."""
 
     def test_verify_long_traces(self, monkeypatch, cuts):
-        groups = []
+        """One kernel call per verification, on the whole battery."""
+        batteries = []
         real = verify._q_min_batched
 
         def keeping(X, G, F):
-            groups.append((X, G, F))
+            batteries.append((X, G, F))
             return real(X, G, F)
 
         monkeypatch.setattr(verify, "_q_min_batched", keeping)
         for h in long_schedules():
             verify_schedule(h, RunConfig(battery=40))
-        assert len(groups) == 32
+        assert [X.shape[1:] for X, _, _ in batteries] == [(40, 1)] * 8
         cuts.clear()
-        for X, G, F in groups:
+        for X, G, F in batteries:
             assert real(X, G, F).tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
         skipped = sum(int(np.count_nonzero(cut < rows)) for rows, cut in cuts)
         assert skipped >= 0.75 * 8 * 40  # most instances skip a suffix
@@ -420,9 +421,9 @@ def test_suffix_cut_keeps_tight_pairs(seed, d, scale):
 def layout_traces(layout, n, d, batch=5):
     """``(X, G, F)`` of ``n + 1`` points in one of the layouts the verifier
     evaluates: ``contiguous`` ``(n+1, B, d)`` arrays; ``packed``, strided
-    ``(n+1, B, d)`` views of packed ``(n+1, M)`` points cut as
-    ``verify._group_trace`` cuts them (it evaluates contiguous gradients;
-    strided ones are checked too); ``single``, the ``(n+1, d)`` and
+    ``(n+1, B, d)`` views of packed ``(n+1, M)`` points, at d = 1 cut as
+    ``verify._slice_trace`` cuts the battery (it evaluates contiguous
+    gradients; strided ones are checked too); ``single``, the ``(n+1, d)`` and
     ``(n+1,)`` arrays of one trace that ``defining_slack`` passes."""
     X, G, F = convex_traces(100 * n + d, n, 3 * batch, d)
     if layout == "single":
@@ -477,10 +478,11 @@ class TestWrapperFreeHelpers:
     @SIZES
     @pytest.mark.parametrize("d", range(1, 10))
     def test_dot_is_sum_of_products(self, layout, n, d):
-        """``coord_sum`` adds columns from 64*d rows on, so the whole-trace
-        products take that path at n = 255 for every d <= 8 (1280 rows; 256
-        in the single layout, for d <= 4), at n = 40 for d <= 3 (205 rows)
-        and at n = 0 or 1 never."""
+        """``coord_sum`` adds the column from 64 rows of one coordinate on,
+        so at d = 1 the whole-trace products take that path at n = 40 and
+        255 (205 and 1280 rows; 41 and 256 in the single layout, so there
+        only at n = 255) and at n = 0 or 1 never; every other d takes the
+        reduce."""
         X, G, F = layout_traces(layout, n, d)
         for a, b in ((G, G), (G, X[0] - X), (X[0], X[0]), (G[-1], G[-1]), (G[:-1], X[0] - X[:-1])):
             want = np.sum(a * b, axis=-1)
@@ -492,7 +494,7 @@ class TestWrapperFreeHelpers:
     def test_coord_sum_is_add_reduce_beside_its_switch(self, d):
         """``gd.coord_sum`` against ``np.add.reduce(a, -1)``, byte for byte,
         on one row, on 64*d - 1 rows (the reduce) and on 64*d rows (the
-        columns, for d <= 8), as ``(rows, d)`` and ``(2, rows/2, d)``
+        column, for d = 1), as ``(rows, d)`` and ``(2, rows/2, d)``
         arrays: random rows of every scale, all -0.0 rows, subnormals,
         +-inf (whose NaN from inf - inf comes out alike) and +-1e308
         (which overflow)."""
@@ -586,7 +588,7 @@ class TestBatteryCache:
 
     def test_arrays_are_read_only(self):
         packed = verify._battery(12, 7)
-        for a in (packed.is_huber, packed.param, packed.x0, *(idx for _, idx, _ in packed.groups)):
+        for a in packed:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[0]
@@ -596,39 +598,26 @@ class TestBatteryCache:
         first = verify._battery(12, 7)
         packed = verify._battery(battery, seed)
         assert packed is not first
-        found = []
-        for d, idx, start in packed.groups:
-            for k, i in enumerate(idx.tolist()):
-                coords = slice(start + k * d, start + (k + 1) * d)
-                found.append((i, packed.is_huber[coords], packed.param[coords], packed.x0[coords]))
-        assert sorted(i for i, *_ in found) == list(range(battery))
-        expected = {i: (inst, x0) for i, inst, x0 in verify.battery_instances(RunConfig(battery=battery, seed=seed))}
-        for i, is_huber, param, x0 in found:
-            inst, want_x0 = expected[i]
-            assert is_huber.tolist() == inst.is_huber.tolist()
-            assert param.tolist() == inst.param.tolist()
-            assert x0.tolist() == want_x0.tolist()
+        triples = verify.battery_instances(RunConfig(battery=battery, seed=seed))
+        assert [i for i, _, _ in triples] == list(range(battery))
+        for i, inst, x0 in triples:  # instance i is coordinate i
+            assert inst.dim == 1
+            assert packed.is_huber[i : i + 1].tolist() == inst.is_huber.tolist()
+            assert packed.param[i : i + 1].tolist() == inst.param.tolist()
+            assert packed.x0[i : i + 1].tolist() == x0.tolist()
         assert verify._battery(12, 7) is first
 
     @pytest.mark.parametrize("battery", [1, 2, 3, 5, 7, 12, 200, 203, 2000])
     def test_no_chunk_exceeds_the_largest_group(self, battery):
-        """The whole battery is one chunk, one GD loop's points, and never
-        larger than the points, gradients and values of its largest group
-        alone: every coordinate once, the groups in ``BATTERY_DIMS`` order,
-        at most three times the largest group's coordinates."""
-        dims = [inst.dim for _, inst, _ in verify.battery_instances(RunConfig(battery=battery))]
-        largest = max(d * dims.count(d) for d in set(dims))
+        """The whole battery is one chunk, one GD loop's points, and one
+        group: one coordinate per instance, in index order, so a loop holds
+        exactly ``battery`` battery coordinates."""
+        triples = verify.battery_instances(RunConfig(battery=battery))
+        assert [inst.dim for _, inst, _ in triples] == [1] * battery
         packed = verify._battery(battery, RunConfig().seed)
-        m = packed.x0.size
-        assert packed.is_huber.shape == packed.param.shape == packed.x0.shape == (m,)
-        assert m == sum(dims) <= 3 * largest
-        assert [d for d, _, _ in packed.groups] == [d for d in verify.BATTERY_DIMS if d in dims]
-        layout = [(start, d * idx.size) for d, idx, start in packed.groups]
-        assert [start for start, _ in layout] == np.cumsum([0] + [size for _, size in layout])[:-1].tolist()
-        assert sorted(i for _, idx, _ in packed.groups for i in idx.tolist()) == list(range(battery))
-        if battery == RunConfig().battery:
-            assert [(d, idx.size) for d, idx, _ in packed.groups] == [(1, 50), (2, 50), (4, 50), (8, 50)]
-            assert m == 750
+        assert packed._fields == ("is_huber", "param", "x0")
+        assert packed.is_huber.shape == packed.param.shape == packed.x0.shape == (battery,)
+        assert packed.x0.tolist() == [x0[0] for _, _, x0 in triples]
 
     def test_cache_stays_bounded(self):
         for seed in range(1, 13):
@@ -662,17 +651,16 @@ def same_bytes(got, want):
 
 @pytest.mark.parametrize("battery", [13, 200])
 def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
-    """Every battery group's ``(X, G, F)`` and every tight or reversal trace
-    of the one loop equals ``raw_run`` on that group or instance alone, byte
+    """The battery's ``(X, G, F)`` and every tight or reversal trace of the
+    one loop equals ``raw_run`` on the battery or that instance alone, byte
     for byte."""
     seen = []
     original = verify._one_loop
 
     def keeping(packed, runs):
-        groups, traces = original(packed, runs)
-        groups = list(groups)
-        seen.append((packed, runs, groups, traces))
-        return iter(groups), traces
+        got = original(packed, runs)
+        seen.append((packed, runs, *got))
+        return got
 
     monkeypatch.setattr(verify, "_one_loop", keeping)
     tables = build_tables(70)
@@ -680,18 +668,12 @@ def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
     for h in (silver(3), obs_f(64, tables), obs_g(41, tables), obs_s(63, tables), treeless):
         seen.clear()
         verify_schedule(h, RunConfig(battery=battery))
-        (packed, runs, groups, traces), = seen
+        (packed, runs, trace, traces), = seen
         assert [len(rows) for _, rows in runs] == ([4] if h.comp_class is CompClass.S else [2]) + (
             [] if h.tree is None else [2]
         )
-        for (d, idx, trace), (e, want_idx, start) in zip(groups, packed.groups, strict=True):
-            assert d == e and idx is want_idx
-            coords = slice(start, start + idx.size * d)
-            alone = raw_run(
-                h.steps,
-                *(a[coords].reshape(idx.size, d) for a in (packed.is_huber, packed.param, packed.x0)),
-            )
-            assert same_bytes(trace, alone), (h.describe(), d)
+        alone = raw_run(h.steps, *(a.reshape(battery, 1) for a in packed))
+        assert same_bytes(trace, alone), h.describe()
         columns = [(h.steps, hub, par) for h, rows in runs for hub, par, _ in rows]
         assert len(traces) == len(columns)
         for trace, (steps, hub, par) in zip(traces, columns):
@@ -770,23 +752,23 @@ def test_no_tree_fold_when_closed_forms_fail(monkeypatch, corrupt):
         assert calls == [], h.describe()
 
 
-# Beside the points of the whole battery and one dimension group's gradients
-# and values, a verification holds the interpolation kernel's three
-# 2**16-entry buffers (P, R^T and the product: 1.5 MiB), its pruning bounds
-# for one sub-batch of instances (under 0.5 MiB), and the tight rows, the
-# report and numpy's small temporaries.
-KERNEL_ALLOWANCE = 2.5 * 2**20
+# Beside the points and the battery's gradients, values and per-point
+# terms, a verification holds the interpolation kernel's buffers at one
+# coordinate per instance: P and R^T of one sub-batch of instances (2**17
+# entries, 1 MiB), the product buffer (2**16 entries through n = 4094,
+# 0.5 MiB) and the sub-batch's pruning bounds (nine arrays whose entries sum
+# to 3 * 2**16, 1.5 MiB); and the report and numpy's small temporaries.  The
+# kernel's buffers and the per-point terms are never alive together, so the
+# sum over-counts.
+KERNEL_ALLOWANCE = 3 * 2**20
 
 
 def working_set_bound(n: int, battery: int) -> float:
     """Bytes a verification at length n may hold at once: the n+1 points of
-    every battery coordinate, the gradients and values of the largest
-    dimension group, and ``KERNEL_ALLOWANCE``."""
-    dims = verify.BATTERY_DIMS
-    counts = [len(range(i, battery, len(dims))) for i in range(len(dims))]
-    coords = sum(c * d for c, d in zip(counts, dims))
-    group = max(c * (d + 1) for c, d in zip(counts, dims))
-    return 8 * (n + 1) * (coords + group) + KERNEL_ALLOWANCE
+    every battery coordinate and of at most six tight rows, the battery's
+    gradients, values and per-point certificate terms, and
+    ``KERNEL_ALLOWANCE``."""
+    return 8 * (n + 1) * (battery + 6 + 3 * battery) + KERNEL_ALLOWANCE
 
 
 def verify_peak(h, config=None) -> int:
@@ -801,23 +783,26 @@ def verify_peak(h, config=None) -> int:
 
 
 def test_verify_peak_memory_stays_bounded():
-    """At n=511 every class stays within the working set of class g (bound
-    7.19 MiB; 6.7 MiB measured with numpy 2.4, where per-point certificate
-    terms built from two whole-group temporaries took 8.3 MiB for s and f)."""
+    """At n=511 every class stays within one working set: bound 6.15 MiB,
+    5.56 MiB measured with numpy 2.4.  The bound may not exceed 7.19 MiB,
+    the bound of the battery of dimensions 1, 2, 4 and 8."""
     tables = build_tables(512)
     peaks = {cls: verify_peak(make(511, tables)) for cls, make in (("f", obs_f), ("g", obs_g), ("s", obs_s))}
     bound = working_set_bound(511, RunConfig().battery)
+    assert bound <= 7.19 * 2**20
     assert all(peak <= bound for peak in peaks.values()), (peaks, bound)
 
 
 @pytest.mark.parametrize("cls", ["f", "g", "s"])
 def test_large_battery_peak_memory_stays_bounded(cls):
-    """At n=255 with ``battery=2000``, where the one loop's points cover the
-    whole battery but only one group's gradients and values are alive at a
-    time: bound 25.94 MiB, 25.6 MiB measured with numpy 2.4 (41.3 MiB for s
-    and f with whole-group certificate temporaries)."""
+    """At n=255 with ``battery=2000``, where the battery's gradients, values
+    and per-point terms outweigh the kernel's buffers: bound 18.64 MiB,
+    16.7 MiB measured with numpy 2.4 for f and s, 14.8 MiB for g.  The bound
+    may not exceed 25.94 MiB, that of the battery of dimensions 1, 2, 4 and 8."""
     h = {"f": obs_f, "g": obs_g, "s": obs_s}[cls](255, build_tables(256))
-    assert verify_peak(h, RunConfig(battery=2000)) <= working_set_bound(255, 2000)
+    bound = working_set_bound(255, 2000)
+    assert bound <= 25.94 * 2**20
+    assert verify_peak(h, RunConfig(battery=2000)) <= bound
 
 
 def test_traced_boundaries_exist():

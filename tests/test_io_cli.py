@@ -655,7 +655,7 @@ class TestCli:
 
         sched, config = tmp_path / "h.json", tmp_path / "c.json"
         main(["compose", "silver(2)", "--out", str(sched)])
-        config.write_text('{"battery": 5000000}')
+        config.write_text('{"battery": 10000000}')
         capsys.readouterr()
 
         def refuse(*args):
@@ -665,9 +665,9 @@ class TestCli:
         monkeypatch.setattr(verify, "random_instance", refuse)
         want = "error: verification trace of 4 points x {} coordinates (battery {}) exceeds cap 33554432 values\n"
         assert main(["verify", str(sched), "--battery", "1000000000000"]) == 5
-        assert capsys.readouterr() == ("", want.format(3750000000006, 1000000000000))
+        assert capsys.readouterr() == ("", want.format(1000000000006, 1000000000000))
         assert main(["verify", str(sched), "--config", str(config)]) == 5
-        assert capsys.readouterr() == ("", want.format(18750006, 5000000))
+        assert capsys.readouterr() == ("", want.format(10000006, 10000000))
 
     def test_bounds(self, capsys):
         assert main(["bounds", "--k", "3"]) == 0

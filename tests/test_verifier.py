@@ -39,6 +39,7 @@ from stepweaver.verify import (
     _f_cert_slack_raw,
     _g_slack_raw,
     _q_min_batched,
+    _s_fg_slacks_raw,
     _s_slack_raw,
     build_f_certificate,
     check_s_implies_fg,
@@ -217,6 +218,50 @@ class TestInequalities:
         tr = run(h, quad_instance(1.0), 1.0)
         with pytest.raises(ClassMismatchError):
             check_s_implies_fg(h, tr)
+
+
+def _pair_matrix(X, G, F):
+    """Q_ij = 2f_i - 2f_j - 2<g_j, x_i - x_j> - ||g_i - g_j||^2 over the points
+    of an ``(n+1, d)`` trace and the minimizer (last), as an array."""
+    X, G, F = (np.concatenate([a, np.zeros((1,) + a.shape[1:])]) for a in (X, G, F))
+    dx, dg = X[:, None] - X[None, :], G[:, None] - G[None, :]
+    return 2.0 * (F[:, None] - F[None, :]) - 2.0 * np.sum(G[None, :] * dx, axis=-1) - np.sum(dg * dg, axis=-1)
+
+
+class TestSeparablePremise:
+    """The verifier's battery is 1-D because every battery function is
+    separable: on a d-dimensional instance each raw slack kernel, and each
+    Q_ij, is the sum of its values on the instance's coordinates run alone,
+    within 1e-12 of max(1, ||x0||^2, f_0), the scale the battery divides by."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_slacks_and_pairs_sum_over_coordinates(self, d):
+        rng = np.random.default_rng(1000 + d)
+        f, g, s = obs_f(30), obs_g(30), obs_s(31)
+        v = build_f_certificate(f.tree).weights
+        kernels = {
+            f: lambda X, G, F: [_f_cert_slack_raw(v, X, G, F)],
+            g: lambda X, G, F: [_g_slack_raw(g.rate, X, G, F)],
+            s: lambda X, G, F: [
+                _s_slack_raw(s.steps, s.rate, X, G, F),
+                *_s_fg_slacks_raw(s.steps, s.rate, X, G, F)[:2],  # the f and g slacks
+            ],
+        }
+        for _ in range(5):
+            inst, x0 = random_instance(rng, d), random_x0(rng, d)
+            for h, kernel in kernels.items():
+                whole = gd.raw_run(h.steps, inst.is_huber, inst.param, x0)
+                coords = [slice(k, k + 1) for k in range(d)]
+                parts = [gd.raw_run(h.steps, inst.is_huber[c], inst.param[c], x0[c]) for c in coords]
+                scale = max(1.0, float(x0 @ x0), float(whole[2][0]))
+                sums = np.sum([kernel(*part) for part in parts], axis=0)
+                assert len(sums) == (3 if h is s else 1)
+                for got, want in zip(kernel(*whole), sums, strict=True):
+                    assert abs(got - want) <= 1e-12 * scale, (h.describe(), got, want)
+                Q = _pair_matrix(*whole)
+                Q_sum = np.sum([_pair_matrix(*part) for part in parts], axis=0)
+                assert np.abs(Q - Q_sum).max() <= 1e-12 * scale, h.describe()
+                assert _q_min_batched(*(a[:, None] for a in whole)) == pytest.approx(Q.min(), abs=1e-12 * scale)
 
 
 def _slack_cases(seed, points, shape):
@@ -599,14 +644,18 @@ class TestTraceCap:
     def test_admits_the_stated_sizes(self, n, battery):
         _check_trace_size(n, battery, 6)  # 4 tight rows of class s, 2 of its reversal
 
-    def test_counts_each_dimension_of_the_cycle(self):
-        # battery 7 is dims 1, 2, 4, 8, 1, 2, 4: 22 coordinates
-        n = MAX_TRACE_VALUES // 24 - 1
+    def test_counts_one_coordinate_per_instance(self):
+        # battery 7 is 7 coordinates, and 2 tight rows make 9: n + 1 is the
+        # most points that 9 coordinates may take
+        n = MAX_TRACE_VALUES // 9 - 1
         _check_trace_size(n, 7, 2)
-        with pytest.raises(ResourceCapError, match=f"of {n + 1} points x 25 coordinates"):
+        _check_trace_size(n, 9, 0)
+        with pytest.raises(ResourceCapError, match=f"of {n + 1} points x 10 coordinates"):
             _check_trace_size(n, 7, 3)
-        with pytest.raises(ResourceCapError, match=f"of {n + 1} points x 30 coordinates"):
-            _check_trace_size(n, 8, 0)
+        with pytest.raises(ResourceCapError, match=f"of {n + 1} points x 10 coordinates"):
+            _check_trace_size(n, 10, 0)
+        with pytest.raises(ResourceCapError, match=f"of {n + 2} points x 9 coordinates"):
+            _check_trace_size(n + 1, 7, 2)
 
     def test_refused_before_any_instance_is_drawn(self, monkeypatch):
         from stepweaver import verify
