@@ -3,8 +3,8 @@
 
 Verifies the acceptance corpus (``tests/corpus.py``), the benchmark's
 verify-long schedules (``perfbench/workloads.py``), two long schedules,
-``silver(10)`` and ``obss(2047)`` (n = 1023 and 2047, where the
-interpolation check skips the most pairs), and fifteen fixed corrupted
+``silver(10)`` and ``obss(2047)`` (n = 1023 and 2047, the longest
+traces the interpolation check sorts), and fifteen fixed corrupted
 schedules, each under ``RunConfig()`` and under ``RunConfig(battery=40,
 seed=0x5EED)``, and prints the number of reports and the sha256 of all
 their fields: the schedule's name, ``describe()``, class, n, rate (as

@@ -14,17 +14,11 @@ bounds with explicit residual terms that vanish on their tight instances.
 Battery slacks (certificate and implied bounds) are divided by
 max(1, ||x0||^2, f_0) before they meet ``slack_tol``, so mixed-scale random
 instances are judged fairly.  The interpolation check is not rescaled: the
-minimum of Q_ij over all pairs of the points 0..n and the minimizer,
-evaluated in Gram form (rank-(d+2) matrix products; the rows are assembled
-per sub-batch of instances and every product is written into one reused
-buffer, all of bounded size), is compared with the absolute ``q_tol``.
-
-From n = 255 on, each instance is taken alone: one routine computes every
-product of it by blocks of rows, and the pairs that a rounding bound
-(derived in ``_q_min_batched``) proves cannot hold its minimum are skipped;
-an instance where the bound cannot be used skips nothing.  Its minima equal
-the unpruned kernel's byte for byte on the tests' traces and on the
-report-digest set, a tested fact and not a proof (see ``_q_min_batched``).
+minimum of Q_ij over the pairs of the points 0..n and the minimizer is
+compared with the absolute ``q_tol``.  Every instance being one coordinate,
+only the pairs of neighbours in x are taken, one sort per instance; in
+exact arithmetic some pair is negative exactly when one of them is (the
+theorem is in ``_q_min_batched``).
 
 Every battery instance is one coordinate.  Each battery function is
 separable, so the slacks and Q_ij of a d-dimensional instance are sums of
@@ -38,21 +32,20 @@ segment of the same coordinates.  Gradients and values are evaluated after
 the loop, and the certificate slacks take their per-point terms by blocks
 of points, so every class holds at most the points, the battery's
 gradients, values and per-point terms and the interpolation kernel's
-buffers.  One scorer turns the tight traces of either schedule, on the raw
-arrays, into tightness checks: beside the cached battery, a verification
-builds no ``ProblemInstance`` or ``GDTrace``.  A check that cannot be built
+temporaries.  One scorer turns the tight traces of either schedule, on the
+raw arrays, into tightness checks: beside the cached battery, a
+verification builds no ``ProblemInstance`` or ``GDTrace``.  A check that cannot be built
 (say, a reversed schedule that breaks its identities) fails with NaN slack
 and the error's text, and the battery runs without it.
 
 Inner products sum over the coordinates with ``gd.coord_sum`` (the bits of
-``np.add.reduce``, by one column add on many 1-D rows); the einsums of the
-Gram rows stay, since their order differs from the reduce's at d >= 3.  A
-carried construction tree is walked at most once per verification, by the
-identity entry's ``schedule.check_tree`` once the closed forms hold.  Only
-a tree that this entry proved feeds the F weights (its fold's per-node
-rates and lengths; each ``|>`` node's S operand is a slice of its steps)
-and the reversal check, which runs the reversed steps at the swapped class
-and the same rate (``schedule.flip``) without mirroring the tree.
+``np.add.reduce``, by one column add on many 1-D rows).  A carried
+construction tree is walked at most once per verification, by the identity
+entry's ``schedule.check_tree`` once the closed forms hold.  Only a tree
+that this entry proved feeds the F weights (its fold's per-node rates and
+lengths; each ``|>`` node's S operand is a slice of its steps) and the
+reversal check, which runs the reversed steps at the swapped class and the
+same rate (``schedule.flip``) without mirroring the tree.
 """
 
 import functools
@@ -241,211 +234,65 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
     return f_slack, g_slack, f_resid, g_resid
 
 
-# The interpolation check works in pieces of at most this many float64
-# entries (512 KiB): the rows P and R^T of a sub-batch of instances, and the
-# one buffer every product is written into, so that all three stay in a
-# core's L2 cache together (from n = 4095 on, the buffer holds the
-# _LEAD_ROWS rows, and so more).
-_PAIR_BLOCK = 2**16
-
-# the rounding bound's constants, derived in _q_min_batched
-_GAMMA, _ETA = 2.0**-30, 1e-300
-# the first rows of an instance, computed against every column: their
-# minimum is the entry that the bounds measure the other pairs against
-_LEAD_ROWS = 16
-
-
-def _gram_rows(X, G, F, P, Rt) -> None:
-    """Write the Gram rows of an ``(n+1, m, d)`` trace into ``P`` of shape
-    ``(m, N, d+2)`` and ``Rt`` of shape ``(m, d+2, N)``, where N is n+1, or
-    n+2 with the star row last."""
-    points, _, d = X.shape
-    Xb, Gb, Fb = X.swapaxes(0, 1), G.swapaxes(0, 1), F.T
-    gsq = np.einsum("bnd,bnd->bn", Gb, Gb)
-    # elementwise work runs in the trace's own layout, then one strided copy
-    P[:, :points, :d] = (G - X).swapaxes(0, 1)
-    np.subtract(2.0 * Fb, gsq, out=P[:, :points, d])
-    P[:, :, d + 1] = 1.0
-    P[:, points:, : d + 1] = 0.0
-    np.multiply(G.transpose(1, 2, 0), 2.0, out=Rt[:, :d, :points])
-    Rt[:, :d, points:] = 0.0
-    Rt[:, d] = 1.0
-    np.subtract(2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb, gsq, out=Rt[:, d + 1, :points])
-    Rt[:, d + 1, points:] = 0.0
+# The interpolation check takes as many instances at a time as this many
+# float64 entries hold (64 KiB per array), so its temporaries stay that small.
+_SORT_BLOCK = 2**13
 
 
 def _q_min_batched(X, G, F):
-    """The ``(B,)`` minima, one per instance of an ``(n+1, B, d)`` trace, over
-    all ordered pairs of the smooth-convex interpolation quantity
-    Q_ij = 2f_i - 2f_j - 2<g_j, x_i - x_j> - ||g_i - g_j||^2.
+    """The ``(B,)`` minima, one per instance of an ``(n+1, B, 1)`` trace, over
+    all ordered pairs of its points and the minimizer (x, g, f) = 0 of the
+    smooth-convex interpolation quantity
+    Q_ij = 2f_i - 2f_j - 2g_j(x_i - x_j) - (g_i - g_j)^2.
 
-    Gram form: Q_ij = a_i + b_j + 2<g_i - x_i, g_j> with a_i = 2f_i - ||g_i||^2
-    and b_j = -2f_j + 2<g_j, x_j> - ||g_j||^2, so with rows
-    P_i = [g_i - x_i, a_i, 1] and R_j = [2g_j, 1, b_j] the pair matrix is
-    P @ R^T per instance.  The minimizer (x, g, f) = 0 is the last point,
-    with P_* = [0, 0, 1] and R_* = [0, 1, 0].
+    Every instance is one coordinate, and in 1-D only neighbours in x need
+    checking: with an instance's points sorted by x, the result is
+    min(0, min over k of Q(k, k+1) and Q(k+1, k)), the 0 being Q_ii.  If
+    both directions hold for every neighbour pair, every pair holds:
+    Q_ij + Q_ji = 2dg(dx - dg) >= 0 gives 0 <= dg <= dx between neighbours,
+    so g and s = x - g both rise along the order.  Q_ji/2 is the gap
+    phi_i - phi_j - s_j(g_i - g_j) of the conjugate data (g_k, s_k, phi_k =
+    x_k g_k - f_k - g_k^2/2) (a 1-smooth convex f has a 1-strongly convex
+    conjugate; Taylor, Hendrickx & Glineur, arXiv 1502.05666), and the gap
+    of a pair i < j in the order is the sum of the gaps of the neighbour
+    pairs between them plus terms (s_k - s_i)(g_{k+1} - g_k) >= 0, or
+    (s_j - s_{k+1})(g_{k+1} - g_k) >= 0 the other way round.  So in exact arithmetic the result is below
+    zero exactly when the all-pairs minimum is, and it is never below that
+    minimum; it is computed from differences of neighbours.
 
-    P and a contiguous R^T are assembled once per sub-batch of instances
-    whose rows hold at most ``_PAIR_BLOCK`` entries.  Every product is
-    written into one buffer, allocated once per call, of at most
-    ``_PAIR_BLOCK`` entries or ``_LEAD_ROWS`` rows, whichever is larger.
-    While an N x N matrix fits, a product covers several whole instances.
-    Otherwise (N^2 > ``_PAIR_BLOCK``, so n >= 255) each instance is taken
-    alone, and :func:`_product_min` takes every product of it, by blocks of
-    rows that fill the buffer.  So memory stays O(B*N*d) beside a buffer of
-    512 KiB through n = 4094 and 8*16*N bytes beyond (4 MiB at n = 32767);
-    one product per instance would take 8*N^2 bytes (32 MiB at n = 2047,
-    8 GiB at n = 32767).  A NaN reaches its instance's minimum and no other.
-
-    A large instance skips the pairs that provably cannot hold its minimum.
-    A computed entry q_ij = fl(P_i . R_j) is a sum of d + 2 rounded terms;
-    in any order, FMA or not, it lies within (d+2)*2^-53 times the sum of
-    the terms' magnitudes, plus (d+2)*2^-1075 for underflow, of the exact
-    P_i . R_j.  With u_i = g_i - x_i and w_j = 2g_j, Hoelder's inequality
-    (sum_k |u_ik w_jk| <= |u_i|_1 |w_j|_inf) gives
-
-        |q_ij - P_i . R_j| <= GAMMA*(|a_i| + |b_j| + |u_i|_1 |w_j|_inf) + ETA
-
-    with GAMMA = 2^-30 and ETA = 1e-300 far above those constants, so that
-    the bounds also hold however they are rounded themselves.  With A,
-    B, U, W the maxima of |a|, |b|, |u|_1 and |w|_inf over the points
-    t..N-1:
-
-    * every pair of the suffix S = {t..N-1} has |q_ij| <= mag[t] =
-      (1+GAMMA)*(A + B + U*W) + ETA;
-    * a row i < t against S has q_ij >= a_i - GAMMA*|a_i|
-      - (1+GAMMA)*(B + |u_i|_1 W) - ETA, and a column j < t against S has
-      q_ij >= b_j - GAMMA*|b_j| - (1+GAMMA)*(A + U |w_j|_inf) - ETA.
-
-    ``best``, the minimum of the first ``_LEAD_ROWS`` rows against every
-    column, is a computed entry, so a pair whose bound exceeds it cannot be
-    the minimum.  The traces of a converging descent decay geometrically,
-    so S, from the first t with mag[t] < -best, is often most of the
-    points: rows ``_LEAD_ROWS``..t-1 are computed against columns 0..t-1,
-    the rows and columns below t whose bound is not above ``best`` against
-    S, and S x S not at all.  An instance with ``best`` >= 0 or NaN, or a
-    NaN or infinity anywhere in its rows (so mag[0] is not finite), skips
-    nothing: its one product is P @ R^T.  While the buffer holds two rows or
-    more, each product has at least two rows and two columns, so BLAS
-    computes it as a matrix product (GEMM); numpy sends a one-row or
-    one-column product to GEMV, which sums in another order.  A GEMM over a
-    sub-block need not give an entry the bits of the full product either:
-    on random Gram rows scaled 10^+-5, column-prefix and row-suffix products
-    differ from the full one in about 10% and 20-35% of trials.  So byte
-    equality of the minima with the unpruned kernel
-    (``tests/oracles.q_min_unpruned_reference``) is a tested fact, on the
-    tests' traces and the report-digest set, where each minimum sits in the
-    first rows, and not a proof.
+    An instance with a non-finite x, g or f gets NaN, and no NaN reaches
+    another instance.  A trace with d > 1 raises ``ValueError``.  Instances
+    are taken in blocks of at most ``_SORT_BLOCK`` entries per array (one
+    instance, if its n+2 points are more).
     """
-    points, batch, d = X.shape
-    rows = points + 1
-    sub = max(1, min(batch, _PAIR_BLOCK // (rows * (d + 2))))
-    if rows * rows <= _PAIR_BLOCK:
-        per, block = min(sub, _PAIR_BLOCK // (rows * rows)), rows
-    else:
-        per, most = 1, max(1, _PAIR_BLOCK // rows)
-        block = -(-rows // -(-rows // most))
-    lead = _LEAD_ROWS
-    buf = np.empty(max(per * block, lead) * rows)  # the lead product fits at every N
-    P, Rt = np.empty((sub, rows, d + 2)), np.empty((sub, d + 2, rows))
+    points, batch = X.shape[:2]
+    x, g, f = (a.reshape(points, batch) for a in (X, G, F))
+    per = max(1, _SORT_BLOCK // (points + 1))
     q = np.empty(batch)
-    prune = lead <= rows - 2  # always at N^2 > _PAIR_BLOCK = 2**16
-    for s in range(0, batch, sub):
-        m = min(sub, batch - s)
-        _gram_rows(X[:, s : s + m], G[:, s : s + m], F[:, s : s + m], P[:m], Rt[:m])
-        if block == rows:
-            for i in range(0, m, per):
-                k = min(per, m - i)
-                out = buf[: k * rows * rows].reshape(k, rows, rows)
-                np.matmul(P[i : i + k], Rt[i : i + k], out=out)
-                np.minimum.reduce(out.reshape(k, -1), axis=1, out=q[s + i : s + i + k])
-            continue
-        cut = np.full(m, rows)
-        if prune:
-            first = buf[: lead * rows].reshape(lead, rows)
-            best = np.array([np.matmul(P[i, :lead], Rt[i], out=first).min() for i in range(m)])
-            cut, need_row, need_col = _suffix_cut(P[:m], Rt[:m], best)
-        for i in range(m):
-            t, Pi, Rti = int(cut[i]), P[i], Rt[i]
-            if t == rows:
-                q[s + i] = _product_min(Pi, Rti, buf)
-                continue
-            # rows lead..t-1 against columns 0..t-1, then the rows and
-            # columns below t that the bounds keep against S = t..N-1
-            low = best[i]
-            if t > lead:
-                low = min(low, _product_min(Pi[min(lead, t - 2) : t], Rti[:, :t], buf))
-                kept = np.flatnonzero(need_row[i, lead:t]) + lead
-                if kept.size:
-                    low = min(low, _product_min(Pi[_two(kept)], Rti[:, t:], buf))
-            kept = np.flatnonzero(need_col[i, :t])
-            if kept.size:
-                low = min(low, _product_min(Pi[max(lead, t) :], Rti[:, _two(kept)], buf))
-            q[s + i] = low
+    for s in range(0, batch, per):
+        q[s : s + per] = _neighbour_min(x[:, s : s + per], g[:, s : s + per], f[:, s : s + per])
     return q
 
 
-def _suffix_cut(P, Rt, best):
-    """The bounds of :func:`_q_min_batched` for the Gram rows ``P`` of shape
-    ``(m, N, d+2)`` and ``R^T`` of shape ``(m, d+2, N)`` of m instances,
-    with a computed entry ``best`` of each: ``(cut, need_row, need_col)``,
-    the start t of each instance's suffix S (N where nothing is skipped:
-    ``best`` >= 0 or NaN, a non-finite magnitude, or fewer than two points
-    in S) and ``(m, N)`` masks of the rows and columns whose pairs with S may
-    not exceed ``best``, read below t only.  NaN bounds compare false, so
-    they keep their rows."""
-    m, rows, d = P.shape[0], P.shape[1], P.shape[2] - 2
-    a, b = P[:, :, d], Rt[:, d + 1]
-    mags = np.empty((4, m, rows))
-    absa, absb, u, w = mags  # |a_i|, |b_j|, |u_i|_1, |w_j|_inf
-    np.abs(a, out=absa)
-    np.abs(b, out=absb)
-    np.abs(P[:, :, 0], out=u)
-    np.abs(Rt[:, 0], out=w)
-    part = np.empty((m, rows))
-    for k in range(1, d):
-        u += np.abs(P[:, :, k], out=part)
-        np.maximum(w, np.abs(Rt[:, k], out=part), out=w)
-    sup = np.maximum.accumulate(mags[:, :, ::-1], axis=2)[:, :, ::-1]  # suffix maxima
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row prunes nothing
-        mag = np.multiply(sup[2], sup[3], out=part)
-        mag += sup[0]
-        mag += sup[1]
-        mag *= 1.0 + _GAMMA
-        mag += _ETA
-        # mag does not rise along the rows, so where it is below -best is a suffix
-        cut = rows - np.count_nonzero(mag < -best[:, None], axis=1)
-        cut[(cut > rows - 2) | ~np.isfinite(mag[:, 0])] = rows
-        At, Bt, Ut, Wt = (1.0 + _GAMMA) * sup[:, np.arange(m), np.minimum(cut, rows - 1)]
-        lows = sup[:2]  # the suffix maxima are gathered: their memory takes the lower bounds
-        for low, x, absx, y, Y, Z in ((lows[0], a, absa, u, Wt, Bt), (lows[1], b, absb, w, Ut, At)):
-            np.multiply(absx, -_GAMMA, out=low)
-            low += x
-            low -= np.multiply(y, Y[:, None], out=part)
-            low -= (Z + _ETA)[:, None]
-    return cut, ~(lows[0] > best[:, None]), ~(lows[1] > best[:, None])
-
-
-def _two(index):
-    """An index array of at least two entries: a single row or column below
-    the cut gets the next one, which is a pair of the instance too."""
-    return index if index.size > 1 else np.array([index[0], index[0] + 1])
-
-
-def _product_min(Pr, Rc, buf):
-    """The minimum of ``Pr @ Rc`` by blocks of rows that fit ``buf``, a NaN
-    kept once seen.  A buffer of two rows or more takes blocks of at least
-    two rows (a one-row tail is computed with the row before it), so with
-    two columns or more every product is a GEMM; a one-row buffer takes
-    one-row products."""
-    rows, cols = Pr.shape[0], Rc.shape[1]
-    step = buf.size // cols
-    low = np.inf
-    for r in range(0, rows, step):
-        r = min(r, rows - min(step, 2))
-        out = buf[: min(step, rows - r) * cols].reshape(-1, cols)
-        x = np.matmul(Pr[r : r + step], Rc, out=out).min()
-        low = x if x != x else min(low, x)  # min(nan, x) is nan: a NaN stays once seen
+def _neighbour_min(x, g, f):
+    """The minima of :func:`_q_min_batched` for the ``(n+1, m)`` points,
+    gradients and values of m instances: one block, in a function of its own
+    so that its temporaries are freed before the next block makes its own."""
+    points, m = x.shape
+    rows = points + 1
+    # one row of points per instance, the minimizer last
+    t = np.zeros((3, m, rows))
+    for k, a in enumerate((x, g, f)):
+        t[k, :, :points] = a.T
+    bad = ~np.isfinite(t).all(axis=(0, 2))
+    order = np.argsort(t[0], axis=1) + np.arange(0, m * rows, rows)[:, None]
+    t = np.take(t.reshape(3, -1), order, axis=1)
+    dx, dg, df = np.diff(t, axis=2)
+    sq = dg * dg
+    up = 2.0 * (t[1, :, 1:] * dx - df) - sq  # Q(k, k+1)
+    down = 2.0 * (df - t[1, :, :-1] * dx) - sq  # Q(k+1, k)
+    low = np.minimum(up, down, out=up).min(axis=1, initial=0.0)
+    low[bad] = np.nan
     return low
 
 

@@ -2,24 +2,8 @@
 
 ``q_min_pairwise`` is the direct pairwise form of the smooth-convex
 interpolation check: it builds each term of Q_ij as its own (B, N, N) array.
-The production kernel, ``stepweaver.verify._q_min_batched``, evaluates the
-same minimum in Gram form; the tests compare the two.
-
-``q_min_row_blocks_reference`` is the Gram-form kernel that builds P and R
-for chunks of as many instances as ``pair_block`` pair entries hold and takes
-one fresh product per block of rows.  The production kernel,
-``stepweaver.verify._q_min_batched`` (sub-batched rows, one reused product
-buffer), must give the same minima byte for byte.
-
-``q_min_unpruned_reference`` is the sub-batched Gram-form kernel that
-evaluates every pair.  The production kernel, which skips the pairs that
-provably cannot hold an instance's minimum, must give the same minima byte
-for byte.
-
-``gram_rows_reference`` writes the Gram rows of a trace through
-``np.moveaxis`` views.  The production ``stepweaver.verify._gram_rows``
-(``swapaxes``/``transpose`` views of the same strides) must write the same
-bytes.
+The production kernel, ``stepweaver.verify._q_min_batched``, checks only the
+neighbours in x of 1-D points; the tests compare the two.
 
 ``f_cert_slack_reference`` and ``s_slack_reference`` are the F-certificate
 and S-inequality slacks with their per-point terms
@@ -162,88 +146,6 @@ def q_min_pairwise(X, G, F):
         - (gsq[:, :, None] + gsq[:, None, :] - 2.0 * gg)
     )
     return Q.min(axis=(1, 2)) if not squeeze else float(Q.min())
-
-
-def q_min_row_blocks_reference(X, G, F, pair_block: int = 2**18):
-    """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace, with the
-    minimizer appended."""
-    rows = X.shape[0] + 1
-    chunk = max(1, pair_block // (rows * rows))
-    minima = []
-    for i in range(0, X.shape[1], chunk):
-        # batch axes to the front: (N, b, d) -> (b, N, d)
-        Xb, Gb, Fb = (np.moveaxis(a[:, i : i + chunk], 0, 1) for a in (X, G, F))
-        batch, n, d = Gb.shape
-        gsq = np.einsum("bnd,bnd->bn", Gb, Gb)
-        P = np.zeros((batch, rows, d + 2))
-        R = np.zeros((batch, rows, d + 2))
-        P[:, :n, :d] = Gb - Xb
-        P[:, :n, d] = 2.0 * Fb - gsq
-        P[:, :, d + 1] = 1.0
-        R[:, :n, :d] = 2.0 * Gb
-        R[:, :, d] = 1.0
-        R[:, :n, d + 1] = 2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb - gsq
-        Rt = R.swapaxes(1, 2)
-        block = max(1, pair_block // (batch * rows))
-        q = (P[:, :block] @ Rt).min(axis=(1, 2))
-        for r in range(block, rows, block):
-            q = np.minimum(q, (P[:, r : r + block] @ Rt).min(axis=(1, 2)))
-        minima.append(q)
-    return np.concatenate(minima)
-
-
-def q_min_unpruned_reference(X, G, F, pair_block: int = 2**16):
-    """The ``(B,)`` interpolation minima of an ``(n+1, B, d)`` trace over
-    all ordered pairs, the minimizer appended: Gram rows per sub-batch of
-    instances, one reused product buffer of at most ``pair_block`` entries,
-    whole instances per product while an N x N matrix fits and balanced
-    blocks of rows of one instance otherwise."""
-    points, batch, d = X.shape
-    rows = points + 1
-    sub = max(1, min(batch, pair_block // (rows * (d + 2))))
-    if rows * rows <= pair_block:
-        per, block = min(sub, pair_block // (rows * rows)), rows
-    else:
-        per, most = 1, max(1, pair_block // rows)
-        block = -(-rows // -(-rows // most))
-    buf = np.empty(per * block * rows)
-    P, Rt = np.empty((sub, rows, d + 2)), np.empty((sub, d + 2, rows))
-    block_min = np.empty(-(-rows // block))
-    q = np.empty(batch)
-    for s in range(0, batch, sub):
-        m = min(sub, batch - s)
-        gram_rows_reference(X[:, s : s + m], G[:, s : s + m], F[:, s : s + m], P[:m], Rt[:m])
-        if block == rows:
-            for i in range(0, m, per):
-                k = min(per, m - i)
-                out = buf[: k * rows * rows].reshape(k, rows, rows)
-                np.matmul(P[i : i + k], Rt[i : i + k], out=out)
-                np.min(out.reshape(k, -1), axis=1, out=q[s + i : s + i + k])
-        else:
-            for i in range(m):
-                for j, r in enumerate(range(0, rows, block)):
-                    out = buf[: min(block, rows - r) * rows].reshape(-1, rows)
-                    block_min[j] = np.matmul(P[i, r : r + block], Rt[i], out=out).min()
-                q[s + i] = block_min.min()
-    return q
-
-
-def gram_rows_reference(X, G, F, P, Rt) -> None:
-    """Write the Gram rows of an ``(n+1, m, d)`` trace into ``P`` of shape
-    ``(m, N, d+2)`` and ``Rt`` of shape ``(m, d+2, N)``, where N is n+1, or
-    n+2 with the star row last."""
-    points, _, d = X.shape
-    Xb, Gb, Fb = (np.moveaxis(a, 0, 1) for a in (X, G, F))
-    gsq = np.einsum("bnd,bnd->bn", Gb, Gb)
-    P[:, :points, :d] = np.moveaxis(G - X, 0, 1)
-    np.subtract(2.0 * Fb, gsq, out=P[:, :points, d])
-    P[:, :, d + 1] = 1.0
-    P[:, points:, : d + 1] = 0.0
-    np.multiply(np.moveaxis(G, 0, 2), 2.0, out=Rt[:, :d, :points])
-    Rt[:, :d, points:] = 0.0
-    Rt[:, d] = 1.0
-    np.subtract(2.0 * np.einsum("bnd,bnd->bn", Gb, Xb) - 2.0 * Fb, gsq, out=Rt[:, d + 1, :points])
-    Rt[:, d + 1, points:] = 0.0
 
 
 def sjoin_rate_reference(alpha, beta):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import coord_grad, coord_value_reference, raw_run_reference
+from oracles import coord_grad, coord_value_reference, q_min_pairwise, raw_run_reference
 from stepweaver import gd
 from stepweaver.builders import constant_optimal, dynamic_short, silver
 from stepweaver.gd import (
@@ -431,5 +431,10 @@ class TestInterpolationOnTraces:
             for _ in range(10):
                 d = int(rng.integers(1, 8))
                 inst = random_instance(rng, d)
-                tr = run(sched, inst, rng.standard_normal(d))
-                assert _q_min_batched(tr.x[:, None], tr.g[:, None], tr.f[:, None])[0] >= -1e-9
+                x0 = rng.standard_normal(d)
+                tr = run(sched, inst, x0)
+                # the whole trace by the pairwise oracle, each coordinate alone by the 1-D kernel
+                assert q_min_pairwise(tr.x, tr.g, tr.f) >= -1e-9
+                for k in range(d):
+                    x, g, f = raw_run(sched.steps, inst.is_huber[k : k + 1], inst.param[k : k + 1], x0[k : k + 1])
+                    assert _q_min_batched(x[:, None], g[:, None], f[:, None])[0] >= -1e-9

@@ -1,31 +1,27 @@
-"""The Gram-form interpolation kernel against the pairwise oracle and the
-unpruned kernel, its pruning bounds, the battery-evaluation helpers against
-the numpy calls they replace, the cached battery, and the program names that
-the benchmark's traced run wraps."""
+"""The 1-D interpolation kernel against the pairwise oracle, the theorem it
+rests on, its non-finite rule and its memory, the battery-evaluation helpers
+against the numpy calls they replace, the cached battery, and the program
+names that the benchmark's traced run wraps."""
 
 import importlib.util
 import inspect
 import os
 import tracemalloc
-from fractions import Fraction
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import gram_rows_reference, q_min_pairwise, q_min_row_blocks_reference, q_min_unpruned_reference
+from oracles import q_min_pairwise
 from stepweaver import builders, dsl, gd, optimizer, schedule, verify
 from stepweaver.builders import right_heavy, silver
 from stepweaver.gd import quad_instance, raw_run, run
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import build_tables, obs_f, obs_g, obs_s
 from stepweaver.schedule import CompClass
-from stepweaver.verify import _dot, _gram_rows, _q_min_batched, _weighted_sum, verify_schedule
-
-DIMS = st.sampled_from([1, 2, 4, 8])
+from stepweaver.verify import _dot, _q_min_batched, _weighted_sum, verify_schedule
 
 
 def q_tolerance(X, G, F) -> float:
@@ -43,379 +39,154 @@ def convex_traces(seed, n, batch, d):
     return raw_run(rng.uniform(0.1, 3.0, n), is_huber, param, x0)
 
 
-def arbitrary_traces(seed, n, batch, d):
-    """Points, gradients and values drawn independently: mostly non-convex."""
+def arbitrary_traces(seed, n, batch):
+    """1-D points, gradients and values drawn independently: mostly non-convex."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-1.0, 1.0)
     return (
-        scale * rng.standard_normal((n + 1, batch, d)),
-        rng.standard_normal((n + 1, batch, d)),
+        scale * rng.standard_normal((n + 1, batch, 1)),
+        rng.standard_normal((n + 1, batch, 1)),
         scale * rng.standard_normal((n + 1, batch)),
     )
 
 
-class TestGramKernelOracle:
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 6), DIMS)
-    def test_convex_batched(self, seed, n, batch, d):
-        X, G, F = convex_traces(seed, n, batch, d)
-        expected = q_min_pairwise(X, G, F)
-        tol = q_tolerance(X, G, F)
-        assert np.max(np.abs(_q_min_batched(X, G, F) - expected)) <= tol
-        # chunks of one instance, of three and the default, against one call
-        for pair_block in (1, 3 * (n + 2) ** 2, verify._PAIR_BLOCK):
-            with mock.patch.object(verify, "_PAIR_BLOCK", pair_block):
-                got = _q_min_batched(X, G, F)
-            assert got.shape == (batch,)
-            assert np.max(np.abs(got - expected)) <= tol
+class TestKernelOracle:
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 6))
+    def test_convex_batched(self, seed, n, batch):
+        X, G, F = convex_traces(seed, n, batch, 1)
+        got = _q_min_batched(X, G, F)
+        assert got.shape == (batch,)
+        assert np.max(np.abs(got - q_min_pairwise(X, G, F))) <= q_tolerance(X, G, F)
+        # blocks of one instance, of three and the default give the same bytes
+        for block in (1, 3 * (n + 2)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(verify, "_SORT_BLOCK", block)
+                assert _q_min_batched(X, G, F).tobytes() == got.tobytes()
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6), DIMS)
-    def test_arbitrary(self, seed, n, batch, d):
-        X, G, F = arbitrary_traces(seed, n, batch, d)
-        assert np.max(np.abs(_q_min_batched(X, G, F) - q_min_pairwise(X, G, F))) <= q_tolerance(X, G, F)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6))
+    def test_arbitrary(self, seed, n, batch):
+        """Mostly non-convex points: each minimum has the sign of the
+        all-pairs one, and is never below it by more than rounding."""
+        X, G, F = arbitrary_traces(seed, n, batch)
+        got, want = _q_min_batched(X, G, F), q_min_pairwise(X, G, F)
+        assert np.all((got < 0.0) == (want < 0.0))
+        assert np.all(got >= want - q_tolerance(X, G, F))
 
-    def test_row_blocks_bound_memory_at_n_2047(self, monkeypatch):
-        """8*(n+2)^2 bytes per instance in one product (32 MiB at n = 2047);
-        row blocks of at most 2**18 entries keep the peak near 2 MiB."""
-        X, G, F = convex_traces(11, 2047, 6, 2)
-        tracemalloc.start()
-        try:
-            got = _q_min_batched(X, G, F)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20
-        monkeypatch.setattr(verify, "_PAIR_BLOCK", 2**40)  # one product per instance
-        assert got.tobytes() == _q_min_batched(X, G, F).tobytes()
-
-    def test_star_only_pair_is_exactly_zero(self):
-        # one point at the minimizer plus the appended star: every Q is 0
-        zero = np.zeros((1, 1, 3))
-        assert _q_min_batched(zero, zero, np.zeros((1, 1)))[0] == 0.0
-
-
-class TestSubBatchedKernel:
-    """The sub-batched kernel against the row-block kernel it replaced, on
-    both sides of its switch from whole instances per product to row blocks
-    of one instance at N^2 = ``_PAIR_BLOCK`` (N = n + 2 = 256 at n = 254
-    with the star row)."""
-
-    # the "-True" suffix (minimizer row appended) keeps these cases' ids stable
-    @pytest.mark.parametrize("n", [0, 1, 253, 254, 255, 383, 511], ids="{}-True".format)
-    def test_minima_are_byte_equal_to_row_blocks(self, n):
-        assert verify._PAIR_BLOCK == 256**2
-        for batch in (1, 7, 50):
-            for d in (1, 2, 4, 8):
-                X, G, F = convex_traces(1000 * n + 10 * batch + d, n, batch, d)
-                got = _q_min_batched(X, G, F)
-                assert got.tobytes() == q_min_row_blocks_reference(X, G, F).tobytes(), (batch, d)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("n", [30, 300])  # 7 instances in one product; row blocks
-    def test_nan_stays_in_its_instance(self, n, bad):
-        """A NaN value makes a whole row and column of Q NaN; an infinite one
-        makes only Q_ii NaN, so the NaN sits in one row block."""
-        X, G, F = convex_traces(17, n, 7, 2)
-        F[n // 2, 3] = bad
-        with np.errstate(invalid="ignore"):
-            got = _q_min_batched(X, G, F)
-        assert np.isnan(got).tolist() == [i == 3 for i in range(7)]
-        with np.errstate(invalid="ignore"):
-            assert got.tobytes() == q_min_row_blocks_reference(X, G, F).tobytes()
-
-    @pytest.mark.parametrize("n", [511, 255])
-    def test_peak_memory_is_bounded(self, n):
-        """P, R^T and the product buffer each hold at most 2**16 entries:
-        about 1.9 MiB, where P and R^T of a whole 50-instance group would
-        take 3.9 MiB at n = 511."""
-        X, G, F = convex_traces(19, n, 50, 8)
+    def test_row_blocks_bound_memory_at_n_2047(self):
+        """Three instances per block at n = 2047: the kernel's temporaries
+        stay near eleven arrays of ``_SORT_BLOCK`` entries (0.69 MiB)."""
+        X, G, F = convex_traces(11, 2047, 6, 1)
         tracemalloc.start()
         try:
             _q_min_batched(X, G, F)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert peak <= 2**20
+
+    def test_star_only_pair_is_exactly_zero(self):
+        # one point at the minimizer plus the appended star: every Q is 0
+        zero = np.zeros((1, 1, 1))
+        assert _q_min_batched(zero, zero, np.zeros((1, 1)))[0] == 0.0
+
+    def test_wider_trace_raises(self):
+        """The kernel reads one coordinate per instance; a trace with d > 1
+        raises instead of reading one coordinate silently."""
+        X, G, F = convex_traces(2, 5, 3, 2)
+        with pytest.raises(ValueError):
+            _q_min_batched(X, G, F)
 
 
-def decaying_traces(seed, n, batch, d, floor):
-    """Points, gradients and values drawn independently (mostly non-convex),
-    point k's x and g scaled by 2^-e_k and its value by 2^-2e_k, with e_k
-    rising evenly from 0 to ``floor``: exact scalings down to subnormals."""
-    rng = np.random.default_rng(seed)
-    e = np.floor(np.linspace(0.0, floor, n + 1)).astype(np.int64)
-    X = np.ldexp(rng.standard_normal((n + 1, batch, d)), -e[:, None, None])
-    G = np.ldexp(rng.standard_normal((n + 1, batch, d)), -e[:, None, None])
-    F = np.ldexp(rng.standard_normal((n + 1, batch)), -2 * e[:, None])
+@st.composite
+def integer_traces(draw):
+    """1-D traces ``(X, G, F)`` of up to four instances on small-integer
+    points, where every Q is computed exactly in floats.  Each instance is a
+    1-smooth convex function with its minimizer at 0 (a quadratic of
+    curvature 1, 1/2 or 1/4, or a Huber function of integer kink, whose
+    gradients tie where it is linear), sampled at integers that may repeat
+    (x-ties and duplicate points); one instance in two then has one x, g or
+    f shifted by a multiple of 1/4, which breaks convexity or not."""
+    points = draw(st.integers(1, 6))
+    batch = draw(st.integers(1, 4))
+    X, G, F = np.empty((points, batch, 1)), np.empty((points, batch, 1)), np.empty((points, batch))
+    for b in range(batch):
+        x = np.array(draw(st.lists(st.integers(-6, 6), min_size=points, max_size=points)), dtype=float)
+        if draw(st.booleans()):
+            c = draw(st.sampled_from([1.0, 0.5, 0.25]))
+            g, f = c * x, 0.5 * c * x * x
+        else:
+            k = draw(st.integers(1, 4))
+            g = np.clip(x, -k, k)
+            f = np.where(np.abs(x) <= k, 0.5 * x * x, k * np.abs(x) - 0.5 * k * k)
+        if draw(st.booleans()):
+            which, i = draw(st.sampled_from([x, g, f])), draw(st.integers(0, points - 1))
+            which[i] += 0.25 * draw(st.integers(-8, 8))
+        X[:, b, 0], G[:, b, 0], F[:, b] = x, g, f
     return X, G, F
 
 
-def halving_traces(seed, n, batch, curvature=None):
-    """1-D GD traces on quadratics from random x0.  By default curvature 1
-    and step 1/2: every point halves, and Q_ij is exactly zero (a = b = u =
-    0).  With ``curvature = (low, high)``, step 1 on curvatures drawn from
-    it: the points shrink by 1 - curvature per step."""
-    rng = np.random.default_rng(seed)
-    param = np.full((batch, 1), 1.0) if curvature is None else rng.uniform(*curvature, (batch, 1))
-    steps = np.full(n, 0.5 if curvature is None else 1.0)
-    return raw_run(steps, np.zeros((batch, 1), dtype=bool), param, rng.standard_normal((batch, 1)))
+@settings(max_examples=500)
+@given(integer_traces())
+# a point off its function at a gradient tie: sorted by g (or left in index
+# order among the ties), its violating pair with (1, 1, 0.5) is no neighbour
+@example((np.array([[[0.25]], [[1.0]]]), np.array([[[0.0]], [[1.0]]]), np.array([[0.0], [0.5]])))
+def test_neighbours_decide_like_all_pairs(trace):
+    """The theorem of ``_q_min_batched``: on points where float arithmetic
+    is exact, the x-neighbour minimum is negative exactly when the
+    all-pairs minimum is, and never below it."""
+    got, want = _q_min_batched(*trace), q_min_pairwise(*trace)
+    assert np.array_equal(got < 0.0, want < 0.0), (got, want)
+    assert np.all(got >= want)
 
 
-@pytest.fixture
-def cuts(monkeypatch):
-    """``(N, cut)`` of every ``_suffix_cut`` call: the rows of the pair
-    matrix and where each instance's skipped suffix starts (N: none)."""
-    seen = []
-    real = verify._suffix_cut
-
-    def keeping(P, Rt, best):
-        got = real(P, Rt, best)
-        seen.append((P.shape[1], got[0].copy()))
-        return got
-
-    monkeypatch.setattr(verify, "_suffix_cut", keeping)
-    return seen
-
-
-class TestPrunedKernel:
-    """One instance at a time (n >= 255) the kernel skips the pairs whose
-    rounding bound exceeds a computed entry: the minima must be the
-    unpruned kernel's, byte for byte."""
-
-    def test_verify_long_traces(self, monkeypatch, cuts):
-        """One kernel call per verification, on the whole battery."""
-        batteries = []
-        real = verify._q_min_batched
-
-        def keeping(X, G, F):
-            batteries.append((X, G, F))
-            return real(X, G, F)
-
-        monkeypatch.setattr(verify, "_q_min_batched", keeping)
-        for h in long_schedules():
-            verify_schedule(h, RunConfig(battery=40))
-        assert [X.shape[1:] for X, _, _ in batteries] == [(40, 1)] * 8
-        cuts.clear()
-        for X, G, F in batteries:
-            assert real(X, G, F).tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
-        skipped = sum(int(np.count_nonzero(cut < rows)) for rows, cut in cuts)
-        assert skipped >= 0.75 * 8 * 40  # most instances skip a suffix
-
-    @settings(max_examples=40)
-    @given(st.integers(0, 2**32 - 1), st.integers(255, 700), st.integers(1, 6), DIMS, st.integers(0, 560))
-    def test_decaying_traces(self, seed, n, batch, d, floor):
-        X, G, F = decaying_traces(seed, n, batch, d, floor)
-        assert _q_min_batched(X, G, F).tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
+class TestSubBatchedKernel:
+    """The kernel takes instances in blocks of at most ``_SORT_BLOCK``
+    entries per array: a non-finite value stays in its instance, and the
+    temporaries stay small."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["x", "g", "f"])
-    def test_non_finite_point_in_the_skipped_suffix(self, cuts, where, bad):
-        X, G, F = decaying_traces(5, 300, 4, 2, 400)
+    def test_non_finite_stays_in_its_instance(self, monkeypatch, where, bad):
+        """A NaN or an infinity in an instance's x, g or f makes its minimum
+        NaN; every other instance keeps its bytes, with the bad one in one
+        block of several (blocks of three instances) and in its own block."""
+        for n, per in ((30, 3), (300, 3), (300, 1)):
+            monkeypatch.setattr(verify, "_SORT_BLOCK", per * (n + 2))
+            X, G, F = convex_traces(17, n, 7, 1)
+            clean = _q_min_batched(X, G, F)
+            {"x": X[..., 0], "g": G[..., 0], "f": F}[where][n // 2, 4] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = _q_min_batched(X, G, F)
+            assert np.isnan(got).tolist() == [i == 4 for i in range(7)]
+            assert np.delete(got, 4).tobytes() == np.delete(clean, 4).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [30, 300])  # 7 instances in one default block
+    def test_nan_stays_in_its_instance(self, n, bad):
+        """At the default block size, a NaN or infinite value makes only its
+        own instance's minimum NaN, as the all-pairs oracle's is."""
+        X, G, F = convex_traces(17, n, 7, 1)
         clean = _q_min_batched(X, G, F)
-        (rows, cut), = cuts
-        assert cut[1] <= rows - 2  # instance 1 skips a suffix of two rows at least
-        {"x": X, "g": G, "f": F}[where][(cut[1] + rows) // 2, 1] = bad
+        F[n // 2, 3] = bad
         with np.errstate(invalid="ignore", over="ignore"):
             got = _q_min_batched(X, G, F)
-            assert got.tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
-        assert np.isnan(got[1])
-        assert np.delete(got, 1).tobytes() == np.delete(clean, 1).tobytes()
+            want = q_min_pairwise(X, G, F)
+        assert np.isnan(got).tolist() == np.isnan(want).tolist() == [i == 3 for i in range(7)]
+        assert np.delete(got, 3).tobytes() == np.delete(clean, 3).tobytes()
 
-    def test_zero_minimum_skips_nothing(self, cuts):
-        X, G, F = halving_traces(3, 400, 5)  # f_n near 2^-800: no rounding below the normal floats
-        got = _q_min_batched(X, G, F)
-        assert got.tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
-        assert got.tolist() == [0.0] * 5
-        assert all(np.all(cut == rows) for rows, cut in cuts)
-
-    def test_violating_pair_among_late_points(self, cuts):
-        """f_{k+1} = f_k at a late point k: the pair (k, k+1) falls far below
-        the early points' rounding noise, and each instance still skips a
-        suffix."""
-        X, G, F = halving_traces(11, 400, 4, curvature=(0.3, 0.7))
-        clean = _q_min_batched(X, G, F)
-        k = np.argmax(F < 1e-9 * F[0], axis=0)  # the first point below 1e-9 f_0
-        cols = np.arange(4)
-        F[k + 1, cols] = F[k, cols]
-        got = _q_min_batched(X, G, F)
-        assert got.tobytes() == q_min_unpruned_reference(X, G, F).tobytes()
-        assert np.all(got < -1e-3 * F[k, cols]) and np.all(clean > 1e-6 * got)
-        assert all(np.all(cut < rows) for rows, cut in cuts)
-
-    def test_one_row_buffer_still_prunes(self, monkeypatch):
-        """A buffer of one row (N > 32768 at the default ``_PAIR_BLOCK``)
-        still takes the lead rows in one product, so a decaying instance
-        skips pairs, and its minimum is the unpruned kernel's."""
-        n = 300
-        X, G, F = decaying_traces(7, n, 1, 2, 400)
-        expected = q_min_unpruned_reference(X, G, F)
-        monkeypatch.setattr(verify, "_PAIR_BLOCK", n + 2)  # one row of the pair matrix
-        entries, real = [], np.matmul
-
-        def counting(a, b, out):
-            entries.append(out.size)
-            return real(a, b, out=out)
-
-        monkeypatch.setattr(np, "matmul", counting)
-        got = _q_min_batched(X, G, F)
-        monkeypatch.undo()
-        assert entries[0] == verify._LEAD_ROWS * (n + 2)
-        assert sum(entries) < (n + 2) ** 2
-        assert got.tobytes() == expected.tobytes()
-
-
-class TestProductMin:
-    """``_product_min`` against ``np.min(Pr @ Rc)`` on small integer
-    entries, whose products are exact in any summation order."""
-
-    @staticmethod
-    def operands(rows, cols, d=3, seed=0):
-        rng = np.random.default_rng(seed)
-        return rng.integers(-9, 10, (rows, d)).astype(float), rng.integers(-9, 10, (d, cols)).astype(float)
-
-    @staticmethod
-    def block_rows(monkeypatch):
-        """The row count of every product ``np.matmul`` computes."""
-        seen, real = [], np.matmul
-
-        def counting(a, b, out):
-            seen.append(a.shape[0])
-            return real(a, b, out=out)
-
-        monkeypatch.setattr(np, "matmul", counting)
-        return seen
-
-    @pytest.mark.parametrize("row", [0, 1, 6, 11, 12])  # blocks 0..2, 3..5, 6..8, 9..11, 11..12
-    def test_nan_in_any_block_reaches_the_minimum(self, row):
-        Pr, Rc = self.operands(13, 7)
-        Pr[row, 1] = np.nan
-        assert np.isnan(np.min(Pr @ Rc))
-        assert np.isnan(verify._product_min(Pr, Rc, np.empty(3 * 7)))
-
-    def test_one_row_buffer_covers_the_last_row(self, monkeypatch):
-        Pr, Rc = self.operands(6, 5)
-        Pr[-1], Rc[:, 0] = 100.0, -9.0  # the minimum, -2700, lies in the last row only
-        rows = self.block_rows(monkeypatch)
-        got = verify._product_min(Pr, Rc, np.empty(5))
-        monkeypatch.undo()
-        assert rows == [1] * 6
-        assert got == np.min(Pr @ Rc) == -2700.0
-
-    def test_one_row_tail_takes_a_two_row_product(self, monkeypatch):
-        Pr, Rc = self.operands(7, 5)
-        Pr[-1], Rc[:, 0] = 100.0, -9.0
-        rows = self.block_rows(monkeypatch)
-        got = verify._product_min(Pr, Rc, np.empty(3 * 5))
-        monkeypatch.undo()
-        assert rows == [3, 3, 2]
-        assert got == np.min(Pr @ Rc) == -2700.0
-
-
-def gram_rows_spread(rng, m, rows, d, low, high):
-    """Gram rows ``(P, R^T)`` of m instances, shaped ``(m, rows, d+2)`` and
-    ``(m, d+2, rows)``, with u, a, w and b of magnitudes 2^e, e drawn from
-    [low, high] and falling along the rows.  In half the instances every u
-    is negative and every w positive, so that the inner products come near
-    Hoelder's bound; one a_i per instance cancels a pair's other terms."""
-    e = -np.sort(-rng.integers(low, high, (m, rows, 1)), axis=1)
-    mant = rng.uniform(0.5, 1.0, (4, m, rows, d)) * rng.choice([-1.0, 1.0], (4, m, rows, d))
-    aligned = np.arange(m) % 2 == 0
-    mant[0, aligned] = -np.abs(mant[0, aligned]).max(axis=-1, keepdims=True)
-    mant[2, aligned] = np.abs(mant[2, aligned]).max(axis=-1, keepdims=True)
-    val = np.ldexp(mant, e + rng.integers(-3, 1, (4, m, rows, d)))
-    P, Rt = np.ones((m, rows, d + 2)), np.ones((m, d + 2, rows))
-    P[:, :, :d], P[:, :, d] = val[0], val[1, :, :, 0]
-    Rt[:, :d], Rt[:, d + 1] = val[2].swapaxes(1, 2), val[3, :, :, 0]
-    for i in range(m):
-        r, c = rng.integers(0, rows, 2)
-        P[i, r, d] = -(Rt[i, d + 1, c] + P[i, r, :d] @ Rt[i, :d, c])
-    return P, Rt
-
-
-@given(st.integers(0, 2**32 - 1), DIMS)
-def test_rounding_bound_holds_for_every_product(seed, d):
-    """Every GEMM entry q_ij of Gram rows spread over 2^-1000..2^500 lies
-    within GAMMA*(|a_i| + |b_j| + |u_i|_1 |w_j|_inf) + ETA of the exact sum,
-    and so within the pruning bounds (exact rational arithmetic)."""
-    rng = np.random.default_rng(seed)
-    P, Rt = gram_rows_spread(rng, 1, 8, d, -1000, 500)
-    Q = np.matmul(P[0], Rt[0])
-    gamma, eta = Fraction(verify._GAMMA), Fraction(verify._ETA)
-    for i in range(8):
-        row = [Fraction(v) for v in P[0, i]]
-        for j in range(8):
-            col = [Fraction(v) for v in Rt[0, :, j]]
-            q, exact = Fraction(Q[i, j]), sum(x * y for x, y in zip(row, col))
-            a, b = abs(row[d]), abs(col[d + 1])
-            uw = sum(abs(x) for x in row[:d]) * max(abs(y) for y in col[:d])
-            assert abs(q - exact) <= gamma * (a + b + uw) + eta
-            assert abs(q) <= (1 + gamma) * (a + b + uw) + eta
-            assert q >= row[d] - gamma * a - (1 + gamma) * (b + uw) - eta
-            assert q >= col[d + 1] - gamma * b - (1 + gamma) * (a + uw) - eta
-
-
-def tight_gram_rows(rng, m, d, scale):
-    """Gram rows of m instances of 8 points whose row bound is tight: rows
-    below a cut c are of order 1, the rest of order 2^scale and falling;
-    every u is negative and every w has equal positive components, so
-    <u_i, w_j> = -|u_i|_1 |w_j|_inf; every b is negative, so the pair (r, c)
-    meets the bound a_r - |b_c| - |u_r|_1 |w_c|_inf up to rounding, and a_r
-    cancels part of it.  Returns ``(P, R^T, pairs)``, ``pairs`` indexing
-    each instance's (r, c) in the ``(m, 8, 8)`` pair matrices."""
-    P, Rt = np.ones((m, 8, d + 2)), np.ones((m, d + 2, 8))
-    c = rng.integers(2, 6, m)
-    r = rng.integers(0, c)
-    for i in range(m):
-        e = np.where(np.arange(8) < c[i], 0.0, scale - 3.0 * (np.arange(8) - c[i]))
-        big = np.where(np.arange(8) < c[i], 8.0, 1.0)
-        P[i, :, :d] = -rng.uniform(1.0, 2.0, (8, d)) * (big * np.exp2(e))[:, None]
-        Rt[i, :d] = rng.uniform(1.0, 2.0, 8) * np.exp2(e)
-        P[i, :, d] = rng.uniform(1.0, 2.0, 8) * np.exp2(e)
-        Rt[i, d + 1] = -rng.uniform(1.0, 2.0, 8) * np.exp2(e)
-        P[i, r[i], d] = -(Rt[i, d + 1, c[i]] + P[i, r[i], :d] @ Rt[i, :d, c[i]]) * rng.uniform(0.5, 0.98)
-    return P, Rt, (np.arange(m), r, c)
-
-
-def assert_skipped_pairs_exceed(Q, best, got):
-    """Every pair that ``_suffix_cut``'s result ``got`` lets the kernel skip
-    exceeds ``best``: those of the suffix, and those of the rows and columns
-    below the cut that it does not keep."""
-    rows = Q.shape[1]
-    for i, t in enumerate(got[0].tolist()):
-        if t == rows:
-            continue
-        assert t <= rows - 2
-        assert np.all(Q[i, t:, t:] > best[i])
-        assert np.all(Q[i, :t][~got[1][i, :t], t:] > best[i])
-        assert np.all(Q[i, t:, :t][:, ~got[2][i, :t]] > best[i])
-
-
-SPREADS = st.sampled_from([(-1000, 500), (-1100, -1000), (-60, 60)])
-
-
-@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(4, 48), DIMS, SPREADS)
-def test_suffix_cut_skips_only_pairs_above_best(seed, m, rows, d, spread):
-    """Against any computed entry ``best`` (here: the first two rows'
-    minimum, or an entry's next float up, of the whole matrix or of a
-    suffix), every pair the kernel may skip exceeds it."""
-    rng = np.random.default_rng(seed)
-    P, Rt = gram_rows_spread(rng, m, rows, d, *spread)
-    Q = np.matmul(P, Rt)
-    best = np.empty(m)
-    for i in range(m):
-        k = int(rng.integers(0, rows - 1))
-        pick = (Q[i, :2].min(), Q[i].flat[rng.integers(rows * rows)], Q[i, k:, k:].min())[i % 3]
-        best[i] = pick if i % 3 == 0 else np.nextafter(pick, np.inf)
-    assert_skipped_pairs_exceed(Q, best, verify._suffix_cut(P, Rt, best))
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]), st.sampled_from([-200.0, -537.0, -1066.0, -1070.0]))
-def test_suffix_cut_keeps_tight_pairs(seed, d, scale):
-    """Where a row's bound is met up to rounding, and at subnormal scales
-    where rounding is absolute, the pair next below ``best`` is kept."""
-    P, Rt, pairs = tight_gram_rows(np.random.default_rng(seed), 64, d, scale)
-    Q = np.matmul(P, Rt)
-    best = np.nextafter(Q[pairs], np.inf)
-    assert_skipped_pairs_exceed(Q, best, verify._suffix_cut(P, Rt, best))
+    @pytest.mark.parametrize("n", [511, 255])
+    def test_peak_memory_is_bounded(self, n):
+        """About eleven arrays of at most ``_SORT_BLOCK`` entries (0.69 MiB)
+        at any battery size: here 50 instances, which in one block would
+        take eleven arrays of 0.2 MiB at n = 511."""
+        X, G, F = convex_traces(19, n, 50, 1)
+        tracemalloc.start()
+        try:
+            _q_min_batched(X, G, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
 
 def layout_traces(layout, n, d, batch=5):
@@ -457,10 +228,9 @@ FINITE_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-315, 2.225073858507
 
 class TestWrapperFreeHelpers:
     """The battery slacks call ``_weighted_sum`` for ``np.tensordot(v, a,
-    axes=(0, 0))`` and ``_dot`` with ``gd.coord_sum`` for ``np.add.reduce``,
-    and ``_gram_rows`` reads ``swapaxes``/``transpose`` views; each must give
-    the bytes of the numpy call it replaces, on every layout the verifier
-    passes."""
+    axes=(0, 0))`` and ``_dot`` with ``gd.coord_sum`` for ``np.add.reduce``;
+    each must give the bytes of the numpy call it replaces, on every layout
+    the verifier passes."""
 
     @LAYOUTS
     @SIZES
@@ -525,19 +295,6 @@ class TestWrapperFreeHelpers:
             assert np.array_equal(np.isnan(got), np.isnan(want))
             assert got[~np.isnan(want)].tobytes() == want[~np.isnan(want)].tobytes()
             assert np.isnan(want).any()
-
-    @pytest.mark.parametrize("layout", ["contiguous", "packed"])
-    @pytest.mark.parametrize("include_star", [True, False])
-    @SIZES
-    @WIDTHS
-    def test_gram_rows_match_moveaxis_version(self, layout, include_star, n, d):
-        X, G, F = layout_traces(layout, n, d)
-        rows, batch = n + 1 + include_star, X.shape[1]
-        got = np.full((batch, rows, d + 2), np.nan), np.full((batch, d + 2, rows), np.nan)
-        want = np.full((batch, rows, d + 2), np.nan), np.full((batch, d + 2, rows), np.nan)
-        _gram_rows(X, G, F, *got)
-        gram_rows_reference(X, G, F, *want)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def long_schedules():
@@ -753,14 +510,13 @@ def test_no_tree_fold_when_closed_forms_fail(monkeypatch, corrupt):
 
 
 # Beside the points and the battery's gradients, values and per-point
-# terms, a verification holds the interpolation kernel's buffers at one
-# coordinate per instance: P and R^T of one sub-batch of instances (2**17
-# entries, 1 MiB), the product buffer (2**16 entries through n = 4094,
-# 0.5 MiB) and the sub-batch's pruning bounds (nine arrays whose entries sum
-# to 3 * 2**16, 1.5 MiB); and the report and numpy's small temporaries.  The
-# kernel's buffers and the per-point terms are never alive together, so the
-# sum over-counts.
-KERNEL_ALLOWANCE = 3 * 2**20
+# terms, a verification holds the block temporaries of one evaluation at a
+# time: those of the per-point terms (about four arrays of
+# ``gd._VALUE_BLOCK`` = 2**15 entries, 1 MiB), which set the measured peaks,
+# or those of the interpolation kernel (eleven arrays of
+# ``verify._SORT_BLOCK`` = 2**13 entries, 0.69 MiB); and the report and
+# numpy's small temporaries.
+KERNEL_ALLOWANCE = 3 * 2**19
 
 
 def working_set_bound(n: int, battery: int) -> float:
@@ -783,25 +539,25 @@ def verify_peak(h, config=None) -> int:
 
 
 def test_verify_peak_memory_stays_bounded():
-    """At n=511 every class stays within one working set: bound 6.15 MiB,
-    5.56 MiB measured with numpy 2.4.  The bound may not exceed 7.19 MiB,
-    the bound of the battery of dimensions 1, 2, 4 and 8."""
+    """At n=511 every class stays within one working set: bound 4.65 MiB,
+    4.21, 3.55 and 4.24 MiB measured for f, g and s with numpy 2.4.  The
+    bound itself is pinned, so that it cannot grow unnoticed."""
     tables = build_tables(512)
     peaks = {cls: verify_peak(make(511, tables)) for cls, make in (("f", obs_f), ("g", obs_g), ("s", obs_s))}
     bound = working_set_bound(511, RunConfig().battery)
-    assert bound <= 7.19 * 2**20
+    assert bound <= 4.65 * 2**20
     assert all(peak <= bound for peak in peaks.values()), (peaks, bound)
 
 
 @pytest.mark.parametrize("cls", ["f", "g", "s"])
 def test_large_battery_peak_memory_stays_bounded(cls):
     """At n=255 with ``battery=2000``, where the battery's gradients, values
-    and per-point terms outweigh the kernel's buffers: bound 18.64 MiB,
-    16.7 MiB measured with numpy 2.4 for f and s, 14.8 MiB for g.  The bound
-    may not exceed 25.94 MiB, that of the battery of dimensions 1, 2, 4 and 8."""
+    and per-point terms outweigh the block temporaries: bound 17.14 MiB,
+    16.7 MiB measured with numpy 2.4 for f and s, 12.9 MiB for g.  The
+    bound itself is pinned, so that it cannot grow unnoticed."""
     h = {"f": obs_f, "g": obs_g, "s": obs_s}[cls](255, build_tables(256))
     bound = working_set_bound(255, 2000)
-    assert bound <= 25.94 * 2**20
+    assert bound <= 17.14 * 2**20
     assert verify_peak(h, RunConfig(battery=2000)) <= bound
 
 
@@ -809,7 +565,7 @@ def test_traced_boundaries_exist():
     """The benchmark's traced run wraps these names in ``stepweaver.verify``;
     dropping one silently removes a per-layer span."""
     assert list(inspect.signature(verify._q_min_batched).parameters)[:3] == ["X", "G", "F"]
-    X, G, F = convex_traces(3, 5, 7, 2)
+    X, G, F = convex_traces(3, 5, 7, 1)
     assert verify._q_min_batched(X, G, F).shape == (7,)
     cfg = RunConfig(battery=5)
     triples = verify.battery_instances(cfg)

@@ -261,7 +261,9 @@ class TestSeparablePremise:
                 Q = _pair_matrix(*whole)
                 Q_sum = np.sum([_pair_matrix(*part) for part in parts], axis=0)
                 assert np.abs(Q - Q_sum).max() <= 1e-12 * scale, h.describe()
-                assert _q_min_batched(*(a[:, None] for a in whole)) == pytest.approx(Q.min(), abs=1e-12 * scale)
+                for part in parts:
+                    got = _q_min_batched(*(a[:, None] for a in part))
+                    assert got == pytest.approx(_pair_matrix(*part).min(), abs=1e-12 * scale)
 
 
 def _slack_cases(seed, points, shape):
