@@ -15,18 +15,23 @@ coordinate has curvature 1 and cap ``delta``, a quadratic one has curvature
 ``a`` and no cap.  The clip is exact, because ``1*x == x`` and
 ``clip(a*x, -inf, inf) == a*x``; at the kink it returns ``x``, the value of
 both branches.  Both values are one select over the same constants,
-``(0.5*curv*x)*x`` where ``|x| <= cap`` and ``delta*|x| - delta^2/2``
-elsewhere.  It gives the bits of the two-branch formulas; only at a NaN,
-where a quadratic coordinate takes the line, can the NaN's sign differ.
-:class:`CoordForm` holds these per-coordinate constants.
+``((0.5*curv)*x)*x`` where ``|x| <= cap`` and ``delta*|x| - (0.5*delta)*delta``
+elsewhere, computed in place over buffers a caller may reuse
+(:func:`_coord_value`, the one value formula).  It gives the bits of the
+two-branch formulas; only at a NaN, where a quadratic coordinate takes the
+line, can the NaN's sign differ.  :class:`CoordForm` holds these
+per-coordinate constants.
 
 :func:`descend` is the one GD loop: it stores only the points, takes each
 gradient into one reused row, and can drive segments of the coordinates
 with step sequences of their own.  Gradients and values are pure
 elementwise functions of the points, so :func:`gradients` and
 :func:`values` evaluate them after the loop, over whatever slice of the
-points a caller reads.  ``raw_run`` is the loop with one segment plus both
-evaluators.  A trace is its arrays ``x, g, f`` and nothing else; ``run``
+points a caller reads: the verifier evaluates the battery's values only at
+the points its checks read, and its interpolation check evaluates both on
+the points sorted.  A value of one coordinate is the formula's result plus
++0.0 (the :func:`coord_sum` of one entry).  ``raw_run`` is the loop with
+one segment plus both evaluators.  A trace is its arrays ``x, g, f`` and nothing else; ``run``
 wraps one unbatched ``raw_run`` in a :class:`GDTrace`.
 
 :func:`coord_sum` is the one sum over the coordinate axis, of values here
@@ -86,9 +91,21 @@ def gradients(x, form: CoordForm, out=None):
     return np.minimum(g, form.high, out=g)
 
 
-def _coord_value(x, form: CoordForm):
-    ax = np.abs(x)
-    return np.where(ax <= form.high, 0.5 * form.curv * x * x, form.param * ax - 0.5 * form.param * form.param)
+def _coord_value(x, form: CoordForm, out=None, work=None):
+    """Each coordinate's value at the points ``x``, into ``out`` when given:
+    ``((0.5*curv)*x)*x`` where ``|x| <= high``, else ``param*|x| -
+    (0.5*param)*param``.  ``work``, when given, is a scratch array of the
+    same shape for the quadratic.  The one value formula: :func:`values`,
+    :meth:`ProblemInstance.value` and the verifier's interpolation check
+    all evaluate it."""
+    value = np.abs(x, out=out)
+    inside = np.less_equal(value, form.high)  # False at a NaN, which takes the line
+    value = np.multiply(form.param, value, out=out)
+    np.subtract(value, (0.5 * form.param) * form.param, out=value)
+    quad = np.multiply(0.5 * form.curv, x, out=work)
+    np.multiply(quad, x, out=quad)
+    np.copyto(value, quad, where=inside)
+    return value
 
 
 # Values, and the verifier's per-point certificate terms, are evaluated over
@@ -115,11 +132,13 @@ def coord_sum(a, out=None):
 def values(xs, form: CoordForm):
     """``f`` at each point of ``xs``, shaped ``(N, ..., d)``: the coordinate
     values summed over the last axis (:func:`coord_sum`), as an ``(N, ...)``
-    array."""
+    array.  The blocks of rows reuse two buffers for :func:`_coord_value`."""
     fs = np.empty(xs.shape[:-1])
     rows = max(1, _VALUE_BLOCK // max(1, xs[0].size))
+    value, work = np.empty((2, min(rows, len(xs))) + xs.shape[1:])  # reused by every block
     for r in range(0, len(xs), rows):
-        coord_sum(_coord_value(xs[r : r + rows], form), out=fs[r : r + rows])
+        x = xs[r : r + rows]
+        coord_sum(_coord_value(x, form, value[: len(x)], work[: len(x)]), out=fs[r : r + rows])
     return fs
 
 

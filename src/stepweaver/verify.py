@@ -16,9 +16,11 @@ max(1, ||x0||^2, f_0) before they meet ``slack_tol``, so mixed-scale random
 instances are judged fairly.  The interpolation check is not rescaled: the
 minimum of Q_ij over the pairs of the points 0..n and the minimizer is
 compared with the absolute ``q_tol``.  Every instance being one coordinate,
-only the pairs of neighbours in x are taken, one sort per instance; in
-exact arithmetic some pair is negative exactly when one of them is (the
-theorem is in ``_q_min_batched``).
+only the pairs of neighbours in x are taken; in exact arithmetic some pair
+is negative exactly when one of them is (the theorem is in
+``_neighbour_min``).  Only the points are sorted, one sort per instance,
+and the gradients and values are evaluated on the sorted points from the
+instances' constants (``_q_min_batched``).
 
 Every battery instance is one coordinate.  Each battery function is
 separable, so the slacks and Q_ij of a d-dimensional instance are sums of
@@ -28,15 +30,18 @@ ones.  One verification runs one GD loop, which stores only the points: the
 packed battery and the class's tight 1-D instances (``(is_huber, param,
 label)`` rows, run from ``x0 = 1``) take the schedule's steps, and the
 reversed schedule's tight pair takes the reversed steps on a trailing
-segment of the same coordinates.  Gradients and values are evaluated after
-the loop, and the certificate slacks take their per-point terms by blocks
-of points, so every class holds at most the points, the battery's
-gradients, values and per-point terms and the interpolation kernel's
-temporaries.  One scorer turns the tight traces of either schedule, on the
-raw arrays, into tightness checks: beside the cached battery, a
-verification builds no ``ProblemInstance`` or ``GDTrace``.  A check that cannot be built
-(say, a reversed schedule that breaks its identities) fails with NaN slack
-and the error's text, and the battery runs without it.
+segment of the same coordinates.  Gradients are evaluated after the loop;
+values at every point only where a battery certificate sums per-point
+terms (the f weights, the s mixed inequality), and otherwise at points 0
+and n, all that the other checks read.  The certificate slacks take their
+per-point terms by blocks of points, so every class holds at most the
+points, the battery's gradients, values and per-point terms and the
+interpolation kernel's temporaries.  One scorer turns the tight traces of
+either schedule, on the raw arrays, into tightness checks: beside the
+cached battery, a verification builds no ``ProblemInstance`` or
+``GDTrace``.  A check that cannot be built (say, a reversed schedule that
+breaks its identities) fails with NaN slack and the error's text, and the
+battery runs without it.
 
 Inner products sum over the coordinates with ``gd.coord_sum`` (the bits of
 ``np.add.reduce``, by one column add on many 1-D rows).  A carried
@@ -60,6 +65,7 @@ from .gd import (
     _VALUE_BLOCK,
     CoordForm,
     GDTrace,
+    _coord_value,
     coord_form,
     coord_sum,
     descend,
@@ -163,6 +169,8 @@ def build_f_certificate(tree: CompositionTree, fold: "TreeFold | None" = None) -
 # ---------------------------------------------------------------------------
 # Slack evaluations.  The raw forms accept batched arrays: X, G of shape
 # (N, ..., d) and F of shape (N, ...); slacks come back with the batch shape.
+# The forms that read only f_0 and f_n (all but the f certificate and the s
+# inequality) also take F of those two rows, as the battery holds it for them.
 # ---------------------------------------------------------------------------
 
 
@@ -239,26 +247,22 @@ def _s_fg_slacks_raw(steps, eta, X, G, F):
 _SORT_BLOCK = 2**13
 
 
-def _q_min_batched(X, G, F):
-    """The ``(B,)`` minima, one per instance of an ``(n+1, B, 1)`` trace, over
-    all ordered pairs of its points and the minimizer (x, g, f) = 0 of the
-    smooth-convex interpolation quantity
-    Q_ij = 2f_i - 2f_j - 2g_j(x_i - x_j) - (g_i - g_j)^2.
+def _q_min_batched(X, form: CoordForm):
+    """The ``(B,)`` minima, one per instance of the ``(n+1, B, 1)`` points
+    ``X`` of a trace on the instances of ``form`` (constants of B entries,
+    as :func:`gd.coord_form` makes them), over all ordered pairs of its
+    points and the minimizer (x, g, f) = 0 of the smooth-convex
+    interpolation quantity Q_ij = 2f_i - 2f_j - 2g_j(x_i - x_j) - (g_i - g_j)^2.
 
     Every instance is one coordinate, and in 1-D only neighbours in x need
-    checking: with an instance's points sorted by x, the result is
-    min(0, min over k of Q(k, k+1) and Q(k+1, k)), the 0 being Q_ii.  If
-    both directions hold for every neighbour pair, every pair holds:
-    Q_ij + Q_ji = 2dg(dx - dg) >= 0 gives 0 <= dg <= dx between neighbours,
-    so g and s = x - g both rise along the order.  Q_ji/2 is the gap
-    phi_i - phi_j - s_j(g_i - g_j) of the conjugate data (g_k, s_k, phi_k =
-    x_k g_k - f_k - g_k^2/2) (a 1-smooth convex f has a 1-strongly convex
-    conjugate; Taylor, Hendrickx & Glineur, arXiv 1502.05666), and the gap
-    of a pair i < j in the order is the sum of the gaps of the neighbour
-    pairs between them plus terms (s_k - s_i)(g_{k+1} - g_k) >= 0, or
-    (s_j - s_{k+1})(g_{k+1} - g_k) >= 0 the other way round.  So in exact arithmetic the result is below
-    zero exactly when the all-pairs minimum is, and it is never below that
-    minimum; it is computed from differences of neighbours.
+    checking (:func:`_neighbour_min`), so only the points are sorted: each
+    instance's row of points, with the minimizer x = +0.0 appended, is
+    sorted in place, and g and f are evaluated on the sorted row by
+    ``gd.gradients`` and ``gd.values``' formula.  They are elementwise in x,
+    so each sorted point gets the bits that the trace's gradients and values
+    hold for it; equal x carries equal g and f, so no order of ties changes
+    a difference; and the minimizer's row evaluates to (+0.0, +0.0, +0.0).
+    The minima are those of sorting the trace's (x, g, f) together.
 
     An instance with a non-finite x, g or f gets NaN, and no NaN reaches
     another instance.  A trace with d > 1 raises ``ValueError``.  Instances
@@ -266,32 +270,69 @@ def _q_min_batched(X, G, F):
     instance, if its n+2 points are more).
     """
     points, batch = X.shape[:2]
-    x, g, f = (a.reshape(points, batch) for a in (X, G, F))
+    x = X.reshape(points, batch)
+    consts = [np.reshape(a, (batch, 1)) for a in form]
     per = max(1, _SORT_BLOCK // (points + 1))
     q = np.empty(batch)
     for s in range(0, batch, per):
-        q[s : s + per] = _neighbour_min(x[:, s : s + per], g[:, s : s + per], f[:, s : s + per])
+        block = slice(s, s + per)
+        q[block] = _sorted_min(x[:, block], CoordForm(*(a[block] for a in consts)))
     return q
 
 
-def _neighbour_min(x, g, f):
-    """The minima of :func:`_q_min_batched` for the ``(n+1, m)`` points,
-    gradients and values of m instances: one block, in a function of its own
-    so that its temporaries are freed before the next block makes its own."""
+def _sorted_min(x, form: CoordForm):
+    """The minima of :func:`_q_min_batched` for the ``(n+1, m)`` points of m
+    instances whose constants are shaped ``(m, 1)``: one block, in a
+    function of its own so that its temporaries are freed before the next
+    block makes its own."""
     points, m = x.shape
-    rows = points + 1
-    # one row of points per instance, the minimizer last
-    t = np.zeros((3, m, rows))
-    for k, a in enumerate((x, g, f)):
-        t[k, :, :points] = a.T
-    bad = ~np.isfinite(t).all(axis=(0, 2))
-    order = np.argsort(t[0], axis=1) + np.arange(0, m * rows, rows)[:, None]
-    t = np.take(t.reshape(3, -1), order, axis=1)
-    dx, dg, df = np.diff(t, axis=2)
-    sq = dg * dg
-    up = 2.0 * (t[1, :, 1:] * dx - df) - sq  # Q(k, k+1)
-    down = 2.0 * (df - t[1, :, :-1] * dx) - sq  # Q(k+1, k)
+    t = np.zeros((m, points + 1))  # one row of points per instance, the minimizer last
+    t[:, :points] = x.T
+    t.sort(axis=1)
+    f = _coord_value(t, form, np.empty_like(t), np.empty_like(t))
+    coord_sum(f[..., None], out=f)  # the values of one coordinate, as gd.values sums them
+    return _neighbour_min(t, gradients(t, form), f)
+
+
+def _neighbour_min(x, g, f):
+    """min(0, min over k of Q(k, k+1) and Q(k+1, k)) for each row of the
+    ``(m, N)`` points ``x``, gradients ``g`` and values ``f`` of m 1-D
+    instances, each row sorted by x with the minimizer among its points; the
+    0 is Q_ii, and a row with a non-finite x, g or f gets NaN.
+
+    If both directions hold for every neighbour pair, every pair holds:
+    Q_ij + Q_ji = 2dg(dx - dg) >= 0 gives 0 <= dg <= dx between neighbours,
+    so g and s = x - g both rise along the order.  Q_ji/2 is the gap
+    phi_i - phi_j - s_j(g_i - g_j) of the conjugate data (g_k, s_k, phi_k =
+    x_k g_k - f_k - g_k^2/2) (a 1-smooth convex f has a 1-strongly convex
+    conjugate; Taylor, Hendrickx & Glineur, arXiv 1502.05666), and the gap
+    of a pair i < j in the order is the sum of the gaps of the neighbour
+    pairs between them plus terms (s_k - s_i)(g_{k+1} - g_k) >= 0, or
+    (s_j - s_{k+1})(g_{k+1} - g_k) >= 0 the other way round.  So in exact
+    arithmetic the result is below zero exactly when the all-pairs minimum
+    is, and it is never below that minimum; it is computed from differences
+    of neighbours.
+    """
+    dx = np.subtract(x[:, 1:], x[:, :-1])
+    sq = np.subtract(g[:, 1:], g[:, :-1])
+    np.multiply(sq, sq, out=sq)
+    df = np.subtract(f[:, 1:], f[:, :-1])
+    up = np.multiply(g[:, 1:], dx)  # Q(k, k+1)
+    np.subtract(up, df, out=up)
+    np.multiply(2.0, up, out=up)
+    np.subtract(up, sq, out=up)
+    down = np.multiply(g[:, :-1], dx, out=dx)  # Q(k+1, k)
+    np.subtract(df, down, out=down)
+    np.multiply(2.0, down, out=down)
+    np.subtract(down, sq, out=down)
     low = np.minimum(up, down, out=up).min(axis=1, initial=0.0)
+    # sorted, a row's non-finite x sit at its ends (a NaN last); a non-finite
+    # g or f puts an infinite dg^2 or df in each pair it is in, which makes
+    # Q(k, k+1) or Q(k+1, k) -inf or NaN, so only rows whose minimum is
+    # not finite are searched for one
+    bad = ~(np.isfinite(x[:, 0]) & np.isfinite(x[:, -1]))
+    odd = np.flatnonzero(~np.isfinite(low))
+    bad[odd] |= ~(np.isfinite(g[odd]).all(axis=1) & np.isfinite(f[odd]).all(axis=1))
     low[bad] = np.nan
     return low
 
@@ -508,24 +549,29 @@ def _battery_slacks(schedule: StepSchedule, cert, implied: bool, X, G, F) -> dic
     return slacks
 
 
-def _slice_trace(xs, form, start: int, stop: int):
+def _slice_trace(xs, form, start: int, stop: int, every_value: bool = True):
     """``(X, G, F)`` of the coordinates ``start..stop`` of the points ``xs``,
-    one instance each: X is an ``(n+1, stop - start, 1)`` view, G and F are
-    new contiguous arrays."""
+    one instance each, and their :class:`CoordForm`: X is an ``(n+1, stop -
+    start, 1)`` view, G and F are new contiguous arrays.  F holds the values
+    of every point if ``every_value``, else those of points 0 and n only
+    (its rows 0 and -1)."""
     X = xs[:, start:stop, None]
     part = CoordForm(*(a[start:stop, None] for a in form))
-    return X, gradients(X, part), values(X, part)
+    F = values(X if every_value else X[[0, -1]], part)
+    return (X, gradients(X, part), F), part
 
 
-def _one_loop(battery: PackedBattery, runs):
+def _one_loop(battery: PackedBattery, runs, every_value: bool):
     """One GD loop over the packed battery followed by the 1-D tight rows of
     ``runs``, a list of ``(schedule, rows)`` with rows as :func:`_tight_rows`
     gives them: the battery and the first run's rows take the first run's
     steps, each later run's rows its own schedule's steps.  Returns the
-    battery's ``(X, G, F)``, instances in index order, and the tight traces
-    ``(x, g, f)`` in row order, copied contiguous: a strided ``(n+1, 1)``
-    view sends the ``np.dot`` of :func:`_weighted_sum` down another BLAS
-    path, which changes the last bits."""
+    battery's ``(X, G, F)``, instances in index order, with the values of
+    every point if ``every_value`` and else of points 0 and n only; the
+    battery's :class:`CoordForm`; and the tight traces ``(x, g, f)`` in row
+    order, copied contiguous: a strided ``(n+1, 1)`` view sends the
+    ``np.dot`` of :func:`_weighted_sum` down another BLAS path, which
+    changes the last bits."""
     m = stop = battery.x0.size
     segments, rows = [], []
     for h, run_rows in runs:
@@ -536,9 +582,9 @@ def _one_loop(battery: PackedBattery, runs):
     param = np.concatenate([battery.param, np.array([row[1] for row in rows], dtype=np.float64)])
     form = coord_form(is_huber, param)
     xs = descend(segments, form, np.concatenate([battery.x0, np.ones(stop - m)]))
-    tail = _slice_trace(xs, form, m, stop)
+    tail, _ = _slice_trace(xs, form, m, stop)
     traces = [tuple(np.ascontiguousarray(a[:, j]) for a in tail) for j in range(stop - m)]
-    return _slice_trace(xs, form, 0, m), traces
+    return *_slice_trace(xs, form, 0, m, every_value), traces
 
 
 @np.errstate(all="ignore")
@@ -612,11 +658,13 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     _check_trace_size(schedule.n, config.battery, sum(len(rows) for _, rows in runs))
     # every battery slack and the interpolation minimum keep their worst
     # instance, the first NaN if there is one
-    (X, G, F), traces = _one_loop(_battery(config.battery, config.seed), runs)
+    # the f weights and the s mixed inequality sum per-point terms over
+    # every value; the other slacks and the scales read f_0 and f_n only
+    (X, G, F), form, traces = _one_loop(_battery(config.battery, config.seed), runs, cert is not None)
     scales = np.maximum(1.0, np.maximum(_dot(X[0], X[0]), F[0]))
     slacks = _battery_slacks(schedule, cert, implied, X, G, F)
     scores = {f"battery/{key}": slack / scales for key, slack in slacks.items()}
-    scores["interpolation"] = _q_min_batched(X, G, F)
+    scores["interpolation"] = _q_min_batched(X, form)
     limits = {"interpolation": (config.q_tol, "min Q over all pairs; at ")}
     battery_limit = (config.slack_tol, f"{config.battery} instances, seed {config.seed:#x}; min at ")
     for name, score in scores.items():

@@ -5,6 +5,11 @@ interpolation check: it builds each term of Q_ij as its own (B, N, N) array.
 The production kernel, ``stepweaver.verify._q_min_batched``, checks only the
 neighbours in x of 1-D points; the tests compare the two.
 
+``q_min_gathered_reference`` is the neighbour check on a trace's points,
+gradients and values: it argsorts the points and gathers x, g and f by that
+order.  The production kernel sorts only the points and evaluates g and f on
+them from the instances' constants; it must give the same bytes.
+
 ``f_cert_slack_reference`` and ``s_slack_reference`` are the F-certificate
 and S-inequality slacks with their per-point terms
 2(f_i - f_n) + ||g_i||^2 + 2<g_i, x_0 - x_i> built for all points at once.
@@ -146,6 +151,38 @@ def q_min_pairwise(X, G, F):
         - (gsq[:, :, None] + gsq[:, None, :] - 2.0 * gg)
     )
     return Q.min(axis=(1, 2)) if not squeeze else float(Q.min())
+
+
+def q_min_gathered_reference(X, G, F, block=2**13):
+    """The ``(B,)`` neighbour minima of the ``(n+1, B, 1)`` trace ``(X, G,
+    F)``: per block of at most ``block`` entries per array, one row of
+    (x, g, f) per instance with the minimizer (0, 0, 0) last, argsorted by x
+    and gathered; an instance with a non-finite x, g or f gets NaN."""
+    points, batch = X.shape[:2]
+    x, g, f = (a.reshape(points, batch) for a in (X, G, F))
+    per = max(1, block // (points + 1))
+    q = np.empty(batch)
+    for s in range(0, batch, per):
+        q[s : s + per] = _gathered_min(x[:, s : s + per], g[:, s : s + per], f[:, s : s + per])
+    return q
+
+
+def _gathered_min(x, g, f):
+    points, m = x.shape
+    rows = points + 1
+    t = np.zeros((3, m, rows))
+    for k, a in enumerate((x, g, f)):
+        t[k, :, :points] = a.T
+    bad = ~np.isfinite(t).all(axis=(0, 2))
+    order = np.argsort(t[0], axis=1) + np.arange(0, m * rows, rows)[:, None]
+    t = np.take(t.reshape(3, -1), order, axis=1)
+    dx, dg, df = np.diff(t, axis=2)
+    sq = dg * dg
+    up = 2.0 * (t[1, :, 1:] * dx - df) - sq  # Q(k, k+1)
+    down = 2.0 * (df - t[1, :, :-1] * dx) - sq  # Q(k+1, k)
+    low = np.minimum(up, down, out=up).min(axis=1, initial=0.0)
+    low[bad] = np.nan
+    return low
 
 
 def sjoin_rate_reference(alpha, beta):

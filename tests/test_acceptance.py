@@ -14,7 +14,7 @@ import pytest
 
 from corpus import OBS_LENGTHS, full_corpus
 from stepweaver.builders import dynamic_short, short_step_recurrence, silver
-from stepweaver.gd import huber_instance, quad_instance, run, tight_delta
+from stepweaver.gd import coord_form, huber_instance, quad_instance, run, tight_delta
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import (
     P_EXPONENT,
@@ -31,6 +31,7 @@ from stepweaver.verify import (
     CertificateV,
     _f_cert_slack_raw,
     _g_slack_raw,
+    _neighbour_min,
     _q_min_batched,
     _s_slack_raw,
     build_f_certificate,
@@ -179,7 +180,7 @@ def test_criterion_06_tightness_suite(corpus):
         for inst in pair:
             tr = run(sched, inst, np.ones(1))
             worst = max(worst, abs(defining_slack(sched, tr)))
-            worst_q = min(worst_q, _q_min_batched(tr.x[:, None], tr.g[:, None], tr.f[:, None])[0])
+            worst_q = min(worst_q, _q_min_batched(tr.x[:, None], coord_form(inst.is_huber, inst.param))[0])
         count += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and worst_q >= -1e-9 and elapsed < 30.0
@@ -340,9 +341,11 @@ def test_criterion_11_falsifiability():
         failures.append("over-claimed mixed rate escaped the inequality check")
 
     # non-convex synthetic trace: interpolation check must reject; f(3) lies
-    # below the tangent at 1, and neither point alone clashes with the minimizer
-    X, G, F = np.array([[[1.0]], [[3.0]]]), np.array([[[1.0]], [[1.0]]]), np.array([[0.5], [1.5]])
-    if not _q_min_batched(X, G, F)[0] < -1e-9:
+    # below the tangent at 1, and neither point alone clashes with the
+    # minimizer.  The check's neighbour core takes the points sorted by x,
+    # the minimizer first
+    x, g, f = np.array([[0.0, 1.0, 3.0]]), np.array([[0.0, 1.0, 1.0]]), np.array([[0.0, 0.5, 1.5]])
+    if not _neighbour_min(x, g, f)[0] < -1e-9:
         failures.append("non-convex trace escaped the interpolation check")
 
     _report(

@@ -436,5 +436,6 @@ class TestInterpolationOnTraces:
                 # the whole trace by the pairwise oracle, each coordinate alone by the 1-D kernel
                 assert q_min_pairwise(tr.x, tr.g, tr.f) >= -1e-9
                 for k in range(d):
-                    x, g, f = raw_run(sched.steps, inst.is_huber[k : k + 1], inst.param[k : k + 1], x0[k : k + 1])
-                    assert _q_min_batched(x[:, None], g[:, None], f[:, None])[0] >= -1e-9
+                    hub, par = inst.is_huber[k : k + 1], inst.param[k : k + 1]
+                    x = raw_run(sched.steps, hub, par, x0[k : k + 1])[0]
+                    assert _q_min_batched(x[:, None], gd.coord_form(hub, par))[0] >= -1e-9

@@ -1,7 +1,9 @@
-"""The 1-D interpolation kernel against the pairwise oracle, the theorem it
-rests on, its non-finite rule and its memory, the battery-evaluation helpers
-against the numpy calls they replace, the cached battery, and the program
-names that the benchmark's traced run wraps."""
+"""The 1-D interpolation kernel against the pairwise oracle and, byte for
+byte, against the argsort-and-gather reference, the theorem its neighbour
+core rests on, its non-finite rule and its memory, the battery values built
+only where read, the battery-evaluation helpers against the numpy calls they
+replace, the cached battery, and the program names that the benchmark's
+traced run wraps."""
 
 import importlib.util
 import inspect
@@ -14,14 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import q_min_pairwise
+from corpus import full_corpus
+from oracles import q_min_gathered_reference, q_min_pairwise
 from stepweaver import builders, dsl, gd, optimizer, schedule, verify
 from stepweaver.builders import right_heavy, silver
-from stepweaver.gd import quad_instance, raw_run, run
+from stepweaver.gd import coord_form, gradients, quad_instance, raw_run, run, values
 from stepweaver.io import RunConfig
 from stepweaver.optimizer import build_tables, obs_f, obs_g, obs_s
 from stepweaver.schedule import CompClass
-from stepweaver.verify import _dot, _q_min_batched, _weighted_sum, verify_schedule
+from stepweaver.verify import _dot, _neighbour_min, _q_min_batched, _weighted_sum, verify_schedule
 
 
 def q_tolerance(X, G, F) -> float:
@@ -29,14 +32,30 @@ def q_tolerance(X, G, F) -> float:
     return 1e-12 * max(1.0, np.abs(F).max(), np.abs(X).max() ** 2, np.abs(G).max() ** 2)
 
 
-def convex_traces(seed, n, batch, d):
+def convex_run(seed, n, batch, d):
     """GD traces on random separable 1-smooth convex instances, shaped
-    (n+1, batch, d); arbitrary positive steps keep every point on the function."""
+    (n+1, batch, d), and the instances' ``CoordForm``; arbitrary positive
+    steps keep every point on the function."""
     rng = np.random.default_rng(seed)
     is_huber = rng.random((batch, d)) < 0.5
     param = np.where(is_huber, 10.0 ** rng.uniform(-3.0, 0.0, (batch, d)), rng.uniform(0.05, 1.0, (batch, d)))
     x0 = rng.standard_normal((batch, d)) * 10.0 ** rng.uniform(-1.0, 1.0, (batch, 1))
-    return raw_run(rng.uniform(0.1, 3.0, n), is_huber, param, x0)
+    return raw_run(rng.uniform(0.1, 3.0, n), is_huber, param, x0), coord_form(is_huber, param)
+
+
+def evaluated(X, form):
+    """``(X, G, F)``: the points with the gradients and values of ``form``
+    evaluated on them, as the trace of a GD run holds them."""
+    return X, gradients(X, form), values(X, form)
+
+
+def neighbour_min(X, G, F):
+    """``verify._neighbour_min`` on the ``(n+1, B, 1)`` points, gradients
+    and values of a trace: one row per instance with the minimizer (0, 0, 0)
+    appended, sorted by x (stably, ties in index order)."""
+    rows = [np.concatenate([a.reshape(len(X), -1), np.zeros((1, X.shape[1]))]).T for a in (X, G, F)]
+    order = np.argsort(rows[0], axis=1, kind="stable")
+    return _neighbour_min(*(np.take_along_axis(r, order, axis=1) for r in rows))
 
 
 def arbitrary_traces(seed, n, batch):
@@ -53,32 +72,34 @@ def arbitrary_traces(seed, n, batch):
 class TestKernelOracle:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.integers(1, 6))
     def test_convex_batched(self, seed, n, batch):
-        X, G, F = convex_traces(seed, n, batch, 1)
-        got = _q_min_batched(X, G, F)
+        (X, G, F), form = convex_run(seed, n, batch, 1)
+        got = _q_min_batched(X, form)
         assert got.shape == (batch,)
         assert np.max(np.abs(got - q_min_pairwise(X, G, F))) <= q_tolerance(X, G, F)
+        assert got.tobytes() == q_min_gathered_reference(X, G, F).tobytes()
         # blocks of one instance, of three and the default give the same bytes
         for block in (1, 3 * (n + 2)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(verify, "_SORT_BLOCK", block)
-                assert _q_min_batched(X, G, F).tobytes() == got.tobytes()
+                assert _q_min_batched(X, form).tobytes() == got.tobytes()
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(1, 6))
     def test_arbitrary(self, seed, n, batch):
-        """Mostly non-convex points: each minimum has the sign of the
-        all-pairs one, and is never below it by more than rounding."""
+        """Mostly non-convex points, gradients and values, by the neighbour
+        core: each minimum has the sign of the all-pairs one, and is never
+        below it by more than rounding."""
         X, G, F = arbitrary_traces(seed, n, batch)
-        got, want = _q_min_batched(X, G, F), q_min_pairwise(X, G, F)
+        got, want = neighbour_min(X, G, F), q_min_pairwise(X, G, F)
         assert np.all((got < 0.0) == (want < 0.0))
         assert np.all(got >= want - q_tolerance(X, G, F))
 
     def test_row_blocks_bound_memory_at_n_2047(self):
         """Three instances per block at n = 2047: the kernel's temporaries
-        stay near eleven arrays of ``_SORT_BLOCK`` entries (0.69 MiB)."""
-        X, G, F = convex_traces(11, 2047, 6, 1)
+        stay near eight arrays of ``_SORT_BLOCK`` entries (0.5 MiB)."""
+        (X, _, _), form = convex_run(11, 2047, 6, 1)
         tracemalloc.start()
         try:
-            _q_min_batched(X, G, F)
+            _q_min_batched(X, form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -87,14 +108,75 @@ class TestKernelOracle:
     def test_star_only_pair_is_exactly_zero(self):
         # one point at the minimizer plus the appended star: every Q is 0
         zero = np.zeros((1, 1, 1))
-        assert _q_min_batched(zero, zero, np.zeros((1, 1)))[0] == 0.0
+        assert _q_min_batched(zero, coord_form(False, 1.0))[0] == 0.0
+        assert _neighbour_min(*np.zeros((3, 1, 2)))[0] == 0.0
 
     def test_wider_trace_raises(self):
         """The kernel reads one coordinate per instance; a trace with d > 1
         raises instead of reading one coordinate silently."""
-        X, G, F = convex_traces(2, 5, 3, 2)
+        (X, _, _), form = convex_run(2, 5, 3, 2)
         with pytest.raises(ValueError):
-            _q_min_batched(X, G, F)
+            _q_min_batched(X, form)
+
+
+def capture_kernel_calls(monkeypatch) -> list:
+    """The ``(X, form, result)`` of every ``verify._q_min_batched`` call."""
+    calls, original = [], verify._q_min_batched
+
+    def keeping(X, form):
+        q = original(X, form)
+        calls.append((X, form, q))
+        return q
+
+    monkeypatch.setattr(verify, "_q_min_batched", keeping)
+    return calls
+
+
+@pytest.mark.parametrize("offset", [1, 2])
+def test_kernel_equals_gathered_reference_on_benchmark_traces(monkeypatch, offset):
+    """On the battery trace of every verify-corpus and verify-long schedule,
+    the kernel, which evaluates g and f on the sorted points, gives the bytes
+    of the reference that gathers the trace's own gradients and values."""
+    calls = capture_kernel_calls(monkeypatch)
+    schedules = [h for _, h in full_corpus(build_tables(65))] + long_schedules()
+    cfg = RunConfig(seed=0xC0FFEE + offset)
+    for h in schedules:
+        verify_schedule(h, cfg)
+    assert len(calls) == len(schedules) == 240
+    for (X, form, got), h in zip(calls, schedules):
+        assert got.tobytes() == q_min_gathered_reference(*evaluated(X, form)).tobytes(), h.describe()
+
+
+class TestSortedPoints:
+    """Traces whose points tie: signed zeros, repeated points."""
+
+    def test_signed_zero_iterates(self):
+        """From x0 = -0.0 the next iterates are +0.0; a unit step on the unit
+        quadratic, and two steps along a Huber instance's line, land exactly
+        on +0.0 and stay there, tied with the minimizer."""
+        is_huber = np.array([[False], [False], [True], [False], [True]])
+        param = np.array([[1.0], [0.5], [0.25], [1.0], [0.5]])
+        x0 = np.array([[-0.0], [-0.0], [-0.0], [3.0], [-1.5]])
+        X, G, F = raw_run([1.0, 2.0, 1.0, 1.5], is_huber, param, x0)
+        assert X[:, :3].tobytes() == np.array([-0.0] * 3 + [0.0] * 12).tobytes()
+        assert X[:, 3:, 0].T.tobytes() == np.array([3.0] + [0.0] * 4 + [-1.5, -1.0] + [0.0] * 3).tobytes()
+        got = _q_min_batched(X, coord_form(is_huber, param))
+        assert got.tobytes() == q_min_gathered_reference(X, G, F).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_points(self, seed):
+        """Points drawn with repeats from a few values of both signs, on
+        random instances: equal x carry equal g and f."""
+        rng = np.random.default_rng(seed)
+        batch = 6
+        pool = np.array([-2.5, -1.0, -1e-3, -0.0, 0.0, 1e-3, 1.0, 4.0])
+        X = rng.choice(pool, (9, batch, 1))
+        is_huber = rng.random((batch, 1)) < 0.5
+        param = np.where(is_huber, rng.uniform(1e-3, 1.0, (batch, 1)), rng.uniform(0.05, 1.0, (batch, 1)))
+        form = coord_form(is_huber, param)
+        got = _q_min_batched(X, form)
+        assert got.tobytes() == q_min_gathered_reference(*evaluated(X, form)).tobytes()
+        assert np.all(got >= -1e-12) and np.all(got <= 0.0)
 
 
 @st.composite
@@ -131,10 +213,10 @@ def integer_traces(draw):
 # order among the ties), its violating pair with (1, 1, 0.5) is no neighbour
 @example((np.array([[[0.25]], [[1.0]]]), np.array([[[0.0]], [[1.0]]]), np.array([[0.0], [0.5]])))
 def test_neighbours_decide_like_all_pairs(trace):
-    """The theorem of ``_q_min_batched``: on points where float arithmetic
+    """The theorem of ``_neighbour_min``: on points where float arithmetic
     is exact, the x-neighbour minimum is negative exactly when the
     all-pairs minimum is, and never below it."""
-    got, want = _q_min_batched(*trace), q_min_pairwise(*trace)
+    got, want = neighbour_min(*trace), q_min_pairwise(*trace)
     assert np.array_equal(got < 0.0, want < 0.0), (got, want)
     assert np.all(got >= want)
 
@@ -148,41 +230,64 @@ class TestSubBatchedKernel:
     @pytest.mark.parametrize("where", ["x", "g", "f"])
     def test_non_finite_stays_in_its_instance(self, monkeypatch, where, bad):
         """A NaN or an infinity in an instance's x, g or f makes its minimum
-        NaN; every other instance keeps its bytes, with the bad one in one
-        block of several (blocks of three instances) and in its own block."""
+        NaN; every other instance keeps its bytes.  A bad point goes through
+        the kernel, with the bad one in one block of several (blocks of
+        three instances) and in its own block; a bad gradient or value,
+        which the kernel could only evaluate from a bad point, goes through
+        the neighbour core."""
         for n, per in ((30, 3), (300, 3), (300, 1)):
             monkeypatch.setattr(verify, "_SORT_BLOCK", per * (n + 2))
-            X, G, F = convex_traces(17, n, 7, 1)
-            clean = _q_min_batched(X, G, F)
+            (X, G, F), form = convex_run(17, n, 7, 1)
+            check = (lambda: _q_min_batched(X, form)) if where == "x" else (lambda: neighbour_min(X, G, F))
+            clean = check()
             {"x": X[..., 0], "g": G[..., 0], "f": F}[where][n // 2, 4] = bad
             with np.errstate(invalid="ignore", over="ignore"):
-                got = _q_min_batched(X, G, F)
+                got = check()
             assert np.isnan(got).tolist() == [i == 4 for i in range(7)]
             assert np.delete(got, 4).tobytes() == np.delete(clean, 4).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160, -1e160])
+    def test_bad_point_matches_gathered_reference(self, monkeypatch, bad):
+        """A NaN or infinite point, or one whose value overflows (x^2 at
+        |x| = 1e160 on a quadratic), makes its instance's minimum NaN, and
+        the kernel gives the gathered reference's bytes, in a block of
+        several instances and in the bad one's own block."""
+        for n, per in ((30, 3), (300, 3), (300, 1)):
+            monkeypatch.setattr(verify, "_SORT_BLOCK", per * (n + 2))
+            (X, _, _), form = convex_run(17, n, 7, 1)
+            assert np.isinf(form.high[2, 0])  # a quadratic instance
+            clean = _q_min_batched(X, form)
+            X[n // 2, 2] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = _q_min_batched(X, form)
+                want = q_min_gathered_reference(*evaluated(X, form), block=per * (n + 2))
+            assert np.isnan(got).tolist() == [i == 2 for i in range(7)]
+            assert np.delete(got, 2).tobytes() == np.delete(clean, 2).tobytes()
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("n", [30, 300])  # 7 instances in one default block
     def test_nan_stays_in_its_instance(self, n, bad):
-        """At the default block size, a NaN or infinite value makes only its
+        """At the default block size, a NaN or infinite point makes only its
         own instance's minimum NaN, as the all-pairs oracle's is."""
-        X, G, F = convex_traces(17, n, 7, 1)
-        clean = _q_min_batched(X, G, F)
-        F[n // 2, 3] = bad
+        (X, _, _), form = convex_run(17, n, 7, 1)
+        clean = _q_min_batched(X, form)
+        X[n // 2, 3] = bad
         with np.errstate(invalid="ignore", over="ignore"):
-            got = _q_min_batched(X, G, F)
-            want = q_min_pairwise(X, G, F)
+            got = _q_min_batched(X, form)
+            want = q_min_pairwise(*evaluated(X, form))
         assert np.isnan(got).tolist() == np.isnan(want).tolist() == [i == 3 for i in range(7)]
         assert np.delete(got, 3).tobytes() == np.delete(clean, 3).tobytes()
 
     @pytest.mark.parametrize("n", [511, 255])
     def test_peak_memory_is_bounded(self, n):
-        """About eleven arrays of at most ``_SORT_BLOCK`` entries (0.69 MiB)
+        """About eight arrays of at most ``_SORT_BLOCK`` entries (0.5 MiB)
         at any battery size: here 50 instances, which in one block would
-        take eleven arrays of 0.2 MiB at n = 511."""
-        X, G, F = convex_traces(19, n, 50, 1)
+        take eight arrays of 0.2 MiB at n = 511."""
+        (X, _, _), form = convex_run(19, n, 50, 1)
         tracemalloc.start()
         try:
-            _q_min_batched(X, G, F)
+            _q_min_batched(X, form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -196,7 +301,7 @@ def layout_traces(layout, n, d, batch=5):
     ``verify._slice_trace`` cuts the battery (it evaluates contiguous
     gradients; strided ones are checked too); ``single``, the ``(n+1, d)`` and
     ``(n+1,)`` arrays of one trace that ``defining_slack`` passes."""
-    X, G, F = convex_traces(100 * n + d, n, 3 * batch, d)
+    (X, G, F), _ = convex_run(100 * n + d, n, 3 * batch, d)
     if layout == "single":
         return X[:, 0].copy(), G[:, 0].copy(), F[:, 0].copy()
     if layout == "contiguous":
@@ -319,13 +424,18 @@ def test_long_reports_match_pairwise_oracle_per_instance(monkeypatch):
     cfg = RunConfig()
     schedules = long_schedules()
     reports = [verify_schedule(h, cfg) for h in schedules]
+    calls = []
 
-    def oracle(X, G, F):
+    def oracle(X, form):
+        X, G, F = evaluated(X, form)
+        calls.append(X.shape)
         return np.array([q_min_pairwise(X[:, i], G[:, i], F[:, i]) for i in range(X.shape[1])])
 
     monkeypatch.setattr(verify, "_q_min_batched", oracle)
     for h, report in zip(schedules, reports):
+        calls.clear()
         expected = verify_schedule(h, cfg)
+        assert calls == [(h.n + 1, cfg.battery, 1)], h.describe()  # the oracle scored this report
         assert (report.passed, report.certified) == (expected.passed, expected.certified)
         for got, want in zip(report.checks, expected.checks, strict=True):
             assert (got.name, got.passed) == (want.name, want.passed)
@@ -414,9 +524,9 @@ def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
     seen = []
     original = verify._one_loop
 
-    def keeping(packed, runs):
-        got = original(packed, runs)
-        seen.append((packed, runs, *got))
+    def keeping(packed, runs, every_value):
+        got = original(packed, runs, every_value)
+        seen.append((packed, runs, every_value, *got))
         return got
 
     monkeypatch.setattr(verify, "_one_loop", keeping)
@@ -425,16 +535,38 @@ def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
     for h in (silver(3), obs_f(64, tables), obs_g(41, tables), obs_s(63, tables), treeless):
         seen.clear()
         verify_schedule(h, RunConfig(battery=battery))
-        (packed, runs, trace, traces), = seen
+        (packed, runs, every_value, trace, form, traces), = seen
         assert [len(rows) for _, rows in runs] == ([4] if h.comp_class is CompClass.S else [2]) + (
             [] if h.tree is None else [2]
         )
         alone = raw_run(h.steps, *(a.reshape(battery, 1) for a in packed))
+        if not every_value:  # the values of points 0 and n
+            alone = (*alone[:2], alone[2][[0, -1]])
         assert same_bytes(trace, alone), h.describe()
+        assert same_bytes(form, coord_form(*(a.reshape(battery, 1) for a in packed[:2])))
         columns = [(h.steps, hub, par) for h, rows in runs for hub, par, _ in rows]
         assert len(traces) == len(columns)
         for trace, (steps, hub, par) in zip(traces, columns):
             assert same_bytes(trace, raw_run(steps, np.array([hub]), np.array([par]), np.ones(1)))
+
+
+def test_battery_values_only_where_read(monkeypatch):
+    """The battery gets every point's value where its certificate sums
+    per-point terms (the f weights, the s mixed inequality), and otherwise
+    those of points 0 and n, all that the scales and the other slacks read.
+    One kernel call per verification scores the interpolation entry."""
+    tables = build_tables(64)
+    calls, shapes = capture_kernel_calls(monkeypatch), []
+    original = verify.values
+    monkeypatch.setattr(verify, "values", lambda X, form: shapes.append(X.shape) or original(X, form))
+    cfg = RunConfig()
+    treeless = replace(obs_f(63, tables), tree=None)  # no f weights: the direct gap inequality
+    for h, rows in ((obs_g(63, tables), 2), (treeless, 2), (obs_f(63, tables), 64), (obs_s(63, tables), 64)):
+        calls.clear()
+        shapes.clear()
+        assert verify_schedule(h, cfg).passed, h.describe()
+        assert [s for s in shapes if s[1] == cfg.battery] == [(rows, cfg.battery, 1)], h.describe()
+        assert [X.shape for X, _, _ in calls] == [(64, cfg.battery, 1)], h.describe()
 
 
 def test_gd_loops_per_verify(monkeypatch):
@@ -513,18 +645,21 @@ def test_no_tree_fold_when_closed_forms_fail(monkeypatch, corrupt):
 # terms, a verification holds the block temporaries of one evaluation at a
 # time: those of the per-point terms (about four arrays of
 # ``gd._VALUE_BLOCK`` = 2**15 entries, 1 MiB), which set the measured peaks,
-# or those of the interpolation kernel (eleven arrays of
-# ``verify._SORT_BLOCK`` = 2**13 entries, 0.69 MiB); and the report and
+# or those of the interpolation kernel (about eight arrays of
+# ``verify._SORT_BLOCK`` = 2**13 entries, 0.5 MiB); and the report and
 # numpy's small temporaries.
 KERNEL_ALLOWANCE = 3 * 2**19
 
 
-def working_set_bound(n: int, battery: int) -> float:
+def working_set_bound(n: int, battery: int, per_point: bool = True) -> float:
     """Bytes a verification at length n may hold at once: the n+1 points of
     every battery coordinate and of at most six tight rows, the battery's
-    gradients, values and per-point certificate terms, and
-    ``KERNEL_ALLOWANCE``."""
-    return 8 * (n + 1) * (battery + 6 + 3 * battery) + KERNEL_ALLOWANCE
+    gradients, its values and per-point certificate terms at every point
+    (``per_point``: the f weights, the s mixed inequality) or else its
+    values at points 0 and n, and ``KERNEL_ALLOWANCE``."""
+    if per_point:
+        return 8 * (n + 1) * (battery + 6 + 3 * battery) + KERNEL_ALLOWANCE
+    return 8 * (n + 1) * (battery + 6 + battery) + 8 * 2 * battery + KERNEL_ALLOWANCE
 
 
 def verify_peak(h, config=None) -> int:
@@ -540,33 +675,38 @@ def verify_peak(h, config=None) -> int:
 
 def test_verify_peak_memory_stays_bounded():
     """At n=511 every class stays within one working set: bound 4.65 MiB,
-    4.21, 3.55 and 4.24 MiB measured for f, g and s with numpy 2.4.  The
-    bound itself is pinned, so that it cannot grow unnoticed."""
+    4.22 and 4.25 MiB measured for f and s with numpy 2.4; the g class holds
+    no per-point terms and two rows of values, bound 3.09 MiB, 2.14 MiB
+    measured.  The bounds themselves are pinned, so that they cannot grow
+    unnoticed."""
     tables = build_tables(512)
     peaks = {cls: verify_peak(make(511, tables)) for cls, make in (("f", obs_f), ("g", obs_g), ("s", obs_s))}
-    bound = working_set_bound(511, RunConfig().battery)
-    assert bound <= 4.65 * 2**20
-    assert all(peak <= bound for peak in peaks.values()), (peaks, bound)
+    bound, bound_g = working_set_bound(511, RunConfig().battery), working_set_bound(511, RunConfig().battery, False)
+    assert bound <= 4.65 * 2**20 and bound_g <= 3.09 * 2**20
+    assert peaks["f"] <= bound and peaks["s"] <= bound and peaks["g"] <= bound_g, (peaks, bound, bound_g)
 
 
 @pytest.mark.parametrize("cls", ["f", "g", "s"])
 def test_large_battery_peak_memory_stays_bounded(cls):
     """At n=255 with ``battery=2000``, where the battery's gradients, values
     and per-point terms outweigh the block temporaries: bound 17.14 MiB,
-    16.7 MiB measured with numpy 2.4 for f and s, 12.9 MiB for g.  The
-    bound itself is pinned, so that it cannot grow unnoticed."""
+    16.8 MiB measured with numpy 2.4 for f and s; for g, bound 9.36 MiB,
+    8.5 MiB measured.  The bounds themselves are pinned, so that they
+    cannot grow unnoticed."""
     h = {"f": obs_f, "g": obs_g, "s": obs_s}[cls](255, build_tables(256))
-    bound = working_set_bound(255, 2000)
-    assert bound <= 17.14 * 2**20
+    bound = working_set_bound(255, 2000, per_point=cls != "g")
+    assert bound <= (9.36 if cls == "g" else 17.14) * 2**20
     assert verify_peak(h, RunConfig(battery=2000)) <= bound
 
 
 def test_traced_boundaries_exist():
     """The benchmark's traced run wraps these names in ``stepweaver.verify``;
-    dropping one silently removes a per-layer span."""
-    assert list(inspect.signature(verify._q_min_batched).parameters)[:3] == ["X", "G", "F"]
-    X, G, F = convex_traces(3, 5, 7, 1)
-    assert verify._q_min_batched(X, G, F).shape == (7,)
+    dropping one silently removes a per-layer span.  Its interpolation
+    counts read the kernel's first argument ``X`` (``(n+1, B, 1)``) and its
+    ``(B,)`` result."""
+    assert list(inspect.signature(verify._q_min_batched).parameters)[0] == "X"
+    (X, _, _), form = convex_run(3, 5, 7, 1)
+    assert verify._q_min_batched(X, form).shape == (7,)
     cfg = RunConfig(battery=5)
     triples = verify.battery_instances(cfg)
     assert [t[0] for t in triples] == list(range(5))

@@ -38,6 +38,7 @@ from stepweaver.verify import (
     _check_trace_size,
     _f_cert_slack_raw,
     _g_slack_raw,
+    _neighbour_min,
     _q_min_batched,
     _s_fg_slacks_raw,
     _s_slack_raw,
@@ -261,8 +262,8 @@ class TestSeparablePremise:
                 Q = _pair_matrix(*whole)
                 Q_sum = np.sum([_pair_matrix(*part) for part in parts], axis=0)
                 assert np.abs(Q - Q_sum).max() <= 1e-12 * scale, h.describe()
-                for part in parts:
-                    got = _q_min_batched(*(a[:, None] for a in part))
+                for part, c in zip(parts, coords):
+                    got = _q_min_batched(part[0][:, None], gd.coord_form(inst.is_huber[c], inst.param[c]))
                     assert got == pytest.approx(_pair_matrix(*part).min(), abs=1e-12 * scale)
 
 
@@ -734,11 +735,10 @@ class TestFalsifiability:
     def test_interpolation_detects_nonconvex_trace(self):
         # slope 1 at x = 1 and x = 3, but f(3) = 1.5 lies below the tangent
         # at 1; each point alone agrees with the minimizer (their Q pairs
-        # with it are 0 and 2), so the negative pair is the points' own
-        X = np.array([[1.0], [3.0]])
-        G = np.array([[1.0], [1.0]])
-        F = np.array([0.5, 1.5])
-        assert _q_min_batched(X[:, None], G[:, None], F[:, None])[0] < -1e-9
+        # with it are 0 and 2), so the negative pair is the points' own.
+        # The neighbour core takes the points sorted, the minimizer first
+        x, g, f = np.array([[0.0, 1.0, 3.0]]), np.array([[0.0, 1.0, 1.0]]), np.array([[0.0, 0.5, 1.5]])
+        assert _neighbour_min(x, g, f)[0] < -1e-9
 
     def test_certificate_weight_sum_guard(self):
         with pytest.raises(IdentityError):
