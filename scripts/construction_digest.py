@@ -13,7 +13,7 @@ and mistyped, in both operator spellings with random whitespace, a quarter
 of them garbled by one or two character edits; a few fixed malformed and
 over-cap ones; and chains nested ``MAX_NESTING - 1`` to ``MAX_NESTING + 1``
 deep.  Last, the rows of ``build_tables(8191)`` themselves, whose s and f
-rows from 2048 on the fill prunes and checks in batches, and those of the
+rows from 1024 on the fill prunes and checks in batches, and those of the
 same tables extended through a cache directory from an s-only prefix
 (``load_or_build(3001, f_table=False)``, then ``load_or_build(8191)``),
 whose s batches start at another row.  It prints the number of constructions,

@@ -9,8 +9,9 @@ schedule *length* instead.
 The fill is exact: each row's rate and split are those of a scan of every
 split.  The s rows scan half the splits (the s-join is commutative); rows
 from ``_PRUNE_MIN_ROW`` on scan only the window near the optimum that the
-paper's lower envelope leaves, and a check scores the short splits of 32
-rows at once (see :func:`_fill`).
+paper's lower envelope leaves.  The rows of a batch of up to 64 are scored
+by a few kernel calls on Hankel blocks of the columns, and one check scores
+their short splits at once (see :func:`_fill`).
 """
 
 import json
@@ -80,10 +81,27 @@ class RateTables:
         return len(self.f_rate) - 1
 
 
+_PAD = 64  # zeros below entry 0 of an operand column, which a Hankel block may reach (masked)
+
+
+def _padded(size: int) -> np.ndarray:
+    """A float64 column of ``size`` zeros, a view that starts ``_PAD`` zeros
+    into its base (see :func:`_hankel`)."""
+    return np.zeros(_PAD + size)[_PAD:]
+
+
+def _hankel(col: np.ndarray, top: int, rows: int, width: int) -> np.ndarray:
+    """The view ``out[i, j] = col[top + i - j]`` of a :func:`_padded` column."""
+    return np.ndarray((rows, width), buffer=col.base, offset=8 * (_PAD + top), strides=(8, -8))
+
+
 def _rows(rate: np.ndarray, split: np.ndarray, rows: int):
-    """Copies of a rate and a split column cut or zero-padded to ``rows``."""
+    """Copies of a rate and a split column cut or zero-padded to ``rows``,
+    the rate column :func:`_padded`."""
     done = min(len(rate) - 1, rows)
-    return (np.concatenate((col[: done + 1], np.zeros(rows - done, col.dtype))) for col in (rate, split))
+    rate_col, split_col = _padded(rows + 1), np.zeros(rows + 1, split.dtype)
+    rate_col[: done + 1], split_col[: done + 1] = rate[: done + 1], split[: done + 1]
+    return rate_col, split_col
 
 
 def _extend(tables: "RateTables | None", n_max: int, f_max: "int | None" = None) -> RateTables:
@@ -111,9 +129,10 @@ def _extend(tables: "RateTables | None", n_max: int, f_max: "int | None" = None)
     f_bounds = _envelope_bounds(_fgjoin_rate, _ENVELOPE_RHO) if held_f < f_max and f_max >= _PRUNE_MIN_ROW else None
     s, s_split = _rows(old.s_rate, old.s_split, n_max)
     f, f_split = _rows(old.f_rate, old.f_split, f_max)
-    ss = s * s
-    # sized to the s scans and the unpruned f rows; _scan grows them for longer scans
-    buf = [np.empty(max(n_max // 2, min(f_max, _PRUNE_MIN_ROW) - 1)) for _ in range(3)]
+    ss = _padded(n_max + 1)
+    _multiply(s, s, ss)
+    # the blocks of every scan and check; _scan grows them for a row wider than a block
+    buf = [np.empty(_SCAN_BLOCK) for _ in range(3)]
     lows = [_normalized_min(s, 1, held_s), math.nan]
     if held_s < n_max:
         _fill(_Table(CompClass.S, s, s_split, s, ss, s_bounds, lows), held_s + 1, n_max, buf)
@@ -173,45 +192,72 @@ class _Table:
     def __init__(self, cls, rate, split, s, ss, bounds, lows):
         self.rate, self.split, self.s, self.ss, self.bounds, self.lows = rate, split, s, ss, bounds, lows
         self.half = cls is CompClass.S  # split m and n - m tie exactly: scan m <= n // 2
-        self.own, self.x, self.y = (0, rate, ss) if self.half else (1, 2.0 * rate, rate)
+        self.own, self.x, self.y = (0, rate, ss) if self.half else (1, _padded(len(rate)), rate)
+        if not self.half:
+            _multiply(rate, 2.0, self.x)
         self.kernel, self.scale, self.unit = (_s_kernel, 2.0, 1.0) if self.half else (_f_kernel, 1.0, 0.25)
         self.den = _ENVELOPE_CELLS * (2 if self.half else 1)  # bound cells per unit of m / n
         self.need = 0.0 if self.half else _ENVELOPE_RHO * (1.0 + _ENVELOPE_MARGIN)  # L_f >= rho L_s
 
 
-def _scan(t: _Table, n: int, lo: int, hi: int, buf: list) -> None:
-    """Row ``n`` takes the first minimum of its splits ``lo..hi``."""
-    k = hi - lo + 1
-    if len(buf[0]) < k:  # a full scan of a long f row the envelope leaves unpruned
-        buf[:] = (np.empty(len(t.rate) - 2) for _ in buf)
-    p, d, q = buf
-    p, d, q = p[:k], d[:k], q[:k]
-    m, rest = slice(lo, hi + 1), slice(n - lo, n - hi - 1, -1)  # splits m and rows n - m
-    t.kernel(t.s[m], t.ss[m], t.x[rest], t.y[rest], p, d, q)
-    i = p.argmin()
-    v = t.scale * p.item(i)  # exact: a power of 2 times a normal float
-    t.rate[n] = v
-    t.split[n] = lo + i
-    if t.half:
-        t.y[n] = v * v
-    else:
-        t.x[n] = v + v
+def _scan(t: _Table, n: int, los: list, his: list, buf: list) -> None:
+    """Rows ``n + i`` take the first minimum of their splits ``los[i]..his[i]``,
+    each at least ``len(los)``, so that every split reads a row below ``n``.
+
+    Consecutive rows whose union window fits the block, ``g`` rows of width
+    ``w``, are scored by one kernel call on ``(g, w)`` Hankel views of the
+    columns; each row's entries outside its window are set to +inf, and its
+    ``argmin`` raised to its window start is the window's first minimum."""
+    k, i = len(los), 0
+    while i < k:
+        a, b, j = los[i], his[i], i + 1
+        if b - a >= len(buf[0]):  # one row wider than a block: the blocks grow to a full row
+            buf[:] = (np.empty(len(t.rate) - 2) for _ in buf)
+        size = len(buf[0])
+        while j < k:  # row j joins if the rows times their union width still fit
+            lo, hi = (los[j] if los[j] < a else a), (his[j] if his[j] > b else b)
+            if (j - i + 1) * (hi - lo + 1) > size:
+                break
+            a, b, j = lo, hi, j + 1
+        r, g, w = n + i, j - i, b - a + 1
+        p, d, q = (z[: g * w] for z in buf)
+        block = p.reshape(g, w)
+        x, y = (_hankel(col, r - a, g, w) for col in (t.x, t.y))
+        t.kernel(t.s[a : b + 1], t.ss[a : b + 1], x, y, block, d.reshape(g, w), q.reshape(g, w))
+        end = 0
+        for row, lo, hi in zip(range(0, g * w, w), los[i:j], his[i:j]):  # one row's end to the next's start
+            p[end : row + lo - a] = np.inf
+            end = row + hi - a + 1
+        p[end:] = np.inf
+        at = np.maximum(block.argmin(1), np.subtract(los[i:j], a))  # the window's start if all +inf
+        v = p[at + np.arange(0, g * w, w)]
+        v *= t.scale  # exact: a power of 2 times a normal float
+        t.rate[r : r + g] = v
+        t.split[r : r + g] = at + a
+        if t.half:
+            _multiply(v, v, t.y[r : r + g])
+        else:
+            _add(v, v, t.x[r : r + g])
+        i = j
 
 
-_BATCH_ROWS = 32
+_BATCH_ROWS = 64
+_SCAN_BLOCK = 1 << 15  # float64 entries of each scratch buffer of a fill
 
 
 def _fill(t: _Table, first: int, last: int, buf: list) -> None:
     """Fill rows ``first..last``, each the first minimum over all its splits.
 
-    In batches of up to ``_BATCH_ROWS`` rows, each row scans every split
-    below ``_PRUNE_MIN_ROW``, else only its window of :func:`_windows`.  One
-    kernel call on Hankel views of the columns then scores the splits ``m <=
-    M`` of the batch, ``M`` covering each row's short span and every split
-    that reads a row of the batch.  A row's window minimum stands if each
-    split checked below the window is strictly larger; the first row where
-    one is not scans every split, and the fill goes on after it.  So each
-    row checked reads only rows that stand."""
+    In batches of ``k`` rows (up to ``_BATCH_ROWS``), each row scans every
+    split below ``_PRUNE_MIN_ROW``, else only its window of :func:`_windows`,
+    from split ``k`` on: those splits read only rows below the batch, so one
+    :func:`_scan` scores the whole batch.  One kernel call on Hankel views of
+    the columns then scores the splits ``m <= M`` of the batch, ``M`` covering
+    each row's short span and every split below ``k``, which includes every
+    split that reads a row of the batch.  A row's window minimum stands if
+    each split checked below the window is strictly larger; the first row
+    where one is not scans every split, and the fill goes on after it.  So
+    each row checked reads only rows that stand."""
     n = first
     while n <= last:
         size, stop = len(buf[0]), last if n >= _PRUNE_MIN_ROW else min(last, _PRUNE_MIN_ROW - 1)
@@ -221,12 +267,12 @@ def _fill(t: _Table, first: int, last: int, buf: list) -> None:
             shorts, los, his = _windows(t, n, k, min(n // 2 if t.half else n - 1, size // k))
         else:
             shorts, los, his = (0,), (1,) * k, [r // 2 if t.half else r - 1 for r in range(n, n + k)]
-        for r, lo, hi in zip(range(n, n + k), los, his):
-            _scan(t, r, lo, hi, buf)
+        los = [lo if lo > k else k for lo in los]  # each window ends at about n / 2 or later, above k
+        _scan(t, n, los, his, buf)
         short = max(k - 1, *shorts)
-        r = _check(t, n, short, los, buf) if short and max(los) > 1 else 0
+        r = _check(t, n, short, los, buf) if short else 0
         if r:
-            _scan(t, r, 1, r // 2 if t.half else r - 1, buf)
+            _scan(t, r, [1], [r // 2 if t.half else r - 1], buf)
         end = r or n + k - 1
         low, least = t.lows[t.own], _normalized_min(t.rate, n, end) * t.unit
         if least < low or least != least:  # a nan sticks
@@ -236,15 +282,15 @@ def _fill(t: _Table, first: int, last: int, buf: list) -> None:
 
 def _check(t: _Table, n: int, short: int, los: list, buf: list) -> int:
     """The first row ``n + i`` with a split ``m <= short`` below its window
-    start ``los[i]`` rated at most the row's rate, or 0."""
+    start ``los[i]`` not rated above the row's rate (a nan included), or 0."""
     k = len(los)
     p, d, q = (b[: k * short].reshape(k, short) for b in buf)
-    rest = [np.ndarray((k, short), buffer=col, offset=8 * (n - 1), strides=(8, -8)) for col in (t.x, t.y)]
-    t.kernel(t.s[1 : short + 1], t.ss[1 : short + 1], *rest, p, d, q)
+    x, y = (_hankel(col, n - 1, k, short) for col in (t.x, t.y))
+    t.kernel(t.s[1 : short + 1], t.ss[1 : short + 1], x, y, p, d, q)
     for i, lo in enumerate(los):
         if lo <= short:  # the window scanned these splits
             p[i, lo - 1 :] = np.inf
-    fails = np.flatnonzero(p.min(1) * t.scale <= t.rate[n : n + k])
+    fails = np.flatnonzero(~(p.min(1) * t.scale > t.rate[n : n + k]))
     return n + int(fails[0]) if fails.size else 0
 
 
@@ -260,7 +306,7 @@ def _check(t: _Table, n: int, short: int, los: list, buf: list) -> int:
 # so a cell with L_s n^-p lb_i above the value v0 of one split of the row
 # holds no split that can be the row's first minimum.
 
-_PRUNE_MIN_ROW = 2048  # shorter rows scan every split: a window and a check cost more than they save
+_PRUNE_MIN_ROW = 1024  # shorter rows scan every split: a window and a check cost more than they save
 _ENVELOPE_RHO = 0.4208  # rho of the f bound table, just below c_low() = 0.42080935...
 _ENVELOPE_CELLS = 4096
 _ENVELOPE_MARGIN = 1e-9  # relative; covers the rounding of v0, n^p, the minima and the table

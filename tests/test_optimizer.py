@@ -373,19 +373,52 @@ class TestFillKernel:
         assert (got.n_max, got.f_max) == (n_max, f_max)
         _same_rows(got, reference_700, n_max, f_max)
 
-    def test_fill_peak_memory_stays_bounded(self):
-        """tracemalloc peak of a 4096-row fill, in table columns of 4097
-        float64: about 9.4 with reused buffers (the f column holds 4f while
-        the f rows fill, so no 4f column is made), 11.1 with per-row arrays
-        (numpy 2.4).  A per-row or O(N^2) scratch array breaks the bound."""
-        build_tables(8)
+    @staticmethod
+    def _fill_peak(n_max):
         tracemalloc.start()
         try:
-            build_tables(4096)
-            peak = tracemalloc.get_traced_memory()[1]
+            build_tables(n_max)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 10 * 8 * 4097
+
+    def test_fill_peak_memory_stays_bounded(self):
+        """tracemalloc peak of a fill: the table columns, the three scratch
+        blocks of ``_SCAN_BLOCK`` float64, and numpy's iterator buffers for
+        the Hankel operands (two of ``np.getbufsize()`` float64).  A 4096-row
+        fill peaks at about 11.6 columns of 4097 float64 beyond the blocks,
+        of which the iterator buffers are 4 (numpy 2.4).  An 8192-row fill
+        adds about 5.8 columns of 4096: a per-row or O(N^2) scratch array
+        breaks either bound."""
+        build_tables(8)
+        blocks, iterator = 3 * 8 * optimizer._SCAN_BLOCK, 2 * 8 * np.getbufsize()
+        peak = self._fill_peak(4096)
+        assert peak <= 10 * 8 * 4097 + blocks + iterator
+        assert self._fill_peak(8192) - peak <= 10 * 8 * 4096
+
+    def test_rows_of_a_batch_share_kernel_calls(self, monkeypatch):
+        """The rows of a batch are scored by a few kernel calls on Hankel
+        blocks, not one call per row: 1083 calls fill 8191 rows of each table
+        (the batch checks and the windows' split values included)."""
+        calls = []
+        for name in ("_s_kernel", "_f_kernel"):
+            real = getattr(optimizer, name)
+            monkeypatch.setattr(optimizer, name, lambda *args, real=real: calls.append(real(*args)))
+        build_tables(8191)
+        assert 0 < len(calls) <= 2000
+
+    @given(fill=fill_requests())
+    def test_any_fill_in_small_blocks_matches_reference(self, fill, reference_700):
+        """Blocks of 64 entries: batches split into several groups, one-row
+        groups, rows wider than a block (the blocks grow) and checks that
+        fill a block, in pruned and unpruned rows."""
+        prefix, n_max, f_max = fill
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
+            patch.setattr(optimizer, "_SCAN_BLOCK", 64)
+            tables = None if prefix is None else optimizer._extend(None, *prefix)
+            got = optimizer._extend(tables, n_max, f_max)
+        _same_rows(got, reference_700, n_max, f_max)
 
 
 @pytest.fixture
@@ -449,7 +482,7 @@ class TestEnvelopePruning:
         assert _scanned(windows_seen["f"], range(optimizer._PRUNE_MIN_ROW, 8192)) <= 0.25
         assert min(windows_seen["f"]) == optimizer._PRUNE_MIN_ROW  # shorter rows scan every split
 
-    def test_s_rows_from_2048_scan_a_third_of_the_half_splits(self, windows_seen):
+    def test_pruned_s_rows_scan_a_third_of_the_half_splits(self, windows_seen):
         tables = optimizer._extend(None, 8191, 1)
         seen = windows_seen["s"]
         assert _scanned(seen, range(optimizer._PRUNE_MIN_ROW, 8192), half=True) <= 0.35
@@ -527,6 +560,38 @@ def checks_failed(monkeypatch):
     return failed
 
 
+_CHECK = optimizer._check  # unwrapped: the probes below stay out of other spies
+
+
+@pytest.fixture
+def batch_rows_checked(monkeypatch):
+    """``[(table, n, i, row)]``: at each batch check of rows ``n..n+k-1``
+    and each place ``i`` in ``1..k-1`` before the row where the check
+    fails, the row the check finds once batch row ``n + i - 1`` is set a
+    thousand times lower (then restored), which makes split 1 of row
+    ``n + i``, a split that reads a row of the batch, win."""
+    seen = []
+    real = optimizer._check
+
+    def spy(t, n, short, los, buf):
+        row = real(t, n, short, los, buf)
+        for i in range(1, (row or n + len(los)) - n):
+            j = n + i - 1
+            held = t.rate[j], t.x[j], t.y[j]
+            v = t.rate[j] * 1e-3
+            t.rate[j] = v  # and the operand columns, as the fill writes them
+            if t.half:
+                t.y[j] = v * v
+            else:
+                t.x[j] = v + v
+            seen.append(("s" if t.half else "f", n, i, _CHECK(t, n, short, los, buf)))
+            t.rate[j], t.x[j], t.y[j] = held
+        return row
+
+    monkeypatch.setattr(optimizer, "_check", spy)
+    return seen
+
+
 @pytest.fixture(scope="module")
 def tables_3000():
     return build_tables(3000)
@@ -578,32 +643,55 @@ class TestBatchCheck:
         _same_tables(got, build_tables_reference(3001, prefix))
         assert (cls, 3001, 0) in checks_failed and getattr(got, f"{cls}_split")[3001] == 1
 
-    def test_check_fails_inside_a_batch(self, monkeypatch, checks_failed):
-        """Small rows, and a prefix whose last s row is 2% low: the first row
-        of the fill scans every split, and the check fails at the second."""
+    @pytest.mark.parametrize("cls", ["s", "f"])
+    def test_short_split_of_an_unpruned_row_is_checked(self, checks_failed, cls):
+        """Rows below ``_PRUNE_MIN_ROW`` scan their splits from the batch
+        size on and leave the shorter ones to the check: after a prefix
+        whose last row is 2% low, the next row takes split 1, found there."""
+        prefix = _cut(build_tables(500), 500)
+        getattr(prefix, f"{cls}_rate")[500] *= 0.98
+        got = optimizer._extend(prefix, 600)
+        _same_tables(got, build_tables_reference(600, prefix))
+        assert (cls, 501, 0) in checks_failed and getattr(got, f"{cls}_split")[501] == 1
+
+    def test_check_fails_inside_a_batch(self, monkeypatch, checks_failed, batch_rows_checked):
+        """Small rows, and a prefix whose last s row is 2% low: the rows
+        after it take the splits that read it, each found by the check at
+        the first row of its batch; and at every later row of every batch, a
+        split that reads a row of the batch and wins is found there."""
         monkeypatch.setattr(optimizer, "_PRUNE_MIN_ROW", 16)
         prefix = _cut(build_tables(224), 224)
         prefix.s_rate[224] *= 0.98
-        _same_tables(optimizer._extend(prefix, 300), build_tables_reference(300, prefix))
-        assert any(table == "s" and at > 0 for table, _, at in checks_failed)
+        got = optimizer._extend(prefix, 300)
+        _same_tables(got, build_tables_reference(300, prefix))
+        assert ("s", 225, 0) in checks_failed and got.s_split[225] == 1
+        assert {table for table, *_ in batch_rows_checked} == {"s", "f"}
+        assert all(row == n + i for _, n, i, row in batch_rows_checked)
 
     @pytest.mark.parametrize("cls", ["s", "f"])
-    def test_splits_that_read_the_batch_are_checked(self, monkeypatch, tables_3000, checks_failed, cls):
-        """Windows that leave no short split to the check, and a first row
-        of each batch that scans every split: after a prefix row set low,
-        the rows inside each batch that take split 1 (a row of the batch)
-        are found, since the check covers every split that reads one."""
+    def test_splits_that_read_the_batch_are_checked(
+        self, monkeypatch, tables_3000, checks_failed, batch_rows_checked, cls
+    ):
+        """Windows that leave no short split to the check, which then scores
+        only the splits below the batch size: after a prefix row set low,
+        the rows that take split 1 or 2 are found at the first row of their
+        batch, and at every later row of every batch a split that reads a
+        row of the batch and wins is found, since the check covers every
+        split that reads one."""
         real = optimizer._windows
 
         def windows(t, n, k, cap):
             shorts, los, his = real(t, n, k, cap)
-            return [0] * k, [1] + los[1:], [n // 2 if t.half else n - 1] + his[1:]
+            return [0] * k, los, his
 
         monkeypatch.setattr(optimizer, "_windows", windows)
         prefix = _cut(tables_3000, 3000)
         getattr(prefix, f"{cls}_rate")[3000] *= 0.999
         _same_tables(optimizer._extend(prefix, 3200), build_tables_reference(3200, prefix))
-        assert any(table == cls and at > 0 for table, _, at in checks_failed)
+        assert (cls, 3001, 0) in checks_failed
+        places = [i for table, _, i, _ in batch_rows_checked if table == cls]
+        assert max(places) == optimizer._BATCH_ROWS - 1
+        assert all(row == n + i for _, n, i, row in batch_rows_checked)
 
 
 class TestTableStore:
