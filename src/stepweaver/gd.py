@@ -24,7 +24,11 @@ per-coordinate constants.
 
 :func:`descend` is the one GD loop: it stores only the points, takes each
 gradient into one reused row, and can drive segments of the coordinates
-with step sequences of their own.  Gradients and values are pure
+with step sequences of their own.  A step row holds every coordinate's
+step of one iteration; the loop fills a reused block of them (at most
+``_STEP_BLOCK`` values) once per block of iterations, so each iteration
+multiplies the gradient row by one array row, whatever the number of
+segments.  Gradients and values are pure
 elementwise functions of the points, so :func:`gradients` and
 :func:`values` evaluate them after the loop, over whatever slice of the
 points a caller reads: the verifier evaluates the battery's values only at
@@ -142,33 +146,55 @@ def values(xs, form: CoordForm):
     return fs
 
 
+# The loop's step rows are filled in blocks of at most this many values (32
+# KiB), or of one row where a row is wider, so its scratch beside the
+# points and the gradient row stays small at any battery or scan grid.
+_STEP_BLOCK = 2**12
+
+
 def descend(runs, form: CoordForm, x0):
     """The points of gradient descent from ``x0``, shaped ``(n+1,) + x0.shape``.
 
     ``runs`` is a list of ``(steps, stop)``: the coordinates of the last
     axis from the previous run's ``stop`` (0 for the first) up to ``stop``
-    take ``steps``; every run has the same length n.  ``form`` broadcasts
-    against ``x0``.  Each step takes the gradient into one reused row, so
-    the loop keeps no gradient and evaluates no value.
+    take ``steps``; every run has the same length n, and the last ``stop``
+    is ``x0.shape[-1]``.  ``form`` broadcasts against ``x0``.
+
+    Step i's row holds each coordinate's step i along the last axis, and
+    broadcasts over the leading axes of ``x0``.  The rows sit in a reused
+    block of ``_STEP_BLOCK // x0.shape[-1]`` rows (at least one; n if that
+    is fewer), filled by one slice assignment per run once per block of
+    steps.  Each step takes the gradient into one reused row, then makes
+    one multiply by its step row and one subtract, however many runs there
+    are.  The operand is an array because numpy converts a Python-float
+    operand on every call, which makes a call at battery sizes about 1.5
+    times as slow; the product is the same IEEE product of the same two
+    values, so the points keep their bits.  The loop keeps no gradient and
+    evaluates no value.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    n = len(runs[0][0])
+    n, width = len(runs[0][0]), x0.shape[-1]
     xs = np.empty((n + 1,) + x0.shape)
     xs[0] = x0
     g = np.empty(x0.shape)
-    # row views and Python-float steps are made once: indexing an array for
-    # them on every step costs about as much as a ufunc call's arithmetic
-    rows, segments, start = list(xs), [], 0
+    k = max(1, min(n, _STEP_BLOCK // max(1, width)))
+    H = np.empty((k, width))
+    fills, start = [], 0
     for steps, stop in runs:
-        steps = np.asarray(steps, dtype=np.float64).tolist()
-        segments.append((steps, g[..., start:stop], list(xs[1:, ..., start:stop])))
+        fills.append((H[:, start:stop], np.asarray(steps, dtype=np.float64).reshape(-1, 1)))
         start = stop
-    for i in range(n):
-        x, nxt = rows[i], rows[i + 1]
-        gradients(x, form, out=g)
-        for steps, g_part, x_parts in segments:
-            np.multiply(g_part, steps[i], out=x_parts[i])
-        np.subtract(x, nxt, out=nxt)
+    x = xs[0]
+    for b in range(0, n, k):
+        m = min(k, n - b)
+        for block, steps in fills:
+            block[:m] = steps[b : b + m]
+        # iterating makes each row's view as its step comes: a list of the
+        # views of every row would outgrow the block
+        for nxt, h in zip(xs[b + 1 : b + m + 1], H):
+            gradients(x, form, out=g)
+            np.multiply(g, h, nxt)
+            np.subtract(x, nxt, nxt)
+            x = nxt
     return xs
 
 

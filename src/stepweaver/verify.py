@@ -30,10 +30,12 @@ ones.  One verification runs one GD loop, which stores only the points: the
 packed battery and the class's tight 1-D instances (``(is_huber, param,
 label)`` rows, run from ``x0 = 1``) take the schedule's steps, and the
 reversed schedule's tight pair takes the reversed steps on a trailing
-segment of the same coordinates.  Gradients are evaluated after the loop;
-values at every point only where a battery certificate sums per-point
-terms (the f weights, the s mixed inequality), and otherwise at points 0
-and n, all that the other checks read.  The certificate slacks take their
+segment of the same coordinates.  Gradients and values are evaluated after
+the loop, at every point only where a battery check sums over points: both
+where a certificate sums per-point terms (the f weights, the s mixed
+inequality), the gradients also for the s implied bounds.  Otherwise each
+is evaluated at points 0 and n, all that the other checks read (a class g
+schedule, a tree-less f schedule).  The certificate slacks take their
 per-point terms by blocks of points, so every class holds at most the
 points, the battery's gradients, values and per-point terms and the
 interpolation kernel's temporaries.  One scorer turns the tight traces of
@@ -549,25 +551,28 @@ def _battery_slacks(schedule: StepSchedule, cert, implied: bool, X, G, F) -> dic
     return slacks
 
 
-def _slice_trace(xs, form, start: int, stop: int, every_value: bool = True):
+def _slice_trace(xs, form, start: int, stop: int, every_value: bool = True, every_gradient: bool = True):
     """``(X, G, F)`` of the coordinates ``start..stop`` of the points ``xs``,
     one instance each, and their :class:`CoordForm`: X is an ``(n+1, stop -
     start, 1)`` view, G and F are new contiguous arrays.  F holds the values
-    of every point if ``every_value``, else those of points 0 and n only
-    (its rows 0 and -1)."""
+    of every point if ``every_value``, G the gradients of every point if
+    ``every_gradient``; else each holds those of points 0 and n only (its
+    rows 0 and -1)."""
     X = xs[:, start:stop, None]
     part = CoordForm(*(a[start:stop, None] for a in form))
-    F = values(X if every_value else X[[0, -1]], part)
-    return (X, gradients(X, part), F), part
+    ends = X[[0, -1]]
+    F = values(X if every_value else ends, part)
+    return (X, gradients(X if every_gradient else ends, part), F), part
 
 
-def _one_loop(battery: PackedBattery, runs, every_value: bool):
+def _one_loop(battery: PackedBattery, runs, every_value: bool, every_gradient: bool):
     """One GD loop over the packed battery followed by the 1-D tight rows of
     ``runs``, a list of ``(schedule, rows)`` with rows as :func:`_tight_rows`
     gives them: the battery and the first run's rows take the first run's
     steps, each later run's rows its own schedule's steps.  Returns the
     battery's ``(X, G, F)``, instances in index order, with the values of
-    every point if ``every_value`` and else of points 0 and n only; the
+    every point if ``every_value`` and the gradients of every point if
+    ``every_gradient``, else those of points 0 and n only; the
     battery's :class:`CoordForm`; and the tight traces ``(x, g, f)`` in row
     order, copied contiguous: a strided ``(n+1, 1)`` view sends the
     ``np.dot`` of :func:`_weighted_sum` down another BLAS path, which
@@ -584,7 +589,7 @@ def _one_loop(battery: PackedBattery, runs, every_value: bool):
     xs = descend(segments, form, np.concatenate([battery.x0, np.ones(stop - m)]))
     tail, _ = _slice_trace(xs, form, m, stop)
     traces = [tuple(np.ascontiguousarray(a[:, j]) for a in tail) for j in range(stop - m)]
-    return *_slice_trace(xs, form, 0, m, every_value), traces
+    return *_slice_trace(xs, form, 0, m, every_value, every_gradient), traces
 
 
 @np.errstate(all="ignore")
@@ -659,8 +664,11 @@ def verify_schedule(schedule: StepSchedule, config: "RunConfig | None" = None) -
     # every battery slack and the interpolation minimum keep their worst
     # instance, the first NaN if there is one
     # the f weights and the s mixed inequality sum per-point terms over
-    # every value; the other slacks and the scales read f_0 and f_n only
-    (X, G, F), form, traces = _one_loop(_battery(config.battery, config.seed), runs, cert is not None)
+    # every value and gradient, the s implied bounds sum the gradients; the
+    # other slacks and the scales read f_0, f_n and g_n only
+    every_point = cert is not None
+    battery = _battery(config.battery, config.seed)
+    (X, G, F), form, traces = _one_loop(battery, runs, every_point, every_point or implied)
     scales = np.maximum(1.0, np.maximum(_dot(X[0], X[0]), F[0]))
     slacks = _battery_slacks(schedule, cert, implied, X, G, F)
     scores = {f"battery/{key}": slack / scales for key, slack in slacks.items()}

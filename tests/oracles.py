@@ -26,6 +26,11 @@ Huber/quadratic gradient and the value at every step.  The production
 ``stepweaver.gd.raw_run`` (one loop that stores only the points, gradients
 and values evaluated after it) must reproduce its traces byte for byte.
 
+``descend_reference`` is the GD loop with one multiply per run and step by
+the run's step as a Python float, into views of the points made before the
+loop.  The production ``stepweaver.gd.descend`` (one multiply per step by a
+row of a reused block of step rows) must give the same points byte for byte.
+
 ``join_by_join`` evaluates a construction tree by joining upward, one
 ``join`` per node.  The production ``stepweaver.schedule.fold_tree`` (one
 rate fold, then the middle steps laid out in order), and so ``materialize``,
@@ -66,6 +71,7 @@ import csv
 import mpmath
 import numpy as np
 
+from stepweaver.gd import CoordForm, gradients
 from stepweaver.optimizer import P_EXPONENT, RateTables
 from stepweaver.schedule import (
     CompClass,
@@ -121,6 +127,36 @@ def raw_run_reference(steps, is_huber, param, x0):
         if i < n:
             x = x - steps[i] * gs[i]
     return xs, gs, fs
+
+
+def descend_reference(runs, form: CoordForm, x0):
+    """The points of gradient descent from ``x0``, shaped ``(n+1,) + x0.shape``.
+
+    ``runs`` is a list of ``(steps, stop)``: the coordinates of the last
+    axis from the previous run's ``stop`` (0 for the first) up to ``stop``
+    take ``steps``; every run has the same length n.  ``form`` broadcasts
+    against ``x0``.  Each step takes the gradient into one reused row, so
+    the loop keeps no gradient and evaluates no value.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    n = len(runs[0][0])
+    xs = np.empty((n + 1,) + x0.shape)
+    xs[0] = x0
+    g = np.empty(x0.shape)
+    # row views and Python-float steps are made once: indexing an array for
+    # them on every step costs about as much as a ufunc call's arithmetic
+    rows, segments, start = list(xs), [], 0
+    for steps, stop in runs:
+        steps = np.asarray(steps, dtype=np.float64).tolist()
+        segments.append((steps, g[..., start:stop], list(xs[1:, ..., start:stop])))
+        start = stop
+    for i in range(n):
+        x, nxt = rows[i], rows[i + 1]
+        gradients(x, form, out=g)
+        for steps, g_part, x_parts in segments:
+            np.multiply(g_part, steps[i], out=x_parts[i])
+        np.subtract(x, nxt, out=nxt)
+    return xs
 
 
 def q_min_pairwise(X, G, F):

@@ -1,12 +1,16 @@
+import importlib.util
 import math
+import tracemalloc
 import typing
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import coord_grad, coord_value_reference, q_min_pairwise, raw_run_reference
-from stepweaver import gd
+from oracles import coord_grad, coord_value_reference, descend_reference, q_min_pairwise, raw_run_reference
+from stepweaver import gd, verify
 from stepweaver.builders import constant_optimal, dynamic_short, silver
 from stepweaver.gd import (
     GDTrace,
@@ -21,7 +25,8 @@ from stepweaver.gd import (
     tight_delta,
     worst_case_scan,
 )
-from stepweaver.optimizer import obs_f, obs_g, obs_s
+from stepweaver.io import RunConfig
+from stepweaver.optimizer import build_tables, obs_f, obs_g, obs_s
 from stepweaver.schedule import (
     CompClass,
     JoinOp,
@@ -31,6 +36,7 @@ from stepweaver.schedule import (
     empty_schedule,
     join,
 )
+from stepweaver.verify import verify_schedule
 
 SQ2 = math.sqrt(2.0)
 
@@ -394,6 +400,113 @@ class TestSelectValue:
         want = coord_value_reference(x, is_huber, param)
         assert np.isnan(got).all() and np.isnan(want).all()
         assert got[:2].tobytes() == want[:2].tobytes()
+
+
+# Steps a GD step can take: zero, the least subnormal, a product's overflow,
+# NaN and both infinities, besides ordinary ones.
+EDGE_STEPS = [0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def descend_cases(draw):
+    """``(block, runs, form, x0)``: a step block of a few values, so that n
+    runs from 0 to three blocks of rows and five steps, 1 to 3 runs over
+    the last axis (an empty one among them at times), and ``x0`` of shape
+    ``(C,)`` or ``(B, d)``."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 8)), st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    block = draw(st.sampled_from([1, 2, 3, 5, 8, 16]))
+    k = max(1, block // shape[-1])  # the loop's rows per block
+    n = draw(st.integers(0, 3 * k + 5))
+    cuts = draw(st.lists(st.integers(0, shape[-1]), max_size=2))
+    stops = sorted(cuts) + [shape[-1]]
+    step = st.one_of(st.sampled_from(EDGE_STEPS), st.floats(0.01, 3.0))
+    runs = [(np.array(draw(st.lists(step, min_size=n, max_size=n))), stop) for stop in stops]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    is_huber, param = instance_arrays(rng, shape)
+    return block, runs, gd.coord_form(is_huber, param), start_points(rng, shape, param)
+
+
+class TestDescendOracle:
+    """The loop over blocks of step rows reproduces the per-run loop with
+    Python-float steps byte for byte."""
+
+    @given(case=descend_cases())
+    def test_points_match_reference(self, case):
+        block, runs, form, x0 = case
+        with np.errstate(all="ignore"):
+            with mock.patch.object(gd, "_STEP_BLOCK", block):
+                got = gd.descend(runs, form, x0)
+            want = descend_reference(runs, form, x0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0xC0FFEE + 1, 0xC0FFEE + 2])
+    def test_benchmark_battery_loops_match_reference(self, monkeypatch, seed):
+        """Every loop of the benchmark's 240 verify ops (its corpus and long
+        schedules) at this battery seed gives the reference's points."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        ops = workloads.corpus_schedules() + workloads.long_schedules()
+        assert len(ops) == 240
+        loops = []
+
+        def compared(runs, form, x0):
+            xs = gd.descend(runs, form, x0)
+            loops.append(xs.tobytes() == descend_reference(runs, form, x0).tobytes())
+            return xs
+
+        monkeypatch.setattr(verify, "descend", compared)
+        cfg = RunConfig(seed=seed)
+        for _, h in ops:
+            verify_schedule(h, cfg)
+        assert len(loops) == 240 and all(loops)
+
+
+# The loop's Python objects beside its arrays: a few row views, iterators,
+# the list of runs and numpy's iterator for a broadcast step row, as many at
+# n = 1 as at any n.
+LOOP_OBJECTS = 2**12
+
+
+def descend_scratch(runs, form, x0) -> int:
+    """tracemalloc peak of one ``descend`` beyond its points and gradient row."""
+    tracemalloc.start()
+    try:
+        xs = gd.descend(runs, form, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - xs.nbytes - np.asarray(x0).nbytes  # g has the shape of x0
+
+
+class TestDescendMemory:
+    """The loop's scratch beside the points and the gradient row is at most
+    one block of step values and ``LOOP_OBJECTS``."""
+
+    def test_battery_2000_at_n_255(self):
+        h = obs_s(255, build_tables(256))
+        battery = verify._battery(2000, RunConfig().seed)
+        rows = 6  # the s class's four tight rows and the reversed pair
+        hub = np.concatenate([battery.is_huber, np.ones(rows, dtype=bool)])
+        par = np.concatenate([battery.param, np.full(rows, 0.5)])
+        x0 = np.concatenate([battery.x0, np.ones(rows)])
+        runs = [(h.steps, 2004), (h.steps[::-1].copy(), 2006)]
+        assert descend_scratch(runs, gd.coord_form(hub, par), x0) <= 8 * gd._STEP_BLOCK + LOOP_OBJECTS
+
+    def test_largest_worst_case_grid(self):
+        """silver(13) (n = 8191, a full block of ``_STEP_BLOCK`` steps) on
+        the largest grid ``worst_case_scan`` accepts for it, in the scan's
+        layout of one Huber kink per row of ``(grid+1, 1)``: the step rows
+        are one value wide however many rows there are."""
+        h = silver(13)
+        grid = gd.MAX_COORDS // (h.n + 1) - 1
+        with pytest.raises(ResourceCapError):
+            worst_case_scan(h, "objective_gap_per_D2", grid + 1)
+        is_huber = np.arange(grid + 1).reshape(-1, 1) < grid
+        param = np.append(np.geomspace(1e-6, 1.0, grid), 1.0).reshape(-1, 1)
+        form = gd.coord_form(is_huber, param)
+        assert descend_scratch([(h.steps, 1)], form, np.ones((grid + 1, 1))) <= 8 * gd._STEP_BLOCK + LOOP_OBJECTS
 
 
 def worst_case_reference(schedule, criterion, grid_size):

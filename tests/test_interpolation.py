@@ -524,9 +524,9 @@ def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
     seen = []
     original = verify._one_loop
 
-    def keeping(packed, runs, every_value):
-        got = original(packed, runs, every_value)
-        seen.append((packed, runs, every_value, *got))
+    def keeping(packed, runs, every_value, every_gradient):
+        got = original(packed, runs, every_value, every_gradient)
+        seen.append((packed, runs, every_value, every_gradient, *got))
         return got
 
     monkeypatch.setattr(verify, "_one_loop", keeping)
@@ -535,11 +535,13 @@ def test_one_loop_traces_equal_separate_runs(monkeypatch, battery):
     for h in (silver(3), obs_f(64, tables), obs_g(41, tables), obs_s(63, tables), treeless):
         seen.clear()
         verify_schedule(h, RunConfig(battery=battery))
-        (packed, runs, every_value, trace, form, traces), = seen
+        (packed, runs, every_value, every_gradient, trace, form, traces), = seen
         assert [len(rows) for _, rows in runs] == ([4] if h.comp_class is CompClass.S else [2]) + (
             [] if h.tree is None else [2]
         )
         alone = raw_run(h.steps, *(a.reshape(battery, 1) for a in packed))
+        if not every_gradient:  # the gradients of points 0 and n
+            alone = (alone[0], alone[1][[0, -1]], alone[2])
         if not every_value:  # the values of points 0 and n
             alone = (*alone[:2], alone[2][[0, -1]])
         assert same_bytes(trace, alone), h.describe()
@@ -567,6 +569,23 @@ def test_battery_values_only_where_read(monkeypatch):
         assert verify_schedule(h, cfg).passed, h.describe()
         assert [s for s in shapes if s[1] == cfg.battery] == [(rows, cfg.battery, 1)], h.describe()
         assert [X.shape for X, _, _ in calls] == [(64, cfg.battery, 1)], h.describe()
+
+
+def test_battery_gradients_only_where_read(monkeypatch):
+    """The battery gets every point's gradient where a check sums over
+    points (the f weights, the s mixed inequality and implied bounds), and
+    otherwise those of points 0 and n: class g reads ``g_n`` only, the
+    direct gap inequality of a tree-less f schedule no gradient."""
+    tables = build_tables(64)
+    shapes = []
+    original = verify.gradients
+    monkeypatch.setattr(verify, "gradients", lambda X, form: shapes.append(X.shape) or original(X, form))
+    cfg = RunConfig()
+    treeless = replace(obs_f(63, tables), tree=None)
+    for h, rows in ((obs_g(63, tables), 2), (treeless, 2), (obs_f(63, tables), 64), (obs_s(63, tables), 64)):
+        shapes.clear()
+        assert verify_schedule(h, cfg).passed, h.describe()
+        assert [s for s in shapes if s[1] == cfg.battery] == [(rows, cfg.battery, 1)], h.describe()
 
 
 def test_gd_loops_per_verify(monkeypatch):
@@ -654,12 +673,12 @@ KERNEL_ALLOWANCE = 3 * 2**19
 def working_set_bound(n: int, battery: int, per_point: bool = True) -> float:
     """Bytes a verification at length n may hold at once: the n+1 points of
     every battery coordinate and of at most six tight rows, the battery's
-    gradients, its values and per-point certificate terms at every point
+    gradients, values and per-point certificate terms at every point
     (``per_point``: the f weights, the s mixed inequality) or else its
-    values at points 0 and n, and ``KERNEL_ALLOWANCE``."""
+    gradients and values at points 0 and n, and ``KERNEL_ALLOWANCE``."""
     if per_point:
         return 8 * (n + 1) * (battery + 6 + 3 * battery) + KERNEL_ALLOWANCE
-    return 8 * (n + 1) * (battery + 6 + battery) + 8 * 2 * battery + KERNEL_ALLOWANCE
+    return 8 * (n + 1) * (battery + 6) + 8 * 2 * 2 * battery + KERNEL_ALLOWANCE
 
 
 def verify_peak(h, config=None) -> int:
@@ -676,13 +695,13 @@ def verify_peak(h, config=None) -> int:
 def test_verify_peak_memory_stays_bounded():
     """At n=511 every class stays within one working set: bound 4.65 MiB,
     4.22 and 4.25 MiB measured for f and s with numpy 2.4; the g class holds
-    no per-point terms and two rows of values, bound 3.09 MiB, 2.14 MiB
-    measured.  The bounds themselves are pinned, so that they cannot grow
-    unnoticed."""
+    no per-point terms and two rows of gradients and values, bound 2.32
+    MiB, 1.36 MiB measured.  The bounds themselves are pinned, so that they
+    cannot grow unnoticed."""
     tables = build_tables(512)
     peaks = {cls: verify_peak(make(511, tables)) for cls, make in (("f", obs_f), ("g", obs_g), ("s", obs_s))}
     bound, bound_g = working_set_bound(511, RunConfig().battery), working_set_bound(511, RunConfig().battery, False)
-    assert bound <= 4.65 * 2**20 and bound_g <= 3.09 * 2**20
+    assert bound <= 4.65 * 2**20 and bound_g <= 2.32 * 2**20
     assert peaks["f"] <= bound and peaks["s"] <= bound and peaks["g"] <= bound_g, (peaks, bound, bound_g)
 
 
@@ -690,12 +709,12 @@ def test_verify_peak_memory_stays_bounded():
 def test_large_battery_peak_memory_stays_bounded(cls):
     """At n=255 with ``battery=2000``, where the battery's gradients, values
     and per-point terms outweigh the block temporaries: bound 17.14 MiB,
-    16.8 MiB measured with numpy 2.4 for f and s; for g, bound 9.36 MiB,
-    8.5 MiB measured.  The bounds themselves are pinned, so that they
+    16.8 MiB measured with numpy 2.4 for f and s; for g, bound 5.48 MiB,
+    4.63 MiB measured.  The bounds themselves are pinned, so that they
     cannot grow unnoticed."""
     h = {"f": obs_f, "g": obs_g, "s": obs_s}[cls](255, build_tables(256))
     bound = working_set_bound(255, 2000, per_point=cls != "g")
-    assert bound <= (9.36 if cls == "g" else 17.14) * 2**20
+    assert bound <= (5.48 if cls == "g" else 17.14) * 2**20
     assert verify_peak(h, RunConfig(battery=2000)) <= bound
 
 

@@ -343,6 +343,19 @@ class TestTraceGuards:
             defining_slack(silver(2), long_trace)
 
 
+def two_step_treeless(comp_class: CompClass, first: float) -> StepSchedule:
+    """The tree-less schedule ``[first, second]`` of ``comp_class`` whose
+    second step, in (1, 2), makes both closed forms give its rate:
+    1/(1 + c*sum h) = prod(h - 1)^p, with c = p = 1 for class S and 2 else."""
+    c = 1.0 if comp_class is CompClass.S else 2.0  # the closed forms' factor
+    power = 1 if comp_class is CompClass.S else 2
+    gap = lambda h: 1.0 / (1.0 + c * (first + h)) - ((first - 1.0) * (h - 1.0)) ** power
+    second = bisect_root(gap, 1.0 + 1e-12, 2.0 - 1e-12, tol=1e-15)
+    h = StepSchedule([first, second], comp_class, 1.0 / (1.0 + c * (first + second)))
+    assert validate_schedule(h, 1e-12) <= 1e-12
+    return h
+
+
 class TestVerifySchedule:
     def test_pass_for_certified_families(self):
         cfg = RunConfig(battery=60)
@@ -361,12 +374,7 @@ class TestVerifySchedule:
         forms pass every check, though their true worst cases exceed their
         rates (F [1.8, 1.45607]: 1.23x; G [2, 1.35991]: 1.39x): without a
         proven tree a passing report is not certified, and says why."""
-        c = 1.0 if comp_class is CompClass.S else 2.0  # the closed forms' factor
-        power = 1 if comp_class is CompClass.S else 2
-        gap = lambda h: 1.0 / (1.0 + c * (first + h)) - ((first - 1.0) * (h - 1.0)) ** power
-        second = bisect_root(gap, 1.0 + 1e-12, 2.0 - 1e-12, tol=1e-15)
-        h = StepSchedule([first, second], comp_class, 1.0 / (1.0 + c * (first + second)))
-        assert validate_schedule(h, 1e-12) <= 1e-12
+        h = two_step_treeless(comp_class, first)
         report = verify_schedule(h, RunConfig(battery=40))
         assert report.passed and not report.certified, report.summary()
         assert "identity" in {c.name for c in report.checks} and "reversal-duality" not in {c.name for c in report.checks}
@@ -760,6 +768,35 @@ class TestFalsifiability:
     def test_certificate_refuses_non_finite_weight_and_rate_outside_unit_interval(self, weights, eta):
         with pytest.raises(IdentityError):
             CertificateV(np.array(weights), eta)
+
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="no check refutes a tree-less schedule whose steps solve both closed forms: the battery's "
+        "symmetric 1-D instances miss its worst case; ROADMAP items 1b (an exact one-sided Huber scan) and "
+        "1c (a PEP witness) would refute it",
+    )
+    @pytest.mark.parametrize(
+        "comp_class,first,second",
+        [
+            (CompClass.F, 2.0, 1.3599119790003549),
+            (CompClass.F, 1.8, 1.4560667041052722),
+            (CompClass.F, 1.414, 1.87719581837234),
+            (CompClass.G, 2.0, 1.3599119790003549),
+            (CompClass.S, 2.0, 1.2360679774997898),
+        ],
+        ids=["f-2", "f-1.8", "f-1.414", "g-2", "s-2"],
+    )
+    def test_treeless_counterexample_fails_a_check(self, comp_class, first, second):
+        """Each two-step schedule's stated rate is wrong: F [2, 1.35991] has
+        2.08x its rate as true worst case, on the one-sided Huber f = x^2/2
+        for x >= -delta from x0 = 1 at delta = 1/(1 + 2*h_2), and the S
+        schedule's inequality fails on some instance.  So some check must
+        fail."""
+        h = two_step_treeless(comp_class, first)
+        assert h.steps[1] == second
+        report = verify_schedule(h)
+        assert not report.passed, report.summary()
 
 
 class TestHDualityBattery:
